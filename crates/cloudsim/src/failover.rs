@@ -1,23 +1,27 @@
-//! Fault injection for the multi-tenant cloud simulation: a seeded crash
-//! schedule ([`FailurePlan`]) kills the control-plane leader at simulated
-//! instants mid-run; the simulation fails over to a recovered replica rebuilt
+//! Fault injection for every simulation scenario: a seeded crash schedule
+//! ([`FailurePlan`]) kills every control-plane shard's leader at simulated
+//! instants mid-run; the kernel fails each shard over to a replica rebuilt
 //! from the replicated `snapshot + log replay` and keeps going. The
-//! [`ChaosReport`] captures, per crash, whether the rebuilt job state matched
-//! the pre-crash state byte for byte, and exposes the loss/duplication
-//! invariants the chaos suite asserts (no ticket lost, no job dispatched
-//! twice).
+//! [`ChaosReport`] wraps the scenario's ordinary report with, per crash,
+//! whether each shard's rebuilt job state matched its pre-crash state byte
+//! for byte, plus the loss/duplication invariants the chaos matrix asserts
+//! (no ticket lost, no job dispatched twice, no QPU lease leaked).
 
-use crate::multitenant::MultiTenantReport;
-use crate::sim::SimulationReport;
+use qonductor_core::jobmanager::JobId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+
+/// Checkpoint cadence (batches per snapshot) of a failure-free run.
+/// Checkpointing even without crashes is behaviour-neutral (the chaos matrix
+/// proves fault-injected and failure-free runs equal) and keeps the journal
+/// bounded over long figure-generating runs.
+pub(crate) const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
 
 /// A seeded crash schedule for one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailurePlan {
-    /// Simulated instants at which the control-plane leader crashes,
+    /// Simulated instants at which the control-plane leaders crash,
     /// ascending.
     pub crash_times_s: Vec<f64>,
     /// Install a snapshot (and compact the journal) every this many
@@ -27,6 +31,14 @@ pub struct FailurePlan {
 }
 
 impl FailurePlan {
+    /// The failure-free plan: no crash, the default checkpoint cadence.
+    pub fn none() -> Self {
+        FailurePlan {
+            crash_times_s: Vec::new(),
+            snapshot_every_batches: DEFAULT_SNAPSHOT_EVERY_BATCHES,
+        }
+    }
+
     /// Derive a crash schedule from a seed: `num_crashes` leader kills spread
     /// over the middle 90% of the simulated duration, plus a default
     /// checkpoint cadence of one snapshot per three batches.
@@ -45,101 +57,73 @@ impl FailurePlan {
     }
 }
 
-/// One injected leader crash and its recovery.
+/// One shard's recovery from an injected crash.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CrashRecord {
-    /// Simulated time of the crash.
-    pub t_s: f64,
+pub struct ShardRecovery {
     /// The leader that was killed.
     pub old_leader: usize,
     /// The leader elected by the failover.
     pub new_leader: usize,
-    /// Journal entries replayed on top of the latest snapshot to rebuild.
-    pub replayed_events: u64,
-    /// `true` iff the rebuilt job state was byte-for-byte identical to the
-    /// pre-crash state.
+    /// `true` iff the shard's rebuilt job state was byte-for-byte identical
+    /// to its pre-crash state.
     pub digest_matched: bool,
 }
 
-/// Outcome of a (possibly fault-injected) single-tenant simulation run on
-/// the journaled control plane — the baseline-simulation analogue of
-/// [`ChaosReport`].
+/// One injected whole-plane crash (every shard's leader killed) and its
+/// per-shard recovery.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CrashRecord {
+    /// Simulated time of the crash.
+    pub t_s: f64,
+    /// Journal entries replayed on top of the latest snapshots to rebuild,
+    /// summed over the shards.
+    pub replayed_events: u64,
+    /// Per-shard recovery, in shard order (one entry on a one-shard plane).
+    pub shards: Vec<ShardRecovery>,
+    /// `true` iff the fleet allocator rebuilt from the per-shard journaled
+    /// lease sets with no QPU leaked or double-granted.
+    pub allocator_consistent: bool,
+}
+
+/// Outcome of a (possibly fault-injected) run of any scenario: the
+/// scenario's ordinary report plus what the kernel observed of the control
+/// plane around it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BaselineChaosReport {
-    /// The ordinary simulation report (timeline, cycles, completions, and
-    /// the §7 split decisions in `dispatches`).
-    pub report: SimulationReport,
+pub struct ChaosReport<R> {
+    /// The scenario's ordinary report.
+    pub report: R,
     /// One record per injected crash, in schedule order (empty without a
     /// failure plan).
     pub crashes: Vec<CrashRecord>,
     /// Snapshots installed (journal compactions) during the run.
     pub snapshots_installed: u64,
-    /// The control plane's state digest (incremental fingerprint) at the
-    /// end of the run. Comparable between runs that snapshot on the same
-    /// schedule; cross-schedule equality checks use [`Self::final_state`].
-    pub final_digest: String,
-    /// The control plane's byte-for-byte encoded state at the end of the
-    /// run (the `encode_state` oracle) — fault-injected and failure-free
-    /// runs of the same configuration must produce equal bytes, regardless
-    /// of when each run snapshotted.
-    pub final_state: String,
+    /// Per-tenant accounting imbalance, summed over every registered tenant:
+    /// |submitted − (queued + in flight + completed + rejected)|. Zero iff
+    /// every ledger balances exactly — both a lost ticket and a
+    /// double-resolved one (a replay bug completing the same ticket twice)
+    /// make this non-zero.
+    pub lost_tickets: u64,
+    /// `(shard, job id)` pairs a batch enqueued onto a QPU more than once
+    /// (job ids are shard-local, so the pair is the unique key). Empty iff
+    /// no job was dispatched twice.
+    pub double_dispatched: Vec<(usize, JobId)>,
+    /// Per-shard byte-for-byte encoded states at the end of the run (the
+    /// `encode_state` oracle) — fault-injected and failure-free runs of the
+    /// same configuration must produce equal bytes, regardless of when each
+    /// run snapshotted.
+    pub final_states: Vec<String>,
 }
 
-impl BaselineChaosReport {
-    /// `true` iff every failover rebuilt the pre-crash state byte for byte.
+impl<R> ChaosReport<R> {
+    /// `true` iff every shard's failover rebuilt its pre-crash state byte
+    /// for byte, every time.
     pub fn all_digests_matched(&self) -> bool {
-        self.crashes.iter().all(|c| c.digest_matched)
-    }
-}
-
-/// Outcome of a fault-injected multi-tenant run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChaosReport {
-    /// The ordinary multi-tenant report (batches, tenants, completions).
-    pub report: MultiTenantReport,
-    /// One record per injected crash, in schedule order.
-    pub crashes: Vec<CrashRecord>,
-    /// Snapshots installed (journal compactions) during the run.
-    pub snapshots_installed: u64,
-}
-
-impl ChaosReport {
-    /// `true` iff every failover rebuilt the pre-crash state byte for byte.
-    pub fn all_digests_matched(&self) -> bool {
-        self.crashes.iter().all(|c| c.digest_matched)
+        self.crashes.iter().all(|c| c.shards.iter().all(|s| s.digest_matched))
     }
 
-    /// Per-tenant accounting imbalance, summed: |submitted − (queued + in
-    /// flight + completed + rejected)|. Zero iff every tenant's ledger
-    /// balances exactly — both a lost ticket (under-accounting) and a
-    /// double-resolved one (over-accounting, e.g. a replay bug completing the
-    /// same ticket twice) make this non-zero.
-    pub fn lost_tickets(&self) -> u64 {
-        self.report
-            .tenants
-            .iter()
-            .map(|outcome| {
-                let s = outcome.stats;
-                let accounted = s.queued as u64 + s.in_flight as u64 + s.completed + s.rejected;
-                s.submitted.abs_diff(accounted)
-            })
-            .sum()
-    }
-
-    /// Engine job ids appearing in more than one dispatched batch (a job
-    /// dispatched twice would corrupt the data plane). Empty iff no
-    /// double-dispatch happened.
-    pub fn double_dispatched_jobs(&self) -> Vec<u64> {
-        let mut counts: HashMap<u64, usize> = HashMap::new();
-        for batch in &self.report.batches {
-            for &job_id in &batch.job_ids {
-                *counts.entry(job_id).or_insert(0) += 1;
-            }
-        }
-        let mut duplicated: Vec<u64> =
-            counts.into_iter().filter(|&(_, n)| n > 1).map(|(id, _)| id).collect();
-        duplicated.sort_unstable();
-        duplicated
+    /// `true` iff the allocator rebuilt conflict-free after every crash.
+    pub fn allocator_always_consistent(&self) -> bool {
+        self.crashes.iter().all(|c| c.allocator_consistent)
     }
 }
 

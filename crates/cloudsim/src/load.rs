@@ -195,12 +195,7 @@ impl MultiTenantLoadGenerator {
                     .map(|app| StreamArrival { stream, app }),
             );
         }
-        merged.sort_by(|a, b| {
-            a.app
-                .submit_time_s
-                .partial_cmp(&b.app.submit_time_s)
-                .expect("submission times are finite")
-        });
+        merged.sort_by(|a, b| a.app.submit_time_s.total_cmp(&b.app.submit_time_s));
         for arrival in &mut merged {
             arrival.app.app_id = self.next_app_id;
             self.next_app_id += 1;

@@ -1,8 +1,9 @@
 //! The quantum-cloud discrete-time simulation (§8.2): synthetic hybrid
 //! applications arrive following the measured IBM load and are submitted to
-//! the *journaled* batch execution engine (a [`ReplicatedControlPlane`], the
-//! same control plane the orchestrator uses, so chaos coverage extends to the
-//! baseline simulations). Under the Qonductor policy the engine's
+//! the *journaled* batch execution engine (a one-shard
+//! [`ShardedControlPlane`], the same control plane the orchestrator uses, so
+//! chaos coverage extends to the baseline simulations) by the shared
+//! `kernel` event loop. Under the Qonductor policy the engine's
 //! `ScheduleTrigger` gates every NSGA-II + MCDM invocation and dispatches
 //! whole batches onto the fleet queues; the FCFS / least-busy baselines
 //! place each arrival directly through the engine's (journaled)
@@ -19,20 +20,23 @@
 //! force when the job ran.
 
 use crate::estimates::{self, FastEstimate};
-use crate::failover::{BaselineChaosReport, CrashRecord, FailurePlan};
+use crate::failover::{ChaosReport, FailurePlan};
+use crate::kernel::{self, Scenario, QUORUM};
 use crate::load::{ArrivalConfig, HybridApplication, LoadGenerator};
 use qonductor_backend::Fleet;
 use qonductor_circuit::CircuitMetrics;
-use qonductor_core::jobmanager::{BatchRecord, CalibrationPolicy, JobId, JobSpec};
-use qonductor_core::replication::ReplicatedControlPlane;
-use qonductor_core::submission::{TenantConfig, TicketId};
+use qonductor_core::jobmanager::{
+    BatchRecord, CalibrationPolicy, CompletedExecution, JobId, JobSpec, TenantId,
+};
+use qonductor_core::sharding::{GlobalTicket, ShardedControlPlane};
+use qonductor_core::submission::TenantConfig;
 use qonductor_scheduler::{
     HybridScheduler, Nsga2Config, Objectives, Preference, ScheduleTrigger, SchedulerConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// The scheduling policy driving the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -217,7 +221,7 @@ pub struct DispatchRecord {
 }
 
 /// Full simulation report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SimulationReport {
     /// Time series of aggregate metrics.
     pub timeline: Vec<TimePoint>,
@@ -306,7 +310,7 @@ impl SimulationReport {
     }
 }
 
-fn mean(iter: impl Iterator<Item = f64>) -> f64 {
+pub(crate) fn mean(iter: impl Iterator<Item = f64>) -> f64 {
     let mut sum = 0.0;
     let mut n = 0usize;
     for v in iter {
@@ -324,9 +328,6 @@ fn mean(iter: impl Iterator<Item = f64>) -> f64 {
 /// batch engine, keyed by the submission-service ticket.
 #[derive(Debug, Clone)]
 pub(crate) struct AppRecord {
-    pub(crate) app_id: u64,
-    pub(crate) submit_s: f64,
-    pub(crate) mitigated: bool,
     /// Per-QPU estimates (index-aligned with the fleet) the job is currently
     /// scheduled against — refreshed when the job is re-estimated after a
     /// drift cycle.
@@ -336,39 +337,75 @@ pub(crate) struct AppRecord {
     pub(crate) app: HybridApplication,
 }
 
-/// The cloud simulation engine.
+/// The default 8-QPU IBM-like fleet of a scenario seed.
+pub(crate) fn default_fleet(seed: u64) -> Fleet {
+    Fleet::ibm_default(&mut StdRng::seed_from_u64(seed ^ 0xF1EE7))
+}
+
+/// The cloud simulation engine — the single-tenant scenario: one arrival
+/// stream, one tenant, and either the trigger-gated Qonductor scheduler or a
+/// direct-dispatch baseline.
 pub struct CloudSimulation {
     config: SimulationConfig,
     fleet: Fleet,
-    rng: StdRng,
+    load: LoadGenerator,
+    jitter_rng: StdRng,
+    arrival_rng: StdRng,
+    drift_rng: StdRng,
+    /// The one tenant every application is submitted as.
+    tenant: TenantId,
+    /// Submission ticket → application bookkeeping (pending and in flight).
+    apps: HashMap<GlobalTicket, AppRecord>,
+    next_metrics_s: f64,
+    report: SimulationReport,
 }
 
 impl CloudSimulation {
     /// Create a simulation over an explicit fleet.
     pub fn new(config: SimulationConfig, fleet: Fleet) -> Self {
-        let rng = StdRng::seed_from_u64(config.seed);
-        CloudSimulation { config, fleet, rng }
+        CloudSimulation {
+            config,
+            load: LoadGenerator::new(
+                config.arrival,
+                fleet.max_qubits(),
+                config.mitigation_fraction,
+            ),
+            // Independent seeded streams: arrivals and calibration drift must
+            // not share a generator with completion jitter, whose draw count
+            // depends on the policy under test — two runs of the same seed
+            // with different policies (the drift comparison's arms, the
+            // Qonductor-vs-FCFS studies) then face the *identical* workload
+            // and the identical calibration trajectory, and differ only in
+            // scheduling.
+            jitter_rng: StdRng::seed_from_u64(config.seed),
+            arrival_rng: StdRng::seed_from_u64(config.seed ^ 0x0A22_17A1),
+            drift_rng: StdRng::seed_from_u64(config.seed ^ 0x00D8_1F7C),
+            tenant: 0,
+            apps: HashMap::new(),
+            next_metrics_s: 0.0,
+            report: SimulationReport {
+                qpu_names: fleet.members().iter().map(|m| m.qpu.name.clone()).collect(),
+                ..SimulationReport::default()
+            },
+            fleet,
+        }
     }
 
     /// Create a simulation over the default 8-QPU IBM-like fleet.
     pub fn with_default_fleet(config: SimulationConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
-        let fleet = Fleet::ibm_default(&mut rng);
-        Self::new(config, fleet)
+        Self::new(config, default_fleet(config.seed))
     }
 
     /// Create a simulation over the default fleet with every device
     /// recalibrating every `period_s` seconds — the drifting-hardware
     /// scenario, where boundaries fall inside the simulated window.
     pub fn with_drifting_fleet(config: SimulationConfig, period_s: f64) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
-        let fleet = Fleet::ibm_default(&mut rng).with_calibration_period(period_s, 0.0);
-        Self::new(config, fleet)
+        Self::new(config, default_fleet(config.seed).with_calibration_period(period_s, 0.0))
     }
 
     /// Run the simulation to completion and produce the report.
     pub fn run(self) -> SimulationReport {
-        self.run_inner(None).report
+        self.run_with_failures(&FailurePlan::none()).report
     }
 
     /// Run the simulation under fault injection: at each instant of the
@@ -376,39 +413,26 @@ impl CloudSimulation {
     /// job state dies with it), a new leader is elected, and the job state is
     /// rebuilt from the replicated `snapshot + log replay` before the
     /// simulation continues — the chaos path of the single-tenant baselines.
-    pub fn run_with_failures(self, plan: &FailurePlan) -> BaselineChaosReport {
-        self.run_inner(Some(plan))
-    }
-
-    fn run_inner(mut self, plan: Option<&FailurePlan>) -> BaselineChaosReport {
+    pub fn run_with_failures(mut self, plan: &FailurePlan) -> ChaosReport<SimulationReport> {
         let cfg = self.config;
-        let mut load =
-            LoadGenerator::new(cfg.arrival, self.fleet.max_qubits(), cfg.mitigation_fraction);
-        // Independent seeded streams: arrivals and calibration drift must not
-        // share a generator with completion jitter, whose draw count depends
-        // on the policy under test — two runs of the same seed with
-        // different policies (the drift comparison's arms, the
-        // Qonductor-vs-FCFS studies) then face the *identical* workload and
-        // the identical calibration trajectory, and differ only in
-        // scheduling.
-        let mut arrival_rng = StdRng::seed_from_u64(cfg.seed ^ 0x0A22_17A1);
-        let mut drift_rng = StdRng::seed_from_u64(cfg.seed ^ 0x00D8_1F7C);
         // The journaled batch execution engine: every submission, admission,
         // dispatch (batch or direct), re-estimation, and completion rides the
-        // quorum-replicated control-plane log.
-        let mut control = ReplicatedControlPlane::with_policy(
+        // quorum-replicated log of a one-shard plane leasing the whole fleet.
+        let mut plane = ShardedControlPlane::new(
+            1,
+            self.fleet.len(),
             ScheduleTrigger::new(cfg.trigger_queue_limit, cfg.trigger_interval_s),
             cfg.calibration,
             1,
             cfg.seed ^ 0xC1A5,
         );
-        let tenant = control
+        self.tenant = plane
             .register_tenant_with(TenantConfig {
                 weight: 1,
                 max_in_flight: usize::MAX,
                 max_retries: 0,
             })
-            .expect("fresh store has a quorum");
+            .expect(QUORUM);
         let scheduler = match cfg.policy {
             // Warm-started: each batch cycle seeds NSGA-II from the previous
             // cycle's Pareto front (like the orchestrator).
@@ -423,233 +447,151 @@ impl CloudSimulation {
             }
             _ => None,
         };
+        kernel::run(self, plane, scheduler, (cfg.duration_s, cfg.step_s), plan)
+    }
+}
 
-        // Submission ticket → application bookkeeping (pending and in flight).
-        let mut apps: HashMap<TicketId, AppRecord> = HashMap::new();
-        let mut completed: Vec<CompletedApp> = Vec::new();
-        let mut timeline: Vec<TimePoint> = Vec::new();
-        let mut cycles: Vec<CycleRecord> = Vec::new();
-        let mut dispatches: Vec<DispatchRecord> = Vec::new();
-        let mut arrived = 0usize;
-        let mut rejected = 0usize;
-        let mut reestimated_jobs = 0usize;
-        let mut next_metrics_s = 0.0;
-        let mut crash_schedule: VecDeque<f64> =
-            plan.map(|p| p.crash_times_s.iter().copied().collect()).unwrap_or_default();
-        const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
-        let snapshot_every =
-            plan.map_or(DEFAULT_SNAPSHOT_EVERY_BATCHES, |p| p.snapshot_every_batches);
-        let mut crashes: Vec<CrashRecord> = Vec::new();
-        let mut snapshots_installed = 0u64;
-        let mut batches_seen = 0usize;
-        let mut speculative_batches = 0usize;
+impl Scenario for CloudSimulation {
+    type Report = SimulationReport;
 
-        let mut t = 0.0f64;
-        while t < cfg.duration_s {
-            let t_next = (t + cfg.step_s).min(cfg.duration_s);
+    fn fleet_and_drift(&mut self) -> (&mut Fleet, &mut StdRng) {
+        (&mut self.fleet, &mut self.drift_rng)
+    }
 
-            // 0. Fault injection: kill the leader at every scheduled instant
-            //    in (t, t_next], then fail over and continue on the rebuilt
-            //    replica.
-            while crash_schedule.front().is_some_and(|&c| c <= t_next) {
-                let crash_t = crash_schedule.pop_front().expect("front checked");
-                let digest = control.state_digest();
-                let old_leader = control.leader().unwrap_or(0);
-                let replayed_events = control.replay_backlog();
-                control.crash_leader();
-                control.failover().expect("a majority of control replicas survives");
-                crashes.push(CrashRecord {
-                    t_s: crash_t,
-                    old_leader,
-                    new_leader: control.leader().unwrap_or(old_leader),
-                    replayed_events,
-                    digest_matched: control.state_digest() == digest,
-                });
-            }
+    fn completed(&mut self, ticket: GlobalTicket, done: &CompletedExecution) {
+        let Some(app) = self.apps.remove(&ticket) else { return };
+        let submit_s = app.app.submit_time_s;
+        let est = &app.estimates[done.qpu_index];
+        // The estimate the job would get from the calibration in force at
+        // the drain step (within one `step_s` of its actual finish): the gap
+        // is the realized cost of scheduling against a stale snapshot.
+        let fresh = execution_time_estimate(&self.fleet, &app.app, done.qpu_index);
+        let fidelity_error = fresh.map_or(0.0, |fresh| (est.fidelity - fresh.fidelity).abs());
+        let jitter = 1.0 + self.jitter_rng.gen_range(-0.02..0.02);
+        let cost =
+            app.app.circuit.shots() as f64 * self.fleet.members()[done.qpu_index].qpu.cost_per_shot;
+        self.report.completed.push(CompletedApp {
+            app_id: app.app.app_id,
+            qpu_index: done.qpu_index,
+            submit_s,
+            completion_s: done.record.finish_time_s - submit_s,
+            waiting_s: done.record.start_time_s - submit_s,
+            execution_s: done.record.execution_s(),
+            fidelity: (est.fidelity * jitter).clamp(0.0, 1.0),
+            fidelity_error,
+            mitigated: !app.app.mitigation.is_empty(),
+            cost,
+        });
+    }
 
-            // 1. Advance QPU queues (and calibration drift) to t_next, then
-            //    collect completions, so that jobs arriving in [t, t_next) are
-            //    enqueued at t_next and never start before they were submitted.
-            self.fleet.advance_to(t_next, &mut drift_rng);
-            let epoch = self.fleet.calibration_epoch();
-
-            let done = control.drain_completions(&mut self.fleet);
-            let resolved =
-                control.note_completions(&done).expect("control-plane journal has a quorum");
-            for (ticket, completion) in resolved {
-                let Some(app) = apps.remove(&ticket.ticket) else { continue };
-                let est = &app.estimates[completion.qpu_index];
-                // The estimate the job would get from the calibration in
-                // force at the drain step (within one `step_s` of its actual
-                // finish): the gap is the realized cost of scheduling
-                // against a stale snapshot.
-                let fresh = execution_time_estimate(&self.fleet, &app.app, completion.qpu_index);
-                let fidelity_error =
-                    fresh.map_or(0.0, |fresh| (est.fidelity - fresh.fidelity).abs());
-                let jitter = 1.0 + self.rng.gen_range(-0.02..0.02);
-                let cost = app.app.circuit.shots() as f64
-                    * self.fleet.members()[completion.qpu_index].qpu.cost_per_shot;
-                completed.push(CompletedApp {
-                    app_id: app.app_id,
-                    qpu_index: completion.qpu_index,
-                    submit_s: app.submit_s,
-                    completion_s: completion.record.finish_time_s - app.submit_s,
-                    waiting_s: completion.record.start_time_s - app.submit_s,
-                    execution_s: completion.record.execution_s(),
-                    fidelity: (est.fidelity * jitter).clamp(0.0, 1.0),
-                    fidelity_error,
-                    mitigated: app.mitigated,
-                    cost,
-                });
-            }
-
-            // 2. Arrivals in [t, t_next): non-blocking submission into the
-            //    tenant queue (journaled).
-            for app in load.arrivals_in(t, t_next, &mut arrival_rng) {
-                arrived += 1;
-                match build_submission(&self.fleet, &app) {
-                    Some((spec, record)) => {
-                        let ticket = control
-                            .submit(tenant, spec, app.submit_time_s)
-                            .expect("tenant registered; journal has a quorum");
-                        apps.insert(ticket.ticket, record);
-                    }
-                    None => rejected += 1,
+    fn submit_arrivals(&mut self, t: f64, t_next: f64, plane: &mut ShardedControlPlane) {
+        for app in self.load.arrivals_in(t, t_next, &mut self.arrival_rng) {
+            self.report.arrived += 1;
+            match build_submission(&self.fleet, &app) {
+                Some((spec, record)) => {
+                    let ticket = plane.submit(self.tenant, spec, app.submit_time_s).expect(QUORUM);
+                    self.apps.insert(ticket, record);
                 }
+                None => self.report.rejected += 1,
             }
-
-            // 3. Admission into the engine's pending pool (journaled). The
-            //    baselines then place each admitted job directly (no trigger,
-            //    no optimizer) through the journaled direct-dispatch path;
-            //    the Qonductor policy leaves jobs pooled for the batch
-            //    dispatch.
-            let admitted = control.admit(t_next).expect("control-plane journal has a quorum");
-            match cfg.policy {
-                Policy::Qonductor { .. } => {}
-                Policy::Fcfs | Policy::LeastBusy => {
-                    for (ticket, job_id) in &admitted {
-                        let record = &apps[&ticket.ticket];
-                        let qpu = match cfg.policy {
-                            Policy::Fcfs => best_fidelity_qpu(record, &self.fleet),
-                            _ => least_busy_qpu(record, &self.fleet),
-                        };
-                        control
-                            .dispatch_direct(*job_id, qpu, &mut self.fleet)
-                            .expect("control-plane journal has a quorum");
-                    }
-                }
-            }
-
-            // 3b. Under the calibration-aware policy, recompute the
-            //     estimates of every stale *pooled* job against the current
-            //     snapshots, journaling each refresh. Running after
-            //     admission covers the boundary-deferred jobs, jobs that sat
-            //     in the tenant queue across a boundary, and jobs admitted
-            //     only now from a pre-boundary backlog (their submit-time
-            //     specs carry the old epoch) — nothing dispatches stale.
-            if cfg.calibration == CalibrationPolicy::SplitAtBoundary {
-                for job_id in control.stale_pending(epoch) {
-                    let Some(ticket) = control.submissions().admitted_ticket(job_id) else {
-                        continue;
-                    };
-                    let Some(record) = apps.get_mut(&ticket.ticket) else { continue };
-                    let Some((spec, fresh)) = build_submission(&self.fleet, &record.app) else {
-                        continue;
-                    };
-                    record.estimates = fresh.estimates;
-                    if control
-                        .reestimate_job(job_id, spec)
-                        .expect("control-plane journal has a quorum")
-                    {
-                        reestimated_jobs += 1;
-                    }
-                }
-            }
-
-            // 4. Trigger-gated batch dispatch (Qonductor policy only): the
-            //    engine checks its trigger, runs one NSGA-II + MCDM cycle
-            //    over the schedulable pool, splits the plan at recalibration
-            //    boundaries (§7, calibration-aware policy), and enqueues the
-            //    surviving placements.
-            if let Some(scheduler) = &scheduler {
-                if let Some(outcome) = control
-                    .try_dispatch(t_next, scheduler, &mut self.fleet)
-                    .expect("control-plane journal has a quorum")
-                {
-                    for ticket in &outcome.terminal_rejections {
-                        if apps.remove(&ticket.ticket).is_some() {
-                            rejected += 1;
-                        }
-                    }
-                    let batch = &outcome.record;
-                    dispatches.push(DispatchRecord {
-                        t_s: batch.t_s,
-                        job_ids: batch.job_ids.clone(),
-                        enqueued: batch.enqueued_job_ids(),
-                        deferred: batch.deferred.iter().map(|(id, _)| *id).collect(),
-                        fleet_epoch: batch.fleet_epoch,
-                    });
-                    if let Some(record) = cycle_record_from(batch, &control, &apps) {
-                        cycles.push(record);
-                    }
-                    if batch.speculative {
-                        speculative_batches += 1;
-                    }
-                    batches_seen += 1;
-                    // Periodic checkpoint: snapshot the job state and compact
-                    // the journal so failovers replay a short suffix.
-                    if snapshot_every > 0 && batches_seen.is_multiple_of(snapshot_every) {
-                        control.snapshot().expect("control-plane journal has a quorum");
-                        snapshots_installed += 1;
-                    }
-                }
-                // 4b. Plan-ahead pipelining: with this step's dispatch (if
-                //     any) done, speculatively schedule the batch the next
-                //     step's trigger check would dispatch. Adopted next step
-                //     only if the pool, queues, and calibration epochs are
-                //     unchanged — dispatches are bit-identical either way.
-                if cfg.pipeline_planning {
-                    control.plan_ahead(t_next + cfg.step_s, scheduler, &self.fleet);
-                }
-            }
-
-            // 5. Metrics sampling.
-            if t_next >= next_metrics_s {
-                next_metrics_s += cfg.metrics_interval_s;
-                timeline.push(TimePoint {
-                    t_s: t_next,
-                    mean_fidelity: mean(completed.iter().map(|c| c.fidelity)),
-                    mean_completion_s: mean(completed.iter().map(|c| c.completion_s)),
-                    mean_utilization: mean(
-                        self.fleet.members().iter().map(|m| m.queue.utilization()),
-                    ),
-                    scheduler_queue_len: control.jobmanager().pending_len(),
-                    completed: completed.len(),
-                });
-            }
-
-            t = t_next;
         }
+    }
 
-        let report = SimulationReport {
-            timeline,
-            cycles,
-            dispatches,
-            qpu_busy_s: self.fleet.members().iter().map(|m| m.queue.busy_s()).collect(),
-            qpu_names: self.fleet.members().iter().map(|m| m.qpu.name.clone()).collect(),
-            completed,
-            arrived,
-            rejected,
-            reestimated_jobs,
-            speculative_batches,
+    fn after_admit(&mut self, admitted: &[(GlobalTicket, JobId)], plane: &mut ShardedControlPlane) {
+        // The baselines place each admitted job directly (no trigger, no
+        // optimizer) through the journaled direct-dispatch path; the
+        // Qonductor policy leaves jobs pooled for the batch dispatch.
+        let choose_qpu: Option<fn(&AppRecord, &Fleet) -> usize> = match self.config.policy {
+            Policy::Qonductor { .. } => None,
+            Policy::Fcfs => Some(best_fidelity_qpu),
+            Policy::LeastBusy => Some(least_busy_qpu),
         };
-        BaselineChaosReport {
-            final_digest: control.state_digest(),
-            final_state: control.encode_state(),
-            report,
-            crashes,
-            snapshots_installed,
+        if let Some(choose_qpu) = choose_qpu {
+            for (ticket, job_id) in admitted {
+                let qpu = choose_qpu(&self.apps[ticket], &self.fleet);
+                plane.shards_mut()[ticket.shard]
+                    .dispatch_direct(*job_id, qpu, &mut self.fleet)
+                    .expect(QUORUM);
+            }
         }
+        // Under the calibration-aware policy, recompute the estimates of
+        // every stale *pooled* job against the current snapshots, journaling
+        // each refresh. Running after admission covers the boundary-deferred
+        // jobs, jobs that sat in the tenant queue across a boundary, and jobs
+        // admitted only now from a pre-boundary backlog (their submit-time
+        // specs carry the old epoch) — nothing dispatches stale.
+        if self.config.calibration == CalibrationPolicy::SplitAtBoundary {
+            for (shard, job_id) in plane.stale_pending_all(self.fleet.calibration_epoch()) {
+                let Some(ticket) = plane.admitted_ticket(shard, job_id) else { continue };
+                let Some(record) = self.apps.get_mut(&ticket) else { continue };
+                let Some((spec, fresh)) = build_submission(&self.fleet, &record.app) else {
+                    continue;
+                };
+                record.estimates = fresh.estimates;
+                if plane.reestimate_job(shard, job_id, spec).expect(QUORUM) {
+                    self.report.reestimated_jobs += 1;
+                }
+            }
+        }
+    }
+
+    fn rejected(&mut self, ticket: GlobalTicket, _plane: &ShardedControlPlane) {
+        if self.apps.remove(&ticket).is_some() {
+            self.report.rejected += 1;
+        }
+    }
+
+    fn dispatched(&mut self, shard: usize, batch: &BatchRecord, plane: &ShardedControlPlane) {
+        self.report.dispatches.push(DispatchRecord {
+            t_s: batch.t_s,
+            job_ids: batch.job_ids.clone(),
+            enqueued: batch.enqueued_job_ids(),
+            deferred: batch.deferred.iter().map(|(id, _)| *id).collect(),
+            fleet_epoch: batch.fleet_epoch,
+        });
+        if let Some(record) = cycle_record_from(batch, shard, plane, &self.apps) {
+            self.report.cycles.push(record);
+        }
+        self.report.speculative_batches += usize::from(batch.speculative);
+    }
+
+    fn end_of_step(
+        &mut self,
+        t_next: f64,
+        plane: &mut ShardedControlPlane,
+        scheduler: Option<&HybridScheduler>,
+    ) {
+        // Plan-ahead pipelining: with this step's dispatch (if any) done,
+        // speculatively schedule the batch the next step's trigger check
+        // would dispatch. Adopted next step only if the pool, queues, and
+        // calibration epochs are unchanged — dispatches are bit-identical
+        // either way.
+        if let (true, Some(scheduler)) = (self.config.pipeline_planning, scheduler) {
+            for shard in plane.shards_mut() {
+                shard.plan_ahead(t_next + self.config.step_s, scheduler, &self.fleet);
+            }
+        }
+        if t_next >= self.next_metrics_s {
+            self.next_metrics_s += self.config.metrics_interval_s;
+            let completed = &self.report.completed;
+            self.report.timeline.push(TimePoint {
+                t_s: t_next,
+                mean_fidelity: mean(completed.iter().map(|c| c.fidelity)),
+                mean_completion_s: mean(completed.iter().map(|c| c.completion_s)),
+                mean_utilization: mean(self.fleet.members().iter().map(|m| m.queue.utilization())),
+                scheduler_queue_len: plane
+                    .shards()
+                    .iter()
+                    .map(|s| s.jobmanager().pending_len())
+                    .sum(),
+                completed: completed.len(),
+            });
+        }
+    }
+
+    fn finish(mut self, _plane: &ShardedControlPlane) -> SimulationReport {
+        self.report.qpu_busy_s = self.fleet.members().iter().map(|m| m.queue.busy_s()).collect();
+        self.report
     }
 }
 
@@ -698,32 +640,26 @@ pub(crate) fn build_submission(
         exec_time_per_qpu: estimates.iter().map(|e| e.quantum_time_s).collect(),
         estimate_epoch: fleet.calibration_epoch(),
     };
-    let record = AppRecord {
-        app_id: app.app_id,
-        submit_s: app.submit_time_s,
-        mitigated: !app.mitigation.is_empty(),
-        estimates,
-        app: app.clone(),
-    };
-    Some((spec, record))
+    Some((spec, AppRecord { estimates, app: app.clone() }))
+}
+
+/// QPUs the application can be placed on: a finite runtime estimate and a
+/// usable fidelity estimate (a NaN estimate never wins a placement).
+fn placeable_qpus<'a>(app: &'a AppRecord, fleet: &Fleet) -> impl Iterator<Item = usize> + 'a {
+    (0..fleet.len()).filter(|&i| {
+        app.estimates[i].quantum_time_s.is_finite() && !app.estimates[i].fidelity.is_nan()
+    })
 }
 
 fn best_fidelity_qpu(app: &AppRecord, fleet: &Fleet) -> usize {
-    (0..fleet.len())
-        .filter(|&i| app.estimates[i].quantum_time_s.is_finite())
-        .max_by(|&a, &b| app.estimates[a].fidelity.partial_cmp(&app.estimates[b].fidelity).unwrap())
+    placeable_qpus(app, fleet)
+        .max_by(|&a, &b| app.estimates[a].fidelity.total_cmp(&app.estimates[b].fidelity))
         .unwrap_or(0)
 }
 
 fn least_busy_qpu(app: &AppRecord, fleet: &Fleet) -> usize {
-    (0..fleet.len())
-        .filter(|&i| app.estimates[i].quantum_time_s.is_finite())
-        .min_by(|&a, &b| {
-            let wa = fleet.members()[a].queue.estimated_waiting_s();
-            let wb = fleet.members()[b].queue.estimated_waiting_s();
-            wa.partial_cmp(&wb).unwrap()
-        })
-        .unwrap_or(0)
+    let waiting_s = |i: usize| fleet.members()[i].queue.estimated_waiting_s();
+    placeable_qpus(app, fleet).min_by(|&a, &b| waiting_s(a).total_cmp(&waiting_s(b))).unwrap_or(0)
 }
 
 /// Derive the per-cycle statistics of Figures 8 and 10a from one of the
@@ -731,8 +667,9 @@ fn least_busy_qpu(app: &AppRecord, fleet: &Fleet) -> usize {
 /// plane maps engine job ids back to tickets.
 fn cycle_record_from(
     batch: &BatchRecord,
-    control: &ReplicatedControlPlane,
-    apps_by_ticket: &HashMap<TicketId, AppRecord>,
+    shard: usize,
+    plane: &ShardedControlPlane,
+    apps_by_ticket: &HashMap<GlobalTicket, AppRecord>,
 ) -> Option<CycleRecord> {
     if batch.job_ids.is_empty() {
         return None;
@@ -743,8 +680,8 @@ fn cycle_record_from(
         .job_ids
         .iter()
         .filter_map(|&job_id| {
-            let ticket = control.submissions().admitted_ticket(job_id)?;
-            Some((job_id, apps_by_ticket.get(&ticket.ticket)?))
+            let ticket = plane.admitted_ticket(shard, job_id)?;
+            Some((job_id, apps_by_ticket.get(&ticket)?))
         })
         .collect();
     let apps = &apps;
@@ -841,7 +778,7 @@ fn percentile(values: &[f64], q: f64) -> f64 {
         return 0.0;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
 }
@@ -958,28 +895,29 @@ mod tests {
         assert!((a.mean_completion_s() - b.mean_completion_s()).abs() < 1e-9);
     }
 
-    /// The single-tenant simulation now rides the journaled control plane:
-    /// leader crashes mid-run are invisible — the fault-injected run matches
-    /// the failure-free run's completions and final state digest exactly,
-    /// for both a baseline policy and the Qonductor policy.
+    /// Hostile floats: a NaN fidelity estimate makes neither baseline chooser
+    /// panic, and a QPU carrying one is never preferred over a finite one.
     #[test]
-    fn baseline_sim_failovers_are_invisible() {
-        use crate::failover::FailurePlan;
-        for policy in [Policy::Fcfs, Policy::Qonductor { preference: Preference::balanced() }] {
-            let plan = FailurePlan::from_seed(31, 400.0, 2);
-            let chaos =
-                CloudSimulation::with_default_fleet(short_config(policy)).run_with_failures(&plan);
-            let plain = CloudSimulation::with_default_fleet(short_config(policy))
-                .run_with_failures(&FailurePlan {
-                    crash_times_s: vec![],
-                    snapshot_every_batches: plan.snapshot_every_batches,
-                });
-            assert_eq!(chaos.crashes.len(), 2, "{policy:?}");
-            assert!(chaos.all_digests_matched(), "{policy:?}: rebuilt state diverged");
-            assert_eq!(chaos.final_digest, plain.final_digest, "{policy:?}");
-            assert_eq!(chaos.report.completed, plain.report.completed, "{policy:?}");
-            assert_eq!(chaos.report.dispatches, plain.report.dispatches, "{policy:?}");
-            assert!(!chaos.report.completed.is_empty(), "{policy:?}");
+    fn nan_fidelity_estimates_never_panic_and_never_win_a_placement() {
+        let fleet = default_fleet(7);
+        let mut load = LoadGenerator::new(ArrivalConfig::default(), 5, 0.0);
+        let app = load.generate_app(0.0, &mut StdRng::seed_from_u64(7));
+        let (_, mut record) = build_submission(&fleet, &app).expect("a 5-qubit circuit fits");
+        let finite = best_fidelity_qpu(&record, &fleet);
+        let idle = least_busy_qpu(&record, &fleet);
+        for poisoned in 0..fleet.len() {
+            let saved = record.estimates[poisoned].fidelity;
+            record.estimates[poisoned].fidelity = f64::NAN;
+            assert_ne!(best_fidelity_qpu(&record, &fleet), poisoned);
+            assert_ne!(least_busy_qpu(&record, &fleet), poisoned);
+            record.estimates[poisoned].fidelity = saved;
         }
+        assert_eq!(
+            (best_fidelity_qpu(&record, &fleet), least_busy_qpu(&record, &fleet)),
+            (finite, idle)
+        );
+        // All-NaN degenerates to the documented fallback instead of panicking.
+        record.estimates.iter_mut().for_each(|e| e.fidelity = f64::NAN);
+        assert_eq!((best_fidelity_qpu(&record, &fleet), least_busy_qpu(&record, &fleet)), (0, 0));
     }
 }

@@ -23,21 +23,19 @@
 //! `QpuProvisioned`, and `QpuRetired` event rides the replicated journal, so
 //! a fault-injected run must reproduce the failure-free run byte for byte.
 
-use crate::failover::{CrashRecord, FailurePlan};
-use crate::load::{ArrivalConfig, HybridApplication, LoadGenerator};
+use crate::failover::{ChaosReport, FailurePlan};
+use crate::kernel::{self, RunParams, Scenario, QUORUM};
+use crate::load::{ArrivalConfig, HybridApplication, LoadGenerator, StreamArrival};
 use crate::multitenant::BatchComposition;
-use crate::sim::build_submission;
+use crate::sim::{build_submission, mean};
 use qonductor_backend::{Fleet, FleetMember, JobQueue, Qpu, QpuModel, ResourceClass};
 use qonductor_core::federation::FederatedFleet;
-use qonductor_core::replication::ReplicatedControlPlane;
-use qonductor_core::submission::{
-    RejectReason, SloClass, TenantConfig, TenantStats, TicketId, TicketStatus,
-};
+use qonductor_core::jobmanager::{BatchRecord, CompletedExecution, JobSpec};
+use qonductor_core::sharding::{GlobalTicket, ShardedControlPlane};
+use qonductor_core::submission::{RejectReason, SloClass, TenantConfig, TenantStats, TicketStatus};
 use qonductor_core::{Autoscaler, AutoscalerConfig, ScalingDecision, TenantId};
 use qonductor_mitigation::{knitting, MitigationStack};
-use qonductor_scheduler::{
-    HybridScheduler, Nsga2Config, Preference, ScheduleTrigger, SchedulerConfig,
-};
+use qonductor_scheduler::{Nsga2Config, Preference};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -46,10 +44,11 @@ use std::collections::{HashMap, VecDeque};
 /// Configuration of the bursty SLO scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloConfig {
-    /// Simulated duration (seconds).
-    pub duration_s: f64,
-    /// Simulation step (seconds).
-    pub step_s: f64,
+    /// Duration, step, trigger, scheduler and seed (arrival stream, fleet
+    /// synthesis, elastic-device synthesis). The trigger interval is
+    /// deliberately longer than the deadline, so only the slack-aware early
+    /// fire can save an SLO job.
+    pub run: RunParams,
     /// Relative deadline of every SLO-tenant application (seconds after
     /// submission).
     pub deadline_s: f64,
@@ -73,26 +72,28 @@ pub struct SloConfig {
     /// the fleet's widest device so a fraction of arrivals is infeasible
     /// everywhere and must be knit (cut in half) to run at all.
     pub workload_max_qubits: u32,
-    /// Queue-size trigger threshold (and admission pool capacity).
-    pub trigger_queue_limit: usize,
-    /// Time-based trigger interval (seconds) — deliberately longer than the
-    /// deadline, so only the slack-aware early fire can save an SLO job.
-    pub trigger_interval_s: f64,
     /// Elastic-capacity controller of the SLO-aware arm.
     pub autoscaler: AutoscalerConfig,
-    /// NSGA-II configuration of the batch scheduler.
-    pub nsga2: Nsga2Config,
-    /// MCDM objective preference.
-    pub preference: Preference,
-    /// RNG seed (arrival stream, fleet synthesis, elastic-device synthesis).
-    pub seed: u64,
 }
 
 impl Default for SloConfig {
     fn default() -> Self {
         SloConfig {
-            duration_s: 900.0,
-            step_s: 5.0,
+            run: RunParams {
+                duration_s: 900.0,
+                step_s: 5.0,
+                trigger_queue_limit: 48,
+                trigger_interval_s: 150.0,
+                nsga2: Nsga2Config {
+                    population_size: 20,
+                    max_generations: 15,
+                    max_evaluations: 1500,
+                    num_threads: 2,
+                    ..Nsga2Config::default()
+                },
+                preference: Preference::jct_first(),
+                seed: 77,
+            },
             deadline_s: 75.0,
             slo_margin_s: 60.0,
             bulk_rate_per_hour: 600.0,
@@ -102,8 +103,6 @@ impl Default for SloConfig {
             burst_end_s: 450.0,
             bulk_weight: 8,
             workload_max_qubits: 40,
-            trigger_queue_limit: 48,
-            trigger_interval_s: 150.0,
             autoscaler: AutoscalerConfig {
                 window_s: 100.0,
                 target_rate_per_qpu: 0.05,
@@ -113,21 +112,12 @@ impl Default for SloConfig {
                 cooldown_s: 30.0,
                 ..AutoscalerConfig::default()
             },
-            nsga2: Nsga2Config {
-                population_size: 20,
-                max_generations: 15,
-                max_evaluations: 1500,
-                num_threads: 2,
-                ..Nsga2Config::default()
-            },
-            preference: Preference::jct_first(),
-            seed: 77,
         }
     }
 }
 
 /// Aggregate outcome of one arm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SloArmReport {
     /// SLO-tenant applications that arrived.
     pub arrived_slo: u64,
@@ -185,8 +175,8 @@ pub struct SloCompletion {
     pub deadline_hit: bool,
 }
 
-/// Full outcome of one (possibly fault-injected) arm run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Full outcome of one arm run.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SloArmOutcome {
     /// Aggregate metrics.
     pub report: SloArmReport,
@@ -198,24 +188,6 @@ pub struct SloArmOutcome {
     /// (SLO tenant, stats)]` — the conservation suite checks each ledger
     /// balances (queued + in-flight + completed + rejected = submitted).
     pub tenants: Vec<(TenantId, TenantStats)>,
-    /// One record per injected crash (empty without a failure plan).
-    pub crashes: Vec<CrashRecord>,
-    /// Snapshots installed (journal compactions) during the run.
-    pub snapshots_installed: u64,
-    /// The control plane's state digest (incremental fingerprint) at the
-    /// end of the run; cross-schedule equality checks use
-    /// [`Self::final_state`].
-    pub final_digest: String,
-    /// The control plane's byte-for-byte encoded state at the end of the
-    /// run (the `encode_state` oracle).
-    pub final_state: String,
-}
-
-impl SloArmOutcome {
-    /// `true` iff every failover rebuilt the pre-crash state byte for byte.
-    pub fn all_digests_matched(&self) -> bool {
-        self.crashes.iter().all(|c| c.digest_matched)
-    }
 }
 
 /// Side-by-side outcome of the two arms over the same offered load.
@@ -236,12 +208,12 @@ impl SloComparison {
         out.push_str(&format!(
             "Bursty SLO scenario (seed {}): deadline {:.0} s, burst [{:.0}, {:.0}) s of {:.0} s, \
              trigger interval {:.0} s\n\n",
-            self.config.seed,
+            self.config.run.seed,
             self.config.deadline_s,
             self.config.burst_start_s,
             self.config.burst_end_s,
-            self.config.duration_s,
-            self.config.trigger_interval_s,
+            self.config.run.duration_s,
+            self.config.run.trigger_interval_s,
         ));
         out.push_str(
             "arm            arrived completed hit_rate p95_turnaround_s escalated provisioned \
@@ -275,28 +247,20 @@ impl SloComparison {
     }
 }
 
-/// One pre-generated arrival: which tenant stream it belongs to and the
-/// application itself. Both arms consume the identical vector.
-#[derive(Debug, Clone)]
-struct OfferedArrival {
-    /// 0 = bulk tenant, 1 = SLO tenant.
-    stream: usize,
-    app: HybridApplication,
-}
-
-/// Pre-generate the full offered load from a dedicated RNG so both arms (and
-/// fault-injected re-runs) see byte-identical arrivals.
-fn offered_load(config: &SloConfig, fleet_max_qubits: u32) -> Vec<OfferedArrival> {
+/// Pre-generate the full offered load (stream 0 = bulk tenant, 1 = SLO
+/// tenant) from a dedicated RNG so both arms (and fault-injected re-runs) see
+/// byte-identical arrivals.
+fn offered_load(config: &SloConfig, fleet_max_qubits: u32) -> Vec<StreamArrival> {
     let constant = |rate: f64| ArrivalConfig {
         mean_rate_per_hour: rate,
         diurnal_amplitude: 0.0,
         ..ArrivalConfig::default()
     };
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xA11A);
+    let mut rng = StdRng::seed_from_u64(config.run.seed ^ 0xA11A);
     // Arrivals stop one full deadline window before the end of the run, so
     // every application has the chance to prove a deadline hit — without the
     // cutoff, late arrivals would count as structural misses in both arms.
-    let horizon_s = (config.duration_s - config.deadline_s - config.step_s).max(0.0);
+    let horizon_s = (config.run.duration_s - config.deadline_s - config.run.step_s).max(0.0);
     // Bulk circuits always fit the base fleet; 5% carry mitigation stacks
     // (heavy stacks multiply quantum time up to ~24x, so the mix sets how
     // lumpy the background service times are).
@@ -313,27 +277,25 @@ fn offered_load(config: &SloConfig, fleet_max_qubits: u32) -> Vec<OfferedArrival
         config.workload_max_qubits,
         0.0,
     );
-    let mut merged: Vec<OfferedArrival> = Vec::new();
+    let mut merged: Vec<StreamArrival> = Vec::new();
     merged.extend(
         bulk.arrivals_in(0.0, horizon_s, &mut rng)
             .into_iter()
-            .map(|app| OfferedArrival { stream: 0, app }),
+            .map(|app| StreamArrival { stream: 0, app }),
     );
     merged.extend(
         slo_base
             .arrivals_in(0.0, horizon_s, &mut rng)
             .into_iter()
-            .map(|app| OfferedArrival { stream: 1, app }),
+            .map(|app| StreamArrival { stream: 1, app }),
     );
     merged.extend(
         slo_burst
             .arrivals_in(config.burst_start_s, config.burst_end_s.min(horizon_s), &mut rng)
             .into_iter()
-            .map(|app| OfferedArrival { stream: 1, app }),
+            .map(|app| StreamArrival { stream: 1, app }),
     );
-    merged.sort_by(|a, b| {
-        a.app.submit_time_s.partial_cmp(&b.app.submit_time_s).expect("submission times are finite")
-    });
+    merged.sort_by(|a, b| a.app.submit_time_s.total_cmp(&b.app.submit_time_s));
     for (id, arrival) in merged.iter_mut().enumerate() {
         arrival.app.app_id = id as u64;
     }
@@ -350,169 +312,102 @@ struct AppProgress {
     rejected: bool,
 }
 
-/// Run one arm of the scenario. `slo_aware` enables the SLO class, the
-/// escalation lane, the autoscaler, and retry-with-cutting; otherwise the
-/// identical offered load runs through plain weighted-fair admission.
-pub fn run_slo_arm(
-    config: &SloConfig,
+/// One arm of the scenario as the kernel drives it.
+struct SloArm<'a> {
+    config: &'a SloConfig,
     slo_aware: bool,
-    plan: Option<&FailurePlan>,
-) -> SloArmOutcome {
-    let mut fleet_rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
-    let mut fed = FederatedFleet::single("base", Fleet::heterogeneous(&mut fleet_rng));
-    let base_len = fed.num_qpus();
-    let base_max_qubits = fed.fleet().max_qubits();
-    // Elastic devices are synthesized from their own stream so provisioning
-    // cannot perturb the simulation RNG.
-    let mut provision_rng = StdRng::seed_from_u64(config.seed ^ 0xE1A5);
-    let mut sim_rng = StdRng::seed_from_u64(config.seed);
+    fed: FederatedFleet,
+    /// Advances the queues; nothing else draws from it.
+    sim_rng: StdRng,
+    /// Elastic devices are synthesized from their own stream so provisioning
+    /// cannot perturb the simulation RNG.
+    provision_rng: StdRng,
+    scaler: Autoscaler,
+    arrivals: VecDeque<StreamArrival>,
+    /// `[bulk tenant, SLO tenant]`, indexed by stream.
+    tenant_of: [TenantId; 2],
+    tickets: HashMap<GlobalTicket, u64>,
+    apps: HashMap<u64, AppProgress>,
+    outcome: SloArmOutcome,
+}
 
-    let scheduler = HybridScheduler::with_warm_start(SchedulerConfig {
-        nsga2: config.nsga2,
-        preference: config.preference,
-        ..SchedulerConfig::default()
-    });
-    let trigger = ScheduleTrigger::new(config.trigger_queue_limit, config.trigger_interval_s)
-        .with_slo_margin(config.slo_margin_s);
-    let mut control = ReplicatedControlPlane::new(trigger, 1, config.seed ^ 0x51AB);
-    let bulk_tenant: TenantId = control
-        .register_tenant_with(TenantConfig {
-            weight: config.bulk_weight,
-            max_in_flight: 1_000_000,
-            max_retries: 1,
-        })
-        .expect("fresh store has a quorum");
-    let slo_config = TenantConfig { weight: 1, max_in_flight: 1_000_000, max_retries: 1 };
-    let slo_tenant: TenantId = if slo_aware {
-        control
-            .register_tenant_with_slo(
-                slo_config,
-                SloClass { deadline_s: config.deadline_s, priority: 1, max_error: 1.0 },
-            )
-            .expect("fresh store has a quorum")
-    } else {
-        control.register_tenant_with(slo_config).expect("fresh store has a quorum")
-    };
-    let tenant_of = [bulk_tenant, slo_tenant];
-
-    let mut scaler = Autoscaler::new(config.autoscaler);
-    let mut arrivals: VecDeque<OfferedArrival> =
-        offered_load(config, base_max_qubits).into_iter().collect();
-    let arrived_bulk = arrivals.iter().filter(|a| a.stream == 0).count() as u64;
-    let arrived_slo = arrivals.iter().filter(|a| a.stream == 1).count() as u64;
-
-    let mut tickets: HashMap<TicketId, u64> = HashMap::new();
-    let mut apps: HashMap<u64, AppProgress> = HashMap::new();
-    let mut completions: Vec<SloCompletion> = Vec::new();
-    let mut batches: Vec<BatchComposition> = Vec::new();
-    let mut crashes: Vec<CrashRecord> = Vec::new();
-    let mut crash_schedule: VecDeque<f64> =
-        plan.map(|p| p.crash_times_s.iter().copied().collect()).unwrap_or_default();
-    const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
-    let snapshot_every = plan.map_or(DEFAULT_SNAPSHOT_EVERY_BATCHES, |p| p.snapshot_every_batches);
-    let mut snapshots_installed = 0u64;
-    let mut completed_slo = 0u64;
-    let mut deadline_hits = 0u64;
-    let mut provisioned = 0u64;
-    let mut retired = 0u64;
-    let mut knit_apps = 0u64;
-    let mut knittable_rejected = 0u64;
-    let mut rejected_infeasible = 0u64;
-    let mut rejected_deadline = 0u64;
-    let mut rejected_retries = 0u64;
-    let mut turnarounds: Vec<f64> = Vec::new();
-
-    let mut t = 0.0f64;
-    while t < config.duration_s {
-        let t_next = (t + config.step_s).min(config.duration_s);
-
-        // 0. Fault injection: kill the leader at every scheduled instant in
-        //    (t, t_next], fail over, and continue on the rebuilt replica.
-        while crash_schedule.front().is_some_and(|&c| c <= t_next) {
-            let crash_t = crash_schedule.pop_front().expect("front checked");
-            let digest = control.state_digest();
-            let old_leader = control.leader().unwrap_or(0);
-            let replayed_events = control.replay_backlog();
-            control.crash_leader();
-            control.failover().expect("a majority of control replicas survives");
-            crashes.push(CrashRecord {
-                t_s: crash_t,
-                old_leader,
-                new_leader: control.leader().unwrap_or(old_leader),
-                replayed_events,
-                digest_matched: control.state_digest() == digest,
+impl SloArm<'_> {
+    /// One fragment of an application left the system: finished at
+    /// `finish_s`, or terminally rejected (`None`). When the last fragment
+    /// resolves, an SLO application none of whose fragments was rejected
+    /// counts as completed.
+    fn resolve(&mut self, ticket: GlobalTicket, finish_s: Option<f64>) {
+        let Some(app_id) = self.tickets.remove(&ticket) else { return };
+        let Some(progress) = self.apps.get_mut(&app_id) else { return };
+        progress.outstanding -= 1;
+        match finish_s {
+            Some(finish_s) => progress.latest_finish_s = progress.latest_finish_s.max(finish_s),
+            None => progress.rejected = true,
+        }
+        if progress.outstanding > 0 {
+            return;
+        }
+        let progress = self.apps.remove(&app_id).expect("present above");
+        if progress.stream == 1 && !progress.rejected {
+            let turnaround = progress.latest_finish_s - progress.submit_s;
+            let hit = turnaround <= self.config.deadline_s;
+            self.outcome.report.completed_slo += 1;
+            self.outcome.report.deadline_hits += u64::from(hit);
+            self.outcome.completions.push(SloCompletion {
+                app_id,
+                submit_s: progress.submit_s,
+                finish_s: progress.latest_finish_s,
+                deadline_hit: hit,
             });
         }
+    }
+}
 
-        // 1. Advance QPU queues and resolve completions.
-        fed.fleet_mut().advance_to(t_next, &mut sim_rng);
-        let done = control.drain_completions(fed.fleet_mut());
-        let resolved = control.note_completions(&done).expect("control-plane journal has a quorum");
-        for (ticket, completion) in resolved {
-            let Some(app_id) = tickets.remove(&ticket.ticket) else { continue };
-            let Some(progress) = apps.get_mut(&app_id) else { continue };
-            progress.outstanding -= 1;
-            progress.latest_finish_s =
-                progress.latest_finish_s.max(completion.record.finish_time_s);
-            if progress.outstanding == 0 {
-                let progress = apps.remove(&app_id).expect("present above");
-                if progress.stream == 1 && !progress.rejected {
-                    completed_slo += 1;
-                    let turnaround = progress.latest_finish_s - progress.submit_s;
-                    let hit = turnaround <= config.deadline_s;
-                    deadline_hits += u64::from(hit);
-                    turnarounds.push(turnaround);
-                    completions.push(SloCompletion {
-                        app_id,
-                        submit_s: progress.submit_s,
-                        finish_s: progress.latest_finish_s,
-                        deadline_hit: hit,
-                    });
+impl Scenario for SloArm<'_> {
+    type Report = SloArmOutcome;
+
+    fn fleet_and_drift(&mut self) -> (&mut Fleet, &mut StdRng) {
+        (self.fed.fleet_mut(), &mut self.sim_rng)
+    }
+
+    fn completed(&mut self, ticket: GlobalTicket, done: &CompletedExecution) {
+        self.resolve(ticket, Some(done.record.finish_time_s));
+    }
+
+    /// Non-blocking submission. Applications too wide for every device are
+    /// knit into half-width fragment jobs in the SLO-aware arm and dropped in
+    /// the plain arm.
+    fn submit_arrivals(&mut self, _t: f64, t_next: f64, plane: &mut ShardedControlPlane) {
+        while self.arrivals.front().is_some_and(|a| a.app.submit_time_s < t_next) {
+            let arrival = self.arrivals.pop_front().expect("front checked");
+            let is_slo = u64::from(arrival.stream == 1);
+            if self.slo_aware {
+                self.scaler.observe_arrival(arrival.app.submit_time_s, ResourceClass::Simulator);
+            }
+            let fleet = self.fed.fleet();
+            let spec_of = |app: &HybridApplication| build_submission(fleet, app).map(|s| s.0);
+            let specs: Vec<JobSpec> = match spec_of(&arrival.app) {
+                Some(spec) => vec![spec],
+                None if self.slo_aware => {
+                    // Retry-with-cutting: split the circuit before any retry
+                    // budget is burned and submit the fragments.
+                    self.outcome.report.knit_apps += is_slo;
+                    let cut = knitting::cut_in_half(&arrival.app.circuit);
+                    let fragment = |circuit| HybridApplication {
+                        app_id: arrival.app.app_id,
+                        submit_time_s: arrival.app.submit_time_s,
+                        circuit,
+                        mitigation: MitigationStack::none(),
+                    };
+                    cut.fragments.into_iter().filter_map(|c| spec_of(&fragment(c))).collect()
                 }
-            }
-        }
-
-        // 2. Arrivals in [t, t_next): non-blocking submission. Applications
-        //    too wide for every device are knit into half-width fragment jobs
-        //    in the SLO-aware arm and dropped in the plain arm.
-        while arrivals.front().is_some_and(|a| a.app.submit_time_s < t_next) {
-            let arrival = arrivals.pop_front().expect("front checked");
-            if slo_aware {
-                scaler.observe_arrival(arrival.app.submit_time_s, ResourceClass::Simulator);
-            }
-            let tenant = tenant_of[arrival.stream];
-            let fragments: Vec<HybridApplication> =
-                match build_submission(fed.fleet(), &arrival.app) {
-                    Some(_) => vec![arrival.app.clone()],
-                    None if slo_aware => {
-                        // Retry-with-cutting: split the circuit before any
-                        // retry budget is burned and submit the fragments.
-                        let cut = knitting::cut_in_half(&arrival.app.circuit);
-                        knit_apps += u64::from(arrival.stream == 1);
-                        cut.fragments
-                            .into_iter()
-                            .map(|circuit| HybridApplication {
-                                app_id: arrival.app.app_id,
-                                submit_time_s: arrival.app.submit_time_s,
-                                circuit,
-                                mitigation: MitigationStack::none(),
-                            })
-                            .collect()
-                    }
-                    None => {
-                        knittable_rejected += u64::from(arrival.stream == 1);
-                        continue;
-                    }
-                };
-            let specs: Vec<_> = fragments
-                .iter()
-                .filter_map(|app| build_submission(fed.fleet(), app).map(|(spec, _)| spec))
-                .collect();
+                None => Vec::new(),
+            };
             if specs.is_empty() {
-                knittable_rejected += u64::from(arrival.stream == 1);
+                self.outcome.report.knittable_rejected += is_slo;
                 continue;
             }
-            apps.insert(
+            self.apps.insert(
                 arrival.app.app_id,
                 AppProgress {
                     stream: arrival.stream,
@@ -523,155 +418,147 @@ pub fn run_slo_arm(
                 },
             );
             for spec in specs {
-                let ticket = control
-                    .submit(tenant, spec, arrival.app.submit_time_s)
-                    .expect("streams map to registered tenants; journal has a quorum");
-                tickets.insert(ticket.ticket, arrival.app.app_id);
+                let ticket = plane
+                    .submit(self.tenant_of[arrival.stream], spec, arrival.app.submit_time_s)
+                    .expect(QUORUM);
+                self.tickets.insert(ticket, arrival.app.app_id);
             }
         }
-
-        // 3. Elastic capacity: grow/shrink Simulator-class tail members of
-        //    the federated fleet, journaling every transition.
-        if slo_aware {
-            let elastic_now = fed.num_qpus() - base_len;
-            match scaler.decide(t_next, elastic_now) {
-                ScalingDecision::Grow(n) => {
-                    for _ in 0..n {
-                        let name = format!("elastic_sim_{provisioned}");
-                        let member = FleetMember {
-                            qpu: Qpu::new(name, QpuModel::falcon_27(), 1.3, &mut provision_rng)
-                                .with_resource_class(ResourceClass::Simulator)
-                                .with_cost_per_shot(0.05),
-                            queue: JobQueue::new(),
-                        };
-                        let index = fed.provision("elastic-sim", member);
-                        control
-                            .provision_qpu(t_next, index, ResourceClass::Simulator)
-                            .expect("control-plane journal has a quorum");
-                        provisioned += 1;
-                    }
-                }
-                ScalingDecision::Shrink(n) => {
-                    for _ in 0..n {
-                        if fed.num_qpus() <= base_len {
-                            break;
-                        }
-                        // The tail only retires once idle and drained.
-                        let Some(index) = fed.retire_last() else { break };
-                        control
-                            .retire_qpu(t_next, index)
-                            .expect("control-plane journal has a quorum");
-                        retired += 1;
-                    }
-                }
-                ScalingDecision::Hold => {}
-            }
-        }
-
-        // 4. Admission (escalation lane first in the SLO-aware arm, then the
-        //    DRR scan) and the trigger-gated batch dispatch.
-        control.admit(t_next).expect("control-plane journal has a quorum");
-        if let Some(outcome) = control
-            .try_dispatch(t_next, &scheduler, fed.fleet_mut())
-            .expect("control-plane journal has a quorum")
-        {
-            for ticket in &outcome.terminal_rejections {
-                match control.poll(*ticket) {
-                    Some(TicketStatus::Rejected { reason: RejectReason::Infeasible, .. }) => {
-                        rejected_infeasible += 1;
-                    }
-                    Some(TicketStatus::Rejected {
-                        reason: RejectReason::DeadlineMissed, ..
-                    }) => {
-                        rejected_deadline += 1;
-                    }
-                    _ => rejected_retries += 1,
-                }
-                if let Some(app_id) = tickets.remove(&ticket.ticket) {
-                    if let Some(progress) = apps.get_mut(&app_id) {
-                        progress.outstanding -= 1;
-                        progress.rejected = true;
-                        if progress.outstanding == 0 {
-                            apps.remove(&app_id);
-                        }
-                    }
-                }
-            }
-            let batch = &outcome.record;
-            batches.push(BatchComposition {
-                t_s: batch.t_s,
-                reason: batch.reason,
-                num_jobs: batch.job_ids.len(),
-                tenant_jobs: batch.tenant_jobs.clone(),
-                job_ids: batch.job_ids.clone(),
-            });
-            if snapshot_every > 0 && batches.len().is_multiple_of(snapshot_every) {
-                control.snapshot().expect("control-plane journal has a quorum");
-                snapshots_installed += 1;
-            }
-        }
-
-        t = t_next;
     }
 
-    let escalated =
-        control.submissions().tenant_stats(slo_tenant).map(|s| s.escalated).unwrap_or(0);
-    turnarounds.sort_by(f64::total_cmp);
-    let p95_turnaround_s = if turnarounds.is_empty() {
-        0.0
-    } else {
-        let idx = ((turnarounds.len() as f64 * 0.95).ceil() as usize).max(1) - 1;
-        turnarounds[idx.min(turnarounds.len() - 1)]
-    };
-    let mean_turnaround_s = if turnarounds.is_empty() {
-        0.0
-    } else {
-        turnarounds.iter().sum::<f64>() / turnarounds.len() as f64
-    };
-    let dispatched_jobs = batches.iter().map(|b| b.num_jobs).sum();
-    let report = SloArmReport {
-        arrived_slo,
-        arrived_bulk,
-        completed_slo,
-        deadline_hits,
-        hit_rate: if arrived_slo == 0 { 1.0 } else { deadline_hits as f64 / arrived_slo as f64 },
-        p95_turnaround_s,
-        mean_turnaround_s,
-        escalated,
-        provisioned,
-        retired,
-        knit_apps,
-        knittable_rejected,
-        rejected_infeasible,
-        rejected_deadline,
-        rejected_retries,
-        batches: batches.len(),
-        dispatched_jobs,
-    };
-    let tenants = [bulk_tenant, slo_tenant]
-        .into_iter()
-        .map(|tenant| {
-            (tenant, control.submissions().tenant_stats(tenant).expect("tenant registered"))
-        })
-        .collect();
-    SloArmOutcome {
-        report,
-        batches,
-        completions,
-        tenants,
-        crashes,
-        snapshots_installed,
-        final_digest: control.state_digest(),
-        final_state: control.encode_state(),
+    /// Elastic capacity: grow/shrink Simulator-class tail members of the
+    /// federated fleet, journaling every transition on the (only) shard.
+    fn before_admit(&mut self, t_next: f64, plane: &mut ShardedControlPlane) {
+        if !self.slo_aware {
+            return;
+        }
+        let base_len = plane.num_qpus();
+        let shard = &mut plane.shards_mut()[0];
+        match self.scaler.decide(t_next, self.fed.num_qpus() - base_len) {
+            ScalingDecision::Grow(n) => {
+                for _ in 0..n {
+                    let name = format!("elastic_sim_{}", self.outcome.report.provisioned);
+                    let member = FleetMember {
+                        qpu: Qpu::new(name, QpuModel::falcon_27(), 1.3, &mut self.provision_rng)
+                            .with_resource_class(ResourceClass::Simulator)
+                            .with_cost_per_shot(0.05),
+                        queue: JobQueue::new(),
+                    };
+                    let index = self.fed.provision("elastic-sim", member);
+                    shard.provision_qpu(t_next, index, ResourceClass::Simulator).expect(QUORUM);
+                    self.outcome.report.provisioned += 1;
+                }
+            }
+            ScalingDecision::Shrink(n) => {
+                for _ in 0..n {
+                    if self.fed.num_qpus() <= base_len {
+                        break;
+                    }
+                    // The tail only retires once idle and drained.
+                    let Some(index) = self.fed.retire_last() else { break };
+                    shard.retire_qpu(t_next, index).expect(QUORUM);
+                    self.outcome.report.retired += 1;
+                }
+            }
+            ScalingDecision::Hold => {}
+        }
     }
+
+    fn rejected(&mut self, ticket: GlobalTicket, plane: &ShardedControlPlane) {
+        let report = &mut self.outcome.report;
+        match plane.poll(ticket) {
+            Some(TicketStatus::Rejected { reason: RejectReason::Infeasible, .. }) => {
+                report.rejected_infeasible += 1;
+            }
+            Some(TicketStatus::Rejected { reason: RejectReason::DeadlineMissed, .. }) => {
+                report.rejected_deadline += 1;
+            }
+            _ => report.rejected_retries += 1,
+        }
+        self.resolve(ticket, None);
+    }
+
+    fn dispatched(&mut self, shard: usize, batch: &BatchRecord, plane: &ShardedControlPlane) {
+        self.outcome.batches.push(BatchComposition::of(shard, batch, plane));
+    }
+
+    fn finish(mut self, plane: &ShardedControlPlane) -> SloArmOutcome {
+        let stats = |tenant| plane.tenant_stats(tenant).expect("tenant registered");
+        self.outcome.tenants = self.tenant_of.iter().map(|&t| (t, stats(t))).collect();
+        let mut turnarounds: Vec<f64> =
+            self.outcome.completions.iter().map(|c| c.finish_s - c.submit_s).collect();
+        turnarounds.sort_by(f64::total_cmp);
+        let n = turnarounds.len();
+        let report = &mut self.outcome.report;
+        if n > 0 {
+            let idx = ((n as f64 * 0.95).ceil() as usize).max(1) - 1;
+            report.p95_turnaround_s = turnarounds[idx.min(n - 1)];
+            report.mean_turnaround_s = mean(turnarounds.iter().copied());
+        }
+        report.hit_rate = match report.arrived_slo {
+            0 => 1.0,
+            arrived => report.deadline_hits as f64 / arrived as f64,
+        };
+        report.escalated = stats(self.tenant_of[1]).escalated;
+        report.batches = self.outcome.batches.len();
+        report.dispatched_jobs = self.outcome.batches.iter().map(|b| b.num_jobs).sum();
+        self.outcome
+    }
+}
+
+/// Run one arm of the scenario. `slo_aware` enables the SLO class, the
+/// escalation lane, the autoscaler, and retry-with-cutting; otherwise the
+/// identical offered load runs through plain weighted-fair admission.
+pub fn run_slo_arm(
+    config: &SloConfig,
+    slo_aware: bool,
+    plan: &FailurePlan,
+) -> ChaosReport<SloArmOutcome> {
+    let run = config.run;
+    let mut fleet_rng = StdRng::seed_from_u64(run.seed ^ 0xF1EE7);
+    let fed = FederatedFleet::single("base", Fleet::heterogeneous(&mut fleet_rng));
+    let base_len = fed.num_qpus();
+
+    let trigger = run.trigger().with_slo_margin(config.slo_margin_s);
+    let mut plane = run.plane(1, base_len, trigger);
+    let tenant = TenantConfig { weight: 1, max_in_flight: 1_000_000, max_retries: 1 };
+    let bulk_tenant = plane
+        .register_tenant_with(TenantConfig { weight: config.bulk_weight, ..tenant })
+        .expect(QUORUM);
+    let slo_tenant = if slo_aware {
+        let slo = SloClass { deadline_s: config.deadline_s, priority: 1, max_error: 1.0 };
+        plane.register_tenant_with_slo(tenant, slo).expect(QUORUM)
+    } else {
+        plane.register_tenant_with(tenant).expect(QUORUM)
+    };
+
+    let arrivals: VecDeque<StreamArrival> =
+        offered_load(config, fed.fleet().max_qubits()).into_iter().collect();
+    let arrived = |stream: usize| arrivals.iter().filter(|a| a.stream == stream).count() as u64;
+    let report =
+        SloArmReport { arrived_bulk: arrived(0), arrived_slo: arrived(1), ..Default::default() };
+    let scenario = SloArm {
+        config,
+        slo_aware,
+        fed,
+        sim_rng: StdRng::seed_from_u64(run.seed),
+        provision_rng: StdRng::seed_from_u64(run.seed ^ 0xE1A5),
+        scaler: Autoscaler::new(config.autoscaler),
+        arrivals,
+        tenant_of: [bulk_tenant, slo_tenant],
+        tickets: HashMap::new(),
+        apps: HashMap::new(),
+        outcome: SloArmOutcome { report, ..Default::default() },
+    };
+    kernel::run(scenario, plane, Some(run.scheduler()), (run.duration_s, run.step_s), plan)
 }
 
 /// Run both arms over the identical offered load and return the comparison.
 pub fn run_slo_comparison(config: &SloConfig) -> SloComparison {
     SloComparison {
         config: config.clone(),
-        slo_aware: run_slo_arm(config, true, None),
-        weighted_fair: run_slo_arm(config, false, None),
+        slo_aware: run_slo_arm(config, true, &FailurePlan::none()).report,
+        weighted_fair: run_slo_arm(config, false, &FailurePlan::none()).report,
     }
 }
 
@@ -680,18 +567,15 @@ mod tests {
     use super::*;
 
     fn quick_config() -> SloConfig {
-        SloConfig {
-            duration_s: 400.0,
-            burst_start_s: 100.0,
-            burst_end_s: 250.0,
-            ..Default::default()
-        }
+        let mut config =
+            SloConfig { burst_start_s: 100.0, burst_end_s: 250.0, ..Default::default() };
+        config.run.duration_s = 400.0;
+        config
     }
 
     #[test]
     fn slo_arm_escalates_scales_and_knits() {
-        let outcome = run_slo_arm(&quick_config(), true, None);
-        let r = outcome.report;
+        let r = run_slo_arm(&quick_config(), true, &FailurePlan::none()).report.report;
         assert!(r.arrived_slo > 0 && r.arrived_bulk > 0, "load arrives on both streams");
         assert!(r.completed_slo > 0, "SLO applications complete");
         assert!(r.escalated > 0, "the bypass lane is exercised");
@@ -724,10 +608,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_slo_arm(&quick_config(), true, None);
-        let b = run_slo_arm(&quick_config(), true, None);
-        assert_eq!(a.final_digest, b.final_digest);
-        assert_eq!(a.batches, b.batches);
-        assert_eq!(a.completions, b.completions);
+        let a = run_slo_arm(&quick_config(), true, &FailurePlan::none());
+        let b = run_slo_arm(&quick_config(), true, &FailurePlan::none());
+        assert_eq!(a.final_states, b.final_states);
+        assert_eq!(a.report.batches, b.report.batches);
+        assert_eq!(a.report.completions, b.report.completions);
     }
 }

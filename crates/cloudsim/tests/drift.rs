@@ -169,7 +169,7 @@ fn drift_scenario_split_decisions_survive_leader_crashes_byte_for_byte() {
     assert!(chaos.report.split_batches() > 0, "the fault-injected run must still cross boundaries");
     // Byte-identical split decisions and final state.
     assert_eq!(chaos.report.dispatches, plain.report.dispatches);
-    assert_eq!(chaos.final_digest, plain.final_digest);
+    assert_eq!(chaos.final_states, plain.final_states);
     assert_eq!(chaos.report.completed, plain.report.completed);
     assert_eq!(chaos.report.reestimated_jobs, plain.report.reestimated_jobs);
 }

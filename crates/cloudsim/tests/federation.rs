@@ -102,7 +102,7 @@ fn a_single_provider_federation_is_byte_identical_to_the_flat_plane() {
         seed: 41,
         ..SimulationConfig::default()
     };
-    let no_crashes = FailurePlan { crash_times_s: Vec::new(), snapshot_every_batches: 8 };
+    let no_crashes = FailurePlan::none();
 
     // Arm A: the plain unfederated fleet (CloudSimulation::with_default_fleet
     // seeds the fleet RNG with seed ^ 0xF1EE7 — replicate it exactly).
@@ -125,7 +125,7 @@ fn a_single_provider_federation_is_byte_identical_to_the_flat_plane() {
     );
     assert_eq!(flat.report.qpu_names, federated.report.qpu_names);
     assert_eq!(
-        flat.final_state, federated.final_state,
+        flat.final_states, federated.final_states,
         "final control-plane states must be byte-identical"
     );
     assert_eq!(flat.report.speculative_batches, federated.report.speculative_batches);

@@ -1,24 +1,29 @@
 //! Sharded control-plane e2e suite: hash-partitioned tenants across N
 //! shards, per-shard DRR fairness composing into the global weighted split,
-//! and whole-plane chaos (every shard's leader killed mid-run) with
-//! per-shard byte-for-byte failover digests and lease-allocator consistency.
+//! the one-shard plane's parity with the multi-tenant scenario, and the
+//! mid-lease crash window. (Whole-plane chaos — every shard's leader killed
+//! mid-run, per-shard byte-for-byte failover digests, lease-allocator
+//! consistency — is the `sharded-2` row of the matrix in `tests/chaos.rs`.)
 //!
 //! Like the chaos suite, CI can run this as a seed matrix
 //! (`QONDUCTOR_CHAOS_SEED=<seed>` selects one leg; unset runs the default
 //! set).
 
-use qonductor_cloudsim::{FailurePlan, ShardedSimConfig, ShardedSimulation};
+use qonductor_cloudsim::{
+    ArrivalConfig, MultiTenantConfig, MultiTenantReport, MultiTenantSimulation, RunParams,
+    ShardedSimConfig, ShardedSimulation, TenantArrivalConfig, TenantLoad,
+};
 use qonductor_core::jobmanager::CalibrationPolicy;
-use qonductor_core::sharding::ShardedControlPlane;
+use qonductor_core::sharding::{shard_of_global, ShardedControlPlane};
 use qonductor_scheduler::ScheduleTrigger;
 
 /// Default seed matrix (mirrors the chaos suite).
 const DEFAULT_SEEDS: [u64; 5] = [11, 23, 37, 41, 59];
-const DURATION_S: f64 = 300.0;
-const CRASHES_PER_RUN: usize = 3;
 
 fn sharded_config(seed: u64) -> ShardedSimConfig {
-    ShardedSimConfig { duration_s: DURATION_S, seed, ..ShardedSimConfig::default() }
+    let mut config = ShardedSimConfig::default();
+    config.run = RunParams { duration_s: 300.0, seed, ..config.run };
+    config
 }
 
 /// Seeds under test: the single `QONDUCTOR_CHAOS_SEED` if set (one CI matrix
@@ -30,6 +35,21 @@ fn seeds_under_test() -> Vec<u64> {
     }
 }
 
+/// The combined share of all admitted batch slots held by the heavy tenants:
+/// the report lists the active tenants in registration order, each shard's
+/// heavy tenant before its light one.
+fn heavy_share(report: &MultiTenantReport, num_shards: usize) -> f64 {
+    let mut seen = vec![false; num_shards];
+    let mut share = 0.0;
+    for outcome in &report.tenants {
+        let shard = shard_of_global(outcome.tenant, num_shards);
+        if !std::mem::replace(&mut seen[shard], true) {
+            share += report.admitted_share(outcome.tenant);
+        }
+    }
+    share
+}
+
 /// Weights 2:1 split across shards (one heavy + one light pair per shard,
 /// saturating streams) yield the heavy tenants a ~2/3 global share of all
 /// admitted batch slots, within ±10% — per-shard DRR composes into global
@@ -37,58 +57,54 @@ fn seeds_under_test() -> Vec<u64> {
 #[test]
 fn sharded_fairness_composes_to_the_global_weighted_split() {
     for seed in seeds_under_test() {
-        let report = ShardedSimulation::with_default_fleet(sharded_config(seed)).run();
+        let config = sharded_config(seed);
+        let report = ShardedSimulation::with_default_fleet(config.clone()).run();
         assert!(!report.batches.is_empty(), "seed {seed}: batches must dispatch");
         assert!(!report.completed.is_empty(), "seed {seed}: applications must complete");
-        for shard in 0..report.num_shards {
+        for shard in 0..config.num_shards {
             assert!(
                 report.batches.iter().any(|b| b.shard == shard),
                 "seed {seed}: shard {shard} never dispatched"
             );
         }
-        let share = report.heavy_share();
+        assert_eq!(report.tenants.len(), 2 * config.num_shards, "one pair per shard");
+        let share = heavy_share(&report, config.num_shards);
         assert!(
             (share - 2.0 / 3.0).abs() <= 0.1,
             "seed {seed}: heavy global share {share} strays from 2/3"
         );
-        assert_eq!(report.lost_tickets(), 0, "seed {seed}: every ledger balances");
     }
 }
 
-/// Killing every shard's leader at seeded mid-run instants is invisible to
-/// the workload: each shard's rebuilt state matches its pre-crash digest
-/// byte for byte, the fleet allocator rebuilds from the journaled lease sets
-/// without leaking or double-granting a QPU, and the fault-injected run
-/// produces exactly the batches and completions of the failure-free run.
+/// The sharded scenario *is* the multi-tenant scenario plus a shard count:
+/// with one shard (no placement fillers, global ids = local ids) it yields
+/// exactly the batches and completions of the multi-tenant simulation over
+/// the same two tenants, streams and seed.
 #[test]
-fn sharded_failovers_are_byte_exact_per_shard_across_the_seed_matrix() {
-    for seed in seeds_under_test() {
-        let plan = FailurePlan::from_seed(seed, DURATION_S, CRASHES_PER_RUN);
-        let chaos =
-            ShardedSimulation::with_default_fleet(sharded_config(seed)).run_with_failures(&plan);
-        assert_eq!(chaos.crashes.len(), CRASHES_PER_RUN, "seed {seed}");
-        assert!(
-            chaos.all_digests_matched(),
-            "seed {seed}: a shard's rebuilt state diverged: {:?}",
-            chaos.crashes
-        );
-        assert!(
-            chaos.allocator_always_consistent(),
-            "seed {seed}: lease replay leaked or double-granted capacity"
-        );
-        assert_eq!(chaos.lost_tickets(), 0, "seed {seed}");
-        assert!(chaos.double_dispatched_jobs().is_empty(), "seed {seed}");
-
-        let plain = ShardedSimulation::with_default_fleet(sharded_config(seed)).run();
-        assert_eq!(chaos.batches, plain.batches, "seed {seed}: batch streams diverged");
-        assert_eq!(chaos.completed, plain.completed, "seed {seed}: completions diverged");
-        // The chaos and plain runs snapshot on different cadences, so their
-        // incremental digests are not comparable — compare the byte oracle.
-        assert_eq!(
-            chaos.final_states, plain.final_states,
-            "seed {seed}: final per-shard states diverged"
-        );
-    }
+fn one_shard_is_the_multi_tenant_scenario() {
+    let sharded = ShardedSimConfig { num_shards: 1, ..sharded_config(11) };
+    let tenant = |weight| TenantLoad {
+        weight,
+        max_in_flight: sharded.max_in_flight,
+        max_retries: sharded.max_retries,
+        arrivals: TenantArrivalConfig {
+            arrival: ArrivalConfig {
+                mean_rate_per_hour: sharded.rate_per_hour,
+                diurnal_amplitude: 0.0,
+                ..Default::default()
+            },
+            mitigation_fraction: 0.3,
+        },
+    };
+    let multi_tenant = MultiTenantConfig {
+        run: sharded.run,
+        tenants: vec![tenant(sharded.heavy_weight), tenant(sharded.light_weight)],
+    };
+    let a = ShardedSimulation::with_default_fleet(sharded).run();
+    let b = MultiTenantSimulation::with_default_fleet(multi_tenant).run();
+    assert!(!b.batches.is_empty() && !b.completed.is_empty());
+    assert_eq!(a.batches, b.batches);
+    assert_eq!(a.completed, b.completed);
 }
 
 /// The mid-lease crash window: a shard's leader dies *between* journaling a

@@ -18,10 +18,10 @@
 //!   `LeaseGranted` *before* using the QPU, so its `failover()` replays the
 //!   lease set byte-for-byte and [`FleetAllocator::rebuild`] over the
 //!   per-shard sets proves capacity is neither leaked nor double-granted.
-//! - **Specs are masked to the lease.** A submission routed to a shard has
-//!   its estimate table masked to the shard's leased QPUs (fidelity 0, exec
-//!   ∞ elsewhere), so the shard's scheduler can only place jobs on capacity
-//!   the shard owns. A shard leasing the whole fleet (the single-shard
+//! - **Specs are masked to owned capacity.** A submission routed to a shard
+//!   has its estimate table masked to the shard's leased QPUs plus the
+//!   elastic QPUs it provisioned (fidelity 0, exec ∞ elsewhere), so the
+//!   shard's scheduler can only place jobs on capacity the shard owns. A shard leasing the whole fleet (the single-shard
 //!   default) keeps specs untouched — bit-identical to the unsharded plane.
 //! - **Completions route by lease owner.** Per-shard job ids collide across
 //!   shards, so drained completions are attributed to the shard leasing the
@@ -333,10 +333,11 @@ impl ShardedControlPlane {
         }
     }
 
-    /// Drain fleet completions once and account each on the shard leasing
-    /// the QPU it ran on (per-shard job ids collide; the lease owner is the
-    /// dispatching shard). Returns shard-qualified `(ticket, completion)`
-    /// pairs.
+    /// Drain fleet completions once and account each on the shard owning
+    /// the QPU it ran on — its lease holder, or for an elastic QPU the shard
+    /// that provisioned it (per-shard job ids collide; only the owner can
+    /// have dispatched onto the QPU). Returns shard-qualified `(ticket,
+    /// completion)` pairs.
     pub fn drain_and_note(
         &mut self,
         fleet: &mut Fleet,
@@ -344,7 +345,9 @@ impl ShardedControlPlane {
         let drained = self.shards[0].drain_completions(fleet);
         let mut per_shard: Vec<Vec<CompletedExecution>> = vec![Vec::new(); self.shards.len()];
         for completion in drained {
-            let owner = self.allocator.owner(completion.qpu_index).unwrap_or(0);
+            let qpu = completion.qpu_index;
+            let provisioner = || self.shards.iter().position(|s| s.elastic().contains(&qpu));
+            let owner = self.allocator.owner(qpu).or_else(provisioner).unwrap_or(0);
             per_shard[owner].push(completion);
         }
         let mut resolved = Vec::new();
@@ -535,18 +538,21 @@ impl ShardedControlPlane {
         Ok(FleetAllocator::rebuild(&sets, self.allocator.num_qpus())?.with_provider_spans(spans))
     }
 
-    /// Mask a full-fleet spec to a shard's leased QPUs: non-leased entries
-    /// get fidelity 0 and infinite execution time, the same "cannot run
-    /// here" encoding the estimator uses for infeasible devices. A shard
-    /// leasing the whole fleet passes specs through untouched, keeping the
-    /// single-shard plane bit-identical to the unsharded one.
+    /// Mask a full-fleet spec to the capacity a shard owns — the QPUs it
+    /// leases plus the elastic QPUs it provisioned (journaled in `elastic()`,
+    /// never in the lease set): every other entry gets fidelity 0 and
+    /// infinite execution time, the same "cannot run here" encoding the
+    /// estimator uses for infeasible devices. A shard leasing the whole fleet
+    /// passes specs through untouched, keeping the single-shard plane
+    /// bit-identical to the unsharded one.
     fn mask_spec(&self, shard: usize, mut spec: JobSpec) -> JobSpec {
         let leased = self.shards[shard].leases();
         if leased.len() >= spec.fidelity_per_qpu.len() {
             return spec;
         }
+        let elastic = self.shards[shard].elastic();
         for qpu in 0..spec.fidelity_per_qpu.len() {
-            if !leased.contains(&qpu) {
+            if !leased.contains(&qpu) && !elastic.contains(&qpu) {
                 spec.fidelity_per_qpu[qpu] = 0.0;
                 spec.exec_time_per_qpu[qpu] = f64::INFINITY;
             }
@@ -684,6 +690,35 @@ mod tests {
         );
     }
 
+    /// Elastic capacity is owned capacity: an autoscaler-provisioned QPU is
+    /// journaled in the provisioning shard's `elastic()` set, not leased, and
+    /// must stay schedulable there — and only there — across a failover.
+    #[test]
+    fn elastic_qpus_stay_unmasked_on_the_provisioning_shard_only() {
+        use qonductor_backend::ResourceClass;
+        let fleet = small_fleet(3);
+        let mut wide = spec(&fleet, 5, 30.0);
+        wide.fidelity_per_qpu.push(0.8);
+        wide.exec_time_per_qpu.push(12.0);
+
+        let mut one = plane(1, 8);
+        assert!(one.shards_mut()[0].provision_qpu(1.0, 8, ResourceClass::Simulator).unwrap());
+        let masked = one.mask_spec(0, wide.clone());
+        assert_eq!(masked, wide, "a one-shard plane owns its leases and its elastic QPU");
+
+        let mut two = plane(2, 8);
+        assert!(two.shards_mut()[1].provision_qpu(1.0, 8, ResourceClass::Simulator).unwrap());
+        let digests = two.state_digests();
+        two.crash_all_leaders();
+        two.failover_all().unwrap();
+        assert_eq!(two.state_digests(), digests, "the provisioning replays byte for byte");
+        let own = two.mask_spec(1, wide.clone());
+        assert_eq!((own.fidelity_per_qpu[8], own.exec_time_per_qpu[8]), (0.8, 12.0));
+        let other = two.mask_spec(0, wide);
+        assert_eq!(other.fidelity_per_qpu[8], 0.0, "another shard's elastic QPU is masked");
+        assert!(other.exec_time_per_qpu[8].is_infinite());
+    }
+
     /// An SLO class registered through the sharded front door lands on the
     /// tenant's home shard: the escalation lane fires there, and the shard's
     /// crash + failover replays it byte-for-byte.
@@ -785,6 +820,52 @@ mod tests {
                 "the shard that dispatched the job resolves its ticket"
             );
         }
+    }
+
+    /// An elastic QPU is in no lease set, so its completions route by the
+    /// provisioning shard's journaled `elastic()` set — not to shard 0, where
+    /// the colliding shard-local job id belongs to a different ticket.
+    #[test]
+    fn completions_on_an_elastic_qpu_route_to_the_provisioning_shard() {
+        use qonductor_backend::{FleetMember, JobQueue, Qpu, QpuModel, ResourceClass};
+        let mut plane = plane(2, 8);
+        let mut fleet = small_fleet(3);
+        let mut rng = StdRng::seed_from_u64(9);
+        let elastic = fleet.push_member(FleetMember {
+            qpu: Qpu::new("elastic_sim_0", QpuModel::falcon_27(), 1.3, &mut rng)
+                .with_resource_class(ResourceClass::Simulator),
+            queue: JobQueue::new(),
+        });
+        assert_eq!(elastic, 8);
+        assert!(plane.shards_mut()[1]
+            .provision_qpu(0.5, elastic, ResourceClass::Simulator)
+            .unwrap());
+
+        let tenants: Vec<TenantId> = (0..4).map(|_| plane.register_tenant(1).unwrap()).collect();
+        let on = |shard| *tenants.iter().find(|&&t| shard_of_global(t, 2) == shard).unwrap();
+        // Shard 0: a long job on its own lease. Shard 1: a short job feasible
+        // on the elastic QPU alone. Both are job 0 of their shard.
+        let long = plane.submit(on(0), spec(&fleet, 5, 500.0), 1.0).unwrap();
+        let mut only_elastic = spec(&fleet, 5, 10.0);
+        for qpu in 0..elastic {
+            only_elastic.fidelity_per_qpu[qpu] = 0.0;
+            only_elastic.exec_time_per_qpu[qpu] = f64::INFINITY;
+        }
+        let short = plane.submit(on(1), only_elastic, 1.0).unwrap();
+        let admitted = plane.admit(2.0).unwrap();
+        assert_eq!(admitted.iter().map(|&(_, job)| job).collect::<Vec<_>>(), vec![0, 0]);
+        let outcomes = plane.try_dispatch(31.0, &scheduler(), &mut fleet).unwrap();
+        assert_eq!(outcomes.len(), 2, "both shards dispatch");
+
+        fleet.advance_to(100.0, &mut rng);
+        let resolved = plane.drain_and_note(&mut fleet).unwrap();
+        assert_eq!(resolved.len(), 1, "only the short job has finished");
+        assert_eq!((resolved[0].0, resolved[0].1.qpu_index), (short, elastic));
+        assert!(matches!(plane.poll(short), Some(TicketStatus::Completed { .. })));
+        assert!(
+            !matches!(plane.poll(long), Some(TicketStatus::Completed { .. })),
+            "shard 0's job 0 is still running"
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! Run with: `cargo run --release --example multi_tenant`
 
 use qonductor::cloudsim::{
-    ArrivalConfig, MultiTenantConfig, MultiTenantSimulation, TenantArrivalConfig, TenantLoad,
+    ArrivalConfig, MultiTenantConfig, MultiTenantSimulation, RunParams, TenantArrivalConfig,
+    TenantLoad,
 };
 use qonductor::scheduler::{Nsga2Config, Preference};
 
@@ -27,20 +28,22 @@ fn main() {
         arrivals: stream(9000.0),
     };
     let config = MultiTenantConfig {
-        duration_s: 600.0,
-        step_s: 10.0,
-        tenants: vec![tenant(3), tenant(2), tenant(1)],
-        trigger_queue_limit: 24,
-        trigger_interval_s: 60.0,
-        nsga2: Nsga2Config {
-            population_size: 24,
-            max_generations: 15,
-            max_evaluations: 2000,
-            num_threads: 2,
-            ..Nsga2Config::default()
+        run: RunParams {
+            duration_s: 600.0,
+            step_s: 10.0,
+            trigger_queue_limit: 24,
+            trigger_interval_s: 60.0,
+            nsga2: Nsga2Config {
+                population_size: 24,
+                max_generations: 15,
+                max_evaluations: 2000,
+                num_threads: 2,
+                ..Nsga2Config::default()
+            },
+            preference: Preference::balanced(),
+            seed: 7,
         },
-        preference: Preference::balanced(),
-        seed: 7,
+        tenants: vec![tenant(3), tenant(2), tenant(1)],
     };
 
     println!("three tenants, weights 3:2:1, equal saturating arrival streams\n");

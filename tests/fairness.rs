@@ -10,7 +10,8 @@ mod common;
 
 use common::{feasible_spec, small_fleet, small_scheduler};
 use qonductor::cloudsim::{
-    ArrivalConfig, MultiTenantConfig, MultiTenantSimulation, TenantArrivalConfig, TenantLoad,
+    ArrivalConfig, MultiTenantConfig, MultiTenantSimulation, RunParams, TenantArrivalConfig,
+    TenantLoad,
 };
 use qonductor::core::{
     DeploymentConfig, JobManager, Orchestrator, OrchestratorError, SubmissionService, TenantConfig,
@@ -235,8 +236,21 @@ fn multi_tenant_simulation_converges_to_weighted_shares() {
         mitigation_fraction: 0.3,
     };
     let config = MultiTenantConfig {
-        duration_s: 400.0,
-        step_s: 10.0,
+        run: RunParams {
+            duration_s: 400.0,
+            step_s: 10.0,
+            trigger_queue_limit: 18,
+            trigger_interval_s: 45.0,
+            nsga2: Nsga2Config {
+                population_size: 16,
+                max_generations: 10,
+                max_evaluations: 1000,
+                num_threads: 2,
+                ..Nsga2Config::default()
+            },
+            preference: Preference::balanced(),
+            seed: 77,
+        },
         tenants: vec![
             TenantLoad {
                 weight: 2,
@@ -251,17 +265,6 @@ fn multi_tenant_simulation_converges_to_weighted_shares() {
                 ..TenantLoad::default()
             },
         ],
-        trigger_queue_limit: 18,
-        trigger_interval_s: 45.0,
-        nsga2: Nsga2Config {
-            population_size: 16,
-            max_generations: 10,
-            max_evaluations: 1000,
-            num_threads: 2,
-            ..Nsga2Config::default()
-        },
-        preference: Preference::balanced(),
-        seed: 77,
     };
     let report = MultiTenantSimulation::with_default_fleet(config).run();
     assert!(!report.batches.is_empty());
