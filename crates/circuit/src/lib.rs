@@ -6,6 +6,8 @@
 //! The crate provides:
 //! * a flat, allocation-light circuit IR ([`Circuit`], [`Gate`], [`Instruction`]),
 //! * a dependency DAG ([`dag::CircuitDag`]) used by the transpiler and estimator,
+//! * content digests ([`Circuit::content_digest`], [`ContentHasher`]) for
+//!   memoising per-circuit computations,
 //! * structural metrics ([`metrics::CircuitMetrics`]) — the feature vector the
 //!   resource estimator regresses on,
 //! * generators for the standard algorithm families (GHZ, QFT, QAOA, VQE,
@@ -17,6 +19,7 @@
 
 pub mod circuit;
 pub mod dag;
+pub mod digest;
 pub mod gate;
 pub mod generators;
 pub mod metrics;
@@ -24,6 +27,7 @@ pub mod workload;
 
 pub use circuit::Circuit;
 pub use dag::CircuitDag;
+pub use digest::ContentHasher;
 pub use gate::{Gate, Instruction, NO_OPERAND};
 pub use generators::Algorithm;
 pub use metrics::CircuitMetrics;

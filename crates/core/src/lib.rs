@@ -17,6 +17,7 @@
 pub mod autoscaler;
 pub mod config;
 pub mod digest;
+mod estimate_cache;
 pub mod federation;
 pub mod fleetlease;
 pub mod jobmanager;
@@ -30,6 +31,7 @@ pub mod workflow;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScalingDecision, ScalingStrategy};
 pub use config::{DeploymentConfig, Priority, ResourceLimits};
+pub use estimate_cache::{EstimateCacheStats, ProductStats};
 pub use federation::{
     CostOptimized, FederatedFleet, LeastLoaded, PlacementStrategy, Provider, ProviderCapacity,
     QuantumAware,

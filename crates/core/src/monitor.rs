@@ -2,6 +2,7 @@
 //! that persists the complete system state — worker/QPU static and dynamic
 //! information, workflow execution status, and results.
 
+use crate::estimate_cache::{EstimateCacheStats, ProductStats};
 use crate::jobmanager::TenantId;
 use crate::submission::TenantStats;
 use qonductor_consensus::{ReplicatedKvStore, StoreError};
@@ -298,6 +299,36 @@ impl SystemMonitor {
                 stats.escalated
             ),
         )
+    }
+
+    /// Persist the orchestrator's estimate-cache accounting (one record per
+    /// cached product, overwritten every invocation wave).
+    pub fn record_estimate_cache_stats(
+        &self,
+        stats: &EstimateCacheStats,
+    ) -> Result<(), StoreError> {
+        for (product, s) in [("steps", stats.steps), ("plans", stats.plans)] {
+            self.store.put(
+                format!("estimate_cache/{product}"),
+                format!("{},{},{},{}", s.hits, s.misses, s.stale_recomputes, s.evictions),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Read back the persisted estimate-cache accounting.
+    pub fn estimate_cache_stats(&self) -> Option<EstimateCacheStats> {
+        let product = |name: &str| {
+            let value = self.store.get(&format!("estimate_cache/{name}")).ok()?;
+            let mut parts = value.split(',').map(|p| p.parse().ok());
+            Some(ProductStats {
+                hits: parts.next()??,
+                misses: parts.next()??,
+                stale_recomputes: parts.next()??,
+                evictions: parts.next()??,
+            })
+        };
+        Some(EstimateCacheStats { steps: product("steps")?, plans: product("plans")? })
     }
 
     /// Read back a tenant's persisted accounting.

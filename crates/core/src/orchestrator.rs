@@ -15,6 +15,7 @@
 //! lets their quantum steps share a single scheduler invocation.
 
 use crate::config::{DeploymentConfig, Priority};
+use crate::estimate_cache::{EstimateCache, EstimateCacheStats, PlanStamp, StepKey};
 use crate::jobmanager::{CalibrationPolicy, JobId, JobSpec, TenantId, DEFAULT_TENANT};
 use crate::monitor::{SystemMonitor, WorkflowStatus};
 use crate::registry::{HybridWorkflowImage, ImageId, WorkflowRegistry};
@@ -25,9 +26,7 @@ use crate::workflow::{Step, Workflow};
 use parking_lot::Mutex;
 use qonductor_backend::Fleet;
 use qonductor_circuit::Circuit;
-use qonductor_estimator::{
-    generate_plans, EstimationBackend, PlanGeneratorConfig, PricingTable, ResourcePlan,
-};
+use qonductor_estimator::{PlanGeneratorConfig, PricingTable, ResourcePlan};
 use qonductor_mitigation::MitigationStack;
 use qonductor_scheduler::{
     place, ClassicalNode, HybridScheduler, ScheduleTrigger, SchedulerConfig, ScoringPolicy,
@@ -142,6 +141,9 @@ struct OrchestratorState {
     /// Post-boundary re-estimation passes recorded so far (monitor key space).
     reestimation_passes: usize,
     rng: StdRng,
+    /// Memo of step estimates and resource plans by circuit content and
+    /// calibration epoch. Derived data: not journaled, not in any digest.
+    estimates: EstimateCache,
 }
 
 /// The Qonductor orchestrator (control plane + worker resources).
@@ -201,6 +203,7 @@ impl Orchestrator {
                 results: Vec::new(),
                 reestimation_passes: 0,
                 rng: StdRng::seed_from_u64(seed),
+                estimates: EstimateCache::default(),
             }),
         }
     }
@@ -400,39 +403,46 @@ impl Orchestrator {
         image_id: ImageId,
     ) -> Result<Vec<ResourcePlan>, OrchestratorError> {
         let image = self.image(image_id)?;
-        let state = self.state.lock();
-        Ok(self.estimate_resources_inner(&state, &image))
+        let mut state = self.state.lock();
+        Ok(self.estimate_resources_inner(&mut state, &image, &step_digests(&image)))
     }
 
-    /// Plan generation against an already-locked state.
+    /// Hit/miss/stale/eviction counts of the estimate cache since
+    /// construction (also persisted in the system monitor after every
+    /// invocation wave).
+    pub fn estimate_cache_stats(&self) -> EstimateCacheStats {
+        self.state.lock().estimates.stats()
+    }
+
+    /// Plan generation against an already-locked state. `digests` are the
+    /// image's [`step_digests`].
     fn estimate_resources_inner(
         &self,
-        state: &OrchestratorState,
+        state: &mut OrchestratorState,
         image: &HybridWorkflowImage,
+        digests: &[Option<u128>],
     ) -> Vec<ResourcePlan> {
-        let templates: Vec<_> = state
-            .fleet
-            .template_qpus()
-            .into_iter()
-            .filter(|t| {
-                image.config.preferred_models.is_empty()
-                    || image.config.preferred_models.contains(&t.model.name)
-            })
-            .filter(|t| t.num_qubits() >= image.config.quantum.min_qubits)
-            .collect();
-        let plan_config = PlanGeneratorConfig {
-            num_plans: image.config.num_resource_plans,
-            pricing: self.pricing,
-            accelerators_available: state.classical_nodes.iter().any(|n| n.accelerators_free() > 0),
+        let stamp = PlanStamp {
+            fleet_epoch: state.fleet.calibration_epoch(),
+            preferred_models: image.config.preferred_models.clone(),
+            min_qubits: image.config.quantum.min_qubits,
+            generator: PlanGeneratorConfig {
+                num_plans: image.config.num_resource_plans,
+                pricing: self.pricing,
+                accelerators_available: state
+                    .classical_nodes
+                    .iter()
+                    .any(|n| n.accelerators_free() > 0),
+            },
         };
         let mut plans = Vec::new();
-        for step in image.workflow.steps() {
-            if let Step::Quantum(q) = step {
-                plans.extend(generate_plans(
+        for (step, digest) in image.workflow.steps().iter().zip(digests) {
+            if let (Step::Quantum(q), Some(digest)) = (step, digest) {
+                plans.extend_from_slice(state.estimates.plans(
+                    *digest,
                     &q.circuit,
-                    &templates,
-                    EstimationBackend::Analytic,
-                    &plan_config,
+                    &stamp,
+                    &state.fleet,
                 ));
             }
         }
@@ -495,9 +505,11 @@ impl Orchestrator {
             state.next_run_id += 1;
             let _ = self.monitor.set_workflow_status(run_id, WorkflowStatus::Pending);
 
-            let has_quantum = image.workflow.steps().iter().any(|s| matches!(s, Step::Quantum(_)));
-            let plan = if has_quantum {
-                let plans = self.estimate_resources_inner(state, &image);
+            // Once per quantum step per invocation; plan lookup and every
+            // later estimate of the step reuse it.
+            let digests = step_digests(&image);
+            let plan = if digests.iter().any(Option::is_some) {
+                let plans = self.estimate_resources_inner(state, &image, &digests);
                 match pick_plan(&plans, image.config.priority) {
                     Some(plan) => plan.clone(),
                     None => {
@@ -517,6 +529,7 @@ impl Orchestrator {
             runs.push(ActiveRun {
                 run_id,
                 image,
+                digests,
                 plan,
                 order,
                 cursor: 0,
@@ -549,6 +562,7 @@ impl Orchestrator {
         for (id, stats) in state.control.snapshot_stats() {
             let _ = self.monitor.record_tenant_stats(id, &stats);
         }
+        let _ = self.monitor.record_estimate_cache_stats(&state.estimates.stats());
 
         // Finalize: persist results and map runs back to input order.
         slots
@@ -627,8 +641,17 @@ impl Orchestrator {
                     // runs' plans must still split at). If the engine clock
                     // crosses a boundary before this job dispatches, the
                     // drive loop's re-estimation pass refreshes it.
-                    let (fidelity_per_qpu, exec_time_per_qpu) =
-                        self.step_estimates(&state.fleet, &step.circuit, &stack);
+                    let key = StepKey::new(
+                        run.digests[step_index].expect("every quantum step has a digest"),
+                        &stack,
+                    );
+                    let (fidelity_per_qpu, exec_time_per_qpu) = state.estimates.step_estimates(
+                        key,
+                        &step.circuit,
+                        &stack,
+                        &state.fleet,
+                        &self.transpiler,
+                    );
                     if fidelity_per_qpu.iter().all(|&f| f <= 0.0) {
                         run.failed = Some(OrchestratorError::NoFeasibleQpu {
                             required_qubits: step.circuit.num_qubits(),
@@ -654,6 +677,7 @@ impl Orchestrator {
                             required_qubits: step.circuit.num_qubits(),
                             submitted_s: run.clock_s,
                             fidelity_per_qpu,
+                            key,
                             circuit: step.circuit.clone(),
                             stack,
                         },
@@ -817,8 +841,9 @@ impl Orchestrator {
     /// Re-estimate every pending job whose estimate table predates the
     /// current fleet calibration epoch: recompute the per-QPU
     /// fidelity/execution estimates from the step's circuit and mitigation
-    /// stack against the *new* calibration snapshots, journal each refresh
-    /// through the control plane, and record the pass in the system monitor.
+    /// stack against the *new* calibration snapshots (only the devices whose
+    /// epoch moved are re-transpiled), journal each refresh through the
+    /// control plane, and record the pass in the system monitor.
     fn reestimate_stale_pending(
         &self,
         state: &mut OrchestratorState,
@@ -831,8 +856,13 @@ impl Orchestrator {
                 continue;
             };
             let Some(step) = awaiting.get_mut(&ticket) else { continue };
-            let (fidelity_per_qpu, exec_time_per_qpu) =
-                self.step_estimates(&state.fleet, &step.circuit, &step.stack);
+            let (fidelity_per_qpu, exec_time_per_qpu) = state.estimates.step_estimates(
+                step.key,
+                &step.circuit,
+                &step.stack,
+                &state.fleet,
+                &self.transpiler,
+            );
             let spec = JobSpec {
                 qubits: step.circuit.num_qubits(),
                 shots: step.circuit.shots(),
@@ -873,37 +903,6 @@ impl Orchestrator {
         }
     }
 
-    /// Per-QPU fidelity and execution-time estimates for one circuit under a
-    /// mitigation stack (transpilation + ESP + mitigation uplift). QPUs that
-    /// cannot fit the circuit get zero fidelity and an effectively-infinite
-    /// execution time.
-    fn step_estimates(
-        &self,
-        fleet: &Fleet,
-        circuit: &Circuit,
-        stack: &MitigationStack,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let mut fidelity_per_qpu = Vec::with_capacity(fleet.len());
-        let mut exec_time_per_qpu = Vec::with_capacity(fleet.len());
-        for member in fleet.members() {
-            if member.qpu.num_qubits() < circuit.num_qubits() {
-                // The engine's "cannot run here" marker (it sanitizes this to
-                // a finite penalty for the optimizer and refuses it in
-                // direct dispatch); cloudsim uses the same representation.
-                fidelity_per_qpu.push(0.0);
-                exec_time_per_qpu.push(f64::INFINITY);
-                continue;
-            }
-            let noise = member.qpu.noise_model();
-            let transpiled = self.transpiler.transpile_for_qpu(circuit, &member.qpu);
-            let cost = stack.cost(&transpiled.circuit, &noise);
-            let base = noise.estimated_success_probability(&transpiled.circuit);
-            fidelity_per_qpu.push(cost.mitigated_fidelity(base));
-            exec_time_per_qpu.push(transpiled.total_execution_s() * cost.quantum_time_factor);
-        }
-        (fidelity_per_qpu, exec_time_per_qpu)
-    }
-
     /// Table 2 — *Get the workflow results*.
     pub fn workflow_results(&self, run_id: RunId) -> Result<WorkflowResult, OrchestratorError> {
         self.state
@@ -929,6 +928,8 @@ impl Orchestrator {
 struct ActiveRun {
     run_id: RunId,
     image: HybridWorkflowImage,
+    /// The image's [`step_digests`].
+    digests: Vec<Option<u128>>,
     plan: ResourcePlan,
     /// Topological step order.
     order: Vec<usize>,
@@ -977,9 +978,10 @@ struct AwaitedStep {
     /// here: pool wait for the trigger + queue wait).
     submitted_s: f64,
     fidelity_per_qpu: Vec<f64>,
-    /// The step's circuit and mitigation stack, kept so a pending job pulled
-    /// out of a batch at a recalibration boundary can be re-estimated against
-    /// the post-boundary calibration snapshot.
+    /// The step's estimate-cache key, circuit and mitigation stack, kept so a
+    /// pending job pulled out of a batch at a recalibration boundary can be
+    /// re-estimated against the post-boundary calibration snapshot.
+    key: StepKey,
     circuit: Circuit,
     stack: MitigationStack,
 }
@@ -1009,6 +1011,20 @@ fn default_control_plane(
         .expect("fresh store has a quorum");
     debug_assert_eq!(tenant, DEFAULT_TENANT);
     control
+}
+
+/// Content digest of each quantum step's circuit, indexed like
+/// `image.workflow.steps()` (`None` for classical steps).
+fn step_digests(image: &HybridWorkflowImage) -> Vec<Option<u128>> {
+    image
+        .workflow
+        .steps()
+        .iter()
+        .map(|step| match step {
+            Step::Quantum(q) => Some(q.circuit.content_digest()),
+            Step::Classical(_) => None,
+        })
+        .collect()
 }
 
 /// The neutral plan used by workflows without quantum steps.
@@ -1055,9 +1071,126 @@ fn pick_plan(plans: &[ResourcePlan], priority: Priority) -> Option<&ResourcePlan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::mitigated_execution_workflow;
+    use crate::workflow::{
+        mitigated_execution_workflow, ClassicalKind, ClassicalStep, QuantumStep,
+    };
     use qonductor_circuit::generators::{ghz, qaoa_maxcut, MaxCutGraph};
     use qonductor_scheduler::ClassicalRequest;
+
+    /// A VQE/QAOA-style loop: `iterations` × (classical update of
+    /// `classical_s` seconds → evaluation of `circuit`).
+    fn iterative_image(
+        orchestrator: &Orchestrator,
+        name: &str,
+        circuit: &Circuit,
+        iterations: usize,
+        classical_s: f64,
+    ) -> ImageId {
+        let mut steps = Vec::new();
+        for i in 0..iterations {
+            steps.push(Step::Classical(ClassicalStep {
+                name: format!("{name}-update-{i}"),
+                kind: ClassicalKind::Computation,
+                request: ClassicalRequest::small(),
+                estimated_duration_s: classical_s,
+            }));
+            steps.push(Step::Quantum(QuantumStep {
+                name: format!("{name}-evaluate-{i}"),
+                circuit: circuit.clone(),
+                mitigation: MitigationStack::listing2(),
+            }));
+        }
+        orchestrator.create_workflow(Workflow::chain(name, steps), DeploymentConfig::default())
+    }
+
+    /// Regression (the interval-trigger livelock): a long-lived orchestrator
+    /// whose waves leave partial batches for the interval trigger at
+    /// fractional instants (0.3 s classical steps) keeps converging.
+    #[test]
+    fn consecutive_waves_with_fractional_trigger_instants_converge() {
+        let orchestrator = Orchestrator::with_default_cluster(3);
+        let images: Vec<ImageId> = (0..6)
+            .map(|i| iterative_image(&orchestrator, &format!("app{i}"), &ghz(4 + i), 3, 0.3))
+            .collect();
+        for wave in 0..3 {
+            for run in orchestrator.invoke_many(&images) {
+                let run = run.unwrap_or_else(|e| panic!("wave {wave}: {e:?}"));
+                assert_eq!(orchestrator.workflow_status(run), Some(WorkflowStatus::Completed));
+            }
+        }
+    }
+
+    /// The estimate cache changes nothing but speed: eight waves of the same
+    /// images on a warm orchestrator and on one whose cache is cleared before
+    /// every wave give equal results and equal control digests — across a
+    /// control-plane failover and across recalibration boundaries.
+    #[test]
+    fn estimate_cache_warm_and_cleared_orchestrators_agree() {
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(12);
+            // A 400 s cadence: eight ≥ 120 s waves cross several boundaries.
+            let fleet = Fleet::ibm_default(&mut rng).with_calibration_period(400.0, 0.0);
+            let nodes = vec![ClassicalNode::standard_vm("vm-0"), ClassicalNode::high_end_vm("g0")];
+            let orchestrator = Orchestrator::new(fleet, nodes, 12);
+            let qaoa = qaoa_maxcut(&MaxCutGraph::ring(8), &[0.4], &[0.7]);
+            let mut renamed = qaoa.clone();
+            renamed.set_name("same-content-other-name");
+            let images = vec![
+                iterative_image(&orchestrator, "qaoa", &qaoa, 3, 0.25),
+                iterative_image(&orchestrator, "qaoa-again", &renamed, 2, 0.25),
+                iterative_image(&orchestrator, "ghz", &ghz(12), 2, 0.25),
+                ghz_image(&orchestrator, 20, true),
+            ];
+            (orchestrator, images)
+        };
+        let (warm, images) = build();
+        let (cleared, cleared_images) = build();
+        assert_eq!(images, cleared_images);
+        for wave in 0..8 {
+            if wave == 3 {
+                warm.failover().unwrap();
+                cleared.failover().unwrap();
+            }
+            cleared.state.lock().estimates.clear();
+            let warm_runs = warm.invoke_many(&images);
+            let cleared_runs = cleared.invoke_many(&images);
+            assert_eq!(warm_runs, cleared_runs);
+            for run in warm_runs {
+                let run = run.expect("every image runs");
+                assert_eq!(
+                    warm.workflow_results(run).unwrap(),
+                    cleared.workflow_results(run).unwrap(),
+                    "wave {wave}, run {run}"
+                );
+            }
+            assert_eq!(warm.control_digest(), cleared.control_digest(), "wave {wave}");
+            for &image in &images {
+                assert_eq!(warm.estimate_resources(image), cleared.estimate_resources(image));
+            }
+        }
+        let (warm, cleared) = (warm.estimate_cache_stats(), cleared.estimate_cache_stats());
+        assert!(warm.steps.stale_recomputes > 0, "a recalibration boundary was crossed");
+        assert!(warm.steps.hits > cleared.steps.hits && warm.steps.misses < cleared.steps.misses);
+        assert!(warm.plans.hits > cleared.plans.hits);
+    }
+
+    /// The cache accounting reaches the system monitor once per wave.
+    #[test]
+    fn estimate_cache_stats_are_persisted_in_the_monitor() {
+        let orchestrator = Orchestrator::with_default_cluster(13);
+        assert_eq!(orchestrator.monitor().estimate_cache_stats(), None);
+        let image = iterative_image(&orchestrator, "ghz", &ghz(6), 2, 0.25);
+        orchestrator.invoke(image).unwrap();
+        let first = orchestrator.estimate_cache_stats();
+        // Two evaluations of one circuit on eight devices; one plan per step.
+        assert_eq!((first.steps.misses, first.steps.hits), (8, 8));
+        assert_eq!((first.plans.misses, first.plans.hits), (1, 1));
+        assert_eq!(orchestrator.monitor().estimate_cache_stats(), Some(first));
+        orchestrator.invoke(image).unwrap();
+        let second = orchestrator.monitor().estimate_cache_stats().unwrap();
+        assert_eq!(second, orchestrator.estimate_cache_stats());
+        assert_eq!((second.steps.misses, second.steps.hits), (8, 24));
+    }
 
     fn ghz_image(orchestrator: &Orchestrator, n: u32, mitigated: bool) -> ImageId {
         let stack = if mitigated { MitigationStack::listing2() } else { MitigationStack::none() };

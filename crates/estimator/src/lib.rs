@@ -23,7 +23,7 @@ pub use dataset::{generate_dataset, DatasetConfig, ExecutionRecord};
 pub use estimator::{Estimate, EstimatorAccuracy, ResourceEstimator};
 pub use features::JobFeatures;
 pub use plans::{
-    generate_candidate_plans, generate_plans, pareto_front, EstimationBackend, PlanGeneratorConfig,
-    ResourcePlan,
+    analytic_estimate, generate_candidate_plans, generate_plans, pareto_front, AnalyticEstimate,
+    EstimationBackend, PlanGeneratorConfig, ResourcePlan,
 };
 pub use regression::{k_fold_r2, r2_score, PolynomialRegressor};

@@ -6,10 +6,10 @@
 use crate::cost::PricingTable;
 use crate::estimator::ResourceEstimator;
 use crate::features::JobFeatures;
-use qonductor_backend::TemplateQpu;
+use qonductor_backend::{NoiseModel, TemplateQpu};
 use qonductor_circuit::Circuit;
-use qonductor_mitigation::{candidate_stacks, MitigationStack};
-use qonductor_transpiler::Transpiler;
+use qonductor_mitigation::{candidate_stacks, MitigationCost, MitigationStack};
+use qonductor_transpiler::{TranspiledCircuit, Transpiler};
 use serde::{Deserialize, Serialize};
 
 /// One resource plan: a concrete (mitigation stack, QPU model, accelerator)
@@ -52,7 +52,7 @@ pub enum EstimationBackend<'a> {
 }
 
 /// Resource-plan generator configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanGeneratorConfig {
     /// Number of plans returned to the client (paper default: 3).
     pub num_plans: usize,
@@ -69,6 +69,36 @@ impl Default for PlanGeneratorConfig {
             pricing: PricingTable::default(),
             accelerators_available: true,
         }
+    }
+}
+
+/// The analytic model's estimate for one transpiled circuit under one
+/// mitigation stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AnalyticEstimate {
+    /// Mitigated execution fidelity.
+    pub fidelity: f64,
+    /// Quantum execution time in seconds: all shots, times the stack's
+    /// circuit-multiplicity / folding overhead.
+    pub quantum_time_s: f64,
+}
+
+/// The analytic estimate ([`EstimationBackend::Analytic`]): the noise model's
+/// estimated success probability of the transpiled circuit lifted by the
+/// stack's error reduction, and the scheduled all-shots runtime scaled by the
+/// stack's quantum-time factor. `mitigation` is the stack's
+/// [`MitigationStack::cost`] on the same transpiled circuit and noise model.
+/// Resource plans (per template QPU) and the orchestrator's per-device job
+/// estimates are both this function.
+pub fn analytic_estimate(
+    transpiled: &TranspiledCircuit,
+    noise: &NoiseModel,
+    mitigation: &MitigationCost,
+) -> AnalyticEstimate {
+    let base = noise.estimated_success_probability(&transpiled.circuit);
+    AnalyticEstimate {
+        fidelity: mitigation.mitigated_fidelity(base),
+        quantum_time_s: transpiled.total_execution_s() * mitigation.quantum_time_factor,
     }
 }
 
@@ -90,18 +120,14 @@ pub fn generate_candidate_plans(
         let transpiled = transpiler.transpile_for_template(circuit, template);
         for stack in candidate_stacks() {
             let mitigation = stack.cost(&transpiled.circuit, &noise);
-            let features =
-                JobFeatures::new(&transpiled.metrics, &template.calibration, &mitigation);
             let (fidelity, quantum_time_s, classical_cpu_s) = match backend {
                 EstimationBackend::Analytic => {
-                    let base = noise.estimated_success_probability(&transpiled.circuit);
-                    (
-                        mitigation.mitigated_fidelity(base),
-                        transpiled.total_execution_s() * mitigation.quantum_time_factor,
-                        mitigation.classical_time_cpu_s,
-                    )
+                    let e = analytic_estimate(&transpiled, &noise, &mitigation);
+                    (e.fidelity, e.quantum_time_s, mitigation.classical_time_cpu_s)
                 }
                 EstimationBackend::Trained(est) => {
+                    let features =
+                        JobFeatures::new(&transpiled.metrics, &template.calibration, &mitigation);
                     let e = est.estimate(&features);
                     (e.fidelity, e.quantum_time_s, e.classical_time_s)
                 }
@@ -135,11 +161,17 @@ pub fn generate_candidate_plans(
 
 /// Keep only Pareto-optimal plans with respect to (maximise fidelity, minimise
 /// total runtime). A plan is dominated if another plan has fidelity ≥ and
-/// runtime ≤ with at least one strict inequality.
+/// runtime ≤ with at least one strict inequality. Plans whose fidelity or
+/// runtime is not finite are not candidates: a NaN compares neither better
+/// nor worse than anything, so it would sit on every front.
 pub fn pareto_front(plans: &[ResourcePlan]) -> Vec<ResourcePlan> {
+    let finite: Vec<&ResourcePlan> = plans
+        .iter()
+        .filter(|p| p.estimated_fidelity.is_finite() && p.total_time_s().is_finite())
+        .collect();
     let mut front: Vec<ResourcePlan> = Vec::new();
-    for p in plans {
-        let dominated = plans.iter().any(|q| {
+    for &p in &finite {
+        let dominated = finite.iter().any(|q| {
             let better_fid = q.estimated_fidelity >= p.estimated_fidelity;
             let better_time = q.total_time_s() <= p.total_time_s();
             let strictly =
@@ -150,7 +182,7 @@ pub fn pareto_front(plans: &[ResourcePlan]) -> Vec<ResourcePlan> {
             front.push(p.clone());
         }
     }
-    front.sort_by(|a, b| b.estimated_fidelity.partial_cmp(&a.estimated_fidelity).unwrap());
+    front.sort_by(|a, b| b.estimated_fidelity.total_cmp(&a.estimated_fidelity));
     front
 }
 
@@ -240,6 +272,26 @@ mod tests {
                 assert!(!dominates, "front contains a dominated plan");
             }
         }
+    }
+
+    /// Hostile floats: a NaN (or infinite) estimate is dropped instead of
+    /// panicking the sort or riding along on the front.
+    #[test]
+    fn pareto_front_skips_non_finite_plans() {
+        let t = templates();
+        let mut plans = generate_candidate_plans(
+            &ghz(6),
+            &t,
+            EstimationBackend::Analytic,
+            &PlanGeneratorConfig::default(),
+        );
+        plans[0].estimated_fidelity = f64::NAN;
+        plans[1].quantum_time_s = f64::INFINITY;
+        let front = pareto_front(&plans);
+        assert!(!front.is_empty());
+        // The poisoned plans are dropped and nothing else moves.
+        assert_eq!(front, pareto_front(&plans[2..]));
+        assert!(pareto_front(&plans[..2]).is_empty());
     }
 
     #[test]

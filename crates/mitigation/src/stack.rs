@@ -9,9 +9,9 @@ use crate::pec::{self, PecConfig};
 use crate::rem;
 use crate::technique::{ErrorChannel, MitigationCost, Technique};
 use crate::twirling;
-use crate::zne::{self, ZneConfig};
+use crate::zne::{self, ExtrapolationFactory, ZneConfig};
 use qonductor_backend::NoiseModel;
-use qonductor_circuit::Circuit;
+use qonductor_circuit::{Circuit, ContentHasher};
 use serde::{Deserialize, Serialize};
 
 /// A concrete stacked-mitigation configuration (an ordered set of techniques).
@@ -75,6 +75,48 @@ impl MitigationStack {
             }
         }
         gate && readout && deco
+    }
+
+    /// 128-bit digest of the whole configuration — techniques in order and
+    /// every per-technique setting, including those of techniques the stack
+    /// does not currently apply — for memoising per-stack computations.
+    pub fn content_digest(&self) -> u128 {
+        // Destructured so a new field or variant fails to compile here
+        // instead of being left out of the digest.
+        let MitigationStack {
+            techniques,
+            zne: ZneConfig { noise_factors, factory },
+            dd_sequence,
+            pec: PecConfig { num_samples, max_gamma },
+        } = self;
+        let mut h = ContentHasher::new();
+        h.word(techniques.len() as u64);
+        for t in techniques {
+            h.word(match t {
+                Technique::Zne => 0,
+                Technique::Pec => 1,
+                Technique::Rem => 2,
+                Technique::DynamicalDecoupling => 3,
+                Technique::PauliTwirling => 4,
+                Technique::CircuitKnitting => 5,
+            });
+        }
+        h.word(noise_factors.len() as u64);
+        for &f in noise_factors {
+            h.float(f);
+        }
+        h.word(match factory {
+            ExtrapolationFactory::Linear => 0,
+            ExtrapolationFactory::Richardson => 1,
+            ExtrapolationFactory::Exponential => 2,
+        });
+        h.word(match dd_sequence {
+            DdSequence::XpXm => 0,
+            DdSequence::Xy4 => 1,
+        });
+        h.word(*num_samples as u64);
+        h.float(*max_gamma);
+        h.finish()
     }
 
     /// The composed resource-cost profile of applying this stack to `circuit`
@@ -254,6 +296,26 @@ mod tests {
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), stacks.len());
+    }
+
+    #[test]
+    fn content_digest_separates_stacks_and_settings() {
+        let mut digests: Vec<u128> =
+            candidate_stacks().iter().map(MitigationStack::content_digest).collect();
+        let listing2 = MitigationStack::listing2();
+        assert!(digests.contains(&listing2.content_digest()));
+        // Settings count even when only they differ.
+        let mut factors = listing2.clone();
+        factors.zne.noise_factors[2] = 7.0;
+        let mut sequence = listing2.clone();
+        sequence.dd_sequence = DdSequence::Xy4;
+        let mut gamma = listing2.clone();
+        gamma.pec.max_gamma = 50.0;
+        digests.extend([factors, sequence, gamma].iter().map(MitigationStack::content_digest));
+        let distinct = digests.len();
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), distinct);
     }
 
     #[test]

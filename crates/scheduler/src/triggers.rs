@@ -126,7 +126,10 @@ impl ScheduleTrigger {
             Some(TriggerReason::QueueSize)
         } else if urgent {
             Some(TriggerReason::SloSlack)
-        } else if now_s - last >= self.interval_s {
+        } else if now_s >= last + self.interval_s {
+            // The same expression event-driven callers advance their clock
+            // to (`last + interval_s`): `now_s - last >= interval_s` rounds
+            // differently and can stay false at that very instant.
             Some(TriggerReason::Interval)
         } else {
             None
@@ -190,6 +193,24 @@ mod tests {
         t.mark_invoked(0.0);
         assert_eq!(t.check(3, 29.0), None);
         assert_eq!(t.check(3, 30.0), Some(TriggerReason::Interval));
+    }
+
+    /// Regression: an engine that advances its clock to `last + interval_s`
+    /// must see the trigger fire there, also when that sum rounds down so
+    /// that `fl(last + interval) − last < interval`.
+    #[test]
+    fn interval_fires_at_the_rounded_sum_of_a_fractional_baseline() {
+        let interval_s = ScheduleTrigger::default().interval_s;
+        let last = (1..1000)
+            .map(|k| f64::from(k) * 0.1)
+            .find(|&last| (last + interval_s) - last < interval_s)
+            .expect("some fractional baseline rounds the sum down");
+        let mut t = ScheduleTrigger::default();
+        t.mark_invoked(last);
+        assert_eq!(t.check(1, last + interval_s), Some(TriggerReason::Interval));
+        // Still not a moment earlier.
+        let just_before = f64::from_bits((last + interval_s).to_bits() - 1);
+        assert_eq!(t.check(1, just_before), None);
     }
 
     /// Regression: a trigger constructed when simulated time is already far
