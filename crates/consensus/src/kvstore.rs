@@ -6,6 +6,7 @@
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// A single replica's storage.
@@ -16,6 +17,11 @@ struct Replica {
     applied_index: u64,
     /// `true` while the replica is down.
     crashed: bool,
+}
+
+/// The most up-to-date live replica — the one reads are served from.
+fn freshest(replicas: &[Replica]) -> Option<&Replica> {
+    replicas.iter().filter(|r| !r.crashed).max_by_key(|r| r.applied_index)
 }
 
 /// Errors returned by the replicated store.
@@ -94,14 +100,21 @@ impl ReplicatedKvStore {
         if !self.has_quorum() {
             return Err(StoreError::NoQuorum);
         }
-        let key = key.into();
-        let value = value.into();
+        let (key, value) = (key.into(), value.into());
         let mut log_length = self.log_length.write();
         *log_length += 1;
         let index = *log_length;
         let mut replicas = self.replicas.write();
-        for r in replicas.iter_mut().filter(|r| !r.crashed) {
+        let mut live = replicas.iter_mut().filter(|r| !r.crashed);
+        // The last live replica takes the caller's strings; the others get
+        // copies (a snapshot value is megabytes — one copy fewer matters).
+        let last = live.next_back();
+        for r in live {
             r.data.insert(key.clone(), value.clone());
+            r.applied_index = index;
+        }
+        if let Some(r) = last {
+            r.data.insert(key, value);
             r.applied_index = index;
         }
         Ok(())
@@ -134,13 +147,16 @@ impl ReplicatedKvStore {
 
     /// Read a key from any live, up-to-date replica.
     pub fn get(&self, key: &str) -> Result<String, StoreError> {
+        self.read(key, str::to_owned)
+    }
+
+    /// [`Self::get`] without the copy: `visit` borrows the value in place
+    /// (under the store's read lock, so it must not call back into the
+    /// store) and its result is returned.
+    pub fn read<R>(&self, key: &str, visit: impl FnOnce(&str) -> R) -> Result<R, StoreError> {
         let replicas = self.replicas.read();
-        let newest = replicas
-            .iter()
-            .filter(|r| !r.crashed)
-            .max_by_key(|r| r.applied_index)
-            .ok_or(StoreError::NoQuorum)?;
-        newest.data.get(key).cloned().ok_or(StoreError::KeyNotFound)
+        let newest = freshest(&replicas).ok_or(StoreError::NoQuorum)?;
+        newest.data.get(key).map(|value| visit(value)).ok_or(StoreError::KeyNotFound)
     }
 
     /// Delete a key on a majority of replicas.
@@ -159,24 +175,67 @@ impl ReplicatedKvStore {
         Ok(())
     }
 
+    /// Delete every key in `[from, to)` atomically: one quorum check, one
+    /// lock acquisition, one committed write index for the whole range.
+    /// Either the range is removed on every live replica or (without a
+    /// quorum) nothing is — the compaction primitive
+    /// `ReplicatedLog::install_snapshot` builds on. An empty interval
+    /// (`from >= to`) writes nothing.
+    pub fn delete_range(&self, from: &str, to: &str) -> Result<(), StoreError> {
+        if !self.has_quorum() {
+            return Err(StoreError::NoQuorum);
+        }
+        if from >= to {
+            return Ok(());
+        }
+        let mut log_length = self.log_length.write();
+        *log_length += 1;
+        let index = *log_length;
+        let mut replicas = self.replicas.write();
+        for r in replicas.iter_mut().filter(|r| !r.crashed) {
+            // Two O(log n) splits cut the range out; what follows it is
+            // stitched back on.
+            let mut doomed = r.data.split_off(from);
+            r.data.append(&mut doomed.split_off(to));
+            r.applied_index = index;
+        }
+        Ok(())
+    }
+
+    /// Visit every `(key, value)` with key in `[from, to)` on the freshest
+    /// live replica, in ascending key order, without copying either (under
+    /// the store's read lock, so `visit` must not call back into the store).
+    pub fn scan(&self, from: &str, to: &str, mut visit: impl FnMut(&str, &str)) {
+        if from >= to {
+            return;
+        }
+        let replicas = self.replicas.read();
+        if let Some(newest) = freshest(&replicas) {
+            let range = (Bound::Included(from), Bound::Excluded(to));
+            for (key, value) in newest.data.range::<str, _>(range) {
+                visit(key, value);
+            }
+        }
+    }
+
     /// List all keys with the given prefix (from the freshest live replica),
     /// in ascending lexicographic order.
     ///
-    /// The ordering is a contract, not an accident of the backing container:
-    /// log replay and snapshot enumeration in [`crate::log`] iterate these
-    /// keys directly, so the result is explicitly sorted to stay
-    /// deterministic even if a replica's storage is swapped for a
-    /// hash-ordered map.
+    /// The ordering is a contract: log replay and snapshot enumeration in
+    /// [`crate::log`] depend on it. It falls out of the replicas' ordered
+    /// maps — the listing is a range scan from `prefix`, not a filter over
+    /// every key.
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
         let replicas = self.replicas.read();
-        let mut keys: Vec<String> = replicas
-            .iter()
-            .filter(|r| !r.crashed)
-            .max_by_key(|r| r.applied_index)
-            .map(|r| r.data.keys().filter(|k| k.starts_with(prefix)).cloned().collect())
-            .unwrap_or_default();
-        keys.sort_unstable();
-        keys
+        freshest(&replicas).map_or_else(Vec::new, |newest| {
+            let range = (Bound::Included(prefix), Bound::Unbounded);
+            newest
+                .data
+                .range::<str, _>(range)
+                .take_while(|(key, _)| key.starts_with(prefix))
+                .map(|(key, _)| key.clone())
+                .collect()
+        })
     }
 
     /// Atomic compare-and-swap: write `new` under `key` only if the committed
@@ -202,11 +261,7 @@ impl ReplicatedKvStore {
         }
         let mut log_length = self.log_length.write();
         let mut replicas = self.replicas.write();
-        let current = replicas
-            .iter()
-            .filter(|r| !r.crashed)
-            .max_by_key(|r| r.applied_index)
-            .and_then(|r| r.data.get(key).cloned());
+        let current = freshest(&replicas).and_then(|r| r.data.get(key).cloned());
         if current.as_deref() != expected {
             return Ok(false);
         }
@@ -380,6 +435,93 @@ mod tests {
         // The surviving minority serves the pre-batch state: no partial batch.
         assert_eq!(store.get("a").unwrap(), "1");
         assert_eq!(store.get("b"), Err(StoreError::KeyNotFound));
+    }
+
+    /// A journal-shaped key space: two logs' entries plus their `len` and
+    /// `snapshot` keys, which sort *after* the entries they neighbour.
+    fn journal_shaped_store() -> ReplicatedKvStore {
+        let store = ReplicatedKvStore::new(1);
+        for i in 0..6 {
+            store.put(format!("ctl/entry/{i:016}"), format!("e{i}")).unwrap();
+        }
+        store.put("ctl/len", "6").unwrap();
+        store.put("ctl/snapshot", "0\nstate").unwrap();
+        store.put("ctk/entry/0000000000000001", "left neighbour").unwrap();
+        store.put("ctm/entry/0000000000000001", "right neighbour").unwrap();
+        store
+    }
+
+    #[test]
+    fn delete_range_removes_exactly_the_half_open_range_in_one_write() {
+        let store = journal_shaped_store();
+        let before = store.committed_writes();
+        store.delete_range("ctl/entry/0000000000000000", "ctl/entry/0000000000000004").unwrap();
+        assert_eq!(store.committed_writes(), before + 1, "a range is one committed write");
+        assert_eq!(
+            store.keys_with_prefix("ctl/entry/"),
+            vec!["ctl/entry/0000000000000004", "ctl/entry/0000000000000005"],
+            "`to` itself and everything after it survive"
+        );
+        // Keys outside the range — the log's own bookkeeping and other
+        // logs' entries on either side — are untouched.
+        assert_eq!(store.get("ctl/len").unwrap(), "6");
+        assert_eq!(store.get("ctl/snapshot").unwrap(), "0\nstate");
+        assert_eq!(store.get("ctk/entry/0000000000000001").unwrap(), "left neighbour");
+        assert_eq!(store.get("ctm/entry/0000000000000001").unwrap(), "right neighbour");
+        // An empty interval writes nothing; an interval holding no key is
+        // still a committed (no-op) write, like deleting a missing key.
+        store.delete_range("ctl/entry/0000000000000005", "ctl/entry/0000000000000005").unwrap();
+        store.delete_range("ctl/entry/9", "ctl/entry/0").unwrap();
+        assert_eq!(store.committed_writes(), before + 1);
+        store.delete_range("a", "b").unwrap();
+        assert_eq!(store.committed_writes(), before + 2);
+        assert_eq!(store.keys_with_prefix("ct").len(), 6);
+    }
+
+    #[test]
+    fn delete_range_without_a_quorum_removes_nothing() {
+        let store = journal_shaped_store();
+        let before = store.committed_writes();
+        store.crash_replica(0);
+        store.crash_replica(1);
+        assert_eq!(store.delete_range("ctl/entry/", "ctl/entry0"), Err(StoreError::NoQuorum));
+        assert_eq!(store.committed_writes(), before, "a refused range delete commits nothing");
+        assert_eq!(store.keys_with_prefix("ctl/entry/").len(), 6, "the minority still has it all");
+        store.recover_replica(0);
+        assert_eq!(store.keys_with_prefix("ctl/entry/").len(), 6);
+    }
+
+    #[test]
+    fn a_replica_down_during_delete_range_catches_up_on_recovery() {
+        let store = journal_shaped_store();
+        store.crash_replica(2);
+        store.delete_range("ctl/entry/", "ctl/entry0").unwrap();
+        store.recover_replica(2);
+        // Replica 2 must now serve the compacted state alone.
+        store.crash_replica(0);
+        store.crash_replica(1);
+        assert!(store.keys_with_prefix("ctl/entry/").is_empty());
+        assert_eq!(store.get("ctl/len").unwrap(), "6");
+    }
+
+    #[test]
+    fn scan_and_read_borrow_in_place_in_key_order() {
+        let store = journal_shaped_store();
+        let mut seen = Vec::new();
+        store.scan("ctl/entry/0000000000000002", "ctl/entry/0000000000000005", |key, value| {
+            seen.push((key.to_string(), value.to_string()));
+        });
+        assert_eq!(
+            seen,
+            vec![
+                ("ctl/entry/0000000000000002".to_string(), "e2".to_string()),
+                ("ctl/entry/0000000000000003".to_string(), "e3".to_string()),
+                ("ctl/entry/0000000000000004".to_string(), "e4".to_string()),
+            ]
+        );
+        store.scan("z", "a", |_, _| panic!("an empty interval visits nothing"));
+        assert_eq!(store.read("ctl/len", |len| len.parse::<u64>().ok()), Ok(Some(6)));
+        assert_eq!(store.read("missing", str::len), Err(StoreError::KeyNotFound));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! transition is appended as one *typed* entry under majority quorum; a fresh
 //! replica rebuilds the exact state by restoring the latest snapshot and
 //! replaying the suffix of the log. Snapshot installation doubles as log
-//! compaction: entries covered by the snapshot are deleted from the store.
+//! compaction: entries covered by the snapshot are deleted from the store in
+//! one atomic range delete — a snapshot costs two committed writes however
+//! long the journal it covers.
 //!
 //! The log is deliberately simple — strictly monotonic indices assigned by the
 //! appender, text-encoded entries (the workspace's serde shim erases wire
@@ -34,20 +36,30 @@ pub trait LogEntry: Sized {
 /// - `{prefix}/snapshot` — `"{first index not covered}\n{payload}"`,
 ///   committed as one key so index and payload can never tear apart.
 ///
-/// Enumeration relies on [`ReplicatedKvStore::keys_with_prefix`] returning
-/// keys in sorted order, which (with the fixed-width index encoding) makes
-/// replay order deterministic.
+/// The fixed-width index makes key order equal index order, so replay
+/// ([`Self::entries_from`]) and compaction ([`Self::install_snapshot`]) are
+/// range operations on the store's ordered keys, not filters over every key.
 #[derive(Debug, Clone)]
 pub struct ReplicatedLog<E> {
     store: ReplicatedKvStore,
-    prefix: String,
+    /// `{prefix}/entry/` — an entry key is this plus the 16-digit index.
+    entry_prefix: String,
+    len_key: String,
+    snapshot_key: String,
     _entries: PhantomData<fn() -> E>,
 }
 
 impl<E: LogEntry> ReplicatedLog<E> {
     /// A log journaling under `prefix` in the given store.
     pub fn new(store: ReplicatedKvStore, prefix: impl Into<String>) -> Self {
-        ReplicatedLog { store, prefix: prefix.into(), _entries: PhantomData }
+        let prefix = prefix.into();
+        ReplicatedLog {
+            store,
+            entry_prefix: format!("{prefix}/entry/"),
+            len_key: format!("{prefix}/len"),
+            snapshot_key: format!("{prefix}/snapshot"),
+            _entries: PhantomData,
+        }
     }
 
     /// The backing replicated store.
@@ -55,14 +67,14 @@ impl<E: LogEntry> ReplicatedLog<E> {
         &self.store
     }
 
+    fn entry_key(&self, index: u64) -> String {
+        format!("{}{index:016}", self.entry_prefix)
+    }
+
     /// Number of entries ever appended (compacted entries included); the next
     /// entry receives this index.
     pub fn len(&self) -> u64 {
-        self.store
-            .get(&format!("{}/len", self.prefix))
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
+        self.store.read(&self.len_key, |len| len.parse().ok()).ok().flatten().unwrap_or(0)
     }
 
     /// `true` if nothing was ever appended.
@@ -78,9 +90,20 @@ impl<E: LogEntry> ReplicatedLog<E> {
     /// enumeration by the committed length, and a retried append simply
     /// overwrites the phantom key at the same index.
     pub fn append(&self, entry: &E) -> Result<u64, StoreError> {
+        self.append_with(entry, |_| {})
+    }
+
+    /// [`Self::append`], handing the entry's encoded line to `staged` before
+    /// it is written — so a caller fingerprinting its journal hashes the
+    /// very bytes the store receives instead of encoding the entry again.
+    /// `staged` runs whether or not the write then commits: discard what it
+    /// computed when this returns an error.
+    pub fn append_with(&self, entry: &E, staged: impl FnOnce(&str)) -> Result<u64, StoreError> {
         let index = self.len();
-        self.store.put(format!("{}/entry/{index:016}", self.prefix), entry.encode())?;
-        self.store.put(format!("{}/len", self.prefix), (index + 1).to_string())?;
+        let line = entry.encode();
+        staged(&line);
+        self.store.put(self.entry_key(index), line)?;
+        self.store.put(self.len_key.clone(), (index + 1).to_string())?;
         Ok(index)
     }
 
@@ -94,18 +117,27 @@ impl<E: LogEntry> ReplicatedLog<E> {
     /// one, so replay cannot distinguish the two paths. Returns the index of
     /// the first appended entry (`len()` unchanged for an empty batch).
     pub fn append_all(&self, entries: &[E]) -> Result<u64, StoreError> {
+        self.append_all_with(entries, |_| {})
+    }
+
+    /// [`Self::append_all`], handing each encoded line to `staged` in order
+    /// before the batch is written (see [`Self::append_with`]).
+    pub fn append_all_with(
+        &self,
+        entries: &[E],
+        mut staged: impl FnMut(&str),
+    ) -> Result<u64, StoreError> {
         let index = self.len();
         if entries.is_empty() {
             return Ok(index);
         }
-        let mut pairs: Vec<(String, String)> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, entry)| {
-                (format!("{}/entry/{:016}", self.prefix, index + i as u64), entry.encode())
-            })
-            .collect();
-        pairs.push((format!("{}/len", self.prefix), (index + entries.len() as u64).to_string()));
+        let mut pairs: Vec<(String, String)> = Vec::with_capacity(entries.len() + 1);
+        for (i, entry) in entries.iter().enumerate() {
+            let line = entry.encode();
+            staged(&line);
+            pairs.push((self.entry_key(index + i as u64), line));
+        }
+        pairs.push((self.len_key.clone(), (index + entries.len() as u64).to_string()));
         self.store.put_all(&pairs)?;
         Ok(index)
     }
@@ -115,20 +147,14 @@ impl<E: LogEntry> ReplicatedLog<E> {
     /// returned, and neither is a phantom entry from a torn append (only
     /// indices below the committed length count).
     pub fn entries_from(&self, from: u64) -> Vec<(u64, E)> {
-        let committed = self.len();
-        let key_prefix = format!("{}/entry/", self.prefix);
-        self.store
-            .keys_with_prefix(&key_prefix)
-            .into_iter()
-            .filter_map(|key| {
-                let index: u64 = key.strip_prefix(&key_prefix)?.parse().ok()?;
-                if index < from || index >= committed {
-                    return None;
-                }
-                let entry = E::decode(&self.store.get(&key).ok()?)?;
-                Some((index, entry))
-            })
-            .collect()
+        let mut entries = Vec::new();
+        self.store.scan(&self.entry_key(from), &self.entry_key(self.len()), |key, line| {
+            let index = key.strip_prefix(self.entry_prefix.as_str()).and_then(|i| i.parse().ok());
+            if let (Some(index), Some(entry)) = (index, E::decode(line)) {
+                entries.push((index, entry));
+            }
+        });
+        entries
     }
 
     /// Install a snapshot covering every entry with index < `upto`, then
@@ -138,35 +164,48 @@ impl<E: LogEntry> ReplicatedLog<E> {
     /// Index and payload are committed as *one* key (one quorum write), so a
     /// torn install can never pair a new baseline index with stale data (or
     /// vice versa) — the store either serves the old snapshot or the new one.
-    /// A failure during the follow-up compaction deletes merely leaves extra
-    /// covered entries behind, which [`ReplicatedLog::entries_from`] callers
-    /// skip by starting at the snapshot index.
-    pub fn install_snapshot(&self, payload: &str, upto: u64) -> Result<(), StoreError> {
-        self.store.put(format!("{}/snapshot", self.prefix), format!("{upto}\n{payload}"))?;
-        let key_prefix = format!("{}/entry/", self.prefix);
-        for key in self.store.keys_with_prefix(&key_prefix) {
-            let covered = key
-                .strip_prefix(&key_prefix)
-                .and_then(|s| s.parse::<u64>().ok())
-                .is_some_and(|index| index < upto);
-            if covered {
-                self.store.delete(&key)?;
-            }
-        }
-        Ok(())
+    /// Compaction is one more write, an atomic range delete
+    /// ([`ReplicatedKvStore::delete_range`]): the covered entries go together
+    /// or — if the quorum is lost between the two writes — stay together,
+    /// where [`ReplicatedLog::entries_from`] callers starting at the snapshot
+    /// index never see them.
+    ///
+    /// The payload is taken by value: a `String` handed over becomes the
+    /// stored value itself (the index line is spliced in front of it in
+    /// place), so a multi-megabyte state is not copied on its way in.
+    pub fn install_snapshot(
+        &self,
+        payload: impl Into<String>,
+        upto: u64,
+    ) -> Result<(), StoreError> {
+        let mut value = payload.into();
+        value.insert_str(0, &format!("{upto}\n"));
+        self.store.put(self.snapshot_key.clone(), value)?;
+        self.store.delete_range(&self.entry_key(0), &self.entry_key(upto))
     }
 
     /// The latest installed snapshot as `(first index not covered, payload)`,
     /// or `None` if no snapshot was ever installed.
     pub fn snapshot(&self) -> Option<(u64, String)> {
-        let value = self.store.get(&format!("{}/snapshot", self.prefix)).ok()?;
-        let (index, payload) = value.split_once('\n')?;
-        Some((index.parse().ok()?, payload.to_string()))
+        self.with_snapshot(|index, payload| (index, payload.to_string()))
+    }
+
+    /// [`Self::snapshot`] without copying the payload: `visit` borrows it in
+    /// place (under the store's read lock, so it must not call back into the
+    /// store or this log).
+    pub fn with_snapshot<R>(&self, visit: impl FnOnce(u64, &str) -> R) -> Option<R> {
+        self.store
+            .read(&self.snapshot_key, |value| {
+                let (index, payload) = value.split_once('\n')?;
+                Some(visit(index.parse().ok()?, payload))
+            })
+            .ok()
+            .flatten()
     }
 
     /// Number of entries currently retained in the store (not compacted).
     pub fn retained_len(&self) -> usize {
-        self.store.keys_with_prefix(&format!("{}/entry/", self.prefix)).len()
+        self.store.keys_with_prefix(&self.entry_prefix).len()
     }
 }
 
@@ -219,6 +258,55 @@ mod tests {
         // Appending continues from the pre-compaction length.
         assert_eq!(log.append(&Note("e10".into())).unwrap(), 10);
         assert_eq!(log.len(), 11);
+    }
+
+    /// Compaction is a range operation: whatever `upto`, it costs the same
+    /// two committed writes, removes exactly the covered entries, and leaves
+    /// the suffix — and the log's length — as they were.
+    #[test]
+    fn install_snapshot_compacts_in_one_write_and_keeps_the_suffix() {
+        for upto in [0u64, 1, 7, 40] {
+            let log: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
+            let other: ReplicatedLog<Note> = ReplicatedLog::new(log.store().clone(), "u");
+            for i in 0..40 {
+                log.append(&Note(format!("e{i}"))).unwrap();
+            }
+            other.append(&Note("bystander".into())).unwrap();
+            let suffix = log.entries_from(upto);
+            let writes = log.store().committed_writes();
+            log.install_snapshot("state", upto).unwrap();
+            let compaction = u64::from(upto > 0);
+            assert_eq!(log.store().committed_writes(), writes + 1 + compaction, "upto {upto}");
+            assert_eq!(log.len(), 40, "compaction never moves the next index");
+            assert_eq!(log.retained_len() as u64, log.len() - upto);
+            assert_eq!(log.entries_from(upto), suffix);
+            assert_eq!(log.entries_from(0), suffix, "nothing below `upto` is left to replay");
+            assert_eq!(log.snapshot(), Some((upto, "state".to_string())));
+            assert_eq!(log.with_snapshot(|index, payload| (index, payload.len())), Some((upto, 5)));
+            assert_eq!(other.entries_from(0).len(), 1, "another log's entries are not ours");
+        }
+    }
+
+    /// `append_with` / `append_all_with` hand over exactly the bytes they
+    /// store, in order — what lets a caller fingerprint its journal without
+    /// encoding every entry twice.
+    #[test]
+    fn staged_lines_are_the_stored_bytes() {
+        let log: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
+        let mut staged = Vec::new();
+        log.append_with(&Note("a".into()), |line| staged.push(line.to_string())).unwrap();
+        let batch = [Note("b".into()), Note("c".into())];
+        log.append_all_with(&batch, |line| staged.push(line.to_string())).unwrap();
+        let stored: Vec<String> = log.entries_from(0).into_iter().map(|(_, note)| note.0).collect();
+        assert_eq!(staged, stored);
+        // Lines are staged before the write: a refused write has staged them
+        // too, and the caller discards what it computed.
+        log.store().crash_replica(0);
+        log.store().crash_replica(1);
+        let mut refused = 0;
+        assert_eq!(log.append_with(&Note("d".into()), |_| refused += 1), Err(StoreError::NoQuorum));
+        assert_eq!(refused, 1);
+        assert_eq!(log.len(), 3);
     }
 
     #[test]

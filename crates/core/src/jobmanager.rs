@@ -745,36 +745,55 @@ impl JobManager {
     /// reproduces the state exactly and equal encodings imply bit-identical
     /// states.
     pub fn encode_state(&self) -> String {
-        use crate::replication::wire::{enc_f64, enc_opt_f64, enc_spec};
-        let mut out = String::from("jm 3\n");
-        out.push_str(&format!(
-            "trigger {} {} {} {}\n",
-            self.trigger.queue_limit,
-            enc_f64(self.trigger.interval_s),
-            enc_opt_f64(self.trigger.last_invocation_s()),
-            enc_f64(self.trigger.slo_margin_s)
-        ));
-        out.push_str(&format!(
-            "cal {}\n",
-            match self.policy {
-                CalibrationPolicy::Naive => "naive",
-                CalibrationPolicy::SplitAtBoundary => "split",
-            }
-        ));
-        out.push_str(&format!("ids {} {}\n", self.next_job_id, self.batches_dispatched));
-        for job in &self.pending {
-            out.push_str(&format!(
-                "job {} {} {} {} {} {} {}\n",
-                job.job_id,
-                job.tenant,
-                enc_f64(job.submitted_s),
-                job.deferrals,
-                enc_f64(job.held_until_s),
-                enc_f64(job.deadline_s),
-                enc_spec(&job.spec)
-            ));
-        }
+        let mut out = String::with_capacity(self.encoded_len_hint());
+        self.encode_state_into(&mut out);
         out
+    }
+
+    /// Roughly the bytes [`Self::encode_state_into`] appends, so the
+    /// caller's buffer is sized once (a low guess costs a reallocation,
+    /// nothing else).
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        use crate::replication::wire::spec_len_bound;
+        192 + self.pending.iter().map(|job| 128 + spec_len_bound(&job.spec)).sum::<usize>()
+    }
+
+    /// [`Self::encode_state`], appended to `out`.
+    pub(crate) fn encode_state_into(&self, out: &mut String) {
+        use crate::replication::wire::{push_f64, push_opt_f64, push_spec, push_u64};
+        out.push_str("jm 3\ntrigger ");
+        push_u64(out, self.trigger.queue_limit as u64);
+        out.push(' ');
+        push_f64(out, self.trigger.interval_s);
+        out.push(' ');
+        push_opt_f64(out, self.trigger.last_invocation_s());
+        out.push(' ');
+        push_f64(out, self.trigger.slo_margin_s);
+        out.push_str(match self.policy {
+            CalibrationPolicy::Naive => "\ncal naive\nids ",
+            CalibrationPolicy::SplitAtBoundary => "\ncal split\nids ",
+        });
+        push_u64(out, self.next_job_id);
+        out.push(' ');
+        push_u64(out, self.batches_dispatched as u64);
+        out.push('\n');
+        for job in &self.pending {
+            out.push_str("job ");
+            push_u64(out, job.job_id);
+            out.push(' ');
+            push_u64(out, u64::from(job.tenant));
+            out.push(' ');
+            push_f64(out, job.submitted_s);
+            out.push(' ');
+            push_u64(out, u64::from(job.deferrals));
+            out.push(' ');
+            push_f64(out, job.held_until_s);
+            out.push(' ');
+            push_f64(out, job.deadline_s);
+            out.push(' ');
+            push_spec(out, &job.spec);
+            out.push('\n');
+        }
     }
 
     /// Decode a state produced by [`JobManager::encode_state`].
@@ -840,6 +859,44 @@ impl JobManager {
             speculative: None,
             sched_ns: Cell::new(0),
         })
+    }
+}
+
+/// The `format!` encoder [`JobManager::encode_state`] replaced, kept as the
+/// byte oracle the streaming encoder is tested against.
+#[cfg(test)]
+impl JobManager {
+    pub(crate) fn encode_state_oracle(&self) -> String {
+        use crate::replication::wire::oracle::{enc_f64, enc_opt_f64, enc_spec};
+        let mut out = String::from("jm 3\n");
+        out.push_str(&format!(
+            "trigger {} {} {} {}\n",
+            self.trigger.queue_limit,
+            enc_f64(self.trigger.interval_s),
+            enc_opt_f64(self.trigger.last_invocation_s()),
+            enc_f64(self.trigger.slo_margin_s)
+        ));
+        out.push_str(&format!(
+            "cal {}\n",
+            match self.policy {
+                CalibrationPolicy::Naive => "naive",
+                CalibrationPolicy::SplitAtBoundary => "split",
+            }
+        ));
+        out.push_str(&format!("ids {} {}\n", self.next_job_id, self.batches_dispatched));
+        for job in &self.pending {
+            out.push_str(&format!(
+                "job {} {} {} {} {} {} {}\n",
+                job.job_id,
+                job.tenant,
+                enc_f64(job.submitted_s),
+                job.deferrals,
+                enc_f64(job.held_until_s),
+                enc_f64(job.deadline_s),
+                enc_spec(&job.spec)
+            ));
+        }
+        out
     }
 }
 

@@ -29,26 +29,59 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Bit-exact text codecs shared by the journal and the state snapshots.
+///
+/// Encoders are *streaming*: `push_*` appends a field to a buffer the caller
+/// sized once, so encoding a 10 MB state allocates once, not once per field.
 pub(crate) mod wire {
     use crate::jobmanager::JobSpec;
+    use crate::submission::SloClass;
 
-    /// Encode an `f64` as its IEEE-754 bit pattern in hex (bit-exact, `-0.0`,
-    /// `NaN` payloads and all).
-    pub(crate) fn enc_f64(value: f64) -> String {
-        format!("{:016x}", value.to_bits())
+    /// Append `value` in decimal (what `{}` prints, without the formatter).
+    pub(crate) fn push_u64(out: &mut String, mut value: u64) {
+        // Most encoded counters are a single digit: skip the buffer.
+        if value < 10 {
+            out.push(char::from(b'0' + value as u8));
+            return;
+        }
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
 
-    /// Decode [`enc_f64`] output.
+    /// Append an `f64` as its IEEE-754 bit pattern in 16 hex digits
+    /// (bit-exact, `-0.0`, `NaN` payloads and all).
+    pub(crate) fn push_f64(out: &mut String, value: f64) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bits = value.to_bits();
+        let mut digits = [0u8; 16];
+        for (i, digit) in digits.iter_mut().enumerate() {
+            *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+        }
+        out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
+    }
+
+    /// Decode [`push_f64`] output.
     pub(crate) fn dec_f64(field: &str) -> Option<f64> {
         u64::from_str_radix(field, 16).ok().map(f64::from_bits)
     }
 
-    /// Encode an optional `f64` (`-` for `None`).
-    pub(crate) fn enc_opt_f64(value: Option<f64>) -> String {
-        value.map_or_else(|| "-".to_string(), enc_f64)
+    /// Append an optional `f64` (`-` for `None`).
+    pub(crate) fn push_opt_f64(out: &mut String, value: Option<f64>) {
+        match value {
+            Some(value) => push_f64(out, value),
+            None => out.push('-'),
+        }
     }
 
-    /// Decode [`enc_opt_f64`] output.
+    /// Decode [`push_opt_f64`] output.
     pub(crate) fn dec_opt_f64(field: &str) -> Option<Option<f64>> {
         if field == "-" {
             Some(None)
@@ -57,22 +90,63 @@ pub(crate) mod wire {
         }
     }
 
-    /// Encode a job spec as `qubits|shots|epoch|f_bits,..|t_bits,..` (no
-    /// spaces, so a spec is a single field of a space-separated record).
-    pub(crate) fn enc_spec(spec: &JobSpec) -> String {
-        let join =
-            |values: &[f64]| values.iter().map(|&v| enc_f64(v)).collect::<Vec<_>>().join(",");
-        format!(
-            "{}|{}|{}|{}|{}",
-            spec.qubits,
-            spec.shots,
-            spec.estimate_epoch,
-            join(&spec.fidelity_per_qpu),
-            join(&spec.exec_time_per_qpu)
-        )
+    /// Append `items` separated by `,` — or `-` if there are none — writing
+    /// each with `push`.
+    pub(crate) fn push_list<T>(
+        out: &mut String,
+        items: impl IntoIterator<Item = T>,
+        mut push: impl FnMut(&mut String, T),
+    ) {
+        let mut items = items.into_iter();
+        match items.next() {
+            None => out.push('-'),
+            Some(first) => {
+                push(out, first);
+                for item in items {
+                    out.push(',');
+                    push(out, item);
+                }
+            }
+        }
     }
 
-    /// Decode [`enc_spec`] output.
+    /// Append an SLO class as `deadline_bits:priority:max_error_bits`.
+    pub(crate) fn push_slo(out: &mut String, slo: &SloClass) {
+        push_f64(out, slo.deadline_s);
+        out.push(':');
+        push_u64(out, u64::from(slo.priority));
+        out.push(':');
+        push_f64(out, slo.max_error);
+    }
+
+    /// An upper bound on the bytes [`push_spec`] appends for `spec`; callers
+    /// size their buffers with it.
+    pub(crate) fn spec_len_bound(spec: &JobSpec) -> usize {
+        // Two `u32`s and a `u64` (40 digits at most), four `|`, then 16 hex
+        // digits and a separator per float.
+        64 + 17 * (spec.fidelity_per_qpu.len() + spec.exec_time_per_qpu.len())
+    }
+
+    /// Append a job spec as `qubits|shots|epoch|f_bits,..|t_bits,..` (no
+    /// spaces, so a spec is a single field of a space-separated record).
+    pub(crate) fn push_spec(out: &mut String, spec: &JobSpec) {
+        push_u64(out, u64::from(spec.qubits));
+        out.push('|');
+        push_u64(out, u64::from(spec.shots));
+        out.push('|');
+        push_u64(out, spec.estimate_epoch);
+        for values in [&spec.fidelity_per_qpu, &spec.exec_time_per_qpu] {
+            out.push('|');
+            for (i, &value) in values.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_f64(out, value);
+            }
+        }
+    }
+
+    /// Decode [`push_spec`] output.
     pub(crate) fn dec_spec(field: &str) -> Option<JobSpec> {
         let mut parts = field.split('|');
         let qubits = parts.next()?.parse().ok()?;
@@ -90,6 +164,34 @@ pub(crate) mod wire {
             return None;
         }
         Some(JobSpec { qubits, shots, fidelity_per_qpu, exec_time_per_qpu, estimate_epoch })
+    }
+
+    /// The `format!` encoders the streaming ones replaced, kept as the byte
+    /// oracle: every `push_*` must produce exactly these bytes.
+    #[cfg(test)]
+    pub(crate) mod oracle {
+        use crate::jobmanager::JobSpec;
+
+        pub(crate) fn enc_f64(value: f64) -> String {
+            format!("{:016x}", value.to_bits())
+        }
+
+        pub(crate) fn enc_opt_f64(value: Option<f64>) -> String {
+            value.map_or_else(|| "-".to_string(), enc_f64)
+        }
+
+        pub(crate) fn enc_spec(spec: &JobSpec) -> String {
+            let join =
+                |values: &[f64]| values.iter().map(|&v| enc_f64(v)).collect::<Vec<_>>().join(",");
+            format!(
+                "{}|{}|{}|{}|{}",
+                spec.qubits,
+                spec.shots,
+                spec.estimate_epoch,
+                join(&spec.fidelity_per_qpu),
+                join(&spec.exec_time_per_qpu)
+            )
+        }
     }
 }
 
@@ -221,87 +323,119 @@ pub enum ControlPlaneEvent {
 
 impl LogEntry for ControlPlaneEvent {
     fn encode(&self) -> String {
-        use wire::{enc_f64, enc_spec};
+        use wire::{push_f64, push_list, push_slo, push_spec, push_u64};
+        // Sized once: only specs and dispatch lists outgrow a short line.
+        let mut out = String::with_capacity(match self {
+            ControlPlaneEvent::JobSubmitted { spec, .. }
+            | ControlPlaneEvent::JobReestimated { spec, .. } => 64 + wire::spec_len_bound(spec),
+            ControlPlaneEvent::BatchDispatched { placed, rejected, deferred, .. } => {
+                32 + 42 * placed.len() + 21 * rejected.len() + 38 * deferred.len()
+            }
+            _ => 80,
+        });
         match self {
             ControlPlaneEvent::TenantRegistered { config, slo } => {
-                let base = format!(
-                    "treg {} {} {}",
-                    config.weight, config.max_in_flight, config.max_retries
-                );
-                match slo {
-                    // SLO-free registrations keep the historical three-field
-                    // format, so pre-SLO journals still decode.
-                    None => base,
-                    Some(slo) => format!(
-                        "{base} {}:{}:{}",
-                        enc_f64(slo.deadline_s),
-                        slo.priority,
-                        enc_f64(slo.max_error)
-                    ),
+                out.push_str("treg ");
+                push_u64(&mut out, u64::from(config.weight));
+                out.push(' ');
+                push_u64(&mut out, config.max_in_flight as u64);
+                out.push(' ');
+                push_u64(&mut out, u64::from(config.max_retries));
+                // SLO-free registrations keep the historical three-field
+                // format, so pre-SLO journals still decode.
+                if let Some(slo) = slo {
+                    out.push(' ');
+                    push_slo(&mut out, slo);
                 }
             }
             ControlPlaneEvent::SloEscalated { now_s, ticket } => {
-                format!("sesc {} {}:{}", enc_f64(*now_s), ticket.tenant, ticket.ticket)
+                out.push_str("sesc ");
+                push_f64(&mut out, *now_s);
+                out.push(' ');
+                push_u64(&mut out, u64::from(ticket.tenant));
+                out.push(':');
+                push_u64(&mut out, ticket.ticket);
             }
             ControlPlaneEvent::QpuProvisioned { now_s, qpu_index, class } => {
-                let class = match class {
-                    ResourceClass::Superconducting => "sc",
-                    ResourceClass::IonTrap => "ion",
-                    ResourceClass::Simulator => "sim",
-                };
-                format!("qprv {} {qpu_index} {class}", enc_f64(*now_s))
+                out.push_str("qprv ");
+                push_f64(&mut out, *now_s);
+                out.push(' ');
+                push_u64(&mut out, *qpu_index as u64);
+                out.push_str(match class {
+                    ResourceClass::Superconducting => " sc",
+                    ResourceClass::IonTrap => " ion",
+                    ResourceClass::Simulator => " sim",
+                });
             }
             ControlPlaneEvent::QpuRetired { now_s, qpu_index } => {
-                format!("qret {} {qpu_index}", enc_f64(*now_s))
+                out.push_str("qret ");
+                push_f64(&mut out, *now_s);
+                out.push(' ');
+                push_u64(&mut out, *qpu_index as u64);
             }
             ControlPlaneEvent::JobSubmitted { tenant, spec, now_s } => {
-                format!("subm {tenant} {} {}", enc_f64(*now_s), enc_spec(spec))
+                out.push_str("subm ");
+                push_u64(&mut out, u64::from(*tenant));
+                out.push(' ');
+                push_f64(&mut out, *now_s);
+                out.push(' ');
+                push_spec(&mut out, spec);
             }
-            ControlPlaneEvent::AdmissionPass { now_s } => format!("admt {}", enc_f64(*now_s)),
+            ControlPlaneEvent::AdmissionPass { now_s } => {
+                out.push_str("admt ");
+                push_f64(&mut out, *now_s);
+            }
             ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred, speculative } => {
-                let placed = if placed.is_empty() {
-                    "-".to_string()
-                } else {
-                    placed
-                        .iter()
-                        .map(|(job, qpu)| format!("{job}:{qpu}"))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                let rejected = if rejected.is_empty() {
-                    "-".to_string()
-                } else {
-                    rejected.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-                };
-                let deferred = if deferred.is_empty() {
-                    "-".to_string()
-                } else {
-                    deferred
-                        .iter()
-                        .map(|(job, boundary)| format!("{job}:{}", enc_f64(*boundary)))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                let spec_flag = if *speculative { "s" } else { "l" };
-                format!("disp {} {placed} {rejected} {deferred} {spec_flag}", enc_f64(*t_s))
+                out.push_str("disp ");
+                push_f64(&mut out, *t_s);
+                out.push(' ');
+                push_list(&mut out, placed, |out, &(job, qpu)| {
+                    push_u64(out, job);
+                    out.push(':');
+                    push_u64(out, qpu as u64);
+                });
+                out.push(' ');
+                push_list(&mut out, rejected, |out, &job| push_u64(out, job));
+                out.push(' ');
+                push_list(&mut out, deferred, |out, &(job, boundary)| {
+                    push_u64(out, job);
+                    out.push(':');
+                    push_f64(out, boundary);
+                });
+                out.push_str(if *speculative { " s" } else { " l" });
             }
             ControlPlaneEvent::JobReestimated { job_id, spec } => {
-                format!("rest {job_id} {}", enc_spec(spec))
+                out.push_str("rest ");
+                push_u64(&mut out, *job_id);
+                out.push(' ');
+                push_spec(&mut out, spec);
             }
             ControlPlaneEvent::DirectDispatched { job_id, qpu_index } => {
-                format!("dird {job_id} {qpu_index}")
+                out.push_str("dird ");
+                push_u64(&mut out, *job_id);
+                out.push(' ');
+                push_u64(&mut out, *qpu_index as u64);
             }
             ControlPlaneEvent::JobCompleted { job_id, qpu_index, enqueue_s, start_s, finish_s } => {
-                format!(
-                    "done {job_id} {qpu_index} {} {} {}",
-                    enc_f64(*enqueue_s),
-                    enc_f64(*start_s),
-                    enc_f64(*finish_s)
-                )
+                out.push_str("done ");
+                push_u64(&mut out, *job_id);
+                out.push(' ');
+                push_u64(&mut out, *qpu_index as u64);
+                for instant in [enqueue_s, start_s, finish_s] {
+                    out.push(' ');
+                    push_f64(&mut out, *instant);
+                }
             }
-            ControlPlaneEvent::LeaseGranted { qpu_index } => format!("lgr {qpu_index}"),
-            ControlPlaneEvent::LeaseReleased { qpu_index } => format!("lrl {qpu_index}"),
+            ControlPlaneEvent::LeaseGranted { qpu_index } => {
+                out.push_str("lgr ");
+                push_u64(&mut out, *qpu_index as u64);
+            }
+            ControlPlaneEvent::LeaseReleased { qpu_index } => {
+                out.push_str("lrl ");
+                push_u64(&mut out, *qpu_index as u64);
+            }
         }
+        out
     }
 
     fn decode(line: &str) -> Option<Self> {
@@ -423,6 +557,95 @@ impl LogEntry for ControlPlaneEvent {
             return None;
         }
         Some(event)
+    }
+}
+
+#[cfg(test)]
+impl ControlPlaneEvent {
+    /// The `format!` encoder [`LogEntry::encode`] replaced — the byte oracle
+    /// the streaming encoder is tested against.
+    fn encode_oracle(&self) -> String {
+        use wire::oracle::{enc_f64, enc_spec};
+        match self {
+            ControlPlaneEvent::TenantRegistered { config, slo } => {
+                let base = format!(
+                    "treg {} {} {}",
+                    config.weight, config.max_in_flight, config.max_retries
+                );
+                match slo {
+                    // SLO-free registrations keep the historical three-field
+                    // format, so pre-SLO journals still decode.
+                    None => base,
+                    Some(slo) => format!(
+                        "{base} {}:{}:{}",
+                        enc_f64(slo.deadline_s),
+                        slo.priority,
+                        enc_f64(slo.max_error)
+                    ),
+                }
+            }
+            ControlPlaneEvent::SloEscalated { now_s, ticket } => {
+                format!("sesc {} {}:{}", enc_f64(*now_s), ticket.tenant, ticket.ticket)
+            }
+            ControlPlaneEvent::QpuProvisioned { now_s, qpu_index, class } => {
+                let class = match class {
+                    ResourceClass::Superconducting => "sc",
+                    ResourceClass::IonTrap => "ion",
+                    ResourceClass::Simulator => "sim",
+                };
+                format!("qprv {} {qpu_index} {class}", enc_f64(*now_s))
+            }
+            ControlPlaneEvent::QpuRetired { now_s, qpu_index } => {
+                format!("qret {} {qpu_index}", enc_f64(*now_s))
+            }
+            ControlPlaneEvent::JobSubmitted { tenant, spec, now_s } => {
+                format!("subm {tenant} {} {}", enc_f64(*now_s), enc_spec(spec))
+            }
+            ControlPlaneEvent::AdmissionPass { now_s } => format!("admt {}", enc_f64(*now_s)),
+            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred, speculative } => {
+                let placed = if placed.is_empty() {
+                    "-".to_string()
+                } else {
+                    placed
+                        .iter()
+                        .map(|(job, qpu)| format!("{job}:{qpu}"))
+                        .collect::<Vec<_>>()
+                        .join(",")
+                };
+                let rejected = if rejected.is_empty() {
+                    "-".to_string()
+                } else {
+                    rejected.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
+                };
+                let deferred = if deferred.is_empty() {
+                    "-".to_string()
+                } else {
+                    deferred
+                        .iter()
+                        .map(|(job, boundary)| format!("{job}:{}", enc_f64(*boundary)))
+                        .collect::<Vec<_>>()
+                        .join(",")
+                };
+                let spec_flag = if *speculative { "s" } else { "l" };
+                format!("disp {} {placed} {rejected} {deferred} {spec_flag}", enc_f64(*t_s))
+            }
+            ControlPlaneEvent::JobReestimated { job_id, spec } => {
+                format!("rest {job_id} {}", enc_spec(spec))
+            }
+            ControlPlaneEvent::DirectDispatched { job_id, qpu_index } => {
+                format!("dird {job_id} {qpu_index}")
+            }
+            ControlPlaneEvent::JobCompleted { job_id, qpu_index, enqueue_s, start_s, finish_s } => {
+                format!(
+                    "done {job_id} {qpu_index} {} {} {}",
+                    enc_f64(*enqueue_s),
+                    enc_f64(*start_s),
+                    enc_f64(*finish_s)
+                )
+            }
+            ControlPlaneEvent::LeaseGranted { qpu_index } => format!("lgr {qpu_index}"),
+            ControlPlaneEvent::LeaseReleased { qpu_index } => format!("lrl {qpu_index}"),
+        }
     }
 }
 
@@ -552,9 +775,7 @@ impl ReplicatedControlPlane {
             digest_rolling: Cell::new(FNV128_OFFSET),
             journal_ns: Cell::new(0),
         };
-        let genesis = plane.encode_state();
-        plane.log.install_snapshot(&genesis, 0).expect("fresh store has a quorum");
-        plane.digest_checkpoint.set(fnv128(genesis.as_bytes()));
+        plane.snapshot().expect("fresh store has a quorum");
         plane
     }
 
@@ -578,15 +799,14 @@ impl ReplicatedControlPlane {
 
     /// Journal one event: a timed quorum append, folded into the rolling
     /// digest only once durably committed (a failed append must not advance
-    /// the digest — the state it fingerprints never changed).
+    /// the digest — the state it fingerprints never changed). The event is
+    /// encoded once: the log hands the line it is about to store to the
+    /// hasher.
     fn journal(&self, event: &ControlPlaneEvent) -> Result<u64, StoreError> {
         let started = Instant::now();
-        let result = self.log.append(event);
-        self.journal_ns.set(self.journal_ns.get() + started.elapsed().as_nanos() as u64);
-        if result.is_ok() {
-            self.absorb(std::slice::from_ref(event));
-        }
-        result
+        let mut rolling = Fnv128::from_state(self.digest_rolling.get());
+        let result = self.log.append_with(event, |line| absorb_line(&mut rolling, line));
+        self.journaled(started, rolling, result)
     }
 
     /// Journal a staged batch atomically in one quorum round
@@ -597,22 +817,24 @@ impl ReplicatedControlPlane {
     /// roll to the same digest.
     fn journal_all(&self, events: &[ControlPlaneEvent]) -> Result<u64, StoreError> {
         let started = Instant::now();
-        let result = self.log.append_all(events);
-        self.journal_ns.set(self.journal_ns.get() + started.elapsed().as_nanos() as u64);
-        if result.is_ok() {
-            self.absorb(events);
-        }
-        result
+        let mut rolling = Fnv128::from_state(self.digest_rolling.get());
+        let result = self.log.append_all_with(events, |line| absorb_line(&mut rolling, line));
+        self.journaled(started, rolling, result)
     }
 
-    /// Fold committed events into the rolling digest.
-    fn absorb(&self, events: &[ControlPlaneEvent]) {
-        let mut rolling = Fnv128::from_state(self.digest_rolling.get());
-        for event in events {
-            rolling.absorb(event.encode().as_bytes());
-            rolling.absorb(b"\n");
+    /// Account one journal write: its wall time always, the digest it rolled
+    /// to only if it committed.
+    fn journaled(
+        &self,
+        started: Instant,
+        rolling: Fnv128,
+        result: Result<u64, StoreError>,
+    ) -> Result<u64, StoreError> {
+        self.journal_ns.set(self.journal_ns.get() + started.elapsed().as_nanos() as u64);
+        if result.is_ok() {
+            self.digest_rolling.set(rolling.value());
         }
-        self.digest_rolling.set(rolling.value());
+        result
     }
 
     /// The batch engine (read-only; every mutation goes through the journal).
@@ -991,8 +1213,9 @@ impl ReplicatedControlPlane {
     pub fn snapshot(&self) -> Result<u64, ReplicationError> {
         let upto = self.log.len();
         let payload = self.encode_state();
-        self.log.install_snapshot(&payload, upto)?;
-        self.digest_checkpoint.set(fnv128(payload.as_bytes()));
+        let checkpoint = fnv128(payload.as_bytes());
+        self.log.install_snapshot(payload, upto)?;
+        self.digest_checkpoint.set(checkpoint);
         self.digest_rolling.set(FNV128_OFFSET);
         Ok(upto)
     }
@@ -1033,14 +1256,15 @@ impl ReplicatedControlPlane {
     /// lease key — impossible without the store quorum, by design), rebuild
     /// the engine + submission service + lease set deterministically from
     /// `snapshot + log replay`, install the rebuilt state as live, and let
-    /// crashed nodes rejoin as followers. Returns clones of the rebuilt
-    /// engine pair for inspection.
-    pub fn failover(&mut self) -> Result<(JobManager, SubmissionService), FailoverError> {
+    /// crashed nodes rejoin as followers. ([`Self::rebuild`] is the
+    /// inspection form: the same reconstruction, returned instead of
+    /// installed.)
+    pub fn failover(&mut self) -> Result<(), FailoverError> {
         self.election.run_until_leader(5_000).ok_or(FailoverError::NoLeader)?;
         let (jobmanager, submissions, leases, elastic, (checkpoint, rolling)) =
             self.rebuild_parts()?;
-        self.jobmanager = jobmanager.clone();
-        self.submissions = submissions.clone();
+        self.jobmanager = jobmanager;
+        self.submissions = submissions;
         self.leases = leases;
         self.elastic = elastic;
         // Recomputed from the store, these equal the pre-crash cells: the
@@ -1054,7 +1278,7 @@ impl ReplicatedControlPlane {
                 self.election.recover(id);
             }
         }
-        Ok((jobmanager, submissions))
+        Ok(())
     }
 
     /// Rebuild a `(JobManager, SubmissionService)` pair from the replicated
@@ -1074,15 +1298,20 @@ impl ReplicatedControlPlane {
         (JobManager, SubmissionService, BTreeSet<usize>, BTreeSet<usize>, (u128, u128)),
         FailoverError,
     > {
-        let (from, payload) = self.log.snapshot().ok_or(FailoverError::MissingSnapshot)?;
+        // Decoded and hashed where it lies in the store: the payload is
+        // megabytes, and nothing here needs its own copy.
+        let (from, decoded, checkpoint) = self
+            .log
+            .with_snapshot(|from, payload| {
+                (from, decode_combined_state(payload), fnv128(payload.as_bytes()))
+            })
+            .ok_or(FailoverError::MissingSnapshot)?;
         let (mut jobmanager, mut submissions, mut leases, mut elastic) =
-            decode_combined_state(&payload).ok_or(FailoverError::CorruptState)?;
-        let checkpoint = fnv128(payload.as_bytes());
+            decoded.ok_or(FailoverError::CorruptState)?;
         let mut rolling = Fnv128::new();
         for (_, event) in self.log.entries_from(from) {
             apply_event(&mut jobmanager, &mut submissions, &mut leases, &mut elastic, &event);
-            rolling.absorb(event.encode().as_bytes());
-            rolling.absorb(b"\n");
+            absorb_line(&mut rolling, &event.encode());
         }
         Ok((jobmanager, submissions, leases, elastic, (checkpoint, rolling.value())))
     }
@@ -1090,7 +1319,7 @@ impl ReplicatedControlPlane {
     /// Number of journal entries a failover right now would replay on top of
     /// the latest snapshot.
     pub fn replay_backlog(&self) -> u64 {
-        let baseline = self.log.snapshot().map_or(0, |(index, _)| index);
+        let baseline = self.log.with_snapshot(|index, _| index).unwrap_or(0);
         self.log.len().saturating_sub(baseline)
     }
 
@@ -1100,21 +1329,40 @@ impl ReplicatedControlPlane {
     /// encodings are equal as strings; [`Self::state_digest`] is the cheap
     /// incremental fingerprint of the same state.
     pub fn encode_state(&self) -> String {
-        let mut state =
-            format!("{}\n{}", self.jobmanager.encode_state(), self.submissions.encode_state());
-        // Lease-free / elastic-free planes (every pre-sharding, pre-autoscale
-        // deployment) keep their historical digest format: the optional
-        // sections appear only when non-empty.
-        if !self.leases.is_empty() {
-            let held = self.leases.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-            state.push_str(&format!("\nlease {held}"));
-        }
-        if !self.elastic.is_empty() {
-            let held = self.elastic.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-            state.push_str(&format!("\nelastic {held}"));
-        }
-        state
+        encode_combined_state(&self.jobmanager, &self.submissions, &self.leases, &self.elastic)
     }
+}
+
+/// The combined snapshot payload: engine state, blank line, submission
+/// state, then the lease and elastic sections — in one buffer sized once.
+fn encode_combined_state(
+    jobmanager: &JobManager,
+    submissions: &SubmissionService,
+    leases: &BTreeSet<usize>,
+    elastic: &BTreeSet<usize>,
+) -> String {
+    let mut state =
+        String::with_capacity(jobmanager.encoded_len_hint() + submissions.encoded_len_hint() + 64);
+    jobmanager.encode_state_into(&mut state);
+    state.push('\n');
+    submissions.encode_state_into(&mut state);
+    // Lease-free / elastic-free planes (every pre-sharding, pre-autoscale
+    // deployment) keep their historical digest format: the optional
+    // sections appear only when non-empty.
+    for (section, held) in [("\nlease ", leases), ("\nelastic ", elastic)] {
+        if !held.is_empty() {
+            state.push_str(section);
+            wire::push_list(&mut state, held, |out, &qpu| wire::push_u64(out, qpu as u64));
+        }
+    }
+    state
+}
+
+/// Fold one journaled line (plus the `'\n'` that separates lines) into a
+/// rolling digest.
+fn absorb_line(rolling: &mut Fnv128, line: &str) {
+    rolling.absorb(line.as_bytes());
+    rolling.absorb(b"\n");
 }
 
 /// Split a combined snapshot payload into the engine state, the
@@ -1221,7 +1469,7 @@ mod tests {
     use super::*;
     use qonductor_scheduler::{Nsga2Config, SchedulerConfig};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_fleet(seed: u64) -> Fleet {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1637,5 +1885,231 @@ mod tests {
             Err(ReplicationError::Submission(SubmissionError::UnknownTenant(99)))
         );
         assert_eq!(plane.log().len(), before, "failed submissions leave no journal entry");
+    }
+
+    /// Floats a text codec is most likely to mangle: signed zero, NaNs with
+    /// payloads (quiet and signalling, either sign), infinities, subnormals.
+    const HOSTILE_FLOATS: [f64; 9] = [
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::from_bits(0x7ff8_dead_beef_0001),
+        f64::from_bits(0xfff0_0000_0000_0001),
+        f64::from_bits(1),
+    ];
+
+    fn random_float(rng: &mut StdRng) -> f64 {
+        if rng.gen_bool(0.25) {
+            HOSTILE_FLOATS[rng.gen_range(0..HOSTILE_FLOATS.len())]
+        } else {
+            rng.gen_range(0.0..100.0)
+        }
+    }
+
+    fn random_spec(rng: &mut StdRng, qpus: usize) -> JobSpec {
+        let infeasible = rng.gen_bool(0.2);
+        JobSpec {
+            qubits: rng.gen_range(1..200),
+            shots: rng.gen_range(1..100_000),
+            fidelity_per_qpu: (0..qpus)
+                .map(|i| match (infeasible, i % 2) {
+                    (true, 0) => 0.0,
+                    (true, _) => f64::NAN,
+                    (false, _) => random_float(rng),
+                })
+                .collect(),
+            exec_time_per_qpu: (0..qpus).map(|_| random_float(rng)).collect(),
+            estimate_epoch: rng.gen_range(0..u64::MAX),
+        }
+    }
+
+    /// The byte-exactness gate of the streaming codecs: over random
+    /// lifecycles — SLO and plain tenants, hostile floats, specs with no QPU
+    /// columns, retries, every terminal outcome — applied through the same
+    /// [`apply_event`] a failover replays with, every event line and every
+    /// state encoding equals the `format!` oracle it replaced byte for byte,
+    /// and `decode(encode(s))` re-encodes to the same bytes.
+    #[test]
+    fn streaming_codecs_match_the_format_oracle_on_random_lifecycles() {
+        let mut seen: BTreeSet<&'static str> = BTreeSet::new();
+        for case in 0..96u64 {
+            let mut rng = StdRng::seed_from_u64(0x00c0_dec5 ^ case);
+            let qpus = rng.gen_range(0..4usize);
+            let policy = if rng.gen_bool(0.5) {
+                CalibrationPolicy::Naive
+            } else {
+                CalibrationPolicy::SplitAtBoundary
+            };
+            let mut jm = JobManager::new(ScheduleTrigger::new(rng.gen_range(1..6), 30.0))
+                .with_calibration_policy(policy);
+            let mut svc = SubmissionService::new();
+            let (mut leases, mut elastic) = (BTreeSet::new(), BTreeSet::new());
+            // Dispatched jobs whose completion has not been journaled yet.
+            let mut running: Vec<(JobId, usize)> = Vec::new();
+            let mut now_s = 0.0;
+            for _ in 0..rng.gen_range(10..140) {
+                now_s += rng.gen_range(0.0..6.0);
+                let pending: Vec<JobId> = jm.pending().iter().map(|job| job.job_id).collect();
+                let event = match rng.gen_range(0..14) {
+                    0 | 1 => ControlPlaneEvent::TenantRegistered {
+                        config: TenantConfig {
+                            weight: rng.gen_range(0..4),
+                            max_in_flight: rng.gen_range(1..4),
+                            max_retries: rng.gen_range(0..3),
+                        },
+                        slo: rng.gen_bool(0.4).then(|| SloClass {
+                            deadline_s: [4.0, 25.0, f64::INFINITY, random_float(&mut rng)]
+                                [rng.gen_range(0..4usize)],
+                            priority: rng.gen_range(0..4),
+                            max_error: random_float(&mut rng),
+                        }),
+                    },
+                    2..=5 if svc.tenant_count() > 0 => ControlPlaneEvent::JobSubmitted {
+                        tenant: rng.gen_range(0..svc.tenant_count()) as TenantId,
+                        spec: random_spec(&mut rng, qpus),
+                        now_s,
+                    },
+                    6 | 7 => ControlPlaneEvent::AdmissionPass { now_s },
+                    8 => match svc.pending_escalations(now_s, 10.0, 4).first() {
+                        Some(&ticket) => ControlPlaneEvent::SloEscalated { now_s, ticket },
+                        None => continue,
+                    },
+                    9 if !pending.is_empty() => {
+                        let (mut placed, mut rejected, mut deferred) = (vec![], vec![], vec![]);
+                        for &job in &pending {
+                            match rng.gen_range(0..4) {
+                                0 => placed.push((job, rng.gen_range(0..8usize))),
+                                1 => rejected.push(job),
+                                2 => deferred.push((job, now_s + rng.gen_range(1.0..500.0))),
+                                _ => {}
+                            }
+                        }
+                        running.extend(placed.iter().copied());
+                        ControlPlaneEvent::BatchDispatched {
+                            t_s: now_s,
+                            placed,
+                            rejected,
+                            deferred,
+                            speculative: rng.gen_bool(0.5),
+                        }
+                    }
+                    10 if !running.is_empty() => {
+                        let (job_id, qpu_index) =
+                            running.swap_remove(rng.gen_range(0..running.len()));
+                        let start_s = now_s + random_float(&mut rng);
+                        ControlPlaneEvent::JobCompleted {
+                            job_id,
+                            qpu_index,
+                            enqueue_s: now_s,
+                            start_s,
+                            finish_s: start_s + random_float(&mut rng),
+                        }
+                    }
+                    11 if !pending.is_empty() => ControlPlaneEvent::JobReestimated {
+                        job_id: pending[rng.gen_range(0..pending.len())],
+                        spec: random_spec(&mut rng, qpus),
+                    },
+                    12 if !pending.is_empty() => {
+                        let job_id = pending[rng.gen_range(0..pending.len())];
+                        let qpu_index = rng.gen_range(0..8usize);
+                        running.push((job_id, qpu_index));
+                        ControlPlaneEvent::DirectDispatched { job_id, qpu_index }
+                    }
+                    13 => {
+                        let qpu_index = rng.gen_range(0..6usize);
+                        match rng.gen_range(0..4) {
+                            0 => ControlPlaneEvent::LeaseGranted { qpu_index },
+                            1 => ControlPlaneEvent::LeaseReleased { qpu_index },
+                            2 => ControlPlaneEvent::QpuRetired { now_s, qpu_index },
+                            _ => ControlPlaneEvent::QpuProvisioned {
+                                now_s,
+                                qpu_index,
+                                class: [
+                                    ResourceClass::Superconducting,
+                                    ResourceClass::IonTrap,
+                                    ResourceClass::Simulator,
+                                ][rng.gen_range(0..3usize)],
+                            },
+                        }
+                    }
+                    _ => continue,
+                };
+                let line = event.encode();
+                assert_eq!(line, event.encode_oracle(), "case {case}: {event:?}");
+                let back = ControlPlaneEvent::decode(&line).expect("an encoded event decodes");
+                assert_eq!(back.encode(), line, "case {case}: {event:?}");
+                apply_event(&mut jm, &mut svc, &mut leases, &mut elastic, &event);
+            }
+
+            let (jm_bytes, svc_bytes) = (jm.encode_state(), svc.encode_state());
+            assert_eq!(jm_bytes, jm.encode_state_oracle(), "case {case}");
+            assert_eq!(svc_bytes, svc.encode_state_oracle(), "case {case}");
+            let mut oracle = format!("{jm_bytes}\n{svc_bytes}");
+            for (section, held) in [("lease", &leases), ("elastic", &elastic)] {
+                if !held.is_empty() {
+                    let held = held.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
+                    oracle.push_str(&format!("\n{section} {held}"));
+                    seen.insert(section);
+                }
+            }
+            let combined = encode_combined_state(&jm, &svc, &leases, &elastic);
+            assert_eq!(combined, oracle, "case {case}");
+            let (jm_back, svc_back, leases_back, elastic_back) =
+                decode_combined_state(&combined).expect("an encoded state decodes");
+            assert!(svc_back.indices_consistent(), "case {case}");
+            assert_eq!(
+                encode_combined_state(&jm_back, &svc_back, &leases_back, &elastic_back),
+                combined,
+                "case {case}: decode(encode(s)) must re-encode to the same bytes"
+            );
+
+            // What this case's state exercised, read off the encoding.
+            for line in svc_bytes.lines() {
+                let fields: Vec<&str> = line.split(' ').collect();
+                seen.insert(match fields[0] {
+                    "tenant" if fields[5] == "-" => "plain tenant",
+                    "tenant" => "slo tenant",
+                    "ticket" => match (fields[5], fields[4]) {
+                        ("q", "0") => "queued",
+                        ("q", _) => "requeued after a rejection",
+                        ("r:x", _) => "retries exhausted",
+                        ("r:d", _) => "deadline missed",
+                        ("r:i", _) => "infeasible",
+                        (state, _) if state.starts_with("a:") => "admitted",
+                        _ => "completed",
+                    },
+                    "jobmap" if fields[1] == "-" => "empty jobmap",
+                    "jobmap" => "jobmap",
+                    _ => continue,
+                });
+            }
+            if jm.pending().iter().any(|job| job.deferrals > 0) {
+                seen.insert("deferred job");
+            }
+            if svc.snapshot().iter().any(|(_, stats)| stats.escalated > 0) {
+                seen.insert("escalated");
+            }
+        }
+        let expected = [
+            "admitted",
+            "completed",
+            "deadline missed",
+            "deferred job",
+            "elastic",
+            "empty jobmap",
+            "escalated",
+            "infeasible",
+            "jobmap",
+            "lease",
+            "plain tenant",
+            "queued",
+            "requeued after a rejection",
+            "retries exhausted",
+            "slo tenant",
+        ];
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), expected, "the lifecycles lost coverage");
     }
 }

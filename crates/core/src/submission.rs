@@ -22,7 +22,7 @@
 use crate::jobmanager::{BatchRecord, CompletedExecution, JobId, JobManager, JobSpec, TenantId};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Identifier of a submitted ticket (monotonic across all tenants).
 pub type TicketId = u64;
@@ -279,10 +279,14 @@ impl TenantState {
 
 /// The tenant-aware submission front-end of the batch engine.
 ///
-/// Besides the journaled tenant/ticket state, the service maintains three
-/// *derived* indices — never encoded, rebuilt by [`Self::decode_state`] —
-/// that make the admission hot path independent of the registered-tenant
-/// population:
+/// Tenants live in a dense table indexed by tenant id (see the `tenants`
+/// field for its contract), so every DRR visit, submission and completion —
+/// live or replayed from the journal — reaches its tenant by array index.
+///
+/// Besides the journaled tenant/ticket state, the service maintains two
+/// *derived* indices and one derived counter — never encoded, rebuilt by
+/// [`Self::decode_state`] — that make the admission hot path independent of
+/// the registered-tenant population:
 ///
 /// - the **active ring** (`active`): tenants with a non-empty queue *or* an
 ///   unspent DRR deficit — exactly the tenants for which the DRR scan is not
@@ -294,20 +298,23 @@ impl TenantState {
 /// - the **queued total** (`queued_total`): the sum of all queue lengths,
 ///   kept incrementally so [`Self::total_queued`] is O(1).
 ///
-/// [`Self::indices_consistent`] checks all three against the tenant map.
+/// [`Self::indices_consistent`] checks all three against the tenant table.
 #[derive(Debug, Clone, Default)]
 pub struct SubmissionService {
-    tenants: BTreeMap<TenantId, TenantState>,
-    next_tenant_id: TenantId,
+    /// The tenant table, dense: tenant `id` is `tenants[id]`. Ids are
+    /// assigned sequentially from 0 and tenants are never removed, so the
+    /// table has no holes, the next id is its length, and ascending-id
+    /// order is slice order. [`Self::decode_state`] accepts exactly such
+    /// tables — row `i` must carry id `i`, and the rows must number the
+    /// encoded next id — and rejects every other (ids out of order,
+    /// duplicated, with a gap, or not starting at 0) as corrupt.
+    tenants: Vec<TenantState>,
     next_ticket_id: TicketId,
     tickets: HashMap<TicketId, TicketRecord>,
     job_to_ticket: HashMap<JobId, TicketId>,
     /// Rotates the DRR starting tenant so pool-capacity cutoffs do not
     /// systematically favor low tenant ids.
     rr_start: usize,
-    /// Derived: tenant ids in registration order (ids are sequential, so
-    /// this is also ascending) — O(1) lookup of the rotating DRR pivot.
-    registered_ids: Vec<TenantId>,
     /// Derived: the active ring (non-empty queue or unspent deficit).
     active: BTreeSet<TenantId>,
     /// Derived: tenants carrying a finite-deadline SLO class.
@@ -336,10 +343,8 @@ impl SubmissionService {
     /// zero `max_in_flight`) is clamped to 1: a weight-0 tenant would earn a
     /// zero DRR quantum and its tickets would sit `Queued` forever.
     pub fn register_tenant_with(&mut self, config: TenantConfig) -> TenantId {
-        let id = self.next_tenant_id;
-        self.next_tenant_id += 1;
-        self.tenants.insert(id, TenantState::new(config));
-        self.registered_ids.push(id);
+        let id = TenantId::try_from(self.tenants.len()).expect("tenant ids fit a TenantId");
+        self.tenants.push(TenantState::new(config));
         id
     }
 
@@ -350,7 +355,7 @@ impl SubmissionService {
     /// SLO early-fire path after it.
     pub fn register_tenant_with_slo(&mut self, config: TenantConfig, slo: SloClass) -> TenantId {
         let id = self.register_tenant_with(config);
-        self.tenants.get_mut(&id).expect("just registered").slo = Some(slo);
+        self.tenants[id as usize].slo = Some(slo);
         if slo.deadline_s.is_finite() {
             // An infinite deadline can never escalate; keep it off the index
             // so the escalation scan stays proportional to tenants that can.
@@ -361,19 +366,25 @@ impl SubmissionService {
 
     /// A tenant's SLO class, if it registered with one.
     pub fn tenant_slo(&self, tenant: TenantId) -> Option<SloClass> {
-        self.tenants.get(&tenant).and_then(|t| t.slo)
+        self.tenants.get(tenant as usize).and_then(|t| t.slo)
     }
 
     /// All registered tenant ids, ascending.
     pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.tenants.keys().copied().collect()
+        self.ids_and_tenants().map(|(id, _)| id).collect()
+    }
+
+    /// The tenant table as `(id, tenant)`, ascending by id.
+    fn ids_and_tenants(&self) -> impl Iterator<Item = (TenantId, &TenantState)> {
+        // Lossless: registration admits no more tenants than `TenantId` counts.
+        self.tenants.iter().enumerate().map(|(id, tenant)| (id as TenantId, tenant))
     }
 
     /// Every tenant's (clamped) admission configuration, ascending by id —
     /// enough to re-register the same tenant population elsewhere, since ids
     /// are assigned sequentially and tenants are never removed.
     pub fn tenant_configs(&self) -> Vec<(TenantId, TenantConfig)> {
-        self.tenants.iter().map(|(&id, state)| (id, state.config)).collect()
+        self.ids_and_tenants().map(|(id, state)| (id, state.config)).collect()
     }
 
     /// Non-blocking submission: enqueue a job spec into the tenant's FIFO
@@ -385,7 +396,8 @@ impl SubmissionService {
         spec: JobSpec,
         now_s: f64,
     ) -> Result<JobTicket, SubmissionError> {
-        let state = self.tenants.get_mut(&tenant).ok_or(SubmissionError::UnknownTenant(tenant))?;
+        let state =
+            self.tenants.get_mut(tenant as usize).ok_or(SubmissionError::UnknownTenant(tenant))?;
         let ticket = self.next_ticket_id;
         self.next_ticket_id += 1;
         state.submitted += 1;
@@ -418,7 +430,7 @@ impl SubmissionService {
             TicketState::Queued => TicketStatus::Queued {
                 position: self
                     .tenants
-                    .get(&record.tenant)
+                    .get(record.tenant as usize)
                     .and_then(|t| t.queue.iter().position(|&id| id == ticket.ticket))
                     .unwrap_or(0),
                 attempts: record.attempts,
@@ -450,17 +462,18 @@ impl SubmissionService {
     /// calibration period per deferral and the engine's deferral budget.
     /// The scan is O(active), not O(registered): each round visits only the
     /// active ring, in the same cyclic ascending-id order the full scan used
-    /// (pivot = the rotating `rr_start` cursor mapped onto the registered-id
-    /// list). An inactive tenant — empty queue, zero deficit — was always a
-    /// no-op visit, so skipping it leaves every journaled outcome, deficit,
-    /// and the `rr_start` rotation byte-identical to the full scan.
+    /// (pivot = the rotating `rr_start` cursor modulo the registered
+    /// population, ids being dense). An inactive tenant — empty queue, zero
+    /// deficit — was always a no-op visit, so skipping it leaves every
+    /// journaled outcome, deficit, and the `rr_start` rotation
+    /// byte-identical to the full scan.
     pub fn admit(&mut self, now_s: f64, jobmanager: &mut JobManager) -> Vec<(JobTicket, JobId)> {
         let mut admitted = Vec::new();
-        if self.registered_ids.is_empty() {
+        if self.tenants.is_empty() {
             return admitted;
         }
         let capacity = jobmanager.trigger().queue_limit.max(1);
-        let pivot = self.registered_ids[self.rr_start % self.registered_ids.len()];
+        let pivot = (self.rr_start % self.tenants.len()) as TenantId;
         self.rr_start = self.rr_start.wrapping_add(1);
         loop {
             if jobmanager.pending_len() >= capacity {
@@ -474,7 +487,8 @@ impl SubmissionService {
             let mut progressed = false;
             for id in round {
                 self.admission_visits.set(self.admission_visits.get() + 1);
-                let tenant = self.tenants.get_mut(&id).expect("active tenants are registered");
+                let tenant =
+                    self.tenants.get_mut(id as usize).expect("active tenants are registered");
                 if tenant.queue.is_empty() {
                     // Standard DRR: an idle tenant hoards no credit. (Only
                     // an escalation-drained tenant can still be on the ring
@@ -494,6 +508,11 @@ impl SubmissionService {
                     tenant.deficit = (tenant.deficit + quantum).min(quantum);
                     continue;
                 }
+                // Known, deliberately unfixed: a backlogged tenant visited
+                // after the pool has filled earns its quantum and can spend
+                // none of it, every pass, so its deficit grows without
+                // bound. The deficit is journaled state — bounding it moves
+                // every digest (recorded in CHANGES.md, ISSUE 16).
                 tenant.deficit += u64::from(tenant.config.weight);
                 while tenant.deficit > 0
                     && tenant.in_flight < tenant.config.max_in_flight
@@ -546,7 +565,7 @@ impl SubmissionService {
         let mut candidates: Vec<(u32, TicketId, TenantId)> = Vec::new();
         for &id in &self.slo_tenants {
             self.escalation_visits.set(self.escalation_visits.get() + 1);
-            let tenant = &self.tenants[&id];
+            let tenant = &self.tenants[id as usize];
             let slo = tenant.slo.expect("indexed tenants carry an SLO class");
             for &ticket in &tenant.queue {
                 let record = &self.tickets[&ticket];
@@ -558,10 +577,12 @@ impl SubmissionService {
         // Descending priority, ascending ticket id within a priority class.
         candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         // In-flight occupancy only for tenants that actually have a due
-        // ticket — not the full tenant map.
+        // ticket — not the full tenant table.
         let mut in_flight: HashMap<TenantId, usize> = HashMap::new();
         for &(_, _, tenant_id) in &candidates {
-            in_flight.entry(tenant_id).or_insert_with(|| self.tenants[&tenant_id].in_flight);
+            in_flight
+                .entry(tenant_id)
+                .or_insert_with(|| self.tenants[tenant_id as usize].in_flight);
         }
         let mut escalations = Vec::new();
         for (_, ticket, tenant_id) in candidates {
@@ -569,7 +590,7 @@ impl SubmissionService {
                 break;
             }
             let used = in_flight.get_mut(&tenant_id).expect("tenant exists");
-            if *used >= self.tenants[&tenant_id].config.max_in_flight {
+            if *used >= self.tenants[tenant_id as usize].config.max_in_flight {
                 continue;
             }
             *used += 1;
@@ -595,7 +616,7 @@ impl SubmissionService {
         if record.tenant != ticket.tenant || record.state != TicketState::Queued {
             return None;
         }
-        let tenant = self.tenants.get_mut(&ticket.tenant)?;
+        let tenant = self.tenants.get_mut(ticket.tenant as usize)?;
         tenant.slo?;
         if tenant.in_flight >= tenant.config.max_in_flight {
             return None;
@@ -619,7 +640,7 @@ impl SubmissionService {
         );
         record.state = TicketState::Admitted { job_id };
         self.job_to_ticket.insert(job_id, ticket.ticket);
-        let tenant = self.tenants.get_mut(&ticket.tenant).expect("checked above");
+        let tenant = self.tenants.get_mut(ticket.tenant as usize).expect("checked above");
         tenant.in_flight += 1;
         tenant.admitted += 1;
         tenant.escalated += 1;
@@ -648,8 +669,10 @@ impl SubmissionService {
         for job_id in rejected_jobs {
             let Some(ticket) = self.job_to_ticket.remove(job_id) else { continue };
             let record = self.tickets.get_mut(&ticket).expect("admitted tickets exist");
-            let tenant =
-                self.tenants.get_mut(&record.tenant).expect("tickets belong to registered tenants");
+            let tenant = self
+                .tenants
+                .get_mut(record.tenant as usize)
+                .expect("tickets belong to registered tenants");
             tenant.in_flight -= 1;
             record.attempts += 1;
             if record.attempts > tenant.config.max_retries {
@@ -685,8 +708,10 @@ impl SubmissionService {
         for &completion in completions {
             let Some(ticket) = self.job_to_ticket.remove(&completion.job_id) else { continue };
             let record = self.tickets.get_mut(&ticket).expect("admitted tickets exist");
-            let tenant =
-                self.tenants.get_mut(&record.tenant).expect("tickets belong to registered tenants");
+            let tenant = self
+                .tenants
+                .get_mut(record.tenant as usize)
+                .expect("tickets belong to registered tenants");
             tenant.in_flight -= 1;
             tenant.completed += 1;
             let waiting_s = (completion.record.start_time_s - record.submitted_s).max(0.0);
@@ -705,17 +730,17 @@ impl SubmissionService {
 
     /// Current accounting for one tenant.
     pub fn tenant_stats(&self, tenant: TenantId) -> Option<TenantStats> {
-        self.tenants.get(&tenant).map(TenantState::stats)
+        self.tenants.get(tenant as usize).map(TenantState::stats)
     }
 
     /// Current accounting for every tenant, ascending by id.
     pub fn snapshot(&self) -> Vec<(TenantId, TenantStats)> {
-        self.tenants.iter().map(|(&id, state)| (id, state.stats())).collect()
+        self.ids_and_tenants().map(|(id, state)| (id, state.stats())).collect()
     }
 
     /// Number of tickets waiting in a tenant's queue (0 for unknown tenants).
     pub fn queued_len(&self, tenant: TenantId) -> usize {
-        self.tenants.get(&tenant).map_or(0, |t| t.queue.len())
+        self.tenants.get(tenant as usize).map_or(0, |t| t.queue.len())
     }
 
     /// Total tickets waiting across all tenant queues — O(1), maintained
@@ -746,23 +771,21 @@ impl SubmissionService {
     /// Verify every derived index against the journaled state it is derived
     /// from: the active ring holds exactly the tenants with a non-empty
     /// queue or unspent deficit, the SLO index exactly the tenants with a
-    /// finite-deadline class, the registered-id list mirrors the tenant map
-    /// in order, and the queued total equals the sum of queue lengths.
+    /// finite-deadline class, and the queued total equals the sum of queue
+    /// lengths.
     pub fn indices_consistent(&self) -> bool {
+        let registered = |id: &TenantId| (*id as usize) < self.tenants.len();
         let active_ok = self
-            .tenants
-            .iter()
-            .all(|(id, t)| self.active.contains(id) == (!t.queue.is_empty() || t.deficit > 0))
-            && self.active.iter().all(|id| self.tenants.contains_key(id));
-        let slo_ok = self.tenants.iter().all(|(id, t)| {
-            self.slo_tenants.contains(id)
+            .ids_and_tenants()
+            .all(|(id, t)| self.active.contains(&id) == (!t.queue.is_empty() || t.deficit > 0))
+            && self.active.iter().all(registered);
+        let slo_ok = self.ids_and_tenants().all(|(id, t)| {
+            self.slo_tenants.contains(&id)
                 == matches!(t.slo, Some(slo) if slo.deadline_s.is_finite())
-        }) && self.slo_tenants.iter().all(|id| self.tenants.contains_key(id));
-        let ids_ok = self.registered_ids.len() == self.tenants.len()
-            && self.registered_ids.iter().zip(self.tenants.keys()).all(|(a, b)| a == b);
+        }) && self.slo_tenants.iter().all(registered);
         let queued_ok =
-            self.queued_total == self.tenants.values().map(|t| t.queue.len()).sum::<usize>();
-        active_ok && slo_ok && ids_ok && queued_ok
+            self.queued_total == self.tenants.iter().map(|t| t.queue.len()).sum::<usize>();
+        active_ok && slo_ok && queued_ok
     }
 
     /// `true` if `job_id` belongs to a ticket this service admitted and has
@@ -786,13 +809,261 @@ impl SubmissionService {
     /// the job→ticket map (sorted by job id). Floats are encoded as IEEE-754
     /// bit patterns, so equal encodings imply bit-identical states.
     pub fn encode_state(&self) -> String {
-        use crate::replication::wire::{enc_f64, enc_spec};
+        let mut out = String::with_capacity(self.encoded_len_hint());
+        self.encode_state_into(&mut out);
+        out
+    }
+
+    /// Roughly the bytes [`Self::encode_state_into`] appends, so the
+    /// caller's buffer is sized once (a low guess costs a reallocation,
+    /// nothing else).
+    pub(crate) fn encoded_len_hint(&self) -> usize {
+        use crate::replication::wire::spec_len_bound;
+        64 + 128 * self.tenants.len()
+            + 21 * self.queued_total
+            + self.tickets.values().map(|t| 128 + spec_len_bound(&t.spec)).sum::<usize>()
+            + 42 * self.job_to_ticket.len()
+    }
+
+    /// [`Self::encode_state`], appended to `out`.
+    pub(crate) fn encode_state_into(&self, out: &mut String) {
+        use crate::replication::wire::{push_f64, push_list, push_slo, push_spec, push_u64};
+        out.push_str("svc 2\nids ");
+        push_u64(out, self.tenants.len() as u64);
+        out.push(' ');
+        push_u64(out, self.next_ticket_id);
+        out.push(' ');
+        push_u64(out, self.rr_start as u64);
+        out.push('\n');
+        for (id, tenant) in self.ids_and_tenants() {
+            out.push_str("tenant");
+            for field in [
+                u64::from(id),
+                u64::from(tenant.config.weight),
+                tenant.config.max_in_flight as u64,
+                u64::from(tenant.config.max_retries),
+            ] {
+                out.push(' ');
+                push_u64(out, field);
+            }
+            out.push(' ');
+            match &tenant.slo {
+                None => out.push('-'),
+                Some(slo) => push_slo(out, slo),
+            }
+            for counter in [
+                tenant.deficit,
+                tenant.in_flight as u64,
+                tenant.submitted,
+                tenant.admitted,
+                tenant.completed,
+                tenant.rejected,
+                tenant.escalated,
+            ] {
+                out.push(' ');
+                push_u64(out, counter);
+            }
+            out.push(' ');
+            push_f64(out, tenant.queue_wait_total_s);
+            out.push(' ');
+            push_f64(out, tenant.turnaround_total_s);
+            out.push(' ');
+            push_list(out, &tenant.queue, |out, &ticket| push_u64(out, ticket));
+            out.push('\n');
+        }
+        let mut tickets: Vec<(&TicketId, &TicketRecord)> = self.tickets.iter().collect();
+        tickets.sort_unstable_by_key(|&(id, _)| id);
+        for (&ticket_id, record) in tickets {
+            out.push_str("ticket ");
+            push_u64(out, ticket_id);
+            out.push(' ');
+            push_u64(out, u64::from(record.tenant));
+            out.push(' ');
+            push_f64(out, record.submitted_s);
+            out.push(' ');
+            push_u64(out, u64::from(record.attempts));
+            match record.state {
+                TicketState::Queued => out.push_str(" q "),
+                TicketState::Admitted { job_id } => {
+                    out.push_str(" a:");
+                    push_u64(out, job_id);
+                    out.push(' ');
+                }
+                TicketState::Completed { job_id, qpu_index, waiting_s, turnaround_s } => {
+                    out.push_str(" c:");
+                    push_u64(out, job_id);
+                    out.push(':');
+                    push_u64(out, qpu_index as u64);
+                    out.push(':');
+                    push_f64(out, waiting_s);
+                    out.push(':');
+                    push_f64(out, turnaround_s);
+                    out.push(' ');
+                }
+                TicketState::Rejected { reason } => out.push_str(match reason {
+                    RejectReason::RetriesExhausted => " r:x ",
+                    RejectReason::DeadlineMissed => " r:d ",
+                    RejectReason::Infeasible => " r:i ",
+                }),
+            }
+            push_spec(out, &record.spec);
+            out.push('\n');
+        }
+        let mut jobs: Vec<(JobId, TicketId)> =
+            self.job_to_ticket.iter().map(|(&job, &ticket)| (job, ticket)).collect();
+        jobs.sort_unstable();
+        out.push_str("jobmap ");
+        push_list(out, jobs, |out, (job, ticket)| {
+            push_u64(out, job);
+            out.push(':');
+            push_u64(out, ticket);
+        });
+        out.push('\n');
+    }
+
+    /// Decode a state produced by [`SubmissionService::encode_state`].
+    /// Returns `None` for anything else — including a tenant table that is
+    /// not dense (see the `tenants` field) or a ticket naming a tenant the
+    /// table does not hold — never a partially or differently ordered state.
+    pub fn decode_state(encoded: &str) -> Option<SubmissionService> {
+        use crate::replication::wire::{dec_f64, dec_spec};
+        let mut lines = encoded.lines();
+        if lines.next()? != "svc 2" {
+            return None;
+        }
+        let mut ids = lines.next()?.split(' ');
+        if ids.next()? != "ids" {
+            return None;
+        }
+        let next_tenant_id: usize = ids.next()?.parse().ok()?;
+        let mut service = SubmissionService {
+            // Sized from the claimed population, but never beyond what the
+            // input could hold (no tenant row is shorter than 60 bytes).
+            tenants: Vec::with_capacity(next_tenant_id.min(encoded.len() / 60)),
+            next_ticket_id: ids.next()?.parse().ok()?,
+            rr_start: ids.next()?.parse().ok()?,
+            ..SubmissionService::default()
+        };
+        for line in lines {
+            let mut fields = line.split(' ');
+            match fields.next()? {
+                "tenant" => {
+                    // Dense table: row `i` carries id `i`.
+                    let id: usize = fields.next()?.parse().ok()?;
+                    if id != service.tenants.len() {
+                        return None;
+                    }
+                    let mut tenant = TenantState::new(TenantConfig {
+                        weight: fields.next()?.parse().ok()?,
+                        max_in_flight: fields.next()?.parse().ok()?,
+                        max_retries: fields.next()?.parse().ok()?,
+                    });
+                    tenant.slo = match fields.next()? {
+                        "-" => None,
+                        slo_field => match slo_field.split(':').collect::<Vec<_>>().as_slice() {
+                            [deadline, priority, max_error] => Some(SloClass {
+                                deadline_s: dec_f64(deadline)?,
+                                priority: priority.parse().ok()?,
+                                max_error: dec_f64(max_error)?,
+                            }),
+                            _ => return None,
+                        },
+                    };
+                    tenant.deficit = fields.next()?.parse().ok()?;
+                    tenant.in_flight = fields.next()?.parse().ok()?;
+                    tenant.submitted = fields.next()?.parse().ok()?;
+                    tenant.admitted = fields.next()?.parse().ok()?;
+                    tenant.completed = fields.next()?.parse().ok()?;
+                    tenant.rejected = fields.next()?.parse().ok()?;
+                    tenant.escalated = fields.next()?.parse().ok()?;
+                    tenant.queue_wait_total_s = dec_f64(fields.next()?)?;
+                    tenant.turnaround_total_s = dec_f64(fields.next()?)?;
+                    let queue = fields.next()?;
+                    if queue != "-" {
+                        for ticket in queue.split(',') {
+                            tenant.queue.push_back(ticket.parse().ok()?);
+                        }
+                    }
+                    service.tenants.push(tenant);
+                }
+                "ticket" => {
+                    let ticket_id: TicketId = fields.next()?.parse().ok()?;
+                    let tenant = fields.next()?.parse().ok()?;
+                    let submitted_s = dec_f64(fields.next()?)?;
+                    let attempts = fields.next()?.parse().ok()?;
+                    let state_field = fields.next()?;
+                    let state = match state_field.split(':').collect::<Vec<_>>().as_slice() {
+                        ["q"] => TicketState::Queued,
+                        ["a", job] => TicketState::Admitted { job_id: job.parse().ok()? },
+                        ["c", job, qpu, wait, turn] => TicketState::Completed {
+                            job_id: job.parse().ok()?,
+                            qpu_index: qpu.parse().ok()?,
+                            waiting_s: dec_f64(wait)?,
+                            turnaround_s: dec_f64(turn)?,
+                        },
+                        ["r", "x"] => {
+                            TicketState::Rejected { reason: RejectReason::RetriesExhausted }
+                        }
+                        ["r", "d"] => {
+                            TicketState::Rejected { reason: RejectReason::DeadlineMissed }
+                        }
+                        ["r", "i"] => TicketState::Rejected { reason: RejectReason::Infeasible },
+                        _ => return None,
+                    };
+                    let spec = dec_spec(fields.next()?)?;
+                    service.tickets.insert(
+                        ticket_id,
+                        TicketRecord { tenant, submitted_s, attempts, spec, state },
+                    );
+                }
+                "jobmap" => {
+                    let map = fields.next()?;
+                    if map != "-" {
+                        for pair in map.split(',') {
+                            let (job, ticket) = pair.split_once(':')?;
+                            service.job_to_ticket.insert(job.parse().ok()?, ticket.parse().ok()?);
+                        }
+                    }
+                }
+                _ => return None,
+            }
+        }
+        let registered = service.tenants.len();
+        if registered != next_tenant_id
+            || service.tickets.values().any(|t| t.tenant as usize >= registered)
+        {
+            return None;
+        }
+        // Rebuild the derived indices from the decoded journal state — they
+        // are never encoded, so replay exercises exactly this path.
+        for (id, tenant) in service.tenants.iter().enumerate() {
+            let id = id as TenantId;
+            if !tenant.queue.is_empty() || tenant.deficit > 0 {
+                service.active.insert(id);
+            }
+            if matches!(tenant.slo, Some(slo) if slo.deadline_s.is_finite()) {
+                service.slo_tenants.insert(id);
+            }
+            service.queued_total += tenant.queue.len();
+        }
+        Some(service)
+    }
+}
+
+/// The `format!` encoder [`SubmissionService::encode_state`] replaced, kept
+/// as the byte oracle the streaming encoder is tested against.
+#[cfg(test)]
+impl SubmissionService {
+    pub(crate) fn encode_state_oracle(&self) -> String {
+        use crate::replication::wire::oracle::{enc_f64, enc_spec};
         let mut out = String::from("svc 2\n");
         out.push_str(&format!(
             "ids {} {} {}\n",
-            self.next_tenant_id, self.next_ticket_id, self.rr_start
+            self.tenants.len(),
+            self.next_ticket_id,
+            self.rr_start
         ));
-        for (id, tenant) in &self.tenants {
+        for (id, tenant) in self.tenants.iter().enumerate() {
             let queue = if tenant.queue.is_empty() {
                 "-".to_string()
             } else {
@@ -861,121 +1132,6 @@ impl SubmissionService {
         };
         out.push_str(&format!("jobmap {map}\n"));
         out
-    }
-
-    /// Decode a state produced by [`SubmissionService::encode_state`].
-    pub fn decode_state(encoded: &str) -> Option<SubmissionService> {
-        use crate::replication::wire::{dec_f64, dec_spec};
-        let mut lines = encoded.lines();
-        if lines.next()? != "svc 2" {
-            return None;
-        }
-        let mut ids = lines.next()?.split(' ');
-        if ids.next()? != "ids" {
-            return None;
-        }
-        let mut service = SubmissionService {
-            tenants: BTreeMap::new(),
-            next_tenant_id: ids.next()?.parse().ok()?,
-            next_ticket_id: ids.next()?.parse().ok()?,
-            tickets: HashMap::new(),
-            job_to_ticket: HashMap::new(),
-            rr_start: ids.next()?.parse().ok()?,
-            ..SubmissionService::default()
-        };
-        for line in lines {
-            let mut fields = line.split(' ');
-            match fields.next()? {
-                "tenant" => {
-                    let id: TenantId = fields.next()?.parse().ok()?;
-                    let mut tenant = TenantState::new(TenantConfig {
-                        weight: fields.next()?.parse().ok()?,
-                        max_in_flight: fields.next()?.parse().ok()?,
-                        max_retries: fields.next()?.parse().ok()?,
-                    });
-                    tenant.slo = match fields.next()? {
-                        "-" => None,
-                        slo_field => match slo_field.split(':').collect::<Vec<_>>().as_slice() {
-                            [deadline, priority, max_error] => Some(SloClass {
-                                deadline_s: dec_f64(deadline)?,
-                                priority: priority.parse().ok()?,
-                                max_error: dec_f64(max_error)?,
-                            }),
-                            _ => return None,
-                        },
-                    };
-                    tenant.deficit = fields.next()?.parse().ok()?;
-                    tenant.in_flight = fields.next()?.parse().ok()?;
-                    tenant.submitted = fields.next()?.parse().ok()?;
-                    tenant.admitted = fields.next()?.parse().ok()?;
-                    tenant.completed = fields.next()?.parse().ok()?;
-                    tenant.rejected = fields.next()?.parse().ok()?;
-                    tenant.escalated = fields.next()?.parse().ok()?;
-                    tenant.queue_wait_total_s = dec_f64(fields.next()?)?;
-                    tenant.turnaround_total_s = dec_f64(fields.next()?)?;
-                    let queue = fields.next()?;
-                    if queue != "-" {
-                        for ticket in queue.split(',') {
-                            tenant.queue.push_back(ticket.parse().ok()?);
-                        }
-                    }
-                    service.tenants.insert(id, tenant);
-                }
-                "ticket" => {
-                    let ticket_id: TicketId = fields.next()?.parse().ok()?;
-                    let tenant = fields.next()?.parse().ok()?;
-                    let submitted_s = dec_f64(fields.next()?)?;
-                    let attempts = fields.next()?.parse().ok()?;
-                    let state_field = fields.next()?;
-                    let state = match state_field.split(':').collect::<Vec<_>>().as_slice() {
-                        ["q"] => TicketState::Queued,
-                        ["a", job] => TicketState::Admitted { job_id: job.parse().ok()? },
-                        ["c", job, qpu, wait, turn] => TicketState::Completed {
-                            job_id: job.parse().ok()?,
-                            qpu_index: qpu.parse().ok()?,
-                            waiting_s: dec_f64(wait)?,
-                            turnaround_s: dec_f64(turn)?,
-                        },
-                        ["r", "x"] => {
-                            TicketState::Rejected { reason: RejectReason::RetriesExhausted }
-                        }
-                        ["r", "d"] => {
-                            TicketState::Rejected { reason: RejectReason::DeadlineMissed }
-                        }
-                        ["r", "i"] => TicketState::Rejected { reason: RejectReason::Infeasible },
-                        _ => return None,
-                    };
-                    let spec = dec_spec(fields.next()?)?;
-                    service.tickets.insert(
-                        ticket_id,
-                        TicketRecord { tenant, submitted_s, attempts, spec, state },
-                    );
-                }
-                "jobmap" => {
-                    let map = fields.next()?;
-                    if map != "-" {
-                        for pair in map.split(',') {
-                            let (job, ticket) = pair.split_once(':')?;
-                            service.job_to_ticket.insert(job.parse().ok()?, ticket.parse().ok()?);
-                        }
-                    }
-                }
-                _ => return None,
-            }
-        }
-        // Rebuild the derived indices from the decoded journal state — they
-        // are never encoded, so replay exercises exactly this path.
-        for (&id, tenant) in &service.tenants {
-            service.registered_ids.push(id);
-            if !tenant.queue.is_empty() || tenant.deficit > 0 {
-                service.active.insert(id);
-            }
-            if matches!(tenant.slo, Some(slo) if slo.deadline_s.is_finite()) {
-                service.slo_tenants.insert(id);
-            }
-            service.queued_total += tenant.queue.len();
-        }
-        Some(service)
     }
 }
 
@@ -1123,7 +1279,7 @@ mod tests {
         for pass in 1..=4 {
             assert!(svc.admit(pass as f64, &mut jm).is_empty(), "capped tenant admits nothing");
             assert_eq!(
-                svc.tenants[&heavy].deficit, 2,
+                svc.tenants[heavy as usize].deficit, 2,
                 "pass {pass}: carried credit is exactly one quantum"
             );
         }
@@ -1356,6 +1512,58 @@ mod tests {
         let mut jm_restored = jm;
         assert_eq!(live.admit(t, &mut jm_live), restored.admit(t, &mut jm_restored));
         assert_eq!(live.encode_state(), restored.encode_state());
+    }
+
+    /// The tenant table is dense — row `i` is tenant `i` — and decode holds
+    /// the encoded state to that: rows out of order, duplicated, beyond the
+    /// encoded next id, with a gap, not starting at 0, or fewer than the next
+    /// id are all corrupt, never a silently reordered or re-keyed table. (A
+    /// keyed map used to accept every one of these.)
+    #[test]
+    fn decode_rejects_tenant_tables_that_are_not_dense() {
+        let fleet = small_fleet(15);
+        let mut svc = SubmissionService::new();
+        for weight in 1..=3 {
+            svc.register_tenant(weight);
+        }
+        let ticket = svc.submit(2, spec(&fleet, 5, 1.0), 0.0).unwrap();
+        let encoded = svc.encode_state();
+        assert!(SubmissionService::decode_state(&encoded).is_some());
+        let lines: Vec<&str> = encoded.lines().collect();
+        assert_eq!(lines[1], "ids 3 1 0");
+        assert!(lines[2].starts_with("tenant 0 ") && lines[4].starts_with("tenant 2 "));
+        let decode = |lines: &[&str]| SubmissionService::decode_state(&lines.join("\n"));
+        let with = |at: usize, line: &str| {
+            let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            edited[at] = line.to_string();
+            SubmissionService::decode_state(&edited.join("\n"))
+        };
+
+        // Out of order.
+        let mut swapped = lines.clone();
+        swapped.swap(2, 3);
+        assert!(decode(&swapped).is_none(), "rows 1,0,2");
+        // Duplicated id.
+        assert!(with(3, &lines[3].replacen("tenant 1 ", "tenant 0 ", 1)).is_none());
+        // An id at or beyond the encoded next id.
+        assert!(with(4, &lines[4].replacen("tenant 2 ", "tenant 7 ", 1)).is_none());
+        assert!(with(1, "ids 2 1 0").is_none(), "three rows, next id 2");
+        // A gap, and a table that does not start at 0.
+        let mut gapped = lines.clone();
+        gapped.remove(3);
+        assert!(decode(&gapped).is_none(), "rows 0,2");
+        let mut headless = lines.clone();
+        headless.remove(2);
+        assert!(decode(&headless).is_none(), "rows 1,2");
+        // Fewer rows than the next id: the next registration would collide.
+        let mut short = lines.clone();
+        short.remove(4);
+        let short: Vec<&str> = short.into_iter().filter(|l| !l.starts_with("ticket ")).collect();
+        assert!(decode(&short).is_none(), "rows 0,1 under next id 3");
+        // A ticket naming a tenant the table does not hold.
+        let stray = lines[5].replacen(&format!("ticket {} 2 ", ticket.ticket), "ticket 0 9 ", 1);
+        assert_ne!(stray, lines[5]);
+        assert!(with(5, &stray).is_none());
     }
 
     #[test]

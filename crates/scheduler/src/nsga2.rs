@@ -674,6 +674,15 @@ fn optimize_islands(
         if slot.pool.len() < total {
             slot.pool.resize_with(total, LaneIndividual::default);
         }
+        // Offspring and spare gene buffers are sized here, by the caller:
+        // a buffer an island thread allocates lives in that thread's malloc
+        // arena, and once the caller frees it into its own allocator cache
+        // the caller's next growing `Vec` can start in — and then keep
+        // reallocating inside — the worker's arena, which never shrinks
+        // under it (measured: +3 MB peak RSS on an invoke wave).
+        for ind in slot.pool[my_pop..total].iter_mut().chain(std::iter::once(&mut slot.spare)) {
+            ind.genes.reserve(problem.num_jobs());
+        }
         slot.history.clear();
         slot.generations = 0;
         slot.done = false;
