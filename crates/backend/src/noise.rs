@@ -9,17 +9,23 @@
 use crate::calibration::CalibrationData;
 use qonductor_circuit::{Circuit, Gate};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// A calibration-derived noise model for one QPU.
+/// A calibration-derived noise model for one QPU. The snapshot is shared,
+/// not copied: a model built by [`crate::Qpu::noise_model`] points at the
+/// device's own immutable [`CalibrationData`], so building or cloning one is
+/// a reference-count bump. A recalibration replaces the device's snapshot
+/// and leaves models handed out earlier on the epoch they were built for.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NoiseModel {
-    calibration: CalibrationData,
+    calibration: Arc<CalibrationData>,
 }
 
 impl NoiseModel {
-    /// Build a noise model from a calibration snapshot.
-    pub fn new(calibration: CalibrationData) -> Self {
-        NoiseModel { calibration }
+    /// Build a noise model from a calibration snapshot (owned, or an
+    /// already shared `Arc`).
+    pub fn new(calibration: impl Into<Arc<CalibrationData>>) -> Self {
+        NoiseModel { calibration: calibration.into() }
     }
 
     /// The underlying calibration snapshot.

@@ -9,6 +9,7 @@ use crate::topology::CouplingMap;
 use qonductor_circuit::Gate;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Quantum hardware technology families (§2.2 heterogeneity dimension 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -155,8 +156,10 @@ pub struct Qpu {
     pub name: String,
     /// Architecture model.
     pub model: QpuModel,
-    /// Current calibration snapshot.
-    pub calibration: CalibrationData,
+    /// Current calibration snapshot: immutable once published and shared
+    /// with every [`NoiseModel`] built from it; [`Qpu::recalibrate`] swaps
+    /// in a fresh one.
+    pub calibration: Arc<CalibrationData>,
     /// Device quality factor used when regenerating calibration (lower = better).
     pub quality: f64,
     /// The device's recalibration schedule: current epoch and next boundary
@@ -208,7 +211,7 @@ impl Qpu {
         Qpu {
             name: name.into(),
             model,
-            calibration,
+            calibration: Arc::new(calibration),
             quality,
             clock: CalibrationClock::new(3600.0),
             resource_class,
@@ -275,9 +278,10 @@ impl Qpu {
         self.model.num_qubits()
     }
 
-    /// The noise model induced by the current calibration.
+    /// The noise model induced by the current calibration. The model shares
+    /// the device's snapshot (a reference-count bump, no copy).
     pub fn noise_model(&self) -> NoiseModel {
-        NoiseModel::new(self.calibration.clone())
+        NoiseModel::new(Arc::clone(&self.calibration))
     }
 
     /// Advance to the next calibration cycle (drifting all parameters) and
@@ -285,7 +289,7 @@ impl Qpu {
     /// lock-step with [`CalibrationData::cycle`].
     pub fn recalibrate<R: Rng + ?Sized>(&mut self, timestamp_s: f64, rng: &mut R) {
         let gen = CalibrationGenerator { quality: self.quality, ..Default::default() };
-        self.calibration = gen.drift_cycle(&self.calibration, timestamp_s, rng);
+        self.calibration = Arc::new(gen.drift_cycle(&self.calibration, timestamp_s, rng));
         self.clock.advance_past(timestamp_s);
         debug_assert_eq!(self.clock.epoch, self.calibration.cycle);
     }
@@ -320,8 +324,8 @@ impl Qpu {
 pub struct TemplateQpu {
     /// The represented model.
     pub model: QpuModel,
-    /// Averaged calibration data.
-    pub calibration: CalibrationData,
+    /// Averaged calibration data, shared with the template's noise models.
+    pub calibration: Arc<CalibrationData>,
     /// Names of the devices averaged into this template.
     pub member_devices: Vec<String>,
 }
@@ -340,19 +344,20 @@ impl TemplateQpu {
             .into_iter()
             .map(|(_, group)| {
                 let snapshots: Vec<&CalibrationData> =
-                    group.iter().map(|d| &d.calibration).collect();
+                    group.iter().map(|d| &*d.calibration).collect();
                 TemplateQpu {
                     model: group[0].model.clone(),
-                    calibration: CalibrationData::average(&snapshots),
+                    calibration: Arc::new(CalibrationData::average(&snapshots)),
                     member_devices: group.iter().map(|d| d.name.clone()).collect(),
                 }
             })
             .collect()
     }
 
-    /// Noise model induced by the averaged calibration.
+    /// Noise model induced by the averaged calibration (shares the
+    /// template's snapshot, no copy).
     pub fn noise_model(&self) -> NoiseModel {
-        NoiseModel::new(self.calibration.clone())
+        NoiseModel::new(Arc::clone(&self.calibration))
     }
 
     /// Number of qubits of the template's model.

@@ -302,11 +302,10 @@ impl Scenario for TenantScenario {
         for arrival in self.load.arrivals_in(t, t_next, &mut self.rng) {
             let outcome = &mut self.report.tenants[arrival.stream];
             outcome.arrived += 1;
-            match build_submission(&self.fleet, &arrival.app) {
+            let submit_time_s = arrival.app.submit_time_s;
+            match build_submission(&self.fleet, arrival.app) {
                 Some((spec, record)) => {
-                    let ticket = plane
-                        .submit(outcome.tenant, spec, arrival.app.submit_time_s)
-                        .expect(QUORUM);
+                    let ticket = plane.submit(outcome.tenant, spec, submit_time_s).expect(QUORUM);
                     self.apps.insert(ticket, (outcome.tenant, record));
                 }
                 None => outcome.infeasible += 1,

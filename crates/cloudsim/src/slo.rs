@@ -27,7 +27,7 @@ use crate::failover::{ChaosReport, FailurePlan};
 use crate::kernel::{self, RunParams, Scenario, QUORUM};
 use crate::load::{ArrivalConfig, HybridApplication, LoadGenerator, StreamArrival};
 use crate::multitenant::BatchComposition;
-use crate::sim::{build_submission, mean};
+use crate::sim::{estimate_submission, mean};
 use qonductor_backend::{Fleet, FleetMember, JobQueue, Qpu, QpuModel, ResourceClass};
 use qonductor_core::federation::FederatedFleet;
 use qonductor_core::jobmanager::{BatchRecord, CompletedExecution, JobSpec};
@@ -385,7 +385,7 @@ impl Scenario for SloArm<'_> {
                 self.scaler.observe_arrival(arrival.app.submit_time_s, ResourceClass::Simulator);
             }
             let fleet = self.fed.fleet();
-            let spec_of = |app: &HybridApplication| build_submission(fleet, app).map(|s| s.0);
+            let spec_of = |app: &HybridApplication| estimate_submission(fleet, app).map(|s| s.0);
             let specs: Vec<JobSpec> = match spec_of(&arrival.app) {
                 Some(spec) => vec![spec],
                 None if self.slo_aware => {

@@ -9,6 +9,7 @@
 
 #![warn(missing_docs)]
 
+mod barrier;
 pub mod baselines;
 pub mod classical;
 pub mod crossover;

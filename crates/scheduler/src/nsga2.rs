@@ -35,16 +35,32 @@
 //! (ranks identical to the pairwise algorithm) and polynomial `ln`/`pow`
 //! approximations in the genetic operators (pure IEEE arithmetic, so island
 //! runs are deterministic for a fixed seed and island count — but not
-//! stream-compatible with the sequential path). Worker threads are spawned
-//! only when the host has more than one core; the results are identical
-//! either way because islands never share mutable state mid-round.
+//! stream-compatible with the sequential path).
+//!
+//! The islands of one run are evolved by one *team* of
+//! `min(host cores, islands)` threads that lives exactly as long as the
+//! call: the calling thread is a member, the other members are spawned once,
+//! and every member owns a fixed contiguous group of islands from the first
+//! generation to the last. An island round is tens of microseconds of work,
+//! so nothing is spawned or joined per round; the members meet at a spinning
+//! phase barrier (`barrier.rs`) twice per migration — once when every island
+//! has published its elites to its outbox, once more before the next round
+//! overwrites them — and each member performs the migration of its own
+//! islands. Islands touch no shared mutable state between those meetings, so
+//! the result is a pure function of (problem, config, seeds, island count):
+//! bit-identical for every team size, including the one-member team of a
+//! single-core host, which runs the same loop without synchronising.
 //! [`optimize_sequential`] remains the single-population reference whose
 //! behaviour is pinned bit-for-bit by the property suite.
 
+use crate::barrier::PhaseBarrier;
 use crate::problem::{EvalState, Objectives, SchedulingProblem, NO_FEASIBLE};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// NSGA-II hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,10 +89,11 @@ pub struct Nsga2Config {
     /// Pareto elites along a ring every [`Nsga2Config::migration_interval`]
     /// generations). `<= 1` selects the sequential single-population
     /// reference path; larger values are clamped so every island keeps at
-    /// least [`Nsga2Config::min_island_pop`] individuals. The field once sized a fitness
-    /// thread pool that PR 3's incremental evaluation removed; it now
-    /// controls partitioning, and threads are an implementation detail
-    /// (spawned only on multi-core hosts, never changing results).
+    /// least [`Nsga2Config::min_island_pop`] individuals. Despite the name
+    /// (kept for its callers) this is the island count, which fixes the
+    /// result; the thread count is not configurable: each run is evolved by
+    /// a team of `min(host cores, islands)` threads with the caller as one
+    /// member, and the team size never changes the result.
     pub num_threads: usize,
     /// Generations an island evolves between ring elite exchanges
     /// (default [`MIGRATION_INTERVAL`]; values `< 1` are clamped to 1).
@@ -435,10 +452,16 @@ struct IslandSlot {
     done: bool,
 }
 
+/// The elites an island offers its ring successor in the current migration.
+/// Written by the island's owner before the team's first meeting of a
+/// migration and read by the successor's owner after it, so the lock is
+/// never contended; it is what lets two team members share the buffer.
+type Outbox = Mutex<[LaneIndividual; MIGRATION_ELITES]>;
+
 /// Reusable scratch state for [`optimize_with`]: the merged parent+offspring
 /// pool, an odd-population spare child, the ranking scratch, and the
 /// termination history for the sequential path, plus one [`IslandSlot`] per
-/// island and the elite-migration buffer for island mode. Create once (e.g.
+/// island and its elite-migration outbox for island mode. Create once (e.g.
 /// per scheduler) and reuse across cycles — every buffer is fully
 /// overwritten per run, so reuse never changes results, it only removes
 /// steady-state allocation.
@@ -449,7 +472,7 @@ pub struct OptimizerWorkspace {
     scratch: RankScratch,
     history: Vec<(f64, f64)>,
     islands: Vec<IslandSlot>,
-    elites: Vec<LaneIndividual>,
+    outboxes: Vec<Outbox>,
     tables: OperatorTables,
 }
 
@@ -515,7 +538,7 @@ pub fn optimize_with(
     if islands <= 1 || problem.num_qpus() > (1 << 16) {
         optimize_sequential(problem, config, seeds, workspace)
     } else {
-        optimize_islands(problem, config, seeds, workspace, islands)
+        optimize_islands(problem, config, seeds, workspace, islands, host_cores())
     }
 }
 
@@ -636,18 +659,28 @@ fn island_seed(seed: u64, island: usize) -> u64 {
     seed.wrapping_add((island as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// Cores of this host, read once per process: `available_parallelism` is a
+/// `sched_getaffinity` call plus cgroup-file reads (over 10 µs), far too
+/// much to pay on every scheduling cycle.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 /// Island-model NSGA-II: `islands` independent subpopulations over the
 /// shared read-only problem tables, ring migration of elites every
 /// [`Nsga2Config::migration_interval`] generations, and a final non-dominated merge of
 /// the island fronts. Results are a pure function of (problem, config,
-/// seeds, island count); threads are used only when the host has spare
-/// cores and never change the outcome.
+/// seeds, island count); the team of at most `max_members` threads that
+/// evolves the islands — [`host_cores`] outside the tests, which pin it to
+/// show exactly this — never changes the outcome.
 fn optimize_islands(
     problem: &SchedulingProblem,
     config: &Nsga2Config,
     seeds: &[Vec<usize>],
     workspace: &mut OptimizerWorkspace,
     islands: usize,
+    max_members: usize,
 ) -> Nsga2Result {
     let pop_size = config.population_size.max(4);
     let (base, rem) = (pop_size / islands, pop_size % islands);
@@ -656,12 +689,14 @@ fn optimize_islands(
     // its initial population plus one generation.
     let per_island_evals = (config.max_evaluations / islands).max(base * 2);
 
-    let OptimizerWorkspace { islands: slots, elites, tables, .. } = workspace;
+    let OptimizerWorkspace { islands: slots, outboxes, tables, .. } = workspace;
     if slots.len() < islands {
         slots.resize_with(islands, IslandSlot::default);
     }
+    if outboxes.len() < islands {
+        outboxes.resize_with(islands, Outbox::default);
+    }
     tables.ensure(config);
-    let tables = &*tables;
     let mut rngs: Vec<IslandRng> =
         (0..islands).map(|i| IslandRng::new(island_seed(config.seed, i))).collect();
 
@@ -674,13 +709,17 @@ fn optimize_islands(
         if slot.pool.len() < total {
             slot.pool.resize_with(total, LaneIndividual::default);
         }
-        // Offspring and spare gene buffers are sized here, by the caller:
-        // a buffer an island thread allocates lives in that thread's malloc
-        // arena, and once the caller frees it into its own allocator cache
-        // the caller's next growing `Vec` can start in — and then keep
-        // reallocating inside — the worker's arena, which never shrinks
+        // Offspring, spare and outbox gene buffers are sized here, by the
+        // caller: a buffer a team helper allocates lives in that thread's
+        // malloc arena, and once the caller frees it into its own allocator
+        // cache the caller's next growing `Vec` can start in — and then keep
+        // reallocating inside — the helper's arena, which never shrinks
         // under it (measured: +3 MB peak RSS on an invoke wave).
-        for ind in slot.pool[my_pop..total].iter_mut().chain(std::iter::once(&mut slot.spare)) {
+        for ind in slot.pool[my_pop..total]
+            .iter_mut()
+            .chain(std::iter::once(&mut slot.spare))
+            .chain(outboxes[i].get_mut())
+        {
             ind.genes.reserve(problem.num_jobs());
         }
         slot.history.clear();
@@ -710,78 +749,39 @@ fn optimize_islands(
         rank_and_crowd_sweep(&mut slot.pool[..my_pop], &mut slot.sweep, my_pop);
     }
 
-    let spawn_threads = std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
-    loop {
-        if slots[..islands].iter().all(|s| s.done) {
-            break;
-        }
-        if spawn_threads {
-            std::thread::scope(|scope| {
-                for ((slot, rng), &my_pop) in
-                    slots[..islands].iter_mut().zip(rngs.iter_mut()).zip(pops.iter())
-                {
-                    if !slot.done {
-                        scope.spawn(move || {
-                            island_round(
-                                problem,
-                                config,
-                                tables,
-                                slot,
-                                rng,
-                                my_pop,
-                                per_island_evals,
-                            );
-                        });
-                    }
-                }
+    // Deal the islands to the team in contiguous groups. The team is the
+    // number of non-empty groups — 4 islands over 3 threads make 2 groups of
+    // 2 — because the barrier waits for exactly that many members.
+    let group = islands.div_ceil(max_members.clamp(1, islands));
+    let team = IslandTeam {
+        problem,
+        config,
+        tables,
+        pops: &pops,
+        per_island_evals,
+        outboxes: &outboxes[..islands],
+        running: AtomicUsize::new(islands),
+        barrier: PhaseBarrier::new(islands.div_ceil(group)),
+    };
+    let mut groups = slots[..islands]
+        .chunks_mut(group)
+        .zip(rngs.chunks_mut(group))
+        .enumerate()
+        .map(|(g, (slots, rngs))| (g * group, slots, rngs));
+    let (first, my_slots, my_rngs) = groups.next().expect("at least one island");
+    std::thread::scope(|scope| {
+        // Enrolled before the first spawn: if the caller unwinds — a failed
+        // spawn included — the helpers already waiting are released.
+        let _membership = team.barrier.member();
+        let team = &team;
+        for (first, slots, rngs) in groups {
+            scope.spawn(move || {
+                let _membership = team.barrier.member();
+                team.evolve(first, slots, rngs);
             });
-        } else {
-            for ((slot, rng), &my_pop) in
-                slots[..islands].iter_mut().zip(rngs.iter_mut()).zip(pops.iter())
-            {
-                if !slot.done {
-                    island_round(problem, config, tables, slot, rng, my_pop, per_island_evals);
-                }
-            }
         }
-        if slots[..islands].iter().all(|s| s.done) {
-            break;
-        }
-
-        // Ring migration: snapshot every island's elites first, then insert
-        // each island's batch into its successor over the worst individuals,
-        // so exchange order never influences the result.
-        if elites.len() < islands * MIGRATION_ELITES {
-            elites.resize_with(islands * MIGRATION_ELITES, LaneIndividual::default);
-        }
-        for (i, slot) in slots[..islands].iter_mut().enumerate() {
-            let my_pop = pops[i];
-            let count = MIGRATION_ELITES.min(my_pop);
-            if count < my_pop {
-                // Partition the island's best `count` to the front; order
-                // within the batch is irrelevant (receivers re-rank).
-                slot.pool[..my_pop].select_nth_unstable_by(count - 1, selection_order);
-            }
-            for e in 0..count {
-                elites[i * MIGRATION_ELITES + e].copy_from(&slot.pool[e]);
-            }
-        }
-        for (i, slot) in slots[..islands].iter_mut().enumerate() {
-            let src = (i + islands - 1) % islands;
-            let my_pop = pops[i];
-            let count = MIGRATION_ELITES.min(pops[src]).min(my_pop);
-            if count < my_pop {
-                // Partition the island's worst `count` to the back, where the
-                // incoming elites overwrite them.
-                slot.pool[..my_pop].select_nth_unstable_by(my_pop - count - 1, selection_order);
-            }
-            for e in 0..count {
-                slot.pool[my_pop - 1 - e].copy_from(&elites[src * MIGRATION_ELITES + e]);
-            }
-            // Restore rank/crowding for the next round's tournaments.
-            rank_and_crowd_sweep(&mut slot.pool[..my_pop], &mut slot.sweep, my_pop);
-        }
-    }
+        team.evolve(first, my_slots, my_rngs);
+    });
 
     // Merge: first front of each island, re-evaluated with the exact f64
     // path (the search ran on f32 lane objectives; callers get exact
@@ -813,6 +813,96 @@ fn optimize_islands(
         pareto_front: front,
         generations: slots[..islands].iter().map(|s| s.generations).max().unwrap_or(0),
         evaluations: slots[..islands].iter().map(|s| s.evaluations).sum(),
+    }
+}
+
+/// What the members of one run's island team share: the read-only inputs,
+/// the islands' outboxes, and the two things they synchronise on.
+struct IslandTeam<'a> {
+    problem: &'a SchedulingProblem,
+    config: &'a Nsga2Config,
+    tables: &'a OperatorTables,
+    /// Population of each island.
+    pops: &'a [usize],
+    per_island_evals: usize,
+    outboxes: &'a [Outbox],
+    /// Islands that have not terminated. Only decremented between a
+    /// migration's second meeting and the next one's first, only read
+    /// between a first and a second meeting: the barrier orders the two, so
+    /// `Relaxed` suffices.
+    running: AtomicUsize,
+    barrier: PhaseBarrier,
+}
+
+impl IslandTeam<'_> {
+    /// One member's whole run: evolve the islands `first..first + slots.len()`
+    /// round by round, migrating along the ring between rounds, until every
+    /// island of the run — not just this member's — has terminated. Each
+    /// island goes through the same sequence whatever the grouping: a round,
+    /// then (elites out, elites in from the ring predecessor, re-rank), with
+    /// the team meeting between "out" and "in" and again before the next
+    /// "out".
+    fn evolve(&self, first: usize, slots: &mut [IslandSlot], rngs: &mut [IslandRng]) {
+        let islands = self.pops.len();
+        loop {
+            for (k, (slot, rng)) in slots.iter_mut().zip(rngs.iter_mut()).enumerate() {
+                if !slot.done {
+                    island_round(
+                        self.problem,
+                        self.config,
+                        self.tables,
+                        slot,
+                        rng,
+                        self.pops[first + k],
+                        self.per_island_evals,
+                    );
+                    if slot.done {
+                        self.running.fetch_sub(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            // Every island's round is over, and no successor is still reading
+            // an outbox of the previous migration.
+            self.barrier.wait();
+            if self.running.load(Ordering::Relaxed) == 0 {
+                return;
+            }
+
+            // Ring migration. Every island first publishes its elites, then —
+            // after the meeting — takes its predecessor's over its own worst
+            // individuals, so exchange order never influences the result.
+            for (k, slot) in slots.iter_mut().enumerate() {
+                let my_pop = self.pops[first + k];
+                let count = MIGRATION_ELITES.min(my_pop);
+                if count < my_pop {
+                    // Partition the island's best `count` to the front; order
+                    // within the batch is irrelevant (receivers re-rank).
+                    slot.pool[..my_pop].select_nth_unstable_by(count - 1, selection_order);
+                }
+                let mut outbox = self.outboxes[first + k].lock();
+                for (out, elite) in outbox.iter_mut().zip(&slot.pool[..count]) {
+                    out.copy_from(elite);
+                }
+            }
+            self.barrier.wait();
+            for (k, slot) in slots.iter_mut().enumerate() {
+                let src = (first + k + islands - 1) % islands;
+                let my_pop = self.pops[first + k];
+                let count = MIGRATION_ELITES.min(self.pops[src]).min(my_pop);
+                if count < my_pop {
+                    // Partition the island's worst `count` to the back, where the
+                    // incoming elites overwrite them.
+                    slot.pool[..my_pop].select_nth_unstable_by(my_pop - count - 1, selection_order);
+                }
+                let inbox = self.outboxes[src].lock();
+                for (e, elite) in inbox[..count].iter().enumerate() {
+                    slot.pool[my_pop - 1 - e].copy_from(elite);
+                }
+                drop(inbox);
+                // Restore rank/crowding for the next round's tournaments.
+                rank_and_crowd_sweep(&mut slot.pool[..my_pop], &mut slot.sweep, my_pop);
+            }
+        }
     }
 }
 
@@ -1658,6 +1748,62 @@ mod tests {
         // Different island counts are allowed to differ (different streams).
         let two = optimize(&problem, &Nsga2Config { num_threads: 2, ..Nsga2Config::default() });
         assert!(!two.pareto_front.is_empty());
+    }
+
+    /// The property the island team rests on: how many threads evolve the
+    /// islands, and how the islands are grouped onto them, changes nothing.
+    /// Under the barrier tests' watchdog, because a team sized to anything
+    /// but its number of groups shows as a hang.
+    #[test]
+    fn island_team_size_never_changes_the_result() {
+        let failed = crate::barrier::tests::under_watchdog(|| {
+            let problem = random_problem(40, 6, 14);
+            let cold = optimize(&problem, &Nsga2Config::default());
+            let warm_seeds: Vec<Vec<usize>> =
+                cold.pareto_front.iter().map(|s| s.assignment.clone()).collect();
+            for islands in 2usize..=6 {
+                // 61 deals unequal island populations and exercises the
+                // spare child of an odd island.
+                for population_size in [60usize, 61] {
+                    for seeds in [&[][..], &warm_seeds[..]] {
+                        let config = Nsga2Config {
+                            num_threads: islands,
+                            population_size,
+                            max_generations: 30,
+                            ..Nsga2Config::default()
+                        };
+                        assert_eq!(effective_islands(&config), islands);
+                        let run = |members: usize| {
+                            let mut workspace = OptimizerWorkspace::new();
+                            optimize_islands(
+                                &problem,
+                                &config,
+                                seeds,
+                                &mut workspace,
+                                islands,
+                                members,
+                            )
+                        };
+                        let alone = run(1);
+                        assert!(alone.generations > config.migration_interval, "no migration");
+                        // 4 islands / 3 members is the uneven case: two
+                        // groups of two, so a team of two — not three.
+                        for members in 2..=islands {
+                            assert_eq!(
+                                run(members),
+                                alone,
+                                "islands {islands}, members {members}, population \
+                                 {population_size}, {} seeds",
+                                seeds.len()
+                            );
+                        }
+                        let mut workspace = OptimizerWorkspace::new();
+                        assert_eq!(optimize_with(&problem, &config, seeds, &mut workspace), alone);
+                    }
+                }
+            }
+        });
+        assert!(!failed, "a grouping changed the result (see the panic above)");
     }
 
     #[test]
