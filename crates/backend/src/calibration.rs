@@ -4,11 +4,10 @@
 //! cycles, leading to spatiotemporal performance variance").
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Calibration parameters of a single physical qubit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QubitCalibration {
     /// Energy-relaxation time T1 in microseconds.
     pub t1_us: f64,
@@ -39,7 +38,7 @@ impl QubitCalibration {
 }
 
 /// Calibration parameters of a two-qubit gate on a coupling-map edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeCalibration {
     /// Two-qubit gate (CX/ECR/CZ) error probability.
     pub gate_error: f64,
@@ -55,7 +54,7 @@ impl EdgeCalibration {
 }
 
 /// A full calibration snapshot of a QPU at one calibration cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationData {
     /// Per-qubit calibration, indexed by physical qubit.
     pub qubits: Vec<QubitCalibration>,
@@ -195,7 +194,7 @@ fn mean(iter: impl Iterator<Item = f64>) -> f64 {
 /// invalid past the boundary (§7: schedules that cross a calibration-cycle
 /// boundary must be partitioned and re-estimated), so the scheduler and the
 /// batch engine read this clock to know how far ahead a plan may reach.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationClock {
     /// Current calibration epoch (mirrors [`CalibrationData::cycle`]).
     pub epoch: u64,

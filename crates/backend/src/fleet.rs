@@ -9,10 +9,9 @@
 use crate::qpu::{Qpu, QpuModel, ResourceClass, TemplateQpu};
 use crate::queue::JobQueue;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A QPU plus its job queue — one entry of the simulated quantum cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetMember {
     /// The device.
     pub qpu: Qpu,
@@ -21,7 +20,7 @@ pub struct FleetMember {
 }
 
 /// A collection of QPUs forming the quantum side of the hybrid cluster.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Fleet {
     members: Vec<FleetMember>,
 }

@@ -8,7 +8,6 @@
 
 use crate::calibration::CalibrationData;
 use qonductor_circuit::{Circuit, Gate};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A calibration-derived noise model for one QPU. The snapshot is shared,
@@ -16,7 +15,7 @@ use std::sync::Arc;
 /// device's own immutable [`CalibrationData`], so building or cloning one is
 /// a reference-count bump. A recalibration replaces the device's snapshot
 /// and leaves models handed out earlier on the epoch they were built for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseModel {
     calibration: Arc<CalibrationData>,
 }

@@ -8,11 +8,10 @@ use crate::noise::NoiseModel;
 use crate::topology::CouplingMap;
 use qonductor_circuit::Gate;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Quantum hardware technology families (§2.2 heterogeneity dimension 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QpuTechnology {
     /// Superconducting transmon devices (IBM, Google).
     Superconducting,
@@ -28,7 +27,7 @@ pub enum QpuTechnology {
 /// [`QpuTechnology`]. Real hardware maps technology → class directly;
 /// `Simulator` marks classically emulated capacity that shares a hardware
 /// model's topology but bills (and degrades) differently.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ResourceClass {
     /// Superconducting hardware (transmon-style devices).
     #[default]
@@ -65,7 +64,7 @@ impl ResourceClass {
 /// A scheduled capacity hole: the device accepts no new work in
 /// `[start_s, end_s)`. The planner treats window starts as boundaries
 /// (like recalibration) and parks straddling jobs until the window ends.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceWindow {
     /// Window start (inclusive), seconds of simulated time.
     pub start_s: f64,
@@ -82,7 +81,7 @@ impl MaintenanceWindow {
 
 /// A QPU *model* (architecture family): basis gates, coupling map, technology.
 /// Multiple physical devices share one model (heterogeneity dimension 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QpuModel {
     /// Model name, e.g. "falcon-r5.11".
     pub name: String,
@@ -150,7 +149,7 @@ impl QpuModel {
 }
 
 /// A physical QPU: a named instance of a model with its own calibration history.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Qpu {
     /// Device name, e.g. "ibm_cairo".
     pub name: String,
@@ -168,23 +167,18 @@ pub struct Qpu {
     pub clock: CalibrationClock,
     /// Billing/capacity tier of the device (federation dimension). Defaults
     /// to the class implied by the model's technology.
-    #[serde(default)]
     pub resource_class: ResourceClass,
     /// Per-shot cost in provider credit units. Only consulted when a
     /// scheduler enables its cost objective; the default plane never reads it.
-    #[serde(default)]
     pub cost_per_shot: f64,
     /// Provider region the device is hosted in (outages are scoped per
     /// region in the federation scenarios).
-    #[serde(default)]
     pub region: String,
     /// Historical availability score in `[0, 1]` (federation metadata; used
     /// by placement strategies for tie-breaking documentation, not by the
     /// default plane).
-    #[serde(default)]
     pub reliability_score: f64,
     /// Scheduled maintenance windows, ascending by start time.
-    #[serde(default)]
     pub maintenance: Vec<MaintenanceWindow>,
 }
 
@@ -320,7 +314,7 @@ impl Qpu {
 
 /// A template QPU: one per model, carrying the model's coupling map / basis
 /// gates and the *average* calibration over all devices of that model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TemplateQpu {
     /// The represented model.
     pub model: QpuModel,

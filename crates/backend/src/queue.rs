@@ -5,11 +5,10 @@
 //! scheduled jobs, job waiting and execution times, and the notion of time
 //! flow, reflecting the real-world job flow."
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A job sitting in (or finished by) a QPU queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuedJob {
     /// Caller-assigned job identifier.
     pub job_id: u64,
@@ -20,7 +19,7 @@ pub struct QueuedJob {
 }
 
 /// Record of a completed job execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedJob {
     /// Caller-assigned job identifier.
     pub job_id: u64,
@@ -50,7 +49,7 @@ impl CompletedJob {
 }
 
 /// FIFO job queue of one QPU with simulated time flow.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct JobQueue {
     pending: VecDeque<QueuedJob>,
     /// Job currently executing, with its start time.

@@ -4,11 +4,10 @@
 //! linear / ring / grid generic devices and the IBM-style heavy-hex lattices
 //! used by the 27-qubit Falcon, 65-qubit Hummingbird, and 127-qubit Eagle models.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// An undirected qubit coupling map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CouplingMap {
     num_qubits: u32,
     /// Canonical (min, max) edge list, sorted and deduplicated.

@@ -1,7 +1,6 @@
 //! The quantum circuit IR: a flat list of [`Instruction`]s over `n` qubits.
 
 use crate::gate::{Gate, Instruction, NO_OPERAND};
-use serde::{Deserialize, Serialize};
 
 /// A quantum circuit: an ordered list of instructions over a fixed qubit register.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// applying error mitigation transformations, and extracting the structural
 /// features (width, depth, two-qubit count, shots) that the resource estimator
 /// regresses on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     /// Number of qubits in the register.
     num_qubits: u32,

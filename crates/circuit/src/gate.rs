@@ -4,14 +4,12 @@
 //! vectors without per-gate heap allocation (hot path for the transpiler and
 //! the workload generator, which create tens of thousands of circuits).
 
-use serde::{Deserialize, Serialize};
-
 /// A quantum gate (or non-unitary instruction kind) supported by the circuit IR.
 ///
 /// The set covers the gates emitted by the algorithm generators plus the basis
 /// gates of the modelled QPU architectures (IBM-style `{SX, RZ, X, CX/ECR}` and
 /// a generic `{RX, RZ, CZ}` set).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
     /// Identity (explicit idle cycle).
     Id,
@@ -153,7 +151,7 @@ impl Gate {
 
 /// A gate applied to concrete qubit indices (and an optional classical bit for
 /// measurements).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instruction {
     /// The gate kind (with parameters).
     pub gate: Gate,

@@ -19,10 +19,8 @@ pub use random::random_circuit;
 pub use vqe::vqe_ansatz;
 pub use wstate::w_state;
 
-use serde::{Deserialize, Serialize};
-
 /// The algorithm families available from the generator library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Greenberger–Horne–Zeilinger state preparation.
     Ghz,

@@ -3,10 +3,9 @@
 
 use crate::circuit::Circuit;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An undirected graph instance for the max-cut problem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaxCutGraph {
     /// Number of vertices (= number of qubits).
     pub num_vertices: u32,

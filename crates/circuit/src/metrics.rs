@@ -3,10 +3,9 @@
 //! a few auxiliary counts used by the numerical baseline estimator.
 
 use crate::circuit::Circuit;
-use serde::{Deserialize, Serialize};
 
 /// Structural metrics of a circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircuitMetrics {
     /// Circuit width: number of qubits actually used.
     pub width: u32,

@@ -8,10 +8,9 @@
 use crate::circuit::Circuit;
 use crate::generators::{self, Algorithm, MaxCutGraph};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the benchmark-circuit sampling distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Mean number of qubits for sampled circuits.
     pub mean_qubits: f64,

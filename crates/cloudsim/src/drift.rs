@@ -9,10 +9,9 @@
 use crate::sim::{CloudSimulation, Policy, SimulationConfig, SimulationReport};
 use qonductor_core::jobmanager::CalibrationPolicy;
 use qonductor_scheduler::{Nsga2Config, Preference};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the drift scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// The shared simulation configuration (policy must be Qonductor; the
     /// `calibration` field is overridden per arm of the comparison).
@@ -54,7 +53,7 @@ impl Default for DriftConfig {
 }
 
 /// Side-by-side outcome of the drift scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftComparison {
     /// The calibration-aware run (split + re-estimate at boundaries).
     pub aware: SimulationReport,
@@ -97,7 +96,7 @@ pub fn run_drift_comparison(config: &DriftConfig) -> DriftComparison {
 /// penalized arm also steers NSGA-II *away* from boundary-crossing plans
 /// ([`SimulationConfig::boundary_penalty_weight`] > 0), so fewer batches
 /// need the reactive split-and-defer path at dispatch time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PenaltyComparison {
     /// Calibration-aware with the proactive NSGA-II boundary penalty.
     pub penalized: SimulationReport,

@@ -12,10 +12,9 @@
 use qonductor_backend::{CalibrationData, Qpu};
 use qonductor_circuit::{Circuit, CircuitMetrics};
 use qonductor_mitigation::{MitigationCost, MitigationStack};
-use serde::{Deserialize, Serialize};
 
 /// Closed-form estimate of one job on one QPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FastEstimate {
     /// Estimated execution fidelity (after mitigation).
     pub fidelity: f64,

@@ -10,7 +10,6 @@
 use qonductor_core::jobmanager::JobId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Checkpoint cadence (batches per snapshot) of a failure-free run.
 /// Checkpointing even without crashes is behaviour-neutral (the chaos matrix
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
 
 /// A seeded crash schedule for one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailurePlan {
     /// Simulated instants at which the control-plane leaders crash,
     /// ascending.
@@ -58,7 +57,7 @@ impl FailurePlan {
 }
 
 /// One shard's recovery from an injected crash.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardRecovery {
     /// The leader that was killed.
     pub old_leader: usize,
@@ -71,7 +70,7 @@ pub struct ShardRecovery {
 
 /// One injected whole-plane crash (every shard's leader killed) and its
 /// per-shard recovery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashRecord {
     /// Simulated time of the crash.
     pub t_s: f64,
@@ -88,7 +87,7 @@ pub struct CrashRecord {
 /// Outcome of a (possibly fault-injected) run of any scenario: the
 /// scenario's ordinary report plus what the kernel observed of the control
 /// plane around it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosReport<R> {
     /// The scenario's ordinary report.
     pub report: R,

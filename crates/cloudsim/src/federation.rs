@@ -16,10 +16,9 @@ use qonductor_core::jobmanager::CalibrationPolicy;
 use qonductor_scheduler::{Nsga2Config, Preference, SchedulerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the federation placement scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FederationConfig {
     /// The shared simulation configuration; the policy/preference and cost
     /// weight are overridden per placement arm.
@@ -72,7 +71,7 @@ impl Default for FederationConfig {
 }
 
 /// One placement strategy's run over the federated fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlacementArm {
     /// Strategy name ([`PlacementStrategy::name`]).
     pub strategy: String,
@@ -85,7 +84,7 @@ pub struct PlacementArm {
 }
 
 /// Side-by-side outcome of the federation placement scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FederationComparison {
     /// One arm per strategy, in run order.
     pub arms: Vec<PlacementArm>,

@@ -35,7 +35,6 @@ use qonductor_scheduler::{
     HybridScheduler, Nsga2Config, Preference, ScheduleTrigger, SchedulerConfig,
 };
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Why a journal write may not fail inside the simulation: no replica is
@@ -44,7 +43,7 @@ use std::collections::HashSet;
 pub(crate) const QUORUM: &str = "every shard journal has a quorum";
 
 /// The run parameters every scenario shares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunParams {
     /// Simulated duration in seconds.
     pub duration_s: f64,

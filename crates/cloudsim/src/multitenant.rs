@@ -21,12 +21,11 @@ use qonductor_core::submission::{TenantConfig, TenantStats};
 use qonductor_scheduler::{Nsga2Config, Preference, TriggerReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One tenant of the multi-tenant simulation: fairness configuration plus an
 /// arrival stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantLoad {
     /// Deficit-round-robin admission weight.
     pub weight: u32,
@@ -50,7 +49,7 @@ impl Default for TenantLoad {
 }
 
 /// Multi-tenant simulation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenantConfig {
     /// Duration, step, trigger, scheduler and seed.
     pub run: RunParams,
@@ -85,7 +84,7 @@ impl Default for MultiTenantConfig {
 }
 
 /// Per-tenant composition of one dispatched batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchComposition {
     /// The shard that dispatched the batch (0 on a one-shard plane).
     pub shard: usize,
@@ -119,7 +118,7 @@ impl BatchComposition {
 }
 
 /// One completed application, attributed to its tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantCompletion {
     /// The tenant the application belonged to.
     pub tenant: TenantId,
@@ -137,7 +136,7 @@ pub struct TenantCompletion {
 }
 
 /// One tenant's end-of-run outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantOutcome {
     /// The tenant id.
     pub tenant: TenantId,
@@ -150,7 +149,7 @@ pub struct TenantOutcome {
 }
 
 /// Full multi-tenant simulation report.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MultiTenantReport {
     /// Every dispatched batch with its per-tenant composition.
     pub batches: Vec<BatchComposition>,

@@ -26,12 +26,11 @@ use qonductor_backend::Fleet;
 use qonductor_core::jobmanager::TenantId;
 use qonductor_core::sharding::ShardedControlPlane;
 use qonductor_scheduler::{Nsga2Config, Preference};
-use serde::{Deserialize, Serialize};
 
 /// Sharded simulation configuration: the multi-tenant scenario with one
 /// heavy and one light saturating tenant per shard, identical streams, over
 /// the shared fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedSimConfig {
     /// Duration, step, per-shard trigger, scheduler and seed.
     pub run: RunParams,

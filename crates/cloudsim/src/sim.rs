@@ -35,11 +35,10 @@ use qonductor_scheduler::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The scheduling policy driving the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// The Qonductor hybrid scheduler (NSGA-II + MCDM) with a given preference.
     Qonductor {
@@ -54,7 +53,7 @@ pub enum Policy {
 }
 
 /// Simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
     /// Simulated duration in seconds (paper: one hour).
     pub duration_s: f64,
@@ -84,18 +83,15 @@ pub struct SimulationConfig {
     /// adopted at the next trigger firing only if its input digest still
     /// matches (otherwise it is discarded and the cycle runs live). Off by
     /// default; dispatches are byte-identical either way.
-    #[serde(default)]
     pub pipeline_planning: bool,
     /// Weight of the NSGA-II recalibration-boundary penalty
     /// ([`SchedulerConfig::boundary_penalty_weight`]); `0.0` disables it.
-    #[serde(default)]
     pub boundary_penalty_weight: f64,
     /// Weight of the federation cost lane
     /// ([`SchedulerConfig::cost_weight`]): when > 0 the batch engine feeds
     /// the fleet's per-QPU shot prices into the optimizer and placement
     /// trades monetary cost against turnaround. `0.0` (the default) keeps
     /// every outcome bit-identical to the cost-free path.
-    #[serde(default)]
     pub cost_weight: f64,
     /// RNG seed.
     pub seed: u64,
@@ -129,7 +125,7 @@ impl Default for SimulationConfig {
 }
 
 /// One sampled point of the simulation's time series (Figures 6 and 9b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimePoint {
     /// Simulated time of the sample (seconds).
     pub t_s: f64,
@@ -146,7 +142,7 @@ pub struct TimePoint {
 }
 
 /// Per-scheduling-cycle statistics (Figures 8a, 8b, 10a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleRecord {
     /// Simulated time of the cycle.
     pub t_s: f64,
@@ -175,7 +171,7 @@ pub struct CycleRecord {
 }
 
 /// One completed application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedApp {
     /// Application id.
     pub app_id: u64,
@@ -200,13 +196,12 @@ pub struct CompletedApp {
     pub mitigated: bool,
     /// Monetary cost of the execution: `shots × cost_per_shot` of the QPU it
     /// ran on (federation accounting; 0-priced fleets report 0).
-    #[serde(default)]
     pub cost: f64,
 }
 
 /// One trigger-gated batch dispatch as seen by the simulation (ids only; the
 /// chaos and drift suites compare these across runs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DispatchRecord {
     /// Simulated dispatch time.
     pub t_s: f64,
@@ -221,7 +216,7 @@ pub struct DispatchRecord {
 }
 
 /// Full simulation report.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimulationReport {
     /// Time series of aggregate metrics.
     pub timeline: Vec<TimePoint>,
@@ -244,7 +239,6 @@ pub struct SimulationReport {
     pub reestimated_jobs: usize,
     /// Batches dispatched from an adopted plan-ahead speculative schedule
     /// (0 unless [`SimulationConfig::pipeline_planning`] is on).
-    #[serde(default)]
     pub speculative_batches: usize,
 }
 

@@ -38,11 +38,10 @@ use qonductor_mitigation::{knitting, MitigationStack};
 use qonductor_scheduler::{Nsga2Config, Preference};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Configuration of the bursty SLO scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
     /// Duration, step, trigger, scheduler and seed (arrival stream, fleet
     /// synthesis, elastic-device synthesis). The trigger interval is
@@ -117,7 +116,7 @@ impl Default for SloConfig {
 }
 
 /// Aggregate outcome of one arm.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SloArmReport {
     /// SLO-tenant applications that arrived.
     pub arrived_slo: u64,
@@ -163,7 +162,7 @@ pub struct SloArmReport {
 }
 
 /// One SLO-tenant application's completion, for byte-exact chaos comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloCompletion {
     /// Application id.
     pub app_id: u64,
@@ -176,7 +175,7 @@ pub struct SloCompletion {
 }
 
 /// Full outcome of one arm run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SloArmOutcome {
     /// Aggregate metrics.
     pub report: SloArmReport,
@@ -191,7 +190,7 @@ pub struct SloArmOutcome {
 }
 
 /// Side-by-side outcome of the two arms over the same offered load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SloComparison {
     /// The scenario configuration both arms ran under.
     pub config: SloConfig,

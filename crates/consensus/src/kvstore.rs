@@ -4,7 +4,6 @@
 //! commit once a majority of live replicas acknowledge them.
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -25,7 +24,7 @@ fn freshest(replicas: &[Replica]) -> Option<&Replica> {
 }
 
 /// Errors returned by the replicated store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// Fewer than a majority of replicas are alive: writes cannot commit.
     NoQuorum,

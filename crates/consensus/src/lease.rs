@@ -1,12 +1,10 @@
 //! Leader election *inside* the replicated store: the leader lease is a plain
 //! key in the quorum KV, acquired with [`ReplicatedKvStore::compare_and_swap`].
 //!
-//! The PR 4 control plane paired a [`crate::Cluster`] (its own tick-simulated
-//! Raft-lite quorum) with a [`ReplicatedKvStore`] (the journal quorum). Two
-//! quorums are two fault domains: the election cluster can elect a leader
-//! while the data replicas have lost their majority (or vice versa), a
-//! split-brain window where "who leads" and "what is committed" disagree.
-//! `StoreElection` collapses the two: a campaign is a CAS against the same
+//! An election quorum separate from the journal quorum would be a second
+//! fault domain: it could elect a leader while the data replicas have lost
+//! their majority (or vice versa), a split-brain window where "who leads" and
+//! "what is committed" disagree. Here a campaign is a CAS against the same
 //! replica set the journal commits to, so leadership exists **iff** the data
 //! quorum does. Losing the store majority revokes the ability to elect; a
 //! control-plane node crash is tracked as a volatile liveness flag and merely
@@ -106,21 +104,12 @@ impl StoreElection {
             format!("{candidate} {}", term + 1),
         )?;
         // Single-writer in this deterministic simulation: the CAS can only
-        // fail if someone raced us, which run_until_leader retries away.
+        // fail if someone raced us, and then the winner's lease is the answer.
         if swapped {
             Ok(Some(candidate))
         } else {
             Ok(self.leader())
         }
-    }
-
-    /// Campaign until a leader holds the lease (API-compatible with
-    /// `Cluster::run_until_leader`; the store-backed campaign is
-    /// deterministic, so one attempt decides and the bound is vestigial).
-    /// Returns `None` if no live node can be elected or the store quorum is
-    /// down.
-    pub fn run_until_leader(&mut self, _max_attempts: usize) -> Option<usize> {
-        self.campaign().ok().flatten()
     }
 
     fn read_lease(&self) -> Option<(usize, u64)> {
@@ -175,7 +164,6 @@ mod tests {
         }
         assert_eq!(e.leader(), None);
         assert_eq!(e.campaign(), Ok(None));
-        assert_eq!(e.run_until_leader(5_000), None);
     }
 
     /// The fault-domain coupling this module exists for: once the *store*
@@ -190,9 +178,44 @@ mod tests {
         store.crash_replica(0);
         store.crash_replica(1);
         assert_eq!(e.campaign(), Err(StoreError::NoQuorum));
-        assert_eq!(e.run_until_leader(5_000), None);
         store.recover_replica(0);
         assert_eq!(e.campaign(), Ok(Some(1)), "election resumes with the quorum");
+    }
+
+    #[test]
+    fn a_single_node_is_elected_by_its_first_campaign() {
+        let mut e = StoreElection::new(ReplicatedKvStore::new(0), "ctl", 1);
+        assert_eq!(e.campaign(), Ok(Some(0)));
+        assert_eq!((e.leader(), e.current_term()), (Some(0), 1));
+    }
+
+    /// Five nodes over an `f = 2` store: each leader crash hands the lease to
+    /// the next live node at a higher term. The only quorum is the store's —
+    /// two live nodes of five still elect — so what ends elections is losing
+    /// the store majority (`NoQuorum`) or the last live node (`Ok(None)`).
+    #[test]
+    fn five_nodes_survive_two_leader_crashes_until_a_majority_is_gone() {
+        let store = ReplicatedKvStore::new(2);
+        let mut e = StoreElection::new(store.clone(), "ctl", 5);
+        assert_eq!(e.campaign(), Ok(Some(0)));
+        for (crashed, next) in [(0, 1), (1, 2)] {
+            let term = e.current_term();
+            e.crash(crashed);
+            assert_eq!(e.campaign(), Ok(Some(next)));
+            assert_eq!(e.current_term(), term + 1);
+        }
+        e.crash(2);
+        // Two of five store replicas down is still a majority: node 3 wins.
+        store.crash_replica(0);
+        store.crash_replica(1);
+        assert_eq!(e.campaign(), Ok(Some(3)));
+        e.crash(3);
+        store.crash_replica(2);
+        assert_eq!(e.campaign(), Err(StoreError::NoQuorum));
+        assert_eq!(e.leader(), None);
+        store.recover_replica(2);
+        e.crash(4);
+        assert_eq!(e.campaign(), Ok(None), "no live node is left to elect");
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! long the journal it covers.
 //!
 //! The log is deliberately simple — strictly monotonic indices assigned by the
-//! appender, text-encoded entries (the workspace's serde shim erases wire
-//! formats, so entry types bring their own line codec via [`LogEntry`]) — but
-//! its durability model is the store's: an append that returns `Ok` has been
-//! applied by a majority of replicas and survives any minority failure.
+//! appender, text-encoded entries (entry types bring their own line codec via
+//! [`LogEntry`]) — but its durability model is the store's: an append that
+//! returns `Ok` has been applied by a majority of replicas and survives any
+//! minority failure.
 
 use crate::kvstore::{ReplicatedKvStore, StoreError};
 use std::marker::PhantomData;

@@ -26,11 +26,10 @@
 //!   bit-equal rates on every platform.
 
 use qonductor_backend::ResourceClass;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How the autoscaler turns load into capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalingStrategy {
     /// Scale on the *observed* arrival rate over the sliding window.
     Reactive,
@@ -43,7 +42,7 @@ pub enum ScalingStrategy {
 }
 
 /// Autoscaler tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// The scaling strategy.
     pub strategy: ScalingStrategy,
@@ -83,7 +82,7 @@ impl Default for AutoscalerConfig {
 }
 
 /// One scaling decision, sized in whole QPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalingDecision {
     /// Provision `n` more elastic QPUs.
     Grow(usize),

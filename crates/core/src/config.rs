@@ -3,10 +3,9 @@
 //! preferences (objective priority, preferred QPU models).
 
 use qonductor_scheduler::Preference;
-use serde::{Deserialize, Serialize};
 
 /// Resource requests of one workflow container/step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceLimits {
     /// Requested GPUs (`nvidia.com/gpu` in Listing 1).
     pub gpus: u32,
@@ -21,7 +20,7 @@ pub struct ResourceLimits {
 }
 
 /// Objective priority of the execution (consumed by the scheduler's MCDM stage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
     /// Balance fidelity and JCT (the default).
     #[default]
@@ -44,7 +43,7 @@ impl Priority {
 }
 
 /// Deployment configuration of a hybrid workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentConfig {
     /// Resource limits of the classical steps.
     pub classical: ResourceLimits,

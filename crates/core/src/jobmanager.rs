@@ -15,7 +15,6 @@ use qonductor_scheduler::{
     partition_at_boundary, HybridScheduler, JobRequest, PlannedJob, QpuState, ScheduleOutcome,
     ScheduleTrigger, SpeculativeSchedule, TriggerReason,
 };
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -39,7 +38,7 @@ const INFEASIBLE_EXEC_S: f64 = 1e6;
 const MIN_EXEC_S: f64 = 0.001;
 
 /// How the batch engine treats plans that cross a recalibration boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CalibrationPolicy {
     /// Dispatch the whole batch regardless of calibration boundaries (the
     /// pre-§7 behaviour, kept as the baseline for drift studies).
@@ -55,7 +54,7 @@ pub enum CalibrationPolicy {
 
 /// A job submission: per-QPU estimates for one circuit execution. Ids are
 /// assigned by the manager on submit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Qubits the circuit needs.
     pub qubits: u32,
@@ -72,7 +71,7 @@ pub struct JobSpec {
 }
 
 /// A job waiting in the manager's pending pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingJob {
     /// Manager-assigned id.
     pub job_id: JobId,
@@ -114,7 +113,7 @@ impl PendingJob {
 /// Record of one trigger-gated batch dispatch (the unit of observability:
 /// Figures 8a/8b/10a derive from these, and the orchestrator mirrors them
 /// into the system monitor).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchRecord {
     /// Zero-based index of the batch within this manager's lifetime.
     pub batch_index: usize,
@@ -143,7 +142,6 @@ pub struct BatchRecord {
     /// speculative one, validated against the live pool digest and
     /// calibration epochs — bit-identical to what a live scheduler call at
     /// the fire instant would have produced.
-    #[serde(default)]
     pub speculative: bool,
     /// The scheduler's full outcome (placements, Pareto front, timings).
     pub outcome: ScheduleOutcome,
@@ -164,7 +162,7 @@ impl BatchRecord {
 }
 
 /// A completed quantum execution drained from a fleet queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedExecution {
     /// Manager-assigned job id.
     pub job_id: JobId,

@@ -7,10 +7,9 @@ use crate::jobmanager::TenantId;
 use crate::submission::TenantStats;
 use qonductor_consensus::{ReplicatedKvStore, StoreError};
 use qonductor_scheduler::TriggerReason;
-use serde::{Deserialize, Serialize};
 
 /// Execution status of a workflow run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkflowStatus {
     /// Accepted but not yet scheduled.
     Pending,
@@ -376,7 +375,7 @@ fn parse_tenant_composition(field: &str) -> Vec<(TenantId, usize)> {
 }
 
 /// A calibration-crossover split as observed through the monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitObservation {
     /// Index of the batch whose plan crossed a boundary.
     pub batch_index: usize,
@@ -389,7 +388,7 @@ pub struct SplitObservation {
 }
 
 /// A post-boundary re-estimation pass as observed through the monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReestimationObservation {
     /// Zero-based pass index.
     pub pass_index: usize,
@@ -402,7 +401,7 @@ pub struct ReestimationObservation {
 }
 
 /// A scheduling batch as observed through the monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchObservation {
     /// Zero-based dispatch index.
     pub batch_index: usize,

@@ -34,14 +34,13 @@ use qonductor_scheduler::{
 use qonductor_transpiler::Transpiler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a workflow invocation.
 pub type RunId = u64;
 
 /// Errors surfaced by the orchestrator API.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrchestratorError {
     /// The referenced workflow image does not exist.
     ImageNotFound(ImageId),
@@ -70,7 +69,7 @@ pub enum OrchestratorError {
 }
 
 /// Execution record of one quantum step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantumStepResult {
     /// Step name.
     pub step: String,
@@ -87,7 +86,7 @@ pub struct QuantumStepResult {
 }
 
 /// Execution record of one classical step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassicalStepResult {
     /// Step name.
     pub step: String,
@@ -98,7 +97,7 @@ pub struct ClassicalStepResult {
 }
 
 /// The result of a completed workflow invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowResult {
     /// Invocation id.
     pub run_id: RunId,

@@ -6,7 +6,6 @@
 use crate::config::DeploymentConfig;
 use crate::workflow::Workflow;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -14,7 +13,7 @@ use std::sync::Arc;
 pub type ImageId = u64;
 
 /// A packaged hybrid workflow image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HybridWorkflowImage {
     /// Image identifier assigned by the registry.
     pub id: ImageId,

@@ -7,10 +7,10 @@
 //! failover, so a leader crash loses no pending jobs: every pre-crash
 //! [`JobTicket`] still resolves through [`ReplicatedControlPlane::poll`].
 //!
-//! The workspace's offline serde shim erases wire formats, so the journal
-//! brings its own text codec. Floats are encoded as IEEE-754 bit patterns in
-//! hex ([`wire::enc_f64`]), which makes snapshot + replay reconstruction
-//! **byte-for-byte** identical to the uninterrupted state — compare
+//! The journal brings its own text codec ([`wire`]). Floats are encoded as
+//! IEEE-754 bit patterns in hex ([`wire::enc_f64`]), which makes snapshot +
+//! replay reconstruction **byte-for-byte** identical to the uninterrupted
+//! state — compare
 //! [`ReplicatedControlPlane::state_digest`] before a crash and after
 //! [`ReplicatedControlPlane::failover`] to prove it.
 
@@ -743,9 +743,8 @@ impl ReplicatedControlPlane {
     /// dispatch), journaling to a fresh store of `2f + 1` replicas, with
     /// `2f + 1` electable control nodes whose leader lease lives in that same
     /// store. Installs a genesis snapshot so a replica can always rebuild,
-    /// and elects the initial leader. (`_seed` is retained for API
-    /// compatibility with the old message-passing election; the in-store
-    /// election is deterministic.)
+    /// and elects the initial leader. (`_seed` is unused — the in-store
+    /// election is deterministic — and kept only because callers pass it.)
     pub fn new(trigger: ScheduleTrigger, fault_tolerance: usize, _seed: u64) -> Self {
         Self::with_policy(trigger, CalibrationPolicy::default(), fault_tolerance, _seed)
     }
@@ -762,7 +761,7 @@ impl ReplicatedControlPlane {
         let store = ReplicatedKvStore::new(fault_tolerance);
         let log = ReplicatedLog::new(store.clone(), "ctl");
         let mut election = StoreElection::new(store, "ctl", 2 * fault_tolerance + 1);
-        election.run_until_leader(2_000);
+        election.campaign().expect("fresh store has a quorum");
         let plane = ReplicatedControlPlane {
             election,
             log,
@@ -1260,7 +1259,9 @@ impl ReplicatedControlPlane {
     /// inspection form: the same reconstruction, returned instead of
     /// installed.)
     pub fn failover(&mut self) -> Result<(), FailoverError> {
-        self.election.run_until_leader(5_000).ok_or(FailoverError::NoLeader)?;
+        let Ok(Some(_)) = self.election.campaign() else {
+            return Err(FailoverError::NoLeader);
+        };
         let (jobmanager, submissions, leases, elastic, (checkpoint, rolling)) =
             self.rebuild_parts()?;
         self.jobmanager = jobmanager;

@@ -8,7 +8,7 @@
 //! every registered tenant (O(T) per pass). Sharding divides both by N —
 //! each shard journals and admits only its `T/N` tenants — which is what
 //! lets throughput scale ~linearly in shard count at 10⁵–10⁶ registered
-//! tenants (see `BENCH_controlplane.json`).
+//! tenants (qbench `controlplane-drain`: `core.shards{1,2}_jobs_per_s`).
 //!
 //! Invariants:
 //! - **Routing is pure.** [`shard_of_global`] maps a global tenant id to its

@@ -20,7 +20,6 @@
 //! [`poll`]: SubmissionService::poll
 
 use crate::jobmanager::{BatchRecord, CompletedExecution, JobId, JobManager, JobSpec, TenantId};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -28,7 +27,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 pub type TicketId = u64;
 
 /// Per-tenant admission configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantConfig {
     /// Deficit-round-robin weight: jobs admitted per round are proportional
     /// to this (minimum 1).
@@ -60,7 +59,7 @@ impl TenantConfig {
 /// DRR scan through the escalation lane
 /// ([`SubmissionService::pending_escalations`]), and once admitted it arms
 /// the trigger's early-fire SLO path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloClass {
     /// Submit-to-completion deadline in seconds (relative to submission
     /// time); `f64::INFINITY` for no deadline.
@@ -89,7 +88,7 @@ impl SloClass {
 /// Why a ticket was terminally rejected (satellite of the SLO work: a bare
 /// `Rejected` gave operators no way to distinguish "the circuit fits nowhere"
 /// from "the retry budget ran out" from "the deadline passed first").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The scheduler bounced the job until the tenant's retry budget ran out.
     RetriesExhausted,
@@ -103,7 +102,7 @@ pub enum RejectReason {
 
 /// Handle returned by [`SubmissionService::submit`]; pass it to
 /// [`SubmissionService::poll`] to observe the job's progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobTicket {
     /// The tenant the job was submitted under.
     pub tenant: TenantId,
@@ -112,7 +111,7 @@ pub struct JobTicket {
 }
 
 /// Observable lifecycle of a submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TicketStatus {
     /// Waiting in the tenant's FIFO queue for admission.
     Queued {
@@ -147,7 +146,7 @@ pub enum TicketStatus {
 }
 
 /// Errors surfaced by the submission API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmissionError {
     /// The tenant was never registered.
     UnknownTenant(TenantId),
@@ -155,7 +154,7 @@ pub enum SubmissionError {
 
 /// Point-in-time per-tenant accounting (also persisted via the
 /// [`crate::monitor::SystemMonitor`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantStats {
     /// The tenant's DRR weight.
     pub weight: u32,

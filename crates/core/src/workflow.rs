@@ -6,10 +6,9 @@
 use qonductor_circuit::Circuit;
 use qonductor_mitigation::MitigationStack;
 use qonductor_scheduler::ClassicalRequest;
-use serde::{Deserialize, Serialize};
 
 /// Kind of classical processing performed by a classical step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassicalKind {
     /// Error-mitigation circuit generation / noise-scaling preparation.
     PreProcessing,
@@ -20,7 +19,7 @@ pub enum ClassicalKind {
 }
 
 /// A classical workflow step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassicalStep {
     /// Step name.
     pub name: String,
@@ -33,7 +32,7 @@ pub struct ClassicalStep {
 }
 
 /// A quantum workflow step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantumStep {
     /// Step name.
     pub name: String,
@@ -44,7 +43,7 @@ pub struct QuantumStep {
 }
 
 /// A workflow step: either classical or quantum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// Classical processing step.
     Classical(ClassicalStep),
@@ -68,7 +67,7 @@ impl Step {
 }
 
 /// A hybrid workflow: steps `V` plus dependency edges `E ⊆ V × V`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workflow {
     /// Workflow name.
     pub name: String,

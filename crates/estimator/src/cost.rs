@@ -4,10 +4,8 @@
 //! which is the economic argument behind key idea #2 (trade cheap classical
 //! time for expensive quantum time).
 
-use serde::{Deserialize, Serialize};
-
 /// Classical/quantum resource classes priced in Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceClass {
     /// Standard VM: 4–32 vCPUs, 16–64 GB RAM.
     StandardVm,
@@ -18,7 +16,7 @@ pub enum ResourceClass {
 }
 
 /// Price card of one resource class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Price {
     /// Price per task in dollars.
     pub per_task_usd: f64,
@@ -27,7 +25,7 @@ pub struct Price {
 }
 
 /// The full pricing table (Table 1, midpoints of the reported ranges).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricingTable {
     /// Standard VM pricing.
     pub standard_vm: Price,

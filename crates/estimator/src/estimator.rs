@@ -4,10 +4,9 @@
 use crate::dataset::ExecutionRecord;
 use crate::features::JobFeatures;
 use crate::regression::PolynomialRegressor;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy summary of a trained estimator on a held-out dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorAccuracy {
     /// R² of the fidelity model.
     pub fidelity_r2: f64,
@@ -22,7 +21,7 @@ pub struct EstimatorAccuracy {
 }
 
 /// A fidelity + execution-time estimate for one candidate execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Estimated execution fidelity in [0, 1].
     pub fidelity: f64,
@@ -40,7 +39,7 @@ impl Estimate {
 }
 
 /// Regression-based resource estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceEstimator {
     fidelity_model: PolynomialRegressor,
     runtime_model: PolynomialRegressor,

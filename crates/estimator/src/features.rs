@@ -5,10 +5,9 @@
 use qonductor_backend::CalibrationData;
 use qonductor_circuit::CircuitMetrics;
 use qonductor_mitigation::MitigationCost;
-use serde::{Deserialize, Serialize};
 
 /// The feature vector of one job execution on one QPU with one mitigation stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobFeatures {
     /// Circuit width (active qubits after transpilation).
     pub width: f64,

@@ -10,11 +10,10 @@ use qonductor_backend::{NoiseModel, TemplateQpu};
 use qonductor_circuit::Circuit;
 use qonductor_mitigation::{candidate_stacks, MitigationCost, MitigationStack};
 use qonductor_transpiler::{TranspiledCircuit, Transpiler};
-use serde::{Deserialize, Serialize};
 
 /// One resource plan: a concrete (mitigation stack, QPU model, accelerator)
 /// choice with its estimated fidelity, runtime, and cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourcePlan {
     /// Label of the mitigation stack, e.g. `"zne+dd+rem"`.
     pub stack_label: String,

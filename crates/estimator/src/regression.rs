@@ -5,10 +5,8 @@
 //! expansion, ordinary least squares via ridge-regularised normal equations,
 //! R² scoring, and K-fold cross-validation.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted polynomial regression model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolynomialRegressor {
     degree: u32,
     ridge: f64,

@@ -5,10 +5,9 @@ use crate::technique::MitigationCost;
 use qonductor_backend::NoiseModel;
 use qonductor_circuit::{Circuit, Gate, Instruction};
 use qonductor_transpiler::asap_schedule;
-use serde::{Deserialize, Serialize};
 
 /// Supported DD pulse sequences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DdSequence {
     /// X–X echo pair ("XpXm" in the paper's Listing 2).
     XpXm,

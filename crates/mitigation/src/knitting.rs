@@ -6,7 +6,6 @@
 
 use crate::technique::MitigationCost;
 use qonductor_circuit::{Circuit, Gate, NO_OPERAND};
-use serde::{Deserialize, Serialize};
 
 /// Result of cutting a circuit into two fragments at a qubit boundary.
 #[derive(Debug, Clone)]
@@ -23,7 +22,7 @@ pub struct CutResult {
 }
 
 /// Statistics of the classical reconstruction step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconstructionCost {
     /// Number of floating-point combination operations.
     pub flops: f64,

@@ -11,10 +11,9 @@ use crate::technique::MitigationCost;
 use qonductor_backend::NoiseModel;
 use qonductor_circuit::{Circuit, Gate, Instruction};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// PEC configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PecConfig {
     /// Number of circuit instances sampled from the quasi-probability mixture.
     pub num_samples: usize,

@@ -4,10 +4,9 @@
 use crate::technique::MitigationCost;
 use qonductor_backend::{Distribution, NoiseModel};
 use qonductor_circuit::Circuit;
-use serde::{Deserialize, Serialize};
 
 /// Per-qubit 2×2 confusion matrix: `p[observed][true]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QubitConfusion {
     /// P(read 1 | prepared 0).
     pub p01: f64,
@@ -32,7 +31,7 @@ impl QubitConfusion {
 }
 
 /// Tensored readout-error mitigator over `k` measured qubits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadoutMitigator {
     qubits: Vec<QubitConfusion>,
 }

@@ -12,10 +12,9 @@ use crate::twirling;
 use crate::zne::{self, ExtrapolationFactory, ZneConfig};
 use qonductor_backend::NoiseModel;
 use qonductor_circuit::{Circuit, ContentHasher};
-use serde::{Deserialize, Serialize};
 
 /// A concrete stacked-mitigation configuration (an ordered set of techniques).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MitigationStack {
     /// The techniques in the stack (order is the application order).
     pub techniques: Vec<Technique>,

@@ -8,13 +8,11 @@
 //! classical pre/post-processing time is needed (and whether an accelerator
 //! helps), and how strongly the technique suppresses errors.
 
-use serde::{Deserialize, Serialize};
-
 /// The error-mitigation techniques offered by the Qonductor classical library
 /// (§5/§6: "ZNE, PEC, readout error mitigation, dynamic decoupling, Pauli
 /// twirling, … and quasi-probability decomposition implemented as circuit
 /// knitting").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technique {
     /// Zero-noise extrapolation.
     Zne,
@@ -65,7 +63,7 @@ impl Technique {
 }
 
 /// Broad error-channel categories (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorChannel {
     /// Gate (Pauli/depolarizing) errors.
     Gate,
@@ -78,7 +76,7 @@ pub enum ErrorChannel {
 /// The resource cost and benefit profile of applying one technique to one
 /// circuit. Costs are *multiplicative factors* relative to the unmitigated run,
 /// except for the classical time which is absolute seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationCost {
     /// Number of circuits generated per input circuit.
     pub circuit_multiplicity: usize,

@@ -4,10 +4,9 @@
 
 use crate::technique::MitigationCost;
 use qonductor_circuit::Circuit;
-use serde::{Deserialize, Serialize};
 
 /// Extrapolation model fitted over the (noise factor, value) pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtrapolationFactory {
     /// Ordinary least-squares line, evaluated at zero noise.
     Linear,
@@ -18,7 +17,7 @@ pub enum ExtrapolationFactory {
 }
 
 /// ZNE configuration: which noise factors to run and how to extrapolate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZneConfig {
     /// Noise scale factors (must be ≥ 1; odd integers fold exactly).
     pub noise_factors: Vec<f64>,

@@ -4,10 +4,9 @@
 //! by IBM's runtime and a fidelity-greedy policy.
 
 use crate::problem::SchedulingProblem;
-use serde::{Deserialize, Serialize};
 
 /// Single-objective baseline policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaselinePolicy {
     /// Every job goes to the feasible QPU with the highest estimated fidelity
     /// (what users do manually today; creates the hotspots of Figure 2c).

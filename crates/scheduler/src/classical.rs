@@ -3,10 +3,8 @@
 //! job's resource requests, score the remainder with a pluggable policy, and
 //! pick the best-scoring node.
 
-use serde::{Deserialize, Serialize};
-
 /// A classical worker node (CPU server, possibly with accelerators).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassicalNode {
     /// Node name.
     pub name: String,
@@ -90,7 +88,7 @@ impl ClassicalNode {
 
 /// Resource request of one classical job (from the deployment configuration,
 /// e.g. Listing 1's `nvidia.com/gpu: 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassicalRequest {
     /// Requested vCPUs.
     pub cpus: u32,
@@ -113,7 +111,7 @@ impl ClassicalRequest {
 }
 
 /// Node-scoring policy used after filtering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoringPolicy {
     /// Prefer the least-utilised node (spreads load, the Kubernetes default).
     LeastAllocated,

@@ -3,10 +3,8 @@
 //! update are partitioned off so that their fidelity/runtime estimates can be
 //! recomputed with the new calibration data and the jobs reassigned or delayed.
 
-use serde::{Deserialize, Serialize};
-
 /// One scheduled job with its planned start time on its assigned QPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedJob {
     /// Job identifier.
     pub job_id: u64,
@@ -26,7 +24,7 @@ impl PlannedJob {
 }
 
 /// The partition of a schedule at a calibration boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossoverPartition {
     /// Jobs that complete entirely before the calibration boundary: keep as-is.
     pub before: Vec<PlannedJob>,

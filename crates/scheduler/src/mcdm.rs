@@ -4,10 +4,9 @@
 //! `P = (p_fidelity, p_jct)` with `p_fidelity + p_jct = 1`.
 
 use crate::nsga2::ParetoSolution;
-use serde::{Deserialize, Serialize};
 
 /// Scheduling priority expressed as a preference vector over the two objectives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Preference {
     /// Relative importance of fidelity (0..=1).
     pub fidelity_weight: f64,

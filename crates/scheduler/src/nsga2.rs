@@ -58,12 +58,11 @@ use crate::problem::{EvalState, Objectives, SchedulingProblem, NO_FEASIBLE};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// NSGA-II hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Nsga2Config {
     /// Population size.
     pub population_size: usize,
@@ -98,13 +97,11 @@ pub struct Nsga2Config {
     /// Generations an island evolves between ring elite exchanges
     /// (default [`MIGRATION_INTERVAL`]; values `< 1` are clamped to 1).
     /// Only consulted on the island path.
-    #[serde(default)]
     pub migration_interval: usize,
     /// Minimum individuals per island: requested island counts are clamped
     /// so no island drops below this (default [`MIN_ISLAND_POP`]; values
     /// `< 1` are clamped to 1 — tiny subpopulations stall the genetic
     /// operators).
-    #[serde(default)]
     pub min_island_pop: usize,
     /// RNG seed.
     pub seed: u64,
@@ -131,7 +128,7 @@ impl Default for Nsga2Config {
 }
 
 /// One solution on the returned Pareto front.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParetoSolution {
     /// Job→QPU assignment.
     pub assignment: Vec<usize>,
@@ -140,7 +137,7 @@ pub struct ParetoSolution {
 }
 
 /// Result of an NSGA-II run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Nsga2Result {
     /// The non-dominated front of the final population.
     pub pareto_front: Vec<ParetoSolution>,

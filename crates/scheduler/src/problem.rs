@@ -31,8 +31,6 @@
 //! from-scratch [`SchedulingProblem::evaluate`] of the same assignment —
 //! property-tested in `tests/property_tests.rs`.
 
-use serde::{Deserialize, Serialize};
-
 /// Execution-time estimate substituted for non-finite (or negative) estimates:
 /// large enough that the optimizer steers away, finite so arithmetic stays
 /// well-defined.
@@ -197,7 +195,7 @@ fn lane_fold(genes: &[u16], exec: &[f32], feas: &[f32], err: &[f32], qm: u16) ->
 
 /// One job awaiting scheduling, together with its per-QPU estimates (produced
 /// by the resource estimator and fetched from the system monitor).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// Unique job identifier.
     pub job_id: u64,
@@ -212,7 +210,7 @@ pub struct JobRequest {
 }
 
 /// The scheduler-visible state of one QPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QpuState {
     /// Device name.
     pub name: String,
@@ -227,7 +225,7 @@ pub struct QpuState {
 }
 
 /// A fully specified scheduling problem instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulingProblem {
     /// Jobs to schedule in this cycle (estimates sanitised by [`Self::new`]).
     pub jobs: Vec<JobRequest>,
@@ -276,7 +274,7 @@ pub struct SchedulingProblem {
 /// Soft penalty steering the optimizer away from plans that spill past a
 /// QPU's next recalibration: estimates are only valid until the boundary, so
 /// work scheduled beyond it must be deferred or split at dispatch time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct BoundaryPenalty {
     /// Seconds from now until each QPU's next calibration boundary
     /// (`f64::INFINITY` = no upcoming boundary, index-aligned with `qpus`).
@@ -293,7 +291,7 @@ struct BoundaryPenalty {
 /// against spend. Dominance stays two-dimensional — the cost lane steers
 /// through the scalarised JCT like the boundary penalty does, which keeps the
 /// 2-D Pareto sweep, crowding, and MCDM layers untouched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ShotCosts {
     /// Flat sanitised cost table, `cost[job * num_qpus + qpu]`, on the time
     /// grid so incremental sums are exact.
@@ -314,14 +312,13 @@ pub(crate) const NO_FEASIBLE: u32 = u32::MAX;
 /// folded into `mean_jct_s` (scaled by the cost weight) during the search —
 /// it does **not** participate in [`Objectives::dominates`], which keeps the
 /// 2-D non-dominated sort intact. Always `0.0` when no cost lane is attached.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Objectives {
     /// Mean job completion time in seconds (`f₁`).
     pub mean_jct_s: f64,
     /// Mean error = 1 − mean fidelity (`f₂`).
     pub mean_error: f64,
     /// Mean per-job placement cost in credit units (federation lane).
-    #[serde(default)]
     pub mean_cost: f64,
 }
 
@@ -349,7 +346,7 @@ impl Objectives {
 /// changed `k` genes updates in O(k) instead of re-scanning all `N` jobs;
 /// [`SchedulingProblem::objectives_of`] turns the aggregates into objective
 /// values in O(Q).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalState {
     /// Total execution time newly assigned to each QPU (all placements,
     /// including infeasible ones — they still occupy the device in Eq. 1).

@@ -8,7 +8,6 @@ use crate::mcdm::{self, Preference};
 use crate::nsga2::{self, Nsga2Config, OptimizerWorkspace, ParetoSolution};
 use crate::problem::{JobRequest, Objectives, QpuState, SchedulingProblem};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -16,7 +15,7 @@ use std::time::Instant;
 const WARM_FRONT_CAP: usize = 16;
 
 /// Scheduler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// NSGA-II hyper-parameters for the optimization stage.
     pub nsga2: Nsga2Config,
@@ -29,14 +28,12 @@ pub struct SchedulerConfig {
     /// recalibration, steering the Pareto front toward plans the dispatch
     /// layer will not have to split. 0 (the default) disables the penalty and
     /// keeps every outcome bit-identical to the horizon-less path.
-    #[serde(default)]
     pub boundary_penalty_weight: f64,
     /// How many times a single job may be parked at a calibration boundary
     /// (`CalibrationPolicy::SplitAtBoundary`) before the dispatch layer stops
     /// deferring it and lets it run across the boundary. Bounds the worst-case
     /// added latency of boundary splitting to `max_deferrals` recalibration
     /// periods; 0 disables deferral entirely.
-    #[serde(default = "default_max_deferrals")]
     pub max_deferrals: u32,
     /// Weight of the federation cost objective: when > 0 and the caller
     /// supplies per-QPU shot prices
@@ -46,13 +43,7 @@ pub struct SchedulerConfig {
     /// objective scaled by this weight, steering placement toward cheaper
     /// providers. 0 (the default) disables the lane and keeps every outcome
     /// bit-identical to the cost-free path.
-    #[serde(default)]
     pub cost_weight: f64,
-}
-
-/// Paper-default deferral budget (see `SchedulerConfig::max_deferrals`).
-fn default_max_deferrals() -> u32 {
-    4
 }
 
 impl Default for SchedulerConfig {
@@ -61,14 +52,15 @@ impl Default for SchedulerConfig {
             nsga2: Nsga2Config::default(),
             preference: Preference::balanced(),
             boundary_penalty_weight: 0.0,
-            max_deferrals: default_max_deferrals(),
+            // Paper-default deferral budget.
+            max_deferrals: 4,
             cost_weight: 0.0,
         }
     }
 }
 
 /// Wall-clock runtime of each scheduling stage, in seconds (Figure 9c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageTimings {
     /// Job pre-processing: filtering and estimate assembly.
     pub preprocessing_s: f64,
@@ -86,7 +78,7 @@ impl StageTimings {
 }
 
 /// One job→QPU placement decided by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     /// Job identifier.
     pub job_id: u64,
@@ -95,7 +87,7 @@ pub struct Placement {
 }
 
 /// The outcome of one scheduling cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
     /// Chosen placements (one per schedulable job).
     pub placements: Vec<Placement>,

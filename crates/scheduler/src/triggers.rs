@@ -9,8 +9,6 @@
 //! [`ScheduleTrigger::arm_if_unarmed`] (the job manager arms at the first
 //! pooled submission), or [`ScheduleTrigger::mark_invoked`].
 
-use serde::{Deserialize, Serialize};
-
 /// Default slack margin before a deadline at which the SLO path fires the
 /// trigger early ([`ScheduleTrigger::slo_margin_s`]): the configured estimate
 /// of one scheduling cycle's latency (snapshot + NSGA-II + enqueue). A config
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_SLO_MARGIN_S: f64 = 2.0;
 
 /// Trigger configuration and state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleTrigger {
     /// Queue-size trigger threshold (paper default: 100 jobs).
     pub queue_limit: usize,
@@ -37,7 +35,7 @@ pub struct ScheduleTrigger {
 }
 
 /// Why scheduling was triggered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TriggerReason {
     /// The pending queue reached the size limit.
     QueueSize,

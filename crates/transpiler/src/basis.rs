@@ -10,11 +10,10 @@
 //! circuit equals that of the original).
 
 use qonductor_circuit::{Circuit, Gate, Instruction};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
 
 /// Target native gate set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BasisSet {
     /// `{rz, sx, x, cx}` — IBM superconducting devices.
     IbmSuperconducting,

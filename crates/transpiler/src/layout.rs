@@ -7,10 +7,9 @@
 //! transpilers exploit the calibration heterogeneity described in §3.
 
 use qonductor_backend::{CalibrationData, CouplingMap};
-use serde::{Deserialize, Serialize};
 
 /// A layout: `layout[logical qubit] = physical qubit`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     mapping: Vec<u32>,
 }
@@ -65,7 +64,7 @@ impl Layout {
 }
 
 /// Layout selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayoutPolicy {
     /// Logical qubit `i` → physical qubit `i`.
     Trivial,

@@ -8,10 +8,9 @@ use crate::routing::route;
 use crate::scheduling::{asap_schedule, Schedule};
 use qonductor_backend::{NoiseModel, Qpu, QpuModel, TemplateQpu};
 use qonductor_circuit::{Circuit, CircuitMetrics};
-use serde::{Deserialize, Serialize};
 
 /// Transpiler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TranspilerOptions {
     /// Initial-layout policy.
     pub layout_policy: LayoutPolicy,

@@ -7,10 +7,9 @@
 
 use qonductor_backend::NoiseModel;
 use qonductor_circuit::{Circuit, Gate, NO_OPERAND};
-use serde::{Deserialize, Serialize};
 
 /// A scheduled instruction: index into the circuit plus its time window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledOp {
     /// Index of the instruction in the circuit.
     pub index: usize,
@@ -21,7 +20,7 @@ pub struct ScheduledOp {
 }
 
 /// An idle period of one qubit between two operations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdleWindow {
     /// The idling physical qubit.
     pub qubit: u32,
@@ -32,7 +31,7 @@ pub struct IdleWindow {
 }
 
 /// An ASAP schedule of a circuit on a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Per-instruction schedule entries (same order as the circuit).
     pub ops: Vec<ScheduledOp>,
