@@ -59,7 +59,11 @@ pub struct CalibrationData {
     /// Per-qubit calibration, indexed by physical qubit.
     pub qubits: Vec<QubitCalibration>,
     /// Per-edge calibration, keyed by the canonical (min, max) qubit pair.
-    pub edges: BTreeMap<(u32, u32), EdgeCalibration>,
+    edges: BTreeMap<(u32, u32), EdgeCalibration>,
+    /// `edges` as a symmetric `edge_width × edge_width` row-major table: the
+    /// transpiler and the noise model look an edge up per two-qubit gate.
+    edge_table: Vec<Option<EdgeCalibration>>,
+    edge_width: usize,
     /// Monotonically increasing calibration-cycle counter.
     pub cycle: u64,
     /// Simulated wall-clock timestamp (seconds) at which this snapshot was taken.
@@ -67,14 +71,38 @@ pub struct CalibrationData {
 }
 
 impl CalibrationData {
+    fn new(
+        qubits: Vec<QubitCalibration>,
+        edges: BTreeMap<(u32, u32), EdgeCalibration>,
+        cycle: u64,
+        timestamp_s: f64,
+    ) -> Self {
+        let edge_width = edges.keys().map(|&(_, max)| max as usize + 1).max().unwrap_or(0);
+        let mut edge_table = vec![None; edge_width * edge_width];
+        for (&(a, b), &edge) in &edges {
+            edge_table[a as usize * edge_width + b as usize] = Some(edge);
+            edge_table[b as usize * edge_width + a as usize] = Some(edge);
+        }
+        CalibrationData { qubits, edges, edge_table, edge_width, cycle, timestamp_s }
+    }
+
     /// Number of calibrated qubits.
     pub fn num_qubits(&self) -> usize {
         self.qubits.len()
     }
 
+    /// Per-edge calibration, keyed by the canonical (min, max) qubit pair.
+    pub fn edges(&self) -> &BTreeMap<(u32, u32), EdgeCalibration> {
+        &self.edges
+    }
+
     /// Calibration for the edge `(a, b)` (order-insensitive), if the edge exists.
     pub fn edge(&self, a: u32, b: u32) -> Option<&EdgeCalibration> {
-        self.edges.get(&(a.min(b), a.max(b)))
+        let (a, b) = (a as usize, b as usize);
+        if a >= self.edge_width || b >= self.edge_width {
+            return None;
+        }
+        self.edge_table[a * self.edge_width + b].as_ref()
     }
 
     /// Average single-qubit gate error across all qubits.
@@ -164,12 +192,7 @@ impl CalibrationData {
                 );
             }
         }
-        CalibrationData {
-            qubits,
-            edges,
-            cycle: snapshots[0].cycle,
-            timestamp_s: snapshots[0].timestamp_s,
-        }
+        CalibrationData::new(qubits, edges, snapshots[0].cycle, snapshots[0].timestamp_s)
     }
 }
 
@@ -295,7 +318,7 @@ impl CalibrationGenerator {
                 )
             })
             .collect();
-        CalibrationData { qubits, edges, cycle: 0, timestamp_s: 0.0 }
+        CalibrationData::new(qubits, edges, 0, 0.0)
     }
 
     /// Produce the next calibration cycle from `previous`: every parameter takes
@@ -334,7 +357,7 @@ impl CalibrationGenerator {
                 )
             })
             .collect();
-        CalibrationData { qubits, edges, cycle: previous.cycle + 1, timestamp_s }
+        CalibrationData::new(qubits, edges, previous.cycle + 1, timestamp_s)
     }
 
     fn jitter<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
@@ -361,10 +384,33 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let cal = CalibrationGenerator::default().generate(5, &linear_edges(5), &mut rng);
         assert_eq!(cal.num_qubits(), 5);
-        assert_eq!(cal.edges.len(), 4);
+        assert_eq!(cal.edges().len(), 4);
         assert!(cal.edge(1, 2).is_some());
         assert!(cal.edge(2, 1).is_some(), "edge lookup must be order-insensitive");
         assert!(cal.edge(0, 4).is_none());
+    }
+
+    /// The dense table answers every ordered pair — in range, absent, and out
+    /// of range — exactly as the map does, for all three constructors.
+    #[test]
+    fn dense_edge_lookup_equals_the_map_for_every_ordered_pair() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let gen = CalibrationGenerator::default();
+        let edges = [(0, 1), (3, 1), (2, 3), (5, 2)];
+        let generated = gen.generate(7, &edges, &mut rng);
+        let drifted = gen.drift_cycle(&generated, 60.0, &mut rng);
+        let averaged = CalibrationData::average(&[&generated, &drifted]);
+        let empty = gen.generate(3, &[], &mut rng);
+        for cal in [&generated, &drifted, &averaged, &empty] {
+            for a in (0..9).chain([u32::MAX]) {
+                for b in (0..9).chain([u32::MAX]) {
+                    let expected = cal.edges().get(&(a.min(b), a.max(b)));
+                    assert_eq!(cal.edge(a, b), expected, "({a}, {b})");
+                }
+            }
+        }
+        assert_eq!(generated.edges().len(), 4);
+        assert!(empty.edge(0, 1).is_none());
     }
 
     #[test]
@@ -386,7 +432,7 @@ mod tests {
         let c1 = gen.drift_cycle(&c0, 3600.0, &mut rng);
         assert_eq!(c1.cycle, 1);
         assert_eq!(c1.num_qubits(), c0.num_qubits());
-        assert_eq!(c1.edges.len(), c0.edges.len());
+        assert_eq!(c1.edges().len(), c0.edges().len());
         assert_ne!(c0.mean_two_qubit_error(), c1.mean_two_qubit_error());
         // Drift is bounded: no error escapes its clamp range.
         assert!(c1.qubits.iter().all(|q| q.gate_error <= 0.5 && q.gate_error >= 1e-6));

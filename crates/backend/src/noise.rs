@@ -7,7 +7,7 @@
 //! and by the numerical baseline estimator.
 
 use crate::calibration::CalibrationData;
-use qonductor_circuit::{Circuit, Gate};
+use qonductor_circuit::{Circuit, Gate, Instruction, NO_OPERAND};
 use std::sync::Arc;
 
 /// A calibration-derived noise model for one QPU. The snapshot is shared,
@@ -105,28 +105,30 @@ impl NoiseModel {
     /// Estimated total execution duration of one shot of `circuit` in
     /// nanoseconds: the critical-path sum of instruction durations.
     pub fn circuit_duration_ns(&self, circuit: &Circuit) -> f64 {
-        let n = circuit.num_qubits() as usize;
-        let mut finish = vec![0.0f64; n];
+        let mut finish = vec![0.0f64; circuit.num_qubits() as usize];
         for instr in circuit.instructions() {
-            if instr.gate == Gate::Barrier {
-                let m = finish.iter().cloned().fold(0.0, f64::max);
-                for f in finish.iter_mut() {
-                    *f = m;
-                }
-                continue;
-            }
-            let d = self.instruction_duration_ns(instr.gate, instr.q0, instr.q1);
-            let q0 = instr.q0 as usize;
-            if instr.gate.is_two_qubit() {
-                let q1 = instr.q1 as usize;
-                let start = finish[q0].max(finish[q1]);
-                finish[q0] = start + d;
-                finish[q1] = start + d;
-            } else {
-                finish[q0] += d;
-            }
+            self.advance(&mut finish, instr);
         }
         finish.iter().cloned().fold(0.0, f64::max)
+    }
+
+    /// Move the per-qubit finish times of an ASAP execution past `instr`.
+    fn advance(&self, finish: &mut [f64], instr: &Instruction) {
+        if instr.gate == Gate::Barrier {
+            let m = finish.iter().cloned().fold(0.0, f64::max);
+            finish.fill(m);
+            return;
+        }
+        let d = self.instruction_duration_ns(instr.gate, instr.q0, instr.q1);
+        let q0 = instr.q0 as usize;
+        if instr.gate.is_two_qubit() {
+            let q1 = instr.q1 as usize;
+            let start = finish[q0].max(finish[q1]);
+            finish[q0] = start + d;
+            finish[q1] = start + d;
+        } else {
+            finish[q0] += d;
+        }
     }
 
     /// Decoherence survival factor for a qubit idling (or operating) for
@@ -151,14 +153,25 @@ impl NoiseModel {
     /// This is the scalable fidelity proxy used for circuits too wide for the
     /// statevector simulator and by the numerical baseline of Figure 7(b).
     pub fn estimated_success_probability(&self, circuit: &Circuit) -> f64 {
+        // One walk: the error product, the finish times behind the duration
+        // and the set of qubits that decohere over it.
+        let n = circuit.num_qubits() as usize;
         let mut esp = 1.0f64;
+        let mut finish = vec![0.0f64; n];
+        let mut active = vec![false; n];
         for instr in circuit.instructions() {
-            let p_err = self.instruction_error(instr.gate, instr.q0, instr.q1);
-            esp *= 1.0 - p_err;
+            esp *= 1.0 - self.instruction_error(instr.gate, instr.q0, instr.q1);
+            self.advance(&mut finish, instr);
+            if instr.gate != Gate::Barrier {
+                active[instr.q0 as usize] = true;
+                if instr.q1 != NO_OPERAND {
+                    active[instr.q1 as usize] = true;
+                }
+            }
         }
-        let duration = self.circuit_duration_ns(circuit);
-        for &q in circuit.active_qubits().iter() {
-            esp *= self.decoherence_factor(q, duration * 0.5);
+        let duration = finish.iter().cloned().fold(0.0, f64::max);
+        for (q, _) in active.iter().enumerate().filter(|(_, &used)| used) {
+            esp *= self.decoherence_factor(q as u32, duration * 0.5);
         }
         esp.clamp(0.0, 1.0)
     }
@@ -168,9 +181,61 @@ impl NoiseModel {
 mod tests {
     use super::*;
     use crate::calibration::CalibrationGenerator;
-    use qonductor_circuit::generators::ghz;
+    use crate::fleet::Fleet;
+    use qonductor_circuit::generators::{ghz, random_circuit};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The three walks `estimated_success_probability` used to be: the error
+    /// product, then the duration, then the active set.
+    fn esp_three_walk_oracle(model: &NoiseModel, circuit: &Circuit) -> f64 {
+        let mut esp = 1.0f64;
+        for instr in circuit.instructions() {
+            let p_err = model.instruction_error(instr.gate, instr.q0, instr.q1);
+            esp *= 1.0 - p_err;
+        }
+        let duration = model.circuit_duration_ns(circuit);
+        for &q in circuit.active_qubits().iter() {
+            esp *= model.decoherence_factor(q, duration * 0.5);
+        }
+        esp.clamp(0.0, 1.0)
+    }
+
+    /// Bit-for-bit: seeded random circuits (unrouted, so calibrated and
+    /// uncalibrated edges mix, and wider than the small devices, so the
+    /// device-mean fallbacks run) with barriers and delays spliced in, on
+    /// every device and template of the default fleet.
+    #[test]
+    fn one_walk_esp_equals_the_three_walk_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let fleet = Fleet::ibm_default(&mut rng);
+        let mut models: Vec<NoiseModel> =
+            fleet.members().iter().map(|m| m.qpu.noise_model()).collect();
+        models.extend(fleet.template_qpus().iter().map(|t| t.noise_model()));
+        let mut distinct = std::collections::HashSet::new();
+        for round in 0..40 {
+            let width = rng.gen_range(1..=27);
+            let mut circuit = random_circuit(width, rng.gen_range(1..=8), &mut rng);
+            for _ in 0..round % 4 {
+                let at = rng.gen_range(0..=circuit.len());
+                let extra = if rng.gen_bool(0.5) {
+                    Instruction::one(Gate::Barrier, 0)
+                } else {
+                    Instruction::one(
+                        Gate::Delay(rng.gen_range(0.0..900.0)),
+                        rng.gen_range(0..width),
+                    )
+                };
+                circuit.instructions_mut().insert(at, extra);
+            }
+            for model in &models {
+                let esp = model.estimated_success_probability(&circuit);
+                assert_eq!(esp.to_bits(), esp_three_walk_oracle(model, &circuit).to_bits());
+                distinct.insert(esp.to_bits());
+            }
+        }
+        assert!(distinct.len() > 300, "the inputs exercise the model: {}", distinct.len());
+    }
 
     fn model(n: u32, quality: f64, seed: u64) -> NoiseModel {
         let edges: Vec<(u32, u32)> = (0..n - 1).map(|q| (q, q + 1)).collect();

@@ -391,7 +391,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let qpu = Qpu::new("ibm_test", QpuModel::falcon_27(), 1.0, &mut rng);
         assert_eq!(qpu.calibration.num_qubits(), 27);
-        assert_eq!(qpu.calibration.edges.len(), qpu.model.coupling_map.edges().len());
+        assert_eq!(qpu.calibration.edges().len(), qpu.model.coupling_map.edges().len());
     }
 
     #[test]

@@ -5,14 +5,37 @@
 //! used by the 27-qubit Falcon, 65-qubit Hummingbird, and 127-qubit Eagle models.
 
 use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
 
 /// An undirected qubit coupling map.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Adjacency lists and all-pairs distances are derived from the edge list on
+/// first use and shared by every clone of the map, so neither building a map
+/// nor copying a fleet pays for them and a device pays for them once.
+#[derive(Debug, Clone)]
 pub struct CouplingMap {
     num_qubits: u32,
     /// Canonical (min, max) edge list, sorted and deduplicated.
     edges: Vec<(u32, u32)>,
+    derived: Arc<OnceLock<Derived>>,
 }
+
+/// What the router and the layout pass read per gate (see [`CouplingMap`]).
+#[derive(Debug)]
+struct Derived {
+    /// Neighbours of each qubit, ascending.
+    adjacency: Vec<Vec<u32>>,
+    /// BFS hop counts between every pair; `u32::MAX` marks unreachable pairs.
+    distances: Vec<Vec<u32>>,
+}
+
+impl PartialEq for CouplingMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_qubits == other.num_qubits && self.edges == other.edges
+    }
+}
+
+impl Eq for CouplingMap {}
 
 impl CouplingMap {
     /// Build a coupling map from an explicit edge list.
@@ -27,7 +50,7 @@ impl CouplingMap {
             .collect();
         canon.sort_unstable();
         canon.dedup();
-        CouplingMap { num_qubits, edges: canon }
+        CouplingMap { num_qubits, edges: canon, derived: Arc::default() }
     }
 
     /// A 1-D chain of `n` qubits.
@@ -154,10 +177,73 @@ impl CouplingMap {
         self.edges.binary_search(&key).is_ok()
     }
 
-    /// Direct neighbours of qubit `q`.
-    pub fn neighbors(&self, q: u32) -> Vec<u32> {
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(|| {
+            let n = self.num_qubits as usize;
+            let mut adjacency = vec![Vec::new(); n];
+            for &(a, b) in &self.edges {
+                adjacency[a as usize].push(b);
+                adjacency[b as usize].push(a);
+            }
+            // The edge list is sorted by (min, max): a qubit's smaller
+            // neighbours arrive in order, then its larger ones.
+            debug_assert!(adjacency.iter().all(|nbs| nbs.windows(2).all(|w| w[0] < w[1])));
+            let mut distances = vec![vec![u32::MAX; n]; n];
+            let mut queue = VecDeque::new();
+            for (start, row) in distances.iter_mut().enumerate() {
+                row[start] = 0;
+                queue.push_back(start);
+                while let Some(u) = queue.pop_front() {
+                    let du = row[u];
+                    for &v in &adjacency[u] {
+                        let v = v as usize;
+                        if row[v] == u32::MAX {
+                            row[v] = du + 1;
+                            queue.push_back(v);
+                        }
+                    }
+                }
+            }
+            Derived { adjacency, distances }
+        })
+    }
+
+    /// Direct neighbours of qubit `q`, ascending.
+    pub fn neighbors(&self, q: u32) -> &[u32] {
+        &self.derived().adjacency[q as usize]
+    }
+
+    /// Degree of qubit `q`.
+    pub fn degree(&self, q: u32) -> usize {
+        self.neighbors(q).len()
+    }
+
+    /// All-pairs shortest-path (hop count) distance matrix. `u32::MAX` marks
+    /// unreachable pairs.
+    pub fn distance_matrix(&self) -> &[Vec<u32>] {
+        &self.derived().distances
+    }
+
+    /// Shortest-path distance between two qubits (`None` if disconnected).
+    pub fn distance(&self, a: u32, b: u32) -> Option<u32> {
+        let d = self.distance_matrix()[a as usize][b as usize];
+        (d != u32::MAX).then_some(d)
+    }
+
+    /// `true` if every qubit can reach every other qubit.
+    pub fn is_connected(&self) -> bool {
+        self.num_qubits <= 1 || self.distance_matrix()[0].iter().all(|&d| d != u32::MAX)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-call edge scan `neighbors` used to be.
+    fn neighbors_oracle(map: &CouplingMap, q: u32) -> Vec<u32> {
         let mut out = Vec::new();
-        for &(a, b) in &self.edges {
+        for &(a, b) in map.edges() {
             if a == q {
                 out.push(b);
             } else if b == q {
@@ -167,17 +253,11 @@ impl CouplingMap {
         out
     }
 
-    /// Degree of qubit `q`.
-    pub fn degree(&self, q: u32) -> usize {
-        self.neighbors(q).len()
-    }
-
-    /// All-pairs shortest-path distance matrix computed with BFS from every
-    /// qubit. `u32::MAX` marks unreachable pairs.
-    pub fn distance_matrix(&self) -> Vec<Vec<u32>> {
-        let n = self.num_qubits as usize;
+    /// The per-call BFS `distance_matrix` used to be.
+    fn distance_matrix_oracle(map: &CouplingMap) -> Vec<Vec<u32>> {
+        let n = map.num_qubits() as usize;
         let mut adj = vec![Vec::new(); n];
-        for &(a, b) in &self.edges {
+        for &(a, b) in map.edges() {
             adj[a as usize].push(b as usize);
             adj[b as usize].push(a as usize);
         }
@@ -199,28 +279,42 @@ impl CouplingMap {
         dist
     }
 
-    /// Shortest-path distance between two qubits (`None` if disconnected).
-    pub fn distance(&self, a: u32, b: u32) -> Option<u32> {
-        let d = self.distance_matrix()[a as usize][b as usize];
-        if d == u32::MAX {
-            None
-        } else {
-            Some(d)
+    /// The derived tables equal the oracles on every map shape, a clone
+    /// shares them, and neighbour order stays ascending (the router's
+    /// first-minimum tie-break depends on it).
+    #[test]
+    fn derived_topology_matches_the_per_call_oracles() {
+        let maps = [
+            CouplingMap::linear(1),
+            CouplingMap::linear(9),
+            CouplingMap::ring(7),
+            CouplingMap::grid(3, 5),
+            CouplingMap::full(6),
+            CouplingMap::heavy_hex_7(),
+            CouplingMap::heavy_hex_16(),
+            CouplingMap::heavy_hex_27(),
+            CouplingMap::new(6, vec![(4, 0), (0, 1), (2, 3), (3, 5), (5, 2)]),
+        ];
+        for map in &maps {
+            let clone = map.clone();
+            let expected = distance_matrix_oracle(map);
+            assert_eq!(map.distance_matrix(), expected.as_slice());
+            assert!(std::ptr::eq(map.distance_matrix(), clone.distance_matrix()));
+            for q in 0..map.num_qubits() {
+                let nbs = neighbors_oracle(map, q);
+                assert!(nbs.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(map.neighbors(q), nbs.as_slice());
+                assert_eq!(map.degree(q), nbs.len());
+                for r in 0..map.num_qubits() {
+                    let d = expected[q as usize][r as usize];
+                    assert_eq!(map.distance(q, r), (d != u32::MAX).then_some(d));
+                }
+            }
+            assert_eq!(map.is_connected(), expected[0].iter().all(|&d| d != u32::MAX));
         }
+        assert!(!maps[8].is_connected());
+        assert_eq!(maps[8].distance_matrix()[0][2], u32::MAX);
     }
-
-    /// `true` if every qubit can reach every other qubit.
-    pub fn is_connected(&self) -> bool {
-        if self.num_qubits <= 1 {
-            return true;
-        }
-        self.distance_matrix()[0].iter().all(|&d| d != u32::MAX)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn linear_map_structure() {

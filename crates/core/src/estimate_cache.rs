@@ -20,6 +20,17 @@
 //! is no uncached variant to select — and the cache is derived data: never
 //! journaled, never part of `encode_state` or any digest. Each product keeps
 //! at most [`CAPACITY`] keys and evicts in insertion order.
+//!
+//! Lookups come in batches (a wave's plans, a submission round's steps; a
+//! single lookup is a batch of one) and a batch runs in three phases:
+//! **classify** every request serially, in request order — hit, miss or
+//! stale, counted and evicted exactly as if the requests had been issued one
+//! by one, a repeat inside the batch hitting the entry its first occurrence
+//! reserved; **compute** what is missing — independent pure functions whose
+//! costs span two orders of magnitude — on the host's cores
+//! ([`compute_indexed`]); **store** the results by index. Outputs, cache
+//! contents and [`EstimateCacheStats`] therefore do not depend on the worker
+//! count.
 
 use qonductor_backend::{Fleet, Qpu, TemplateQpu};
 use qonductor_circuit::Circuit;
@@ -28,9 +39,13 @@ use qonductor_estimator::{
     ResourcePlan,
 };
 use qonductor_mitigation::MitigationStack;
+use qonductor_scheduler::host_cores;
 use qonductor_transpiler::Transpiler;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Keys kept per product before the oldest is evicted.
 pub(crate) const CAPACITY: usize = 2048;
@@ -76,6 +91,22 @@ impl StepKey {
     }
 }
 
+/// One step-estimate lookup. `key` must be the [`StepKey`] of `circuit` and
+/// `stack`.
+pub(crate) struct StepRequest<'a> {
+    pub(crate) key: StepKey,
+    pub(crate) circuit: &'a Circuit,
+    pub(crate) stack: &'a MitigationStack,
+}
+
+/// One plan lookup. `digest` must be `circuit.content_digest()` and `stamp`
+/// must describe the fleet the lookup runs against.
+pub(crate) struct PlanRequest<'a> {
+    pub(crate) digest: u128,
+    pub(crate) circuit: &'a Circuit,
+    pub(crate) stamp: &'a PlanStamp,
+}
+
 /// Everything besides the circuit that plan generation reads.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlanStamp {
@@ -94,6 +125,25 @@ impl PlanStamp {
         (self.preferred_models.is_empty() || self.preferred_models.contains(&template.model.name))
             && template.num_qubits() >= self.min_qubits
     }
+
+    /// The template QPUs of `fleet` that plans under this stamp range over.
+    fn templates(&self, fleet: &Fleet) -> Vec<TemplateQpu> {
+        fleet.template_qpus().into_iter().filter(|t| self.admits(t)).collect()
+    }
+}
+
+/// A stored value, or — between a batch's classify and store phases — the
+/// number of the work item of that batch that will produce it.
+#[derive(Debug, Clone, Copy)]
+enum Cached<T> {
+    Ready(T),
+    InFlight(usize),
+}
+
+impl<T: Default> Default for Cached<T> {
+    fn default() -> Self {
+        Cached::Ready(T::default())
+    }
 }
 
 /// One device's estimate of a step, with the stamp it was computed under.
@@ -101,7 +151,7 @@ impl PlanStamp {
 struct DeviceEstimate {
     device: String,
     epoch: u64,
-    estimate: AnalyticEstimate,
+    estimate: Cached<AnalyticEstimate>,
 }
 
 /// One circuit's plans, with the stamp they were computed under (`None`
@@ -109,7 +159,7 @@ struct DeviceEstimate {
 #[derive(Debug, Default)]
 struct PlanEntry {
     stamp: Option<PlanStamp>,
-    plans: Vec<ResourcePlan>,
+    plans: Cached<Arc<[ResourcePlan]>>,
 }
 
 /// A map that holds at most [`CAPACITY`] keys, evicting in insertion order.
@@ -153,15 +203,56 @@ fn device_estimate(
     analytic_estimate(&transpiled, &noise, &stack.cost(&transpiled.circuit, &noise))
 }
 
+/// `work(0), …, work(items - 1)`, in index order, computed by
+/// `min(workers, items)` threads — the caller and scoped helpers — that claim
+/// the next index from a shared counter until none is left (static chunks
+/// would leave a core idle behind one wide circuit). With one worker nothing
+/// is spawned. A panic in `work` resumes on the caller once every thread has
+/// stopped.
+fn compute_indexed<T: Send>(
+    workers: usize,
+    items: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = workers.min(items);
+    if workers <= 1 {
+        return (0..items).map(work).collect();
+    }
+    // Relaxed: the counter only hands out indices; what `work` reads was
+    // shared before the threads started and results come back through `join`.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= items {
+                return done;
+            }
+            done.push((index, work(index)));
+        }
+    };
+    let mut results: Vec<Option<T>> = (0..items).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mut done = claim();
+        for helper in helpers {
+            done.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        for (index, value) in done {
+            results[index] = Some(value);
+        }
+    });
+    results.into_iter().map(|r| r.expect("every index is claimed exactly once")).collect()
+}
+
 /// The orchestrator's estimate memo (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct EstimateCache {
     /// Per key, one slot per fleet member (by fleet index).
     steps: Bounded<StepKey, Vec<Option<DeviceEstimate>>>,
     plans: Bounded<u128, PlanEntry>,
-    /// The template QPUs the last plan computation ran over.
-    templates: Vec<TemplateQpu>,
-    templates_stamp: Option<PlanStamp>,
+    /// The template QPUs the last plan computation ran over, and its stamp.
+    templates: Option<(PlanStamp, Vec<TemplateQpu>)>,
     stats: EstimateCacheStats,
 }
 
@@ -170,96 +261,203 @@ impl EstimateCache {
         self.stats
     }
 
-    /// Per-QPU fidelity and execution-time estimates for one circuit under a
-    /// mitigation stack (transpilation + ESP + mitigation uplift), indexed
-    /// like [`Fleet::members`]. QPUs that cannot fit the circuit get the
-    /// engine's "cannot run here" marker — zero fidelity and an infinite
-    /// execution time (the engine sanitizes this to a finite penalty for the
-    /// optimizer and refuses it in direct dispatch; cloudsim uses the same
-    /// representation). `key` must be the [`StepKey`] of `circuit` and `stack`.
+    /// Per-QPU fidelity and execution-time estimates for each requested
+    /// circuit under its mitigation stack (transpilation + ESP + mitigation
+    /// uplift), indexed like [`Fleet::members`]. QPUs that cannot fit the
+    /// circuit get the engine's "cannot run here" marker — zero fidelity and
+    /// an infinite execution time (the engine sanitizes this to a finite
+    /// penalty for the optimizer and refuses it in direct dispatch; cloudsim
+    /// uses the same representation).
     pub(crate) fn step_estimates(
         &mut self,
-        key: StepKey,
-        circuit: &Circuit,
-        stack: &MitigationStack,
+        requests: &[StepRequest<'_>],
         fleet: &Fleet,
         transpiler: &Transpiler,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let stats = &mut self.stats.steps;
-        let (row, evicted) = self.steps.slot(key);
-        stats.evictions += evicted.map_or(0, |row| row.iter().flatten().count() as u64);
-        row.resize_with(fleet.len(), || None);
-        let mut fidelity_per_qpu = Vec::with_capacity(fleet.len());
-        let mut exec_time_per_qpu = Vec::with_capacity(fleet.len());
-        for (slot, member) in row.iter_mut().zip(fleet.members()) {
-            let qpu = &member.qpu;
-            if qpu.num_qubits() < circuit.num_qubits() {
-                fidelity_per_qpu.push(0.0);
-                exec_time_per_qpu.push(f64::INFINITY);
-                continue;
-            }
-            let estimate = match slot {
-                Some(e) if e.device == qpu.name && e.epoch == qpu.clock.epoch => {
-                    stats.hits += 1;
-                    e.estimate
-                }
-                _ => {
-                    if slot.is_some() {
-                        stats.stale_recomputes += 1;
-                    } else {
-                        stats.misses += 1;
-                    }
-                    let estimate = device_estimate(transpiler, circuit, qpu, stack);
-                    *slot = Some(DeviceEstimate {
-                        device: qpu.name.clone(),
-                        epoch: qpu.clock.epoch,
-                        estimate,
-                    });
-                    estimate
-                }
-            };
-            fidelity_per_qpu.push(estimate.fidelity);
-            exec_time_per_qpu.push(estimate.quantum_time_s);
-        }
-        (fidelity_per_qpu, exec_time_per_qpu)
+    ) -> Vec<(Vec<f64>, Vec<f64>)> {
+        self.step_estimates_on(host_cores(), requests, fleet, transpiler)
     }
 
-    /// The resource plans of one circuit (fidelity/runtime/cost tradeoffs
-    /// over the template QPUs `stamp` admits and the candidate mitigation
-    /// stacks). `digest` must be `circuit.content_digest()` and `stamp` must
-    /// describe `fleet`.
+    /// [`Self::step_estimates`] with at most `workers` threads in the
+    /// compute phase.
+    fn step_estimates_on(
+        &mut self,
+        workers: usize,
+        requests: &[StepRequest<'_>],
+        fleet: &Fleet,
+        transpiler: &Transpiler,
+    ) -> Vec<(Vec<f64>, Vec<f64>)> {
+        // Classify. `work` lists the (request, device) pairs to compute and
+        // `awaited` the output cells that read a work item's result.
+        let stats = &mut self.stats.steps;
+        let mut work: Vec<(usize, usize)> = Vec::new();
+        let mut awaited: Vec<(usize, usize, usize)> = Vec::new();
+        let mut outputs = Vec::with_capacity(requests.len());
+        for (r, request) in requests.iter().enumerate() {
+            let (row, evicted) = self.steps.slot(request.key);
+            stats.evictions += evicted.map_or(0, |row| row.iter().flatten().count() as u64);
+            row.resize_with(fleet.len(), || None);
+            let mut fidelity_per_qpu = Vec::with_capacity(fleet.len());
+            let mut exec_time_per_qpu = Vec::with_capacity(fleet.len());
+            for (d, (slot, member)) in row.iter_mut().zip(fleet.members()).enumerate() {
+                let qpu = &member.qpu;
+                if qpu.num_qubits() < request.circuit.num_qubits() {
+                    fidelity_per_qpu.push(0.0);
+                    exec_time_per_qpu.push(f64::INFINITY);
+                    continue;
+                }
+                let cached = match slot {
+                    Some(e) if e.device == qpu.name && e.epoch == qpu.clock.epoch => {
+                        stats.hits += 1;
+                        e.estimate
+                    }
+                    _ => {
+                        if slot.is_some() {
+                            stats.stale_recomputes += 1;
+                        } else {
+                            stats.misses += 1;
+                        }
+                        let estimate = Cached::InFlight(work.len());
+                        work.push((r, d));
+                        *slot = Some(DeviceEstimate {
+                            device: qpu.name.clone(),
+                            epoch: qpu.clock.epoch,
+                            estimate,
+                        });
+                        estimate
+                    }
+                };
+                let estimate = match cached {
+                    Cached::Ready(estimate) => estimate,
+                    Cached::InFlight(w) => {
+                        awaited.push((r, d, w));
+                        AnalyticEstimate { fidelity: f64::NAN, quantum_time_s: f64::NAN }
+                    }
+                };
+                fidelity_per_qpu.push(estimate.fidelity);
+                exec_time_per_qpu.push(estimate.quantum_time_s);
+            }
+            outputs.push((fidelity_per_qpu, exec_time_per_qpu));
+        }
+
+        // Compute. A panic must not leave reservations behind: the lock
+        // around the orchestrator state does not poison.
+        let computed = catch_unwind(AssertUnwindSafe(|| {
+            compute_indexed(workers, work.len(), |w| {
+                let (r, d) = work[w];
+                let request = &requests[r];
+                device_estimate(transpiler, request.circuit, &fleet.members()[d].qpu, request.stack)
+            })
+        }));
+
+        // Store, unless a later request of the batch evicted the reservation.
+        for (w, &(r, d)) in work.iter().enumerate() {
+            let Some(slot) = self.steps.map.get_mut(&requests[r].key).map(|row| &mut row[d]) else {
+                continue;
+            };
+            let reserved = |e: &DeviceEstimate| matches!(e.estimate, Cached::InFlight(x) if x == w);
+            if slot.as_ref().is_some_and(reserved) {
+                let filled = computed.as_ref().ok().map(|estimates| Cached::Ready(estimates[w]));
+                *slot =
+                    slot.take().zip(filled).map(|(e, estimate)| DeviceEstimate { estimate, ..e });
+            }
+        }
+        let estimates = computed.unwrap_or_else(|panic| resume_unwind(panic));
+        for (r, d, w) in awaited {
+            outputs[r].0[d] = estimates[w].fidelity;
+            outputs[r].1[d] = estimates[w].quantum_time_s;
+        }
+        outputs
+    }
+
+    /// The resource plans of each requested circuit (fidelity/runtime/cost
+    /// tradeoffs over the template QPUs its stamp admits and the candidate
+    /// mitigation stacks).
     pub(crate) fn plans(
         &mut self,
-        digest: u128,
-        circuit: &Circuit,
-        stamp: &PlanStamp,
+        requests: &[PlanRequest<'_>],
         fleet: &Fleet,
-    ) -> &[ResourcePlan] {
+    ) -> Vec<Arc<[ResourcePlan]>> {
+        self.plans_on(host_cores(), requests, fleet)
+    }
+
+    /// [`Self::plans`] with at most `workers` threads in the compute phase.
+    fn plans_on(
+        &mut self,
+        workers: usize,
+        requests: &[PlanRequest<'_>],
+        fleet: &Fleet,
+    ) -> Vec<Arc<[ResourcePlan]>> {
+        // Classify. `work` lists (request, index into `template_sets`).
         let stats = &mut self.stats.plans;
-        let (entry, evicted) = self.plans.slot(digest);
-        stats.evictions += u64::from(evicted.is_some());
-        if entry.stamp.as_ref() == Some(stamp) {
-            stats.hits += 1;
-        } else {
-            if entry.stamp.is_some() {
-                stats.stale_recomputes += 1;
+        let mut template_sets: Vec<(PlanStamp, Vec<TemplateQpu>)> = Vec::new();
+        let mut work: Vec<(usize, usize)> = Vec::new();
+        let mut outputs: Vec<Cached<Arc<[ResourcePlan]>>> = Vec::with_capacity(requests.len());
+        for (r, request) in requests.iter().enumerate() {
+            let (entry, evicted) = self.plans.slot(request.digest);
+            stats.evictions += u64::from(evicted.is_some());
+            if entry.stamp.as_ref() == Some(request.stamp) {
+                stats.hits += 1;
             } else {
-                stats.misses += 1;
+                if entry.stamp.is_some() {
+                    stats.stale_recomputes += 1;
+                } else {
+                    stats.misses += 1;
+                }
+                if template_sets.is_empty() {
+                    template_sets.extend(self.templates.take());
+                }
+                let set = template_sets
+                    .iter()
+                    .position(|(stamp, _)| stamp == request.stamp)
+                    .unwrap_or_else(|| {
+                        template_sets.push((request.stamp.clone(), request.stamp.templates(fleet)));
+                        template_sets.len() - 1
+                    });
+                entry.plans = Cached::InFlight(work.len());
+                entry.stamp = Some(request.stamp.clone());
+                work.push((r, set));
             }
-            if self.templates_stamp.as_ref() != Some(stamp) {
-                self.templates =
-                    fleet.template_qpus().into_iter().filter(|t| stamp.admits(t)).collect();
-                self.templates_stamp = Some(stamp.clone());
-            }
-            entry.plans = generate_plans(
-                circuit,
-                &self.templates,
-                EstimationBackend::Analytic,
-                &stamp.generator,
-            );
-            entry.stamp = Some(stamp.clone());
+            outputs.push(entry.plans.clone());
         }
-        &entry.plans
+
+        // Compute (see `step_estimates_on` for the panic handling).
+        let computed = catch_unwind(AssertUnwindSafe(|| {
+            compute_indexed(workers, work.len(), |w| {
+                let (r, set) = work[w];
+                let (stamp, templates) = &template_sets[set];
+                generate_plans(
+                    requests[r].circuit,
+                    templates,
+                    EstimationBackend::Analytic,
+                    &stamp.generator,
+                )
+            })
+        }));
+        let computed: Result<Vec<Arc<[ResourcePlan]>>, _> =
+            computed.map(|plans| plans.into_iter().map(Arc::from).collect());
+
+        // Store, unless a later request of the batch evicted the reservation.
+        for (w, &(r, _)) in work.iter().enumerate() {
+            let digest = requests[r].digest;
+            let Some(entry) = self.plans.map.get_mut(&digest) else { continue };
+            if matches!(entry.plans, Cached::InFlight(x) if x == w) {
+                match &computed {
+                    Ok(plans) => entry.plans = Cached::Ready(plans[w].clone()),
+                    Err(_) => *entry = PlanEntry::default(),
+                }
+            }
+        }
+        if let Some(&(_, last)) = work.last() {
+            self.templates = Some(template_sets.swap_remove(last));
+        }
+        let plans = computed.unwrap_or_else(|panic| resume_unwind(panic));
+        outputs
+            .into_iter()
+            .map(|output| match output {
+                Cached::Ready(plans) => plans,
+                Cached::InFlight(w) => plans[w].clone(),
+            })
+            .collect()
     }
 
     /// Forget every entry (not the counters): the next lookups take the miss
@@ -268,13 +466,31 @@ impl EstimateCache {
     pub(crate) fn clear(&mut self) {
         self.steps = Bounded::default();
         self.plans = Bounded::default();
-        self.templates_stamp = None;
+        self.templates = None;
     }
+}
+
+/// A fleet whose first device cannot route a four-qubit circuit (its
+/// coupling map is two disconnected pairs), next to a healthy one.
+#[cfg(test)]
+pub(crate) fn fleet_with_an_unroutable_device(rng: &mut rand::rngs::StdRng) -> Fleet {
+    use qonductor_backend::{CouplingMap, FleetMember, JobQueue, QpuModel};
+    let model = QpuModel {
+        name: "split".into(),
+        coupling_map: CouplingMap::new(4, [(0, 1), (2, 3)]),
+        ..QpuModel::falcon_7()
+    };
+    let member = |qpu| FleetMember { qpu, queue: JobQueue::new() };
+    Fleet::from_members(vec![
+        member(Qpu::new("split", model, 1.0, rng)),
+        member(Qpu::new("lagos", QpuModel::falcon_7(), 1.0, rng)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::Fnv64;
     use qonductor_circuit::generators::{ghz, random_circuit};
     use qonductor_circuit::Gate;
     use qonductor_estimator::PricingTable;
@@ -324,8 +540,7 @@ mod tests {
 
     /// The plans with no cache in front.
     fn uncached_plans(fleet: &Fleet, circuit: &Circuit, stamp: &PlanStamp) -> Vec<ResourcePlan> {
-        let templates: Vec<TemplateQpu> =
-            fleet.template_qpus().into_iter().filter(|t| stamp.admits(t)).collect();
+        let templates = stamp.templates(fleet);
         generate_plans(circuit, &templates, EstimationBackend::Analytic, &stamp.generator)
     }
 
@@ -333,7 +548,10 @@ mod tests {
         estimates.0.iter().chain(&estimates.1).map(|x| x.to_bits()).collect()
     }
 
-    fn plan_bits(plans: &[ResourcePlan]) -> Vec<(String, String, bool, [u64; 4])> {
+    /// A plan's labels, model and accelerator flag, and the bits of its floats.
+    type PlanBits = (String, String, bool, [u64; 4]);
+
+    fn plan_bits(plans: &[ResourcePlan]) -> Vec<PlanBits> {
         plans
             .iter()
             .map(|p| {
@@ -357,7 +575,18 @@ mod tests {
         stack: &MitigationStack,
     ) -> (Vec<f64>, Vec<f64>) {
         let key = StepKey::new(circuit.content_digest(), stack);
-        cache.step_estimates(key, circuit, stack, fleet, &Transpiler::default())
+        let request = StepRequest { key, circuit, stack };
+        cache.step_estimates(&[request], fleet, &Transpiler::default()).pop().unwrap()
+    }
+
+    fn lookup_plans(
+        cache: &mut EstimateCache,
+        fleet: &Fleet,
+        circuit: &Circuit,
+        stamp: &PlanStamp,
+    ) -> Arc<[ResourcePlan]> {
+        let request = PlanRequest { digest: circuit.content_digest(), circuit, stamp };
+        cache.plans(&[request], fleet).pop().unwrap()
     }
 
     /// Equivalence is the contract: over seeded random circuits × every
@@ -383,10 +612,10 @@ mod tests {
                 assert_eq!(bits(&lookup_steps(&mut cache, &fleet, &circuit, &stack)), expected);
                 assert_eq!(cache.stats().steps.hits, before.hits + fitting);
             }
-            let digest = circuit.content_digest();
             let expected = plan_bits(&uncached_plans(&fleet, &circuit, &stamp));
             for _ in 0..2 {
-                assert_eq!(plan_bits(cache.plans(digest, &circuit, &stamp, &fleet)), expected);
+                let plans = lookup_plans(&mut cache, &fleet, &circuit, &stamp);
+                assert_eq!(plan_bits(&plans), expected);
             }
         }
         let stats = cache.stats();
@@ -450,7 +679,7 @@ mod tests {
         let stamp = stamp_of(&fleet);
         for c in &circuits {
             lookup_steps(&mut cache, &fleet, c, &stack);
-            cache.plans(c.content_digest(), c, &stamp, &fleet);
+            lookup_plans(&mut cache, &fleet, c, &stamp);
         }
         let cold = cache.stats();
         // 5 and 6 qubits fit all eight devices, 12 qubits the seven ≥ 16.
@@ -474,7 +703,7 @@ mod tests {
         let moved = stamp_of(&fleet);
         assert_ne!(moved, stamp);
         for c in &circuits {
-            let plans = plan_bits(cache.plans(c.content_digest(), c, &moved, &fleet));
+            let plans = plan_bits(&lookup_plans(&mut cache, &fleet, c, &moved));
             assert_eq!(plans, plan_bits(&uncached_plans(&fleet, c, &moved)));
         }
         let plans = cache.stats().plans;
@@ -483,7 +712,7 @@ mod tests {
         // A different deployment configuration is a different stamp too.
         let narrow = PlanStamp { min_qubits: 20, ..moved.clone() };
         let c = &circuits[0];
-        let plans = plan_bits(cache.plans(c.content_digest(), c, &narrow, &fleet));
+        let plans = plan_bits(&lookup_plans(&mut cache, &fleet, c, &narrow));
         assert_eq!(plans, plan_bits(&uncached_plans(&fleet, c, &narrow)));
         assert!(plans.iter().all(|(_, model, ..)| model == "falcon-r5.11"));
         assert_eq!(cache.stats().plans.stale_recomputes, 4);
@@ -508,7 +737,7 @@ mod tests {
         for i in 0..CAPACITY + extra {
             let c = circuit_of(i);
             lookup_steps(&mut cache, &fleet, &c, &stack);
-            cache.plans(c.content_digest(), &c, &stamp, &fleet);
+            lookup_plans(&mut cache, &fleet, &c, &stamp);
         }
         assert_eq!(cache.steps.map.len(), CAPACITY);
         assert_eq!(cache.steps.order.len(), CAPACITY);
@@ -523,7 +752,7 @@ mod tests {
         for c in [&evicted, &kept] {
             let estimates = lookup_steps(&mut cache, &fleet, c, &stack);
             assert_eq!(bits(&estimates), bits(&uncached_steps(&fleet, c, &stack)));
-            let plans = plan_bits(cache.plans(c.content_digest(), c, &stamp, &fleet));
+            let plans = plan_bits(&lookup_plans(&mut cache, &fleet, c, &stamp));
             assert_eq!(plans, plan_bits(&uncached_plans(&fleet, c, &stamp)));
         }
         let after = cache.stats();
@@ -532,5 +761,281 @@ mod tests {
         assert_eq!(after.plans.misses, stats.plans.misses + 1);
         assert_eq!(after.plans.hits, stats.plans.hits + 1);
         assert_eq!(cache.steps.map.len(), CAPACITY);
+    }
+
+    /// The estimates themselves did not move when the layers under them were
+    /// rewritten (shared topology, dense edge lookup, one-walk ESP, one base
+    /// ESP per template): a digest of every step estimate and plan of the
+    /// fixture above, recorded with the per-call BFS, map lookup and
+    /// three-walk ESP in place.
+    #[test]
+    fn estimates_equal_the_values_recorded_before_the_layer_rewrite() {
+        let (fleet, mut rng) = default_fleet(15);
+        let stamp = stamp_of(&fleet);
+        let mut digest = Fnv64::new();
+        for _ in 0..10 {
+            let width = rng.gen_range(2..=18);
+            let depth = rng.gen_range(2..=6);
+            let mut circuit = random_circuit(width, depth, &mut rng);
+            circuit.set_shots(rng.gen_range(100..8000));
+            for stack in candidate_stacks() {
+                for word in bits(&uncached_steps(&fleet, &circuit, &stack)) {
+                    digest.absorb(&word.to_le_bytes());
+                }
+            }
+            for (label, model, accelerated, floats) in
+                plan_bits(&uncached_plans(&fleet, &circuit, &stamp))
+            {
+                digest.absorb(label.as_bytes());
+                digest.absorb(model.as_bytes());
+                digest.absorb(&[u8::from(accelerated)]);
+                for word in floats {
+                    digest.absorb(&word.to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(digest.value(), 0xb3a6_78d7_e8a7_20ee);
+    }
+
+    /// A wave of step and plan requests with repeats inside it: circuits 0
+    /// and 1 come back later in the wave, once under another name and once
+    /// under another stack.
+    struct Wave {
+        circuits: Vec<Circuit>,
+        stacks: Vec<MitigationStack>,
+        stamp: PlanStamp,
+    }
+
+    impl Wave {
+        fn new(fleet: &Fleet, rng: &mut StdRng) -> Self {
+            let distinct: Vec<Circuit> = (0..6)
+                .map(|_| random_circuit(rng.gen_range(2..=14), rng.gen_range(2..=5), rng))
+                .collect();
+            let mut renamed = distinct[0].clone();
+            renamed.set_name("circuit-0-again");
+            let order = [0, 1, 2, 0, 3, 1, 4, 5];
+            let mut circuits: Vec<Circuit> = order.iter().map(|&i| distinct[i].clone()).collect();
+            circuits.push(renamed);
+            let mut stacks = vec![MitigationStack::listing2(); circuits.len()];
+            stacks[5] = MitigationStack::none();
+            Wave { circuits, stacks, stamp: stamp_of(fleet) }
+        }
+
+        fn step_requests(&self) -> Vec<StepRequest<'_>> {
+            self.circuits
+                .iter()
+                .zip(&self.stacks)
+                .map(|(circuit, stack)| StepRequest {
+                    key: StepKey::new(circuit.content_digest(), stack),
+                    circuit,
+                    stack,
+                })
+                .collect()
+        }
+
+        fn plan_requests(&self) -> Vec<PlanRequest<'_>> {
+            self.circuits
+                .iter()
+                .map(|circuit| PlanRequest {
+                    digest: circuit.content_digest(),
+                    circuit,
+                    stamp: &self.stamp,
+                })
+                .collect()
+        }
+
+        /// The wave through `cache` as batches computed by `workers` threads,
+        /// or one request at a time if `workers` is `None`.
+        fn lookup(
+            &self,
+            cache: &mut EstimateCache,
+            fleet: &Fleet,
+            workers: Option<usize>,
+        ) -> (Vec<Vec<u64>>, Vec<Vec<PlanBits>>) {
+            let (steps, plans) = (self.step_requests(), self.plan_requests());
+            let transpiler = Transpiler::default();
+            let (steps, plans) = match workers {
+                Some(n) => (
+                    cache.step_estimates_on(n, &steps, fleet, &transpiler),
+                    cache.plans_on(n, &plans, fleet),
+                ),
+                None => (
+                    steps
+                        .chunks(1)
+                        .flat_map(|one| cache.step_estimates(one, fleet, &transpiler))
+                        .collect(),
+                    plans.chunks(1).flat_map(|one| cache.plans(one, fleet)).collect(),
+                ),
+            };
+            (steps.iter().map(bits).collect(), plans.iter().map(|p| plan_bits(p)).collect())
+        }
+    }
+
+    /// No reservation outlives its batch.
+    fn assert_nothing_in_flight(cache: &EstimateCache) {
+        let mut estimates = cache.steps.map.values().flatten().flatten();
+        assert!(estimates.all(|e| matches!(e.estimate, Cached::Ready(_))));
+        assert!(cache.plans.map.values().all(|e| matches!(e.plans, Cached::Ready(_))));
+    }
+
+    /// A batch is the same requests issued one by one — outputs bit for bit
+    /// and the accounting — whatever the worker count, with repeated keys
+    /// inside the batch, and again after one device recalibrated (only that
+    /// device's estimates are recomputed).
+    #[test]
+    fn a_batch_equals_its_requests_one_by_one_for_every_worker_count() {
+        let (mut fleet, mut rng) = default_fleet(19);
+        let mut wave = Wave::new(&fleet, &mut rng);
+        let mut caches: Vec<(Option<usize>, EstimateCache)> =
+            [None, Some(1), Some(2), Some(5)].map(|w| (w, EstimateCache::default())).into();
+
+        let cold: Vec<_> = caches.iter_mut().map(|(w, c)| wave.lookup(c, &fleet, *w)).collect();
+        for (circuit, (stack, expected)) in
+            wave.circuits.iter().zip(wave.stacks.iter().zip(&cold[0].0))
+        {
+            assert_eq!(expected, &bits(&uncached_steps(&fleet, circuit, stack)));
+        }
+        let one_by_one = caches[0].1.stats();
+        // Three of the nine requests repeat an earlier key of the wave.
+        let fitting = |c: &Circuit| {
+            fleet.members().iter().filter(|m| m.qpu.num_qubits() >= c.num_qubits()).count() as u64
+        };
+        assert_eq!(one_by_one.steps.hits, fitting(&wave.circuits[3]) + fitting(&wave.circuits[8]));
+        assert_eq!((one_by_one.plans.misses, one_by_one.plans.hits), (6, 3));
+        for ((workers, cache), outputs) in caches.iter().zip(&cold) {
+            assert_eq!(outputs, &cold[0], "{workers:?} workers");
+            assert_eq!(cache.stats(), one_by_one, "{workers:?} workers");
+            assert_nothing_in_flight(cache);
+        }
+
+        // Only device 3 (a 27-qubit Falcon) has a boundary before t = 150.
+        fleet.members_mut()[3].qpu.set_calibration_period(100.0, 0.0);
+        fleet.sync_calibrations(150.0, &mut rng);
+        wave.stamp = stamp_of(&fleet);
+        let warm: Vec<_> = caches.iter_mut().map(|(w, c)| wave.lookup(c, &fleet, *w)).collect();
+        assert_ne!(warm[0], cold[0]);
+        let one_by_one = caches[0].1.stats();
+        // One stale device for each of the seven distinct step keys (six
+        // circuits, one of them under two stacks); every plan is stale once.
+        assert_eq!(one_by_one.steps.stale_recomputes, 7);
+        assert_eq!((one_by_one.plans.stale_recomputes, one_by_one.plans.hits), (6, 6));
+        for ((workers, cache), outputs) in caches.iter().zip(&warm) {
+            assert_eq!(outputs, &warm[0], "{workers:?} workers");
+            assert_eq!(cache.stats(), one_by_one, "{workers:?} workers");
+            assert_nothing_in_flight(cache);
+        }
+    }
+
+    /// A batch larger than [`CAPACITY`] evicts its own early reservations:
+    /// every output is still delivered, a key that comes back after its
+    /// eviction is computed again, and contents and accounting end up where
+    /// one-by-one lookups leave them.
+    #[test]
+    fn a_batch_larger_than_the_capacity_equals_one_by_one_lookups() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let fleet = Fleet::scaled(1, &mut rng);
+        let stamp = stamp_of(&fleet);
+        let stack = MitigationStack::none();
+        let mut circuits: Vec<Circuit> = (0..CAPACITY + 40)
+            .map(|i| {
+                let mut c = Circuit::new(2);
+                c.rx(i as f64 * 1e-3, 0).cx(0, 1).measure_all();
+                c
+            })
+            .collect();
+        // Key 7 repeats while it is still reserved, key 3 after its eviction.
+        circuits.insert(20, circuits[7].clone());
+        circuits.push(circuits[3].clone());
+        let steps: Vec<StepRequest<'_>> = circuits
+            .iter()
+            .map(|circuit| StepRequest {
+                key: StepKey::new(circuit.content_digest(), &stack),
+                circuit,
+                stack: &stack,
+            })
+            .collect();
+        let plans: Vec<PlanRequest<'_>> = circuits
+            .iter()
+            .map(|circuit| PlanRequest { digest: circuit.content_digest(), circuit, stamp: &stamp })
+            .collect();
+        let transpiler = Transpiler::default();
+
+        let mut one_by_one = EstimateCache::default();
+        let expected_steps: Vec<_> = steps
+            .chunks(1)
+            .flat_map(|one| one_by_one.step_estimates(one, &fleet, &transpiler))
+            .collect();
+        let expected_plans: Vec<_> =
+            plans.chunks(1).flat_map(|one| one_by_one.plans(one, &fleet)).collect();
+        let mut batched = EstimateCache::default();
+        let batched_steps = batched.step_estimates_on(2, &steps, &fleet, &transpiler);
+        let batched_plans = batched.plans_on(2, &plans, &fleet);
+
+        assert_eq!(batched_steps.len(), circuits.len());
+        for (got, expected) in batched_steps.iter().zip(&expected_steps) {
+            assert_eq!(bits(got), bits(expected));
+        }
+        for (got, expected) in batched_plans.iter().zip(&expected_plans) {
+            assert_eq!(plan_bits(got), plan_bits(expected));
+        }
+        let stats = batched.stats();
+        assert_eq!(stats, one_by_one.stats());
+        assert_eq!((stats.steps.hits, stats.steps.misses), (1, CAPACITY as u64 + 41));
+        assert_eq!((stats.steps.evictions, stats.plans.evictions), (41, 41));
+        assert_eq!(batched.steps.order, one_by_one.steps.order);
+        assert_eq!(batched.plans.order, one_by_one.plans.order);
+        assert_eq!(batched.steps.map.len(), CAPACITY);
+        assert_nothing_in_flight(&batched);
+    }
+
+    /// A work item that panics surfaces as that panic on the caller, from
+    /// the caller's own share of the work or from a helper thread, and leaves
+    /// no reservation behind: the next lookups compute what was never stored.
+    #[test]
+    fn a_panicking_work_item_panics_the_caller_and_leaves_no_reservation() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let fleet = fleet_with_an_unroutable_device(&mut rng);
+        let stamp = stamp_of(&fleet);
+        let stack = MitigationStack::none();
+        let circuits = [ghz(2), ghz(4), ghz(3)];
+        let steps: Vec<StepRequest<'_>> = circuits
+            .iter()
+            .map(|circuit| StepRequest {
+                key: StepKey::new(circuit.content_digest(), &stack),
+                circuit,
+                stack: &stack,
+            })
+            .collect();
+        let plans: Vec<PlanRequest<'_>> = circuits
+            .iter()
+            .map(|circuit| PlanRequest { digest: circuit.content_digest(), circuit, stamp: &stamp })
+            .collect();
+        let transpiler = Transpiler::default();
+        let message = |panic: Box<dyn std::any::Any + Send>| {
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        for workers in [1, 2, 5] {
+            let mut cache = EstimateCache::default();
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                cache.step_estimates_on(workers, &steps, &fleet, &transpiler)
+            }))
+            .expect_err("the split device cannot route ghz(4)");
+            assert!(message(panic).contains("no path from"), "{workers} workers");
+            let panic = catch_unwind(AssertUnwindSafe(|| cache.plans_on(workers, &plans, &fleet)))
+                .expect_err("nor can its template");
+            assert!(message(panic).contains("no path from"), "{workers} workers");
+            assert_nothing_in_flight(&cache);
+            let reserved = cache.stats();
+            assert_eq!((reserved.steps.misses, reserved.plans.misses), (6, 3));
+
+            let estimates = lookup_steps(&mut cache, &fleet, &circuits[0], &stack);
+            assert_eq!(bits(&estimates), bits(&uncached_steps(&fleet, &circuits[0], &stack)));
+            let plans = lookup_plans(&mut cache, &fleet, &circuits[0], &stamp);
+            assert_eq!(plan_bits(&plans), plan_bits(&uncached_plans(&fleet, &circuits[0], &stamp)));
+            let after = cache.stats();
+            assert_eq!(after.steps.misses, reserved.steps.misses + 2, "nothing was stored");
+            assert_eq!(after.plans.misses, reserved.plans.misses + 1);
+            assert_eq!(after.steps.hits + after.plans.hits, 0);
+        }
     }
 }

@@ -15,17 +15,18 @@
 //! lets their quantum steps share a single scheduler invocation.
 
 use crate::config::{DeploymentConfig, Priority};
-use crate::estimate_cache::{EstimateCache, EstimateCacheStats, PlanStamp, StepKey};
+use crate::estimate_cache::{
+    EstimateCache, EstimateCacheStats, PlanRequest, PlanStamp, StepKey, StepRequest,
+};
 use crate::jobmanager::{CalibrationPolicy, JobId, JobSpec, TenantId, DEFAULT_TENANT};
 use crate::monitor::{SystemMonitor, WorkflowStatus};
 use crate::registry::{HybridWorkflowImage, ImageId, WorkflowRegistry};
 use crate::replication::ReplicatedControlPlane;
 use crate::sharding::{GlobalTicket, ShardedControlPlane};
 use crate::submission::{TenantConfig, TenantStats};
-use crate::workflow::{Step, Workflow};
+use crate::workflow::{QuantumStep, Step, Workflow};
 use parking_lot::Mutex;
 use qonductor_backend::Fleet;
-use qonductor_circuit::Circuit;
 use qonductor_estimator::{PlanGeneratorConfig, PricingTable, ResourcePlan};
 use qonductor_mitigation::MitigationStack;
 use qonductor_scheduler::{
@@ -35,6 +36,7 @@ use qonductor_transpiler::Transpiler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a workflow invocation.
 pub type RunId = u64;
@@ -402,8 +404,10 @@ impl Orchestrator {
         image_id: ImageId,
     ) -> Result<Vec<ResourcePlan>, OrchestratorError> {
         let image = self.image(image_id)?;
+        let digests = step_digests(&image);
         let mut state = self.state.lock();
-        Ok(self.estimate_resources_inner(&mut state, &image, &step_digests(&image)))
+        let mut plans = self.plan_images(&mut state, &[(&image, &digests)]);
+        Ok(plans.pop().expect("one plan list per image"))
     }
 
     /// Hit/miss/stale/eviction counts of the estimate cache since
@@ -413,39 +417,50 @@ impl Orchestrator {
         self.state.lock().estimates.stats()
     }
 
-    /// Plan generation against an already-locked state. `digests` are the
-    /// image's [`step_digests`].
-    fn estimate_resources_inner(
+    /// Plan generation for several images (each with its [`step_digests`])
+    /// against an already-locked state, as one batch of the estimate cache:
+    /// one plan list per image, in order.
+    fn plan_images(
         &self,
         state: &mut OrchestratorState,
-        image: &HybridWorkflowImage,
-        digests: &[Option<u128>],
-    ) -> Vec<ResourcePlan> {
-        let stamp = PlanStamp {
-            fleet_epoch: state.fleet.calibration_epoch(),
-            preferred_models: image.config.preferred_models.clone(),
-            min_qubits: image.config.quantum.min_qubits,
-            generator: PlanGeneratorConfig {
-                num_plans: image.config.num_resource_plans,
-                pricing: self.pricing,
-                accelerators_available: state
-                    .classical_nodes
-                    .iter()
-                    .any(|n| n.accelerators_free() > 0),
-            },
-        };
-        let mut plans = Vec::new();
-        for (step, digest) in image.workflow.steps().iter().zip(digests) {
-            if let (Step::Quantum(q), Some(digest)) = (step, digest) {
-                plans.extend_from_slice(state.estimates.plans(
-                    *digest,
-                    &q.circuit,
-                    &stamp,
-                    &state.fleet,
-                ));
+        images: &[(&HybridWorkflowImage, &[Option<u128>])],
+    ) -> Vec<Vec<ResourcePlan>> {
+        let fleet_epoch = state.fleet.calibration_epoch();
+        let accelerators_available =
+            state.classical_nodes.iter().any(|n| n.accelerators_free() > 0);
+        let stamps: Vec<PlanStamp> = images
+            .iter()
+            .map(|(image, _)| PlanStamp {
+                fleet_epoch,
+                preferred_models: image.config.preferred_models.clone(),
+                min_qubits: image.config.quantum.min_qubits,
+                generator: PlanGeneratorConfig {
+                    num_plans: image.config.num_resource_plans,
+                    pricing: self.pricing,
+                    accelerators_available,
+                },
+            })
+            .collect();
+        let mut requests = Vec::new();
+        for ((image, digests), stamp) in images.iter().zip(&stamps) {
+            for (step, digest) in image.workflow.steps().iter().zip(*digests) {
+                if let (Step::Quantum(q), Some(digest)) = (step, digest) {
+                    requests.push(PlanRequest { digest: *digest, circuit: &q.circuit, stamp });
+                }
             }
         }
-        plans
+        let mut step_plans = state.estimates.plans(&requests, &state.fleet).into_iter();
+        images
+            .iter()
+            .map(|(_, digests)| {
+                let quantum_steps = digests.iter().flatten().count();
+                let mut plans = Vec::new();
+                for one_step in step_plans.by_ref().take(quantum_steps) {
+                    plans.extend_from_slice(&one_step);
+                }
+                plans
+            })
+            .collect()
     }
 
     /// Table 2 — *Invoke a workflow*: execute the image end-to-end on the
@@ -488,27 +503,40 @@ impl Orchestrator {
         // over from the previous invocation wave.
         state.fleet.sync_calibrations(state.clock_s, &mut state.rng);
 
+        // Resolve the wave's images once and plan them as one batch: the
+        // plans of distinct circuits are independent, so the cache computes
+        // what it is missing on every core. The digests are taken once per
+        // quantum step per invocation; the plan lookup and every later
+        // estimate of the step reuse them.
+        let resolved: Vec<Result<_, OrchestratorError>> = image_ids
+            .iter()
+            .map(|&id| self.image(id).map(|image| (step_digests(&image), image)))
+            .collect();
+        let to_plan: Vec<(&HybridWorkflowImage, &[Option<u128>])> = resolved
+            .iter()
+            .flatten()
+            .map(|(digests, image)| (&**image, digests.as_slice()))
+            .collect();
+        let mut planned = self.plan_images(state, &to_plan).into_iter();
+
         // One slot per input: either an early error or an index into `runs`.
         let mut slots: Vec<Result<usize, OrchestratorError>> = Vec::with_capacity(image_ids.len());
         let mut runs: Vec<ActiveRun> = Vec::new();
 
-        for &image_id in image_ids {
-            let image = match self.image(image_id) {
-                Ok(image) => image,
+        for resolved in resolved {
+            let (digests, image) = match resolved {
+                Ok(resolved) => resolved,
                 Err(e) => {
                     slots.push(Err(e));
                     continue;
                 }
             };
+            let plans = planned.next().expect("one plan list per resolved image");
             let run_id = state.next_run_id;
             state.next_run_id += 1;
             let _ = self.monitor.set_workflow_status(run_id, WorkflowStatus::Pending);
 
-            // Once per quantum step per invocation; plan lookup and every
-            // later estimate of the step reuse it.
-            let digests = step_digests(&image);
             let plan = if digests.iter().any(Option::is_some) {
-                let plans = self.estimate_resources_inner(state, &image, &digests);
                 match pick_plan(&plans, image.config.priority) {
                     Some(plan) => plan.clone(),
                     None => {
@@ -548,9 +576,7 @@ impl Orchestrator {
         // ([`GlobalTicket`]): per-shard ticket ids collide across shards.
         let mut awaiting: HashMap<GlobalTicket, AwaitedStep> = HashMap::new();
         loop {
-            for run_index in 0..runs.len() {
-                self.progress_run(state, &mut runs, run_index, tenant, &mut awaiting);
-            }
+            self.submit_round(state, &mut runs, tenant, &mut awaiting);
             if awaiting.is_empty() {
                 break;
             }
@@ -590,102 +616,83 @@ impl Orchestrator {
             .collect()
     }
 
-    /// Execute a run's steps in topological order until it blocks on a
-    /// quantum result, fails, or finishes. Classical steps advance the run's
-    /// local clock immediately; a quantum step is submitted into the tenant's
-    /// queue (non-blocking) and the run parks until [`Self::drive_engine`]
-    /// admits, schedules, and delivers it.
-    fn progress_run(
+    /// One submission round: advance every unblocked run through its
+    /// classical steps to its next quantum step, estimate those steps as one
+    /// batch of the estimate cache, and submit them — in run order — into the
+    /// tenant's queue (non-blocking). A submitted run parks until
+    /// [`Self::drive_engine`] admits, schedules, and delivers its job.
+    fn submit_round(
         &self,
         state: &mut OrchestratorState,
         runs: &mut [ActiveRun],
-        run_index: usize,
         tenant: TenantId,
         awaiting: &mut HashMap<GlobalTicket, AwaitedStep>,
     ) {
-        let run = &mut runs[run_index];
-        if run.failed.is_some() || run.awaiting_job {
-            return;
+        // (run, step, estimate-cache key, mitigation stack) of every step due.
+        let mut due: Vec<(usize, usize, StepKey, MitigationStack)> = Vec::new();
+        for (run_index, run) in runs.iter_mut().enumerate() {
+            let Some(step_index) = run.advance_to_quantum_step(&state.classical_nodes) else {
+                continue;
+            };
+            let step = run.quantum_step(step_index);
+            let stack = if step.mitigation.is_empty() {
+                run.plan.stack.clone()
+            } else {
+                step.mitigation.clone()
+            };
+            let digest = run.digests[step_index].expect("every quantum step has a digest");
+            due.push((run_index, step_index, StepKey::new(digest, &stack), stack));
         }
-        while run.cursor < run.order.len() {
-            let step_index = run.order[run.cursor];
-            match &run.image.workflow.steps()[step_index] {
-                Step::Classical(step) => {
-                    let Some(node_index) =
-                        place(&state.classical_nodes, &step.request, ScoringPolicy::LeastAllocated)
-                    else {
-                        run.failed = Some(OrchestratorError::NoFeasibleClassicalNode);
-                        return;
-                    };
-                    let duration = step.estimated_duration_s;
-                    run.clock_s += duration;
-                    run.classical_time_total += duration;
-                    run.classical_steps.push(ClassicalStepResult {
-                        step: step.name.clone(),
-                        node: state.classical_nodes[node_index].name.clone(),
-                        execution_s: duration,
-                    });
-                    run.cursor += 1;
-                }
-                Step::Quantum(step) => {
-                    let stack = if step.mitigation.is_empty() {
-                        run.plan.stack.clone()
-                    } else {
-                        step.mitigation.clone()
-                    };
-                    // Estimates are computed against the *engine clock's*
-                    // epoch (never the run-local clock, which classical
-                    // steps can push arbitrarily far ahead — recalibrating
-                    // to a future instant would consume boundaries other
-                    // runs' plans must still split at). If the engine clock
-                    // crosses a boundary before this job dispatches, the
-                    // drive loop's re-estimation pass refreshes it.
-                    let key = StepKey::new(
-                        run.digests[step_index].expect("every quantum step has a digest"),
-                        &stack,
-                    );
-                    let (fidelity_per_qpu, exec_time_per_qpu) = state.estimates.step_estimates(
-                        key,
-                        &step.circuit,
-                        &stack,
-                        &state.fleet,
-                        &self.transpiler,
-                    );
-                    if fidelity_per_qpu.iter().all(|&f| f <= 0.0) {
-                        run.failed = Some(OrchestratorError::NoFeasibleQpu {
-                            required_qubits: step.circuit.num_qubits(),
-                        });
-                        return;
-                    }
-                    let spec = JobSpec {
-                        qubits: step.circuit.num_qubits(),
-                        shots: step.circuit.shots(),
-                        fidelity_per_qpu: fidelity_per_qpu.clone(),
-                        exec_time_per_qpu,
-                        estimate_epoch: state.fleet.calibration_epoch(),
-                    };
-                    let ticket = state
-                        .control
-                        .submit(tenant, spec, run.clock_s)
-                        .expect("tenant validated at wave entry; journal has a quorum");
-                    awaiting.insert(
-                        ticket,
-                        AwaitedStep {
-                            run_index,
-                            step_name: step.name.clone(),
-                            required_qubits: step.circuit.num_qubits(),
-                            submitted_s: run.clock_s,
-                            fidelity_per_qpu,
-                            key,
-                            circuit: step.circuit.clone(),
-                            stack,
-                        },
-                    );
-                    run.awaiting_job = true;
-                    run.cursor += 1;
-                    return;
-                }
+        // Estimates are computed against the *engine clock's* epoch (never a
+        // run-local clock, which classical steps can push arbitrarily far
+        // ahead — recalibrating to a future instant would consume boundaries
+        // other runs' plans must still split at). If the engine clock crosses
+        // a boundary before a job dispatches, the drive loop's re-estimation
+        // pass refreshes it.
+        let requests: Vec<StepRequest<'_>> = due
+            .iter()
+            .map(|(run_index, step_index, key, stack)| StepRequest {
+                key: *key,
+                circuit: &runs[*run_index].quantum_step(*step_index).circuit,
+                stack,
+            })
+            .collect();
+        let estimates = state.estimates.step_estimates(&requests, &state.fleet, &self.transpiler);
+        drop(requests);
+
+        for ((run_index, step_index, key, stack), estimate) in due.into_iter().zip(estimates) {
+            let (fidelity_per_qpu, exec_time_per_qpu) = estimate;
+            let run = &mut runs[run_index];
+            let step = run.quantum_step(step_index);
+            let required_qubits = step.circuit.num_qubits();
+            if fidelity_per_qpu.iter().all(|&f| f <= 0.0) {
+                run.failed = Some(OrchestratorError::NoFeasibleQpu { required_qubits });
+                continue;
             }
+            let spec = JobSpec {
+                qubits: required_qubits,
+                shots: step.circuit.shots(),
+                fidelity_per_qpu: fidelity_per_qpu.clone(),
+                exec_time_per_qpu,
+                estimate_epoch: state.fleet.calibration_epoch(),
+            };
+            let ticket = state
+                .control
+                .submit(tenant, spec, run.clock_s)
+                .expect("tenant validated at wave entry; journal has a quorum");
+            awaiting.insert(
+                ticket,
+                AwaitedStep {
+                    run_index,
+                    step_index,
+                    submitted_s: run.clock_s,
+                    fidelity_per_qpu,
+                    key,
+                    stack,
+                },
+            );
+            run.awaiting_job = true;
+            run.cursor += 1;
         }
     }
 
@@ -740,7 +747,7 @@ impl Orchestrator {
             // stale, so it runs every round rather than only on rounds whose
             // own advance crossed a boundary.
             let epoch = state.fleet.calibration_epoch();
-            self.reestimate_stale_pending(state, awaiting, epoch);
+            self.reestimate_stale_pending(state, runs, awaiting, epoch);
 
             // Deliver completions up to this instant (journaled per ticket on
             // the shard that leases the QPU the job ran on).
@@ -754,7 +761,7 @@ impl Orchestrator {
                 let run = &mut runs[step.run_index];
                 let jitter = 1.0 + state.rng.gen_range(-0.02..0.02);
                 run.quantum_steps.push(QuantumStepResult {
-                    step: step.step_name,
+                    step: run.quantum_step(step.step_index).name.clone(),
                     qpu: state.fleet.members()[completion.qpu_index].qpu.name.clone(),
                     fidelity: (step.fidelity_per_qpu[completion.qpu_index] * jitter)
                         .clamp(0.0, 1.0),
@@ -811,10 +818,11 @@ impl Orchestrator {
                 // terminal rejections fail their runs.
                 for ticket in outcome.terminal_rejections {
                     if let Some(step) = awaiting.remove(&GlobalTicket { shard, ticket }) {
-                        runs[step.run_index].failed = Some(OrchestratorError::NoFeasibleQpu {
-                            required_qubits: step.required_qubits,
+                        let run = &mut runs[step.run_index];
+                        run.failed = Some(OrchestratorError::NoFeasibleQpu {
+                            required_qubits: run.quantum_step(step.step_index).circuit.num_qubits(),
                         });
-                        runs[step.run_index].awaiting_job = false;
+                        run.awaiting_job = false;
                         any_rejected = true;
                     }
                 }
@@ -840,31 +848,51 @@ impl Orchestrator {
     /// Re-estimate every pending job whose estimate table predates the
     /// current fleet calibration epoch: recompute the per-QPU
     /// fidelity/execution estimates from the step's circuit and mitigation
-    /// stack against the *new* calibration snapshots (only the devices whose
-    /// epoch moved are re-transpiled), journal each refresh through the
-    /// control plane, and record the pass in the system monitor.
+    /// stack against the *new* calibration snapshots (one batch of the
+    /// estimate cache; only the devices whose epoch moved are re-transpiled),
+    /// journal each refresh through the control plane, and record the pass in
+    /// the system monitor.
     fn reestimate_stale_pending(
         &self,
         state: &mut OrchestratorState,
+        runs: &[ActiveRun],
         awaiting: &mut HashMap<GlobalTicket, AwaitedStep>,
         epoch: u64,
     ) {
+        let stale: Vec<(usize, JobId, GlobalTicket)> = state
+            .control
+            .stale_pending_all(epoch)
+            .into_iter()
+            .filter_map(|(shard, job_id)| {
+                let ticket = state.control.admitted_ticket(shard, job_id)?;
+                awaiting.contains_key(&ticket).then_some((shard, job_id, ticket))
+            })
+            .collect();
+        if stale.is_empty() {
+            return;
+        }
+        let requests: Vec<StepRequest<'_>> = stale
+            .iter()
+            .map(|(_, _, ticket)| {
+                let step = &awaiting[ticket];
+                StepRequest {
+                    key: step.key,
+                    circuit: &runs[step.run_index].quantum_step(step.step_index).circuit,
+                    stack: &step.stack,
+                }
+            })
+            .collect();
+        let estimates = state.estimates.step_estimates(&requests, &state.fleet, &self.transpiler);
+        drop(requests);
+
         let mut refreshed: Vec<JobId> = Vec::new();
-        for (shard, job_id) in state.control.stale_pending_all(epoch) {
-            let Some(ticket) = state.control.admitted_ticket(shard, job_id) else {
-                continue;
-            };
-            let Some(step) = awaiting.get_mut(&ticket) else { continue };
-            let (fidelity_per_qpu, exec_time_per_qpu) = state.estimates.step_estimates(
-                step.key,
-                &step.circuit,
-                &step.stack,
-                &state.fleet,
-                &self.transpiler,
-            );
+        for ((shard, job_id, ticket), estimate) in stale.into_iter().zip(estimates) {
+            let (fidelity_per_qpu, exec_time_per_qpu) = estimate;
+            let step = awaiting.get_mut(&ticket).expect("filtered to awaited tickets above");
+            let circuit = &runs[step.run_index].quantum_step(step.step_index).circuit;
             let spec = JobSpec {
-                qubits: step.circuit.num_qubits(),
-                shots: step.circuit.shots(),
+                qubits: circuit.num_qubits(),
+                shots: circuit.shots(),
                 fidelity_per_qpu: fidelity_per_qpu.clone(),
                 exec_time_per_qpu,
                 estimate_epoch: epoch,
@@ -918,7 +946,7 @@ impl Orchestrator {
         self.monitor.workflow_status(run_id)
     }
 
-    fn image(&self, image_id: ImageId) -> Result<HybridWorkflowImage, OrchestratorError> {
+    fn image(&self, image_id: ImageId) -> Result<Arc<HybridWorkflowImage>, OrchestratorError> {
         self.registry.get(image_id).ok_or(OrchestratorError::ImageNotFound(image_id))
     }
 }
@@ -926,7 +954,7 @@ impl Orchestrator {
 /// Execution state of one in-flight workflow invocation.
 struct ActiveRun {
     run_id: RunId,
-    image: HybridWorkflowImage,
+    image: Arc<HybridWorkflowImage>,
     /// The image's [`step_digests`].
     digests: Vec<Option<u128>>,
     plan: ResourcePlan,
@@ -949,6 +977,46 @@ struct ActiveRun {
 }
 
 impl ActiveRun {
+    /// The quantum step at `step_index` of the run's workflow.
+    fn quantum_step(&self, step_index: usize) -> &QuantumStep {
+        match &self.image.workflow.steps()[step_index] {
+            Step::Quantum(step) => step,
+            Step::Classical(_) => unreachable!("step {step_index} was submitted as quantum"),
+        }
+    }
+
+    /// Execute the run's steps in topological order until it reaches a
+    /// quantum step — whose index is returned, the cursor still on it — or
+    /// fails, finishes, or is parked on a submitted job. Classical steps
+    /// advance the run's local clock immediately.
+    fn advance_to_quantum_step(&mut self, nodes: &[ClassicalNode]) -> Option<usize> {
+        if self.failed.is_some() || self.awaiting_job {
+            return None;
+        }
+        while self.cursor < self.order.len() {
+            let step_index = self.order[self.cursor];
+            let step = match &self.image.workflow.steps()[step_index] {
+                Step::Quantum(_) => return Some(step_index),
+                Step::Classical(step) => step,
+            };
+            let Some(node_index) = place(nodes, &step.request, ScoringPolicy::LeastAllocated)
+            else {
+                self.failed = Some(OrchestratorError::NoFeasibleClassicalNode);
+                return None;
+            };
+            let duration = step.estimated_duration_s;
+            self.clock_s += duration;
+            self.classical_time_total += duration;
+            self.classical_steps.push(ClassicalStepResult {
+                step: step.name.clone(),
+                node: nodes[node_index].name.clone(),
+                execution_s: duration,
+            });
+            self.cursor += 1;
+        }
+        None
+    }
+
     /// Build the final result record of a completed run.
     fn finish(&mut self, pricing: &PricingTable) -> WorkflowResult {
         let cost_usd = pricing.hybrid_job_cost_usd(
@@ -970,18 +1038,18 @@ impl ActiveRun {
 
 /// Bookkeeping for a quantum step parked in the batch engine.
 struct AwaitedStep {
+    /// The step's run (index into the wave's runs) and its index in that
+    /// run's workflow: where its name and circuit live.
     run_index: usize,
-    step_name: String,
-    required_qubits: u32,
+    step_index: usize,
     /// Run-local simulated time of the submission (waiting is measured from
     /// here: pool wait for the trigger + queue wait).
     submitted_s: f64,
     fidelity_per_qpu: Vec<f64>,
-    /// The step's estimate-cache key, circuit and mitigation stack, kept so a
-    /// pending job pulled out of a batch at a recalibration boundary can be
+    /// The step's estimate-cache key and mitigation stack, kept so a pending
+    /// job pulled out of a batch at a recalibration boundary can be
     /// re-estimated against the post-boundary calibration snapshot.
     key: StepKey,
-    circuit: Circuit,
     stack: MitigationStack,
 }
 
@@ -1074,6 +1142,7 @@ mod tests {
         mitigated_execution_workflow, ClassicalKind, ClassicalStep, QuantumStep,
     };
     use qonductor_circuit::generators::{ghz, qaoa_maxcut, MaxCutGraph};
+    use qonductor_circuit::Circuit;
     use qonductor_scheduler::ClassicalRequest;
 
     /// A VQE/QAOA-style loop: `iterations` × (classical update of
@@ -1189,6 +1258,28 @@ mod tests {
         let second = orchestrator.monitor().estimate_cache_stats().unwrap();
         assert_eq!(second, orchestrator.estimate_cache_stats());
         assert_eq!((second.steps.misses, second.steps.hits), (8, 24));
+    }
+
+    /// A work item that panics inside a batch panics the call that issued
+    /// it — plans or step estimates, it does not hang — and the orchestrator
+    /// keeps answering afterwards.
+    #[test]
+    fn a_panicking_estimate_surfaces_and_the_orchestrator_keeps_answering() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut rng = StdRng::seed_from_u64(14);
+        let fleet = crate::estimate_cache::fleet_with_an_unroutable_device(&mut rng);
+        let orchestrator = Orchestrator::new(fleet, vec![ClassicalNode::standard_vm("vm-0")], 14);
+        let (routable, unroutable) =
+            (ghz_image(&orchestrator, 2, false), ghz_image(&orchestrator, 4, false));
+        let estimate =
+            catch_unwind(AssertUnwindSafe(|| orchestrator.estimate_resources(unroutable)));
+        assert!(estimate.is_err(), "ghz(4) cannot be routed on the split template");
+        let wave = [routable, unroutable, routable];
+        assert!(catch_unwind(AssertUnwindSafe(|| orchestrator.invoke_many(&wave))).is_err());
+
+        assert!(!orchestrator.estimate_resources(routable).unwrap().is_empty());
+        let run = orchestrator.invoke(routable).unwrap();
+        assert_eq!(orchestrator.workflow_status(run), Some(WorkflowStatus::Completed));
     }
 
     fn ghz_image(orchestrator: &Orchestrator, n: u32, mitigated: bool) -> ImageId {

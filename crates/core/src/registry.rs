@@ -33,7 +33,7 @@ pub struct WorkflowRegistry {
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    images: BTreeMap<ImageId, HybridWorkflowImage>,
+    images: BTreeMap<ImageId, Arc<HybridWorkflowImage>>,
     next_id: ImageId,
 }
 
@@ -53,12 +53,14 @@ impl WorkflowRegistry {
         let id = inner.next_id;
         inner.next_id += 1;
         let image = HybridWorkflowImage { id, name: workflow.name.clone(), workflow, config };
-        inner.images.insert(id, image);
+        inner.images.insert(id, Arc::new(image));
         id
     }
 
-    /// Fetch an image by id.
-    pub fn get(&self, id: ImageId) -> Option<HybridWorkflowImage> {
+    /// Fetch an image by id. Images are immutable once registered, so the
+    /// registry hands out a shared reference rather than a copy of every
+    /// circuit.
+    pub fn get(&self, id: ImageId) -> Option<Arc<HybridWorkflowImage>> {
         self.inner.read().images.get(&id).cloned()
     }
 

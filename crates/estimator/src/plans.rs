@@ -95,8 +95,18 @@ pub fn analytic_estimate(
     mitigation: &MitigationCost,
 ) -> AnalyticEstimate {
     let base = noise.estimated_success_probability(&transpiled.circuit);
+    analytic_estimate_from(base, transpiled, mitigation)
+}
+
+/// [`analytic_estimate`] given the transpiled circuit's estimated success
+/// probability, which does not depend on the stack.
+fn analytic_estimate_from(
+    base_esp: f64,
+    transpiled: &TranspiledCircuit,
+    mitigation: &MitigationCost,
+) -> AnalyticEstimate {
     AnalyticEstimate {
-        fidelity: mitigation.mitigated_fidelity(base),
+        fidelity: mitigation.mitigated_fidelity(base_esp),
         quantum_time_s: transpiled.total_execution_s() * mitigation.quantum_time_factor,
     }
 }
@@ -117,11 +127,16 @@ pub fn generate_candidate_plans(
         }
         let noise = template.noise_model();
         let transpiled = transpiler.transpile_for_template(circuit, template);
+        // The transpiled circuit's ESP is the same under every stack.
+        let mut base_esp = None;
         for stack in candidate_stacks() {
             let mitigation = stack.cost(&transpiled.circuit, &noise);
             let (fidelity, quantum_time_s, classical_cpu_s) = match backend {
                 EstimationBackend::Analytic => {
-                    let e = analytic_estimate(&transpiled, &noise, &mitigation);
+                    let base = *base_esp.get_or_insert_with(|| {
+                        noise.estimated_success_probability(&transpiled.circuit)
+                    });
+                    let e = analytic_estimate_from(base, &transpiled, &mitigation);
                     (e.fidelity, e.quantum_time_s, mitigation.classical_time_cpu_s)
                 }
                 EstimationBackend::Trained(est) => {

@@ -658,8 +658,8 @@ fn island_seed(seed: u64, island: usize) -> u64 {
 
 /// Cores of this host, read once per process: `available_parallelism` is a
 /// `sched_getaffinity` call plus cgroup-file reads (over 10 µs), far too
-/// much to pay on every scheduling cycle.
-fn host_cores() -> usize {
+/// much to pay on every scheduling cycle or estimate batch.
+pub fn host_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }

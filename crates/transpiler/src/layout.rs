@@ -109,11 +109,7 @@ fn noise_aware_layout(
     if num_logical == 1 {
         // Pick the single best qubit by gate+readout error.
         let best = (0..coupling.num_qubits())
-            .min_by(|&a, &b| {
-                let ea = qubit_cost(calibration, a);
-                let eb = qubit_cost(calibration, b);
-                ea.partial_cmp(&eb).unwrap()
-            })
+            .min_by(|&a, &b| qubit_cost(calibration, a).total_cmp(&qubit_cost(calibration, b)))
             .unwrap_or(0);
         return Layout::new(vec![best]);
     }
@@ -123,9 +119,7 @@ fn noise_aware_layout(
         .edges()
         .iter()
         .min_by(|a, b| {
-            let ea = edge_cost(calibration, a.0, a.1);
-            let eb = edge_cost(calibration, b.0, b.1);
-            ea.partial_cmp(&eb).unwrap()
+            edge_cost(calibration, a.0, a.1).total_cmp(&edge_cost(calibration, b.0, b.1))
         })
         .copied()
         .unwrap_or((0, 1.min(coupling.num_qubits() - 1)));
@@ -135,7 +129,7 @@ fn noise_aware_layout(
         // Frontier: neighbours of the selected region not yet selected.
         let mut best: Option<(u32, f64)> = None;
         for &s in &selected {
-            for nb in coupling.neighbors(s) {
+            for &nb in coupling.neighbors(s) {
                 if selected.contains(&nb) {
                     continue;
                 }

@@ -130,7 +130,7 @@ impl Transpiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qonductor_backend::{Fleet, Simulator};
+    use qonductor_backend::{CalibrationGenerator, Fleet, Simulator};
     use qonductor_circuit::generators::{ghz, qft};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -196,6 +196,33 @@ mod tests {
             let width = template.num_qubits().min(5);
             let t = transpiler.transpile_for_template(&ghz(width), &template);
             assert_eq!(t.circuit.num_qubits(), template.num_qubits());
+        }
+    }
+
+    /// Hostile floats: a NaN in the calibration orders somewhere (last, under
+    /// `total_cmp`) instead of panicking the layout pass or the idle-window
+    /// sort — one NaN qubit error, one NaN gate duration, and a device whose
+    /// generator quality was NaN (every qubit and edge error NaN).
+    #[test]
+    fn nan_calibration_values_transpile_without_panicking() {
+        let qpu = qpu27();
+        let mut one_nan = (*qpu.calibration).clone();
+        one_nan.qubits[3].gate_error = f64::NAN;
+        one_nan.qubits[5].gate_duration_ns = f64::NAN;
+        let mut rng = StdRng::seed_from_u64(7);
+        let all_nan = CalibrationGenerator::with_quality(f64::NAN).generate(
+            27,
+            qpu.model.coupling_map.edges(),
+            &mut rng,
+        );
+        assert!(all_nan.edges().values().all(|e| e.gate_error.is_nan()));
+        for calibration in [one_nan, all_nan] {
+            let noise = NoiseModel::new(calibration);
+            for circuit in [ghz(1), ghz(2), qft(8), ghz(27)] {
+                let t = Transpiler::default().transpile(&circuit, &qpu.model, &noise);
+                assert_eq!(t.initial_layout.len(), circuit.num_qubits() as usize);
+                assert_eq!(t.schedule.ops.len(), t.circuit.len());
+            }
         }
     }
 

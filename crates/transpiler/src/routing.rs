@@ -49,7 +49,7 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
                 let pb = layout.physical(instr.q1);
                 if !coupling.are_coupled(pa, pb) {
                     // Walk qubit A along a shortest path toward B until adjacent.
-                    let path = shortest_path(coupling, &dist, pa, pb);
+                    let path = shortest_path(coupling, dist, pa, pb);
                     // path = [pa, x1, x2, ..., pb]; swap pa forward until adjacent to pb.
                     for window in path.windows(2) {
                         let (from, to) = (window[0], window[1]);
@@ -104,7 +104,8 @@ fn shortest_path(coupling: &CouplingMap, dist: &[Vec<u32>], from: u32, to: u32) 
     while current != to {
         let next = coupling
             .neighbors(current)
-            .into_iter()
+            .iter()
+            .copied()
             .min_by_key(|&nb| dist[nb as usize][to as usize])
             .expect("coupling map must be connected for routing");
         // Guard against disconnected maps (would loop forever).

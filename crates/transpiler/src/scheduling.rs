@@ -97,7 +97,7 @@ pub fn asap_schedule(circuit: &Circuit, noise: &NoiseModel) -> Schedule {
     }
 
     let total_duration_ns = qubit_free_at.iter().cloned().fold(0.0, f64::max);
-    idle_windows.sort_by(|a, b| b.duration_ns.partial_cmp(&a.duration_ns).unwrap());
+    idle_windows.sort_by(|a, b| b.duration_ns.total_cmp(&a.duration_ns));
     Schedule { ops, idle_windows, total_duration_ns }
 }
 
