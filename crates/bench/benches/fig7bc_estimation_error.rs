@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn cdf_points(errors: &mut [f64], thresholds: &[f64]) -> Vec<f64> {
-    errors.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    errors.sort_by(f64::total_cmp);
     thresholds
         .iter()
         .map(|t| errors.iter().filter(|e| **e <= *t).count() as f64 / errors.len().max(1) as f64)

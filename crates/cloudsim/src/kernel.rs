@@ -131,15 +131,9 @@ pub(crate) trait Scenario {
     /// `shard` dispatched `batch`.
     fn dispatched(&mut self, shard: usize, batch: &BatchRecord, plane: &ShardedControlPlane);
 
-    /// After the step's dispatches (plan-ahead, metrics sampling).
-    /// `scheduler` is `None` for the policies that never batch.
-    fn end_of_step(
-        &mut self,
-        _t_next: f64,
-        _plane: &mut ShardedControlPlane,
-        _scheduler: Option<&HybridScheduler>,
-    ) {
-    }
+    /// After the step's dispatches, with the plane read-only (metrics
+    /// sampling).
+    fn end_of_step(&mut self, _t_next: f64, _plane: &ShardedControlPlane) {}
 
     /// Assemble the report once the simulated duration has elapsed.
     fn finish(self, plane: &ShardedControlPlane) -> Self::Report;
@@ -228,7 +222,7 @@ pub(crate) fn run<S: Scenario>(
             }
         }
 
-        scenario.end_of_step(t_next, &mut plane, scheduler.as_ref());
+        scenario.end_of_step(t_next, &plane);
         t = t_next;
     }
 

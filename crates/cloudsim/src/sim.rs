@@ -78,12 +78,6 @@ pub struct SimulationConfig {
     /// estimates, [`CalibrationPolicy::SplitAtBoundary`] partitions them and
     /// re-estimates the post-boundary jobs.
     pub calibration: CalibrationPolicy,
-    /// Plan-ahead pipelining: after each dispatch, speculatively schedule the
-    /// next step's batch against a snapshot of the live pool; the plan is
-    /// adopted at the next trigger firing only if its input digest still
-    /// matches (otherwise it is discarded and the cycle runs live). Off by
-    /// default; dispatches are byte-identical either way.
-    pub pipeline_planning: bool,
     /// Weight of the NSGA-II recalibration-boundary penalty
     /// ([`SchedulerConfig::boundary_penalty_weight`]); `0.0` disables it.
     pub boundary_penalty_weight: f64,
@@ -116,7 +110,6 @@ impl Default for SimulationConfig {
                 ..Nsga2Config::default()
             },
             calibration: CalibrationPolicy::Naive,
-            pipeline_planning: false,
             boundary_penalty_weight: 0.0,
             cost_weight: 0.0,
             seed: 2024,
@@ -237,9 +230,6 @@ pub struct SimulationReport {
     pub rejected: usize,
     /// Pending jobs whose estimates were recomputed after a drift cycle.
     pub reestimated_jobs: usize,
-    /// Batches dispatched from an adopted plan-ahead speculative schedule
-    /// (0 unless [`SimulationConfig::pipeline_planning`] is on).
-    pub speculative_batches: usize,
 }
 
 impl SimulationReport {
@@ -547,25 +537,9 @@ impl Scenario for CloudSimulation {
         if let Some(record) = cycle_record_from(batch, shard, plane, &self.apps) {
             self.report.cycles.push(record);
         }
-        self.report.speculative_batches += usize::from(batch.speculative);
     }
 
-    fn end_of_step(
-        &mut self,
-        t_next: f64,
-        plane: &mut ShardedControlPlane,
-        scheduler: Option<&HybridScheduler>,
-    ) {
-        // Plan-ahead pipelining: with this step's dispatch (if any) done,
-        // speculatively schedule the batch the next step's trigger check
-        // would dispatch. Adopted next step only if the pool, queues, and
-        // calibration epochs are unchanged — dispatches are bit-identical
-        // either way.
-        if let (true, Some(scheduler)) = (self.config.pipeline_planning, scheduler) {
-            for shard in plane.shards_mut() {
-                shard.plan_ahead(t_next + self.config.step_s, scheduler, &self.fleet);
-            }
-        }
+    fn end_of_step(&mut self, t_next: f64, plane: &ShardedControlPlane) {
         if t_next >= self.next_metrics_s {
             self.next_metrics_s += self.config.metrics_interval_s;
             let completed = &self.report.completed;

@@ -98,7 +98,6 @@ fn a_single_provider_federation_is_byte_identical_to_the_flat_plane() {
             ..Nsga2Config::default()
         },
         calibration: CalibrationPolicy::SplitAtBoundary,
-        pipeline_planning: true,
         seed: 41,
         ..SimulationConfig::default()
     };
@@ -128,5 +127,4 @@ fn a_single_provider_federation_is_byte_identical_to_the_flat_plane() {
         flat.final_states, federated.final_states,
         "final control-plane states must be byte-identical"
     );
-    assert_eq!(flat.report.speculative_batches, federated.report.speculative_batches);
 }

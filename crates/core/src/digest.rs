@@ -2,9 +2,10 @@
 //!
 //! Two widths, two jobs:
 //!
-//! - **64-bit** ([`Fnv64`]) fingerprints scheduling-cycle input snapshots for
-//!   the plan-ahead cache (see `jobmanager::snapshot_digest`), where a digest
-//!   collision merely adopts a plan computed from identical bytes.
+//! - **64-bit** ([`Fnv64`]) is a cheap stable fingerprint for callers outside
+//!   the control plane: qbench seeds its generated inputs from it and folds
+//!   every run's results into the `digest` it prints (the estimate cache's
+//!   pinned-values test uses it too).
 //! - **128-bit** ([`Fnv128`]) backs the control plane's *incremental* state
 //!   digest: a rolling hash absorbed event-by-event as entries are journaled,
 //!   anchored to a full-encode checkpoint at each snapshot. Two planes that

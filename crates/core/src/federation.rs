@@ -13,8 +13,8 @@
 //! Placement policy is a [`PlacementStrategy`]: a pure mapping from a base
 //! [`SchedulerConfig`] to the configuration actually used for dispatch
 //! (objective preference + cost-lane weight). Strategies never touch the
-//! fleet or the clock, which is what keeps failover replay and plan-ahead
-//! adoption exact under any policy.
+//! fleet or the clock, which is what keeps failover replay exact under any
+//! policy.
 
 use qonductor_backend::Fleet;
 use qonductor_scheduler::{Preference, SchedulerConfig};
@@ -196,8 +196,7 @@ impl FederatedFleet {
 ///   the seeded [`Nsga2Config`](qonductor_scheduler::Nsga2Config) the
 ///   strategy returns.
 /// - **Stable output.** Equal inputs must produce equal configurations, so
-///   speculative plan adoption and sharded failover replay federation
-///   decisions byte-for-byte.
+///   sharded failover replays federation decisions byte-for-byte.
 pub trait PlacementStrategy {
     /// Short policy name (scenario reports, artifacts).
     fn name(&self) -> &'static str;

@@ -13,7 +13,7 @@
 use qonductor_backend::{CompletedJob, Fleet};
 use qonductor_scheduler::{
     partition_at_boundary, HybridScheduler, JobRequest, PlannedJob, QpuState, ScheduleOutcome,
-    ScheduleTrigger, SpeculativeSchedule, TriggerReason,
+    ScheduleTrigger, TriggerReason,
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -137,12 +137,6 @@ pub struct BatchRecord {
     /// re-estimation and re-planning. Empty under
     /// [`CalibrationPolicy::Naive`].
     pub deferred: Vec<(JobId, f64)>,
-    /// Whether this batch adopted a plan computed ahead of the trigger
-    /// ([`JobManager::plan_ahead`]): the dispatched outcome is the
-    /// speculative one, validated against the live pool digest and
-    /// calibration epochs — bit-identical to what a live scheduler call at
-    /// the fire instant would have produced.
-    pub speculative: bool,
     /// The scheduler's full outcome (placements, Pareto front, timings).
     pub outcome: ScheduleOutcome,
 }
@@ -172,26 +166,6 @@ pub struct CompletedExecution {
     pub record: CompletedJob,
 }
 
-/// A schedule computed ahead of the trigger ([`JobManager::plan_ahead`]),
-/// cached until the next firing. The digest fingerprints *every* input the
-/// scheduler read — the sanitised requests, the QPU snapshot (waits and
-/// calibration epochs included), and the boundary horizons when the penalty
-/// is active — so an adopted plan is provably bit-identical to what a live
-/// scheduler call at the fire instant would produce. Volatile by design: the
-/// cache is not replicated (a failover simply discards it and the next
-/// firing schedules live), only its *adoption* is journaled, via
-/// [`BatchRecord::speculative`] riding the dispatch event.
-#[derive(Debug, Clone)]
-struct SpeculativePlan {
-    /// Fingerprint of the scheduling inputs the plan was computed from.
-    digest: u64,
-    /// Calibration epochs of the snapshot (also covered by `digest`; kept
-    /// separate so the epoch check survives any digest refactoring).
-    epochs: Vec<u64>,
-    /// The uncommitted schedule (outcome + would-be warm-start front).
-    plan: SpeculativeSchedule,
-}
-
 /// The shared batch execution engine.
 #[derive(Debug, Clone)]
 pub struct JobManager {
@@ -200,10 +174,7 @@ pub struct JobManager {
     pending: Vec<PendingJob>,
     next_job_id: JobId,
     batches_dispatched: usize,
-    /// Plan-ahead cache (see [`SpeculativePlan`]); excluded from
-    /// [`JobManager::encode_state`] because it is a pure performance hint.
-    speculative: Option<SpeculativePlan>,
-    /// Cumulative wall time spent inside live scheduler calls, for the
+    /// Cumulative wall time spent inside scheduler calls, for the
     /// bench's phase-timing breakdown. Pure observability: excluded from
     /// `encode_state` and never read by any control-flow decision.
     sched_ns: Cell<u64>,
@@ -224,7 +195,6 @@ impl JobManager {
             pending: Vec::new(),
             next_job_id: 0,
             batches_dispatched: 0,
-            speculative: None,
             sched_ns: Cell::new(0),
         }
     }
@@ -261,8 +231,8 @@ impl JobManager {
         self.batches_dispatched
     }
 
-    /// Cumulative nanoseconds spent in live scheduler calls (phase-timing
-    /// observability; adopted speculative plans contribute nothing here).
+    /// Cumulative nanoseconds spent in scheduler calls (phase-timing
+    /// observability).
     pub fn scheduling_nanos(&self) -> u64 {
         self.sched_ns.get()
     }
@@ -418,33 +388,14 @@ impl JobManager {
         let BatchSnapshot { qpus, job_ids, tenant_jobs, requests, horizon_s, cost_per_shot } =
             self.batch_snapshot(now_s, fleet);
 
-        // Plan-ahead pipelining: if a speculative plan was computed while the
-        // previous batch executed and its input fingerprint still matches the
-        // live pool and fleet snapshot (same pool digest, same calibration
-        // epochs), adopt it — the outcome is bit-identical to a live
-        // scheduler call, already paid for. Any mismatch discards the plan.
-        let penalized = scheduler.config().boundary_penalty_weight > 0.0;
-        let costed = scheduler.config().cost_weight > 0.0;
-        let digest =
-            snapshot_digest(&qpus, &requests, &horizon_s, penalized, &cost_per_shot, costed);
-        let live_epochs: Vec<u64> = qpus.iter().map(|q| q.calibration_epoch).collect();
-        let (outcome, speculative) = match self.speculative.take() {
-            Some(cached) if cached.digest == digest && cached.epochs == live_epochs => {
-                scheduler.adopt(&cached.plan);
-                (cached.plan.outcome, true)
-            }
-            _ => {
-                let started = std::time::Instant::now();
-                let outcome = scheduler.schedule_with_fleet_context(
-                    requests,
-                    qpus.clone(),
-                    &horizon_s,
-                    &cost_per_shot,
-                );
-                self.sched_ns.set(self.sched_ns.get() + started.elapsed().as_nanos() as u64);
-                (outcome, false)
-            }
-        };
+        let started = std::time::Instant::now();
+        let outcome = scheduler.schedule_with_fleet_context(
+            requests,
+            qpus.clone(),
+            &horizon_s,
+            &cost_per_shot,
+        );
+        self.sched_ns.set(self.sched_ns.get() + started.elapsed().as_nanos() as u64);
 
         // Calibration-crossover partition (§7): shift the planned timeline to
         // absolute time and split it at each QPU's next boundary.
@@ -497,54 +448,13 @@ impl JobManager {
             qpus,
             fleet_epoch: fleet.calibration_epoch(),
             deferred,
-            speculative,
             outcome,
         })
     }
 
-    /// Speculatively schedule the batch a trigger firing at `plan_for_s`
-    /// would dispatch, from the *current* pool and fleet state, and cache the
-    /// plan for the next [`JobManager::try_dispatch`]. The scheduler's warm
-    /// memory is left untouched (it is only advanced if the plan is adopted),
-    /// so planning ahead never perturbs the non-speculative trajectory. The
-    /// trigger is not consulted or armed. Returns `true` if a plan was
-    /// cached; an empty projected batch clears the cache instead.
-    ///
-    /// Intended to run while the previously dispatched batch executes: on the
-    /// next firing the plan is validated against the live pool digest and
-    /// calibration epochs, and either adopted (the optimization latency has
-    /// already been paid, off the dispatch critical path) or discarded.
-    pub fn plan_ahead(
-        &mut self,
-        plan_for_s: f64,
-        scheduler: &HybridScheduler,
-        fleet: &Fleet,
-    ) -> bool {
-        self.speculative = None;
-        if self.pending_available_by(plan_for_s) == 0 {
-            return false;
-        }
-        let BatchSnapshot { qpus, requests, horizon_s, cost_per_shot, .. } =
-            self.batch_snapshot(plan_for_s, fleet);
-        let penalized = scheduler.config().boundary_penalty_weight > 0.0;
-        let costed = scheduler.config().cost_weight > 0.0;
-        let digest =
-            snapshot_digest(&qpus, &requests, &horizon_s, penalized, &cost_per_shot, costed);
-        let epochs: Vec<u64> = qpus.iter().map(|q| q.calibration_epoch).collect();
-        let plan = scheduler.schedule_speculative(requests, qpus, &horizon_s, &cost_per_shot);
-        self.speculative = Some(SpeculativePlan { digest, epochs, plan });
-        true
-    }
-
-    /// Whether a plan-ahead schedule is currently cached.
-    pub fn has_speculative_plan(&self) -> bool {
-        self.speculative.is_some()
-    }
-
     /// Snapshot everything one scheduling cycle reads at `now_s`: the QPU
     /// states, the schedulable batch (ids, per-tenant composition, sanitised
-    /// requests), and the per-QPU recalibration horizons. Shared by the live
-    /// dispatch and the plan-ahead path so both fingerprint identical inputs.
+    /// requests), and the per-QPU recalibration horizons.
     fn batch_snapshot(&self, now_s: f64, fleet: &Fleet) -> BatchSnapshot {
         let qpus: Vec<QpuState> = fleet
             .members()
@@ -854,7 +764,6 @@ impl JobManager {
             pending,
             next_job_id,
             batches_dispatched,
-            speculative: None,
             sched_ns: Cell::new(0),
         })
     }
@@ -907,57 +816,6 @@ struct BatchSnapshot {
     requests: Vec<JobRequest>,
     horizon_s: Vec<f64>,
     cost_per_shot: Vec<f64>,
-}
-
-/// FNV-1a fingerprint of a scheduling-cycle input snapshot. Covers the full
-/// QPU state (name, size, queue wait bits, calibration epoch) and every
-/// sanitised request field; the boundary horizons are folded in only when the
-/// scheduler's penalty is active (`penalized`), and the per-QPU shot prices
-/// only when the cost lane is active (`costed`), since they do not influence
-/// the outcome otherwise and would needlessly invalidate plans computed for a
-/// slightly different fire instant. Equal digests over these inputs mean the
-/// scheduler is a pure function of equal arguments, so an adopted speculative
-/// plan is bit-identical to a live call.
-fn snapshot_digest(
-    qpus: &[QpuState],
-    requests: &[JobRequest],
-    horizon_s: &[f64],
-    penalized: bool,
-    cost_per_shot: &[f64],
-    costed: bool,
-) -> u64 {
-    let mut hash = crate::digest::Fnv64::new();
-    {
-        let mut eat = |bytes: &[u8]| hash.absorb(bytes);
-        for q in qpus {
-            eat(q.name.as_bytes());
-            eat(&q.num_qubits.to_le_bytes());
-            eat(&q.waiting_time_s.to_bits().to_le_bytes());
-            eat(&q.calibration_epoch.to_le_bytes());
-        }
-        for r in requests {
-            eat(&r.job_id.to_le_bytes());
-            eat(&r.qubits.to_le_bytes());
-            eat(&r.shots.to_le_bytes());
-            for &f in &r.fidelity_per_qpu {
-                eat(&f.to_bits().to_le_bytes());
-            }
-            for &t in &r.exec_time_per_qpu {
-                eat(&t.to_bits().to_le_bytes());
-            }
-        }
-        if penalized {
-            for &h in horizon_s {
-                eat(&h.to_bits().to_le_bytes());
-            }
-        }
-        if costed {
-            for &c in cost_per_shot {
-                eat(&c.to_bits().to_le_bytes());
-            }
-        }
-    }
-    hash.value()
 }
 
 /// Partition a batch plan at the fleet's capacity boundaries (§7): the
@@ -1442,128 +1300,6 @@ mod tests {
         assert!(jm.stale_pending(1).is_empty());
         assert_eq!(jm.pending()[0].spec, fresh);
         assert!(!jm.reestimate(999, fresh), "unknown jobs are refused");
-    }
-
-    /// Plan-ahead pipelining: with nothing changing between planning and the
-    /// firing, the cached plan is adopted and the dispatch is bit-identical
-    /// to the live-scheduled path (same placements, same post-dispatch
-    /// state) — only the `speculative` observability flag differs.
-    #[test]
-    fn adopted_plan_matches_the_live_dispatch_bit_for_bit() {
-        let fleet = small_fleet(21);
-        let mut jm = JobManager::new(ScheduleTrigger::new(100, 120.0));
-        for _ in 0..6 {
-            jm.submit(spec(&fleet, 5, 10.0), 0.0);
-        }
-        let sched = scheduler();
-
-        let mut live_fleet = fleet.clone();
-        let mut live_jm = jm.clone();
-        let live = live_jm.try_dispatch(120.0, &sched, &mut live_fleet).expect("interval fires");
-        assert!(!live.speculative);
-
-        let mut pipe_fleet = fleet.clone();
-        assert!(jm.plan_ahead(120.0, &sched, &pipe_fleet), "non-empty pool caches a plan");
-        assert!(jm.has_speculative_plan());
-        let adopted = jm.try_dispatch(120.0, &sched, &mut pipe_fleet).expect("interval fires");
-        assert!(adopted.speculative, "unchanged inputs must adopt the cached plan");
-        assert!(!jm.has_speculative_plan(), "the cache is consumed at the firing");
-
-        assert_eq!(adopted.outcome.placements, live.outcome.placements);
-        assert_eq!(adopted.outcome.rejected_jobs, live.outcome.rejected_jobs);
-        assert_eq!(adopted.outcome.planned, live.outcome.planned);
-        assert_eq!(adopted.deferred, live.deferred);
-        assert_eq!(jm.encode_state(), live_jm.encode_state());
-        for (a, b) in pipe_fleet.members().iter().zip(live_fleet.members()) {
-            assert_eq!(a.queue.pending_len(), b.queue.pending_len());
-        }
-    }
-
-    /// A job arriving between planning and the firing changes the pool
-    /// digest: the stale plan is discarded and the cycle schedules live over
-    /// the real pool (which includes the newcomer).
-    #[test]
-    fn plan_is_discarded_when_the_pool_changes() {
-        let mut fleet = small_fleet(22);
-        let mut jm = JobManager::new(ScheduleTrigger::new(100, 120.0));
-        for _ in 0..3 {
-            jm.submit(spec(&fleet, 5, 10.0), 0.0);
-        }
-        let sched = scheduler();
-        assert!(jm.plan_ahead(120.0, &sched, &fleet));
-        let late = jm.submit(spec(&fleet, 5, 10.0), 1.0);
-        let batch = jm.try_dispatch(120.0, &sched, &mut fleet).expect("interval fires");
-        assert!(!batch.speculative, "a changed pool must invalidate the plan");
-        assert!(!jm.has_speculative_plan());
-        assert!(batch.job_ids.contains(&late), "the late arrival joins the live batch");
-    }
-
-    /// A recalibration between planning and the firing bumps the epochs the
-    /// plan was computed against: the plan is discarded even though the job
-    /// pool itself is unchanged.
-    #[test]
-    fn plan_is_discarded_when_calibration_epochs_change() {
-        let mut fleet = solo_fleet(100.0, 23);
-        let mut jm = JobManager::new(ScheduleTrigger::new(100, 120.0));
-        jm.submit(spec(&fleet, 5, 10.0), 0.0);
-        let sched = scheduler();
-        assert!(jm.plan_ahead(120.0, &sched, &fleet), "planned against epoch 0");
-        let mut rng = StdRng::seed_from_u64(5);
-        fleet.advance_to(120.0, &mut rng);
-        assert_eq!(fleet.calibration_epoch(), 1);
-        let batch = jm.try_dispatch(120.0, &sched, &mut fleet).expect("interval fires");
-        assert!(!batch.speculative, "a recalibration must invalidate the plan");
-    }
-
-    /// Warm-start transactionality: adopting a plan commits the same Pareto
-    /// front a live cycle would have remembered, and a *discarded* plan
-    /// leaves the warm memory untouched — the next cycle behaves exactly as
-    /// if the speculation never happened.
-    #[test]
-    fn speculation_is_transactional_for_warm_start_memory() {
-        let nsga2 = Nsga2Config {
-            population_size: 16,
-            max_generations: 10,
-            max_evaluations: 1000,
-            num_threads: 1,
-            ..Nsga2Config::default()
-        };
-        let mk = || {
-            HybridScheduler::with_warm_start(SchedulerConfig {
-                nsga2,
-                ..SchedulerConfig::default()
-            })
-        };
-        let fleet = small_fleet(24);
-        let mut arms = Vec::new();
-        // Arm 0: fully live. Arm 1: cycle 1 adopted from a plan. Arm 2: a
-        // speculative plan is computed but invalidated before cycle 2.
-        for arm in 0..3u32 {
-            let sched = mk();
-            let mut f = fleet.clone();
-            let mut jm = JobManager::new(ScheduleTrigger::new(100, 60.0));
-            for _ in 0..5 {
-                jm.submit(spec(&f, 5, 10.0), 0.0);
-            }
-            if arm == 1 {
-                assert!(jm.plan_ahead(60.0, &sched, &f));
-            }
-            let c1 = jm.try_dispatch(60.0, &sched, &mut f).expect("cycle 1 fires");
-            assert_eq!(c1.speculative, arm == 1);
-            for _ in 0..4 {
-                jm.submit(spec(&f, 5, 10.0), 61.0);
-            }
-            if arm == 2 {
-                // Plan over 4 jobs; the fifth arrival below invalidates it.
-                assert!(jm.plan_ahead(120.0, &sched, &f));
-            }
-            jm.submit(spec(&f, 5, 10.0), 62.0);
-            let c2 = jm.try_dispatch(120.0, &sched, &mut f).expect("cycle 2 fires");
-            assert!(!c2.speculative);
-            arms.push((c1.outcome.placements.clone(), c2.outcome.placements.clone()));
-        }
-        assert_eq!(arms[0], arms[1], "adoption must commit the same warm front as a live cycle");
-        assert_eq!(arms[0], arms[2], "a discarded plan must leave warm memory untouched");
     }
 
     #[test]

@@ -163,10 +163,6 @@ pub struct Orchestrator {
     control_trigger: ScheduleTrigger,
     /// Number of control-plane shards.
     control_shards: usize,
-    /// Plan-ahead pipelining: after each dispatched batch, speculatively
-    /// schedule the next trigger firing against the post-dispatch pool so
-    /// the optimizer cycle overlaps batch execution.
-    pipeline_planning: bool,
     state: Mutex<OrchestratorState>,
 }
 
@@ -194,7 +190,6 @@ impl Orchestrator {
             control_seed: seed,
             control_trigger: trigger,
             control_shards: 1,
-            pipeline_planning: false,
             state: Mutex::new(OrchestratorState {
                 fleet,
                 classical_nodes,
@@ -266,18 +261,6 @@ impl Orchestrator {
             debug_assert_eq!(new_id, id);
         }
         state.control = control;
-    }
-
-    /// Enable plan-ahead pipelining: after every dispatched batch the engine
-    /// speculatively schedules the batch the *next* trigger firing would
-    /// dispatch, so the optimizer cycle overlaps batch execution instead of
-    /// sitting on the dispatch critical path. The plan is adopted only if
-    /// the pool, QPU queues, and calibration epochs are unchanged at the
-    /// firing (validated by input digest), so dispatches are bit-identical
-    /// with or without pipelining.
-    pub fn with_pipeline_planning(mut self) -> Self {
-        self.pipeline_planning = true;
-        self
     }
 
     /// An orchestrator over the default 8-QPU IBM-like fleet and a small
@@ -829,15 +812,6 @@ impl Orchestrator {
             }
             if dispatched {
                 self.record_fleet_dynamics(state);
-                // Plan-ahead pipelining: with the batches on the QPU queues,
-                // each shard speculatively schedules what its *next* trigger
-                // firing would dispatch from the post-dispatch pool. If
-                // nothing changes before the firing the cached plan is
-                // adopted and the optimizer cycle has already been paid for
-                // off the dispatch critical path; any change discards it.
-                if self.pipeline_planning {
-                    state.control.plan_ahead_all(&self.scheduler, &state.fleet);
-                }
             }
             if any_rejected && awaiting.is_empty() {
                 return;

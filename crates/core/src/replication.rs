@@ -269,10 +269,6 @@ pub enum ControlPlaneEvent {
         rejected: Vec<JobId>,
         /// `(job id, boundary)` calibration-crossover deferrals (§7).
         deferred: Vec<(JobId, f64)>,
-        /// Whether the batch adopted a plan-ahead speculative schedule
-        /// (observability only: the placements above already pin the outcome,
-        /// which is bit-identical to the live-scheduled path by construction).
-        speculative: bool,
     },
     /// A pending job's estimate table was recomputed against a fresh
     /// calibration snapshot (the new spec carries its epoch stamp).
@@ -385,7 +381,7 @@ impl LogEntry for ControlPlaneEvent {
                 out.push_str("admt ");
                 push_f64(&mut out, *now_s);
             }
-            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred, speculative } => {
+            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred } => {
                 out.push_str("disp ");
                 push_f64(&mut out, *t_s);
                 out.push(' ');
@@ -402,7 +398,10 @@ impl LogEntry for ControlPlaneEvent {
                     out.push(':');
                     push_f64(out, boundary);
                 });
-                out.push_str(if *speculative { " s" } else { " l" });
+                // The trailing token once told live from speculative
+                // (plan-ahead) dispatches; only the live `l` remains, kept so
+                // journal bytes are unchanged until the next format version.
+                out.push_str(" l");
             }
             ControlPlaneEvent::JobReestimated { job_id, spec } => {
                 out.push_str("rest ");
@@ -527,12 +526,11 @@ impl LogEntry for ControlPlaneEvent {
                         })
                         .collect::<Option<Vec<_>>>()?
                 };
-                let speculative = match fields.next()? {
-                    "s" => true,
-                    "l" => false,
-                    _ => return None,
-                };
-                ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred, speculative }
+                // See the encoder: `l` is the only dispatch token left.
+                if fields.next()? != "l" {
+                    return None;
+                }
+                ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred }
             }
             "rest" => ControlPlaneEvent::JobReestimated {
                 job_id: fields.next()?.parse().ok()?,
@@ -602,7 +600,7 @@ impl ControlPlaneEvent {
                 format!("subm {tenant} {} {}", enc_f64(*now_s), enc_spec(spec))
             }
             ControlPlaneEvent::AdmissionPass { now_s } => format!("admt {}", enc_f64(*now_s)),
-            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred, speculative } => {
+            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred } => {
                 let placed = if placed.is_empty() {
                     "-".to_string()
                 } else {
@@ -626,8 +624,7 @@ impl ControlPlaneEvent {
                         .collect::<Vec<_>>()
                         .join(",")
                 };
-                let spec_flag = if *speculative { "s" } else { "l" };
-                format!("disp {} {placed} {rejected} {deferred} {spec_flag}", enc_f64(*t_s))
+                format!("disp {} {placed} {rejected} {deferred} l", enc_f64(*t_s))
             }
             ControlPlaneEvent::JobReestimated { job_id, spec } => {
                 format!("rest {job_id} {}", enc_spec(spec))
@@ -720,12 +717,6 @@ pub struct ReplicatedControlPlane {
     /// Fleet QPU indices holding autoscaler-provisioned elastic capacity
     /// (journaled state, rebuilt on failover like the lease set).
     elastic: BTreeSet<usize>,
-    /// Group-commit journaling: when set (the default), an `admit` or
-    /// completion-accounting cycle stages its events and commits them in one
-    /// quorum round via [`ReplicatedLog::append_all`]; when cleared, every
-    /// event pays its own quorum round (the historical path, kept live so CI
-    /// can assert both paths write byte-identical journals).
-    group_commit: bool,
     /// FNV-1a-128 of the full-encode payload installed at the last snapshot
     /// (genesis included) — the anchor of the incremental state digest.
     digest_checkpoint: Cell<u128>,
@@ -769,25 +760,12 @@ impl ReplicatedControlPlane {
             submissions: SubmissionService::new(),
             leases: BTreeSet::new(),
             elastic: BTreeSet::new(),
-            group_commit: true,
             digest_checkpoint: Cell::new(FNV128_OFFSET),
             digest_rolling: Cell::new(FNV128_OFFSET),
             journal_ns: Cell::new(0),
         };
         plane.snapshot().expect("fresh store has a quorum");
         plane
-    }
-
-    /// Toggle group-commit journaling (see [`Self::group_commit`]). Both
-    /// settings write byte-identical journals; only the number of quorum
-    /// rounds per cycle differs.
-    pub fn set_group_commit(&mut self, enabled: bool) {
-        self.group_commit = enabled;
-    }
-
-    /// Whether admission/completion cycles batch their journal writes.
-    pub fn group_commit(&self) -> bool {
-        self.group_commit
     }
 
     /// Cumulative nanoseconds spent in quorum journal writes (phase-timing
@@ -927,10 +905,10 @@ impl ReplicatedControlPlane {
     /// scan, each journaled as a typed [`ControlPlaneEvent::SloEscalated`]
     /// event (write-ahead) so failover replays the exact escalation sequence.
     ///
-    /// Under group commit the whole cycle — every escalation plus the
-    /// optional `AdmissionPass` — is staged and committed in ONE quorum round
-    /// before anything is applied locally. The journal bytes, keys, and
-    /// ordering are identical to the per-event path; a crash between stage
+    /// The whole cycle — every escalation plus the optional `AdmissionPass` —
+    /// is staged and committed in ONE quorum round (group commit) before
+    /// anything is applied locally. The journal bytes, keys, and ordering are
+    /// identical to one quorum round per event; a crash between stage
     /// and commit leaves the log at its pre-batch state, so replay lands on
     /// the pre-batch bytes (the chaos matrix proves this). The DRR guard is
     /// decidable before applying: every ticket the escalation scan yields is
@@ -939,56 +917,47 @@ impl ReplicatedControlPlane {
     /// and removes exactly one queued ticket — the post-escalation queue
     /// depth is `total_queued() - escalations.len()`, no application needed.
     pub fn admit(&mut self, now_s: f64) -> Result<Vec<(JobTicket, JobId)>, ReplicationError> {
-        if self.submissions.tenant_count() == 0 || self.submissions.total_queued() == 0 {
+        let Some(escalations) = self.escalations_at(now_s) else {
             return Ok(Vec::new());
-        }
+        };
         let mut admitted = Vec::new();
+        let mut staged: Vec<ControlPlaneEvent> = escalations
+            .iter()
+            .map(|&ticket| ControlPlaneEvent::SloEscalated { now_s, ticket })
+            .collect();
+        let run_pass = self.submissions.total_queued() > escalations.len();
+        if run_pass {
+            staged.push(ControlPlaneEvent::AdmissionPass { now_s });
+        }
+        self.journal_all(&staged)?;
+        for ticket in escalations {
+            if let Some(job_id) =
+                self.submissions.apply_escalation(ticket, now_s, &mut self.jobmanager)
+            {
+                admitted.push((ticket, job_id));
+            }
+        }
+        debug_assert_eq!(
+            run_pass,
+            self.submissions.total_queued() > 0,
+            "escalation tickets are pre-validated: each must drain exactly one queued ticket"
+        );
+        if run_pass {
+            admitted.extend(self.submissions.admit(now_s, &mut self.jobmanager));
+        }
+        Ok(admitted)
+    }
+
+    /// The SLO escalations an admission cycle at `now_s` applies, or `None`
+    /// when every tenant queue is empty and the cycle is skipped.
+    fn escalations_at(&self, now_s: f64) -> Option<Vec<JobTicket>> {
+        if self.submissions.tenant_count() == 0 || self.submissions.total_queued() == 0 {
+            return None;
+        }
         let trigger = *self.jobmanager.trigger();
         let horizon_s = trigger.interval_s + trigger.slo_margin_s;
         let budget = trigger.queue_limit.saturating_sub(self.jobmanager.pending_len());
-        let escalations = self.submissions.pending_escalations(now_s, horizon_s, budget);
-        if self.group_commit {
-            let mut staged: Vec<ControlPlaneEvent> = escalations
-                .iter()
-                .map(|&ticket| ControlPlaneEvent::SloEscalated { now_s, ticket })
-                .collect();
-            let run_pass = self.submissions.total_queued() > escalations.len();
-            if run_pass {
-                staged.push(ControlPlaneEvent::AdmissionPass { now_s });
-            }
-            self.journal_all(&staged)?;
-            for ticket in escalations {
-                if let Some(job_id) =
-                    self.submissions.apply_escalation(ticket, now_s, &mut self.jobmanager)
-                {
-                    admitted.push((ticket, job_id));
-                }
-            }
-            debug_assert_eq!(
-                run_pass,
-                self.submissions.total_queued() > 0,
-                "escalation tickets are pre-validated: each must drain exactly one queued ticket"
-            );
-            if run_pass {
-                admitted.extend(self.submissions.admit(now_s, &mut self.jobmanager));
-            }
-        } else {
-            for ticket in escalations {
-                self.journal(&ControlPlaneEvent::SloEscalated { now_s, ticket })?;
-                if let Some(job_id) =
-                    self.submissions.apply_escalation(ticket, now_s, &mut self.jobmanager)
-                {
-                    admitted.push((ticket, job_id));
-                }
-            }
-            // The escalations may have drained every queue; the skip guard
-            // applies to the DRR pass exactly as it would on an idle call.
-            if self.submissions.total_queued() > 0 {
-                self.journal(&ControlPlaneEvent::AdmissionPass { now_s })?;
-                admitted.extend(self.submissions.admit(now_s, &mut self.jobmanager));
-            }
-        }
-        Ok(admitted)
+        Some(self.submissions.pending_escalations(now_s, horizon_s, budget))
     }
 
     /// One trigger-gated scheduling cycle: dispatch the pool as a batch onto
@@ -1022,27 +991,10 @@ impl ReplicatedControlPlane {
             placed,
             rejected: record.outcome.rejected_jobs.clone(),
             deferred: record.deferred.clone(),
-            speculative: record.speculative,
         })
         .expect("quorum pre-checked");
         let terminal_rejections = self.submissions.note_batch(&record);
         Ok(Some(DispatchOutcome { record, terminal_rejections }))
-    }
-
-    /// Speculatively schedule the batch a trigger firing at `plan_for_s`
-    /// would dispatch (plan-ahead pipelining). The plan is a volatile hint
-    /// cached inside the job manager — it is *not* journaled, because it
-    /// changes no replicated state: only its *adoption* is observable, and
-    /// that rides the next `BatchDispatched` event. A failover simply drops
-    /// the cache and the next cycle schedules live, with a bit-identical
-    /// outcome. Returns whether a plan was cached.
-    pub fn plan_ahead(
-        &mut self,
-        plan_for_s: f64,
-        scheduler: &HybridScheduler,
-        fleet: &Fleet,
-    ) -> bool {
-        self.jobmanager.plan_ahead(plan_for_s, scheduler, fleet)
     }
 
     /// Place one pending job directly onto a QPU queue, bypassing the
@@ -1097,14 +1049,21 @@ impl ReplicatedControlPlane {
         self.jobmanager.drain_completions(fleet)
     }
 
-    /// Account drained completions (journaled per resolved ticket — one
-    /// atomic quorum round for the whole drain under group commit) and return
-    /// the `(ticket, completion)` pairs this control plane admitted.
+    /// Account drained completions (journaled per resolved ticket, in one
+    /// atomic quorum round for the whole drain) and return the
+    /// `(ticket, completion)` pairs this control plane admitted.
     pub fn note_completions(
         &mut self,
         completions: &[CompletedExecution],
     ) -> Result<Vec<(JobTicket, CompletedExecution)>, ReplicationError> {
-        let events: Vec<ControlPlaneEvent> = completions
+        self.journal_all(&self.completion_events(completions))?;
+        Ok(self.submissions.note_completions(completions))
+    }
+
+    /// One `JobCompleted` event per drained completion whose ticket this
+    /// control plane tracks.
+    fn completion_events(&self, completions: &[CompletedExecution]) -> Vec<ControlPlaneEvent> {
+        completions
             .iter()
             .filter(|completion| self.submissions.tracks_job(completion.job_id))
             .map(|completion| ControlPlaneEvent::JobCompleted {
@@ -1114,15 +1073,7 @@ impl ReplicatedControlPlane {
                 start_s: completion.record.start_time_s,
                 finish_s: completion.record.finish_time_s,
             })
-            .collect();
-        if self.group_commit {
-            self.journal_all(&events)?;
-        } else {
-            for event in &events {
-                self.journal(event)?;
-            }
-        }
-        Ok(self.submissions.note_completions(completions))
+            .collect()
     }
 
     /// Take a lease on one fleet QPU (journaled *before* the lease is used:
@@ -1334,6 +1285,44 @@ impl ReplicatedControlPlane {
     }
 }
 
+/// The per-event journaling path group commit replaced — one quorum round
+/// per event — kept as the reference the group-commit journals are tested
+/// against.
+#[cfg(test)]
+impl ReplicatedControlPlane {
+    fn admit_per_event(&mut self, now_s: f64) -> Result<Vec<(JobTicket, JobId)>, ReplicationError> {
+        let Some(escalations) = self.escalations_at(now_s) else {
+            return Ok(Vec::new());
+        };
+        let mut admitted = Vec::new();
+        for ticket in escalations {
+            self.journal(&ControlPlaneEvent::SloEscalated { now_s, ticket })?;
+            if let Some(job_id) =
+                self.submissions.apply_escalation(ticket, now_s, &mut self.jobmanager)
+            {
+                admitted.push((ticket, job_id));
+            }
+        }
+        // The escalations may have drained every queue; the skip guard
+        // applies to the DRR pass exactly as it would on an idle call.
+        if self.submissions.total_queued() > 0 {
+            self.journal(&ControlPlaneEvent::AdmissionPass { now_s })?;
+            admitted.extend(self.submissions.admit(now_s, &mut self.jobmanager));
+        }
+        Ok(admitted)
+    }
+
+    fn note_completions_per_event(
+        &mut self,
+        completions: &[CompletedExecution],
+    ) -> Result<Vec<(JobTicket, CompletedExecution)>, ReplicationError> {
+        for event in &self.completion_events(completions) {
+            self.journal(event)?;
+        }
+        Ok(self.submissions.note_completions(completions))
+    }
+}
+
 /// The combined snapshot payload: engine state, blank line, submission
 /// state, then the lease and elastic sections — in one buffer sized once.
 fn encode_combined_state(
@@ -1431,10 +1420,7 @@ fn apply_event(
         ControlPlaneEvent::AdmissionPass { now_s } => {
             submissions.admit(*now_s, jobmanager);
         }
-        ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred, .. } => {
-            // `speculative` is observability metadata: an adopted plan's
-            // placements are bit-identical to the live path, so replay
-            // applies the same state delta either way.
+        ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred } => {
             jobmanager.apply_batch(*t_s, placed, rejected, deferred);
             submissions.note_rejections(*t_s, rejected);
         }
@@ -1555,14 +1541,12 @@ mod tests {
                 placed: vec![(0, 3), (2, 1)],
                 rejected: vec![1, 4],
                 deferred: vec![(5, 3600.0), (6, 7200.0)],
-                speculative: true,
             },
             ControlPlaneEvent::BatchDispatched {
                 t_s: 1.0,
                 placed: vec![],
                 rejected: vec![],
                 deferred: vec![],
-                speculative: false,
             },
             ControlPlaneEvent::JobReestimated {
                 job_id: 9,
@@ -1600,6 +1584,23 @@ mod tests {
         assert!(ControlPlaneEvent::decode("sesc 0000000000000000").is_none());
         assert!(ControlPlaneEvent::decode("qprv 0000000000000000 2 tape").is_none());
         assert!(ControlPlaneEvent::decode("qret 0000000000000000 2 trailing").is_none());
+    }
+
+    /// A dispatch line ends in the live-dispatch token `l`; the retired
+    /// speculative-dispatch token `s` no longer decodes.
+    #[test]
+    fn dispatch_lines_accept_only_the_live_token() {
+        let line = ControlPlaneEvent::BatchDispatched {
+            t_s: 99.5,
+            placed: vec![(0, 3), (2, 1)],
+            rejected: vec![4],
+            deferred: vec![(5, 3600.0)],
+        }
+        .encode();
+        let back = ControlPlaneEvent::decode(&line).expect("a live dispatch decodes");
+        assert_eq!(back.encode(), line);
+        let body = line.strip_suffix(" l").expect("the live token ends the line");
+        assert!(ControlPlaneEvent::decode(&format!("{body} s")).is_none());
     }
 
     #[test]
@@ -1859,6 +1860,66 @@ mod tests {
         assert_eq!(plane.state_digest(), digest);
     }
 
+    /// Drive one fixed mixed workload — registrations (bulk + SLO),
+    /// submissions, an escalating admission pass, a batch dispatch,
+    /// completions — against a seeded plane, journaling admissions and
+    /// completions group-committed or one quorum round per event.
+    fn drive_fixed_workload(plane: &mut ReplicatedControlPlane, per_event: bool) {
+        let mut fleet = small_fleet(93);
+        let scheduler = scheduler();
+        let bulk = plane.register_tenant(2).unwrap();
+        let slo = plane
+            .register_tenant_with_slo(TenantConfig::weighted(1), SloClass::with_deadline(20.0))
+            .unwrap();
+        for i in 0..6 {
+            plane.submit(bulk, spec(&fleet, 5, 4.0), i as f64 * 0.1).unwrap();
+        }
+        let urgent = plane.submit(slo, spec(&fleet, 5, 4.0), 1.0).unwrap();
+        // At t=2 the interval+margin horizon (32 s) overshoots the deadline at
+        // 21: the SLO ticket escalates, then the DRR pass admits the rest — an
+        // admission cycle with both event kinds in one staged batch.
+        let admitted =
+            if per_event { plane.admit_per_event(2.0) } else { plane.admit(2.0) }.unwrap();
+        assert_eq!(admitted.first().map(|&(t, _)| t), Some(urgent), "escalation admits first");
+        plane.try_dispatch(31.0, &scheduler, &mut fleet).unwrap().expect("trigger fires");
+        let mut rng = StdRng::seed_from_u64(7);
+        fleet.advance_to(1e5, &mut rng);
+        let done = plane.drain_completions(&mut fleet);
+        assert!(!done.is_empty(), "the batch must complete");
+        if per_event {
+            plane.note_completions_per_event(&done).unwrap();
+        } else {
+            plane.note_completions(&done).unwrap();
+        }
+    }
+
+    /// The CI journal-equivalence gate: on a fixed seed, the group-commit path
+    /// and the per-event path journal byte-identical event sequences at the
+    /// same indices, and leave byte-identical control-plane states. Replay
+    /// cannot tell which path wrote the log.
+    #[test]
+    fn group_commit_and_per_event_paths_write_identical_journals() {
+        let trigger = ScheduleTrigger::new(100, 30.0).with_slo_margin(2.0);
+        let mut grouped = ReplicatedControlPlane::new(trigger, 1, 93);
+        let mut per_event = ReplicatedControlPlane::new(trigger, 1, 93);
+
+        drive_fixed_workload(&mut grouped, false);
+        drive_fixed_workload(&mut per_event, true);
+
+        let grouped_entries = grouped.log().entries_from(0);
+        let per_event_entries = per_event.log().entries_from(0);
+        assert!(grouped_entries.len() > 4, "the workload journals a non-trivial sequence");
+        assert_eq!(grouped_entries.len(), per_event_entries.len());
+        for ((index_a, event_a), (index_b, event_b)) in
+            grouped_entries.iter().zip(per_event_entries.iter())
+        {
+            assert_eq!(index_a, index_b);
+            assert_eq!(event_a.encode(), event_b.encode(), "journal bytes diverged at {index_a}");
+        }
+        assert_eq!(grouped.encode_state(), per_event.encode_state(), "states diverged");
+        assert_eq!(grouped.state_digest(), per_event.state_digest(), "digests diverged");
+    }
+
     /// Election-in-store: leadership lives in the same quorum KV as the
     /// journal, so losing the store majority blocks failover itself — the
     /// split-brain window where an election cluster disagrees with the data
@@ -1994,7 +2055,6 @@ mod tests {
                             placed,
                             rejected,
                             deferred,
-                            speculative: rng.gen_bool(0.5),
                         }
                     }
                     10 if !running.is_empty() => {

@@ -323,16 +323,6 @@ impl ShardedControlPlane {
         Ok(outcomes)
     }
 
-    /// Plan-ahead pipelining per shard: each shard speculatively schedules
-    /// for its own next trigger instant (volatile, never journaled).
-    pub fn plan_ahead_all(&mut self, scheduler: &HybridScheduler, fleet: &Fleet) {
-        for plane in &mut self.shards {
-            if let Some(fire_s) = plane.next_trigger_s() {
-                plane.plan_ahead(fire_s, scheduler, fleet);
-            }
-        }
-    }
-
     /// Drain fleet completions once and account each on the shard owning
     /// the QPU it ran on — its lease holder, or for an elastic QPU the shard
     /// that provisioned it (per-shard job ids collide; only the owner can

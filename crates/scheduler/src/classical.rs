@@ -154,10 +154,10 @@ pub fn place(
     match policy {
         ScoringPolicy::LeastAllocated => candidates
             .into_iter()
-            .min_by(|&a, &b| nodes[a].utilisation().partial_cmp(&nodes[b].utilisation()).unwrap()),
+            .min_by(|&a, &b| nodes[a].utilisation().total_cmp(&nodes[b].utilisation())),
         ScoringPolicy::MostAllocated => candidates
             .into_iter()
-            .max_by(|&a, &b| nodes[a].utilisation().partial_cmp(&nodes[b].utilisation()).unwrap()),
+            .max_by(|&a, &b| nodes[a].utilisation().total_cmp(&nodes[b].utilisation())),
     }
 }
 

@@ -31,7 +31,5 @@ pub use problem::{
     EvalState, JobRequest, Objectives, QpuState, SchedulingProblem, INFEASIBLE_PENALTY_S,
     MAX_EXEC_S, MAX_PLACEMENT_COST, MAX_WAIT_S, NON_FINITE_EXEC_S,
 };
-pub use scheduler::{
-    HybridScheduler, Placement, ScheduleOutcome, SchedulerConfig, SpeculativeSchedule, StageTimings,
-};
+pub use scheduler::{HybridScheduler, Placement, ScheduleOutcome, SchedulerConfig, StageTimings};
 pub use triggers::{ScheduleTrigger, TriggerReason, DEFAULT_SLO_MARGIN_S};

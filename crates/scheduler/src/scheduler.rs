@@ -128,20 +128,6 @@ struct WarmState {
     front: WarmFront,
 }
 
-/// A schedule computed ahead of its dispatch instant
-/// ([`HybridScheduler::schedule_speculative`]): the outcome itself plus the
-/// warm-start front a live cycle over the same inputs would have remembered.
-/// The warm memory is *not* touched until [`HybridScheduler::adopt`] commits
-/// the plan, so a discarded speculation leaves the scheduler byte-identical
-/// to one that never speculated.
-#[derive(Debug, Clone)]
-pub struct SpeculativeSchedule {
-    /// The outcome the plan produces when adopted.
-    pub outcome: ScheduleOutcome,
-    /// The post-cycle warm front (`None` for stateless schedulers).
-    front: Option<WarmFront>,
-}
-
 /// The Qonductor quantum-job scheduler. Stateless by default; constructed
 /// with [`HybridScheduler::with_warm_start`] it becomes optionally stateful,
 /// seeding each cycle's NSGA-II population from the previous cycle's Pareto
@@ -202,18 +188,10 @@ impl HybridScheduler {
     }
 
     /// Run the optimizer for one cycle, consulting the warm-start memory when
-    /// enabled. With `commit` the remembered front is updated in place (the
-    /// live path); without it the would-be front is returned instead, so a
-    /// speculative cycle can be computed now and committed — or discarded —
-    /// later without perturbing the scheduler's observable state.
-    fn run_optimizer(
-        &self,
-        problem: &SchedulingProblem,
-        job_ids: &[u64],
-        commit: bool,
-    ) -> (nsga2::Nsga2Result, Option<WarmFront>) {
+    /// enabled and replacing the remembered front with this cycle's.
+    fn run_optimizer(&self, problem: &SchedulingProblem, job_ids: &[u64]) -> nsga2::Nsga2Result {
         let Some(mem) = &self.warm else {
-            return (nsga2::optimize(problem, &self.config.nsga2), None);
+            return nsga2::optimize(problem, &self.config.nsga2);
         };
         let mut mem = mem.lock();
         // Repair the remembered front against the current job list: genes for
@@ -233,19 +211,14 @@ impl HybridScheduler {
         // seeds, whatever the configured preference favours.
         let n = result.pareto_front.len();
         let keep = n.min(WARM_FRONT_CAP);
-        let next_front: WarmFront = (0..keep)
+        *front = (0..keep)
             .map(|k| {
                 let idx = if keep <= 1 { 0 } else { k * (n - 1) / (keep - 1) };
                 let s = &result.pareto_front[idx];
                 job_ids.iter().copied().zip(s.assignment.iter().copied()).collect()
             })
             .collect();
-        if commit {
-            *front = next_front;
-            (result, None)
-        } else {
-            (result, Some(next_front))
-        }
+        result
     }
 
     /// Run one scheduling cycle over the pending jobs and available QPUs.
@@ -253,7 +226,7 @@ impl HybridScheduler {
     /// Jobs whose qubit requirement no QPU can satisfy are filtered out during
     /// pre-processing and reported in `rejected_jobs`.
     pub fn schedule(&self, jobs: Vec<JobRequest>, qpus: Vec<QpuState>) -> ScheduleOutcome {
-        self.schedule_cycle(jobs, qpus, &[], &[], true).0
+        self.schedule_with_fleet_context(jobs, qpus, &[], &[])
     }
 
     /// [`Self::schedule`] with per-QPU recalibration horizons: `horizon_s[q]`
@@ -270,7 +243,7 @@ impl HybridScheduler {
         qpus: Vec<QpuState>,
         horizon_s: &[f64],
     ) -> ScheduleOutcome {
-        self.schedule_cycle(jobs, qpus, horizon_s, &[], true).0
+        self.schedule_with_fleet_context(jobs, qpus, horizon_s, &[])
     }
 
     /// [`Self::schedule_with_horizons`] plus per-QPU shot prices
@@ -288,47 +261,6 @@ impl HybridScheduler {
         horizon_s: &[f64],
         cost_per_shot: &[f64],
     ) -> ScheduleOutcome {
-        self.schedule_cycle(jobs, qpus, horizon_s, cost_per_shot, true).0
-    }
-
-    /// Compute a schedule for a *future* dispatch without mutating the
-    /// scheduler: the warm-start memory is consulted but not advanced, so the
-    /// caller can hold the plan while the current batch executes and either
-    /// [`Self::adopt`] it (if the pool snapshot is still valid at trigger
-    /// fire) or drop it with no trace. Adopting is equivalent, bit for bit,
-    /// to having called [`Self::schedule_with_horizons`] at the fire instant
-    /// with the same inputs.
-    pub fn schedule_speculative(
-        &self,
-        jobs: Vec<JobRequest>,
-        qpus: Vec<QpuState>,
-        horizon_s: &[f64],
-        cost_per_shot: &[f64],
-    ) -> SpeculativeSchedule {
-        let (outcome, front) = self.schedule_cycle(jobs, qpus, horizon_s, cost_per_shot, false);
-        SpeculativeSchedule { outcome, front }
-    }
-
-    /// Commit a speculative schedule: install the warm-start front the cycle
-    /// would have remembered had it run live. No-op for stateless schedulers
-    /// and for plans computed by one.
-    pub fn adopt(&self, plan: &SpeculativeSchedule) {
-        if let (Some(mem), Some(front)) = (&self.warm, &plan.front) {
-            mem.lock().front = front.clone();
-        }
-    }
-
-    /// The three-stage cycle shared by the live and speculative paths.
-    /// Returns the outcome plus, when `commit` is false and warm start is on,
-    /// the front the warm memory *would* have kept.
-    fn schedule_cycle(
-        &self,
-        jobs: Vec<JobRequest>,
-        qpus: Vec<QpuState>,
-        horizon_s: &[f64],
-        cost_per_shot: &[f64],
-        commit: bool,
-    ) -> (ScheduleOutcome, Option<WarmFront>) {
         assert!(!qpus.is_empty(), "scheduling requires at least one QPU");
         // ---------- Stage 1: job pre-processing ----------
         let t0 = Instant::now();
@@ -338,7 +270,8 @@ impl HybridScheduler {
         let rejected_jobs: Vec<u64> = rejected.iter().map(|j| j.job_id).collect();
         if schedulable.is_empty() {
             let zero = Objectives { mean_jct_s: 0.0, mean_error: 0.0, mean_cost: 0.0 };
-            let outcome = ScheduleOutcome {
+            // An empty cycle never touches the warm memory.
+            return ScheduleOutcome {
                 placements: vec![],
                 chosen: zero,
                 pareto_front: vec![],
@@ -353,9 +286,6 @@ impl HybridScheduler {
                 chosen_index: 0,
                 planned: vec![],
             };
-            // An empty cycle never touches the warm memory, so adopting it is
-            // trivially a no-op (`front: None` on the speculative path).
-            return (outcome, None);
         }
         let job_ids: Vec<u64> = schedulable.iter().map(|j| j.job_id).collect();
         let mut problem = SchedulingProblem::new(schedulable, qpus);
@@ -369,7 +299,7 @@ impl HybridScheduler {
 
         // ---------- Stage 2: multi-objective optimization ----------
         let t1 = Instant::now();
-        let (result, next_front) = self.run_optimizer(&problem, &job_ids, commit);
+        let result = self.run_optimizer(&problem, &job_ids);
         let optimization_s = t1.elapsed().as_secs_f64();
 
         // ---------- Stage 3: MCDM selection ----------
@@ -406,7 +336,7 @@ impl HybridScheduler {
         let planned = plan_timeline(&assignment, &waits, 0.0);
         let selection_s = t2.elapsed().as_secs_f64();
 
-        let outcome = ScheduleOutcome {
+        ScheduleOutcome {
             placements,
             chosen: chosen_solution.objectives,
             pareto_front: result.pareto_front,
@@ -416,8 +346,7 @@ impl HybridScheduler {
             timings: StageTimings { preprocessing_s, optimization_s, selection_s },
             chosen_index,
             planned,
-        };
-        (outcome, next_front)
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 mod common;
 
 use common::{feasible_spec, small_fleet, small_scheduler};
-use qonductor::consensus::{LogEntry, ReplicatedKvStore, StoreError};
+use qonductor::consensus::{ReplicatedKvStore, StoreError};
 use qonductor::core::{
     JobTicket, ReplicatedControlPlane, SloClass, SystemMonitor, TenantConfig, TicketStatus,
     WorkflowStatus,
@@ -225,63 +225,6 @@ fn minority_store_replica_churn_preserves_weighted_fairness() {
     plane.crash_leader();
     plane.failover().expect("failover succeeds after churn");
     assert_eq!(plane.state_digest(), digest);
-}
-
-/// Drive one fixed mixed workload — registrations (bulk + SLO), submissions,
-/// an escalating admission pass, a batch dispatch, completions — against a
-/// seeded plane. Shared by the journal-equivalence gate below.
-fn drive_fixed_workload(plane: &mut ReplicatedControlPlane) {
-    let mut fleet = small_fleet(93);
-    let scheduler = small_scheduler(16, 8, 800);
-    let bulk = plane.register_tenant(2).unwrap();
-    let slo = plane
-        .register_tenant_with_slo(TenantConfig::weighted(1), SloClass::with_deadline(20.0))
-        .unwrap();
-    for i in 0..6 {
-        plane.submit(bulk, feasible_spec(&fleet, 5, 4.0), i as f64 * 0.1).unwrap();
-    }
-    let urgent = plane.submit(slo, feasible_spec(&fleet, 5, 4.0), 1.0).unwrap();
-    // At t=2 the interval+margin horizon (32 s) overshoots the deadline at
-    // 21: the SLO ticket escalates, then the DRR pass admits the rest — an
-    // admission cycle with both event kinds in one staged batch.
-    let admitted = plane.admit(2.0).unwrap();
-    assert_eq!(admitted.first().map(|&(t, _)| t), Some(urgent), "escalation admits first");
-    plane.try_dispatch(31.0, &scheduler, &mut fleet).unwrap().expect("trigger fires");
-    let mut rng = StdRng::seed_from_u64(7);
-    fleet.advance_to(1e5, &mut rng);
-    let done = plane.drain_completions(&mut fleet);
-    assert!(!done.is_empty(), "the batch must complete");
-    plane.note_completions(&done).unwrap();
-}
-
-/// The CI journal-equivalence gate: on a fixed seed, the group-commit path
-/// and the per-event path journal byte-identical event sequences at the same
-/// indices, and leave byte-identical control-plane states. Replay cannot
-/// tell which path wrote the log.
-#[test]
-fn group_commit_and_per_event_paths_write_identical_journals() {
-    let trigger = ScheduleTrigger::new(100, 30.0).with_slo_margin(2.0);
-    let mut grouped = ReplicatedControlPlane::new(trigger, 1, 93);
-    let mut per_event = ReplicatedControlPlane::new(trigger, 1, 93);
-    per_event.set_group_commit(false);
-    assert!(grouped.group_commit());
-    assert!(!per_event.group_commit());
-
-    drive_fixed_workload(&mut grouped);
-    drive_fixed_workload(&mut per_event);
-
-    let grouped_entries = grouped.log().entries_from(0);
-    let per_event_entries = per_event.log().entries_from(0);
-    assert!(grouped_entries.len() > 4, "the workload journals a non-trivial sequence");
-    assert_eq!(grouped_entries.len(), per_event_entries.len());
-    for ((index_a, event_a), (index_b, event_b)) in
-        grouped_entries.iter().zip(per_event_entries.iter())
-    {
-        assert_eq!(index_a, index_b);
-        assert_eq!(event_a.encode(), event_b.encode(), "journal bytes diverged at {index_a}");
-    }
-    assert_eq!(grouped.encode_state(), per_event.encode_state(), "states diverged");
-    assert_eq!(grouped.state_digest(), per_event.state_digest(), "digests diverged");
 }
 
 /// The crash-between-stage-and-commit window of group commit: the quorum dies
