@@ -13,7 +13,9 @@
 //! * generators for the standard algorithm families (GHZ, QFT, QAOA, VQE,
 //!   Grover, W-state, random) in [`generators`],
 //! * an MQT-Bench-style [`workload::WorkloadGenerator`] reproducing the paper's
-//!   benchmark sampling model (§8.1/§8.2).
+//!   benchmark sampling model (§8.1/§8.2),
+//! * the workspace's one parallel executor ([`par`]), here because this is
+//!   the lowest crate every user of a second core shares.
 
 #![warn(missing_docs)]
 
@@ -23,6 +25,7 @@ pub mod digest;
 pub mod gate;
 pub mod generators;
 pub mod metrics;
+pub mod par;
 pub mod workload;
 
 pub use circuit::Circuit;

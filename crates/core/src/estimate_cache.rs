@@ -28,23 +28,22 @@
 //! by one, a repeat inside the batch hitting the entry its first occurrence
 //! reserved; **compute** what is missing — independent pure functions whose
 //! costs span two orders of magnitude — on the host's cores
-//! ([`compute_indexed`]); **store** the results by index. Outputs, cache
+//! ([`map_indexed`]); **store** the results by index. Outputs, cache
 //! contents and [`EstimateCacheStats`] therefore do not depend on the worker
 //! count.
 
 use qonductor_backend::{Fleet, Qpu, TemplateQpu};
+use qonductor_circuit::par::{host_cores, map_indexed};
 use qonductor_circuit::Circuit;
 use qonductor_estimator::{
     analytic_estimate, generate_plans, AnalyticEstimate, EstimationBackend, PlanGeneratorConfig,
     ResourcePlan,
 };
 use qonductor_mitigation::MitigationStack;
-use qonductor_scheduler::host_cores;
 use qonductor_transpiler::Transpiler;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Keys kept per product before the oldest is evicted.
@@ -203,48 +202,6 @@ fn device_estimate(
     analytic_estimate(&transpiled, &noise, &stack.cost(&transpiled.circuit, &noise))
 }
 
-/// `work(0), …, work(items - 1)`, in index order, computed by
-/// `min(workers, items)` threads — the caller and scoped helpers — that claim
-/// the next index from a shared counter until none is left (static chunks
-/// would leave a core idle behind one wide circuit). With one worker nothing
-/// is spawned. A panic in `work` resumes on the caller once every thread has
-/// stopped.
-fn compute_indexed<T: Send>(
-    workers: usize,
-    items: usize,
-    work: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let workers = workers.min(items);
-    if workers <= 1 {
-        return (0..items).map(work).collect();
-    }
-    // Relaxed: the counter only hands out indices; what `work` reads was
-    // shared before the threads started and results come back through `join`.
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut done = Vec::new();
-        loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= items {
-                return done;
-            }
-            done.push((index, work(index)));
-        }
-    };
-    let mut results: Vec<Option<T>> = (0..items).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
-        let mut done = claim();
-        for helper in helpers {
-            done.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
-        }
-        for (index, value) in done {
-            results[index] = Some(value);
-        }
-    });
-    results.into_iter().map(|r| r.expect("every index is claimed exactly once")).collect()
-}
-
 /// The orchestrator's estimate memo (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct EstimateCache {
@@ -342,7 +299,7 @@ impl EstimateCache {
         // Compute. A panic must not leave reservations behind: the lock
         // around the orchestrator state does not poison.
         let computed = catch_unwind(AssertUnwindSafe(|| {
-            compute_indexed(workers, work.len(), |w| {
+            map_indexed(workers, work.len(), |w| {
                 let (r, d) = work[w];
                 let request = &requests[r];
                 device_estimate(transpiler, request.circuit, &fleet.members()[d].qpu, request.stack)
@@ -422,7 +379,7 @@ impl EstimateCache {
 
         // Compute (see `step_estimates_on` for the panic handling).
         let computed = catch_unwind(AssertUnwindSafe(|| {
-            compute_indexed(workers, work.len(), |w| {
+            map_indexed(workers, work.len(), |w| {
                 let (r, set) = work[w];
                 let (stamp, templates) = &template_sets[set];
                 generate_plans(

@@ -34,6 +34,7 @@ use crate::replication::{
 };
 use crate::submission::{JobTicket, TenantConfig, TenantStats, TicketStatus};
 use qonductor_backend::Fleet;
+use qonductor_circuit::par;
 use qonductor_scheduler::{HybridScheduler, ScheduleTrigger};
 use std::collections::HashMap;
 
@@ -274,29 +275,20 @@ impl ShardedControlPlane {
     }
 
     /// One weighted-fair admission pass per shard (each shard walks only its
-    /// own *active* tenants — the O(T/N) win), stepped on real threads when
-    /// there is more than one shard: admission touches nothing but the
-    /// shard's own journaled state (the shared fleet enters only at
-    /// dispatch), so the shards are data-disjoint and `thread::scope` hands
-    /// each a `&mut` slice element. Results merge in shard order, so the
-    /// returned sequence is identical to the serial walk. Returns all
-    /// admitted tickets, shard-qualified.
+    /// own *active* tenants — the O(T/N) win). Admission touches nothing but
+    /// the shard's own journaled state (the shared fleet enters only at
+    /// dispatch), so the shards are data-disjoint: contiguous groups of them
+    /// are admitted by a [`par::team`] of `min(host_cores(), shards)`
+    /// members, and a single shard is admitted inline. Results merge in
+    /// shard order, so the returned sequence is identical to the serial
+    /// walk. Returns all admitted tickets, shard-qualified.
     pub fn admit(&mut self, now_s: f64) -> Result<Vec<(GlobalTicket, JobId)>, ReplicationError> {
-        let per_shard: Vec<Result<Vec<(JobTicket, JobId)>, ReplicationError>> =
-            if self.shards.len() > 1 {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .map(|plane| scope.spawn(move || plane.admit(now_s)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("shard panicked")).collect()
-                })
-            } else {
-                self.shards.iter_mut().map(|plane| plane.admit(now_s)).collect()
-            };
+        let group = self.shards.len().div_ceil(par::host_cores().min(self.shards.len()));
+        let per_group = par::team(self.shards.chunks_mut(group).collect(), |shards, _| {
+            shards.iter_mut().map(|plane| plane.admit(now_s)).collect::<Vec<_>>()
+        });
         let mut admitted = Vec::new();
-        for (shard, result) in per_shard.into_iter().enumerate() {
+        for (shard, result) in per_group.into_iter().flatten().enumerate() {
             for (ticket, job_id) in result? {
                 admitted.push((GlobalTicket { shard, ticket }, job_id));
             }
@@ -743,6 +735,56 @@ mod tests {
         plane.shards_mut()[shard].crash_leader();
         plane.shards_mut()[shard].failover().expect("failover succeeds");
         assert_eq!(plane.shard(shard).state_digest(), digest, "escalation replays on the shard");
+    }
+
+    /// `admit` steps groups of shards on a team; it must answer what a
+    /// serial walk over the shards answers — tickets in shard order, every
+    /// shard's encoded state byte for byte — pass after pass, with plain and
+    /// SLO tenants and submissions in between.
+    #[test]
+    fn a_parallel_admission_pass_equals_the_shards_admitted_one_by_one() {
+        use crate::submission::SloClass;
+        let fleet = small_fleet(3);
+        let build = || {
+            let trigger = ScheduleTrigger::new(100, 30.0);
+            let mut plane = ShardedControlPlane::new(3, 8, trigger, CalibrationPolicy::Naive, 1, 7);
+            let tenants: Vec<TenantId> = (0..9u32)
+                .map(|i| {
+                    let config = TenantConfig::weighted(1 + i % 3);
+                    let deadline = SloClass::with_deadline(20.0 + f64::from(i));
+                    match i % 3 {
+                        0 => plane.register_tenant_with_slo(config, deadline),
+                        _ => plane.register_tenant_with(config),
+                    }
+                    .unwrap()
+                })
+                .collect();
+            (plane, tenants)
+        };
+        let (mut parallel, tenants) = build();
+        let (mut serial, _) = build();
+        for pass in 0..4 {
+            let now = 1.0 + 10.0 * pass as f64;
+            for (k, &tenant) in tenants.iter().enumerate() {
+                for j in 0..=(k + pass) % 3 {
+                    let job = spec(&fleet, 5, 10.0 + j as f64);
+                    let ticket = parallel.submit(tenant, job.clone(), now).unwrap();
+                    assert_eq!(ticket, serial.submit(tenant, job, now).unwrap());
+                }
+            }
+            let admitted = parallel.admit(now + 1.0).unwrap();
+            let mut one_by_one = Vec::new();
+            for (shard, plane) in serial.shards_mut().iter_mut().enumerate() {
+                for (ticket, job_id) in plane.admit(now + 1.0).unwrap() {
+                    one_by_one.push((GlobalTicket { shard, ticket }, job_id));
+                }
+            }
+            let shards: std::collections::BTreeSet<usize> =
+                admitted.iter().map(|(ticket, _)| ticket.shard).collect();
+            assert_eq!(shards.len(), 3, "pass {pass}: every shard admits");
+            assert_eq!(admitted, one_by_one, "pass {pass}");
+            assert_eq!(parallel.encoded_states(), serial.encoded_states(), "pass {pass}");
+        }
     }
 
     #[test]

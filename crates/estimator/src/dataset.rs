@@ -8,7 +8,7 @@
 
 use crate::features::JobFeatures;
 use qonductor_backend::Fleet;
-use qonductor_circuit::{workload, Algorithm};
+use qonductor_circuit::{par, workload, Algorithm};
 use qonductor_mitigation::{candidate_stacks, MitigationStack};
 use qonductor_transpiler::Transpiler;
 use rand::rngs::StdRng;
@@ -36,7 +36,10 @@ pub struct DatasetConfig {
     pub max_width: u32,
     /// Fraction of records that use an error-mitigation stack (paper §8.2: 50%).
     pub mitigation_fraction: f64,
-    /// Number of worker threads used for generation.
+    /// Number of independent RNG streams the records are split over. Despite
+    /// the name (kept for its callers) this is a stream count, and the count
+    /// fixes the records; they are computed on `min(host_cores(), count)`
+    /// threads ([`qonductor_circuit::par`]), which never changes them.
     pub num_threads: usize,
 }
 
@@ -48,63 +51,43 @@ impl Default for DatasetConfig {
 
 /// Generate a dataset of execution records against the given fleet.
 ///
-/// Generation is embarrassingly parallel and fans out over
-/// `config.num_threads` scoped worker threads, each with an independent
-/// deterministic RNG stream derived from `seed`.
+/// Generation is embarrassingly parallel: the records are split over
+/// `config.num_threads` streams, each with an independent deterministic RNG
+/// derived from `seed`, computed on the host's cores and concatenated in
+/// stream order.
 pub fn generate_dataset(fleet: &Fleet, config: &DatasetConfig, seed: u64) -> Vec<ExecutionRecord> {
     assert!(!fleet.is_empty(), "dataset generation needs at least one QPU");
-    let threads = config.num_threads.max(1);
-    let per_thread = config.num_records / threads;
-    let remainder = config.num_records % threads;
+    let streams = config.num_threads.max(1);
+    let per_stream = config.num_records / streams;
+    let remainder = config.num_records % streams;
+    par::map_indexed(par::host_cores(), streams, |t| {
+        let mut rng = StdRng::seed_from_u64(
+            seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1)),
+        );
+        let (transpiler, stacks) = (Transpiler::default(), candidate_stacks());
+        let count = per_stream + usize::from(t < remainder);
+        (0..count)
+            .map(|_| {
+                // Pick a device, then a circuit that fits it.
+                let qpu = &fleet.members()[rng.gen_range(0..fleet.len())].qpu;
+                let max_width = qpu.num_qubits().min(config.max_width).max(2);
+                let width = rng.gen_range(2..=max_width);
+                let alg = Algorithm::ALL[rng.gen_range(0..Algorithm::ALL.len())];
+                let layers = rng.gen_range(1..=3);
+                let mut circuit = workload::build_algorithm(alg, width, layers, &mut rng);
+                circuit.set_shots(rng.gen_range(500..8000));
 
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let count = per_thread + usize::from(t < remainder);
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(
-                        seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1)),
-                    );
-                    generate_records(fleet, config, count, &mut rng)
-                })
+                // Pick a mitigation stack (or none) per the configured fraction.
+                let stack = if rng.gen_bool(config.mitigation_fraction.clamp(0.0, 1.0)) {
+                    stacks[rng.gen_range(1..stacks.len())].clone()
+                } else {
+                    MitigationStack::none()
+                };
+                execute_and_record(&transpiler, &circuit, qpu, &stack, &mut rng)
             })
-            .collect();
-        // Joined in spawn order, so the records are ordered by worker index.
-        handles.into_iter().flat_map(|h| h.join().expect("dataset worker panicked")).collect()
+            .collect::<Vec<_>>()
     })
-}
-
-/// Sequentially generate `count` records (one worker's share).
-fn generate_records(
-    fleet: &Fleet,
-    config: &DatasetConfig,
-    count: usize,
-    rng: &mut StdRng,
-) -> Vec<ExecutionRecord> {
-    let transpiler = Transpiler::default();
-    let stacks = candidate_stacks();
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        // Pick a device, then a circuit that fits it.
-        let member = &fleet.members()[rng.gen_range(0..fleet.len())];
-        let qpu = &member.qpu;
-        let max_width = qpu.num_qubits().min(config.max_width).max(2);
-        let width = rng.gen_range(2..=max_width);
-        let alg = Algorithm::ALL[rng.gen_range(0..Algorithm::ALL.len())];
-        let layers = rng.gen_range(1..=3);
-        let mut circuit = workload::build_algorithm(alg, width, layers, rng);
-        circuit.set_shots(rng.gen_range(500..8000));
-
-        // Pick a mitigation stack (or none) per the configured fraction.
-        let stack = if rng.gen_bool(config.mitigation_fraction.clamp(0.0, 1.0)) {
-            stacks[rng.gen_range(1..stacks.len())].clone()
-        } else {
-            MitigationStack::none()
-        };
-
-        records.push(execute_and_record(&transpiler, &circuit, qpu, &stack, rng));
-    }
-    records
+    .concat()
 }
 
 /// Transpile + "execute" one job and produce its record. The ground truth uses
@@ -205,6 +188,29 @@ mod tests {
         let (train, test) = split(&records, 0.8);
         assert_eq!(train.len(), 40);
         assert_eq!(test.len(), 10);
+    }
+
+    /// A stream's panic reaches the caller with its own message, whichever
+    /// thread the stream ran on.
+    #[test]
+    fn a_failing_stream_panics_the_caller_with_its_own_message() {
+        use qonductor_backend::{CouplingMap, FleetMember, JobQueue, Qpu, QpuModel};
+        let mut rng = StdRng::seed_from_u64(21);
+        // Two disconnected pairs: no circuit wider than two qubits routes.
+        let model = QpuModel {
+            name: "split".into(),
+            coupling_map: CouplingMap::new(4, [(0, 1), (2, 3)]),
+            ..QpuModel::falcon_7()
+        };
+        let qpu = Qpu::new("split", model, 1.0, &mut rng);
+        let fleet = Fleet::from_members(vec![FleetMember { qpu, queue: JobQueue::new() }]);
+        let cfg = DatasetConfig { num_records: 16, num_threads: 2, ..Default::default() };
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            generate_dataset(&fleet, &cfg, 5)
+        }))
+        .expect_err("the split device cannot route a three-qubit circuit");
+        let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(message.contains("no path from"), "{message}");
     }
 
     #[test]

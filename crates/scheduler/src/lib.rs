@@ -9,7 +9,6 @@
 
 #![warn(missing_docs)]
 
-mod barrier;
 pub mod baselines;
 pub mod classical;
 pub mod crossover;
@@ -24,8 +23,8 @@ pub use classical::{place, ClassicalNode, ClassicalRequest, ScoringPolicy};
 pub use crossover::{partition_at_boundary, plan_timeline, CrossoverPartition, PlannedJob};
 pub use mcdm::{pseudo_weights, select, Preference};
 pub use nsga2::{
-    host_cores, optimize, optimize_seeded, optimize_sequential, optimize_with, Nsga2Config,
-    Nsga2Result, OptimizerWorkspace, ParetoSolution, MIGRATION_INTERVAL, MIN_ISLAND_POP,
+    optimize, optimize_seeded, optimize_sequential, optimize_with, Nsga2Config, Nsga2Result,
+    OptimizerWorkspace, ParetoSolution, MIGRATION_INTERVAL, MIN_ISLAND_POP,
 };
 pub use problem::{
     EvalState, JobRequest, Objectives, QpuState, SchedulingProblem, INFEASIBLE_PENALTY_S,

@@ -37,13 +37,13 @@
 //! runs are deterministic for a fixed seed and island count — but not
 //! stream-compatible with the sequential path).
 //!
-//! The islands of one run are evolved by one *team* of
+//! The islands of one run are evolved by one [`par::team`] of
 //! `min(host cores, islands)` threads that lives exactly as long as the
 //! call: the calling thread is a member, the other members are spawned once,
 //! and every member owns a fixed contiguous group of islands from the first
 //! generation to the last. An island round is tens of microseconds of work,
-//! so nothing is spawned or joined per round; the members meet at a spinning
-//! phase barrier (`barrier.rs`) twice per migration — once when every island
+//! so nothing is spawned or joined per round; the members meet at the
+//! team's spinning phase barrier twice per migration — once when every island
 //! has published its elites to its outbox, once more before the next round
 //! overwrites them — and each member performs the migration of its own
 //! islands. Islands touch no shared mutable state between those meetings, so
@@ -53,13 +53,12 @@
 //! [`optimize_sequential`] remains the single-population reference whose
 //! behaviour is pinned bit-for-bit by the property suite.
 
-use crate::barrier::PhaseBarrier;
 use crate::problem::{EvalState, Objectives, SchedulingProblem, NO_FEASIBLE};
 use parking_lot::Mutex;
+use qonductor_circuit::par::{self, host_cores, PhaseBarrier};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// NSGA-II hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,10 +88,11 @@ pub struct Nsga2Config {
     /// generations). `<= 1` selects the sequential single-population
     /// reference path; larger values are clamped so every island keeps at
     /// least [`Nsga2Config::min_island_pop`] individuals. Despite the name
-    /// (kept for its callers) this is the island count, which fixes the
-    /// result; the thread count is not configurable: each run is evolved by
-    /// a team of `min(host cores, islands)` threads with the caller as one
-    /// member, and the team size never changes the result.
+    /// (kept for its callers) this is the island count, and the count fixes
+    /// the result; the thread count is not configurable: each run is evolved
+    /// by a team of `min(host_cores(), islands)` threads
+    /// ([`qonductor_circuit::par`]) with the caller as one member, and the
+    /// team size never changes the result.
     pub num_threads: usize,
     /// Generations an island evolves between ring elite exchanges
     /// (default [`MIGRATION_INTERVAL`]; values `< 1` are clamped to 1).
@@ -656,14 +656,6 @@ fn island_seed(seed: u64, island: usize) -> u64 {
     seed.wrapping_add((island as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Cores of this host, read once per process: `available_parallelism` is a
-/// `sched_getaffinity` call plus cgroup-file reads (over 10 µs), far too
-/// much to pay on every scheduling cycle or estimate batch.
-pub fn host_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
 /// Island-model NSGA-II: `islands` independent subpopulations over the
 /// shared read-only problem tables, ring migration of elites every
 /// [`Nsga2Config::migration_interval`] generations, and a final non-dominated merge of
@@ -746,9 +738,8 @@ fn optimize_islands(
         rank_and_crowd_sweep(&mut slot.pool[..my_pop], &mut slot.sweep, my_pop);
     }
 
-    // Deal the islands to the team in contiguous groups. The team is the
-    // number of non-empty groups — 4 islands over 3 threads make 2 groups of
-    // 2 — because the barrier waits for exactly that many members.
+    // Deal the islands to the team in contiguous groups, one per member —
+    // 4 islands over 3 threads make 2 groups of 2, hence a team of two.
     let group = islands.div_ceil(max_members.clamp(1, islands));
     let team = IslandTeam {
         problem,
@@ -758,27 +749,14 @@ fn optimize_islands(
         per_island_evals,
         outboxes: &outboxes[..islands],
         running: AtomicUsize::new(islands),
-        barrier: PhaseBarrier::new(islands.div_ceil(group)),
     };
-    let mut groups = slots[..islands]
+    let groups = slots[..islands]
         .chunks_mut(group)
         .zip(rngs.chunks_mut(group))
         .enumerate()
-        .map(|(g, (slots, rngs))| (g * group, slots, rngs));
-    let (first, my_slots, my_rngs) = groups.next().expect("at least one island");
-    std::thread::scope(|scope| {
-        // Enrolled before the first spawn: if the caller unwinds — a failed
-        // spawn included — the helpers already waiting are released.
-        let _membership = team.barrier.member();
-        let team = &team;
-        for (first, slots, rngs) in groups {
-            scope.spawn(move || {
-                let _membership = team.barrier.member();
-                team.evolve(first, slots, rngs);
-            });
-        }
-        team.evolve(first, my_slots, my_rngs);
-    });
+        .map(|(g, (slots, rngs))| (g * group, slots, rngs))
+        .collect();
+    par::team(groups, |group, barrier| team.evolve(group, barrier));
 
     // Merge: first front of each island, re-evaluated with the exact f64
     // path (the search ran on f32 lane objectives; callers get exact
@@ -813,8 +791,11 @@ fn optimize_islands(
     }
 }
 
-/// What the members of one run's island team share: the read-only inputs,
-/// the islands' outboxes, and the two things they synchronise on.
+/// One team member's islands: the index of the first, their slots and RNGs.
+type IslandGroup<'a> = (usize, &'a mut [IslandSlot], &'a mut [IslandRng]);
+
+/// What the members of one run's island team share besides their barrier:
+/// the read-only inputs, the islands' outboxes, and the running count.
 struct IslandTeam<'a> {
     problem: &'a SchedulingProblem,
     config: &'a Nsga2Config,
@@ -828,7 +809,6 @@ struct IslandTeam<'a> {
     /// between a first and a second meeting: the barrier orders the two, so
     /// `Relaxed` suffices.
     running: AtomicUsize,
-    barrier: PhaseBarrier,
 }
 
 impl IslandTeam<'_> {
@@ -838,8 +818,8 @@ impl IslandTeam<'_> {
     /// island goes through the same sequence whatever the grouping: a round,
     /// then (elites out, elites in from the ring predecessor, re-rank), with
     /// the team meeting between "out" and "in" and again before the next
-    /// "out".
-    fn evolve(&self, first: usize, slots: &mut [IslandSlot], rngs: &mut [IslandRng]) {
+    /// "out", at `barrier`.
+    fn evolve(&self, (first, slots, rngs): IslandGroup<'_>, barrier: &PhaseBarrier) {
         let islands = self.pops.len();
         loop {
             for (k, (slot, rng)) in slots.iter_mut().zip(rngs.iter_mut()).enumerate() {
@@ -860,7 +840,7 @@ impl IslandTeam<'_> {
             }
             // Every island's round is over, and no successor is still reading
             // an outbox of the previous migration.
-            self.barrier.wait();
+            barrier.wait();
             if self.running.load(Ordering::Relaxed) == 0 {
                 return;
             }
@@ -881,7 +861,7 @@ impl IslandTeam<'_> {
                     out.copy_from(elite);
                 }
             }
-            self.barrier.wait();
+            barrier.wait();
             for (k, slot) in slots.iter_mut().enumerate() {
                 let src = (first + k + islands - 1) % islands;
                 let my_pop = self.pops[first + k];
@@ -1749,58 +1729,46 @@ mod tests {
 
     /// The property the island team rests on: how many threads evolve the
     /// islands, and how the islands are grouped onto them, changes nothing.
-    /// Under the barrier tests' watchdog, because a team sized to anything
-    /// but its number of groups shows as a hang.
     #[test]
     fn island_team_size_never_changes_the_result() {
-        let failed = crate::barrier::tests::under_watchdog(|| {
-            let problem = random_problem(40, 6, 14);
-            let cold = optimize(&problem, &Nsga2Config::default());
-            let warm_seeds: Vec<Vec<usize>> =
-                cold.pareto_front.iter().map(|s| s.assignment.clone()).collect();
-            for islands in 2usize..=6 {
-                // 61 deals unequal island populations and exercises the
-                // spare child of an odd island.
-                for population_size in [60usize, 61] {
-                    for seeds in [&[][..], &warm_seeds[..]] {
-                        let config = Nsga2Config {
-                            num_threads: islands,
-                            population_size,
-                            max_generations: 30,
-                            ..Nsga2Config::default()
-                        };
-                        assert_eq!(effective_islands(&config), islands);
-                        let run = |members: usize| {
-                            let mut workspace = OptimizerWorkspace::new();
-                            optimize_islands(
-                                &problem,
-                                &config,
-                                seeds,
-                                &mut workspace,
-                                islands,
-                                members,
-                            )
-                        };
-                        let alone = run(1);
-                        assert!(alone.generations > config.migration_interval, "no migration");
-                        // 4 islands / 3 members is the uneven case: two
-                        // groups of two, so a team of two — not three.
-                        for members in 2..=islands {
-                            assert_eq!(
-                                run(members),
-                                alone,
-                                "islands {islands}, members {members}, population \
-                                 {population_size}, {} seeds",
-                                seeds.len()
-                            );
-                        }
+        let problem = random_problem(40, 6, 14);
+        let cold = optimize(&problem, &Nsga2Config::default());
+        let warm_seeds: Vec<Vec<usize>> =
+            cold.pareto_front.iter().map(|s| s.assignment.clone()).collect();
+        for islands in 2usize..=6 {
+            // 61 deals unequal island populations and exercises the
+            // spare child of an odd island.
+            for population_size in [60usize, 61] {
+                for seeds in [&[][..], &warm_seeds[..]] {
+                    let config = Nsga2Config {
+                        num_threads: islands,
+                        population_size,
+                        max_generations: 30,
+                        ..Nsga2Config::default()
+                    };
+                    assert_eq!(effective_islands(&config), islands);
+                    let run = |members: usize| {
                         let mut workspace = OptimizerWorkspace::new();
-                        assert_eq!(optimize_with(&problem, &config, seeds, &mut workspace), alone);
+                        optimize_islands(&problem, &config, seeds, &mut workspace, islands, members)
+                    };
+                    let alone = run(1);
+                    assert!(alone.generations > config.migration_interval, "no migration");
+                    // 4 islands / 3 members is the uneven case: two
+                    // groups of two, so a team of two — not three.
+                    for members in 2..=islands {
+                        assert_eq!(
+                            run(members),
+                            alone,
+                            "islands {islands}, members {members}, population \
+                             {population_size}, {} seeds",
+                            seeds.len()
+                        );
                     }
+                    let mut workspace = OptimizerWorkspace::new();
+                    assert_eq!(optimize_with(&problem, &config, seeds, &mut workspace), alone);
                 }
             }
-        });
-        assert!(!failed, "a grouping changed the result (see the panic above)");
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 
 use qonductor::backend::Fleet;
 use qonductor::circuit::generators::ghz;
+use qonductor::core::digest::Fnv64;
 use qonductor::estimator::{
     dataset::{generate_dataset, split, DatasetConfig},
-    numerical, ResourceEstimator,
+    numerical, JobFeatures, ResourceEstimator,
 };
 use qonductor::transpiler::Transpiler;
 use rand::rngs::StdRng;
@@ -36,6 +37,68 @@ fn regression_estimator_is_accurate_on_held_out_executions() {
         accuracy.fidelity_within_0_1 > 0.6,
         "within-0.1 fraction = {}",
         accuracy.fidelity_within_0_1
+    );
+}
+
+/// The records are a pure function of (fleet, config, seed): the stream
+/// count fixes them, how many threads compute the streams does not. One
+/// FNV-64 per stream count over every field's bits, recorded while each
+/// stream still ran on a thread of its own; 8 is `fig7bc`'s configuration.
+#[test]
+fn dataset_bytes_are_pinned_for_every_stream_count() {
+    let fleet = fleet();
+    let digests = [1usize, 3, 4, 8].map(|num_threads| {
+        let config = DatasetConfig { num_records: 64, num_threads, ..Default::default() };
+        let mut digest = Fnv64::new();
+        for record in generate_dataset(&fleet, &config, 17) {
+            let JobFeatures {
+                width,
+                shots,
+                depth,
+                two_qubit_gates,
+                one_qubit_gates,
+                measurements,
+                mean_two_qubit_error,
+                mean_readout_error,
+                mean_t1_us,
+                mean_t2_us,
+                mitigation_error_factor,
+                mitigation_quantum_factor,
+                mitigation_multiplicity,
+                mitigation_classical_s,
+            } = record.features;
+            for x in [
+                width,
+                shots,
+                depth,
+                two_qubit_gates,
+                one_qubit_gates,
+                measurements,
+                mean_two_qubit_error,
+                mean_readout_error,
+                mean_t1_us,
+                mean_t2_us,
+                mitigation_error_factor,
+                mitigation_quantum_factor,
+                mitigation_multiplicity,
+                mitigation_classical_s,
+                record.fidelity,
+                record.quantum_time_s,
+                record.classical_time_s,
+            ] {
+                digest.absorb(&x.to_bits().to_le_bytes());
+            }
+        }
+        digest.value()
+    });
+    assert_eq!(
+        digests,
+        [
+            0x7e03_8813_2c6a_f7ce,
+            0xa3f6_281a_2245_e237,
+            0xc0c0_98b2_dda2_9b2c,
+            0x8f00_0ad1_42ef_7bd8
+        ]
     );
 }
 
