@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the scheduler's hot paths: objective
-//! evaluation (full O(N) scan vs incremental O(1) delta), one full NSGA-II
-//! run (cold vs warm-started with a previous front + reused workspace), and
-//! MCDM selection.
+//! evaluation (the exact f64 pass and the f32 lanes), one full NSGA-II run
+//! (cold vs warm-started with a previous front + reused workspace), and MCDM
+//! selection.
 //!
 //! With `QONDUCTOR_BENCH_JSON=<path>` the harness writes every measurement to
 //! `<path>` — CI runs this in quick mode and uploads `BENCH_scheduler.json`
@@ -10,8 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qonductor_bench::synthetic_problem;
 use qonductor_scheduler::{
-    optimize, optimize_with, select, EvalState, Nsga2Config, OptimizerWorkspace, Preference,
-    SchedulingProblem,
+    optimize, optimize_with, select, Nsga2Config, OptimizerWorkspace, Preference, SchedulingProblem,
 };
 
 const SIZES: [usize; 3] = [50, 200, 800];
@@ -30,33 +29,8 @@ fn bench_objective_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The incremental path: one gene move (delta update) plus the O(Q) objective
-/// reduction — what an offspring with a single changed gene costs, versus the
-/// full O(N) re-scan above.
-fn bench_incremental_evaluation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental_evaluation");
-    for &num_jobs in &SIZES {
-        let (jobs, qpus) = synthetic_problem(num_jobs, NUM_QPUS, 1);
-        let problem = SchedulingProblem::new(jobs, qpus);
-        let assignment: Vec<usize> = (0..num_jobs).map(|i| i % NUM_QPUS).collect();
-        let mut state = EvalState::new(NUM_QPUS);
-        problem.init_state(&assignment, &mut state);
-        let mut current = assignment[0];
-        group.bench_with_input(BenchmarkId::from_parameter(num_jobs), &num_jobs, |b, _| {
-            b.iter(|| {
-                // Flip job 0 between two QPUs: a one-gene offspring delta.
-                let to = if current == 0 { 1 } else { 0 };
-                problem.move_job(&mut state, 0, current, to);
-                current = to;
-                std::hint::black_box(problem.objectives_of(&state))
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The f32 objective-lane reduction over packed u16 genes — the island
-/// path's whole-assignment evaluation, versus the f64 `evaluate` above.
+/// The f32 objective-lane reduction over packed u16 genes — the optimizer's
+/// whole-assignment evaluation, versus the f64 `evaluate` above.
 fn bench_objective_lane_reduction(c: &mut Criterion) {
     let mut group = c.benchmark_group("objective_lane_reduction");
     for &num_jobs in &SIZES {
@@ -90,9 +64,8 @@ fn bench_nsga2(c: &mut Criterion) {
     group.finish();
 }
 
-/// The island path pinned explicitly (4 islands regardless of the default),
-/// same generation/evaluation budget as `nsga2_cycle`, plus the sequential
-/// reference path for the side-by-side trajectory.
+/// Four islands pinned explicitly (regardless of the default), same
+/// generation/evaluation budget as `nsga2_cycle`.
 fn bench_nsga2_islands(c: &mut Criterion) {
     let mut group = c.benchmark_group("nsga2_island_cycle");
     group.sample_size(10);
@@ -100,17 +73,6 @@ fn bench_nsga2_islands(c: &mut Criterion) {
         let (jobs, qpus) = synthetic_problem(num_jobs, NUM_QPUS, 2);
         let problem = SchedulingProblem::new(jobs, qpus);
         let config = Nsga2Config { num_threads: 4, ..nsga2_config() };
-        group.bench_with_input(BenchmarkId::from_parameter(num_jobs), &num_jobs, |b, _| {
-            b.iter(|| optimize(std::hint::black_box(&problem), &config))
-        });
-    }
-    group.finish();
-    let mut group = c.benchmark_group("nsga2_sequential_cycle");
-    group.sample_size(10);
-    for &num_jobs in &[50usize, 100] {
-        let (jobs, qpus) = synthetic_problem(num_jobs, NUM_QPUS, 2);
-        let problem = SchedulingProblem::new(jobs, qpus);
-        let config = Nsga2Config { num_threads: 1, ..nsga2_config() };
         group.bench_with_input(BenchmarkId::from_parameter(num_jobs), &num_jobs, |b, _| {
             b.iter(|| optimize(std::hint::black_box(&problem), &config))
         });
@@ -175,7 +137,6 @@ fn bench_mcdm(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_objective_evaluation,
-    bench_incremental_evaluation,
     bench_objective_lane_reduction,
     bench_nsga2,
     bench_nsga2_islands,

@@ -240,6 +240,9 @@ const GOLDEN_QONDUCTOR: u64 = 0x254d_0b22_c699_c4e7;
 const GOLDEN_FCFS: u64 = 0x6527_9461_1c0a_cebf;
 const GOLDEN_DRIFT: u64 = 0x18e7_ab2f_0ab4_c47b;
 const GOLDEN_MULTITENANT: u64 = 0xbfd2_af23_9b86_6a31;
-const GOLDEN_SHARDED: u64 = 0x578d_a0cd_d0bf_2966;
+/// Re-pinned once, when one-island NSGA-II runs (`ShardedSimConfig`'s
+/// `num_threads: 1`) moved from a separate sequential algorithm onto the
+/// island loop.
+const GOLDEN_SHARDED: u64 = 0xc709_441c_8f57_41df;
 const GOLDEN_SLO_AWARE: u64 = 0x6228_6355_0f64_f71e;
 const GOLDEN_FEDERATION_COST: u64 = 0x6a8d_309d_1a91_9709;

@@ -23,12 +23,12 @@ pub use classical::{place, ClassicalNode, ClassicalRequest, ScoringPolicy};
 pub use crossover::{partition_at_boundary, plan_timeline, CrossoverPartition, PlannedJob};
 pub use mcdm::{pseudo_weights, select, Preference};
 pub use nsga2::{
-    optimize, optimize_seeded, optimize_sequential, optimize_with, Nsga2Config, Nsga2Result,
-    OptimizerWorkspace, ParetoSolution, MIGRATION_INTERVAL, MIN_ISLAND_POP,
+    optimize, optimize_seeded, optimize_with, Nsga2Config, Nsga2Result, OptimizerWorkspace,
+    ParetoSolution, MIGRATION_INTERVAL, MIN_ISLAND_POP,
 };
 pub use problem::{
-    EvalState, JobRequest, Objectives, QpuState, SchedulingProblem, INFEASIBLE_PENALTY_S,
-    MAX_EXEC_S, MAX_PLACEMENT_COST, MAX_WAIT_S, NON_FINITE_EXEC_S,
+    JobRequest, Objectives, QpuState, SchedulingProblem, INFEASIBLE_PENALTY_S, MAX_EXEC_S,
+    MAX_PLACEMENT_COST, MAX_WAIT_S, NON_FINITE_EXEC_S,
 };
 pub use scheduler::{HybridScheduler, Placement, ScheduleOutcome, SchedulerConfig, StageTimings};
 pub use triggers::{ScheduleTrigger, TriggerReason, DEFAULT_SLO_MARGIN_S};

@@ -6,36 +6,31 @@
 //!
 //! # Hot path
 //!
-//! Offspring are evaluated *incrementally*: every individual carries an
-//! [`EvalState`] of per-QPU aggregates, children start as copies of a parent's
-//! state, and each gene the genetic operators change applies an O(1)
-//! [`SchedulingProblem::move_job`] delta — so a child whose crossover/mutation
-//! touched `k` genes costs O(k + Q) instead of a full O(N) re-scan. Thanks to
-//! the problem's dyadic estimate grid the deltas are exact, and incremental
-//! objectives are bit-for-bit identical to [`SchedulingProblem::evaluate`].
+//! Individuals carry their genes packed as `u16` QPU indices, and every
+//! offspring is evaluated by one branch-free pass over the problem's f32
+//! objective lanes ([`SchedulingProblem::evaluate_lanes_packed`]); the final
+//! front is re-evaluated exactly with [`SchedulingProblem::evaluate`].
+//! Non-dominated sorting is an `O(n log n)` sweep, and the genetic operators
+//! draw from tabulated polynomial `ln`/`pow` approximations — pure IEEE
+//! arithmetic, so a run is deterministic for a fixed seed and island count.
 //!
-//! All per-generation buffers (the merged parent+offspring pool, domination
-//! lists, front queues, sort scratch) live in a reusable
-//! [`OptimizerWorkspace`], so a generation performs no heap allocation in
-//! steady state, and warm-started callers amortise the buffers across
-//! scheduling cycles. [`optimize_with`] additionally accepts seed assignments
-//! (e.g. the previous cycle's Pareto front) that are repaired against the
-//! current problem and injected into the initial population.
+//! All per-generation buffers (the merged parent+offspring pools, sort
+//! scratch, operator tables) live in a reusable [`OptimizerWorkspace`], so a
+//! generation performs no heap allocation in steady state, and warm-started
+//! callers amortise the buffers across scheduling cycles. [`optimize_with`]
+//! additionally accepts seed assignments (e.g. the previous cycle's Pareto
+//! front) that are repaired against the current problem and injected into the
+//! initial population.
 //!
-//! # Island mode
+//! # Islands
 //!
-//! With [`Nsga2Config::num_threads`] > 1, [`optimize_with`] runs an island
-//! model: the population splits into independent subpopulations over the
-//! shared read-only problem tables, each with its own deterministic RNG
-//! stream, workspace slot, and termination window. Every
-//! [`Nsga2Config::migration_interval`] generations the islands exchange
-//! Pareto-front elites along a ring, and the final front is the non-dominated merge of
-//! the island fronts. Islands use two speed levers the sequential reference
-//! path deliberately avoids: an `O(n log n)` sweep-based non-dominated sort
-//! (ranks identical to the pairwise algorithm) and polynomial `ln`/`pow`
-//! approximations in the genetic operators (pure IEEE arithmetic, so island
-//! runs are deterministic for a fixed seed and island count — but not
-//! stream-compatible with the sequential path).
+//! The population splits into [`Nsga2Config::num_threads`] independent
+//! subpopulations (islands) over the shared read-only problem tables, each
+//! with its own deterministic RNG stream, workspace slot, and termination
+//! window. Every [`Nsga2Config::migration_interval`] generations the islands
+//! exchange Pareto-front elites along a ring, and the final front is the
+//! non-dominated merge of the island fronts. One island is the same loop with
+//! the migration skipped.
 //!
 //! The islands of one run are evolved by one [`par::team`] of
 //! `min(host cores, islands)` threads that lives exactly as long as the
@@ -49,15 +44,13 @@
 //! islands. Islands touch no shared mutable state between those meetings, so
 //! the result is a pure function of (problem, config, seeds, island count):
 //! bit-identical for every team size, including the one-member team of a
-//! single-core host, which runs the same loop without synchronising.
-//! [`optimize_sequential`] remains the single-population reference whose
-//! behaviour is pinned bit-for-bit by the property suite.
+//! single-core host or a one-island run, which runs the same loop without
+//! synchronising.
 
-use crate::problem::{EvalState, Objectives, SchedulingProblem, NO_FEASIBLE};
+use crate::problem::{Objectives, SchedulingProblem, NO_FEASIBLE};
 use parking_lot::Mutex;
 use qonductor_circuit::par::{self, host_cores, PhaseBarrier};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::RngCore;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// NSGA-II hyper-parameters.
@@ -85,9 +78,9 @@ pub struct Nsga2Config {
     pub tolerance_window: usize,
     /// Number of NSGA-II islands (independent subpopulations exchanging
     /// Pareto elites along a ring every [`Nsga2Config::migration_interval`]
-    /// generations). `<= 1` selects the sequential single-population
-    /// reference path; larger values are clamped so every island keeps at
-    /// least [`Nsga2Config::min_island_pop`] individuals. Despite the name
+    /// generations). `<= 1` means one island, which never migrates; larger
+    /// values are clamped so every island keeps at least
+    /// [`Nsga2Config::min_island_pop`] individuals. Despite the name
     /// (kept for its callers) this is the island count, and the count fixes
     /// the result; the thread count is not configurable: each run is evolved
     /// by a team of `min(host_cores(), islands)` threads
@@ -96,7 +89,6 @@ pub struct Nsga2Config {
     pub num_threads: usize,
     /// Generations an island evolves between ring elite exchanges
     /// (default [`MIGRATION_INTERVAL`]; values `< 1` are clamped to 1).
-    /// Only consulted on the island path.
     pub migration_interval: usize,
     /// Minimum individuals per island: requested island counts are clamped
     /// so no island drops below this (default [`MIN_ISLAND_POP`]; values
@@ -149,10 +141,13 @@ pub struct Nsga2Result {
 
 const ZERO_OBJECTIVES: Objectives = Objectives { mean_jct_s: 0.0, mean_error: 0.0, mean_cost: 0.0 };
 
+/// One member of an island's population: genes packed as `u16` QPU indices
+/// (a quarter of the cache footprint of a `usize` assignment — the pool
+/// streams through L1 every generation), with objectives from one
+/// [`SchedulingProblem::evaluate_lanes_packed`] pass.
 #[derive(Debug, Clone)]
 struct Individual {
-    genes: Vec<usize>,
-    state: EvalState,
+    genes: Vec<u16>,
     objectives: Objectives,
     rank: usize,
     crowding: f64,
@@ -160,13 +155,7 @@ struct Individual {
 
 impl Default for Individual {
     fn default() -> Self {
-        Individual {
-            genes: Vec::new(),
-            state: EvalState::default(),
-            objectives: ZERO_OBJECTIVES,
-            rank: 0,
-            crowding: 0.0,
-        }
+        Individual { genes: Vec::new(), objectives: ZERO_OBJECTIVES, rank: 0, crowding: 0.0 }
     }
 }
 
@@ -174,90 +163,13 @@ impl Individual {
     /// Copy `src` into `self`, reusing buffers (no allocation once sized).
     fn copy_from(&mut self, src: &Individual) {
         self.genes.clone_from(&src.genes);
-        self.state.copy_from(&src.state);
         self.objectives = src.objectives;
         self.rank = src.rank;
         self.crowding = src.crowding;
     }
 }
 
-/// Island-path individual: genes packed as `u16` QPU indices (a quarter of
-/// the cache footprint of the sequential `Vec<usize>` genome — the island
-/// pool streams through L1 every generation) and no incremental
-/// [`EvalState`]: island objectives always come from one
-/// [`SchedulingProblem::evaluate_lanes_packed`] pass.
-#[derive(Debug, Clone)]
-struct LaneIndividual {
-    genes: Vec<u16>,
-    objectives: Objectives,
-    rank: usize,
-    crowding: f64,
-}
-
-impl Default for LaneIndividual {
-    fn default() -> Self {
-        LaneIndividual { genes: Vec::new(), objectives: ZERO_OBJECTIVES, rank: 0, crowding: 0.0 }
-    }
-}
-
-impl LaneIndividual {
-    /// Copy `src` into `self`, reusing buffers (no allocation once sized).
-    fn copy_from(&mut self, src: &LaneIndividual) {
-        self.genes.clone_from(&src.genes);
-        self.objectives = src.objectives;
-        self.rank = src.rank;
-        self.crowding = src.crowding;
-    }
-}
-
-/// Rank/crowding view shared by the sequential [`Individual`] and the island
-/// [`LaneIndividual`], so selection machinery (tournament, non-dominated
-/// sorting, crowding) is written once.
-trait Ranked {
-    fn objectives(&self) -> Objectives;
-    fn rank(&self) -> usize;
-    fn crowding(&self) -> f64;
-    fn set_rank(&mut self, rank: usize);
-    fn set_crowding(&mut self, crowding: f64);
-}
-
-macro_rules! impl_ranked {
-    ($ty:ty) => {
-        impl Ranked for $ty {
-            fn objectives(&self) -> Objectives {
-                self.objectives
-            }
-            fn rank(&self) -> usize {
-                self.rank
-            }
-            fn crowding(&self) -> f64 {
-                self.crowding
-            }
-            fn set_rank(&mut self, rank: usize) {
-                self.rank = rank;
-            }
-            fn set_crowding(&mut self, crowding: f64) {
-                self.crowding = crowding;
-            }
-        }
-    };
-}
-
-impl_ranked!(Individual);
-impl_ranked!(LaneIndividual);
-
-/// Scratch buffers for non-dominated sorting and crowding assignment.
-#[derive(Debug, Default)]
-struct RankScratch {
-    dominated_by: Vec<Vec<usize>>,
-    domination_count: Vec<usize>,
-    current: Vec<usize>,
-    next: Vec<usize>,
-    sorted: Vec<usize>,
-}
-
-/// Scratch buffers for the `O(n log n)` sweep-based non-dominated sort used
-/// on the island path.
+/// Scratch buffers for the `O(n log n)` sweep-based non-dominated sort.
 #[derive(Debug, Default)]
 struct SweepScratch {
     /// Individual indices sorted by (JCT, error, index).
@@ -358,12 +270,12 @@ impl OperatorTables {
     }
 }
 
-/// SplitMix64: the island-path entropy stream. One add is the only
+/// SplitMix64: an island's entropy stream. One add is the only
 /// loop-carried dependency, so consecutive draws pipeline where xoshiro's
 /// four-word state rotation serialises; statistical quality is ample for
-/// genetic-operator drivers. The island path has no RNG-stream contract —
+/// genetic-operator drivers. The optimizer has no RNG-stream contract —
 /// only determinism per `(seed, islands)` — so swapping the generator is
-/// fair game; the sequential path keeps [`StdRng`].
+/// fair game.
 struct IslandRng(u64);
 
 impl IslandRng {
@@ -397,17 +309,18 @@ const UNIT32: f32 = 1.0 / (1u32 << 24) as f32;
 /// Lemire multiply-shift map of 64 random bits onto `[0, n)`: one widening
 /// multiply instead of the shim `gen_range`'s 128-bit modulo (a `__umodti3`
 /// libcall). The without-rejection bias is `O(n / 2^64)` — irrelevant for
-/// genetic-operator index draws, and the island path carries no RNG-stream
+/// genetic-operator index draws, and the optimizer carries no RNG-stream
 /// contract.
 #[inline]
 fn lemire_index(bits: u64, n: usize) -> usize {
     (((bits as u128) * (n as u128)) >> 64) as usize
 }
 
-/// Island-path binary tournament: both contestant indices come from one
-/// 64-bit draw (32-bit Lemire halves) instead of two `gen_range` calls.
+/// Binary tournament on (rank, crowding distance): both contestant indices
+/// come from one 64-bit draw (32-bit Lemire halves) instead of two
+/// `gen_range` calls.
 #[inline]
-fn tournament_lanes(population: &[LaneIndividual], rng: &mut IslandRng) -> usize {
+fn tournament(population: &[Individual], rng: &mut IslandRng) -> usize {
     let bits = rng.next_u64();
     let n = population.len() as u64;
     let a = (((bits >> 32) * n) >> 32) as usize;
@@ -421,9 +334,8 @@ fn tournament_lanes(population: &[LaneIndividual], rng: &mut IslandRng) -> usize
     }
 }
 
-/// Fill a lane-individual's genes with a uniformly random feasible
-/// assignment ([`random_into`] minus the usize round-trip and the modulo).
-fn random_lanes_into(problem: &SchedulingProblem, genes: &mut Vec<u16>, rng: &mut IslandRng) {
+/// Fill `genes` with a uniformly random feasible assignment.
+fn random_into(problem: &SchedulingProblem, genes: &mut Vec<u16>, rng: &mut IslandRng) {
     genes.clear();
     for i in 0..problem.num_jobs() {
         let feasible = problem.feasible_qpus(i);
@@ -440,8 +352,8 @@ fn random_lanes_into(problem: &SchedulingProblem, genes: &mut Vec<u16>, rng: &mu
 /// termination window, so islands only touch shared state at migration.
 #[derive(Debug, Default)]
 struct IslandSlot {
-    pool: Vec<LaneIndividual>,
-    spare: LaneIndividual,
+    pool: Vec<Individual>,
+    spare: Individual,
     sweep: SweepScratch,
     history: Vec<(f64, f64)>,
     evaluations: usize,
@@ -453,21 +365,15 @@ struct IslandSlot {
 /// Written by the island's owner before the team's first meeting of a
 /// migration and read by the successor's owner after it, so the lock is
 /// never contended; it is what lets two team members share the buffer.
-type Outbox = Mutex<[LaneIndividual; MIGRATION_ELITES]>;
+type Outbox = Mutex<[Individual; MIGRATION_ELITES]>;
 
-/// Reusable scratch state for [`optimize_with`]: the merged parent+offspring
-/// pool, an odd-population spare child, the ranking scratch, and the
-/// termination history for the sequential path, plus one [`IslandSlot`] per
-/// island and its elite-migration outbox for island mode. Create once (e.g.
-/// per scheduler) and reuse across cycles — every buffer is fully
+/// Reusable scratch state for [`optimize_with`]: one [`IslandSlot`] per
+/// island, its elite-migration outbox, and the operator tables. Create once
+/// (e.g. per scheduler) and reuse across cycles — every buffer is fully
 /// overwritten per run, so reuse never changes results, it only removes
 /// steady-state allocation.
 #[derive(Debug, Default)]
 pub struct OptimizerWorkspace {
-    pool: Vec<Individual>,
-    spare: Individual,
-    scratch: RankScratch,
-    history: Vec<(f64, f64)>,
     islands: Vec<IslandSlot>,
     outboxes: Vec<Outbox>,
     tables: OperatorTables,
@@ -519,135 +425,15 @@ fn effective_islands(config: &Nsga2Config) -> usize {
 /// The full-control entry point: NSGA-II with warm-start seeds and a caller
 /// owned, reusable [`OptimizerWorkspace`]. At most half the population is
 /// seeded (the rest stays random for diversity). Deterministic for a fixed
-/// `config.seed`, seed list, island count, and problem — regardless of
-/// workspace history or host core count. Dispatches to
-/// [`optimize_sequential`] when the effective island count is 1 (see
-/// [`Nsga2Config::num_threads`]), and to the island model otherwise.
+/// `config.seed`, seed list, island count (see [`Nsga2Config::num_threads`]),
+/// and problem — regardless of workspace history or host core count.
 pub fn optimize_with(
     problem: &SchedulingProblem,
     config: &Nsga2Config,
     seeds: &[Vec<usize>],
     workspace: &mut OptimizerWorkspace,
 ) -> Nsga2Result {
-    let islands = effective_islands(config);
-    // The island path packs genes as u16 QPU indices; a fleet wider than
-    // that (never seen in practice) takes the sequential reference path.
-    if islands <= 1 || problem.num_qpus() > (1 << 16) {
-        optimize_sequential(problem, config, seeds, workspace)
-    } else {
-        optimize_islands(problem, config, seeds, workspace, islands, host_cores())
-    }
-}
-
-/// The single-population reference algorithm: exact `libm` operators and the
-/// pairwise non-dominated sort. This path's RNG stream and arithmetic are
-/// pinned bit-for-bit by the property suite; the island path trades that
-/// stream compatibility for speed.
-pub fn optimize_sequential(
-    problem: &SchedulingProblem,
-    config: &Nsga2Config,
-    seeds: &[Vec<usize>],
-    workspace: &mut OptimizerWorkspace,
-) -> Nsga2Result {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let pop_size = config.population_size.max(4);
-    let total = pop_size * 2;
-
-    let OptimizerWorkspace { pool, spare, scratch, history, .. } = workspace;
-    if pool.len() < total {
-        pool.resize_with(total, Individual::default);
-    }
-    history.clear();
-
-    // Initial population: repaired seeds first (capped at half the
-    // population), random feasible integers for the rest.
-    let num_seeds = seeds.len().min(pop_size / 2);
-    for (k, ind) in pool.iter_mut().take(pop_size).enumerate() {
-        if k < num_seeds {
-            repair_into(problem, &seeds[k], &mut ind.genes);
-        } else {
-            random_into(problem, &mut ind.genes, &mut rng);
-        }
-        problem.init_state(&ind.genes, &mut ind.state);
-        ind.objectives = problem.objectives_of(&ind.state);
-        ind.rank = 0;
-        ind.crowding = 0.0;
-    }
-    let mut evaluations = pop_size;
-    rank_and_crowd(&mut pool[..pop_size], scratch, pop_size);
-
-    let mut generations = 0usize;
-    for gen in 0..config.max_generations {
-        generations = gen + 1;
-        // Offspring generation, bred in place into the pool's upper half.
-        let (parents, kids) = pool[..total].split_at_mut(pop_size);
-        let mut k = 0;
-        while k < kids.len() {
-            let p1 = tournament(parents, &mut rng);
-            let p2 = tournament(parents, &mut rng);
-            if k + 1 < kids.len() {
-                let (head, tail) = kids.split_at_mut(k + 1);
-                breed(
-                    problem,
-                    config,
-                    &parents[p1],
-                    &parents[p2],
-                    &mut head[k],
-                    &mut tail[0],
-                    &mut rng,
-                );
-                k += 2;
-            } else {
-                // Odd population: the second child lands in the spare slot.
-                breed(problem, config, &parents[p1], &parents[p2], &mut kids[k], spare, &mut rng);
-                k += 1;
-            }
-        }
-        evaluations += pop_size;
-
-        // Environmental selection over the merged population: sort the whole
-        // pool by (rank, crowding); the best `pop_size` become next parents.
-        // Ranking stops once `pop_size` individuals are placed in fronts —
-        // the tail is dropped by the truncation either way.
-        rank_and_crowd(&mut pool[..total], scratch, pop_size);
-        pool[..total].sort_unstable_by(|a, b| {
-            a.rank.cmp(&b.rank).then_with(|| b.crowding.total_cmp(&a.crowding))
-        });
-
-        // Termination checks over the survivors.
-        let best_jct =
-            pool[..pop_size].iter().map(|i| i.objectives.mean_jct_s).fold(f64::INFINITY, f64::min);
-        let best_err =
-            pool[..pop_size].iter().map(|i| i.objectives.mean_error).fold(f64::INFINITY, f64::min);
-        history.push((best_jct, best_err));
-        if evaluations >= config.max_evaluations {
-            break;
-        }
-        if history.len() > config.tolerance_window {
-            let w = config.tolerance_window;
-            let (old_jct, old_err) = history[history.len() - 1 - w];
-            let jct_impr = (old_jct - best_jct) / old_jct.abs().max(1e-9);
-            let err_impr = (old_err - best_err) / old_err.abs().max(1e-9);
-            if jct_impr < config.tolerance && err_impr < config.tolerance {
-                break;
-            }
-        }
-    }
-
-    // Extract the first non-dominated front, deduplicated by objectives.
-    rank_and_crowd(&mut pool[..pop_size], scratch, 1);
-    let mut front: Vec<ParetoSolution> = pool[..pop_size]
-        .iter()
-        .filter(|i| i.rank == 0)
-        .map(|i| ParetoSolution { assignment: i.genes.clone(), objectives: i.objectives })
-        .collect();
-    front.sort_by(|a, b| a.objectives.mean_jct_s.total_cmp(&b.objectives.mean_jct_s));
-    front.dedup_by(|a, b| {
-        (a.objectives.mean_jct_s - b.objectives.mean_jct_s).abs() < 1e-9
-            && (a.objectives.mean_error - b.objectives.mean_error).abs() < 1e-9
-    });
-
-    Nsga2Result { pareto_front: front, generations, evaluations }
+    optimize_islands(problem, config, seeds, workspace, effective_islands(config), host_cores())
 }
 
 /// Deterministic per-island RNG stream: island 0 keeps the configured seed,
@@ -658,11 +444,11 @@ fn island_seed(seed: u64, island: usize) -> u64 {
 
 /// Island-model NSGA-II: `islands` independent subpopulations over the
 /// shared read-only problem tables, ring migration of elites every
-/// [`Nsga2Config::migration_interval`] generations, and a final non-dominated merge of
-/// the island fronts. Results are a pure function of (problem, config,
-/// seeds, island count); the team of at most `max_members` threads that
-/// evolves the islands — [`host_cores`] outside the tests, which pin it to
-/// show exactly this — never changes the outcome.
+/// [`Nsga2Config::migration_interval`] generations (none for one island),
+/// and a final non-dominated merge of the island fronts. Results are a pure
+/// function of (problem, config, seeds, island count); the team of at most
+/// `max_members` threads that evolves the islands — [`host_cores`] outside
+/// the tests, which pin it to show exactly this — never changes the outcome.
 fn optimize_islands(
     problem: &SchedulingProblem,
     config: &Nsga2Config,
@@ -696,7 +482,7 @@ fn optimize_islands(
         let my_pop = pops[i];
         let total = my_pop * 2;
         if slot.pool.len() < total {
-            slot.pool.resize_with(total, LaneIndividual::default);
+            slot.pool.resize_with(total, Individual::default);
         }
         // Offspring, spare and outbox gene buffers are sized here, by the
         // caller: a buffer a team helper allocates lives in that thread's
@@ -723,11 +509,8 @@ fn optimize_islands(
                     ind.genes.clear();
                     ind.genes.extend(genebuf.iter().map(|&g| g as u16));
                 }
-                None => random_lanes_into(problem, &mut ind.genes, rng),
+                None => random_into(problem, &mut ind.genes, rng),
             }
-            // Island individuals never maintain an EvalState (see
-            // `breed_lanes`): all island objectives come from the f32 lanes,
-            // and the final front is re-evaluated exactly.
             ind.objectives = problem.evaluate_lanes_packed(&ind.genes);
             ind.rank = 0;
             ind.crowding = 0.0;
@@ -844,6 +627,11 @@ impl IslandTeam<'_> {
             if self.running.load(Ordering::Relaxed) == 0 {
                 return;
             }
+            // A lone island is its own ring predecessor: an exchange would
+            // only overwrite its worst two with copies of its best two.
+            if islands == 1 {
+                continue;
+            }
 
             // Ring migration. Every island first publishes its elites, then —
             // after the meeting — takes its predecessor's over its own worst
@@ -885,14 +673,12 @@ impl IslandTeam<'_> {
 
 /// NSGA-II environmental-selection order: rank ascending, then crowding
 /// distance descending.
-fn selection_order<T: Ranked>(a: &T, b: &T) -> std::cmp::Ordering {
-    a.rank().cmp(&b.rank()).then_with(|| b.crowding().total_cmp(&a.crowding()))
+fn selection_order(a: &Individual, b: &Individual) -> std::cmp::Ordering {
+    a.rank.cmp(&b.rank).then_with(|| b.crowding.total_cmp(&a.crowding))
 }
 
 /// Evolve one island for up to [`Nsga2Config::migration_interval`] generations, or until
 /// its generation/evaluation budget or tolerance window terminates it.
-/// Mirrors the sequential generation loop with the island speed levers:
-/// [`breed_lanes`] offspring generation and the sweep-based sort.
 fn island_round(
     problem: &SchedulingProblem,
     config: &Nsga2Config,
@@ -913,8 +699,8 @@ fn island_round(
         let (parents, kids) = slot.pool[..total].split_at_mut(my_pop);
         let mut k = 0;
         while k < kids.len() {
-            let p1 = tournament_lanes(parents, rng);
-            let p2 = tournament_lanes(parents, rng);
+            let p1 = tournament(parents, rng);
+            let p2 = tournament(parents, rng);
             if k + 1 < kids.len() {
                 let (head, tail) = kids.split_at_mut(k + 1);
                 breed_lanes(
@@ -929,6 +715,7 @@ fn island_round(
                 );
                 k += 2;
             } else {
+                // Odd population: the second child lands in the spare slot.
                 breed_lanes(
                     problem,
                     config,
@@ -977,26 +764,6 @@ fn island_round(
     }
 }
 
-/// Fill `genes` with a uniformly random feasible assignment.
-fn random_into<R: rand::RngCore>(problem: &SchedulingProblem, genes: &mut Vec<usize>, rng: &mut R) {
-    genes.clear();
-    for i in 0..problem.num_jobs() {
-        let feasible = problem.feasible_qpus(i);
-        genes.push(if feasible.is_empty() {
-            rng.gen_range(0..problem.num_qpus())
-        } else {
-            feasible[rng.gen_range(0..feasible.len())]
-        });
-    }
-}
-
-#[cfg(test)]
-fn random_assignment(problem: &SchedulingProblem, rng: &mut StdRng) -> Vec<usize> {
-    let mut genes = Vec::with_capacity(problem.num_jobs());
-    random_into(problem, &mut genes, rng);
-    genes
-}
-
 /// Fill `genes` from a seed assignment, snapping out-of-range or infeasible
 /// genes to the job's first feasible QPU (deterministic repair).
 fn repair_into(problem: &SchedulingProblem, seed: &[usize], genes: &mut Vec<usize>) {
@@ -1016,121 +783,26 @@ fn repair_into(problem: &SchedulingProblem, seed: &[usize], genes: &mut Vec<usiz
     }
 }
 
-/// Binary tournament on (rank, crowding distance).
-fn tournament<T: Ranked, R: rand::RngCore>(population: &[T], rng: &mut R) -> usize {
-    let a = rng.gen_range(0..population.len());
-    let b = rng.gen_range(0..population.len());
-    let better =
-        |x: &T, y: &T| x.rank() < y.rank() || (x.rank() == y.rank() && x.crowding() > y.crowding());
-    if better(&population[a], &population[b]) {
-        a
-    } else {
-        b
-    }
-}
-
-/// Change one gene, applying the O(1) evaluation delta.
-fn set_gene(problem: &SchedulingProblem, ind: &mut Individual, job: usize, qpu: usize) {
-    let old = ind.genes[job];
-    if old != qpu {
-        problem.move_job(&mut ind.state, job, old, qpu);
-        ind.genes[job] = qpu;
-    }
-}
-
-/// Produce two children from two parents in place: copy the parents (genes +
-/// evaluation state), apply crossover and polynomial mutation as incremental
-/// gene moves, and finish each child's objectives from its aggregates.
+/// Produce two children from two parents in place. Crossover follows the
+/// paper's customisation: each child gene is drawn around the two parents
+/// with an exponentially distributed offset on the real-valued relaxation,
+/// then rounded and snapped to a feasible QPU; polynomial mutation
+/// ([`mutate_lanes`]) follows, and each child takes one branch-free
+/// [`SchedulingProblem::evaluate_lanes_packed`] pass.
 ///
-/// Crossover follows the paper's customisation: each child gene is drawn
-/// around the two parents with an exponentially distributed offset on the
-/// real-valued relaxation, then rounded and snapped to a feasible QPU.
-fn breed(
-    problem: &SchedulingProblem,
-    config: &Nsga2Config,
-    p1: &Individual,
-    p2: &Individual,
-    c1: &mut Individual,
-    c2: &mut Individual,
-    rng: &mut StdRng,
-) {
-    c1.copy_from(p1);
-    c2.copy_from(p2);
-    for i in 0..p1.genes.len() {
-        if rng.gen_bool(config.crossover_probability) {
-            let a = p1.genes[i] as f64;
-            let b = p2.genes[i] as f64;
-            // Exponentially distributed blending offset.
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let offset = -config.crossover_spread * u.ln();
-            let direction: f64 = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-            let mid = (a + b) / 2.0;
-            let child1 = mid + direction * offset * (b - a).abs().max(1.0) * 0.5;
-            let child2 = mid - direction * offset * (b - a).abs().max(1.0) * 0.5;
-            let g1 = snap_to_feasible(problem, i, child1, rng);
-            let g2 = snap_to_feasible(problem, i, child2, rng);
-            set_gene(problem, c1, i, g1);
-            set_gene(problem, c2, i, g2);
-        }
-    }
-    mutate(problem, c1, config, rng);
-    mutate(problem, c2, config, rng);
-    c1.objectives = problem.objectives_of(&c1.state);
-    c2.objectives = problem.objectives_of(&c2.state);
-}
-
-/// Polynomial mutation: perturb the gene within the vicinity of its current
-/// value with distribution index `eta`, then snap to a feasible QPU.
-fn mutate(
-    problem: &SchedulingProblem,
-    ind: &mut Individual,
-    config: &Nsga2Config,
-    rng: &mut StdRng,
-) {
-    let q = problem.num_qpus() as f64;
-    for i in 0..ind.genes.len() {
-        if rng.gen_bool(config.mutation_probability) {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let delta = if u < 0.5 {
-                (2.0 * u).powf(1.0 / (config.mutation_eta + 1.0)) - 1.0
-            } else {
-                1.0 - (2.0 * (1.0 - u)).powf(1.0 / (config.mutation_eta + 1.0))
-            };
-            let value = ind.genes[i] as f64 + delta * q;
-            let g = snap_to_feasible(problem, i, value, rng);
-            set_gene(problem, ind, i, g);
-        }
-    }
-}
-
-/// The island-path offspring generator. Same operator distributions as
-/// [`breed`] (exponential-offset crossover, polynomial mutation, feasibility
-/// snapping), restructured around the f32 objective lanes instead of the
-/// incremental [`EvalState`]:
-///
-/// - With the default 0.9 crossover probability nearly every gene moves, so
-///   per-gene `move_job` deltas degenerate to full-rescan cost; children
-///   instead copy genes only and take one branch-free
-///   [`SchedulingProblem::evaluate_lanes`] pass each. Island individuals'
-///   `EvalState`s are never read — the final front is re-evaluated exactly.
-/// - One RNG draw serves each crossover site (decision from the 53-bit
-///   uniform, which conditionally rescales back to `[0,1)`; direction and
-///   snap tie-breaks from the unused low mantissa bits), and mutation sites
-///   are found by geometric-gap skipping ([`mutate_lanes`]) instead of one
-///   Bernoulli draw per child gene — instead of three-plus draws per gene.
-/// - `ln`/`pow` use the polynomial approximations below instead of `libm`.
-///
-/// The sequential path keeps [`breed`] untouched: its RNG-to-result mapping
-/// is a pinned bit-for-bit contract.
+/// One RNG draw serves each crossover site: the accept decision and the
+/// offset come from its top bits, which conditionally rescale back to
+/// `[0,1)` and index the tabulated `ln` of [`OperatorTables`]; the direction
+/// and snap tie-breaks come from the unused low bits.
 #[allow(clippy::too_many_arguments)]
 fn breed_lanes(
     problem: &SchedulingProblem,
     config: &Nsga2Config,
     tables: &OperatorTables,
-    p1: &LaneIndividual,
-    p2: &LaneIndividual,
-    c1: &mut LaneIndividual,
-    c2: &mut LaneIndividual,
+    p1: &Individual,
+    p2: &Individual,
+    c1: &mut Individual,
+    c2: &mut Individual,
     rng: &mut IslandRng,
 ) {
     c1.genes.clone_from(&p1.genes);
@@ -1177,20 +849,19 @@ fn breed_lanes(
     c2.objectives = problem.evaluate_lanes_packed(&c2.genes);
 }
 
-/// Island-path polynomial mutation. Gene-wise Bernoulli(`p_mut`) selection is
+/// Polynomial mutation: perturb a gene within the vicinity of its current
+/// value, then snap to a feasible QPU. Gene-wise Bernoulli(`p_mut`) selection is
 /// sampled by geometric gaps — `gap = floor(ln(1 - u) / ln(1 - p_mut))`
 /// failures precede each success — so the RNG cost scales with the expected
 /// number of *mutated* genes (`n * p_mut`) rather than `n`. Each selected
 /// site takes one extra draw for the polynomial magnitude plus the snap
 /// tie-break; both the gap and the magnitude come from the precomputed
-/// [`OperatorTables`]. The sampled site distribution matches the per-gene
-/// Bernoulli loop up to table quantisation; only the RNG-stream consumption
-/// pattern differs, which is fine on the island path (no bit-exactness
-/// contract).
+/// [`OperatorTables`]. The sampled site distribution matches a per-gene
+/// Bernoulli loop up to table quantisation.
 fn mutate_lanes(
     problem: &SchedulingProblem,
     tables: &OperatorTables,
-    child: &mut LaneIndividual,
+    child: &mut Individual,
     qf: f32,
     rng: &mut IslandRng,
 ) {
@@ -1235,9 +906,9 @@ fn mutate_lanes(
     }
 }
 
-/// [`snap_to_feasible`] with the equidistant tie broken by a caller-supplied
-/// entropy bit instead of a fresh RNG draw (island path). Rounds half-to-even
-/// rather than half-away-from-zero — a single `roundsd` instead of the
+/// Round a real-valued gene to the nearest feasible QPU index for a job, an
+/// equidistant tie broken by a caller-supplied entropy bit. Rounds
+/// half-to-even rather than half-away-from-zero — a single `roundsd` instead of the
 /// multi-instruction half-away expansion; which way an exact `.5` gene value
 /// rounds carries no meaning for the search. The caller hoists the job's
 /// nearest-feasible `row` once and reuses it for both children, so each snap
@@ -1277,7 +948,7 @@ fn fast_ln(x: f64) -> f64 {
     e as f64 * std::f64::consts::LN_2 + 2.0 * t * series
 }
 
-/// `e^y` for moderate `y` (the island path only needs `y ∈ (-40, 1]`):
+/// `e^y` for moderate `y` (the operator tables only need `y ∈ (-40, 1]`):
 /// split off an integer power of two, Taylor for the `|f| ≤ ln(2)/2` rest.
 #[inline]
 fn fast_exp(y: f64) -> f64 {
@@ -1291,7 +962,7 @@ fn fast_exp(y: f64) -> f64 {
 }
 
 /// `x^k` for `x ∈ [0, 1]` and a small positive exponent `k`, via
-/// `exp(k·ln(x))` on the approximations above (island path). Relative error
+/// `exp(k·ln(x))` on the approximations above. Relative error
 /// is ~1e-7 — far below what offspring sampling can distinguish.
 #[inline]
 fn pow_frac_fast(x: f64, k: f64) -> f64 {
@@ -1304,94 +975,9 @@ fn pow_frac_fast(x: f64, k: f64) -> f64 {
     fast_exp(k * fast_ln(x))
 }
 
-/// Round a real-valued gene to the nearest feasible QPU index for the job:
-/// one precomputed-table lookup (with a random but seed-deterministic
-/// tie-break between two equidistant neighbours). This sits on the innermost
-/// operator loop, once or twice per crossed/mutated gene.
-fn snap_to_feasible(
-    problem: &SchedulingProblem,
-    job: usize,
-    value: f64,
-    rng: &mut StdRng,
-) -> usize {
-    let rounded = value.round();
-    // Saturating float→int cast clamps the real-valued gene into range.
-    let r = if rounded <= 0.0 { 0 } else { rounded as usize };
-    match problem.nearest_feasible(job, r) {
-        None => (rounded.abs() as usize) % problem.num_qpus(),
-        Some((lo, hi)) if lo == hi => lo,
-        Some((lo, hi)) => {
-            if rng.gen_bool(0.5) {
-                hi
-            } else {
-                lo
-            }
-        }
-    }
-}
-
-/// Fast non-dominated sorting + crowding-distance assignment (in place),
-/// using the workspace's scratch buffers — allocation-free once sized.
-/// Peeling stops once at least `needed` individuals are ranked: the rest keep
-/// rank `usize::MAX` / crowding 0 (they can never be selected ahead of a
-/// ranked individual, so environmental selection is unaffected).
-fn rank_and_crowd(population: &mut [Individual], scratch: &mut RankScratch, needed: usize) {
-    let n = population.len();
-    for ind in population.iter_mut() {
-        ind.rank = usize::MAX;
-        ind.crowding = 0.0;
-    }
-    if scratch.dominated_by.len() < n {
-        scratch.dominated_by.resize_with(n, Vec::new);
-    }
-    for list in scratch.dominated_by.iter_mut().take(n) {
-        list.clear();
-    }
-    scratch.domination_count.clear();
-    scratch.domination_count.resize(n, 0);
-    // One comparison per unordered pair, updating both directions.
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if population[i].objectives.dominates(&population[j].objectives) {
-                scratch.dominated_by[i].push(j);
-                scratch.domination_count[j] += 1;
-            } else if population[j].objectives.dominates(&population[i].objectives) {
-                scratch.dominated_by[j].push(i);
-                scratch.domination_count[i] += 1;
-            }
-        }
-    }
-    scratch.current.clear();
-    scratch.current.extend((0..n).filter(|&i| scratch.domination_count[i] == 0));
-    let mut rank = 0usize;
-    let mut assigned = 0usize;
-    while !scratch.current.is_empty() {
-        scratch.next.clear();
-        for idx in 0..scratch.current.len() {
-            let i = scratch.current[idx];
-            population[i].rank = rank;
-            for d in 0..scratch.dominated_by[i].len() {
-                let j = scratch.dominated_by[i][d];
-                scratch.domination_count[j] -= 1;
-                if scratch.domination_count[j] == 0 {
-                    scratch.next.push(j);
-                }
-            }
-        }
-        // Crowding distance within this front.
-        assign_crowding(population, &scratch.current, &mut scratch.sorted);
-        assigned += scratch.current.len();
-        if assigned >= needed {
-            break;
-        }
-        std::mem::swap(&mut scratch.current, &mut scratch.next);
-        rank += 1;
-    }
-}
-
 /// Sweep-based non-dominated sorting for the two-objective case, `O(n log n)`
 /// instead of the pairwise `O(n²)` peeling — ranks are mathematically
-/// identical to [`rank_and_crowd`] (unit-tested against it as the oracle).
+/// identical to the pairwise algorithm (the tests' oracle).
 ///
 /// Individuals are processed in (JCT, error, index) order. Within a front,
 /// error strictly decreases along that order (two members with equal error
@@ -1401,25 +987,22 @@ fn rank_and_crowd(population: &mut [Individual], scratch: &mut RankScratch, need
 /// than its own. The keys increase strictly across fronts (the staircases
 /// are nested), so the first non-dominating front is a binary search.
 ///
-/// The `needed` cutoff mirrors [`rank_and_crowd`]: crowding is assigned
-/// front-by-front until `needed` individuals are covered, and every
-/// individual past the cutoff reverts to rank `usize::MAX` / crowding 0.
-fn rank_and_crowd_sweep<T: Ranked>(
-    population: &mut [T],
-    scratch: &mut SweepScratch,
-    needed: usize,
-) {
+/// Crowding is assigned front-by-front until `needed` individuals are
+/// covered, and every individual past the cutoff reverts to rank
+/// `usize::MAX` / crowding 0 (it can never be selected ahead of a ranked
+/// individual, so environmental selection is unaffected).
+fn rank_and_crowd_sweep(population: &mut [Individual], scratch: &mut SweepScratch, needed: usize) {
     let n = population.len();
     for ind in population.iter_mut() {
-        ind.set_rank(usize::MAX);
-        ind.set_crowding(0.0);
+        ind.rank = usize::MAX;
+        ind.crowding = 0.0;
     }
     let SweepScratch { order, front_key, fronts, sorted } = scratch;
     order.clear();
     order.extend(0..n as u32);
     order.sort_unstable_by(|&a, &b| {
-        let oa = population[a as usize].objectives();
-        let ob = population[b as usize].objectives();
+        let oa = population[a as usize].objectives;
+        let ob = population[b as usize].objectives;
         oa.mean_jct_s
             .total_cmp(&ob.mean_jct_s)
             .then(oa.mean_error.total_cmp(&ob.mean_error))
@@ -1432,7 +1015,7 @@ fn rank_and_crowd_sweep<T: Ranked>(
     let mut used_fronts = 0usize;
     for &iu in order.iter() {
         let i = iu as usize;
-        let o = population[i].objectives();
+        let o = population[i].objectives;
         let key = (o.mean_error, o.mean_jct_s);
         let r = front_key[..used_fronts]
             .partition_point(|fk| fk.0 < key.0 || (fk.0 == key.0 && fk.1 < key.1));
@@ -1446,7 +1029,7 @@ fn rank_and_crowd_sweep<T: Ranked>(
             front_key[r] = key;
         }
         fronts[r].push(i);
-        population[i].set_rank(r);
+        population[i].rank = r;
     }
     let mut assigned = 0usize;
     let mut cut = used_fronts;
@@ -1462,22 +1045,22 @@ fn rank_and_crowd_sweep<T: Ranked>(
     }
     for front in &fronts[cut..used_fronts] {
         for &i in front {
-            population[i].set_rank(usize::MAX);
+            population[i].rank = usize::MAX;
         }
     }
 }
 
-fn assign_crowding<T: Ranked>(population: &mut [T], front: &[usize], sorted: &mut Vec<usize>) {
+fn assign_crowding(population: &mut [Individual], front: &[usize], sorted: &mut Vec<usize>) {
     if front.is_empty() {
         return;
     }
     for &i in front {
-        population[i].set_crowding(0.0);
+        population[i].crowding = 0.0;
     }
     for objective in 0..2 {
-        let value = |ind: &T| match objective {
-            0 => ind.objectives().mean_jct_s,
-            _ => ind.objectives().mean_error,
+        let value = |ind: &Individual| match objective {
+            0 => ind.objectives.mean_jct_s,
+            _ => ind.objectives.mean_error,
         };
         sorted.clear();
         sorted.extend_from_slice(front);
@@ -1487,13 +1070,12 @@ fn assign_crowding<T: Ranked>(population: &mut [T], front: &[usize], sorted: &mu
         let min = value(&population[sorted[0]]);
         let max = value(&population[*sorted.last().unwrap()]);
         let range = (max - min).max(1e-12);
-        population[sorted[0]].set_crowding(f64::INFINITY);
-        population[*sorted.last().unwrap()].set_crowding(f64::INFINITY);
+        population[sorted[0]].crowding = f64::INFINITY;
+        population[*sorted.last().unwrap()].crowding = f64::INFINITY;
         for w in 1..sorted.len().saturating_sub(1) {
             let prev = value(&population[sorted[w - 1]]);
             let next = value(&population[sorted[w + 1]]);
-            let c = population[sorted[w]].crowding();
-            population[sorted[w]].set_crowding(c + (next - prev) / range);
+            population[sorted[w]].crowding += (next - prev) / range;
         }
     }
 }
@@ -1502,7 +1084,76 @@ fn assign_crowding<T: Ranked>(population: &mut [T], front: &[usize], sorted: &mu
 mod tests {
     use super::*;
     use crate::problem::{JobRequest, QpuState};
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Scratch buffers for [`rank_and_crowd`].
+    #[derive(Debug, Default)]
+    struct RankScratch {
+        dominated_by: Vec<Vec<usize>>,
+        domination_count: Vec<usize>,
+        current: Vec<usize>,
+        next: Vec<usize>,
+        sorted: Vec<usize>,
+    }
+
+    /// Pairwise `O(n²)` non-dominated sorting + crowding-distance assignment
+    /// (in place), the oracle of [`rank_and_crowd_sweep`]. Peeling stops once
+    /// at least `needed` individuals are ranked: the rest keep rank
+    /// `usize::MAX` / crowding 0.
+    fn rank_and_crowd(population: &mut [Individual], scratch: &mut RankScratch, needed: usize) {
+        let n = population.len();
+        for ind in population.iter_mut() {
+            ind.rank = usize::MAX;
+            ind.crowding = 0.0;
+        }
+        if scratch.dominated_by.len() < n {
+            scratch.dominated_by.resize_with(n, Vec::new);
+        }
+        for list in scratch.dominated_by.iter_mut().take(n) {
+            list.clear();
+        }
+        scratch.domination_count.clear();
+        scratch.domination_count.resize(n, 0);
+        // One comparison per unordered pair, updating both directions.
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if population[i].objectives.dominates(&population[j].objectives) {
+                    scratch.dominated_by[i].push(j);
+                    scratch.domination_count[j] += 1;
+                } else if population[j].objectives.dominates(&population[i].objectives) {
+                    scratch.dominated_by[j].push(i);
+                    scratch.domination_count[i] += 1;
+                }
+            }
+        }
+        scratch.current.clear();
+        scratch.current.extend((0..n).filter(|&i| scratch.domination_count[i] == 0));
+        let mut rank = 0usize;
+        let mut assigned = 0usize;
+        while !scratch.current.is_empty() {
+            scratch.next.clear();
+            for idx in 0..scratch.current.len() {
+                let i = scratch.current[idx];
+                population[i].rank = rank;
+                for d in 0..scratch.dominated_by[i].len() {
+                    let j = scratch.dominated_by[i][d];
+                    scratch.domination_count[j] -= 1;
+                    if scratch.domination_count[j] == 0 {
+                        scratch.next.push(j);
+                    }
+                }
+            }
+            // Crowding distance within this front.
+            assign_crowding(population, &scratch.current, &mut scratch.sorted);
+            assigned += scratch.current.len();
+            if assigned >= needed {
+                break;
+            }
+            std::mem::swap(&mut scratch.current, &mut scratch.next);
+            rank += 1;
+        }
+    }
 
     fn random_problem(num_jobs: usize, num_qpus: usize, seed: u64) -> SchedulingProblem {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1567,7 +1218,12 @@ mod tests {
         let mut rand_err = 0.0;
         let trials = 50;
         for _ in 0..trials {
-            let assignment = random_assignment(&problem, &mut rng);
+            let assignment: Vec<usize> = (0..problem.num_jobs())
+                .map(|i| {
+                    let feasible = problem.feasible_qpus(i);
+                    feasible[rng.gen_range(0..feasible.len())]
+                })
+                .collect();
             let o = problem.evaluate(&assignment);
             rand_jct += o.mean_jct_s;
             rand_err += o.mean_error;
@@ -1688,20 +1344,41 @@ mod tests {
         assert_eq!(pow_frac_fast(1.0, 0.05), 1.0);
     }
 
+    /// The search runs on f32 lane objectives; every returned front member
+    /// carries the exact f64 objectives of its assignment.
+    fn assert_front_is_exactly_evaluated(problem: &SchedulingProblem, result: &Nsga2Result) {
+        for s in &result.pareto_front {
+            let exact = problem.evaluate(&s.assignment);
+            for (got, want) in [
+                (s.objectives.mean_jct_s, exact.mean_jct_s),
+                (s.objectives.mean_error, exact.mean_error),
+                (s.objectives.mean_cost, exact.mean_cost),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits(), "{:?} vs {exact:?}", s.objectives);
+            }
+        }
+    }
+
     #[test]
-    fn one_island_dispatches_to_the_sequential_path() {
+    fn one_island_is_the_island_loop() {
         let problem = random_problem(30, 5, 9);
-        let config = Nsga2Config { num_threads: 1, ..Nsga2Config::default() };
-        let mut w1 = OptimizerWorkspace::new();
-        let mut w2 = OptimizerWorkspace::new();
-        let via_dispatch = optimize_with(&problem, &config, &[], &mut w1);
-        let direct = optimize_sequential(&problem, &config, &[], &mut w2);
-        assert_eq!(via_dispatch, direct);
-        // A population too small to split also falls back to sequential.
-        let tiny = Nsga2Config { num_threads: 8, population_size: 6, ..Nsga2Config::default() };
-        let a = optimize_with(&problem, &tiny, &[], &mut w1);
-        let b = optimize_sequential(&problem, &tiny, &[], &mut w2);
-        assert_eq!(a, b);
+        let one_island = |config: &Nsga2Config| {
+            optimize_islands(&problem, config, &[], &mut OptimizerWorkspace::new(), 1, 1)
+        };
+        let mut workspace = OptimizerWorkspace::new();
+        // `num_threads` 0 and 1 both mean one island, and so does a
+        // population too small to split (6 < 2 × MIN_ISLAND_POP).
+        for config in [
+            Nsga2Config { num_threads: 0, ..Nsga2Config::default() },
+            Nsga2Config { num_threads: 1, ..Nsga2Config::default() },
+            Nsga2Config { num_threads: 8, population_size: 6, ..Nsga2Config::default() },
+        ] {
+            assert_eq!(effective_islands(&config), 1);
+            let result = optimize_with(&problem, &config, &[], &mut workspace);
+            assert_eq!(result, one_island(&config), "{config:?}");
+            assert!(!result.pareto_front.is_empty());
+            assert_front_is_exactly_evaluated(&problem, &result);
+        }
     }
 
     #[test]
@@ -1735,7 +1412,7 @@ mod tests {
         let cold = optimize(&problem, &Nsga2Config::default());
         let warm_seeds: Vec<Vec<usize>> =
             cold.pareto_front.iter().map(|s| s.assignment.clone()).collect();
-        for islands in 2usize..=6 {
+        for islands in 1usize..=6 {
             // 61 deals unequal island populations and exercises the
             // spare child of an odd island.
             for population_size in [60usize, 61] {
@@ -1752,7 +1429,8 @@ mod tests {
                         optimize_islands(&problem, &config, seeds, &mut workspace, islands, members)
                     };
                     let alone = run(1);
-                    assert!(alone.generations > config.migration_interval, "no migration");
+                    assert!(alone.generations > config.migration_interval, "one round only");
+                    assert_front_is_exactly_evaluated(&problem, &alone);
                     // 4 islands / 3 members is the uneven case: two
                     // groups of two, so a team of two — not three.
                     for members in 2..=islands {
@@ -1803,7 +1481,7 @@ mod tests {
             assert!(problem.assignment_is_feasible(&s.assignment));
         }
         // Raising the per-island floor clamps the island count; with a floor
-        // of the whole population the dispatch is exactly the sequential path.
+        // of the whole population the run is exactly one island.
         let floor = Nsga2Config {
             num_threads: 8,
             min_island_pop: defaults.population_size,
@@ -1812,8 +1490,8 @@ mod tests {
         let mut w1 = OptimizerWorkspace::new();
         let mut w2 = OptimizerWorkspace::new();
         let via_dispatch = optimize_with(&problem, &floor, &[], &mut w1);
-        let sequential = optimize_sequential(&problem, &floor, &[], &mut w2);
-        assert_eq!(via_dispatch, sequential);
+        let one_island = optimize_islands(&problem, &floor, &[], &mut w2, 1, 1);
+        assert_eq!(via_dispatch, one_island);
         // A degenerate zero interval is clamped, not an infinite loop.
         let zero = Nsga2Config {
             num_threads: 2,

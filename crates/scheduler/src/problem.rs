@@ -11,25 +11,22 @@
 //!
 //! Estimates are stored twice: in the caller-facing [`JobRequest`] /
 //! [`QpuState`] structs, and in flat structure-of-arrays tables with stride
-//! `num_qpus` (`exec`, `err`, plus a per-job feasibility bitset) that the
-//! optimizer's inner loop indexes directly. A third, *transposed* view stores
-//! per-QPU f32 lanes (`lane_exec`, `lane_err`, `lane_feas`, stride
-//! `num_jobs`) for [`SchedulingProblem::evaluate_lanes`], a branch-free
-//! chunked reduction the compiler auto-vectorizes. Both f64 views hold the
+//! `num_qpus` (`exec`, `err`, plus a per-job feasibility bitset) that
+//! [`SchedulingProblem::evaluate`] walks in one pass. A third, *transposed*
+//! view stores per-QPU f32 lanes (`lane_exec`, `lane_err`, `lane_feas`,
+//! stride `num_jobs`) for [`SchedulingProblem::evaluate_lanes_packed`], the
+//! optimizer's branch-free chunked reduction. Both f64 views hold the
 //! *sanitised* values computed by
 //! [`SchedulingProblem::new`]: non-finite or out-of-range estimates are
 //! clamped (a NaN/∞ from the resource estimator must penalise a placement,
 //! never panic or poison the objective arithmetic), and every time/error value
 //! is quantised to a dyadic grid (multiples of 2⁻²⁰ s and 2⁻³² respectively).
 //!
-//! The dyadic grid is what makes *incremental* evaluation exact: per-QPU sums
-//! of grid values are integers scaled by a power of two, so as long as the
-//! scaled magnitude stays below 2⁵³ (≈ 8.6·10⁹ s of total assigned time per
-//! QPU) every add/remove in [`EvalState`] is exact f64 arithmetic. An
-//! [`EvalState`] updated through any sequence of [`SchedulingProblem::move_job`]
-//! calls therefore yields objectives that are bit-for-bit identical to a
-//! from-scratch [`SchedulingProblem::evaluate`] of the same assignment —
-//! property-tested in `tests/property_tests.rs`.
+//! The dyadic grid keeps the f64 sums exact and order-independent: per-QPU
+//! sums of grid values are integers scaled by a power of two, so as long as
+//! the scaled magnitude stays below 2⁵³ (≈ 8.6·10⁹ s of total assigned time
+//! per QPU) every addition is exact f64 arithmetic, and an assignment's
+//! objectives do not depend on the order its jobs are summed in.
 
 /// Execution-time estimate substituted for non-finite (or negative) estimates:
 /// large enough that the optimizer steers away, finite so arithmetic stays
@@ -47,9 +44,9 @@ pub const MAX_WAIT_S: f64 = 1e8;
 /// violation), steering the optimizer toward feasible assignments.
 pub const INFEASIBLE_PENALTY_S: f64 = 1e7;
 
-/// Upper clamp on the per-placement shot cost (credit units): keeps per-QPU
-/// cost sums exactly representable on the dyadic grid (see the module docs'
-/// 2⁵³ budget) no matter what a provider's billing table claims.
+/// Upper clamp on the per-placement shot cost (credit units): keeps cost sums
+/// exactly representable on the dyadic grid (see the module docs' 2⁵³
+/// budget) no matter what a provider's billing table claims.
 pub const MAX_PLACEMENT_COST: f64 = 1e6;
 
 /// Times snap to multiples of 2⁻²⁰ s (≈ 1 µs): power-of-two scaling keeps
@@ -88,8 +85,8 @@ fn sanitize_wait(v: f64) -> f64 {
 
 /// Sanitised per-placement shot cost: a non-finite or negative billing entry
 /// degrades to free (costs must never poison the objective arithmetic), the
-/// rest clamps to [`MAX_PLACEMENT_COST`] and snaps to the time grid so
-/// incremental cost sums stay exact.
+/// rest clamps to [`MAX_PLACEMENT_COST`] and snaps to the time grid so cost
+/// sums stay exact.
 fn sanitize_cost(v: f64) -> f64 {
     let v = if v.is_finite() && v >= 0.0 { v.min(MAX_PLACEMENT_COST) } else { 0.0 };
     snap(v, TIME_GRID)
@@ -294,10 +291,10 @@ struct BoundaryPenalty {
 #[derive(Debug, Clone, PartialEq)]
 struct ShotCosts {
     /// Flat sanitised cost table, `cost[job * num_qpus + qpu]`, on the time
-    /// grid so incremental sums are exact.
+    /// grid so sums are exact.
     cost: Vec<f64>,
-    /// Transposed f32 cost lanes, `lane_cost[qpu * num_jobs + job]`, for the
-    /// island optimizer's batch path.
+    /// Transposed f32 cost lanes, `lane_cost[qpu * num_jobs + job]`, for
+    /// [`SchedulingProblem::evaluate_lanes_packed`].
     lane_cost: Vec<f32>,
     /// Seconds of JCT-sum pressure per credit unit of plan cost.
     weight: f64,
@@ -340,78 +337,23 @@ impl Objectives {
     }
 }
 
-/// Per-assignment evaluation aggregates, maintained incrementally: the per-QPU
-/// assigned execution time and feasibly-placed job count, plus the error sum
-/// and infeasible-placement count. An offspring whose crossover/mutation
-/// changed `k` genes updates in O(k) instead of re-scanning all `N` jobs;
-/// [`SchedulingProblem::objectives_of`] turns the aggregates into objective
-/// values in O(Q).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EvalState {
-    /// Total execution time newly assigned to each QPU (all placements,
-    /// including infeasible ones — they still occupy the device in Eq. 1).
-    assigned_time: Vec<f64>,
-    /// Number of feasibly placed jobs per QPU.
-    feasible_count: Vec<u32>,
-    /// Sum of error values over feasibly placed jobs.
-    err_sum: f64,
-    /// Number of infeasibly placed jobs (each adds the JCT penalty and a full
-    /// error of 1.0).
-    infeasible: u32,
-    /// Sum of per-placement shot costs over all placed jobs (exact on the
-    /// dyadic grid). Stays `0.0` when the problem has no cost lane.
-    cost_sum: f64,
-}
-
-impl EvalState {
-    /// An empty state sized for `num_qpus` devices.
-    pub fn new(num_qpus: usize) -> Self {
-        EvalState {
-            assigned_time: vec![0.0; num_qpus],
-            feasible_count: vec![0; num_qpus],
-            err_sum: 0.0,
-            infeasible: 0,
-            cost_sum: 0.0,
-        }
-    }
-
-    /// Clear and resize for `num_qpus` devices, reusing the buffers.
-    pub fn reset(&mut self, num_qpus: usize) {
-        self.assigned_time.clear();
-        self.assigned_time.resize(num_qpus, 0.0);
-        self.feasible_count.clear();
-        self.feasible_count.resize(num_qpus, 0);
-        self.err_sum = 0.0;
-        self.infeasible = 0;
-        self.cost_sum = 0.0;
-    }
-
-    /// Copy another state into this one, reusing the buffers (no allocation
-    /// when capacities suffice).
-    pub fn copy_from(&mut self, src: &EvalState) {
-        self.assigned_time.clone_from(&src.assigned_time);
-        self.feasible_count.clone_from(&src.feasible_count);
-        self.err_sum = src.err_sum;
-        self.infeasible = src.infeasible;
-        self.cost_sum = src.cost_sum;
-    }
-}
-
 impl SchedulingProblem {
     /// Build a problem instance, computing the per-job feasible QPU sets and
     /// the flat evaluation tables. Estimates are sanitised here (see the
     /// module docs): non-finite fidelities degrade to 0, non-finite execution
     /// times to [`NON_FINITE_EXEC_S`], non-finite waiting times to
     /// [`MAX_WAIT_S`], and everything snaps to the dyadic grid that keeps
-    /// incremental evaluation exact. The sanitised values are written back
-    /// into the public `jobs` / `qpus` so every view agrees.
+    /// f64 sums exact. The sanitised values are written back into the public
+    /// `jobs` / `qpus` so every view agrees.
     ///
     /// # Panics
-    /// Panics if `jobs` or `qpus` is empty, or if estimate vectors have the
-    /// wrong length.
+    /// Panics if `jobs` or `qpus` is empty, if there are more than 2¹⁶ QPUs
+    /// (the optimizer packs a QPU index into a `u16` gene), or if estimate
+    /// vectors have the wrong length.
     pub fn new(mut jobs: Vec<JobRequest>, mut qpus: Vec<QpuState>) -> Self {
         assert!(!jobs.is_empty(), "scheduling problem needs at least one job");
         assert!(!qpus.is_empty(), "scheduling problem needs at least one QPU");
+        assert!(qpus.len() <= 1 << 16, "scheduling problem has more than 2^16 QPUs");
         let num_qpus = qpus.len();
         for j in &jobs {
             assert_eq!(j.fidelity_per_qpu.len(), num_qpus, "job {} fidelity estimates", j.job_id);
@@ -508,10 +450,8 @@ impl SchedulingProblem {
     /// Attach a calibration-boundary penalty: `horizon_s[q]` is the number of
     /// seconds until QPU `q`'s next recalibration (non-finite or missing =
     /// no boundary), and `weight` scales the JCT-sum penalty per second a
-    /// QPU's planned busy time overruns its horizon. The penalty is computed
-    /// from the per-QPU aggregates inside [`Self::objectives_of`], so
-    /// incremental and full evaluation remain bit-for-bit identical; a
-    /// zero/negative weight disables it entirely.
+    /// QPU's planned busy time overruns its horizon. A zero/negative weight
+    /// disables it entirely.
     pub fn with_boundary_penalty(mut self, horizon_s: &[f64], weight: f64) -> Self {
         if weight <= 0.0 || !weight.is_finite() {
             self.boundary = None;
@@ -537,12 +477,10 @@ impl SchedulingProblem {
     /// entries degrade to free), and `weight` scales the JCT-sum pressure per
     /// credit unit of total plan cost. Each placement's cost is
     /// `shots × cost_per_shot[qpu]`, sanitised and snapped to the dyadic grid
-    /// so [`EvalState`] cost sums update exactly; the lane is also mirrored
-    /// into transposed f32 lanes for the island optimizer. The cost term is
-    /// computed from the aggregates inside [`Self::objectives_of`], so
-    /// incremental and full evaluation remain bit-for-bit identical; a
-    /// zero/negative weight disables the lane entirely, leaving every
-    /// objective bit-identical to a cost-free problem.
+    /// so cost sums are exact; the lane is also mirrored into transposed f32
+    /// lanes for the optimizer. A zero/negative weight disables the lane
+    /// entirely, leaving every objective bit-identical to a cost-free
+    /// problem.
     pub fn with_shot_costs(mut self, cost_per_shot: &[f64], weight: f64) -> Self {
         if weight <= 0.0 || !weight.is_finite() {
             self.costs = None;
@@ -581,17 +519,8 @@ impl SchedulingProblem {
         &self.epochs
     }
 
-    /// The feasible QPU(s) nearest to index `r` for `job`: `Some((lo, hi))`
-    /// with `lo == hi` when unambiguous and `lo < hi` for an equidistant tie,
-    /// or `None` when the job has no feasible QPU. O(1) table lookup for the
-    /// optimizer's gene-snapping inner loop.
-    pub fn nearest_feasible(&self, job: usize, r: usize) -> Option<(usize, usize)> {
-        let (lo, hi) = self.nearest[job * self.num_qpus() + r.min(self.num_qpus() - 1)];
-        (lo != NO_FEASIBLE).then_some((lo as usize, hi as usize))
-    }
-
-    /// The nearest-feasible row for `job` (length `num_qpus`). The island
-    /// path's branch-free snap hoists this once per gene and indexes it with
+    /// The nearest-feasible row for `job` (length `num_qpus`). The
+    /// optimizer's branch-free snap hoists this once per gene and indexes it with
     /// the row length itself, so the bounds check vanishes; entries are
     /// [`NO_FEASIBLE`] pairs when the job has no feasible QPU.
     #[inline]
@@ -646,96 +575,40 @@ impl SchedulingProblem {
             && assignment.iter().enumerate().all(|(i, &q)| self.placement_is_feasible(i, q))
     }
 
-    /// Rebuild `state` from scratch for an assignment (O(N)).
-    pub fn init_state(&self, assignment: &[usize], state: &mut EvalState) {
+    /// Evaluate the two objectives of Eq. (1) for an assignment
+    /// (`assignment[i]` = QPU index of job `i`). Infeasible job placements are
+    /// penalised with [`INFEASIBLE_PENALTY_S`] so the optimizer steers away
+    /// from them.
+    pub fn evaluate(&self, assignment: &[usize]) -> Objectives {
         assert_eq!(assignment.len(), self.num_jobs());
-        state.reset(self.num_qpus());
-        for (i, &q) in assignment.iter().enumerate() {
-            self.place_job(state, i, q);
-        }
-    }
-
-    /// Add job `i`'s contribution on QPU `q` to the aggregates (O(1)).
-    pub fn place_job(&self, state: &mut EvalState, job: usize, qpu: usize) {
-        let k = job * self.num_qpus() + qpu;
-        state.assigned_time[qpu] += self.exec[k];
-        if let Some(c) = &self.costs {
-            state.cost_sum += c.cost[k];
-        }
-        if self.feasible_bit(job, qpu) {
-            state.feasible_count[qpu] += 1;
-            state.err_sum += self.err[k];
-        } else {
-            state.infeasible += 1;
-        }
-    }
-
-    /// Remove job `i`'s contribution on QPU `q` from the aggregates (O(1)).
-    /// Exact inverse of [`Self::place_job`] thanks to the dyadic grid.
-    pub fn unplace_job(&self, state: &mut EvalState, job: usize, qpu: usize) {
-        let k = job * self.num_qpus() + qpu;
-        state.assigned_time[qpu] -= self.exec[k];
-        if let Some(c) = &self.costs {
-            state.cost_sum -= c.cost[k];
-        }
-        if self.feasible_bit(job, qpu) {
-            state.feasible_count[qpu] -= 1;
-            state.err_sum -= self.err[k];
-        } else {
-            state.infeasible -= 1;
-        }
-    }
-
-    /// Move job `i` from QPU `from` to QPU `to`, updating the aggregates in
-    /// O(1). No-op when `from == to`. Equivalent to
-    /// [`Self::unplace_job`] + [`Self::place_job`], fused for the optimizer's
-    /// inner loop.
-    pub fn move_job(&self, state: &mut EvalState, job: usize, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        let row = job * self.num_qpus();
-        let (kf, kt) = (row + from, row + to);
-        state.assigned_time[from] -= self.exec[kf];
-        state.assigned_time[to] += self.exec[kt];
-        if let Some(c) = &self.costs {
-            // Subtract-then-add of grid values is exact, so a move is the
-            // exact inverse-compose of unplace + place for the cost sum too.
-            state.cost_sum -= c.cost[kf];
-            state.cost_sum += c.cost[kt];
-        }
-        match (self.feasible_bit(job, from), self.feasible_bit(job, to)) {
-            (true, true) => {
-                state.feasible_count[from] -= 1;
-                state.feasible_count[to] += 1;
-                state.err_sum += self.err[kt] - self.err[kf];
+        let num_qpus = self.num_qpus();
+        // Per QPU: the execution time newly assigned to it (infeasible
+        // placements occupy the device too) and its feasibly placed jobs.
+        let mut assigned_time = vec![0.0f64; num_qpus];
+        let mut feasible_count = vec![0u32; num_qpus];
+        let (mut err_sum, mut cost_sum, mut infeasible) = (0.0f64, 0.0f64, 0u32);
+        for (job, &qpu) in assignment.iter().enumerate() {
+            let k = job * num_qpus + qpu;
+            assigned_time[qpu] += self.exec[k];
+            if let Some(c) = &self.costs {
+                cost_sum += c.cost[k];
             }
-            (true, false) => {
-                state.feasible_count[from] -= 1;
-                state.err_sum -= self.err[kf];
-                state.infeasible += 1;
+            if self.feasible_bit(job, qpu) {
+                feasible_count[qpu] += 1;
+                err_sum += self.err[k];
+            } else {
+                infeasible += 1;
             }
-            (false, true) => {
-                state.feasible_count[to] += 1;
-                state.err_sum += self.err[kt];
-                state.infeasible -= 1;
-            }
-            (false, false) => {}
         }
-    }
-
-    /// Objective values of the assignment summarised by `state` (O(Q)). This
-    /// is the single canonical reduction: [`Self::evaluate`] and the
-    /// incremental path both end here, so their results are bitwise equal.
-    pub fn objectives_of(&self, state: &EvalState) -> Objectives {
         let n = self.num_jobs() as f64;
-        let mut jct_sum = f64::from(state.infeasible) * INFEASIBLE_PENALTY_S;
-        for q in 0..self.num_qpus() {
-            jct_sum += f64::from(state.feasible_count[q]) * (self.wait[q] + state.assigned_time[q]);
+        let mut jct_sum = f64::from(infeasible) * INFEASIBLE_PENALTY_S;
+        for ((&count, &wait), &time) in feasible_count.iter().zip(&self.wait).zip(&assigned_time) {
+            jct_sum += f64::from(count) * (wait + time);
         }
         if let Some(b) = &self.boundary {
-            for q in 0..self.num_qpus() {
-                let over = self.wait[q] + state.assigned_time[q] - b.horizon_s[q];
+            for ((&wait, &time), &horizon) in self.wait.iter().zip(&assigned_time).zip(&b.horizon_s)
+            {
+                let over = wait + time - horizon;
                 if over > 0.0 {
                     jct_sum += b.weight * over;
                 }
@@ -743,35 +616,24 @@ impl SchedulingProblem {
         }
         let mut mean_cost = 0.0;
         if let Some(c) = &self.costs {
-            jct_sum += c.weight * state.cost_sum;
-            mean_cost = state.cost_sum / n;
+            jct_sum += c.weight * cost_sum;
+            mean_cost = cost_sum / n;
         }
-        let err_total = state.err_sum + f64::from(state.infeasible);
+        let err_total = err_sum + f64::from(infeasible);
         Objectives { mean_jct_s: jct_sum / n, mean_error: err_total / n, mean_cost }
-    }
-
-    /// Evaluate the two objectives of Eq. (1) for an assignment
-    /// (`assignment[i]` = QPU index of job `i`). Infeasible job placements are
-    /// penalised with [`INFEASIBLE_PENALTY_S`] so the optimizer steers away
-    /// from them.
-    pub fn evaluate(&self, assignment: &[usize]) -> Objectives {
-        let mut state = EvalState::new(self.num_qpus());
-        self.init_state(assignment, &mut state);
-        self.objectives_of(&state)
     }
 
     /// Evaluate the two objectives over the transposed f32 lanes: one
     /// branch-free chunked fold per QPU lane (the selection mask is a
     /// compare-and-convert, so the compiler auto-vectorizes the inner loop).
     /// Semantically equivalent to [`Self::evaluate`] up to f32 rounding —
-    /// this is the island optimizer's batch-evaluation path; the sequential
-    /// reference keeps the exact incremental f64 path.
+    /// this is the optimizer's search objective; the front it returns is
+    /// re-evaluated with [`Self::evaluate`].
     ///
     /// Convenience wrapper that narrows a `usize` assignment; the optimizer's
     /// hot path keeps its genes packed as `u16` and calls
     /// [`Self::evaluate_lanes_packed`] directly.
     pub fn evaluate_lanes(&self, assignment: &[usize]) -> Objectives {
-        debug_assert!(self.num_qpus() <= 1 << 16);
         let genes: Vec<u16> = assignment.iter().map(|&q| q as u16).collect();
         self.evaluate_lanes_packed(&genes)
     }
@@ -981,26 +843,32 @@ mod tests {
     }
 
     #[test]
-    fn incremental_moves_match_full_evaluation() {
-        let p = toy_problem();
-        let mut assignment = vec![0, 0, 0, 0];
-        let mut state = EvalState::new(p.num_qpus());
-        p.init_state(&assignment, &mut state);
-        // Walk job 1 across every QPU (including the infeasible one for job 3).
-        for (job, to) in [(1usize, 1usize), (3, 2), (1, 2), (3, 0), (2, 1), (1, 0)] {
-            p.move_job(&mut state, job, assignment[job], to);
-            assignment[job] = to;
-            let inc = p.objectives_of(&state);
-            let full = p.evaluate(&assignment);
-            assert_eq!(inc.mean_jct_s.to_bits(), full.mean_jct_s.to_bits());
-            assert_eq!(inc.mean_error.to_bits(), full.mean_error.to_bits());
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn empty_problem_panics() {
         SchedulingProblem::new(vec![], vec![]);
+    }
+
+    /// A QPU index must fit the optimizer's `u16` gene.
+    #[test]
+    #[should_panic(expected = "more than 2^16 QPUs")]
+    fn a_fleet_wider_than_a_u16_gene_panics() {
+        let num_qpus = (1 << 16) + 1;
+        let qpus = (0..num_qpus)
+            .map(|i| QpuState {
+                name: format!("q{i}"),
+                num_qubits: 27,
+                waiting_time_s: 0.0,
+                calibration_epoch: 0,
+            })
+            .collect();
+        let job = JobRequest {
+            job_id: 0,
+            qubits: 5,
+            shots: 100,
+            fidelity_per_qpu: vec![0.9; num_qpus],
+            exec_time_per_qpu: vec![10.0; num_qpus],
+        };
+        SchedulingProblem::new(vec![job], qpus);
     }
 
     #[test]
@@ -1033,18 +901,7 @@ mod tests {
         assert!((t.mean_jct_s - (unpenalised.mean_jct_s + 5.0)).abs() < 1e-9);
         assert_eq!(t.mean_error.to_bits(), unpenalised.mean_error.to_bits());
 
-        // Incremental moves stay bit-identical to full evaluation under the
-        // penalty, and the lane path applies it too.
-        let mut state = EvalState::new(tight.num_qpus());
-        let mut genes = assignment.clone();
-        tight.init_state(&genes, &mut state);
-        for (job, to) in [(1usize, 1usize), (3, 1), (1, 0)] {
-            tight.move_job(&mut state, job, genes[job], to);
-            genes[job] = to;
-            let inc = tight.objectives_of(&state);
-            let full = tight.evaluate(&genes);
-            assert_eq!(inc.mean_jct_s.to_bits(), full.mean_jct_s.to_bits());
-        }
+        // The lane path applies the penalty too.
         let lanes = tight.evaluate_lanes(&assignment);
         assert!((lanes.mean_jct_s - t.mean_jct_s).abs() / t.mean_jct_s < 1e-4);
 
@@ -1074,21 +931,7 @@ mod tests {
         // ...and never perturbs the error objective.
         assert_eq!(o.mean_error.to_bits(), free.mean_error.to_bits());
 
-        // Incremental moves stay bit-identical to full evaluation with the
-        // lane attached, cost_sum included.
-        let mut state = EvalState::new(priced.num_qpus());
-        let mut genes = assignment.clone();
-        priced.init_state(&genes, &mut state);
-        for (job, to) in [(0usize, 2usize), (3, 0), (0, 1), (2, 2), (3, 1)] {
-            priced.move_job(&mut state, job, genes[job], to);
-            genes[job] = to;
-            let inc = priced.objectives_of(&state);
-            let full = priced.evaluate(&genes);
-            assert_eq!(inc.mean_jct_s.to_bits(), full.mean_jct_s.to_bits());
-            assert_eq!(inc.mean_cost.to_bits(), full.mean_cost.to_bits());
-        }
-
-        // The f32 island path agrees to lane tolerance.
+        // The f32 lane path agrees to lane tolerance.
         let lanes = priced.evaluate_lanes(&assignment);
         assert!((lanes.mean_cost - o.mean_cost).abs() / o.mean_cost.max(1.0) < 1e-4);
         assert!((lanes.mean_jct_s - o.mean_jct_s).abs() / o.mean_jct_s < 1e-4);
