@@ -11,12 +11,31 @@
 //! * **Analytic ESP** — the estimated-success-probability model derived from
 //!   calibration data, used for circuits too wide to simulate (up to the
 //!   130-qubit benchmarks) and for the high-throughput cloud simulation.
+//!
+//! A trajectory run has three phases, and its counts are the same bits on
+//! any number of cores:
+//!
+//! 1. **Draw** (serial). Every random number of the run comes from the
+//!    caller's `rng` in one fixed order: trajectory by trajectory, its Pauli
+//!    errors gate by gate, its decoherence errors qubit by qubit, then per
+//!    shot a uniform and a readout-flip mask. No draw depends on the quantum
+//!    state, so all of them can be taken before any state exists.
+//! 2. **Evolve** (parallel). The trajectories, ordered by their first error,
+//!    are claimed by the members of a [`par::map_indexed_with`] team. Each
+//!    member keeps a noiseless *walker* state that only moves forward, since
+//!    its claims arrive in increasing first-error order. A trajectory copies
+//!    the walker at its first error and applies only its own suffix, with
+//!    its Paulis inserted; each shot then picks a basis state by binary
+//!    search over the running probability sum.
+//! 3. **Merge** (serial). Counts are added in trajectory order, then shot
+//!    order.
 
 use crate::hellinger::{hellinger_fidelity, Distribution};
 use crate::math::C64;
 use crate::noise::NoiseModel;
-use qonductor_circuit::{Circuit, Gate, Instruction, NO_OPERAND};
+use qonductor_circuit::{par, Circuit, Gate, Instruction, NO_OPERAND};
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How `execute` should obtain the fidelity of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,23 +98,15 @@ impl Simulator {
     /// The circuit is first compacted onto its active qubits; it must use at
     /// most [`Self::max_statevector_qubits`] of them.
     pub fn ideal_distribution(&self, circuit: &Circuit) -> Distribution {
-        let (compact, _map) = compact_circuit(circuit);
-        assert!(
-            compact.num_qubits() <= self.max_statevector_qubits,
-            "circuit too wide for the statevector simulator ({} > {})",
-            compact.num_qubits(),
-            self.max_statevector_qubits
-        );
-        let mut state = Statevector::new(compact.num_qubits());
-        for instr in compact.instructions() {
-            if instr.gate.is_unitary() {
-                state.apply(instr);
-            }
-        }
-        state.measurement_distribution(&measurement_map(&compact))
+        self.compile(circuit).ideal_distribution()
     }
 
     /// Sample noisy measurement counts with Monte-Carlo Pauli-error trajectories.
+    ///
+    /// `min(trajectories, shots)` trajectories (at least one) sample
+    /// `⌊shots / trajectories⌋` shots each (at least one), so the counts add
+    /// up to `shots` only when the division is exact: 3,327 requested shots
+    /// over 128 trajectories are 3,200 samples.
     pub fn noisy_counts<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
@@ -103,59 +114,9 @@ impl Simulator {
         shots: u32,
         rng: &mut R,
     ) -> Distribution {
-        let (compact, qubit_map) = compact_circuit(circuit);
-        assert!(
-            compact.num_qubits() <= self.max_statevector_qubits,
-            "circuit too wide for the statevector simulator"
-        );
-        let meas = measurement_map(&compact);
-        let trajectories = self.trajectories.min(shots as usize).max(1);
-        let shots_per_traj = (shots as usize / trajectories).max(1);
-        let duration = noise.circuit_duration_ns(circuit);
-        let mut counts = Distribution::new();
-
-        for _ in 0..trajectories {
-            let mut state = Statevector::new(compact.num_qubits());
-            for instr in compact.instructions() {
-                if !instr.gate.is_unitary() {
-                    continue;
-                }
-                state.apply(instr);
-                // Stochastic Pauli error after each noisy gate, using the
-                // *physical* qubit indices for calibration lookup.
-                let pq0 = qubit_map[instr.q0 as usize];
-                let pq1 =
-                    if instr.q1 == NO_OPERAND { NO_OPERAND } else { qubit_map[instr.q1 as usize] };
-                let p_err = noise.instruction_error(instr.gate, pq0, pq1);
-                if p_err > 0.0 && rng.gen_bool(p_err.min(1.0)) {
-                    state.apply_random_pauli(instr.q0, rng);
-                    if instr.q1 != NO_OPERAND && rng.gen_bool(0.5) {
-                        state.apply_random_pauli(instr.q1, rng);
-                    }
-                }
-            }
-            // Decoherence over the circuit duration: per-qubit dephasing/damping
-            // modelled as an extra stochastic Z/X error.
-            for logical in 0..compact.num_qubits() {
-                let phys = qubit_map[logical as usize];
-                let survive = noise.decoherence_factor(phys, duration * 0.5);
-                if rng.gen_bool((1.0 - survive).clamp(0.0, 1.0)) {
-                    state.apply_random_pauli(logical, rng);
-                }
-            }
-            // Sample shots from this trajectory, applying readout errors.
-            for _ in 0..shots_per_traj {
-                let mut outcome = state.sample(&meas, rng);
-                for (bit_idx, &(logical_q, _cbit)) in meas.iter().enumerate() {
-                    let phys = qubit_map[logical_q as usize];
-                    if rng.gen_bool(noise.readout_error(phys).clamp(0.0, 1.0)) {
-                        outcome ^= 1 << bit_idx;
-                    }
-                }
-                *counts.entry(outcome).or_insert(0.0) += 1.0;
-            }
-        }
-        counts
+        let compiled = self.compile(circuit);
+        let duration_ns = noise.circuit_duration_ns(circuit);
+        compiled.noisy_counts(noise, duration_ns, shots, self.trajectories, par::host_cores(), rng)
     }
 
     /// Execute a circuit on a device described by `noise`, returning counts (if
@@ -167,7 +128,8 @@ impl Simulator {
         rng: &mut R,
     ) -> ExecutionResult {
         let width = circuit.active_qubits().len() as u32;
-        let per_shot = noise.circuit_duration_ns(circuit) + self.shot_overhead_ns;
+        let circuit_ns = noise.circuit_duration_ns(circuit);
+        let per_shot = circuit_ns + self.shot_overhead_ns;
         let duration_ns = per_shot * f64::from(circuit.shots());
         let use_trajectory = match self.mode {
             FidelityMode::Trajectory => true,
@@ -175,8 +137,16 @@ impl Simulator {
             FidelityMode::Auto => width <= self.max_statevector_qubits,
         };
         if use_trajectory {
-            let ideal = self.ideal_distribution(circuit);
-            let noisy = self.noisy_counts(circuit, noise, circuit.shots(), rng);
+            let compiled = self.compile(circuit);
+            let ideal = compiled.ideal_distribution();
+            let noisy = compiled.noisy_counts(
+                noise,
+                circuit_ns,
+                circuit.shots(),
+                self.trajectories,
+                par::host_cores(),
+                rng,
+            );
             let fidelity = hellinger_fidelity(&ideal, &noisy);
             ExecutionResult { counts: noisy, fidelity, duration_ns, shots: circuit.shots() }
         } else {
@@ -191,6 +161,208 @@ impl Simulator {
                 shots: circuit.shots(),
             }
         }
+    }
+
+    /// `circuit` prepared for the statevector path; it must use at most
+    /// [`Self::max_statevector_qubits`] qubits.
+    fn compile(&self, circuit: &Circuit) -> Compiled {
+        let (compact, qubit_map) = compact_circuit(circuit);
+        assert!(
+            compact.num_qubits() <= self.max_statevector_qubits,
+            "circuit too wide for the statevector simulator ({} > {})",
+            compact.num_qubits(),
+            self.max_statevector_qubits
+        );
+        Compiled { measurements: measurement_map(&compact), compact, qubit_map }
+    }
+}
+
+/// A circuit compacted onto its active qubits.
+struct Compiled {
+    compact: Circuit,
+    /// Compacted qubit → physical qubit, for calibration lookups.
+    qubit_map: Vec<u32>,
+    /// `(qubit, clbit)` pairs of the classical register.
+    measurements: Vec<(u32, u32)>,
+}
+
+/// A Pauli error on `qubit` once the first `after` instructions of the
+/// compacted circuit have been applied.
+struct PauliError {
+    after: usize,
+    qubit: u32,
+    /// Index into [`PAULIS`].
+    pauli: u8,
+}
+
+/// The error a Pauli draw of 0, 1 or 2 stands for.
+const PAULIS: [Gate; 3] = [Gate::X, Gate::Y, Gate::Z];
+
+/// Everything phase 1 draws, in buffers sized on the calling thread.
+struct Draws {
+    /// Trajectory `t`'s errors are `errors[starts[t]..starts[t + 1]]`, in the
+    /// order they act.
+    errors: Vec<PauliError>,
+    starts: Vec<usize>,
+    /// Per shot, trajectory-major: the uniform that picks the basis state.
+    uniforms: Vec<f64>,
+    /// Per shot: the readout-flip mask, into which phase 2 XORs the sampled
+    /// register value, so that it holds the outcome.
+    outcomes: Vec<AtomicU64>,
+}
+
+/// A phase-2 team member's two states.
+struct Member {
+    /// The noiseless state after the first `walked` instructions.
+    walker: Statevector,
+    walked: usize,
+    /// The trajectory being evolved.
+    state: Statevector,
+}
+
+impl Compiled {
+    fn ideal_distribution(&self) -> Distribution {
+        let mut state = Statevector::new(self.compact.num_qubits());
+        for instr in self.compact.instructions() {
+            state.apply(instr);
+        }
+        state.measurement_distribution(&self.measurements)
+    }
+
+    /// See [`Simulator::noisy_counts`]; `duration_ns` is the uncompacted
+    /// circuit's duration and `workers` bounds the phase-2 team.
+    fn noisy_counts<R: Rng + ?Sized>(
+        &self,
+        noise: &NoiseModel,
+        duration_ns: f64,
+        shots: u32,
+        trajectories: usize,
+        workers: usize,
+        rng: &mut R,
+    ) -> Distribution {
+        let trajectories = trajectories.min(shots as usize).max(1);
+        let shots_per_traj = (shots as usize / trajectories).max(1);
+        let draws = self.draw(noise, duration_ns, trajectories, shots_per_traj, rng);
+        self.evolve(&draws, shots_per_traj, workers);
+        let mut counts = Distribution::new();
+        for outcome in draws.outcomes {
+            *counts.entry(outcome.into_inner()).or_insert(0.0) += 1.0;
+        }
+        counts
+    }
+
+    /// Phase 1: walk `rng` exactly as one trajectory after another would.
+    fn draw<R: Rng + ?Sized>(
+        &self,
+        noise: &NoiseModel,
+        duration_ns: f64,
+        trajectories: usize,
+        shots_per_traj: usize,
+        rng: &mut R,
+    ) -> Draws {
+        // Calibration lookups use the *physical* qubit indices.
+        let physical = |q: u32| self.qubit_map[q as usize];
+        let instructions = self.compact.instructions();
+        let unitary = || instructions.iter().enumerate().filter(|(_, i)| i.gate.is_unitary());
+        let error_rates: Vec<f64> = unitary()
+            .map(|(_, i)| {
+                let q1 = if i.q1 == NO_OPERAND { NO_OPERAND } else { physical(i.q1) };
+                noise.instruction_error(i.gate, physical(i.q0), q1)
+            })
+            .collect();
+        // Decoherence over the circuit duration: per-qubit dephasing/damping
+        // modelled as an extra stochastic Pauli error.
+        let decay: Vec<f64> = (0..self.compact.num_qubits())
+            .map(|q| {
+                let survive = noise.decoherence_factor(physical(q), duration_ns * 0.5);
+                (1.0 - survive).clamp(0.0, 1.0)
+            })
+            .collect();
+        let readout: Vec<f64> = self
+            .measurements
+            .iter()
+            .map(|&(q, _)| noise.readout_error(physical(q)).clamp(0.0, 1.0))
+            .collect();
+
+        let end = instructions.len();
+        let shots = trajectories * shots_per_traj;
+        let mut draws = Draws {
+            errors: Vec::new(),
+            starts: Vec::with_capacity(trajectories + 1),
+            uniforms: Vec::with_capacity(shots),
+            outcomes: Vec::with_capacity(shots),
+        };
+        for _ in 0..trajectories {
+            draws.starts.push(draws.errors.len());
+            for ((k, instr), &p_err) in unitary().zip(&error_rates) {
+                if p_err > 0.0 && rng.gen_bool(p_err.min(1.0)) {
+                    let pauli = rng.gen_range(0..3);
+                    draws.errors.push(PauliError { after: k + 1, qubit: instr.q0, pauli });
+                    if instr.q1 != NO_OPERAND && rng.gen_bool(0.5) {
+                        let pauli = rng.gen_range(0..3);
+                        draws.errors.push(PauliError { after: k + 1, qubit: instr.q1, pauli });
+                    }
+                }
+            }
+            for (qubit, &p) in (0..).zip(&decay) {
+                if rng.gen_bool(p) {
+                    let pauli = rng.gen_range(0..3);
+                    draws.errors.push(PauliError { after: end, qubit, pauli });
+                }
+            }
+            for _ in 0..shots_per_traj {
+                draws.uniforms.push(rng.gen_range(0.0..1.0));
+                let mut flips = 0u64;
+                for (bit_idx, &p) in readout.iter().enumerate() {
+                    if rng.gen_bool(p) {
+                        flips ^= 1 << bit_idx;
+                    }
+                }
+                draws.outcomes.push(AtomicU64::new(flips));
+            }
+        }
+        draws.starts.push(draws.errors.len());
+        draws
+    }
+
+    /// Phase 2: evolve every trajectory and sample its shots into
+    /// `draws.outcomes`.
+    fn evolve(&self, draws: &Draws, shots_per_traj: usize, workers: usize) {
+        let instructions = self.compact.instructions();
+        let end = instructions.len();
+        let trajectories = draws.starts.len() - 1;
+        let errors = |t: usize| &draws.errors[draws.starts[t]..draws.starts[t + 1]];
+        let first_error = |t: usize| errors(t).first().map_or(end, |e| e.after);
+        let mut order: Vec<usize> = (0..trajectories).collect();
+        order.sort_by_key(|&t| first_error(t));
+        let n = self.compact.num_qubits();
+        let member =
+            || Member { walker: Statevector::new(n), walked: 0, state: Statevector::new(n) };
+        par::map_indexed_with(workers, trajectories, member, |member, claim| {
+            let t = order[claim];
+            let first = first_error(t);
+            for instr in &instructions[member.walked..first] {
+                member.walker.apply(instr);
+            }
+            member.walked = first;
+            let state = &mut member.state;
+            state.amps.copy_from_slice(&member.walker.amps);
+            let mut errors = errors(t).iter().peekable();
+            for k in first..=end {
+                while let Some(e) = errors.next_if(|e| e.after == k) {
+                    state.apply(&Instruction::one(PAULIS[usize::from(e.pauli)], e.qubit));
+                }
+                if let Some(instr) = instructions.get(k) {
+                    state.apply(instr);
+                }
+            }
+            let shots = t * shots_per_traj..(t + 1) * shots_per_traj;
+            state.sample_into(
+                &self.measurements,
+                &draws.uniforms[shots.clone()],
+                &draws.outcomes[shots],
+            );
+        });
     }
 }
 
@@ -207,6 +379,7 @@ pub fn compact_circuit(circuit: &Circuit) -> (Circuit, Vec<u32>) {
     }
     let mut compact = Circuit::named(active.len() as u32, circuit.name().to_string());
     compact.set_shots(circuit.shots());
+    compact.instructions_mut().reserve_exact(circuit.len());
     for instr in circuit.instructions() {
         if instr.gate == Gate::Barrier {
             compact.barrier();
@@ -241,6 +414,25 @@ fn measurement_map(circuit: &Circuit) -> Vec<(u32, u32)> {
     pairs
 }
 
+/// The classical register read out of basis state `index`.
+fn register_value(index: usize, measurements: &[(u32, u32)]) -> u64 {
+    let mut key = 0u64;
+    for (bit_idx, &(q, _c)) in measurements.iter().enumerate() {
+        if index & (1usize << q) != 0 {
+            key |= 1 << bit_idx;
+        }
+    }
+    key
+}
+
+/// Every index below `len` whose bits `a` and `b` are both clear, in
+/// increasing order (`a != b`, `len` a power of two above both bits).
+fn both_clear(len: usize, a: u32, b: u32) -> impl Iterator<Item = usize> {
+    let (lo, hi) = (a.min(b), a.max(b));
+    let insert_zero = |k: usize, bit: u32| (k >> bit << (bit + 1)) | (k & ((1 << bit) - 1));
+    (0..len >> 2).map(move |k| insert_zero(insert_zero(k, lo), hi))
+}
+
 /// Dense statevector over `n ≤ 30` qubits.
 #[derive(Debug, Clone)]
 pub struct Statevector {
@@ -267,7 +459,8 @@ impl Statevector {
         self.amps[index].norm_sqr()
     }
 
-    /// Apply a unitary instruction.
+    /// Apply a unitary instruction (measurements, barriers and delays are
+    /// skipped).
     pub fn apply(&mut self, instr: &Instruction) {
         match instr.gate {
             g if !g.is_unitary() => {}
@@ -288,58 +481,38 @@ impl Statevector {
         }
     }
 
-    /// Apply a uniformly random Pauli (X, Y, or Z) to qubit `q`.
-    pub fn apply_random_pauli<R: Rng + ?Sized>(&mut self, q: u32, rng: &mut R) {
-        let gate = match rng.gen_range(0..3) {
-            0 => Gate::X,
-            1 => Gate::Y,
-            _ => Gate::Z,
-        };
-        self.apply(&Instruction::one(gate, q));
-    }
-
     fn apply_one_qubit(&mut self, m: &[[C64; 2]; 2], q: u32) {
         let stride = 1usize << q;
-        let n = self.amps.len();
-        let mut i = 0usize;
-        while i < n {
-            if i & stride == 0 {
-                let a = self.amps[i];
-                let b = self.amps[i | stride];
-                self.amps[i] = m[0][0] * a + m[0][1] * b;
-                self.amps[i | stride] = m[1][0] * a + m[1][1] * b;
+        for block in self.amps.chunks_exact_mut(2 * stride) {
+            let (zeros, ones) = block.split_at_mut(stride);
+            for (zero, one) in zeros.iter_mut().zip(ones) {
+                let (a, b) = (*zero, *one);
+                *zero = m[0][0] * a + m[0][1] * b;
+                *one = m[1][0] * a + m[1][1] * b;
             }
-            i += 1;
         }
     }
 
     fn apply_cx(&mut self, control: u32, target: u32) {
         let cmask = 1usize << control;
         let tmask = 1usize << target;
-        for i in 0..self.amps.len() {
-            if i & cmask != 0 && i & tmask == 0 {
-                self.amps.swap(i, i | tmask);
-            }
+        for i in both_clear(self.amps.len(), control, target) {
+            self.amps.swap(i | cmask, i | cmask | tmask);
         }
     }
 
     fn apply_cz(&mut self, a: u32, b: u32) {
-        let amask = 1usize << a;
-        let bmask = 1usize << b;
-        for i in 0..self.amps.len() {
-            if i & amask != 0 && i & bmask != 0 {
-                self.amps[i] = -self.amps[i];
-            }
+        let both = (1usize << a) | (1usize << b);
+        for i in both_clear(self.amps.len(), a, b) {
+            self.amps[i | both] = -self.amps[i | both];
         }
     }
 
     fn apply_swap(&mut self, a: u32, b: u32) {
         let amask = 1usize << a;
         let bmask = 1usize << b;
-        for i in 0..self.amps.len() {
-            if i & amask != 0 && i & bmask == 0 {
-                self.amps.swap(i, (i & !amask) | bmask);
-            }
+        for i in both_clear(self.amps.len(), a, b) {
+            self.amps.swap(i | amask, i | bmask);
         }
     }
 
@@ -364,36 +537,37 @@ impl Statevector {
             if p < 1e-15 {
                 continue;
             }
-            let mut key = 0u64;
-            for (bit_idx, &(q, _c)) in measurements.iter().enumerate() {
-                if idx & (1usize << q) != 0 {
-                    key |= 1 << bit_idx;
-                }
-            }
-            *dist.entry(key).or_insert(0.0) += p;
+            *dist.entry(register_value(idx, measurements)).or_insert(0.0) += p;
         }
         dist
     }
 
-    /// Sample one measurement outcome over the classical register.
-    pub fn sample<R: Rng + ?Sized>(&self, measurements: &[(u32, u32)], rng: &mut R) -> u64 {
-        let r: f64 = rng.gen_range(0.0..1.0);
+    /// For each shot, pick the first basis state whose running probability
+    /// sum reaches the shot's uniform (the last state if none does) and XOR
+    /// its register value into the shot's outcome slot. Overwrites the real
+    /// parts with the running sums.
+    fn sample_into(
+        &mut self,
+        measurements: &[(u32, u32)],
+        uniforms: &[f64],
+        outcomes: &[AtomicU64],
+    ) {
         let mut acc = 0.0;
-        let mut chosen = self.amps.len() - 1;
-        for (idx, amp) in self.amps.iter().enumerate() {
+        for amp in &mut self.amps {
             acc += amp.norm_sqr();
-            if acc >= r {
-                chosen = idx;
-                break;
-            }
+            amp.re = acc;
         }
-        let mut key = 0u64;
-        for (bit_idx, &(q, _c)) in measurements.iter().enumerate() {
-            if chosen & (1usize << q) != 0 {
-                key |= 1 << bit_idx;
-            }
+        let last = self.amps.len() - 1;
+        for (&r, outcome) in uniforms.iter().zip(outcomes) {
+            // The sums never decrease and a NaN, once there, stays to the end
+            // and compares false both ways, so the search stops where a
+            // linear scan for `sum >= r` would.
+            let i = self.amps.partition_point(|amp| amp.re < r);
+            let chosen = if self.amps.get(i).is_some_and(|amp| amp.re >= r) { i } else { last };
+            // Relaxed: each slot belongs to one trajectory, and the caller
+            // reads it only after the team has joined.
+            outcome.fetch_xor(register_value(chosen, measurements), Ordering::Relaxed);
         }
-        key
     }
 }
 
@@ -442,9 +616,12 @@ fn one_qubit_matrix(gate: Gate) -> [[C64; 2]; 2] {
 mod tests {
     use super::*;
     use crate::calibration::CalibrationGenerator;
+    use crate::fleet::Fleet;
     use qonductor_circuit::generators::{ghz, qft};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
+    use std::f64::consts::PI;
 
     fn noise(n: u32, quality: f64) -> NoiseModel {
         let edges: Vec<(u32, u32)> = (0..n - 1).map(|q| (q, q + 1)).collect();
@@ -560,5 +737,305 @@ mod tests {
         let counts = sim.noisy_counts(&c, &n, c.shots(), &mut rng);
         let total: f64 = counts.values().sum();
         assert!((total - 160.0).abs() < 1e-9);
+    }
+
+    /// Pins the shots a remainder loses (see `noisy_counts`): 3,327 requested
+    /// over 128 trajectories are 128 × 25 = 3,200 samples. Sampling the
+    /// remainder moves every trajectory result, so it waits for a re-baseline.
+    #[test]
+    fn a_remainder_of_shots_over_trajectories_is_not_sampled() {
+        let sim = Simulator::default();
+        let mut rng = StdRng::seed_from_u64(21);
+        let counts = sim.noisy_counts(&ghz(4), &noise(4, 1.0), 3_327, &mut rng);
+        assert_eq!(counts.values().sum::<f64>(), 3_200.0);
+    }
+
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+    }
+
+    /// The pair-wise one-qubit kernel and the two-qubit kernels that visit
+    /// only the indices they change move every amplitude exactly as the
+    /// all-index loops they replaced.
+    #[test]
+    fn kernels_equal_the_all_index_loops() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let m = one_qubit_matrix(Gate::U(0.3, -1.1, 2.0));
+        for n in 1..=5u32 {
+            let amps: Vec<C64> = (0..1usize << n)
+                .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            let state = || Statevector { num_qubits: n, amps: amps.clone() };
+            for a in 0..n {
+                let am = 1usize << a;
+                let mut one = amps.clone();
+                for i in (0..one.len()).filter(|i| i & am == 0) {
+                    let (x, y) = (one[i], one[i | am]);
+                    one[i] = m[0][0] * x + m[0][1] * y;
+                    one[i | am] = m[1][0] * x + m[1][1] * y;
+                }
+                let mut applied = state();
+                applied.apply_one_qubit(&m, a);
+                assert_eq!(bits(&applied.amps), bits(&one), "one-qubit on {a}");
+                for b in (0..n).filter(|&b| b != a) {
+                    let bm = 1usize << b;
+                    let (mut cx, mut cz, mut swap) = (amps.clone(), amps.clone(), amps.clone());
+                    for i in (0..amps.len()).filter(|i| i & am != 0 && i & bm == 0) {
+                        cx.swap(i, i | bm);
+                        swap.swap(i, (i & !am) | bm);
+                    }
+                    for (i, amp) in cz.iter_mut().enumerate() {
+                        if i & am != 0 && i & bm != 0 {
+                            *amp = -*amp;
+                        }
+                    }
+                    for (gate, expected) in [(Gate::CX, cx), (Gate::CZ, cz), (Gate::Swap, swap)] {
+                        let mut applied = state();
+                        applied.apply(&Instruction::two(gate, a, b));
+                        assert_eq!(bits(&applied.amps), bits(&expected), "{gate:?} on ({a}, {b})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The binary search stops where the linear scan does, also at its edges:
+    /// a uniform equal to a running sum, zero (the first state even at
+    /// probability zero), above the total (the last state), and sums that
+    /// turn NaN.
+    #[test]
+    fn sampling_by_binary_search_matches_the_linear_scan_at_its_edges() {
+        let linear = |amps: &[C64], r: f64| {
+            let mut acc = 0.0;
+            let reached = amps.iter().position(|a| {
+                acc += a.norm_sqr();
+                acc >= r
+            });
+            reached.unwrap_or(amps.len() - 1) as u64
+        };
+        let half = C64::real(0.5);
+        let states = [
+            vec![half; 4],
+            vec![C64::ZERO, half, half, half],
+            vec![half, half, C64::new(f64::NAN, 0.0), half],
+            vec![C64::real(0.1); 4],
+        ];
+        let uniforms = [0.0, 0.25, 0.5, 0.6, 0.75, 0.999];
+        for amps in states {
+            let expected: Vec<u64> = uniforms.iter().map(|&r| linear(&amps, r)).collect();
+            let outcomes: Vec<AtomicU64> = uniforms.iter().map(|_| AtomicU64::new(0)).collect();
+            let mut state = Statevector { num_qubits: 2, amps: amps.clone() };
+            state.sample_into(&[(0, 0), (1, 1)], &uniforms, &outcomes);
+            let sampled: Vec<u64> = outcomes.into_iter().map(AtomicU64::into_inner).collect();
+            assert_eq!(sampled, expected, "{amps:?}");
+        }
+    }
+
+    /// The serial trajectory loop `noisy_counts` ran before it had phases:
+    /// one state per trajectory, each draw taken as the state reaches it, a
+    /// linear scan per shot. The oracle of the three-phase path.
+    fn serial_noisy_counts<R: Rng + ?Sized>(
+        sim: &Simulator,
+        circuit: &Circuit,
+        noise: &NoiseModel,
+        shots: u32,
+        rng: &mut R,
+    ) -> Distribution {
+        let (compact, qubit_map) = compact_circuit(circuit);
+        let meas = measurement_map(&compact);
+        let trajectories = sim.trajectories.min(shots as usize).max(1);
+        let shots_per_traj = (shots as usize / trajectories).max(1);
+        let duration = noise.circuit_duration_ns(circuit);
+        let random_pauli = |state: &mut Statevector, q: u32, rng: &mut R| {
+            let gate = match rng.gen_range(0..3) {
+                0 => Gate::X,
+                1 => Gate::Y,
+                _ => Gate::Z,
+            };
+            state.apply(&Instruction::one(gate, q));
+        };
+        let mut counts = Distribution::new();
+        for _ in 0..trajectories {
+            let mut state = Statevector::new(compact.num_qubits());
+            for instr in compact.instructions() {
+                if !instr.gate.is_unitary() {
+                    continue;
+                }
+                state.apply(instr);
+                let pq0 = qubit_map[instr.q0 as usize];
+                let pq1 =
+                    if instr.q1 == NO_OPERAND { NO_OPERAND } else { qubit_map[instr.q1 as usize] };
+                let p_err = noise.instruction_error(instr.gate, pq0, pq1);
+                if p_err > 0.0 && rng.gen_bool(p_err.min(1.0)) {
+                    random_pauli(&mut state, instr.q0, rng);
+                    if instr.q1 != NO_OPERAND && rng.gen_bool(0.5) {
+                        random_pauli(&mut state, instr.q1, rng);
+                    }
+                }
+            }
+            for logical in 0..compact.num_qubits() {
+                let phys = qubit_map[logical as usize];
+                let survive = noise.decoherence_factor(phys, duration * 0.5);
+                if rng.gen_bool((1.0 - survive).clamp(0.0, 1.0)) {
+                    random_pauli(&mut state, logical, rng);
+                }
+            }
+            for _ in 0..shots_per_traj {
+                let r: f64 = rng.gen_range(0.0..1.0);
+                let mut acc = 0.0;
+                let mut chosen = state.amps.len() - 1;
+                for (idx, amp) in state.amps.iter().enumerate() {
+                    acc += amp.norm_sqr();
+                    if acc >= r {
+                        chosen = idx;
+                        break;
+                    }
+                }
+                let mut outcome = register_value(chosen, &meas);
+                for (bit_idx, &(logical_q, _cbit)) in meas.iter().enumerate() {
+                    let phys = qubit_map[logical_q as usize];
+                    if rng.gen_bool(noise.readout_error(phys).clamp(0.0, 1.0)) {
+                        outcome ^= 1 << bit_idx;
+                    }
+                }
+                *counts.entry(outcome).or_insert(0.0) += 1.0;
+            }
+        }
+        counts
+    }
+
+    /// A random circuit on a few scattered qubits of an 8-qubit register:
+    /// every gate kind, barriers, delays, measurements on some qubits or none.
+    fn random_circuit(rng: &mut StdRng) -> Circuit {
+        let mut c = Circuit::new(8);
+        let mut qubits: Vec<u32> = (0..8).collect();
+        qubits.shuffle(rng);
+        qubits.truncate(rng.gen_range(1..=6));
+        for _ in 0..rng.gen_range(0..60) {
+            let (a, b) = (*qubits.choose(rng).unwrap(), *qubits.choose(rng).unwrap());
+            let t = rng.gen_range(-PI..PI);
+            let one = [
+                Gate::Id,
+                Gate::H,
+                Gate::X,
+                Gate::Y,
+                Gate::Z,
+                Gate::S,
+                Gate::Sdg,
+                Gate::T,
+                Gate::Tdg,
+                Gate::SX,
+                Gate::RX(t),
+                Gate::RY(t),
+                Gate::RZ(t),
+                Gate::U(t, -t, 0.5 * t),
+                Gate::Delay(*[4e-7, 35.0, 900.0].choose(rng).unwrap()),
+            ];
+            let two = [Gate::CX, Gate::CZ, Gate::ECR, Gate::Swap, Gate::RZZ(t)];
+            match rng.gen_range(0..10) {
+                0 => c.barrier(),
+                1 => c.measure(a, a),
+                2..=4 if a != b => c.apply2(*two.choose(rng).unwrap(), a, b),
+                _ => c.apply1(*one.choose(rng).unwrap(), a),
+            };
+        }
+        c.set_shots(rng.gen_range(0..400));
+        c
+    }
+
+    /// Circuits shaped like transpiled ones on every default-fleet device —
+    /// basis gates on the coupling map of a connected five-qubit region,
+    /// measured — and folded ×1/3/5 as ZNE folds them.
+    fn device_circuits(rng: &mut StdRng) -> Vec<(Circuit, NoiseModel)> {
+        let mut cases = Vec::new();
+        for member in Fleet::ibm_default(rng).members() {
+            let qpu = &member.qpu;
+            let edges = qpu.model.coupling_map.edges();
+            let mut region = vec![edges[0].0];
+            while region.len() < 5 {
+                let &(a, b) = edges.choose(rng).unwrap();
+                if region.contains(&a) != region.contains(&b) {
+                    region.push(if region.contains(&a) { b } else { a });
+                }
+            }
+            let inner: Vec<_> =
+                edges.iter().filter(|(a, b)| region.contains(a) && region.contains(b)).collect();
+            let mut logical = Circuit::new(qpu.num_qubits());
+            for _ in 0..40 {
+                let q = *region.choose(rng).unwrap();
+                match rng.gen_range(0..4) {
+                    0 => logical.apply1(Gate::RZ(rng.gen_range(-PI..PI)), q),
+                    1 => logical.apply1(Gate::SX, q),
+                    2 => logical.apply1(Gate::X, q),
+                    _ => {
+                        let &&(a, b) = inner.choose(rng).unwrap();
+                        logical.apply2(Gate::CX, a, b)
+                    }
+                };
+            }
+            for &q in &region {
+                logical.measure(q, q);
+            }
+            let unitary = logical.unitary_part();
+            let inverse = unitary.inverse();
+            for folds in 0..3 {
+                let mut folded = unitary.clone();
+                for _ in 0..folds {
+                    folded.compose(&inverse).compose(&unitary);
+                }
+                for &measure in logical.instructions().iter().filter(|i| !i.gate.is_unitary()) {
+                    folded.push(measure);
+                }
+                folded.set_shots(rng.gen_range(100..400));
+                cases.push((folded, qpu.noise_model()));
+            }
+        }
+        cases
+    }
+
+    fn sorted_counts(counts: &Distribution) -> Vec<(u64, u64)> {
+        let mut pairs: Vec<_> = counts.iter().map(|(&k, &v)| (k, v.to_bits())).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// Draw, evolve, merge gives the serial loop's counts bit for bit and
+    /// leaves the RNG where the serial loop leaves it, for one trajectory,
+    /// more trajectories than shots and the default 128, on 1, 2 and 5
+    /// workers.
+    #[test]
+    fn three_phase_counts_equal_the_serial_trajectory_loop() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut cases: Vec<(Circuit, NoiseModel)> = (0..24)
+            .map(|_| (random_circuit(&mut rng), noise(8, rng.gen_range(0.5..5.0))))
+            .collect();
+        cases.extend(device_circuits(&mut rng));
+        for (case, (circuit, noise)) in cases.iter().enumerate() {
+            let shots = circuit.shots();
+            let duration_ns = noise.circuit_duration_ns(circuit);
+            for trajectories in [1, shots as usize + 7, 128] {
+                let sim = Simulator { trajectories, ..Simulator::default() };
+                let mut serial_rng = StdRng::seed_from_u64(case as u64);
+                let serial = serial_noisy_counts(&sim, circuit, noise, shots, &mut serial_rng);
+                let compiled = sim.compile(circuit);
+                for workers in [1, 2, 5] {
+                    let mut rng = StdRng::seed_from_u64(case as u64);
+                    let counts = compiled.noisy_counts(
+                        noise,
+                        duration_ns,
+                        shots,
+                        trajectories,
+                        workers,
+                        &mut rng,
+                    );
+                    let at = format!("case {case}, {trajectories} trajectories, {workers} workers");
+                    assert_eq!(sorted_counts(&counts), sorted_counts(&serial), "{at}");
+                    assert_eq!(rng, serial_rng, "{at}: a different number of draws");
+                }
+                let mut rng = StdRng::seed_from_u64(case as u64);
+                let public = sim.noisy_counts(circuit, noise, shots, &mut rng);
+                assert_eq!(sorted_counts(&public), sorted_counts(&serial), "case {case}");
+            }
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The workspace's one parallel executor: a [`team`] of threads that lives
 //! as long as one call and returns its results in part order, so the member
 //! count never shows in what it computes; its [`PhaseBarrier`] for members
-//! in lockstep; [`map_indexed`] for a shared work list.
+//! in lockstep; [`map_indexed`] for a shared work list, and
+//! [`map_indexed_with`] for one whose members keep scratch between claims.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -59,6 +60,22 @@ pub fn map_indexed<T: Send>(
     items: usize,
     work: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
+    map_indexed_with(workers, items, || (), |_, index| work(index))
+}
+
+/// [`map_indexed`] with per-member scratch: `init()` runs on the caller once
+/// per member before the team starts (so the buffers a member reuses come
+/// from the caller's allocator arena), and each member passes its own value
+/// to every `work(&mut scratch, index)` it runs. A member claims indices in
+/// increasing order, so its scratch may carry state from one claim to the
+/// next.
+#[inline]
+pub fn map_indexed_with<S: Send, T: Send>(
+    workers: usize,
+    items: usize,
+    init: impl FnMut() -> S,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
     if items == 0 {
         return Vec::new(); // every warm estimate-cache batch: no team to set up
     }
@@ -66,8 +83,11 @@ pub fn map_indexed<T: Send>(
     // shared before the team started and results come back through `team`.
     let next = AtomicUsize::new(0);
     let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&index| index < items);
-    let claimed = team(vec![(); workers.clamp(1, items)], |(), _| {
-        std::iter::from_fn(claim).map(|index| (index, work(index))).collect::<Vec<_>>()
+    let scratch = std::iter::repeat_with(init).take(workers.clamp(1, items)).collect();
+    let claimed = team(scratch, |mut scratch, _| {
+        std::iter::from_fn(claim)
+            .map(|index| (index, work(&mut scratch, index)))
+            .collect::<Vec<_>>()
     });
     let mut done: Vec<(usize, T)> = claimed.into_iter().flatten().collect();
     done.sort_unstable_by_key(|&(index, _)| index);
@@ -287,6 +307,31 @@ mod tests {
             }
         });
         assert!(panic.is_none(), "a worker count changed the map (see the panic above)");
+    }
+
+    /// Scratch is built on the caller, one per member, and a member sees its
+    /// claims in increasing order; the results are the serial map.
+    #[test]
+    fn map_indexed_with_builds_scratch_on_the_caller_and_claims_in_order() {
+        let caller = std::thread::current().id();
+        for items in [0usize, 1, 7, 100] {
+            for workers in [1usize, 2, 5] {
+                let mut built = 0;
+                let init = || {
+                    assert_eq!(std::thread::current().id(), caller);
+                    built += 1;
+                    None
+                };
+                let work = |last: &mut Option<usize>, i| {
+                    assert!(last.is_none_or(|last| last < i), "claim {i} after {last:?}");
+                    *last = Some(i);
+                    i * i
+                };
+                let squares = map_indexed_with(workers, items, init, work);
+                assert_eq!(squares, (0..items).map(|i| i * i).collect::<Vec<_>>());
+                assert_eq!(built, workers.min(items), "{workers} workers, {items} items");
+            }
+        }
     }
 
     /// One member panics mid-phase — the caller's part or a helper's — and
