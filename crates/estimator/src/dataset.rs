@@ -61,9 +61,7 @@ pub fn generate_dataset(fleet: &Fleet, config: &DatasetConfig, seed: u64) -> Vec
     let per_stream = config.num_records / streams;
     let remainder = config.num_records % streams;
     par::map_indexed(par::host_cores(), streams, |t| {
-        let mut rng = StdRng::seed_from_u64(
-            seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1)),
-        );
+        let mut rng = StdRng::seed_from_u64(stream_seed(seed, t));
         let (transpiler, stacks) = (Transpiler::default(), candidate_stacks());
         let count = per_stream + usize::from(t < remainder);
         (0..count)
@@ -90,6 +88,17 @@ pub fn generate_dataset(fleet: &Fleet, config: &DatasetConfig, seed: u64) -> Vec
     .concat()
 }
 
+/// The seed of stream `t`: SplitMix64's output finalizer over `seed` moved
+/// `t + 1` increments on. `seed_from_u64` expands a seed by walking the
+/// same increment, so seeds one increment apart (the unmixed sum) would
+/// give neighbouring streams three of their four state words in common.
+fn stream_seed(seed: u64, t: usize) -> u64 {
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Transpile + "execute" one job and produce its record. The ground truth uses
 /// the analytic ESP fidelity model of the backend plus the mitigation stack's
 /// uplift, with small multiplicative shot-noise jitter.
@@ -103,7 +112,7 @@ pub fn execute_and_record<R: Rng + ?Sized>(
     let noise = qpu.noise_model();
     let transpiled = transpiler.transpile_for_qpu(circuit, qpu);
     let mitigation_cost = stack.cost(&transpiled.circuit, &noise);
-    let features = JobFeatures::new(&transpiled.metrics, &qpu.calibration, &mitigation_cost);
+    let features = JobFeatures::new(&transpiled.metrics(), &qpu.calibration, &mitigation_cost);
 
     let base_fidelity = noise.estimated_success_probability(&transpiled.circuit);
     let jitter_f = 1.0 + rng.gen_range(-0.02..0.02);

@@ -127,8 +127,8 @@ pub fn generate_candidate_plans(
         }
         let noise = template.noise_model();
         let transpiled = transpiler.transpile_for_template(circuit, template);
-        // The transpiled circuit's ESP is the same under every stack.
-        let mut base_esp = None;
+        // The transpiled circuit's ESP and metrics are the same under every stack.
+        let (mut base_esp, mut metrics) = (None, None);
         for stack in candidate_stacks() {
             let mitigation = stack.cost(&transpiled.circuit, &noise);
             let (fidelity, quantum_time_s, classical_cpu_s) = match backend {
@@ -140,8 +140,8 @@ pub fn generate_candidate_plans(
                     (e.fidelity, e.quantum_time_s, mitigation.classical_time_cpu_s)
                 }
                 EstimationBackend::Trained(est) => {
-                    let features =
-                        JobFeatures::new(&transpiled.metrics, &template.calibration, &mitigation);
+                    let metrics = metrics.get_or_insert_with(|| transpiled.metrics());
+                    let features = JobFeatures::new(metrics, &template.calibration, &mitigation);
                     let e = est.estimate(&features);
                     (e.fidelity, e.quantum_time_s, e.classical_time_s)
                 }

@@ -70,7 +70,9 @@ pub fn translate(circuit: &Circuit, basis: BasisSet) -> Circuit {
     out
 }
 
-fn translate_instruction(out: &mut Circuit, instr: &Instruction, basis: BasisSet) {
+/// Append `instr`'s lowering into `basis` to `out`; a native gate is
+/// appended unchanged.
+pub(crate) fn translate_instruction(out: &mut Circuit, instr: &Instruction, basis: BasisSet) {
     let gate = instr.gate;
     if basis.is_native(gate) {
         out.push(*instr);
@@ -114,9 +116,8 @@ fn as_rz(gate: Gate) -> Option<f64> {
 
 fn push_rz(out: &mut Circuit, theta: f64, q: u32) {
     // Skip numerically irrelevant rotations to keep translated circuits tight.
-    if theta.rem_euclid(2.0 * PI).abs() > 1e-12
-        && (theta.rem_euclid(2.0 * PI) - 2.0 * PI).abs() > 1e-12
-    {
+    let wrapped = theta.rem_euclid(2.0 * PI);
+    if wrapped.abs() > 1e-12 && (wrapped - 2.0 * PI).abs() > 1e-12 {
         out.rz(theta, q);
     }
 }

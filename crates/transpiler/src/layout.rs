@@ -24,14 +24,15 @@ impl Layout {
         Layout { mapping }
     }
 
+    /// The router's running map, injective by construction (it only ever
+    /// exchanges two entries), so the check [`Layout::new`] makes is skipped.
+    pub(crate) fn from_router(mapping: Vec<u32>) -> Self {
+        Layout { mapping }
+    }
+
     /// Identity layout over `n` logical qubits.
     pub fn trivial(n: u32) -> Self {
         Layout { mapping: (0..n).collect() }
-    }
-
-    /// Physical qubit assigned to `logical`.
-    pub fn physical(&self, logical: u32) -> u32 {
-        self.mapping[logical as usize]
     }
 
     /// The logical→physical mapping as a slice.
@@ -47,19 +48,6 @@ impl Layout {
     /// `true` if the layout maps no qubits.
     pub fn is_empty(&self) -> bool {
         self.mapping.is_empty()
-    }
-
-    /// Swap the physical assignments of two *physical* qubits (used when the
-    /// router inserts a SWAP gate). Logical qubits not currently mapped to
-    /// either physical qubit are unaffected.
-    pub fn swap_physical(&mut self, phys_a: u32, phys_b: u32) {
-        for p in &mut self.mapping {
-            if *p == phys_a {
-                *p = phys_b;
-            } else if *p == phys_b {
-                *p = phys_a;
-            }
-        }
     }
 }
 
@@ -183,7 +171,6 @@ mod tests {
     fn trivial_layout_is_identity() {
         let l = Layout::trivial(5);
         assert_eq!(l.mapping(), &[0, 1, 2, 3, 4]);
-        assert_eq!(l.physical(3), 3);
     }
 
     #[test]
@@ -218,15 +205,6 @@ mod tests {
                 .any(|(j, &other)| j != i && coupling.are_coupled(q, other));
             assert!(connected, "qubit {q} is isolated in the layout");
         }
-    }
-
-    #[test]
-    fn swap_physical_updates_mapping() {
-        let mut l = Layout::new(vec![3, 7, 9]);
-        l.swap_physical(7, 12);
-        assert_eq!(l.mapping(), &[3, 12, 9]);
-        l.swap_physical(3, 9);
-        assert_eq!(l.mapping(), &[9, 12, 3]);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The schedule assigns a start time (in nanoseconds) to every instruction
 //! using the device's calibrated gate durations. The per-qubit idle windows it
-//! exposes are consumed by the dynamical-decoupling mitigation pass, and the
-//! total duration feeds the execution-time estimation of §6.
+//! exposes are consumed by the dynamical-decoupling mitigation pass. The
+//! transpiler keeps only the makespan, which
+//! [`NoiseModel::circuit_duration_ns`] computes with the same fold.
 
 use qonductor_backend::NoiseModel;
 use qonductor_circuit::{Circuit, Gate, NO_OPERAND};
