@@ -6,9 +6,16 @@
 //! whichever fires first) gates every invocation of the NSGA-II + MCDM
 //! scheduler; each triggered invocation schedules the whole pending pool as
 //! one batch and enqueues the chosen placements onto the [`Fleet`]'s per-QPU
-//! queues. Baseline policies (FCFS / least-busy) bypass the trigger with
-//! [`JobManager::dispatch_direct`] but still share the same submission pool,
-//! id space, and enqueue path.
+//! queues. Baseline policies (FCFS / least-busy) bypass the trigger with a
+//! direct dispatch but still share the same submission pool, id space, and
+//! enqueue path.
+//!
+//! The engine decides and applies; it never journals. `decide_batch` reads
+//! the pool and the fleet and writes nothing; `apply_batch` and
+//! `apply_direct` make the state change of a journaled
+//! [`crate::replication::ControlPlaneEvent`] and return the fleet enqueues it
+//! implies, which the live control plane pushes onto the queues and replay
+//! drops.
 
 use qonductor_backend::{CompletedJob, Fleet};
 use qonductor_scheduler::{
@@ -24,9 +31,8 @@ pub type JobId = u64;
 /// Identifier of a submitting tenant (see [`crate::submission`]).
 pub type TenantId = u32;
 
-/// The tenant that jobs submitted outside the submission service belong to
-/// (single-caller paths: direct [`JobManager::submit`], the orchestrator's
-/// default routing, the single-tenant cloud simulation).
+/// The tenant that single-caller paths submit as: the orchestrator's default
+/// routing and the single-tenant cloud simulation.
 pub const DEFAULT_TENANT: TenantId = 0;
 
 /// Execution-time estimate assigned to QPUs that cannot run a job (used in
@@ -155,6 +161,19 @@ impl BatchRecord {
     }
 }
 
+/// One fleet enqueue implied by an applied event: `(job id, QPU index,
+/// duration)`. The live plane pushes it onto the QPU's queue; replay, which
+/// has no fleet, drops it.
+pub(crate) type Enqueue = (JobId, usize, f64);
+
+/// Push `enqueues` onto the fleet's per-QPU queues, in order (per-QPU FIFO
+/// order is what every simulated completion time depends on).
+pub(crate) fn enqueue_all(fleet: &mut Fleet, enqueues: &[Enqueue]) {
+    for &(job_id, qpu_index, duration_s) in enqueues {
+        fleet.members_mut()[qpu_index].queue.enqueue(job_id, duration_s);
+    }
+}
+
 /// A completed quantum execution drained from a fleet queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedExecution {
@@ -188,7 +207,7 @@ impl Default for JobManager {
 
 impl JobManager {
     /// A manager gated by the given trigger (calibration-naive dispatch).
-    pub fn new(trigger: ScheduleTrigger) -> Self {
+    pub(crate) fn new(trigger: ScheduleTrigger) -> Self {
         JobManager {
             trigger,
             policy: CalibrationPolicy::default(),
@@ -201,7 +220,7 @@ impl JobManager {
 
     /// The same manager with the given calibration policy (construction-time
     /// configuration, like the trigger).
-    pub fn with_calibration_policy(mut self, policy: CalibrationPolicy) -> Self {
+    pub(crate) fn with_calibration_policy(mut self, policy: CalibrationPolicy) -> Self {
         self.policy = policy;
         self
     }
@@ -237,26 +256,16 @@ impl JobManager {
         self.sched_ns.get()
     }
 
-    /// Submit a job into the pending pool, assigning the next monotonic id.
-    /// The job is accounted to the [`DEFAULT_TENANT`].
-    pub fn submit(&mut self, spec: JobSpec, now_s: f64) -> JobId {
-        self.submit_for_tenant(spec, now_s, DEFAULT_TENANT)
-    }
-
-    /// Submit a job on behalf of a tenant (the admission path of the
-    /// submission service). Ids stay monotonic across all tenants. The first
-    /// pooled submission arms the trigger's interval timer, so a manager
-    /// created long after the simulated epoch measures the interval from when
-    /// work first appeared, not from time zero.
-    pub fn submit_for_tenant(&mut self, spec: JobSpec, now_s: f64, tenant: TenantId) -> JobId {
-        self.submit_for_tenant_with_deadline(spec, now_s, tenant, f64::INFINITY)
-    }
-
-    /// [`Self::submit_for_tenant`] with an absolute SLO deadline: when the
-    /// job's slack against `deadline_s` falls below the trigger's
+    /// Pool a job on behalf of a tenant (the admission path of the
+    /// submission service), assigning the next monotonic id. Ids stay
+    /// monotonic across all tenants. The first pooled submission arms the
+    /// trigger's interval timer, so a manager created long after the
+    /// simulated epoch measures the interval from when work first appeared,
+    /// not from time zero. When the job's slack against the absolute SLO
+    /// deadline `deadline_s` falls below the trigger's
     /// [`ScheduleTrigger::slo_margin_s`], the trigger fires early rather than
     /// waiting out the interval, and a boundary-parked job escapes its hold.
-    pub fn submit_for_tenant_with_deadline(
+    pub(crate) fn submit_for_tenant_with_deadline(
         &mut self,
         spec: JobSpec,
         now_s: f64,
@@ -320,12 +329,16 @@ impl JobManager {
     /// Whether the trigger would fire now, and why. Only jobs already
     /// schedulable by `now_s` count toward the queue-size limit; any
     /// schedulable job whose deadline slack is below the margin fires the
-    /// SLO lane. (Takes `&mut` because an unarmed trigger arms itself on its
-    /// first non-empty check.)
-    pub fn check_trigger(&mut self, now_s: f64) -> Option<TriggerReason> {
-        let queue_len = self.pending_available_by(now_s);
-        let urgent = self.any_urgent_by(now_s);
-        self.trigger.check_with_urgency(queue_len, now_s, urgent)
+    /// SLO lane. The check runs on a copy of the trigger: an unarmed trigger
+    /// arms itself on its first non-empty check, but a pooled job has always
+    /// armed it already, so the copy's arming is never one the engine lacks.
+    pub fn check_trigger(&self, now_s: f64) -> Option<TriggerReason> {
+        let mut trigger = self.trigger;
+        trigger.check_with_urgency(
+            self.pending_available_by(now_s),
+            now_s,
+            self.any_urgent_by(now_s),
+        )
     }
 
     /// Earliest simulated time at which the trigger can fire, or `None` with
@@ -361,12 +374,13 @@ impl JobManager {
         Some(fire)
     }
 
-    /// Run one trigger-gated scheduling cycle: if the trigger fires, schedule
-    /// every job schedulable by `now_s` as one batch, enqueue the chosen
-    /// placements onto the fleet queues, and return the batch record. Jobs
-    /// the scheduler rejects are dropped from the pool (reported in the
-    /// record); jobs it leaves unplaced — and jobs with later submission
-    /// times — stay pending for the next cycle.
+    /// Decide one trigger-gated scheduling cycle, writing nothing: if the
+    /// trigger fires, schedule every job schedulable by `now_s` as one batch
+    /// and return the batch record (the plane journals it as a
+    /// `BatchDispatched` event, and [`Self::apply_batch`] makes the change).
+    /// Jobs the scheduler rejects leave the pool on apply; jobs it leaves
+    /// unplaced — and jobs with later submission times — stay pending for
+    /// the next cycle.
     ///
     /// Under [`CalibrationPolicy::SplitAtBoundary`] the chosen plan's
     /// per-QPU timeline is partitioned at each device's next recalibration
@@ -376,14 +390,13 @@ impl JobManager {
     /// boundary — reported in [`BatchRecord::deferred`] — so they can be
     /// re-estimated against the post-boundary calibration snapshot and
     /// re-planned by a later cycle.
-    pub fn try_dispatch(
-        &mut self,
+    pub(crate) fn decide_batch(
+        &self,
         now_s: f64,
         scheduler: &HybridScheduler,
-        fleet: &mut Fleet,
+        fleet: &Fleet,
     ) -> Option<BatchRecord> {
         let reason = self.check_trigger(now_s)?;
-        self.trigger.mark_invoked(now_s);
 
         let BatchSnapshot { qpus, job_ids, tenant_jobs, requests, horizon_s, cost_per_shot } =
             self.batch_snapshot(now_s, fleet);
@@ -416,31 +429,8 @@ impl JobManager {
                 )
             }
         };
-        let deferred_ids: HashMap<JobId, f64> = deferred.iter().copied().collect();
-
-        // One pass over the pool: enqueue placed jobs, park deferred ones
-        // behind their boundary, drop rejected ones, retain the rest
-        // (unplaced or not yet schedulable).
-        let placement_of: HashMap<JobId, usize> =
-            outcome.placements.iter().map(|p| (p.job_id, p.qpu_index)).collect();
-        let rejected: HashSet<JobId> = outcome.rejected_jobs.iter().copied().collect();
-        self.pending.retain_mut(|job| {
-            if let Some(&boundary_s) = deferred_ids.get(&job.job_id) {
-                job.park(boundary_s);
-                true
-            } else if let Some(&qpu_index) = placement_of.get(&job.job_id) {
-                let duration = sanitized_exec_s(&job.spec, qpu_index);
-                fleet.members_mut()[qpu_index].queue.enqueue(job.job_id, duration);
-                false
-            } else {
-                !rejected.contains(&job.job_id)
-            }
-        });
-
-        let batch_index = self.batches_dispatched;
-        self.batches_dispatched += 1;
         Some(BatchRecord {
-            batch_index,
+            batch_index: self.batches_dispatched,
             t_s: now_s,
             reason,
             job_ids,
@@ -530,54 +520,6 @@ impl JobManager {
         BatchSnapshot { qpus, job_ids, tenant_jobs, requests, horizon_s, cost_per_shot }
     }
 
-    /// Place one pending job directly onto a QPU queue, bypassing the trigger
-    /// and the optimizer — the enqueue path of the FCFS / least-busy baseline
-    /// policies. Returns `false` (leaving the job pending) if the job is not
-    /// in the pool or the target QPU has no finite execution estimate (i.e.
-    /// cannot run the job).
-    pub fn dispatch_direct(&mut self, job_id: JobId, qpu_index: usize, fleet: &mut Fleet) -> bool {
-        let Some(pos) = self.pending.iter().position(|j| j.job_id == job_id) else {
-            return false;
-        };
-        if qpu_index >= fleet.members().len()
-            || !self.pending[pos]
-                .spec
-                .exec_time_per_qpu
-                .get(qpu_index)
-                .copied()
-                .is_some_and(f64::is_finite)
-        {
-            return false;
-        }
-        let job = self.pending.remove(pos);
-        let duration = sanitized_exec_s(&job.spec, qpu_index);
-        fleet.members_mut()[qpu_index].queue.enqueue(job_id, duration);
-        true
-    }
-
-    /// Drain completion records from every fleet queue.
-    pub fn drain_completions(&mut self, fleet: &mut Fleet) -> Vec<CompletedExecution> {
-        let mut completions = Vec::new();
-        for (qpu_index, member) in fleet.members_mut().iter_mut().enumerate() {
-            for record in member.queue.take_completed() {
-                completions.push(CompletedExecution { job_id: record.job_id, qpu_index, record });
-            }
-        }
-        completions
-    }
-
-    /// Simulated time of the earliest next job completion across the fleet,
-    /// or `None` when no queue has work. Event-driven callers advance time
-    /// here instead of draining every queue, so co-batched jobs complete
-    /// (and unblock their submitters) as soon as they actually finish.
-    pub fn next_event_s(&self, fleet: &Fleet) -> Option<f64> {
-        fleet
-            .members()
-            .iter()
-            .filter_map(|m| m.queue.next_completion_s())
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
     /// Jobs in the pending pool whose estimate tables were computed against
     /// an older fleet calibration epoch than `fleet_epoch` — the set a
     /// calibration-aware caller refreshes after a drift cycle.
@@ -591,71 +533,55 @@ impl JobManager {
 
     /// Replace a pending job's estimate table with one recomputed against a
     /// fresh calibration snapshot (the spec carries its own epoch stamp).
-    /// Returns `false` if the job is not pending.
-    pub fn reestimate(&mut self, job_id: JobId, spec: JobSpec) -> bool {
-        match self.pending.iter_mut().find(|j| j.job_id == job_id) {
-            Some(job) => {
-                job.spec = spec;
-                true
-            }
-            None => false,
+    /// No-op if the job is not pending.
+    pub(crate) fn reestimate(&mut self, job_id: JobId, spec: JobSpec) {
+        if let Some(job) = self.pending.iter_mut().find(|j| j.job_id == job_id) {
+            job.spec = spec;
         }
     }
 
-    /// `true` if [`JobManager::dispatch_direct`] would succeed for this
-    /// `(job, QPU)` pair — the job is pending and the QPU has a finite
-    /// execution estimate. Lets a write-ahead journal validate before
-    /// appending the event.
-    pub fn can_dispatch_direct(&self, job_id: JobId, qpu_index: usize) -> bool {
-        self.pending.iter().find(|j| j.job_id == job_id).is_some_and(|j| {
-            j.spec.exec_time_per_qpu.get(qpu_index).copied().is_some_and(f64::is_finite)
-        })
-    }
-
-    /// Replay one journaled batch dispatch against this manager's state
-    /// without re-running the scheduler or touching a fleet: reset the
-    /// interval timer, drop the placed and rejected jobs from the pool, park
-    /// the boundary-deferred jobs, and count the batch. Mirrors exactly the
-    /// state delta of [`JobManager::try_dispatch`], so snapshot + log replay
-    /// reproduces a live manager byte for byte.
+    /// Apply one batch dispatch (decided by [`Self::decide_batch`], live or
+    /// replayed from the journal) in one pass over the pool: reset the
+    /// interval timer, park the boundary-deferred jobs behind their boundary,
+    /// take the placed jobs out, drop the rejected ones, keep the rest
+    /// (unplaced or not yet schedulable), and count the batch. Returns the
+    /// placed jobs' fleet enqueues in pool order — the order the per-QPU
+    /// queues must receive them in.
     pub(crate) fn apply_batch(
         &mut self,
         t_s: f64,
         placed: &[(JobId, usize)],
         rejected: &[JobId],
         deferred: &[(JobId, f64)],
-    ) {
+    ) -> Vec<Enqueue> {
         self.trigger.mark_invoked(t_s);
         let deferred: HashMap<JobId, f64> = deferred.iter().copied().collect();
-        let placed: HashSet<JobId> = placed.iter().map(|(job_id, _)| *job_id).collect();
+        let placed: HashMap<JobId, usize> = placed.iter().copied().collect();
         let rejected: HashSet<JobId> = rejected.iter().copied().collect();
+        let mut enqueues = Vec::with_capacity(placed.len());
         self.pending.retain_mut(|job| {
             if let Some(&boundary_s) = deferred.get(&job.job_id) {
                 job.park(boundary_s);
                 true
+            } else if let Some(&qpu_index) = placed.get(&job.job_id) {
+                enqueues.push((job.job_id, qpu_index, sanitized_exec_s(&job.spec, qpu_index)));
+                false
             } else {
-                !placed.contains(&job.job_id) && !rejected.contains(&job.job_id)
+                !rejected.contains(&job.job_id)
             }
         });
         self.batches_dispatched += 1;
+        enqueues
     }
 
-    /// Replay one journaled direct dispatch: remove the job from the pool
-    /// (the state delta of [`JobManager::dispatch_direct`]).
-    pub(crate) fn apply_direct(&mut self, job_id: JobId) {
-        self.pending.retain(|job| job.job_id != job_id);
-    }
-
-    /// Canonical byte-for-byte text encoding of the manager's full state
-    /// (trigger configuration and timer, calibration policy, pending pool in
-    /// submission order with deferral/hold state, id counters). Floats are
-    /// encoded as IEEE-754 bit patterns, so `decode_state(encode_state())`
-    /// reproduces the state exactly and equal encodings imply bit-identical
-    /// states.
-    pub fn encode_state(&self) -> String {
-        let mut out = String::with_capacity(self.encoded_len_hint());
-        self.encode_state_into(&mut out);
-        out
+    /// Apply one direct dispatch (the FCFS / least-busy baseline path, which
+    /// bypasses the trigger and the optimizer): take the job out of the pool
+    /// and return its enqueue onto `qpu_index`, or `None` if it is not
+    /// pending.
+    pub(crate) fn apply_direct(&mut self, job_id: JobId, qpu_index: usize) -> Option<Enqueue> {
+        let at = self.pending.iter().position(|job| job.job_id == job_id)?;
+        let job = self.pending.remove(at);
+        Some((job_id, qpu_index, sanitized_exec_s(&job.spec, qpu_index)))
     }
 
     /// Roughly the bytes [`Self::encode_state_into`] appends, so the
@@ -666,7 +592,12 @@ impl JobManager {
         192 + self.pending.iter().map(|job| 128 + spec_len_bound(&job.spec)).sum::<usize>()
     }
 
-    /// [`Self::encode_state`], appended to `out`.
+    /// Append the canonical byte-for-byte text encoding of the manager's
+    /// full state to `out` (trigger configuration and timer, calibration
+    /// policy, pending pool in submission order with deferral/hold state, id
+    /// counters). Floats are encoded as IEEE-754 bit patterns, so
+    /// [`Self::decode_state`] reproduces the state exactly and equal
+    /// encodings imply bit-identical states.
     pub(crate) fn encode_state_into(&self, out: &mut String) {
         use crate::replication::wire::{push_f64, push_opt_f64, push_spec, push_u64};
         out.push_str("jm 3\ntrigger ");
@@ -704,8 +635,8 @@ impl JobManager {
         }
     }
 
-    /// Decode a state produced by [`JobManager::encode_state`].
-    pub fn decode_state(encoded: &str) -> Option<JobManager> {
+    /// Decode a state produced by [`Self::encode_state_into`].
+    pub(crate) fn decode_state(encoded: &str) -> Option<JobManager> {
         use crate::replication::wire::{dec_f64, dec_opt_f64, dec_spec};
         let mut lines = encoded.lines();
         if lines.next()? != "jm 3" {
@@ -769,10 +700,52 @@ impl JobManager {
     }
 }
 
-/// The `format!` encoder [`JobManager::encode_state`] replaced, kept as the
-/// byte oracle the streaming encoder is tested against.
+/// Test drivers for a bare engine: pooling without the submission service,
+/// and a dispatch cycle that composes decide and apply without a journal —
+/// what the replicated control plane does, minus the log. The `format!`
+/// encoder the streaming one replaced is kept here too, as its byte oracle.
 #[cfg(test)]
 impl JobManager {
+    pub(crate) fn submit(&mut self, spec: JobSpec, now_s: f64) -> JobId {
+        self.submit_for_tenant(spec, now_s, DEFAULT_TENANT)
+    }
+
+    pub(crate) fn submit_for_tenant(
+        &mut self,
+        spec: JobSpec,
+        now_s: f64,
+        tenant: TenantId,
+    ) -> JobId {
+        self.submit_for_tenant_with_deadline(spec, now_s, tenant, f64::INFINITY)
+    }
+
+    pub(crate) fn try_dispatch(
+        &mut self,
+        now_s: f64,
+        scheduler: &HybridScheduler,
+        fleet: &mut Fleet,
+    ) -> Option<BatchRecord> {
+        let record = self.decide_batch(now_s, scheduler, fleet)?;
+        let placed: Vec<(JobId, usize)> =
+            record.outcome.placements.iter().map(|p| (p.job_id, p.qpu_index)).collect();
+        let enqueues =
+            self.apply_batch(now_s, &placed, &record.outcome.rejected_jobs, &record.deferred);
+        enqueue_all(fleet, &enqueues);
+        Some(record)
+    }
+
+    pub(crate) fn encode_state(&self) -> String {
+        let mut out = String::with_capacity(self.encoded_len_hint());
+        self.encode_state_into(&mut out);
+        out
+    }
+
+    /// A direct dispatch the caller knows is valid: apply, then enqueue.
+    pub(crate) fn dispatch_direct(&mut self, job_id: JobId, qpu_index: usize, fleet: &mut Fleet) {
+        let enqueue = self.apply_direct(job_id, qpu_index).expect("the job is pending");
+        enqueue_all(fleet, &[enqueue]);
+    }
+
     pub(crate) fn encode_state_oracle(&self) -> String {
         use crate::replication::wire::oracle::{enc_f64, enc_opt_f64, enc_spec};
         let mut out = String::from("jm 3\n");
@@ -882,6 +855,7 @@ fn sanitized_exec_s(spec: &JobSpec, qpu_index: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::ReplicatedControlPlane;
     use qonductor_scheduler::{Nsga2Config, SchedulerConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1124,22 +1098,50 @@ mod tests {
         assert_eq!(jm.next_trigger_s(), Some(40.0));
     }
 
+    /// A registered tenant's job admitted into `plane`'s pool; returns its
+    /// job id. Direct dispatch is decided by the plane (it alone sees the
+    /// fleet size), so the direct-dispatch tests drive one.
+    fn pooled(plane: &mut ReplicatedControlPlane, spec: JobSpec) -> JobId {
+        let tenant = plane.register_tenant(1).unwrap();
+        plane.submit(tenant, spec, 0.0).unwrap();
+        plane.admit(0.0).unwrap()[0].1
+    }
+
     #[test]
     fn direct_dispatch_refuses_infeasible_qpus() {
         let mut fleet = small_fleet(6);
-        let mut jm = JobManager::new(ScheduleTrigger::new(100, 1e12));
+        let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(100, 1e12), 1, 6);
         // 20-qubit job: only the 27-qubit members have finite estimates.
-        let id = jm.submit(spec(&fleet, 20, 5.0), 0.0);
+        let id = pooled(&mut plane, spec(&fleet, 20, 5.0));
+        let journaled = plane.log().len();
         let lagos = fleet.members().iter().position(|m| m.qpu.num_qubits() == 7).unwrap();
-        assert!(!jm.can_dispatch_direct(id, lagos));
-        assert!(!jm.can_dispatch_direct(id, 999), "out-of-range QPU refuses, never panics");
-        assert!(jm.can_dispatch_direct(id, 0));
-        assert!(!jm.dispatch_direct(id, lagos, &mut fleet), "7-qubit QPU cannot run it");
-        assert_eq!(jm.pending_len(), 1, "refused job stays pending");
-        assert!(jm.next_event_s(&fleet).is_none(), "nothing was enqueued");
-        assert!(jm.dispatch_direct(id, 0, &mut fleet));
-        let event = jm.next_event_s(&fleet).expect("enqueued job is the next event");
+        assert_eq!(plane.dispatch_direct(id, lagos, &mut fleet), Ok(false), "7-qubit QPU");
+        assert_eq!(plane.dispatch_direct(id, 999, &mut fleet), Ok(false), "out of range");
+        assert_eq!(plane.log().len(), journaled, "a refusal journals nothing");
+        assert_eq!(plane.jobmanager().pending_len(), 1, "refused job stays pending");
+        assert!(plane.next_event_s(&fleet).is_none(), "nothing was enqueued");
+        assert_eq!(plane.dispatch_direct(id, 0, &mut fleet), Ok(true));
+        let event = plane.next_event_s(&fleet).expect("enqueued job is the next event");
         assert!(event.is_finite() && (event - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn direct_dispatch_bypasses_the_trigger() {
+        let mut fleet = small_fleet(5);
+        let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(100, 1e12), 1, 5);
+        let id = pooled(&mut plane, spec(&fleet, 5, 7.0));
+        assert_eq!(plane.dispatch_direct(id, 0, &mut fleet), Ok(true));
+        assert_eq!(plane.dispatch_direct(id, 0, &mut fleet), Ok(false), "already dispatched");
+        assert_eq!(fleet.members()[0].queue.pending_len(), 1);
+        // Completions drain with exact queue times.
+        let mut rng = StdRng::seed_from_u64(9);
+        let horizon = plane.next_event_s(&fleet).expect("job is enqueued");
+        fleet.advance_to(horizon, &mut rng);
+        let done = plane.drain_completions(&mut fleet);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].job_id, id);
+        assert_eq!(done[0].qpu_index, 0);
+        assert!((done[0].record.finish_time_s - 7.0).abs() < 1e-9);
     }
 
     /// State encoding roundtrips bit for bit, including an armed trigger,
@@ -1296,28 +1298,10 @@ mod tests {
         assert!(jm.stale_pending(0).is_empty(), "epoch 0 estimates are current at epoch 0");
         assert_eq!(jm.stale_pending(1), vec![id]);
         let fresh = JobSpec { estimate_epoch: 1, ..spec(&fleet, 5, 12.0) };
-        assert!(jm.reestimate(id, fresh.clone()));
+        jm.reestimate(id, fresh.clone());
         assert!(jm.stale_pending(1).is_empty());
         assert_eq!(jm.pending()[0].spec, fresh);
-        assert!(!jm.reestimate(999, fresh), "unknown jobs are refused");
-    }
-
-    #[test]
-    fn direct_dispatch_bypasses_the_trigger() {
-        let mut fleet = small_fleet(5);
-        let mut jm = JobManager::new(ScheduleTrigger::new(100, 1e12));
-        let id = jm.submit(spec(&fleet, 5, 7.0), 0.0);
-        assert!(jm.dispatch_direct(id, 0, &mut fleet));
-        assert!(!jm.dispatch_direct(id, 0, &mut fleet), "already dispatched");
-        assert_eq!(fleet.members()[0].queue.pending_len(), 1);
-        // Completions drain with exact queue times.
-        let mut rng = StdRng::seed_from_u64(9);
-        let horizon = jm.next_event_s(&fleet).expect("job is enqueued");
-        fleet.advance_to(horizon, &mut rng);
-        let done = jm.drain_completions(&mut fleet);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].job_id, id);
-        assert_eq!(done[0].qpu_index, 0);
-        assert!((done[0].record.finish_time_s - 7.0).abs() < 1e-9);
+        jm.reestimate(999, spec(&fleet, 5, 1.0));
+        assert_eq!(jm.pending()[0].spec, fresh, "unknown jobs change nothing");
     }
 }

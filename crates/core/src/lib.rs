@@ -6,11 +6,17 @@
 //! workflow manager (hybrid DAGs of classical and quantum steps), the workflow
 //! registry (hybrid workflow images), deployment configuration (Listing 1
 //! analogue), the replicated system monitor, the consensus-backed replication
-//! of the job state (every `JobManager`/`SubmissionService` transition is
-//! journaled through [`replication::ReplicatedControlPlane`], so a
-//! control-plane failover loses no pending jobs), and the orchestrator that
-//! wires the resource estimator, hybrid scheduler, QPU fleet, and classical
-//! nodes into an end-to-end execution engine.
+//! of the job state, and the orchestrator that wires the resource estimator,
+//! hybrid scheduler, QPU fleet, and classical nodes into an end-to-end
+//! execution engine.
+//!
+//! The job state — the batch engine ([`jobmanager::JobManager`]) and the
+//! tenant queues ([`submission::SubmissionService`]) — is read-only outside
+//! this crate. [`replication::ReplicatedControlPlane`] is its only writer: an
+//! operation decides a journal event without writing anything, journals it,
+//! and applies it through the same function a failover replays the journal
+//! with, so a control-plane failover loses no pending jobs and rebuilds the
+//! live state byte for byte.
 
 #![warn(missing_docs)]
 
@@ -38,8 +44,8 @@ pub use federation::{
 };
 pub use fleetlease::{FleetAllocator, LeaseConflict, ProviderSpan, ReleaseError};
 pub use jobmanager::{
-    BatchRecord, CalibrationPolicy, CompletedExecution, JobId, JobManager, JobSpec, PendingJob,
-    TenantId, DEFAULT_TENANT,
+    BatchRecord, CalibrationPolicy, CompletedExecution, JobId, JobSpec, PendingJob, TenantId,
+    DEFAULT_TENANT,
 };
 pub use monitor::{
     BatchObservation, ReestimationObservation, SplitObservation, SystemMonitor, WorkflowStatus,
@@ -53,8 +59,8 @@ pub use replication::{
 };
 pub use sharding::{shard_of_global, GlobalTicket, ShardedControlPlane};
 pub use submission::{
-    JobTicket, RejectReason, SloClass, SubmissionError, SubmissionService, TenantConfig,
-    TenantStats, TicketId, TicketStatus,
+    JobTicket, RejectReason, SloClass, SubmissionError, TenantConfig, TenantStats, TicketId,
+    TicketStatus,
 };
 pub use workflow::{
     mitigated_execution_workflow, ClassicalKind, ClassicalStep, QuantumStep, Step, Workflow,

@@ -1,11 +1,13 @@
 //! Consensus-backed replication of the control-plane job state (§4): every
 //! mutation of the [`JobManager`] pending pool and the [`SubmissionService`]
 //! tenant queues flows through one journaled choke point — the
-//! [`ReplicatedControlPlane`] — which appends a typed [`ControlPlaneEvent`] to
-//! a quorum-replicated log *before* applying it locally. A fresh control-plane
-//! replica rebuilds the exact state (`snapshot + log replay`) after a
-//! failover, so a leader crash loses no pending jobs: every pre-crash
-//! [`JobTicket`] still resolves through [`ReplicatedControlPlane::poll`].
+//! [`ReplicatedControlPlane`] — which decides a typed [`ControlPlaneEvent`]
+//! without writing anything, appends it to a quorum-replicated log, and only
+//! then applies it, through the one function a failover replays the log
+//! with. A fresh control-plane replica therefore rebuilds the exact state
+//! (`snapshot + log replay`), so a leader crash loses no pending jobs: every
+//! pre-crash [`JobTicket`] still resolves through
+//! [`ReplicatedControlPlane::poll`].
 //!
 //! The journal brings its own text codec ([`wire`]). Floats are encoded as
 //! IEEE-754 bit patterns in hex ([`wire::enc_f64`]), which makes snapshot +
@@ -16,7 +18,8 @@
 
 use crate::digest::{fnv128, Fnv128, FNV128_OFFSET};
 use crate::jobmanager::{
-    CalibrationPolicy, CompletedExecution, JobId, JobManager, JobSpec, PendingJob, TenantId,
+    enqueue_all, CalibrationPolicy, CompletedExecution, Enqueue, JobId, JobManager, JobSpec,
+    PendingJob, TenantId,
 };
 use crate::submission::{
     JobTicket, SloClass, SubmissionError, SubmissionService, TenantConfig, TicketStatus,
@@ -107,6 +110,15 @@ pub(crate) mod wire {
                     push(out, item);
                 }
             }
+        }
+    }
+
+    /// Decode [`push_list`] output, reading each item with `item`.
+    pub(crate) fn dec_list<T>(field: &str, item: impl FnMut(&str) -> Option<T>) -> Option<Vec<T>> {
+        if field == "-" {
+            Some(Vec::new())
+        } else {
+            field.split(',').map(item).collect()
         }
     }
 
@@ -438,7 +450,7 @@ impl LogEntry for ControlPlaneEvent {
     }
 
     fn decode(line: &str) -> Option<Self> {
-        use wire::{dec_f64, dec_spec};
+        use wire::{dec_f64, dec_list, dec_spec};
         let mut fields = line.split(' ');
         let event = match fields.next()? {
             "treg" => {
@@ -493,39 +505,15 @@ impl LogEntry for ControlPlaneEvent {
             "admt" => ControlPlaneEvent::AdmissionPass { now_s: dec_f64(fields.next()?)? },
             "disp" => {
                 let t_s = dec_f64(fields.next()?)?;
-                let placed_field = fields.next()?;
-                let placed = if placed_field == "-" {
-                    Vec::new()
-                } else {
-                    placed_field
-                        .split(',')
-                        .map(|pair| {
-                            let (job, qpu) = pair.split_once(':')?;
-                            Some((job.parse().ok()?, qpu.parse().ok()?))
-                        })
-                        .collect::<Option<Vec<_>>>()?
-                };
-                let rejected_field = fields.next()?;
-                let rejected = if rejected_field == "-" {
-                    Vec::new()
-                } else {
-                    rejected_field
-                        .split(',')
-                        .map(|id| id.parse().ok())
-                        .collect::<Option<Vec<_>>>()?
-                };
-                let deferred_field = fields.next()?;
-                let deferred = if deferred_field == "-" {
-                    Vec::new()
-                } else {
-                    deferred_field
-                        .split(',')
-                        .map(|pair| {
-                            let (job, boundary) = pair.split_once(':')?;
-                            Some((job.parse().ok()?, dec_f64(boundary)?))
-                        })
-                        .collect::<Option<Vec<_>>>()?
-                };
+                let placed = dec_list(fields.next()?, |pair| {
+                    let (job, qpu) = pair.split_once(':')?;
+                    Some((job.parse().ok()?, qpu.parse().ok()?))
+                })?;
+                let rejected = dec_list(fields.next()?, |id| id.parse().ok())?;
+                let deferred = dec_list(fields.next()?, |pair| {
+                    let (job, boundary) = pair.split_once(':')?;
+                    Some((job.parse().ok()?, dec_f64(boundary)?))
+                })?;
                 // See the encoder: `l` is the only dispatch token left.
                 if fields.next()? != "l" {
                     return None;
@@ -687,19 +675,241 @@ pub struct DispatchOutcome {
     pub terminal_rejections: Vec<JobTicket>,
 }
 
+/// The journaled control-plane state: the batch engine, the submission
+/// service, and the lease and elastic sets. [`ControlState::apply`] is the
+/// only code that changes it — on the live path and on replay alike — so a
+/// rebuilt state can differ from the live one only if a *decision* differed,
+/// and deciding writes nothing.
+#[derive(Debug, Default)]
+struct ControlState {
+    jobmanager: JobManager,
+    submissions: SubmissionService,
+    /// Fleet QPU indices this shard currently leases.
+    leases: BTreeSet<usize>,
+    /// Fleet QPU indices holding autoscaler-provisioned elastic capacity.
+    elastic: BTreeSet<usize>,
+}
+
+/// What applying one event yields for the live caller; replay drops it.
+#[derive(Debug, Default)]
+struct Applied {
+    /// The id a `TenantRegistered` event assigned.
+    tenant: Option<TenantId>,
+    /// The ticket a `JobSubmitted` event issued.
+    ticket: Option<JobTicket>,
+    /// What an escalation or an admission pass admitted, in admission order.
+    admitted: Vec<(JobTicket, JobId)>,
+    /// Tickets a batch's rejections made terminal.
+    terminal_rejections: Vec<JobTicket>,
+    /// The ticket a `JobCompleted` event resolved, with its completion.
+    completion: Option<(JobTicket, CompletedExecution)>,
+    /// Fleet enqueues, in pending-pool order.
+    enqueues: Vec<Enqueue>,
+}
+
+impl ControlState {
+    fn new(trigger: ScheduleTrigger, policy: CalibrationPolicy) -> Self {
+        ControlState {
+            jobmanager: JobManager::new(trigger).with_calibration_policy(policy),
+            ..ControlState::default()
+        }
+    }
+
+    /// Decide an admission cycle at `now_s`: one `SloEscalated` event per
+    /// due ticket, then an `AdmissionPass` if tickets stay queued after them
+    /// — or nothing when every tenant queue is empty (even an empty pass
+    /// advances the round-robin cursor, so the skip covers the journal and
+    /// the state alike, and idle periods do not grow the replay backlog).
+    /// Every escalated ticket is pre-validated (queued, SLO-classed, within
+    /// its tenant's in-flight budget, counted cumulatively per tenant), so
+    /// each drains exactly one queued ticket and the pass is decidable
+    /// before anything is applied.
+    fn admission_events(&self, now_s: f64) -> Vec<ControlPlaneEvent> {
+        let Some(escalations) = self.escalations_at(now_s) else {
+            return Vec::new();
+        };
+        let run_pass = self.submissions.total_queued() > escalations.len();
+        let mut events: Vec<ControlPlaneEvent> = escalations
+            .into_iter()
+            .map(|ticket| ControlPlaneEvent::SloEscalated { now_s, ticket })
+            .collect();
+        if run_pass {
+            events.push(ControlPlaneEvent::AdmissionPass { now_s });
+        }
+        events
+    }
+
+    /// The SLO escalations an admission cycle at `now_s` applies, or `None`
+    /// when every tenant queue is empty and the cycle is skipped.
+    fn escalations_at(&self, now_s: f64) -> Option<Vec<JobTicket>> {
+        if self.submissions.tenant_count() == 0 || self.submissions.total_queued() == 0 {
+            return None;
+        }
+        let trigger = *self.jobmanager.trigger();
+        let horizon_s = trigger.interval_s + trigger.slo_margin_s;
+        let budget = trigger.queue_limit.saturating_sub(self.jobmanager.pending_len());
+        Some(self.submissions.pending_escalations(now_s, horizon_s, budget))
+    }
+
+    /// Decide a direct dispatch: the job is pending, `qpu_index` is a QPU of
+    /// the fleet, and the job's estimate table has a finite execution time
+    /// for it.
+    fn direct_dispatch(
+        &self,
+        job_id: JobId,
+        qpu_index: usize,
+        fleet: &Fleet,
+    ) -> Option<ControlPlaneEvent> {
+        let job = self.jobmanager.pending().iter().find(|job| job.job_id == job_id)?;
+        let runnable = qpu_index < fleet.members().len()
+            && job.spec.exec_time_per_qpu.get(qpu_index).copied().is_some_and(f64::is_finite);
+        runnable.then_some(ControlPlaneEvent::DirectDispatched { job_id, qpu_index })
+    }
+
+    /// One `JobCompleted` event per drained completion whose ticket this
+    /// control plane tracks.
+    fn completion_events(&self, completions: &[CompletedExecution]) -> Vec<ControlPlaneEvent> {
+        completions
+            .iter()
+            .filter(|completion| self.submissions.tracks_job(completion.job_id))
+            .map(|completion| ControlPlaneEvent::JobCompleted {
+                job_id: completion.job_id,
+                qpu_index: completion.qpu_index,
+                enqueue_s: completion.record.enqueue_time_s,
+                start_s: completion.record.start_time_s,
+                finish_s: completion.record.finish_time_s,
+            })
+            .collect()
+    }
+
+    /// Apply one journaled event — the only state change there is. The live
+    /// plane calls it right after the event commits; failover calls it for
+    /// every event replayed on top of the snapshot, and ignores what it
+    /// returns. An event whose precondition no longer holds (a job that is
+    /// no longer pending, an escalated ticket that is no longer queued)
+    /// changes nothing.
+    fn apply(&mut self, event: &ControlPlaneEvent) -> Applied {
+        let mut applied = Applied::default();
+        match event {
+            ControlPlaneEvent::TenantRegistered { config, slo } => {
+                applied.tenant = Some(match slo {
+                    Some(slo) => self.submissions.register_tenant_with_slo(*config, *slo),
+                    None => self.submissions.register_tenant_with(*config),
+                });
+            }
+            ControlPlaneEvent::SloEscalated { now_s, ticket } => {
+                let admitted =
+                    self.submissions.apply_escalation(*ticket, *now_s, &mut self.jobmanager);
+                applied.admitted.extend(admitted.map(|job_id| (*ticket, job_id)));
+            }
+            ControlPlaneEvent::QpuProvisioned { qpu_index, .. } => {
+                self.elastic.insert(*qpu_index);
+            }
+            ControlPlaneEvent::QpuRetired { qpu_index, .. } => {
+                self.elastic.remove(qpu_index);
+            }
+            ControlPlaneEvent::JobSubmitted { tenant, spec, now_s } => {
+                applied.ticket = self.submissions.submit(*tenant, spec.clone(), *now_s).ok();
+            }
+            ControlPlaneEvent::AdmissionPass { now_s } => {
+                applied.admitted = self.submissions.admit(*now_s, &mut self.jobmanager);
+            }
+            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred } => {
+                applied.enqueues = self.jobmanager.apply_batch(*t_s, placed, rejected, deferred);
+                applied.terminal_rejections = self.submissions.note_rejections(*t_s, rejected);
+            }
+            ControlPlaneEvent::JobReestimated { job_id, spec } => {
+                self.jobmanager.reestimate(*job_id, spec.clone());
+            }
+            ControlPlaneEvent::DirectDispatched { job_id, qpu_index } => {
+                applied.enqueues.extend(self.jobmanager.apply_direct(*job_id, *qpu_index));
+            }
+            ControlPlaneEvent::JobCompleted { job_id, qpu_index, enqueue_s, start_s, finish_s } => {
+                applied.completion = self.submissions.note_completion(CompletedExecution {
+                    job_id: *job_id,
+                    qpu_index: *qpu_index,
+                    record: CompletedJob {
+                        job_id: *job_id,
+                        enqueue_time_s: *enqueue_s,
+                        start_time_s: *start_s,
+                        finish_time_s: *finish_s,
+                    },
+                });
+            }
+            ControlPlaneEvent::LeaseGranted { qpu_index } => {
+                self.leases.insert(*qpu_index);
+            }
+            ControlPlaneEvent::LeaseReleased { qpu_index } => {
+                self.leases.remove(qpu_index);
+            }
+        }
+        applied
+    }
+
+    /// The combined snapshot payload: engine state, blank line, submission
+    /// state, then the lease and elastic sections — in one buffer sized once.
+    fn encode(&self) -> String {
+        let mut state = String::with_capacity(
+            self.jobmanager.encoded_len_hint() + self.submissions.encoded_len_hint() + 64,
+        );
+        self.jobmanager.encode_state_into(&mut state);
+        state.push('\n');
+        self.submissions.encode_state_into(&mut state);
+        // Lease-free / elastic-free planes (every pre-sharding, pre-autoscale
+        // deployment) keep their historical digest format: the optional
+        // sections appear only when non-empty.
+        for (section, held) in [("\nlease ", &self.leases), ("\nelastic ", &self.elastic)] {
+            if !held.is_empty() {
+                state.push_str(section);
+                wire::push_list(&mut state, held, |out, &qpu| wire::push_u64(out, qpu as u64));
+            }
+        }
+        state
+    }
+
+    /// Decode [`Self::encode`] output: split off the (possibly absent) lease
+    /// and elastic sections, then the engine and submission states.
+    fn decode(payload: &str) -> Option<ControlState> {
+        // Optional trailing `\n<name> i,j,…` sections, in encode order:
+        // lease, then elastic.
+        let section = |payload: &'_ str, header: &str| -> Option<(usize, BTreeSet<usize>)> {
+            let Some(at) = payload.find(header) else {
+                return Some((payload.len(), BTreeSet::new()));
+            };
+            let held = payload[at..].strip_prefix(header)?;
+            Some((at, held.split(',').map(str::parse).collect::<Result<_, _>>().ok()?))
+        };
+        let (end, elastic) = section(payload, "\nelastic ")?;
+        let (end, leases) = section(&payload[..end], "\nlease ")?;
+        let payload = &payload[..end];
+        let split = payload.find("\nsvc ")?;
+        let (jm_part, svc_part) = payload.split_at(split);
+        Some(ControlState {
+            jobmanager: JobManager::decode_state(jm_part)?,
+            submissions: SubmissionService::decode_state(svc_part.trim_start_matches('\n'))?,
+            leases,
+            elastic,
+        })
+    }
+}
+
 /// The journaled control plane: a [`JobManager`] + [`SubmissionService`] pair
-/// whose every state transition is appended to a quorum-replicated log before
-/// it is applied, with leadership decided *inside* the store: the leader
-/// lease is a CAS'd key in the same quorum KV that holds the journal
-/// ([`StoreElection`]), so election and data share one fault domain — there
-/// is no window where an election cluster has a leader the data replicas
-/// cannot serve.
+/// (plus this shard's lease and elastic sets) whose every state transition
+/// is appended to a quorum-replicated log before it is applied, with
+/// leadership decided *inside* the store: the leader lease is a CAS'd key in
+/// the same quorum KV that holds the journal ([`StoreElection`]), so election
+/// and data share one fault domain — there is no window where an election
+/// cluster has a leader the data replicas cannot serve.
 ///
-/// Write-ahead discipline: journal first, apply second — so the replicated
-/// log can only ever be *ahead* of the volatile state, never behind, and a
-/// crash between the two replays the tail event idempotently on recovery.
-/// ([`Self::try_dispatch`] is the one post-hoc journal: the scheduler outcome
-/// must be computed to be journaled, so it pre-checks quorum instead.)
+/// Every operation runs in three steps. It *decides* on the current state
+/// and writes nothing: validation, the trigger check, the NSGA-II schedule,
+/// the boundary split and the escalation scan yield
+/// [`ControlPlaneEvent`]s. It *journals* them, in one quorum round. Then it
+/// *applies* them through the function failover replays the journal with,
+/// and acts on what that returns (fleet enqueues, tickets). A journal write
+/// that fails returns an error with the state and the fleet untouched, so
+/// the log can only ever be *ahead* of the volatile state, never behind, and
+/// a crash between journal and apply replays the tail on recovery.
 ///
 /// In a sharded deployment ([`crate::sharding::ShardedControlPlane`]) each
 /// shard is one `ReplicatedControlPlane` that additionally journals the QPU
@@ -710,13 +920,7 @@ pub struct DispatchOutcome {
 pub struct ReplicatedControlPlane {
     election: StoreElection,
     log: ReplicatedLog<ControlPlaneEvent>,
-    jobmanager: JobManager,
-    submissions: SubmissionService,
-    /// Fleet QPU indices this shard currently leases (journaled state).
-    leases: BTreeSet<usize>,
-    /// Fleet QPU indices holding autoscaler-provisioned elastic capacity
-    /// (journaled state, rebuilt on failover like the lease set).
-    elastic: BTreeSet<usize>,
+    state: ControlState,
     /// FNV-1a-128 of the full-encode payload installed at the last snapshot
     /// (genesis included) — the anchor of the incremental state digest.
     digest_checkpoint: Cell<u128>,
@@ -756,10 +960,7 @@ impl ReplicatedControlPlane {
         let plane = ReplicatedControlPlane {
             election,
             log,
-            jobmanager: JobManager::new(trigger).with_calibration_policy(policy),
-            submissions: SubmissionService::new(),
-            leases: BTreeSet::new(),
-            elastic: BTreeSet::new(),
+            state: ControlState::new(trigger, policy),
             digest_checkpoint: Cell::new(FNV128_OFFSET),
             digest_rolling: Cell::new(FNV128_OFFSET),
             journal_ns: Cell::new(0),
@@ -814,15 +1015,34 @@ impl ReplicatedControlPlane {
         result
     }
 
+    /// Journal one decided event, then apply it.
+    fn commit(&mut self, event: ControlPlaneEvent) -> Result<Applied, ReplicationError> {
+        self.journal(&event)?;
+        Ok(self.state.apply(&event))
+    }
+
+    /// Commit `event` if the decision to make it holds; report whether it
+    /// did (a refused operation journals nothing).
+    fn commit_if(
+        &mut self,
+        holds: bool,
+        event: ControlPlaneEvent,
+    ) -> Result<bool, ReplicationError> {
+        if holds {
+            self.commit(event)?;
+        }
+        Ok(holds)
+    }
+
     /// The batch engine (read-only; every mutation goes through the journal).
     pub fn jobmanager(&self) -> &JobManager {
-        &self.jobmanager
+        &self.state.jobmanager
     }
 
     /// The submission service (read-only; every mutation goes through the
     /// journal).
     pub fn submissions(&self) -> &SubmissionService {
-        &self.submissions
+        &self.state.submissions
     }
 
     /// The in-store leader election (the leader lease lives in the same
@@ -858,8 +1078,7 @@ impl ReplicatedControlPlane {
         &mut self,
         config: TenantConfig,
     ) -> Result<TenantId, ReplicationError> {
-        self.journal(&ControlPlaneEvent::TenantRegistered { config, slo: None })?;
-        Ok(self.submissions.register_tenant_with(config))
+        self.register(config, None)
     }
 
     /// Register a tenant with an SLO class (journaled — the class rides the
@@ -870,8 +1089,16 @@ impl ReplicatedControlPlane {
         config: TenantConfig,
         slo: SloClass,
     ) -> Result<TenantId, ReplicationError> {
-        self.journal(&ControlPlaneEvent::TenantRegistered { config, slo: Some(slo) })?;
-        Ok(self.submissions.register_tenant_with_slo(config, slo))
+        self.register(config, Some(slo))
+    }
+
+    fn register(
+        &mut self,
+        config: TenantConfig,
+        slo: Option<SloClass>,
+    ) -> Result<TenantId, ReplicationError> {
+        let applied = self.commit(ControlPlaneEvent::TenantRegistered { config, slo })?;
+        Ok(applied.tenant.expect("a registration assigns an id"))
     }
 
     /// Non-blocking submission into the tenant's FIFO queue (journaled).
@@ -881,97 +1108,58 @@ impl ReplicatedControlPlane {
         spec: JobSpec,
         now_s: f64,
     ) -> Result<JobTicket, ReplicationError> {
-        if self.submissions.tenant_stats(tenant).is_none() {
+        if self.state.submissions.tenant_stats(tenant).is_none() {
             return Err(SubmissionError::UnknownTenant(tenant).into());
         }
-        self.journal(&ControlPlaneEvent::JobSubmitted { tenant, spec: spec.clone(), now_s })?;
-        Ok(self.submissions.submit(tenant, spec, now_s).expect("tenant checked above"))
+        let applied = self.commit(ControlPlaneEvent::JobSubmitted { tenant, spec, now_s })?;
+        Ok(applied.ticket.expect("tenant checked above"))
     }
 
     /// Observe a ticket's progress (read-only, served locally).
     pub fn poll(&self, ticket: JobTicket) -> Option<TicketStatus> {
-        self.submissions.poll(ticket)
+        self.state.submissions.poll(ticket)
     }
 
-    /// One weighted-fair admission pass into the engine's pending pool
-    /// (journaled — the pass itself is deterministic given the state, so only
-    /// its instant is logged). A pass with every tenant queue empty is
-    /// skipped entirely — no journal entry *and* no local pass (the skip must
-    /// cover both sides: even an empty pass would advance the round-robin
-    /// cursor, and a journal/local mismatch would desynchronize replay) — so
-    /// idle periods do not grow the journal or the failover replay backlog.
-    /// The SLO bypass lane runs *before* the DRR pass: queued tickets whose
-    /// deadline would be missed by waiting one more trigger interval jump the
-    /// scan, each journaled as a typed [`ControlPlaneEvent::SloEscalated`]
-    /// event (write-ahead) so failover replays the exact escalation sequence.
+    /// One weighted-fair admission cycle into the engine's pending pool: the
+    /// SLO bypass lane first — queued tickets whose deadline would be missed
+    /// by waiting one more trigger interval jump the DRR scan, each a typed
+    /// [`ControlPlaneEvent::SloEscalated`] event — then one DRR pass,
+    /// journaled as an [`ControlPlaneEvent::AdmissionPass`] (the pass is
+    /// deterministic given the state, so only its instant is logged). A cycle
+    /// with every tenant queue empty journals and changes nothing.
     ///
-    /// The whole cycle — every escalation plus the optional `AdmissionPass` —
-    /// is staged and committed in ONE quorum round (group commit) before
-    /// anything is applied locally. The journal bytes, keys, and ordering are
-    /// identical to one quorum round per event; a crash between stage
-    /// and commit leaves the log at its pre-batch state, so replay lands on
-    /// the pre-batch bytes (the chaos matrix proves this). The DRR guard is
-    /// decidable before applying: every ticket the escalation scan yields is
-    /// pre-validated (queued, SLO-classed, within its tenant's in-flight
-    /// budget, counted cumulatively per tenant) so each applies successfully
-    /// and removes exactly one queued ticket — the post-escalation queue
-    /// depth is `total_queued() - escalations.len()`, no application needed.
+    /// The whole cycle is committed in ONE quorum round (group commit) before
+    /// anything is applied. The journal bytes, keys, and ordering are
+    /// identical to one quorum round per event; a crash between stage and
+    /// commit leaves the log at its pre-batch state, so replay lands on the
+    /// pre-batch bytes (the chaos matrix proves this).
     pub fn admit(&mut self, now_s: f64) -> Result<Vec<(JobTicket, JobId)>, ReplicationError> {
-        let Some(escalations) = self.escalations_at(now_s) else {
+        let events = self.state.admission_events(now_s);
+        if events.is_empty() {
             return Ok(Vec::new());
-        };
+        }
+        self.journal_all(&events)?;
         let mut admitted = Vec::new();
-        let mut staged: Vec<ControlPlaneEvent> = escalations
-            .iter()
-            .map(|&ticket| ControlPlaneEvent::SloEscalated { now_s, ticket })
-            .collect();
-        let run_pass = self.submissions.total_queued() > escalations.len();
-        if run_pass {
-            staged.push(ControlPlaneEvent::AdmissionPass { now_s });
-        }
-        self.journal_all(&staged)?;
-        for ticket in escalations {
-            if let Some(job_id) =
-                self.submissions.apply_escalation(ticket, now_s, &mut self.jobmanager)
-            {
-                admitted.push((ticket, job_id));
-            }
-        }
-        debug_assert_eq!(
-            run_pass,
-            self.submissions.total_queued() > 0,
-            "escalation tickets are pre-validated: each must drain exactly one queued ticket"
-        );
-        if run_pass {
-            admitted.extend(self.submissions.admit(now_s, &mut self.jobmanager));
+        for event in &events {
+            let applied = self.state.apply(event);
+            debug_assert!(
+                !matches!(event, ControlPlaneEvent::SloEscalated { .. })
+                    || applied.admitted.len() == 1,
+                "escalation tickets are pre-validated: each admits exactly one job"
+            );
+            admitted.extend(applied.admitted);
         }
         Ok(admitted)
     }
 
-    /// The SLO escalations an admission cycle at `now_s` applies, or `None`
-    /// when every tenant queue is empty and the cycle is skipped.
-    fn escalations_at(&self, now_s: f64) -> Option<Vec<JobTicket>> {
-        if self.submissions.tenant_count() == 0 || self.submissions.total_queued() == 0 {
-            return None;
-        }
-        let trigger = *self.jobmanager.trigger();
-        let horizon_s = trigger.interval_s + trigger.slo_margin_s;
-        let budget = trigger.queue_limit.saturating_sub(self.jobmanager.pending_len());
-        Some(self.submissions.pending_escalations(now_s, horizon_s, budget))
-    }
-
-    /// One trigger-gated scheduling cycle: dispatch the pool as a batch onto
-    /// the fleet queues, journal the state delta (placements + rejections),
-    /// and account the batch with the submission service. Returns `Ok(None)`
-    /// when the trigger does not fire. Fails *before* dispatching if the
-    /// journal has no quorum, so volatile state never runs ahead of the log.
-    ///
-    /// The quorum pre-check and the post-scheduling append are not one atomic
-    /// step: fault injection that crashes store replicas from *another
-    /// thread* mid-call can defeat the pre-check and panic the post-hoc
-    /// append with jobs already enqueued. Crash/recover replicas between
-    /// control-plane calls (as every suite here does), not concurrently with
-    /// them.
+    /// One trigger-gated scheduling cycle: decide the batch (the NSGA-II
+    /// schedule and the boundary split), journal it, apply it — the pool
+    /// change and the submission service's rejection accounting — and
+    /// enqueue the placements onto the fleet queues. Returns `Ok(None)` when
+    /// the trigger does not fire. A journal without quorum is an error that
+    /// leaves the state and the fleet untouched; it is checked before the
+    /// schedule too, so a warm-started scheduler's memory does not advance
+    /// for a cycle that cannot be journaled.
     pub fn try_dispatch(
         &mut self,
         now_s: f64,
@@ -981,50 +1169,45 @@ impl ReplicatedControlPlane {
         if !self.log.store().has_quorum() {
             return Err(StoreError::NoQuorum.into());
         }
-        let Some(record) = self.jobmanager.try_dispatch(now_s, scheduler, fleet) else {
+        let Some(record) = self.state.jobmanager.decide_batch(now_s, scheduler, fleet) else {
             return Ok(None);
         };
-        let placed: Vec<(JobId, usize)> =
-            record.outcome.placements.iter().map(|p| (p.job_id, p.qpu_index)).collect();
-        self.journal(&ControlPlaneEvent::BatchDispatched {
+        let applied = self.commit(ControlPlaneEvent::BatchDispatched {
             t_s: now_s,
-            placed,
+            placed: record.outcome.placements.iter().map(|p| (p.job_id, p.qpu_index)).collect(),
             rejected: record.outcome.rejected_jobs.clone(),
             deferred: record.deferred.clone(),
-        })
-        .expect("quorum pre-checked");
-        let terminal_rejections = self.submissions.note_batch(&record);
-        Ok(Some(DispatchOutcome { record, terminal_rejections }))
+        })?;
+        enqueue_all(fleet, &applied.enqueues);
+        Ok(Some(DispatchOutcome { record, terminal_rejections: applied.terminal_rejections }))
     }
 
     /// Place one pending job directly onto a QPU queue, bypassing the
     /// trigger and the optimizer (journaled — the baseline path of the cloud
     /// simulation). Returns `Ok(false)`, journaling nothing, if the job is
-    /// not pending or the QPU cannot run it.
+    /// not pending, the QPU is not in the fleet, or it cannot run the job.
     pub fn dispatch_direct(
         &mut self,
         job_id: JobId,
         qpu_index: usize,
         fleet: &mut Fleet,
     ) -> Result<bool, ReplicationError> {
-        if !self.jobmanager.can_dispatch_direct(job_id, qpu_index) {
+        let Some(event) = self.state.direct_dispatch(job_id, qpu_index, fleet) else {
             return Ok(false);
-        }
-        self.journal(&ControlPlaneEvent::DirectDispatched { job_id, qpu_index })?;
-        let dispatched = self.jobmanager.dispatch_direct(job_id, qpu_index, fleet);
-        debug_assert!(dispatched, "dispatch pre-validated");
-        Ok(dispatched)
+        };
+        enqueue_all(fleet, &self.commit(event)?.enqueues);
+        Ok(true)
     }
 
     /// Pending jobs whose estimate tables are stale against `fleet_epoch`
     /// (served locally; see [`JobManager::stale_pending`]).
     pub fn stale_pending(&self, fleet_epoch: u64) -> Vec<JobId> {
-        self.jobmanager.stale_pending(fleet_epoch)
+        self.state.jobmanager.stale_pending(fleet_epoch)
     }
 
     /// A pending job by id (read-only), for callers recomputing estimates.
     pub fn pending_job(&self, job_id: JobId) -> Option<&PendingJob> {
-        self.jobmanager.pending().iter().find(|j| j.job_id == job_id)
+        self.state.jobmanager.pending().iter().find(|j| j.job_id == job_id)
     }
 
     /// Replace a pending job's estimate table with one recomputed against a
@@ -1036,17 +1219,21 @@ impl ReplicatedControlPlane {
         job_id: JobId,
         spec: JobSpec,
     ) -> Result<bool, ReplicationError> {
-        if self.pending_job(job_id).is_none() {
-            return Ok(false);
-        }
-        self.journal(&ControlPlaneEvent::JobReestimated { job_id, spec: spec.clone() })?;
-        Ok(self.jobmanager.reestimate(job_id, spec))
+        let pending = self.pending_job(job_id).is_some();
+        self.commit_if(pending, ControlPlaneEvent::JobReestimated { job_id, spec })
     }
 
-    /// Drain completion records from the fleet queues (data-plane state; no
-    /// journal entry until [`Self::note_completions`] resolves tickets).
-    pub fn drain_completions(&mut self, fleet: &mut Fleet) -> Vec<CompletedExecution> {
-        self.jobmanager.drain_completions(fleet)
+    /// Drain completion records from every fleet queue. Data-plane state:
+    /// the control state is neither read nor written, and nothing is
+    /// journaled until [`Self::note_completions`] resolves tickets.
+    pub fn drain_completions(&self, fleet: &mut Fleet) -> Vec<CompletedExecution> {
+        let mut completions = Vec::new();
+        for (qpu_index, member) in fleet.members_mut().iter_mut().enumerate() {
+            for record in member.queue.take_completed() {
+                completions.push(CompletedExecution { job_id: record.job_id, qpu_index, record });
+            }
+        }
+        completions
     }
 
     /// Account drained completions (journaled per resolved ticket, in one
@@ -1056,24 +1243,9 @@ impl ReplicatedControlPlane {
         &mut self,
         completions: &[CompletedExecution],
     ) -> Result<Vec<(JobTicket, CompletedExecution)>, ReplicationError> {
-        self.journal_all(&self.completion_events(completions))?;
-        Ok(self.submissions.note_completions(completions))
-    }
-
-    /// One `JobCompleted` event per drained completion whose ticket this
-    /// control plane tracks.
-    fn completion_events(&self, completions: &[CompletedExecution]) -> Vec<ControlPlaneEvent> {
-        completions
-            .iter()
-            .filter(|completion| self.submissions.tracks_job(completion.job_id))
-            .map(|completion| ControlPlaneEvent::JobCompleted {
-                job_id: completion.job_id,
-                qpu_index: completion.qpu_index,
-                enqueue_s: completion.record.enqueue_time_s,
-                start_s: completion.record.start_time_s,
-                finish_s: completion.record.finish_time_s,
-            })
-            .collect()
+        let events = self.state.completion_events(completions);
+        self.journal_all(&events)?;
+        Ok(events.iter().filter_map(|event| self.state.apply(event).completion).collect())
     }
 
     /// Take a lease on one fleet QPU (journaled *before* the lease is used:
@@ -1082,29 +1254,21 @@ impl ReplicatedControlPlane {
     /// `Ok(false)`, journaling nothing, if this shard already holds the
     /// lease.
     pub fn lease_qpu(&mut self, qpu_index: usize) -> Result<bool, ReplicationError> {
-        if self.leases.contains(&qpu_index) {
-            return Ok(false);
-        }
-        self.journal(&ControlPlaneEvent::LeaseGranted { qpu_index })?;
-        self.leases.insert(qpu_index);
-        Ok(true)
+        let held = self.state.leases.contains(&qpu_index);
+        self.commit_if(!held, ControlPlaneEvent::LeaseGranted { qpu_index })
     }
 
     /// Return a QPU lease to the shared allocator (journaled). Returns
     /// `Ok(false)`, journaling nothing, if this shard does not hold the
     /// lease.
     pub fn release_qpu(&mut self, qpu_index: usize) -> Result<bool, ReplicationError> {
-        if !self.leases.contains(&qpu_index) {
-            return Ok(false);
-        }
-        self.journal(&ControlPlaneEvent::LeaseReleased { qpu_index })?;
-        self.leases.remove(&qpu_index);
-        Ok(true)
+        let held = self.state.leases.contains(&qpu_index);
+        self.commit_if(held, ControlPlaneEvent::LeaseReleased { qpu_index })
     }
 
     /// Fleet QPU indices this shard currently leases.
     pub fn leases(&self) -> &BTreeSet<usize> {
-        &self.leases
+        &self.state.leases
     }
 
     /// Record an autoscaler grow decision: the QPU at `qpu_index` is elastic
@@ -1118,41 +1282,41 @@ impl ReplicatedControlPlane {
         qpu_index: usize,
         class: ResourceClass,
     ) -> Result<bool, ReplicationError> {
-        if self.elastic.contains(&qpu_index) {
-            return Ok(false);
-        }
-        self.journal(&ControlPlaneEvent::QpuProvisioned { now_s, qpu_index, class })?;
-        self.elastic.insert(qpu_index);
-        Ok(true)
+        let elastic = self.state.elastic.contains(&qpu_index);
+        self.commit_if(!elastic, ControlPlaneEvent::QpuProvisioned { now_s, qpu_index, class })
     }
 
     /// Record an autoscaler shrink decision: the elastic QPU at `qpu_index`
     /// leaves the fleet (journaled). Returns `Ok(false)`, journaling nothing,
     /// if the index is not tracked as elastic.
     pub fn retire_qpu(&mut self, now_s: f64, qpu_index: usize) -> Result<bool, ReplicationError> {
-        if !self.elastic.contains(&qpu_index) {
-            return Ok(false);
-        }
-        self.journal(&ControlPlaneEvent::QpuRetired { now_s, qpu_index })?;
-        self.elastic.remove(&qpu_index);
-        Ok(true)
+        let elastic = self.state.elastic.contains(&qpu_index);
+        self.commit_if(elastic, ControlPlaneEvent::QpuRetired { now_s, qpu_index })
     }
 
     /// Fleet QPU indices currently holding autoscaler-provisioned elastic
     /// capacity.
     pub fn elastic(&self) -> &BTreeSet<usize> {
-        &self.elastic
+        &self.state.elastic
     }
 
-    /// Earliest next completion across the fleet (delegates to the engine).
+    /// Simulated time of the earliest next job completion across the fleet,
+    /// or `None` when no queue has work. Event-driven callers advance time
+    /// here instead of draining every queue, so co-batched jobs complete
+    /// (and unblock their submitters) as soon as they actually finish. Reads
+    /// the fleet only.
     pub fn next_event_s(&self, fleet: &Fleet) -> Option<f64> {
-        self.jobmanager.next_event_s(fleet)
+        fleet
+            .members()
+            .iter()
+            .filter_map(|m| m.queue.next_completion_s())
+            .min_by(|a, b| a.total_cmp(b))
     }
 
     /// Earliest simulated time the trigger can fire (delegates to the
     /// engine).
     pub fn next_trigger_s(&self) -> Option<f64> {
-        self.jobmanager.next_trigger_s()
+        self.state.jobmanager.next_trigger_s()
     }
 
     /// Checkpoint: install a snapshot of the current state and compact the
@@ -1192,10 +1356,7 @@ impl ReplicatedControlPlane {
         if let Some(leader) = self.election.leader() {
             self.election.crash(leader);
         }
-        self.jobmanager = JobManager::default();
-        self.submissions = SubmissionService::new();
-        self.leases = BTreeSet::new();
-        self.elastic = BTreeSet::new();
+        self.state = ControlState::default();
         // The digest dies with the volatile state (a crashed plane
         // fingerprints nothing); failover recomputes it from the store.
         self.digest_checkpoint.set(FNV128_OFFSET);
@@ -1206,19 +1367,15 @@ impl ReplicatedControlPlane {
     /// lease key — impossible without the store quorum, by design), rebuild
     /// the engine + submission service + lease set deterministically from
     /// `snapshot + log replay`, install the rebuilt state as live, and let
-    /// crashed nodes rejoin as followers. ([`Self::rebuild`] is the
-    /// inspection form: the same reconstruction, returned instead of
-    /// installed.)
+    /// crashed nodes rejoin as followers. With the leader alive the election
+    /// only confirms it, so a failover then just reinstalls the state the
+    /// store rebuilds.
     pub fn failover(&mut self) -> Result<(), FailoverError> {
         let Ok(Some(_)) = self.election.campaign() else {
             return Err(FailoverError::NoLeader);
         };
-        let (jobmanager, submissions, leases, elastic, (checkpoint, rolling)) =
-            self.rebuild_parts()?;
-        self.jobmanager = jobmanager;
-        self.submissions = submissions;
-        self.leases = leases;
-        self.elastic = elastic;
+        let (state, (checkpoint, rolling)) = self.rebuild()?;
+        self.state = state;
         // Recomputed from the store, these equal the pre-crash cells: the
         // checkpoint hashes the same installed payload, and the rolling hash
         // absorbs the same retained entries re-encoded through the same
@@ -1233,39 +1390,26 @@ impl ReplicatedControlPlane {
         Ok(())
     }
 
-    /// Rebuild a `(JobManager, SubmissionService)` pair from the replicated
-    /// store without touching the live state: restore the latest snapshot,
-    /// then replay every retained journal entry after it, in order. (The
-    /// journaled lease set is rebuilt the same way; see [`Self::leases`] on a
-    /// failed-over plane.)
-    pub fn rebuild(&self) -> Result<(JobManager, SubmissionService), FailoverError> {
-        let (jobmanager, submissions, _, _, _) = self.rebuild_parts()?;
-        Ok((jobmanager, submissions))
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn rebuild_parts(
-        &self,
-    ) -> Result<
-        (JobManager, SubmissionService, BTreeSet<usize>, BTreeSet<usize>, (u128, u128)),
-        FailoverError,
-    > {
+    /// Rebuild the control state from the replicated store without touching
+    /// the live state: decode the latest snapshot, then replay every retained
+    /// journal entry after it, in order, through [`ControlState::apply`].
+    /// Also returns the digest cells the rebuilt state fingerprints to.
+    fn rebuild(&self) -> Result<(ControlState, (u128, u128)), FailoverError> {
         // Decoded and hashed where it lies in the store: the payload is
         // megabytes, and nothing here needs its own copy.
         let (from, decoded, checkpoint) = self
             .log
             .with_snapshot(|from, payload| {
-                (from, decode_combined_state(payload), fnv128(payload.as_bytes()))
+                (from, ControlState::decode(payload), fnv128(payload.as_bytes()))
             })
             .ok_or(FailoverError::MissingSnapshot)?;
-        let (mut jobmanager, mut submissions, mut leases, mut elastic) =
-            decoded.ok_or(FailoverError::CorruptState)?;
+        let mut state = decoded.ok_or(FailoverError::CorruptState)?;
         let mut rolling = Fnv128::new();
         for (_, event) in self.log.entries_from(from) {
-            apply_event(&mut jobmanager, &mut submissions, &mut leases, &mut elastic, &event);
+            state.apply(&event);
             absorb_line(&mut rolling, &event.encode());
         }
-        Ok((jobmanager, submissions, leases, elastic, (checkpoint, rolling.value())))
+        Ok((state, (checkpoint, rolling.value())))
     }
 
     /// Number of journal entries a failover right now would replay on top of
@@ -1281,33 +1425,28 @@ impl ReplicatedControlPlane {
     /// encodings are equal as strings; [`Self::state_digest`] is the cheap
     /// incremental fingerprint of the same state.
     pub fn encode_state(&self) -> String {
-        encode_combined_state(&self.jobmanager, &self.submissions, &self.leases, &self.elastic)
+        self.state.encode()
     }
 }
 
 /// The per-event journaling path group commit replaced — one quorum round
 /// per event — kept as the reference the group-commit journals are tested
-/// against.
+/// against. It applies through the same [`ControlState::apply`].
 #[cfg(test)]
 impl ReplicatedControlPlane {
     fn admit_per_event(&mut self, now_s: f64) -> Result<Vec<(JobTicket, JobId)>, ReplicationError> {
-        let Some(escalations) = self.escalations_at(now_s) else {
+        let Some(escalations) = self.state.escalations_at(now_s) else {
             return Ok(Vec::new());
         };
         let mut admitted = Vec::new();
         for ticket in escalations {
-            self.journal(&ControlPlaneEvent::SloEscalated { now_s, ticket })?;
-            if let Some(job_id) =
-                self.submissions.apply_escalation(ticket, now_s, &mut self.jobmanager)
-            {
-                admitted.push((ticket, job_id));
-            }
+            admitted
+                .extend(self.commit(ControlPlaneEvent::SloEscalated { now_s, ticket })?.admitted);
         }
         // The escalations may have drained every queue; the skip guard
         // applies to the DRR pass exactly as it would on an idle call.
-        if self.submissions.total_queued() > 0 {
-            self.journal(&ControlPlaneEvent::AdmissionPass { now_s })?;
-            admitted.extend(self.submissions.admit(now_s, &mut self.jobmanager));
+        if self.state.submissions.total_queued() > 0 {
+            admitted.extend(self.commit(ControlPlaneEvent::AdmissionPass { now_s })?.admitted);
         }
         Ok(admitted)
     }
@@ -1316,36 +1455,12 @@ impl ReplicatedControlPlane {
         &mut self,
         completions: &[CompletedExecution],
     ) -> Result<Vec<(JobTicket, CompletedExecution)>, ReplicationError> {
-        for event in &self.completion_events(completions) {
-            self.journal(event)?;
+        let mut resolved = Vec::new();
+        for event in self.state.completion_events(completions) {
+            resolved.extend(self.commit(event)?.completion);
         }
-        Ok(self.submissions.note_completions(completions))
+        Ok(resolved)
     }
-}
-
-/// The combined snapshot payload: engine state, blank line, submission
-/// state, then the lease and elastic sections — in one buffer sized once.
-fn encode_combined_state(
-    jobmanager: &JobManager,
-    submissions: &SubmissionService,
-    leases: &BTreeSet<usize>,
-    elastic: &BTreeSet<usize>,
-) -> String {
-    let mut state =
-        String::with_capacity(jobmanager.encoded_len_hint() + submissions.encoded_len_hint() + 64);
-    jobmanager.encode_state_into(&mut state);
-    state.push('\n');
-    submissions.encode_state_into(&mut state);
-    // Lease-free / elastic-free planes (every pre-sharding, pre-autoscale
-    // deployment) keep their historical digest format: the optional
-    // sections appear only when non-empty.
-    for (section, held) in [("\nlease ", leases), ("\nelastic ", elastic)] {
-        if !held.is_empty() {
-            state.push_str(section);
-            wire::push_list(&mut state, held, |out, &qpu| wire::push_u64(out, qpu as u64));
-        }
-    }
-    state
 }
 
 /// Fold one journaled line (plus the `'\n'` that separates lines) into a
@@ -1353,102 +1468,6 @@ fn encode_combined_state(
 fn absorb_line(rolling: &mut Fnv128, line: &str) {
     rolling.absorb(line.as_bytes());
     rolling.absorb(b"\n");
-}
-
-/// Split a combined snapshot payload into the engine state, the
-/// submission-service state, and the (possibly absent) lease and elastic
-/// sections, and decode them all.
-#[allow(clippy::type_complexity)]
-fn decode_combined_state(
-    payload: &str,
-) -> Option<(JobManager, SubmissionService, BTreeSet<usize>, BTreeSet<usize>)> {
-    // Optional trailing sections in encode order: lease, then elastic.
-    let (payload, elastic) = match payload.find("\nelastic ") {
-        Some(at) => {
-            let (rest, part) = payload.split_at(at);
-            let held = part.trim_start_matches('\n').strip_prefix("elastic ")?;
-            (rest, held.split(',').map(str::parse).collect::<Result<_, _>>().ok()?)
-        }
-        None => (payload, BTreeSet::new()),
-    };
-    let (payload, leases) = match payload.find("\nlease ") {
-        Some(at) => {
-            let (rest, lease_part) = payload.split_at(at);
-            let held = lease_part.trim_start_matches('\n').strip_prefix("lease ")?;
-            (rest, held.split(',').map(str::parse).collect::<Result<_, _>>().ok()?)
-        }
-        None => (payload, BTreeSet::new()),
-    };
-    let split = payload.find("\nsvc ")?;
-    let (jm_part, svc_part) = payload.split_at(split);
-    let jobmanager = JobManager::decode_state(jm_part)?;
-    let submissions = SubmissionService::decode_state(svc_part.trim_start_matches('\n'))?;
-    Some((jobmanager, submissions, leases, elastic))
-}
-
-/// Apply one journaled event to a rebuilding state pair. Every arm is
-/// idempotent-or-deterministic: replaying the exact journal sequence from the
-/// snapshot baseline reproduces the live state byte for byte.
-fn apply_event(
-    jobmanager: &mut JobManager,
-    submissions: &mut SubmissionService,
-    leases: &mut BTreeSet<usize>,
-    elastic: &mut BTreeSet<usize>,
-    event: &ControlPlaneEvent,
-) {
-    match event {
-        ControlPlaneEvent::TenantRegistered { config, slo } => match slo {
-            Some(slo) => {
-                submissions.register_tenant_with_slo(*config, *slo);
-            }
-            None => {
-                submissions.register_tenant_with(*config);
-            }
-        },
-        ControlPlaneEvent::SloEscalated { now_s, ticket } => {
-            submissions.apply_escalation(*ticket, *now_s, jobmanager);
-        }
-        ControlPlaneEvent::QpuProvisioned { qpu_index, .. } => {
-            elastic.insert(*qpu_index);
-        }
-        ControlPlaneEvent::QpuRetired { qpu_index, .. } => {
-            elastic.remove(qpu_index);
-        }
-        ControlPlaneEvent::JobSubmitted { tenant, spec, now_s } => {
-            let _ = submissions.submit(*tenant, spec.clone(), *now_s);
-        }
-        ControlPlaneEvent::AdmissionPass { now_s } => {
-            submissions.admit(*now_s, jobmanager);
-        }
-        ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred } => {
-            jobmanager.apply_batch(*t_s, placed, rejected, deferred);
-            submissions.note_rejections(*t_s, rejected);
-        }
-        ControlPlaneEvent::JobReestimated { job_id, spec } => {
-            jobmanager.reestimate(*job_id, spec.clone());
-        }
-        ControlPlaneEvent::DirectDispatched { job_id, .. } => {
-            jobmanager.apply_direct(*job_id);
-        }
-        ControlPlaneEvent::JobCompleted { job_id, qpu_index, enqueue_s, start_s, finish_s } => {
-            submissions.note_completions(&[CompletedExecution {
-                job_id: *job_id,
-                qpu_index: *qpu_index,
-                record: CompletedJob {
-                    job_id: *job_id,
-                    enqueue_time_s: *enqueue_s,
-                    start_time_s: *start_s,
-                    finish_time_s: *finish_s,
-                },
-            }]);
-        }
-        ControlPlaneEvent::LeaseGranted { qpu_index } => {
-            leases.insert(*qpu_index);
-        }
-        ControlPlaneEvent::LeaseReleased { qpu_index } => {
-            leases.remove(qpu_index);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1629,8 +1648,8 @@ mod tests {
         // for byte (the encode_state oracle, not just the fingerprint).
         let digest = plane.state_digest();
         let oracle = plane.encode_state();
-        let (jm, svc) = plane.rebuild().expect("rebuild succeeds");
-        assert_eq!(format!("{}\n{}", jm.encode_state(), svc.encode_state()), oracle);
+        let (rebuilt, _) = plane.rebuild().expect("rebuild succeeds");
+        assert_eq!(rebuilt.encode(), oracle);
 
         // Crash + failover: the recovered pair is identical too.
         let old_leader = plane.leader().unwrap();
@@ -1757,6 +1776,32 @@ mod tests {
         plane.crash_leader();
         plane.failover().expect("failover succeeds");
         assert_eq!(plane.state_digest(), digest, "direct dispatch replayed");
+    }
+
+    /// A direct dispatch onto the index one past the fleet, for a job whose
+    /// estimate table is one entry longer than the fleet (so the estimate
+    /// alone reads "runnable"), is refused before anything is journaled: the
+    /// live state and a crash-and-failover rebuild of it stay byte-identical.
+    #[test]
+    fn a_direct_dispatch_past_the_fleet_journals_nothing() {
+        let mut fleet = small_fleet(16);
+        let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(100, 1e12), 1, 16);
+        let tenant = plane.register_tenant(1).unwrap();
+        let mut long = spec(&fleet, 5, 4.0);
+        long.fidelity_per_qpu.push(0.9);
+        long.exec_time_per_qpu.push(4.0);
+        plane.submit(tenant, long, 0.0).unwrap();
+        let (_, job_id) = plane.admit(0.0).unwrap()[0];
+        let journaled = plane.log().len();
+
+        let past = fleet.members().len();
+        assert_eq!(plane.dispatch_direct(job_id, past, &mut fleet), Ok(false));
+        assert_eq!(plane.log().len(), journaled, "a refused dispatch journals nothing");
+        assert_eq!(plane.jobmanager().pending_len(), 1, "the job stays pending");
+        let live = plane.encode_state();
+        plane.crash_leader();
+        plane.failover().expect("failover succeeds");
+        assert_eq!(plane.encode_state(), live, "the rebuild equals the live state");
     }
 
     /// The mid-lease crash the sharded fleet allocator must survive: the
@@ -1991,7 +2036,7 @@ mod tests {
     /// The byte-exactness gate of the streaming codecs: over random
     /// lifecycles — SLO and plain tenants, hostile floats, specs with no QPU
     /// columns, retries, every terminal outcome — applied through the same
-    /// [`apply_event`] a failover replays with, every event line and every
+    /// [`ControlState::apply`] a failover replays with, every event line and every
     /// state encoding equals the `format!` oracle it replaced byte for byte,
     /// and `decode(encode(s))` re-encodes to the same bytes.
     #[test]
@@ -2005,16 +2050,15 @@ mod tests {
             } else {
                 CalibrationPolicy::SplitAtBoundary
             };
-            let mut jm = JobManager::new(ScheduleTrigger::new(rng.gen_range(1..6), 30.0))
-                .with_calibration_policy(policy);
-            let mut svc = SubmissionService::new();
-            let (mut leases, mut elastic) = (BTreeSet::new(), BTreeSet::new());
+            let mut state =
+                ControlState::new(ScheduleTrigger::new(rng.gen_range(1..6), 30.0), policy);
             // Dispatched jobs whose completion has not been journaled yet.
             let mut running: Vec<(JobId, usize)> = Vec::new();
             let mut now_s = 0.0;
             for _ in 0..rng.gen_range(10..140) {
                 now_s += rng.gen_range(0.0..6.0);
-                let pending: Vec<JobId> = jm.pending().iter().map(|job| job.job_id).collect();
+                let pending: Vec<JobId> =
+                    state.jobmanager.pending().iter().map(|job| job.job_id).collect();
                 let event = match rng.gen_range(0..14) {
                     0 | 1 => ControlPlaneEvent::TenantRegistered {
                         config: TenantConfig {
@@ -2029,13 +2073,15 @@ mod tests {
                             max_error: random_float(&mut rng),
                         }),
                     },
-                    2..=5 if svc.tenant_count() > 0 => ControlPlaneEvent::JobSubmitted {
-                        tenant: rng.gen_range(0..svc.tenant_count()) as TenantId,
-                        spec: random_spec(&mut rng, qpus),
-                        now_s,
-                    },
+                    2..=5 if state.submissions.tenant_count() > 0 => {
+                        ControlPlaneEvent::JobSubmitted {
+                            tenant: rng.gen_range(0..state.submissions.tenant_count()) as TenantId,
+                            spec: random_spec(&mut rng, qpus),
+                            now_s,
+                        }
+                    }
                     6 | 7 => ControlPlaneEvent::AdmissionPass { now_s },
-                    8 => match svc.pending_escalations(now_s, 10.0, 4).first() {
+                    8 => match state.submissions.pending_escalations(now_s, 10.0, 4).first() {
                         Some(&ticket) => ControlPlaneEvent::SloEscalated { now_s, ticket },
                         None => continue,
                     },
@@ -2102,27 +2148,27 @@ mod tests {
                 assert_eq!(line, event.encode_oracle(), "case {case}: {event:?}");
                 let back = ControlPlaneEvent::decode(&line).expect("an encoded event decodes");
                 assert_eq!(back.encode(), line, "case {case}: {event:?}");
-                apply_event(&mut jm, &mut svc, &mut leases, &mut elastic, &event);
+                state.apply(&event);
             }
 
+            let (jm, svc) = (&state.jobmanager, &state.submissions);
             let (jm_bytes, svc_bytes) = (jm.encode_state(), svc.encode_state());
             assert_eq!(jm_bytes, jm.encode_state_oracle(), "case {case}");
             assert_eq!(svc_bytes, svc.encode_state_oracle(), "case {case}");
             let mut oracle = format!("{jm_bytes}\n{svc_bytes}");
-            for (section, held) in [("lease", &leases), ("elastic", &elastic)] {
+            for (section, held) in [("lease", &state.leases), ("elastic", &state.elastic)] {
                 if !held.is_empty() {
                     let held = held.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
                     oracle.push_str(&format!("\n{section} {held}"));
                     seen.insert(section);
                 }
             }
-            let combined = encode_combined_state(&jm, &svc, &leases, &elastic);
+            let combined = state.encode();
             assert_eq!(combined, oracle, "case {case}");
-            let (jm_back, svc_back, leases_back, elastic_back) =
-                decode_combined_state(&combined).expect("an encoded state decodes");
-            assert!(svc_back.indices_consistent(), "case {case}");
+            let back = ControlState::decode(&combined).expect("an encoded state decodes");
+            assert!(back.submissions.indices_consistent(), "case {case}");
             assert_eq!(
-                encode_combined_state(&jm_back, &svc_back, &leases_back, &elastic_back),
+                back.encode(),
                 combined,
                 "case {case}: decode(encode(s)) must re-encode to the same bytes"
             );

@@ -1,7 +1,7 @@
 //! Tenant-aware, non-blocking job submission (the "cloud" entry point of the
-//! batch engine): independent clients register as tenants, [`submit`] enqueues
-//! a job into the tenant's FIFO queue and returns a [`JobTicket`] immediately,
-//! and a weighted-fair admission step ([`admit`]) drains the tenant queues
+//! batch engine): independent clients register as tenants, a submission
+//! enqueues a job into the tenant's FIFO queue and returns a [`JobTicket`]
+//! immediately, and a weighted-fair admission pass drains the tenant queues
 //! into the [`JobManager`]'s pending pool with deficit round-robin by tenant
 //! weight — so many independent clients amortize one NSGA-II run per batch
 //! while a chatty tenant cannot monopolize it.
@@ -10,16 +10,15 @@
 //! yet completed) and the engine's queue-size trigger limit as the pool
 //! capacity, which bounds every dispatched batch at the trigger limit. Jobs the
 //! scheduler rejects are returned to the *front* of their tenant's queue with a
-//! bounded retry budget ([`note_batch`]); once the budget is exhausted the
-//! terminal rejection is visible through [`poll`] instead of the job being
+//! bounded retry budget; once the budget is exhausted the terminal rejection
+//! is visible through [`SubmissionService::poll`] instead of the job being
 //! silently lost.
 //!
-//! [`submit`]: SubmissionService::submit
-//! [`admit`]: SubmissionService::admit
-//! [`note_batch`]: SubmissionService::note_batch
-//! [`poll`]: SubmissionService::poll
+//! The service is read-only outside this crate: every mutation is the apply
+//! step of a journaled [`crate::replication::ControlPlaneEvent`], reached
+//! through [`crate::replication::ReplicatedControlPlane`].
 
-use crate::jobmanager::{BatchRecord, CompletedExecution, JobId, JobManager, JobSpec, TenantId};
+use crate::jobmanager::{CompletedExecution, JobId, JobManager, JobSpec, TenantId};
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -100,7 +99,7 @@ pub enum RejectReason {
     Infeasible,
 }
 
-/// Handle returned by [`SubmissionService::submit`]; pass it to
+/// Handle returned by a submission; pass it to
 /// [`SubmissionService::poll`] to observe the job's progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobTicket {
@@ -276,6 +275,32 @@ impl TenantState {
     }
 }
 
+/// Move a dequeued ticket into the engine's pending pool — the admission
+/// step the DRR pass and the SLO escalation lane share: the engine assigns
+/// the job id (carrying the ticket's absolute deadline), the ticket turns
+/// admitted, and the tenant's in-flight and queue-wait accounting grow.
+fn admit_ticket(
+    jobmanager: &mut JobManager,
+    job_to_ticket: &mut HashMap<JobId, TicketId>,
+    ticket: JobTicket,
+    record: &mut TicketRecord,
+    tenant: &mut TenantState,
+    now_s: f64,
+) -> JobId {
+    let job_id = jobmanager.submit_for_tenant_with_deadline(
+        record.spec.clone(),
+        record.submitted_s,
+        ticket.tenant,
+        tenant.absolute_deadline(record.submitted_s),
+    );
+    record.state = TicketState::Admitted { job_id };
+    job_to_ticket.insert(job_id, ticket.ticket);
+    tenant.in_flight += 1;
+    tenant.admitted += 1;
+    tenant.queue_wait_total_s += (now_s - record.submitted_s).max(0.0);
+    job_id
+}
+
 /// The tenant-aware submission front-end of the batch engine.
 ///
 /// Tenants live in a dense table indexed by tenant id (see the `tenants`
@@ -284,7 +309,7 @@ impl TenantState {
 ///
 /// Besides the journaled tenant/ticket state, the service maintains two
 /// *derived* indices and one derived counter — never encoded, rebuilt by
-/// [`Self::decode_state`] — that make the admission hot path independent of
+/// the state decoder — that make the admission hot path independent of
 /// the registered-tenant population:
 ///
 /// - the **active ring** (`active`): tenants with a non-empty queue *or* an
@@ -327,21 +352,10 @@ pub struct SubmissionService {
 }
 
 impl SubmissionService {
-    /// An empty service with no tenants.
-    pub fn new() -> Self {
-        SubmissionService::default()
-    }
-
-    /// Register a tenant with the given DRR weight (and default caps).
-    /// Returns the new tenant's id.
-    pub fn register_tenant(&mut self, weight: u32) -> TenantId {
-        self.register_tenant_with(TenantConfig::weighted(weight))
-    }
-
     /// Register a tenant with an explicit configuration. A zero `weight` (or
     /// zero `max_in_flight`) is clamped to 1: a weight-0 tenant would earn a
     /// zero DRR quantum and its tickets would sit `Queued` forever.
-    pub fn register_tenant_with(&mut self, config: TenantConfig) -> TenantId {
+    pub(crate) fn register_tenant_with(&mut self, config: TenantConfig) -> TenantId {
         let id = TenantId::try_from(self.tenants.len()).expect("tenant ids fit a TenantId");
         self.tenants.push(TenantState::new(config));
         id
@@ -352,7 +366,11 @@ impl SubmissionService {
     /// `submitted_s + slo.deadline_s`, enforced by the escalation lane
     /// ([`Self::pending_escalations`]) before admission and by the trigger's
     /// SLO early-fire path after it.
-    pub fn register_tenant_with_slo(&mut self, config: TenantConfig, slo: SloClass) -> TenantId {
+    pub(crate) fn register_tenant_with_slo(
+        &mut self,
+        config: TenantConfig,
+        slo: SloClass,
+    ) -> TenantId {
         let id = self.register_tenant_with(config);
         self.tenants[id as usize].slo = Some(slo);
         if slo.deadline_s.is_finite() {
@@ -389,7 +407,7 @@ impl SubmissionService {
     /// Non-blocking submission: enqueue a job spec into the tenant's FIFO
     /// queue and return a ticket immediately. The job enters the batch engine
     /// only when a later [`Self::admit`] pass selects it.
-    pub fn submit(
+    pub(crate) fn submit(
         &mut self,
         tenant: TenantId,
         spec: JobSpec,
@@ -466,7 +484,11 @@ impl SubmissionService {
     /// deficit — was always a no-op visit, so skipping it leaves every
     /// journaled outcome, deficit, and the `rr_start` rotation
     /// byte-identical to the full scan.
-    pub fn admit(&mut self, now_s: f64, jobmanager: &mut JobManager) -> Vec<(JobTicket, JobId)> {
+    pub(crate) fn admit(
+        &mut self,
+        now_s: f64,
+        jobmanager: &mut JobManager,
+    ) -> Vec<(JobTicket, JobId)> {
         let mut admitted = Vec::new();
         if self.tenants.is_empty() {
             return admitted;
@@ -520,19 +542,17 @@ impl SubmissionService {
                     let Some(ticket) = tenant.queue.pop_front() else { break };
                     self.queued_total -= 1;
                     let record = self.tickets.get_mut(&ticket).expect("queued tickets exist");
-                    let job_id = jobmanager.submit_for_tenant_with_deadline(
-                        record.spec.clone(),
-                        record.submitted_s,
-                        id,
-                        tenant.absolute_deadline(record.submitted_s),
+                    let ticket = JobTicket { tenant: id, ticket };
+                    let job_id = admit_ticket(
+                        jobmanager,
+                        &mut self.job_to_ticket,
+                        ticket,
+                        record,
+                        tenant,
+                        now_s,
                     );
-                    record.state = TicketState::Admitted { job_id };
-                    self.job_to_ticket.insert(job_id, ticket);
                     tenant.deficit -= 1;
-                    tenant.in_flight += 1;
-                    tenant.admitted += 1;
-                    tenant.queue_wait_total_s += (now_s - record.submitted_s).max(0.0);
-                    admitted.push((JobTicket { tenant: id, ticket }, job_id));
+                    admitted.push((ticket, job_id));
                     progressed = true;
                 }
                 if tenant.queue.is_empty() {
@@ -553,8 +573,8 @@ impl SubmissionService {
     /// escalation order — descending SLO priority, then ascending ticket id —
     /// bounded by `budget` slots and each tenant's in-flight cap. Read-only:
     /// the caller journals one `SloEscalated` event per returned ticket and
-    /// then applies each with [`Self::apply_escalation`], so failover replays
-    /// the exact escalation stream.
+    /// then applies each (the step replay runs too), so failover replays the
+    /// exact escalation stream.
     pub fn pending_escalations(&self, now_s: f64, horizon_s: f64, budget: usize) -> Vec<JobTicket> {
         // SLO-free workloads pay nothing: without a finite-deadline SLO class
         // anywhere, no ticket can ever be due, so the scan does zero work.
@@ -605,7 +625,7 @@ impl SubmissionService {
     /// a precondition no longer holds — so a journaled escalation replays
     /// idempotently. No DRR deficit is debited: escalation is the *absolute*
     /// lane, deliberately outside the weighted-share accounting.
-    pub fn apply_escalation(
+    pub(crate) fn apply_escalation(
         &mut self,
         ticket: JobTicket,
         now_s: f64,
@@ -629,41 +649,26 @@ impl SubmissionService {
         if tenant.queue.is_empty() && tenant.deficit == 0 {
             self.active.remove(&ticket.tenant);
         }
-        let deadline_s = tenant.absolute_deadline(record.submitted_s);
-        let record = self.tickets.get_mut(&ticket.ticket).expect("checked above");
-        let job_id = jobmanager.submit_for_tenant_with_deadline(
-            record.spec.clone(),
-            record.submitted_s,
-            ticket.tenant,
-            deadline_s,
-        );
-        record.state = TicketState::Admitted { job_id };
-        self.job_to_ticket.insert(job_id, ticket.ticket);
-        let tenant = self.tenants.get_mut(ticket.tenant as usize).expect("checked above");
-        tenant.in_flight += 1;
-        tenant.admitted += 1;
         tenant.escalated += 1;
-        tenant.queue_wait_total_s += (now_s - record.submitted_s).max(0.0);
-        Some(job_id)
+        let record = self.tickets.get_mut(&ticket.ticket).expect("checked above");
+        Some(admit_ticket(jobmanager, &mut self.job_to_ticket, ticket, record, tenant, now_s))
     }
 
-    /// Account a dispatched batch: jobs the scheduler rejected return to the
-    /// *front* of their tenant's queue for re-admission until the tenant's
-    /// retry budget is exhausted, at which point the ticket becomes terminally
-    /// [`TicketStatus::Rejected`]. Returns the terminally rejected tickets.
-    pub fn note_batch(&mut self, batch: &BatchRecord) -> Vec<JobTicket> {
-        self.note_rejections(batch.t_s, &batch.outcome.rejected_jobs)
-    }
-
-    /// [`Self::note_batch`] from the raw rejected job ids — the replay form
-    /// used when re-applying a journaled batch dispatch, where only the state
-    /// delta (not the full batch record) was persisted. `now_s` is the batch
-    /// dispatch instant, used to classify terminal rejections: a spec no QPU
-    /// can run is [`RejectReason::Infeasible`], a ticket whose SLO deadline
-    /// already passed is [`RejectReason::DeadlineMissed`], anything else is
+    /// Account a dispatched batch's rejections: jobs the scheduler rejected
+    /// return to the *front* of their tenant's queue for re-admission until
+    /// the tenant's retry budget is exhausted, at which point the ticket
+    /// becomes terminally [`TicketStatus::Rejected`]. Returns the terminally
+    /// rejected tickets. `now_s` is the batch dispatch instant, used to
+    /// classify terminal rejections: a spec no QPU can run is
+    /// [`RejectReason::Infeasible`], a ticket whose SLO deadline already
+    /// passed is [`RejectReason::DeadlineMissed`], anything else is
     /// [`RejectReason::RetriesExhausted`]. The classification reads only
     /// journaled state, so replay reproduces it byte for byte.
-    pub fn note_rejections(&mut self, now_s: f64, rejected_jobs: &[JobId]) -> Vec<JobTicket> {
+    pub(crate) fn note_rejections(
+        &mut self,
+        now_s: f64,
+        rejected_jobs: &[JobId],
+    ) -> Vec<JobTicket> {
         let mut terminal = Vec::new();
         for job_id in rejected_jobs {
             let Some(ticket) = self.job_to_ticket.remove(job_id) else { continue };
@@ -696,35 +701,32 @@ impl SubmissionService {
         terminal
     }
 
-    /// Account drained completions: resolves tickets to
-    /// [`TicketStatus::Completed`], frees in-flight slots, and returns the
-    /// `(ticket, completion)` pairs for completions this service admitted.
-    pub fn note_completions(
+    /// Account one drained completion: resolve its ticket to
+    /// [`TicketStatus::Completed`], free the in-flight slot, and return the
+    /// `(ticket, completion)` pair — `None` for a job this service did not
+    /// admit.
+    pub(crate) fn note_completion(
         &mut self,
-        completions: &[CompletedExecution],
-    ) -> Vec<(JobTicket, CompletedExecution)> {
-        let mut out = Vec::new();
-        for &completion in completions {
-            let Some(ticket) = self.job_to_ticket.remove(&completion.job_id) else { continue };
-            let record = self.tickets.get_mut(&ticket).expect("admitted tickets exist");
-            let tenant = self
-                .tenants
-                .get_mut(record.tenant as usize)
-                .expect("tickets belong to registered tenants");
-            tenant.in_flight -= 1;
-            tenant.completed += 1;
-            let waiting_s = (completion.record.start_time_s - record.submitted_s).max(0.0);
-            let turnaround_s = (completion.record.finish_time_s - record.submitted_s).max(0.0);
-            tenant.turnaround_total_s += turnaround_s;
-            record.state = TicketState::Completed {
-                job_id: completion.job_id,
-                qpu_index: completion.qpu_index,
-                waiting_s,
-                turnaround_s,
-            };
-            out.push((JobTicket { tenant: record.tenant, ticket }, completion));
-        }
-        out
+        completion: CompletedExecution,
+    ) -> Option<(JobTicket, CompletedExecution)> {
+        let ticket = self.job_to_ticket.remove(&completion.job_id)?;
+        let record = self.tickets.get_mut(&ticket).expect("admitted tickets exist");
+        let tenant = self
+            .tenants
+            .get_mut(record.tenant as usize)
+            .expect("tickets belong to registered tenants");
+        tenant.in_flight -= 1;
+        tenant.completed += 1;
+        let waiting_s = (completion.record.start_time_s - record.submitted_s).max(0.0);
+        let turnaround_s = (completion.record.finish_time_s - record.submitted_s).max(0.0);
+        tenant.turnaround_total_s += turnaround_s;
+        record.state = TicketState::Completed {
+            job_id: completion.job_id,
+            qpu_index: completion.qpu_index,
+            waiting_s,
+            turnaround_s,
+        };
+        Some((JobTicket { tenant: record.tenant, ticket }, completion))
     }
 
     /// Current accounting for one tenant.
@@ -802,17 +804,6 @@ impl SubmissionService {
         Some(JobTicket { tenant: record.tenant, ticket })
     }
 
-    /// Canonical byte-for-byte text encoding of the service's full state:
-    /// id counters and round-robin cursor, per-tenant configuration, queue,
-    /// DRR deficit and accounting, every ticket record (sorted by id), and
-    /// the job→ticket map (sorted by job id). Floats are encoded as IEEE-754
-    /// bit patterns, so equal encodings imply bit-identical states.
-    pub fn encode_state(&self) -> String {
-        let mut out = String::with_capacity(self.encoded_len_hint());
-        self.encode_state_into(&mut out);
-        out
-    }
-
     /// Roughly the bytes [`Self::encode_state_into`] appends, so the
     /// caller's buffer is sized once (a low guess costs a reallocation,
     /// nothing else).
@@ -824,7 +815,12 @@ impl SubmissionService {
             + 42 * self.job_to_ticket.len()
     }
 
-    /// [`Self::encode_state`], appended to `out`.
+    /// Append the canonical byte-for-byte text encoding of the service's
+    /// full state to `out`: id counters and round-robin cursor, per-tenant
+    /// configuration, queue, DRR deficit and accounting, every ticket record
+    /// (sorted by id), and the job→ticket map (sorted by job id). Floats are
+    /// encoded as IEEE-754 bit patterns, so equal encodings imply
+    /// bit-identical states.
     pub(crate) fn encode_state_into(&self, out: &mut String) {
         use crate::replication::wire::{push_f64, push_list, push_slo, push_spec, push_u64};
         out.push_str("svc 2\nids ");
@@ -920,11 +916,11 @@ impl SubmissionService {
         out.push('\n');
     }
 
-    /// Decode a state produced by [`SubmissionService::encode_state`].
+    /// Decode a state produced by [`Self::encode_state_into`].
     /// Returns `None` for anything else — including a tenant table that is
     /// not dense (see the `tenants` field) or a ticket naming a tenant the
     /// table does not hold — never a partially or differently ordered state.
-    pub fn decode_state(encoded: &str) -> Option<SubmissionService> {
+    pub(crate) fn decode_state(encoded: &str) -> Option<SubmissionService> {
         use crate::replication::wire::{dec_f64, dec_spec};
         let mut lines = encoded.lines();
         if lines.next()? != "svc 2" {
@@ -1049,10 +1045,20 @@ impl SubmissionService {
     }
 }
 
-/// The `format!` encoder [`SubmissionService::encode_state`] replaced, kept
-/// as the byte oracle the streaming encoder is tested against.
+/// Test conveniences, and the `format!` encoder the streaming one
+/// replaced, kept as its byte oracle.
 #[cfg(test)]
 impl SubmissionService {
+    pub(crate) fn register_tenant(&mut self, weight: u32) -> TenantId {
+        self.register_tenant_with(TenantConfig::weighted(weight))
+    }
+
+    pub(crate) fn encode_state(&self) -> String {
+        let mut out = String::with_capacity(self.encoded_len_hint());
+        self.encode_state_into(&mut out);
+        out
+    }
+
     pub(crate) fn encode_state_oracle(&self) -> String {
         use crate::replication::wire::oracle::{enc_f64, enc_spec};
         let mut out = String::from("svc 2\n");
@@ -1178,10 +1184,23 @@ mod tests {
         }
     }
 
+    /// Drain every fleet queue and account the completions this service
+    /// admitted; returns how many resolved a ticket.
+    fn complete(svc: &mut SubmissionService, fleet: &mut Fleet) -> usize {
+        let mut resolved = 0;
+        for (qpu_index, member) in fleet.members_mut().iter_mut().enumerate() {
+            for record in member.queue.take_completed() {
+                let completion = CompletedExecution { job_id: record.job_id, qpu_index, record };
+                resolved += usize::from(svc.note_completion(completion).is_some());
+            }
+        }
+        resolved
+    }
+
     #[test]
     fn submit_is_non_blocking_and_polls_queued() {
         let fleet = small_fleet(1);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let tenant = svc.register_tenant(1);
         let t0 = svc.submit(tenant, spec(&fleet, 5, 10.0), 0.0).unwrap();
         let t1 = svc.submit(tenant, spec(&fleet, 5, 10.0), 1.0).unwrap();
@@ -1197,7 +1216,7 @@ mod tests {
     #[test]
     fn admission_respects_weights_and_capacity() {
         let fleet = small_fleet(2);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let heavy = svc.register_tenant(2);
         let light = svc.register_tenant(1);
         for i in 0..20 {
@@ -1223,7 +1242,7 @@ mod tests {
     #[test]
     fn in_flight_cap_limits_admission() {
         let fleet = small_fleet(3);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let tenant =
             svc.register_tenant_with(TenantConfig { weight: 1, max_in_flight: 2, max_retries: 0 });
         for _ in 0..5 {
@@ -1236,12 +1255,10 @@ mod tests {
         // Completing the in-flight jobs frees slots for the next pass.
         let mut fleet = fleet;
         let batch = jm.try_dispatch(60.0, &scheduler(), &mut fleet).expect("interval fires");
-        svc.note_batch(&batch);
+        svc.note_rejections(batch.t_s, &batch.outcome.rejected_jobs);
         let mut rng = StdRng::seed_from_u64(9);
         fleet.advance_to(1e5, &mut rng);
-        let done = jm.drain_completions(&mut fleet);
-        let resolved = svc.note_completions(&done);
-        assert_eq!(resolved.len(), 2);
+        assert_eq!(complete(&mut svc, &mut fleet), 2);
         assert_eq!(svc.admit(1.0, &mut jm).len(), 2);
     }
 
@@ -1252,7 +1269,7 @@ mod tests {
     #[test]
     fn capped_tenant_keeps_bounded_credit_and_reconverges_to_its_share() {
         let fleet = small_fleet(5);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let heavy =
             svc.register_tenant_with(TenantConfig { weight: 2, max_in_flight: 6, max_retries: 0 });
         let light = svc.register_tenant_with(TenantConfig::weighted(1));
@@ -1269,7 +1286,7 @@ mod tests {
         let burst = svc.admit(0.0, &mut jm);
         assert_eq!(burst.len(), 6, "the first pass fills the in-flight cap");
         for &(_, job_id) in &burst {
-            assert!(jm.dispatch_direct(job_id, qpu, &mut fleet));
+            jm.dispatch_direct(job_id, qpu, &mut fleet);
         }
 
         // While capped, every admission pass grants the quantum but clamps
@@ -1286,7 +1303,7 @@ mod tests {
         // The cap lifts: completions return the heavy tenant below its cap.
         let mut rng = StdRng::seed_from_u64(7);
         fleet.advance_to(100.0, &mut rng);
-        assert_eq!(svc.note_completions(&jm.drain_completions(&mut fleet)).len(), 6);
+        assert_eq!(complete(&mut svc, &mut fleet), 6);
         for _ in 0..40 {
             svc.submit(light, job.clone(), 100.0).unwrap();
         }
@@ -1301,10 +1318,10 @@ mod tests {
             heavy_admitted += admitted.iter().filter(|(t, _)| t.tenant == heavy).count();
             light_admitted += admitted.iter().filter(|(t, _)| t.tenant == light).count();
             for &(_, job_id) in &admitted {
-                assert!(jm.dispatch_direct(job_id, qpu, &mut fleet));
+                jm.dispatch_direct(job_id, qpu, &mut fleet);
             }
             fleet.advance_to(t + 50.0, &mut rng);
-            svc.note_completions(&jm.drain_completions(&mut fleet));
+            complete(&mut svc, &mut fleet);
         }
         let share = heavy_admitted as f64 / (heavy_admitted + light_admitted) as f64;
         assert!(
@@ -1317,7 +1334,7 @@ mod tests {
     #[test]
     fn rejected_jobs_retry_then_terminalize() {
         let mut fleet = small_fleet(4);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let tenant =
             svc.register_tenant_with(TenantConfig { weight: 1, max_in_flight: 16, max_retries: 1 });
         // 64 qubits fits no QPU: the scheduler rejects it every time.
@@ -1327,12 +1344,15 @@ mod tests {
 
         svc.admit(0.0, &mut jm);
         let batch = jm.try_dispatch(0.0, &scheduler, &mut fleet).expect("trigger fires");
-        assert!(svc.note_batch(&batch).is_empty(), "first rejection re-queues");
+        assert!(
+            svc.note_rejections(batch.t_s, &batch.outcome.rejected_jobs).is_empty(),
+            "first rejection re-queues"
+        );
         assert_eq!(svc.poll(doomed), Some(TicketStatus::Queued { position: 0, attempts: 1 }));
 
         svc.admit(1.0, &mut jm);
         let batch = jm.try_dispatch(1.0, &scheduler, &mut fleet).expect("trigger fires again");
-        let terminal = svc.note_batch(&batch);
+        let terminal = svc.note_rejections(batch.t_s, &batch.outcome.rejected_jobs);
         assert_eq!(terminal, vec![doomed]);
         // 64 qubits fits no QPU: the terminal reason is Infeasible, not a
         // bare retries-exhausted.
@@ -1354,7 +1374,7 @@ mod tests {
     #[test]
     fn weight_zero_tenant_is_clamped_and_makes_progress() {
         let fleet = small_fleet(7);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let zero = svc.register_tenant(0);
         assert_eq!(svc.tenant_stats(zero).unwrap().weight, 1, "weight 0 clamps to 1");
         let configs = svc.tenant_configs();
@@ -1377,7 +1397,7 @@ mod tests {
     #[test]
     fn escalation_jumps_the_drr_scan_without_double_admit() {
         let fleet = small_fleet(8);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let bulk = svc.register_tenant(8);
         let slo =
             svc.register_tenant_with_slo(TenantConfig::weighted(1), SloClass::with_deadline(30.0));
@@ -1417,7 +1437,7 @@ mod tests {
     #[test]
     fn escalation_order_is_priority_then_ticket_id_and_respects_caps() {
         let fleet = small_fleet(9);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let gold = svc.register_tenant_with_slo(
             TenantConfig { weight: 1, max_in_flight: 1, max_retries: 0 },
             SloClass { deadline_s: 10.0, priority: 2, max_error: 0.05 },
@@ -1441,7 +1461,7 @@ mod tests {
     #[test]
     fn terminal_reject_reasons_distinguish_deadline_from_retries() {
         let fleet = small_fleet(10);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let slo = svc.register_tenant_with_slo(
             TenantConfig { weight: 1, max_in_flight: 4, max_retries: 0 },
             SloClass::with_deadline(5.0),
@@ -1474,7 +1494,7 @@ mod tests {
     #[test]
     fn state_encoding_roundtrips_bit_for_bit() {
         let mut fleet = small_fleet(6);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let a =
             svc.register_tenant_with(TenantConfig { weight: 3, max_in_flight: 2, max_retries: 0 });
         let b = svc.register_tenant_with(TenantConfig::weighted(1));
@@ -1490,11 +1510,11 @@ mod tests {
         for _ in 0..4 {
             svc.admit(t, &mut jm);
             if let Some(batch) = jm.try_dispatch(t, &scheduler, &mut fleet) {
-                svc.note_batch(&batch);
+                svc.note_rejections(batch.t_s, &batch.outcome.rejected_jobs);
             }
             t += 41.0;
             fleet.advance_to(t, &mut rng);
-            svc.note_completions(&jm.drain_completions(&mut fleet));
+            complete(&mut svc, &mut fleet);
         }
         let encoded = svc.encode_state();
         let back = SubmissionService::decode_state(&encoded).expect("decodes");
@@ -1521,7 +1541,7 @@ mod tests {
     #[test]
     fn decode_rejects_tenant_tables_that_are_not_dense() {
         let fleet = small_fleet(15);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         for weight in 1..=3 {
             svc.register_tenant(weight);
         }
@@ -1568,7 +1588,7 @@ mod tests {
     #[test]
     fn ticket_conservation_across_the_lifecycle() {
         let mut fleet = small_fleet(5);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let a = svc.register_tenant(3);
         let b = svc.register_tenant(1);
         let mut tickets = Vec::new();
@@ -1586,14 +1606,14 @@ mod tests {
             assert!(guard < 200, "drain loop must converge");
             svc.admit(t, &mut jm);
             if let Some(batch) = jm.try_dispatch(t, &scheduler, &mut fleet) {
-                svc.note_batch(&batch);
+                svc.note_rejections(batch.t_s, &batch.outcome.rejected_jobs);
             }
             t += 1.0;
             fleet.advance_to(t, &mut rng);
-            svc.note_completions(&jm.drain_completions(&mut fleet));
+            complete(&mut svc, &mut fleet);
         }
         fleet.advance_to(1e6, &mut rng);
-        svc.note_completions(&jm.drain_completions(&mut fleet));
+        complete(&mut svc, &mut fleet);
         for (id, stats) in svc.snapshot() {
             assert_eq!(
                 stats.queued as u64 + stats.in_flight as u64 + stats.completed + stats.rejected,
@@ -1617,7 +1637,7 @@ mod tests {
     #[test]
     fn admission_scan_is_o_active_not_o_registered() {
         let fleet = small_fleet(12);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let mut tenants = Vec::new();
         for i in 0..10_000u32 {
             tenants.push(svc.register_tenant(i % 3 + 1));
@@ -1649,7 +1669,7 @@ mod tests {
     #[test]
     fn slo_free_workloads_skip_the_escalation_scan_entirely() {
         let fleet = small_fleet(13);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         for i in 0..500u32 {
             let t = svc.register_tenant(i % 2 + 1);
             svc.submit(t, spec(&fleet, 5, 10.0), 0.0).unwrap();
@@ -1675,7 +1695,7 @@ mod tests {
     #[test]
     fn derived_indices_track_the_lifecycle_and_rebuild_on_decode() {
         let fleet = small_fleet(14);
-        let mut svc = SubmissionService::new();
+        let mut svc = SubmissionService::default();
         let bulk = svc.register_tenant(4);
         let slo =
             svc.register_tenant_with_slo(TenantConfig::weighted(1), SloClass::with_deadline(10.0));

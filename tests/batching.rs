@@ -7,7 +7,7 @@
 mod common;
 
 use qonductor::circuit::generators::ghz;
-use qonductor::core::{DeploymentConfig, JobManager, Orchestrator, WorkflowStatus};
+use qonductor::core::{DeploymentConfig, Orchestrator, ReplicatedControlPlane, WorkflowStatus};
 use qonductor::mitigation::MitigationStack;
 use qonductor::scheduler::{ClassicalRequest, ScheduleTrigger, TriggerReason};
 
@@ -118,28 +118,35 @@ fn both_trigger_paths_fire_across_a_session() {
 fn idle_interval_firing_emits_no_empty_batch() {
     let mut fleet = common::small_fleet(16);
     let scheduler = common::small_scheduler(8, 4, 240);
-    let mut jm = JobManager::new(ScheduleTrigger::new(100, 60.0));
+    let spec = common::feasible_spec(&fleet, 5, 10.0);
+    let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(100, 60.0), 1, 16);
+    let mut dispatch = |plane: &mut ReplicatedControlPlane, now: f64| {
+        plane.try_dispatch(now, &scheduler, &mut fleet).expect("quorum").map(|o| o.record)
+    };
 
     // Empty pool: the interval has elapsed many times over, yet nothing fires.
     for now in [60.0, 120.0, 600.0] {
-        assert!(jm.try_dispatch(now, &scheduler, &mut fleet).is_none());
+        assert!(dispatch(&mut plane, now).is_none());
     }
-    assert_eq!(jm.batches_dispatched(), 0, "no empty batch was emitted");
+    assert_eq!(plane.jobmanager().batches_dispatched(), 0, "no empty batch was emitted");
 
     // Pool holds only a job submitted later in simulated time: the interval
     // firing still has zero admitted jobs and must stay silent.
-    jm.submit(common::feasible_spec(&fleet, 5, 10.0), 1000.0);
-    assert!(jm.check_trigger(700.0).is_none());
-    assert!(jm.try_dispatch(700.0, &scheduler, &mut fleet).is_none());
-    assert_eq!(jm.batches_dispatched(), 0);
+    let tenant = plane.register_tenant(1).unwrap();
+    plane.submit(tenant, spec, 1000.0).unwrap();
+    plane.admit(1000.0).unwrap();
+    assert_eq!(plane.jobmanager().pending_len(), 1);
+    assert!(plane.jobmanager().check_trigger(700.0).is_none());
+    assert!(dispatch(&mut plane, 700.0).is_none());
+    assert_eq!(plane.jobmanager().batches_dispatched(), 0);
 
     // Once the submission is causally present and a full interval has passed
     // since it armed the timer (t=1000), the batch fires with index 0.
-    assert!(jm.try_dispatch(1000.0, &scheduler, &mut fleet).is_none(), "interval not yet elapsed");
-    let batch = jm.try_dispatch(1060.0, &scheduler, &mut fleet).expect("job is now schedulable");
+    assert!(dispatch(&mut plane, 1000.0).is_none(), "interval not yet elapsed");
+    let batch = dispatch(&mut plane, 1060.0).expect("job is now schedulable");
     assert_eq!(batch.batch_index, 0);
     assert_eq!(batch.job_ids.len(), 1);
-    assert_eq!(jm.batches_dispatched(), 1);
+    assert_eq!(plane.jobmanager().batches_dispatched(), 1);
 }
 
 #[test]

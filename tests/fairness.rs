@@ -14,7 +14,7 @@ use qonductor::cloudsim::{
     TenantLoad,
 };
 use qonductor::core::{
-    DeploymentConfig, JobManager, Orchestrator, OrchestratorError, SubmissionService, TenantConfig,
+    DeploymentConfig, Orchestrator, OrchestratorError, ReplicatedControlPlane, TenantConfig,
     TicketStatus, WorkflowStatus,
 };
 use qonductor::mitigation::MitigationStack;
@@ -37,35 +37,31 @@ fn weighted_fair_admission_tracks_weights_under_saturation() {
     let mut fleet = small_fleet(31);
     let scheduler = scheduler();
     // Queue-size trigger 12 doubles as the admission pool capacity.
-    let mut jm = JobManager::new(ScheduleTrigger::new(12, 30.0));
-    let mut svc = SubmissionService::new();
-    let heavy = svc.register_tenant_with(TenantConfig {
-        weight: 2,
-        max_in_flight: usize::MAX,
-        max_retries: 0,
-    });
-    let light = svc.register_tenant_with(TenantConfig {
-        weight: 1,
-        max_in_flight: usize::MAX,
-        max_retries: 0,
-    });
+    let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(12, 30.0), 1, 31);
+    let heavy = plane
+        .register_tenant_with(TenantConfig { weight: 2, max_in_flight: usize::MAX, max_retries: 0 })
+        .unwrap();
+    let light = plane
+        .register_tenant_with(TenantConfig { weight: 1, max_in_flight: usize::MAX, max_retries: 0 })
+        .unwrap();
 
     let mut tickets = Vec::new();
     for i in 0..60 {
         let at = i as f64 * 0.001;
-        tickets.push(svc.submit(heavy, feasible_spec(&fleet, 5, 4.0), at).unwrap());
-        tickets.push(svc.submit(light, feasible_spec(&fleet, 5, 4.0), at).unwrap());
+        tickets.push(plane.submit(heavy, feasible_spec(&fleet, 5, 4.0), at).unwrap());
+        tickets.push(plane.submit(light, feasible_spec(&fleet, 5, 4.0), at).unwrap());
     }
 
     let mut rng = StdRng::seed_from_u64(7);
     let mut t = 1.0;
     let mut saturated_batches = 0usize;
     let mut guard = 0usize;
-    while svc.total_queued() > 0 || jm.pending_len() > 0 {
+    while plane.submissions().total_queued() > 0 || plane.jobmanager().pending_len() > 0 {
         guard += 1;
         assert!(guard < 100, "drain loop must converge");
-        svc.admit(t, &mut jm);
-        if let Some(batch) = jm.try_dispatch(t, &scheduler, &mut fleet) {
+        plane.admit(t).unwrap();
+        if let Some(outcome) = plane.try_dispatch(t, &scheduler, &mut fleet).unwrap() {
+            let batch = &outcome.record;
             let count = |tenant| {
                 batch.tenant_jobs.iter().find(|(id, _)| *id == tenant).map_or(0usize, |(_, n)| *n)
             };
@@ -74,6 +70,7 @@ fn weighted_fair_admission_tracks_weights_under_saturation() {
             assert!(batch.job_ids.len() <= 12, "no batch exceeds the trigger limit");
             // While both backlogs saturate a full batch, shares track 2:1
             // within ±10 percentage points.
+            let svc = plane.submissions();
             if svc.queued_len(heavy) > 0 && svc.queued_len(light) > 0 {
                 let share = h as f64 / batch.job_ids.len() as f64;
                 assert!(
@@ -83,17 +80,18 @@ fn weighted_fair_admission_tracks_weights_under_saturation() {
                 );
                 saturated_batches += 1;
             }
-            assert!(svc.note_batch(&batch).is_empty(), "all jobs are feasible");
+            assert!(outcome.terminal_rejections.is_empty(), "all jobs are feasible");
         }
         t += 31.0;
         fleet.advance_to(t, &mut rng);
-        svc.note_completions(&jm.drain_completions(&mut fleet));
+        plane.note_completions(&plane.drain_completions(&mut fleet)).unwrap();
     }
     assert!(saturated_batches >= 4, "got {saturated_batches} saturated batches");
 
     // Drain the fleet queues: every ticket completes — nothing was dropped.
     fleet.advance_to(t + 1e6, &mut rng);
-    svc.note_completions(&jm.drain_completions(&mut fleet));
+    plane.note_completions(&plane.drain_completions(&mut fleet)).unwrap();
+    let svc = plane.submissions();
     for ticket in &tickets {
         assert!(
             matches!(svc.poll(*ticket), Some(TicketStatus::Completed { .. })),
@@ -127,49 +125,49 @@ fn weighted_fair_admission_tracks_weights_under_saturation() {
 fn starved_tenant_jobs_are_never_dropped() {
     let mut fleet = small_fleet(32);
     let scheduler = scheduler();
-    let mut jm = JobManager::new(ScheduleTrigger::new(11, 30.0));
-    let mut svc = SubmissionService::new();
-    let heavy = svc.register_tenant(10);
-    let light = svc.register_tenant(1);
+    let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(11, 30.0), 1, 32);
+    let heavy = plane.register_tenant(10).unwrap();
+    let light = plane.register_tenant(1).unwrap();
 
     let mut light_tickets = Vec::new();
     for i in 0..40 {
         let at = i as f64 * 0.001;
-        svc.submit(heavy, feasible_spec(&fleet, 5, 3.0), at).unwrap();
-        light_tickets.push(svc.submit(light, feasible_spec(&fleet, 5, 3.0), at).unwrap());
+        plane.submit(heavy, feasible_spec(&fleet, 5, 3.0), at).unwrap();
+        light_tickets.push(plane.submit(light, feasible_spec(&fleet, 5, 3.0), at).unwrap());
     }
 
     let mut rng = StdRng::seed_from_u64(8);
     let mut t = 1.0;
     let mut guard = 0usize;
-    while svc.total_queued() > 0 || jm.pending_len() > 0 {
+    while plane.submissions().total_queued() > 0 || plane.jobmanager().pending_len() > 0 {
         guard += 1;
         assert!(guard < 200, "drain loop must converge");
-        svc.admit(t, &mut jm);
-        if let Some(batch) = jm.try_dispatch(t, &scheduler, &mut fleet) {
+        plane.admit(t).unwrap();
+        if let Some(outcome) = plane.try_dispatch(t, &scheduler, &mut fleet).unwrap() {
+            let svc = plane.submissions();
             if svc.queued_len(heavy) > 0 && svc.queued_len(light) > 0 {
-                let light_jobs = batch
+                let light_jobs = outcome
+                    .record
                     .tenant_jobs
                     .iter()
                     .find(|(id, _)| *id == light)
                     .map_or(0usize, |(_, n)| *n);
                 assert!(light_jobs >= 1, "the starved tenant progresses every saturated batch");
             }
-            svc.note_batch(&batch);
         }
         t += 31.0;
         fleet.advance_to(t, &mut rng);
-        svc.note_completions(&jm.drain_completions(&mut fleet));
+        plane.note_completions(&plane.drain_completions(&mut fleet)).unwrap();
     }
     fleet.advance_to(t + 1e6, &mut rng);
-    svc.note_completions(&jm.drain_completions(&mut fleet));
+    plane.note_completions(&plane.drain_completions(&mut fleet)).unwrap();
     for ticket in &light_tickets {
         assert!(
-            matches!(svc.poll(*ticket), Some(TicketStatus::Completed { .. })),
+            matches!(plane.poll(*ticket), Some(TicketStatus::Completed { .. })),
             "starved tenant's ticket {ticket:?} must complete"
         );
     }
-    let stats = svc.tenant_stats(light).unwrap();
+    let stats = plane.submissions().tenant_stats(light).unwrap();
     assert_eq!(stats.completed, 40);
     assert_eq!(stats.rejected, 0);
 }

@@ -8,13 +8,12 @@ mod common;
 
 use proptest::prelude::*;
 use qonductor::backend::{
-    hellinger_fidelity, CouplingMap, Distribution, Fleet, Qpu, QpuModel, Simulator,
+    hellinger_fidelity, CouplingMap, Distribution, Fleet, Qpu, QpuModel, ResourceClass, Simulator,
 };
 use qonductor::circuit::{generators, Circuit, CircuitMetrics};
 use qonductor::core::digest::Fnv64;
 use qonductor::core::{
-    JobManager, JobTicket, ReplicatedControlPlane, SloClass, SubmissionService, TenantConfig,
-    TicketStatus,
+    CalibrationPolicy, JobTicket, ReplicatedControlPlane, SloClass, TenantConfig, TicketStatus,
 };
 use qonductor::mitigation::{fold_circuit, MitigationCost};
 use qonductor::scheduler::{
@@ -266,22 +265,31 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let mut fleet = common::small_fleet(seed ^ 0x00AB);
         let scheduler = common::small_scheduler(8, 4, 240);
-        let mut jm = JobManager::new(ScheduleTrigger::new(100, 40.0));
+        let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(100, 40.0), 1, seed);
+        let tenant = plane.register_tenant(1).expect("quorum");
         for _ in 0..num_jobs {
-            jm.submit(common::feasible_spec(&fleet, rng.gen_range(2..=20), 5.0), 0.0);
+            let spec = common::feasible_spec(&fleet, rng.gen_range(2..=20), 5.0);
+            plane.submit(tenant, spec, 0.0).expect("quorum");
         }
         if rng.gen_bool(0.4) {
             for _ in 0..rng.gen_range(1..3) {
-                jm.submit(common::feasible_spec(&fleet, rng.gen_range(2..=20), 5.0), 1.0);
+                let spec = common::feasible_spec(&fleet, rng.gen_range(2..=20), 5.0);
+                plane.submit(tenant, spec, 1.0).expect("quorum");
             }
         }
+        plane.admit(1.0).expect("quorum");
         if rng.gen_bool(0.4) {
-            let victim = jm.pending()[rng.gen_range(0..jm.pending_len())].job_id;
+            let pool = plane.jobmanager().pending();
+            let victim = pool[rng.gen_range(0..pool.len())].job_id;
             let qpu = rng.gen_range(0..fleet.members().len());
-            jm.dispatch_direct(victim, qpu, &mut fleet);
+            plane.dispatch_direct(victim, qpu, &mut fleet).expect("quorum");
         }
-        let live: Vec<u64> = jm.pending().iter().map(|j| j.job_id).collect();
-        let batch = jm.try_dispatch(40.0, &scheduler, &mut fleet).expect("interval fires");
+        let live: Vec<u64> = plane.jobmanager().pending().iter().map(|j| j.job_id).collect();
+        let batch = plane
+            .try_dispatch(40.0, &scheduler, &mut fleet)
+            .expect("quorum")
+            .expect("interval fires")
+            .record;
         prop_assert_eq!(&batch.job_ids, &live, "the whole live pool is scheduled");
         let live: HashSet<u64> = live.into_iter().collect();
         for id in batch.enqueued_job_ids() {
@@ -320,15 +328,14 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut fleet = common::small_fleet(seed ^ 0xBEEF);
         const QUEUE_LIMIT: usize = 7;
-        let mut jm = JobManager::new(ScheduleTrigger::new(QUEUE_LIMIT, 40.0));
+        let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(QUEUE_LIMIT, 40.0), 1, seed);
         let scheduler = common::small_scheduler(8, 4, 240);
-        let mut svc = SubmissionService::new();
         let tenants: Vec<_> = (1..=3u32)
-            .map(|w| svc.register_tenant_with(TenantConfig {
+            .map(|w| plane.register_tenant_with(TenantConfig {
                 weight: w,
                 max_in_flight: 16,
                 max_retries: 1,
-            }))
+            }).expect("quorum"))
             .collect();
 
         let mut t = 0.0f64;
@@ -337,20 +344,18 @@ proptest! {
         let mut batches = Vec::new();
         let drive = |t: &mut f64,
                          dt: f64,
-                         svc: &mut SubmissionService,
-                         jm: &mut JobManager,
+                         plane: &mut ReplicatedControlPlane,
                          fleet: &mut Fleet,
                          admitted_ids: &mut Vec<u64>,
                          batches: &mut Vec<qonductor::core::BatchRecord>,
                          rng: &mut StdRng| {
             *t += dt;
-            admitted_ids.extend(svc.admit(*t, jm).into_iter().map(|(_, id)| id));
-            if let Some(batch) = jm.try_dispatch(*t, &scheduler, fleet) {
-                svc.note_batch(&batch);
-                batches.push(batch);
+            admitted_ids.extend(plane.admit(*t).expect("quorum").into_iter().map(|(_, id)| id));
+            if let Some(outcome) = plane.try_dispatch(*t, &scheduler, fleet).expect("quorum") {
+                batches.push(outcome.record);
             }
             fleet.advance_to(*t, rng);
-            svc.note_completions(&jm.drain_completions(fleet));
+            plane.note_completions(&plane.drain_completions(fleet)).expect("quorum");
         };
 
         let num_ops = rng.gen_range(20..60);
@@ -361,21 +366,21 @@ proptest! {
                 // to exercise the bounded-retry rejection path.
                 let qubits = if rng.gen_bool(0.12) { 40 } else { rng.gen_range(2..=20) };
                 let spec = common::feasible_spec(&fleet, qubits, 5.0);
-                all_tickets.push(svc.submit(tenant, spec, t).unwrap());
+                all_tickets.push(plane.submit(tenant, spec, t).unwrap());
             } else {
                 let dt = rng.gen_range(1.0..60.0);
-                drive(&mut t, dt, &mut svc, &mut jm, &mut fleet, &mut admitted_ids, &mut batches, &mut rng);
+                drive(&mut t, dt, &mut plane, &mut fleet, &mut admitted_ids, &mut batches, &mut rng);
             }
         }
         // Flush: drive until every queue and the pool are empty.
         let mut guard = 0;
-        while svc.total_queued() > 0 || jm.pending_len() > 0 {
+        while plane.submissions().total_queued() > 0 || plane.jobmanager().pending_len() > 0 {
             guard += 1;
             prop_assert!(guard < 500, "flush must converge");
-            drive(&mut t, 41.0, &mut svc, &mut jm, &mut fleet, &mut admitted_ids, &mut batches, &mut rng);
+            drive(&mut t, 41.0, &mut plane, &mut fleet, &mut admitted_ids, &mut batches, &mut rng);
         }
         fleet.advance_to(t + 1e6, &mut rng);
-        svc.note_completions(&jm.drain_completions(&mut fleet));
+        plane.note_completions(&plane.drain_completions(&mut fleet)).expect("quorum");
 
         // (a) ids are strictly increasing (hence unique) across tenants, in
         // admission order.
@@ -406,13 +411,13 @@ proptest! {
         // Ticket conservation: every ticket ends Completed or (for the
         // infeasible ones) terminally Rejected after max_retries + 1 attempts.
         for ticket in &all_tickets {
-            match svc.poll(*ticket) {
+            match plane.poll(*ticket) {
                 Some(TicketStatus::Completed { .. }) => {}
                 Some(TicketStatus::Rejected { attempts, .. }) => prop_assert_eq!(attempts, 2),
                 other => panic!("ticket {ticket:?} ended as {other:?}"),
             }
         }
-        for (id, stats) in svc.snapshot() {
+        for (id, stats) in plane.submissions().snapshot() {
             prop_assert_eq!(
                 stats.completed + stats.rejected,
                 stats.submitted,
@@ -428,35 +433,46 @@ proptest! {
     /// duplicates it — and every deferred job id reappears in a later batch.
     #[test]
     fn split_dispatch_conserves_jobs(seed in 0u64..1_000_000) {
-        use qonductor::core::CalibrationPolicy;
         let mut rng = StdRng::seed_from_u64(seed);
         // Short calibration period so plans regularly cross boundaries.
         let mut fleet = common::small_fleet(seed ^ 0xCAFE).with_calibration_period(120.0, 0.0);
-        let mut jm = JobManager::new(ScheduleTrigger::new(6, 30.0))
-            .with_calibration_policy(CalibrationPolicy::SplitAtBoundary);
+        let mut plane = ReplicatedControlPlane::with_policy(
+            ScheduleTrigger::new(6, 30.0),
+            CalibrationPolicy::SplitAtBoundary,
+            1,
+            seed,
+        );
+        let tenant = plane.register_tenant(1).expect("quorum");
         let scheduler = common::small_scheduler(8, 4, 240);
 
         let num_jobs = rng.gen_range(5..25);
-        let mut submitted: Vec<u64> = Vec::new();
         let mut t = 0.0f64;
         for _ in 0..num_jobs {
             t += rng.gen_range(0.0..20.0);
             let exec_s = rng.gen_range(5.0..90.0);
             let qubits = rng.gen_range(2..=20);
-            submitted.push(jm.submit(common::feasible_spec(&fleet, qubits, exec_s), t));
+            plane.submit(tenant, common::feasible_spec(&fleet, qubits, exec_s), t).expect("quorum");
         }
 
-        // Drive the engine event-by-event until the pool drains.
+        // Drive the plane event-by-event until the queue and the pool drain
+        // (the pool holds at most the trigger limit; admission refills it).
+        let mut submitted: Vec<u64> = Vec::new();
         let mut enqueued: HashMap<u64, usize> = HashMap::new();
         let mut deferred_ever: HashSet<u64> = HashSet::new();
         let mut guard = 0;
-        while jm.pending_len() > 0 {
+        loop {
+            submitted.extend(plane.admit(t).expect("quorum").into_iter().map(|(_, id)| id));
+            let pending = plane.jobmanager().pending_len();
+            if pending == 0 {
+                break;
+            }
             guard += 1;
-            prop_assert!(guard < 400, "drain must converge (pending {})", jm.pending_len());
-            let Some(fire) = jm.next_trigger_s() else { break };
+            prop_assert!(guard < 400, "drain must converge (pending {})", pending);
+            let Some(fire) = plane.next_trigger_s() else { break };
             t = fire.max(t);
             fleet.advance_to(t, &mut rng);
-            if let Some(batch) = jm.try_dispatch(t, &scheduler, &mut fleet) {
+            if let Some(outcome) = plane.try_dispatch(t, &scheduler, &mut fleet).expect("quorum") {
+                let batch = outcome.record;
                 for id in batch.enqueued_job_ids() {
                     *enqueued.entry(id).or_insert(0) += 1;
                 }
@@ -479,6 +495,7 @@ proptest! {
             );
         }
         prop_assert_eq!(enqueued.len(), submitted.len());
+        prop_assert_eq!(submitted.len(), num_jobs, "every ticket was admitted");
         // Deferred jobs re-entered a later batch rather than vanishing.
         for id in &deferred_ever {
             prop_assert!(enqueued.contains_key(id), "deferred job {} was re-dispatched", id);
@@ -509,7 +526,9 @@ enum ControlOp {
     Register { weight: u32, slo_deadline_s: Option<f64> },
     /// Submit a job for tenant `tenant_index` (infeasible if `qubits` exceeds
     /// every QPU, exercising the bounded-retry rejection path on replay).
-    Submit { tenant_index: usize, qubits: u32 },
+    /// With `extra_column` the estimate table carries one entry more than
+    /// the fleet has QPUs, as if estimated against a larger fleet.
+    Submit { tenant_index: usize, qubits: u32, extra_column: bool },
     /// Advance simulated time by `dt_s`: admit, maybe dispatch, advance the
     /// fleet, deliver completions.
     Drive { dt_s: f64 },
@@ -522,15 +541,41 @@ enum ControlOp {
     /// Return a fleet-QPU lease (journaled; releasing an unheld lease is a
     /// no-op that appends nothing).
     Release { qpu_index: usize },
+    /// Place pending job `job_pick` (modulo the pool) directly on
+    /// `qpu_index`, which may be infeasible for it or past the fleet: a
+    /// refused dispatch journals nothing.
+    DirectDispatch { job_pick: usize, qpu_index: usize },
+    /// Re-estimate pending job `job_pick` at `exec_s`; with `extra_column`
+    /// the table carries one more entry than the fleet has QPUs, which a
+    /// direct dispatch past the fleet must not trust.
+    Reestimate { job_pick: usize, exec_s: f64, extra_column: bool },
+    /// Journal an autoscaler grow decision for fleet index `qpu_index`.
+    Provision { qpu_index: usize },
+    /// Journal an autoscaler shrink decision for fleet index `qpu_index`.
+    Retire { qpu_index: usize },
 }
 
-/// Execute an op sequence against a fresh replicated control plane; if
+/// `spec` with one more estimate column than the fleet has QPUs, if `extra`.
+fn with_extra_column(mut spec: qonductor::core::JobSpec, extra: bool) -> qonductor::core::JobSpec {
+    if extra {
+        spec.fidelity_per_qpu.push(0.9);
+        spec.exec_time_per_qpu.push(spec.exec_time_per_qpu[0]);
+    }
+    spec
+}
+
+/// Execute an op sequence against a fresh replicated control plane — under
+/// `CalibrationPolicy::SplitAtBoundary` on a fleet recalibrating every 120 s
+/// for even seeds, so boundary deferrals are journaled and replayed. If
 /// `crash_at` is `Some(k)`, the leader is killed and failed over right before
 /// op `k` (the journal then holds exactly the events of `log[..k]`, and the
-/// run continues by appending — i.e. replaying — `log[k..]`). Returns the
-/// final encoded state (the byte oracle), every ticket's final status, and
-/// whether each failover rebuilt the pre-crash state byte for byte. The
-/// derived admission indices are checked for consistency after every op.
+/// run continues by appending — i.e. replaying — `log[k..]`), and after every
+/// op the state is rebuilt from the plane's own store (a failover with the
+/// leader alive) and compared with the live one; the uninterrupted run
+/// (`None`) only ever runs live. Returns the final encoded state (the byte
+/// oracle), every ticket's final status, and whether every rebuild matched
+/// the live state byte for byte. The derived admission indices are checked
+/// for consistency after every op.
 fn run_control_ops(
     seed: u64,
     ops: &[ControlOp],
@@ -547,11 +592,19 @@ fn run_control_ops(
     }
     const QUEUE_LIMIT: usize = 5;
     const INTERVAL_S: f64 = 40.0;
+    let split = seed.is_multiple_of(2);
     let mut fleet = common::small_fleet(seed ^ 0xF1EE);
+    let policy = if split {
+        fleet = fleet.with_calibration_period(120.0, 0.0);
+        CalibrationPolicy::SplitAtBoundary
+    } else {
+        CalibrationPolicy::Naive
+    };
     let scheduler = common::small_scheduler(8, 4, 240);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD21F);
-    let mut plane = ReplicatedControlPlane::new(
+    let mut plane = ReplicatedControlPlane::with_policy(
         qonductor::scheduler::ScheduleTrigger::new(QUEUE_LIMIT, INTERVAL_S),
+        policy,
         1,
         seed,
     );
@@ -604,8 +657,9 @@ fn run_control_ops(
                 };
                 tenants.push(tenant);
             }
-            ControlOp::Submit { tenant_index, qubits } => {
-                let spec = common::feasible_spec(&fleet, qubits, 5.0);
+            ControlOp::Submit { tenant_index, qubits, extra_column } => {
+                let spec =
+                    with_extra_column(common::feasible_spec(&fleet, qubits, 5.0), extra_column);
                 let tenant = tenants[tenant_index % tenants.len()];
                 tickets.push(plane.submit(tenant, spec, t).expect("quorum"));
             }
@@ -619,8 +673,41 @@ fn run_control_ops(
             ControlOp::Release { qpu_index } => {
                 plane.release_qpu(qpu_index % fleet.members().len()).expect("quorum");
             }
+            ControlOp::DirectDispatch { job_pick, qpu_index } => {
+                let pool = plane.jobmanager().pending();
+                if !pool.is_empty() {
+                    let job_id = pool[job_pick % pool.len()].job_id;
+                    let journaled = plane.log().len();
+                    let placed =
+                        plane.dispatch_direct(job_id, qpu_index, &mut fleet).expect("quorum");
+                    assert_eq!(plane.log().len(), journaled + u64::from(placed));
+                }
+            }
+            ControlOp::Reestimate { job_pick, exec_s, extra_column } => {
+                let pool = plane.jobmanager().pending();
+                if !pool.is_empty() {
+                    let job = &pool[job_pick % pool.len()];
+                    let job_id = job.job_id;
+                    let spec = common::feasible_spec(&fleet, job.spec.qubits, exec_s);
+                    plane
+                        .reestimate_job(job_id, with_extra_column(spec, extra_column))
+                        .expect("quorum");
+                }
+            }
+            ControlOp::Provision { qpu_index } => {
+                plane.provision_qpu(t, qpu_index, ResourceClass::Simulator).expect("quorum");
+            }
+            ControlOp::Retire { qpu_index } => {
+                plane.retire_qpu(t, qpu_index).expect("quorum");
+            }
         }
         indices_hold(&plane);
+        if crash_at.is_some() {
+            let (digest, live) = (plane.state_digest(), plane.encode_state());
+            plane.failover().expect("the leader is alive");
+            rebuilds_matched &= plane.state_digest() == digest && plane.encode_state() == live;
+            indices_hold(&plane);
+        }
     }
     if crash_at == Some(ops.len()) {
         crash(&mut plane, &mut rebuilds_matched);
@@ -632,7 +719,11 @@ fn run_control_ops(
         assert!(guard < 500, "flush must converge");
         drive(&mut plane, &mut fleet, &mut rng, &mut t, INTERVAL_S + 1.0);
     }
-    fleet.advance_to(t + 1e6, &mut rng);
+    // Run the queues dry completion by completion (one far jump would walk
+    // every recalibration boundary of the short-period fleet on the way).
+    while let Some(next_s) = plane.next_event_s(&fleet) {
+        fleet.advance_to(next_s, &mut rng);
+    }
     let done = plane.drain_completions(&mut fleet);
     plane.note_completions(&done).expect("quorum");
     indices_hold(&plane);
@@ -646,13 +737,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
 
     /// For an arbitrary interleaving of submit / admit+dispatch / complete /
-    /// snapshot / lease-grant / lease-release ops and an arbitrary crash
-    /// point `k`: killing the leader
-    /// before op `k` and rebuilding from `restore(snapshot, log[..k])`, then
+    /// snapshot / lease-grant / lease-release / direct-dispatch /
+    /// re-estimate / provision / retire ops, under either calibration
+    /// policy, and an arbitrary crash point `k`: killing the leader before
+    /// op `k` and rebuilding from `restore(snapshot, log[..k])`, then
     /// replaying the remaining ops (`log[k..]`), yields a final control-plane
     /// state **byte-for-byte identical** to the uninterrupted run — same
     /// pending pool, next ids, per-tenant queues/stats, and every ticket in
-    /// the same terminal state. No pre-crash ticket is ever lost.
+    /// the same terminal state. No pre-crash ticket is ever lost, and in the
+    /// crashed run a rebuild from the store equals the live state after
+    /// every single op, not just at the crash point.
     #[test]
     fn crash_replay_is_identical_to_the_uninterrupted_run(
         seed in 0u64..1_000_000,
@@ -669,6 +763,7 @@ proptest! {
                         // ~10% of submissions are wider than every QPU, so
                         // replay also covers rejection + bounded retry.
                         qubits: if rng.gen_bool(0.1) { 40 } else { rng.gen_range(2..=20) },
+                        extra_column: rng.gen_bool(0.25),
                     }
                 } else if roll < 0.57 {
                     // Mid-run registrations, half carrying an SLO class, so
@@ -679,14 +774,31 @@ proptest! {
                             .gen_bool(0.5)
                             .then(|| rng.gen_range(20.0f64..200.0)),
                     }
-                } else if roll < 0.8 {
+                } else if roll < 0.75 {
                     ControlOp::Drive { dt_s: rng.gen_range(1.0..50.0) }
-                } else if roll < 0.9 {
+                } else if roll < 0.81 {
                     ControlOp::Snapshot
-                } else if roll < 0.95 {
+                } else if roll < 0.84 {
                     ControlOp::Lease { qpu_index: rng.gen_range(0..8) }
-                } else {
+                } else if roll < 0.87 {
                     ControlOp::Release { qpu_index: rng.gen_range(0..8) }
+                } else if roll < 0.95 {
+                    // Indices 8 and 9 lie past the 8-QPU fleet; 8 is where
+                    // an estimate table one entry too long reads runnable.
+                    ControlOp::DirectDispatch {
+                        job_pick: rng.gen_range(0..16),
+                        qpu_index: if rng.gen_bool(0.4) { 8 } else { rng.gen_range(0..10) },
+                    }
+                } else if roll < 0.98 {
+                    ControlOp::Reestimate {
+                        job_pick: rng.gen_range(0..16),
+                        exec_s: rng.gen_range(1.0..30.0),
+                        extra_column: rng.gen_bool(0.5),
+                    }
+                } else if roll < 0.99 {
+                    ControlOp::Provision { qpu_index: rng.gen_range(8..11) }
+                } else {
+                    ControlOp::Retire { qpu_index: rng.gen_range(8..11) }
                 }
             })
             .collect();
