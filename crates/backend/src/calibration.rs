@@ -25,7 +25,7 @@ pub struct QubitCalibration {
 
 impl QubitCalibration {
     /// A "typical" IBM Falcon-era qubit.
-    pub fn typical() -> Self {
+    pub(crate) fn typical() -> Self {
         QubitCalibration {
             t1_us: 100.0,
             t2_us: 80.0,
@@ -48,7 +48,7 @@ pub struct EdgeCalibration {
 
 impl EdgeCalibration {
     /// A "typical" IBM Falcon-era CX edge.
-    pub fn typical() -> Self {
+    pub(crate) fn typical() -> Self {
         EdgeCalibration { gate_error: 8e-3, gate_duration_ns: 400.0 }
     }
 }
@@ -136,7 +136,7 @@ impl CalibrationData {
     ///
     /// All snapshots must have the same number of qubits and edge set; the
     /// cycle/timestamp of the first snapshot is kept.
-    pub fn average(snapshots: &[&CalibrationData]) -> CalibrationData {
+    pub(crate) fn average(snapshots: &[&CalibrationData]) -> CalibrationData {
         assert!(!snapshots.is_empty(), "cannot average zero calibration snapshots");
         let n = snapshots[0].qubits.len();
         assert!(
@@ -236,14 +236,14 @@ impl CalibrationClock {
     }
 
     /// `true` if a recalibration boundary lies at or before `t_s`.
-    pub fn boundary_due(&self, t_s: f64) -> bool {
+    pub(crate) fn boundary_due(&self, t_s: f64) -> bool {
         t_s >= self.next_boundary_s
     }
 
     /// Advance one epoch past a recalibration at `timestamp_s`: the epoch
     /// increments and the next boundary moves to the first period multiple
     /// strictly after the recalibration instant.
-    pub fn advance_past(&mut self, timestamp_s: f64) {
+    pub(crate) fn advance_past(&mut self, timestamp_s: f64) {
         self.epoch += 1;
         while self.next_boundary_s <= timestamp_s {
             self.next_boundary_s += self.period_s;
@@ -252,7 +252,7 @@ impl CalibrationClock {
 
     /// Reset to a new period (epoch unchanged): the next boundary becomes the
     /// first multiple of the new period strictly after `now_s`.
-    pub fn reschedule(&mut self, period_s: f64, now_s: f64) {
+    pub(crate) fn reschedule(&mut self, period_s: f64, now_s: f64) {
         assert!(period_s > 0.0, "calibration period must be positive");
         self.period_s = period_s;
         self.next_boundary_s = (now_s / period_s).floor() * period_s + period_s;
@@ -324,7 +324,7 @@ impl CalibrationGenerator {
     /// Produce the next calibration cycle from `previous`: every parameter takes
     /// a bounded multiplicative random walk step, modelling the unpredictable
     /// fluctuation between calibration cycles reported by the paper.
-    pub fn drift_cycle<R: Rng + ?Sized>(
+    pub(crate) fn drift_cycle<R: Rng + ?Sized>(
         &self,
         previous: &CalibrationData,
         timestamp_s: f64,

@@ -185,11 +185,6 @@ impl Fleet {
         self.members.iter().find(|m| m.qpu.name == name)
     }
 
-    /// Mutable member by device name.
-    pub fn by_name_mut(&mut self, name: &str) -> Option<&mut FleetMember> {
-        self.members.iter_mut().find(|m| m.qpu.name == name)
-    }
-
     /// Template QPUs (one per model) over the fleet.
     pub fn template_qpus(&self) -> Vec<TemplateQpu> {
         let devices: Vec<Qpu> = self.members.iter().map(|m| m.qpu.clone()).collect();
@@ -230,19 +225,6 @@ impl Fleet {
         self.members.iter().map(|m| m.qpu.clock.epoch).sum()
     }
 
-    /// Earliest upcoming recalibration boundary across the fleet, or `None`
-    /// for an empty fleet.
-    pub fn next_calibration_boundary_s(&self) -> Option<f64> {
-        self.members.iter().map(|m| m.qpu.clock.next_boundary_s).min_by(|a, b| a.total_cmp(b))
-    }
-
-    /// Per-QPU shot costs, indexed like [`Fleet::members`]. The vector a
-    /// cost-aware scheduler attaches to its [`SchedulingProblem`]
-    /// (`qonductor_scheduler`) as the cost objective lane.
-    pub fn cost_per_shot_per_qpu(&self) -> Vec<f64> {
-        self.members.iter().map(|m| m.qpu.cost_per_shot).collect()
-    }
-
     /// Schedule a maintenance window on every device hosted in `region` —
     /// a seeded regional outage. Returns how many devices were affected.
     pub fn schedule_region_outage(&mut self, region: &str, start_s: f64, end_s: f64) -> usize {
@@ -254,11 +236,6 @@ impl Fleet {
             }
         }
         affected
-    }
-
-    /// Indices of members currently inside a maintenance window at `t`.
-    pub fn in_maintenance_at(&self, t: f64) -> Vec<usize> {
-        (0..self.members.len()).filter(|&i| self.members[i].qpu.in_maintenance(t)).collect()
     }
 
     /// The same fleet with every member recalibrating every `period_s`
@@ -277,6 +254,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Earliest upcoming recalibration boundary across the fleet.
+    fn next_boundary_s(fleet: &Fleet) -> Option<f64> {
+        fleet.members().iter().map(|m| m.qpu.clock.next_boundary_s).min_by(|a, b| a.total_cmp(b))
+    }
 
     #[test]
     fn default_fleet_has_eight_named_devices() {
@@ -329,7 +311,7 @@ mod tests {
         assert!(classes.contains(&ResourceClass::Superconducting));
         assert!(classes.contains(&ResourceClass::IonTrap));
         assert!(classes.contains(&ResourceClass::Simulator));
-        let costs = fleet.cost_per_shot_per_qpu();
+        let costs: Vec<f64> = fleet.members().iter().map(|m| m.qpu.cost_per_shot).collect();
         assert_eq!(costs.len(), 6);
         assert!(costs.iter().all(|&c| c > 0.0));
         // The simulator is the cheapest resource, the ion trap the priciest.
@@ -345,11 +327,14 @@ mod tests {
         let mut fleet = Fleet::heterogeneous(&mut rng);
         let affected = fleet.schedule_region_outage("eu-central", 1000.0, 2000.0);
         assert_eq!(affected, 3);
-        assert!(fleet.in_maintenance_at(500.0).is_empty());
-        let down = fleet.in_maintenance_at(1500.0);
+        let in_maintenance_at = |t: f64| -> Vec<usize> {
+            (0..fleet.len()).filter(|&i| fleet.members()[i].qpu.in_maintenance(t)).collect()
+        };
+        assert!(in_maintenance_at(500.0).is_empty());
+        let down = in_maintenance_at(1500.0);
         assert_eq!(down.len(), 3);
         assert!(down.iter().all(|&i| fleet.members()[i].qpu.region == "eu-central"));
-        assert!(fleet.in_maintenance_at(2000.0).is_empty(), "window end is exclusive");
+        assert!(in_maintenance_at(2000.0).is_empty(), "window end is exclusive");
     }
 
     #[test]
@@ -381,12 +366,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut fleet = Fleet::ibm_default(&mut rng);
         assert_eq!(fleet.calibration_epoch(), 0);
-        assert_eq!(fleet.next_calibration_boundary_s(), Some(3600.0));
+        assert_eq!(next_boundary_s(&fleet), Some(3600.0));
         // Jumping 3 periods ahead recalibrates three times per member.
         fleet.advance_to(3.5 * 3600.0, &mut rng);
         assert_eq!(fleet.calibration_epoch(), 3 * fleet.len() as u64);
         assert!(fleet.members().iter().all(|m| m.qpu.calibration.cycle == 3));
-        assert_eq!(fleet.next_calibration_boundary_s(), Some(4.0 * 3600.0));
+        assert_eq!(next_boundary_s(&fleet), Some(4.0 * 3600.0));
     }
 
     #[test]
@@ -439,9 +424,9 @@ mod tests {
     fn calibration_period_override_moves_boundaries() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut fleet = Fleet::ibm_default(&mut rng).with_calibration_period(600.0, 0.0);
-        assert_eq!(fleet.next_calibration_boundary_s(), Some(600.0));
+        assert_eq!(next_boundary_s(&fleet), Some(600.0));
         fleet.advance_to(650.0, &mut rng);
         assert_eq!(fleet.calibration_epoch(), fleet.len() as u64);
-        assert_eq!(fleet.next_calibration_boundary_s(), Some(1200.0));
+        assert_eq!(next_boundary_s(&fleet), Some(1200.0));
     }
 }

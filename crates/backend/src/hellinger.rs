@@ -9,7 +9,7 @@ pub type Distribution = HashMap<u64, f64>;
 
 /// Normalise a histogram of counts into a probability distribution.
 /// Returns an empty map if the total weight is zero.
-pub fn normalize(counts: &Distribution) -> Distribution {
+pub(crate) fn normalize(counts: &Distribution) -> Distribution {
     let total: f64 = counts.values().sum();
     if total <= 0.0 {
         return Distribution::new();
@@ -19,7 +19,7 @@ pub fn normalize(counts: &Distribution) -> Distribution {
 
 /// Hellinger distance H(p, q) = sqrt(1 - Σ sqrt(p_i q_i)) between two
 /// (automatically normalised) distributions.
-pub fn hellinger_distance(p: &Distribution, q: &Distribution) -> f64 {
+pub(crate) fn hellinger_distance(p: &Distribution, q: &Distribution) -> f64 {
     let p = normalize(p);
     let q = normalize(q);
     let mut bc = 0.0; // Bhattacharyya coefficient
@@ -39,14 +39,13 @@ pub fn hellinger_fidelity(p: &Distribution, q: &Distribution) -> f64 {
     f.clamp(0.0, 1.0)
 }
 
-/// Convenience constructor for a distribution from `(bitstring, weight)` pairs.
-pub fn distribution_from(pairs: &[(u64, f64)]) -> Distribution {
-    pairs.iter().copied().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn distribution_from(pairs: &[(u64, f64)]) -> Distribution {
+        pairs.iter().copied().collect()
+    }
 
     #[test]
     fn identical_distributions_have_unit_fidelity() {

@@ -12,13 +12,13 @@
 
 pub mod calibration;
 pub mod fleet;
-pub mod hellinger;
-pub mod math;
+mod hellinger;
+mod math;
 pub mod noise;
 pub mod qpu;
 pub mod queue;
 pub mod simulator;
-pub mod topology;
+mod topology;
 
 pub use calibration::{
     CalibrationClock, CalibrationData, CalibrationGenerator, EdgeCalibration, QubitCalibration,
@@ -27,6 +27,6 @@ pub use fleet::{Fleet, FleetMember};
 pub use hellinger::{hellinger_fidelity, Distribution};
 pub use noise::NoiseModel;
 pub use qpu::{MaintenanceWindow, Qpu, QpuModel, QpuTechnology, ResourceClass, TemplateQpu};
-pub use queue::{CompletedJob, JobQueue, QueuedJob};
-pub use simulator::{ExecutionResult, FidelityMode, Simulator, Statevector};
+pub use queue::{CompletedJob, JobQueue};
+pub use simulator::{ExecutionResult, Simulator, Statevector};
 pub use topology::CouplingMap;

@@ -16,11 +16,11 @@ pub struct C64 {
 
 impl C64 {
     /// Complex zero.
-    pub const ZERO: C64 = C64 { re: 0.0, im: 0.0 };
+    pub(crate) const ZERO: C64 = C64 { re: 0.0, im: 0.0 };
     /// Complex one.
-    pub const ONE: C64 = C64 { re: 1.0, im: 0.0 };
+    pub(crate) const ONE: C64 = C64 { re: 1.0, im: 0.0 };
     /// The imaginary unit.
-    pub const I: C64 = C64 { re: 0.0, im: 1.0 };
+    pub(crate) const I: C64 = C64 { re: 0.0, im: 1.0 };
 
     /// Construct from real and imaginary parts.
     pub const fn new(re: f64, im: f64) -> Self {
@@ -28,28 +28,18 @@ impl C64 {
     }
 
     /// A purely real complex number.
-    pub const fn real(re: f64) -> Self {
+    pub(crate) const fn real(re: f64) -> Self {
         C64 { re, im: 0.0 }
     }
 
     /// e^{iθ}.
-    pub fn from_polar(theta: f64) -> Self {
+    pub(crate) fn from_polar(theta: f64) -> Self {
         C64 { re: theta.cos(), im: theta.sin() }
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        C64 { re: self.re, im: -self.im }
-    }
-
     /// Squared magnitude |z|².
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
-    }
-
-    /// Magnitude |z|.
-    pub fn abs(self) -> f64 {
-        self.norm_sqr().sqrt()
     }
 
     /// Multiply by a real scalar.
@@ -103,8 +93,6 @@ mod tests {
         assert_eq!(z + C64::ZERO, z);
         assert_eq!(z * C64::ONE, z);
         assert_eq!(z.norm_sqr(), 25.0);
-        assert_eq!(z.abs(), 5.0);
-        assert_eq!(z.conj(), C64::new(3.0, 4.0));
         assert_eq!(-z, C64::new(-3.0, 4.0));
     }
 

@@ -34,7 +34,7 @@ impl NoiseModel {
 
     /// Error probability of a single-qubit gate on physical qubit `q`.
     /// Virtual gates (RZ, barriers) are error-free.
-    pub fn one_qubit_error(&self, q: u32) -> f64 {
+    pub(crate) fn one_qubit_error(&self, q: u32) -> f64 {
         self.calibration
             .qubits
             .get(q as usize)
@@ -45,7 +45,7 @@ impl NoiseModel {
     /// Error probability of a two-qubit gate on the edge `(a, b)`. If the edge
     /// is not calibrated (e.g. the circuit was not routed to this device), the
     /// device-mean two-qubit error inflated by the coupling distance is used.
-    pub fn two_qubit_error(&self, a: u32, b: u32) -> f64 {
+    pub(crate) fn two_qubit_error(&self, a: u32, b: u32) -> f64 {
         match self.calibration.edge(a, b) {
             Some(e) => e.gate_error,
             None => (self.calibration.mean_two_qubit_error() * 1.5).min(0.9),

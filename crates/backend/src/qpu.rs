@@ -40,7 +40,7 @@ pub enum ResourceClass {
 
 impl ResourceClass {
     /// The resource class real hardware of `technology` belongs to.
-    pub fn of_technology(technology: QpuTechnology) -> Self {
+    pub(crate) fn of_technology(technology: QpuTechnology) -> Self {
         match technology {
             QpuTechnology::Superconducting | QpuTechnology::NeutralAtom => {
                 ResourceClass::Superconducting
@@ -52,7 +52,7 @@ impl ResourceClass {
     /// Default per-shot cost (arbitrary credit units) for this class:
     /// ion traps bill a premium over superconducting devices, simulators
     /// are near-free. Providers override per device.
-    pub fn default_cost_per_shot(self) -> f64 {
+    pub(crate) fn default_cost_per_shot(self) -> f64 {
         match self {
             ResourceClass::Superconducting => 1.0,
             ResourceClass::IonTrap => 3.0,
@@ -105,7 +105,7 @@ impl QpuModel {
     }
 
     /// IBM Falcon-style 16-qubit superconducting model (Guadalupe class).
-    pub fn falcon_16() -> Self {
+    pub(crate) fn falcon_16() -> Self {
         QpuModel {
             name: "falcon-r4p".into(),
             technology: QpuTechnology::Superconducting,
@@ -125,7 +125,7 @@ impl QpuModel {
     }
 
     /// Trapped-ion model with all-to-all connectivity over `n` qubits.
-    pub fn trapped_ion(n: u32) -> Self {
+    pub(crate) fn trapped_ion(n: u32) -> Self {
         QpuModel {
             name: format!("ion-{n}"),
             technology: QpuTechnology::TrappedIon,
@@ -183,10 +183,10 @@ pub struct Qpu {
 }
 
 /// Default region devices are hosted in when a provider does not say.
-pub const DEFAULT_REGION: &str = "us-east";
+const DEFAULT_REGION: &str = "us-east";
 
 /// Default reliability score for a freshly provisioned device.
-pub const DEFAULT_RELIABILITY: f64 = 0.99;
+const DEFAULT_RELIABILITY: f64 = 0.99;
 
 impl Qpu {
     /// Create a QPU of the given model with freshly generated calibration data.
@@ -232,14 +232,8 @@ impl Qpu {
     }
 
     /// Override the hosting region.
-    pub fn with_region(mut self, region: impl Into<String>) -> Self {
+    pub(crate) fn with_region(mut self, region: impl Into<String>) -> Self {
         self.region = region.into();
-        self
-    }
-
-    /// Override the reliability score (clamped to `[0, 1]`).
-    pub fn with_reliability(mut self, score: f64) -> Self {
-        self.reliability_score = score.clamp(0.0, 1.0);
         self
     }
 
@@ -281,7 +275,7 @@ impl Qpu {
     /// Advance to the next calibration cycle (drifting all parameters) and
     /// step the epoch clock past `timestamp_s`. The clock's epoch stays in
     /// lock-step with [`CalibrationData::cycle`].
-    pub fn recalibrate<R: Rng + ?Sized>(&mut self, timestamp_s: f64, rng: &mut R) {
+    pub(crate) fn recalibrate<R: Rng + ?Sized>(&mut self, timestamp_s: f64, rng: &mut R) {
         let gen = CalibrationGenerator { quality: self.quality, ..Default::default() };
         self.calibration = Arc::new(gen.drift_cycle(&self.calibration, timestamp_s, rng));
         self.clock.advance_past(timestamp_s);
@@ -297,18 +291,6 @@ impl Qpu {
     /// multiple of the new period after `now_s`).
     pub fn set_calibration_period(&mut self, period_s: f64, now_s: f64) {
         self.clock.reschedule(period_s, now_s);
-    }
-
-    /// Timestamp (seconds) of the next calibration boundary strictly after
-    /// `now_s`, as the clock will actually fire it: never earlier than the
-    /// clock's own next boundary (boundaries the clock already consumed are
-    /// gone, even if `now_s` lies before them).
-    pub fn next_calibration_after(&self, now_s: f64) -> f64 {
-        let mut boundary = self.clock.next_boundary_s;
-        while boundary <= now_s {
-            boundary += self.clock.period_s;
-        }
-        boundary
     }
 }
 
@@ -326,7 +308,7 @@ pub struct TemplateQpu {
 
 impl TemplateQpu {
     /// Build the template QPUs for a set of devices, grouping by model name.
-    pub fn from_devices(devices: &[Qpu]) -> Vec<TemplateQpu> {
+    pub(crate) fn from_devices(devices: &[Qpu]) -> Vec<TemplateQpu> {
         let mut by_model: Vec<(String, Vec<&Qpu>)> = Vec::new();
         for d in devices {
             match by_model.iter_mut().find(|(name, _)| *name == d.model.name) {
@@ -411,16 +393,13 @@ mod tests {
     #[test]
     fn next_calibration_boundary() {
         let mut rng = StdRng::seed_from_u64(8);
-        let qpu = Qpu::new("ibm_test", QpuModel::falcon_7(), 1.0, &mut rng);
-        assert_eq!(qpu.next_calibration_after(0.0), 3600.0);
-        assert_eq!(qpu.next_calibration_after(100.0), 3600.0);
-        assert_eq!(qpu.next_calibration_after(3600.0), 7200.0);
-        // Consumed boundaries are gone: after a late recalibration the next
-        // boundary is the clock's, even for a `now_s` in the past.
-        let mut qpu = qpu;
+        let mut qpu = Qpu::new("ibm_test", QpuModel::falcon_7(), 1.0, &mut rng);
+        assert_eq!(qpu.clock.next_boundary_s, 3600.0);
+        // A late recalibration consumes every boundary up to it: the next one
+        // is the first period multiple after the recalibration instant.
         let mut rng = StdRng::seed_from_u64(9);
         qpu.recalibrate(20_000.0, &mut rng);
-        assert_eq!(qpu.next_calibration_after(4_000.0), 21_600.0);
+        assert_eq!(qpu.clock.next_boundary_s, 21_600.0);
     }
 
     #[test]

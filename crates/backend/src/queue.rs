@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 /// A job sitting in (or finished by) a QPU queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueuedJob {
+pub(crate) struct QueuedJob {
     /// Caller-assigned job identifier.
     pub job_id: u64,
     /// Estimated (or actual) execution duration in seconds.
@@ -73,7 +73,7 @@ impl JobQueue {
     }
 
     /// `true` if a job is currently executing.
-    pub fn is_busy(&self) -> bool {
+    pub(crate) fn is_busy(&self) -> bool {
         self.running.is_some()
     }
 

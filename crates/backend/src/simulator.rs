@@ -37,18 +37,6 @@ use qonductor_circuit::{par, Circuit, Gate, Instruction, NO_OPERAND};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How `execute` should obtain the fidelity of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FidelityMode {
-    /// Statevector + trajectory sampling when the circuit is narrow enough,
-    /// analytic ESP otherwise.
-    Auto,
-    /// Always use the analytic ESP model (fast, any width).
-    Analytic,
-    /// Always use trajectory simulation (panics if the circuit is too wide).
-    Trajectory,
-}
-
 /// Result of executing a circuit on a modelled QPU.
 #[derive(Debug, Clone)]
 pub struct ExecutionResult {
@@ -65,34 +53,22 @@ pub struct ExecutionResult {
 /// Configurable noisy-execution engine.
 #[derive(Debug, Clone, Copy)]
 pub struct Simulator {
-    /// Maximum circuit width (active qubits) for the statevector path.
+    /// Maximum circuit width (active qubits) for the statevector path; wider
+    /// circuits take the analytic ESP path.
     pub max_statevector_qubits: u32,
     /// Number of Monte-Carlo noise trajectories sampled on the statevector path.
     pub trajectories: usize,
-    /// Fidelity path selection.
-    pub mode: FidelityMode,
     /// Per-shot repetition/reset overhead in nanoseconds (added to each shot).
     pub shot_overhead_ns: f64,
 }
 
 impl Default for Simulator {
     fn default() -> Self {
-        Simulator {
-            max_statevector_qubits: 14,
-            trajectories: 128,
-            mode: FidelityMode::Auto,
-            shot_overhead_ns: 1_000.0,
-        }
+        Simulator { max_statevector_qubits: 14, trajectories: 128, shot_overhead_ns: 1_000.0 }
     }
 }
 
 impl Simulator {
-    /// A simulator that always takes the fast analytic path (used by the cloud
-    /// simulation, which executes hundreds of thousands of jobs).
-    pub fn analytic() -> Self {
-        Simulator { mode: FidelityMode::Analytic, ..Default::default() }
-    }
-
     /// Exact measurement-outcome distribution of the noiseless circuit.
     ///
     /// The circuit is first compacted onto its active qubits; it must use at
@@ -101,13 +77,9 @@ impl Simulator {
         self.compile(circuit).ideal_distribution()
     }
 
-    /// Sample noisy measurement counts with Monte-Carlo Pauli-error trajectories.
-    ///
-    /// `min(trajectories, shots)` trajectories (at least one) sample
-    /// `⌊shots / trajectories⌋` shots each (at least one), so the counts add
-    /// up to `shots` only when the division is exact: 3,327 requested shots
-    /// over 128 trajectories are 3,200 samples.
-    pub fn noisy_counts<R: Rng + ?Sized>(
+    /// [`Compiled::noisy_counts`] of `circuit` on the host's cores.
+    #[cfg(test)]
+    fn noisy_counts<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
         noise: &NoiseModel,
@@ -121,6 +93,8 @@ impl Simulator {
 
     /// Execute a circuit on a device described by `noise`, returning counts (if
     /// the trajectory path ran), fidelity, and the quantum execution time.
+    /// Circuits at most [`Self::max_statevector_qubits`] wide take the
+    /// trajectory path; wider ones the analytic ESP path.
     pub fn execute<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
@@ -131,12 +105,7 @@ impl Simulator {
         let circuit_ns = noise.circuit_duration_ns(circuit);
         let per_shot = circuit_ns + self.shot_overhead_ns;
         let duration_ns = per_shot * f64::from(circuit.shots());
-        let use_trajectory = match self.mode {
-            FidelityMode::Trajectory => true,
-            FidelityMode::Analytic => false,
-            FidelityMode::Auto => width <= self.max_statevector_qubits,
-        };
-        if use_trajectory {
+        if width <= self.max_statevector_qubits {
             let compiled = self.compile(circuit);
             let ideal = compiled.ideal_distribution();
             let noisy = compiled.noisy_counts(
@@ -229,8 +198,14 @@ impl Compiled {
         state.measurement_distribution(&self.measurements)
     }
 
-    /// See [`Simulator::noisy_counts`]; `duration_ns` is the uncompacted
-    /// circuit's duration and `workers` bounds the phase-2 team.
+    /// Sample noisy measurement counts with Monte-Carlo Pauli-error
+    /// trajectories; `duration_ns` is the uncompacted circuit's duration and
+    /// `workers` bounds the phase-2 team.
+    ///
+    /// `min(trajectories, shots)` trajectories (at least one) sample
+    /// `⌊shots / trajectories⌋` shots each (at least one), so the counts add
+    /// up to `shots` only when the division is exact: 3,327 requested shots
+    /// over 128 trajectories are 3,200 samples.
     fn noisy_counts<R: Rng + ?Sized>(
         &self,
         noise: &NoiseModel,
@@ -368,7 +343,7 @@ impl Compiled {
 
 /// Compact a circuit onto its active qubits. Returns the compacted circuit and
 /// the map `logical (compacted) index → original physical index`.
-pub fn compact_circuit(circuit: &Circuit) -> (Circuit, Vec<u32>) {
+pub(crate) fn compact_circuit(circuit: &Circuit) -> (Circuit, Vec<u32>) {
     let active = circuit.active_qubits();
     if active.is_empty() {
         return (Circuit::new(1), vec![0]);
@@ -454,11 +429,6 @@ impl Statevector {
         self.num_qubits
     }
 
-    /// Probability of computational basis state `index`.
-    pub fn probability(&self, index: usize) -> f64 {
-        self.amps[index].norm_sqr()
-    }
-
     /// Apply a unitary instruction (measurements, barriers and delays are
     /// skipped).
     pub fn apply(&mut self, instr: &Instruction) {
@@ -530,7 +500,7 @@ impl Statevector {
 
     /// Distribution over the classical register defined by `measurements`
     /// (`(qubit, clbit)` pairs), marginalising over unmeasured qubits.
-    pub fn measurement_distribution(&self, measurements: &[(u32, u32)]) -> Distribution {
+    pub(crate) fn measurement_distribution(&self, measurements: &[(u32, u32)]) -> Distribution {
         let mut dist = Distribution::new();
         for (idx, amp) in self.amps.iter().enumerate() {
             let p = amp.norm_sqr();
@@ -690,7 +660,7 @@ mod tests {
 
     #[test]
     fn analytic_mode_handles_wide_circuits() {
-        let sim = Simulator::analytic();
+        let sim = Simulator::default();
         let c = ghz(60);
         let mut rng = StdRng::seed_from_u64(9);
         let n = noise(60, 1.0);
@@ -702,7 +672,7 @@ mod tests {
 
     #[test]
     fn execution_duration_scales_with_shots() {
-        let sim = Simulator::analytic();
+        let sim = Simulator { max_statevector_qubits: 0, ..Simulator::default() };
         let mut rng = StdRng::seed_from_u64(3);
         let n = noise(8, 1.0);
         let mut c1 = ghz(8);

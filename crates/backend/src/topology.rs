@@ -84,7 +84,7 @@ impl CouplingMap {
     }
 
     /// All-to-all connectivity over `n` qubits (trapped-ion style devices).
-    pub fn full(n: u32) -> Self {
+    pub(crate) fn full(n: u32) -> Self {
         assert!(n >= 1);
         let mut edges = Vec::new();
         for a in 0..n {
@@ -133,7 +133,7 @@ impl CouplingMap {
     }
 
     /// A 16-qubit heavy-hex-like map (Guadalupe-style device).
-    pub fn heavy_hex_16() -> Self {
+    pub(crate) fn heavy_hex_16() -> Self {
         let edges = [
             (0, 1),
             (1, 2),
@@ -156,7 +156,7 @@ impl CouplingMap {
     }
 
     /// A 7-qubit heavy-hex-like map (Falcon r5.11H: lagos / nairobi style).
-    pub fn heavy_hex_7() -> Self {
+    pub(crate) fn heavy_hex_7() -> Self {
         let edges = [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)];
         Self::new(7, edges)
     }
@@ -229,16 +229,16 @@ impl CouplingMap {
         let d = self.distance_matrix()[a as usize][b as usize];
         (d != u32::MAX).then_some(d)
     }
-
-    /// `true` if every qubit can reach every other qubit.
-    pub fn is_connected(&self) -> bool {
-        self.num_qubits <= 1 || self.distance_matrix()[0].iter().all(|&d| d != u32::MAX)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `true` if every qubit can reach every other qubit.
+    fn is_connected(map: &CouplingMap) -> bool {
+        map.num_qubits() <= 1 || map.distance_matrix()[0].iter().all(|&d| d != u32::MAX)
+    }
 
     /// The per-call edge scan `neighbors` used to be.
     fn neighbors_oracle(map: &CouplingMap, q: u32) -> Vec<u32> {
@@ -310,9 +310,9 @@ mod tests {
                     assert_eq!(map.distance(q, r), (d != u32::MAX).then_some(d));
                 }
             }
-            assert_eq!(map.is_connected(), expected[0].iter().all(|&d| d != u32::MAX));
+            assert_eq!(is_connected(map), expected[0].iter().all(|&d| d != u32::MAX));
         }
-        assert!(!maps[8].is_connected());
+        assert!(!is_connected(&maps[8]));
         assert_eq!(maps[8].distance_matrix()[0][2], u32::MAX);
     }
 
@@ -363,7 +363,7 @@ mod tests {
         let m = CouplingMap::heavy_hex_27();
         assert_eq!(m.num_qubits(), 27);
         assert_eq!(m.edges().len(), 28);
-        assert!(m.is_connected());
+        assert!(is_connected(&m));
         // Heavy-hex degree is at most 3.
         for q in 0..27 {
             assert!(m.degree(q) <= 3, "qubit {q} has degree {}", m.degree(q));
@@ -372,8 +372,8 @@ mod tests {
 
     #[test]
     fn heavy_hex_variants_connected() {
-        assert!(CouplingMap::heavy_hex_16().is_connected());
-        assert!(CouplingMap::heavy_hex_7().is_connected());
+        assert!(is_connected(&CouplingMap::heavy_hex_16()));
+        assert!(is_connected(&CouplingMap::heavy_hex_7()));
     }
 
     #[test]
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn disconnected_map_detected() {
         let m = CouplingMap::new(4, vec![(0, 1), (2, 3)]);
-        assert!(!m.is_connected());
+        assert!(!is_connected(&m));
         assert_eq!(m.distance(0, 3), None);
     }
 }

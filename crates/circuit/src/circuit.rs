@@ -155,11 +155,6 @@ impl Circuit {
         self.apply1(Gate::S, q)
     }
 
-    /// S-dagger on `q`.
-    pub fn sdg(&mut self, q: u32) -> &mut Self {
-        self.apply1(Gate::Sdg, q)
-    }
-
     /// T gate on `q`.
     pub fn t(&mut self, q: u32) -> &mut Self {
         self.apply1(Gate::T, q)
@@ -176,7 +171,7 @@ impl Circuit {
     }
 
     /// Controlled-Z between `a` and `b`.
-    pub fn cz(&mut self, a: u32, b: u32) -> &mut Self {
+    pub(crate) fn cz(&mut self, a: u32, b: u32) -> &mut Self {
         self.apply2(Gate::CZ, a, b)
     }
 
@@ -332,26 +327,6 @@ impl Circuit {
             .filter_map(|(q, &u)| if u { Some(q as u32) } else { None })
             .collect()
     }
-
-    /// Remap qubit indices according to `layout`, where `layout[logical] = physical`.
-    /// The resulting circuit is widened to `new_width` qubits.
-    pub fn remap(&self, layout: &[u32], new_width: u32) -> Circuit {
-        assert!(layout.len() >= self.num_qubits as usize);
-        let mut c = Circuit::named(new_width, self.name.clone());
-        c.num_clbits = self.num_clbits;
-        c.shots = self.shots;
-        for instr in &self.instructions {
-            let mut ni = *instr;
-            if instr.gate != Gate::Barrier {
-                ni.q0 = layout[instr.q0 as usize];
-                if instr.q1 != NO_OPERAND {
-                    ni.q1 = layout[instr.q1 as usize];
-                }
-            }
-            c.instructions.push(ni);
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -430,15 +405,6 @@ mod tests {
         assert_eq!(inv.instructions()[0].gate, Gate::CX);
         assert_eq!(inv.instructions()[1].gate, Gate::Sdg);
         assert_eq!(inv.instructions()[2].gate, Gate::H);
-    }
-
-    #[test]
-    fn remap_moves_qubits() {
-        let c = bell();
-        let mapped = c.remap(&[3, 1], 5);
-        assert_eq!(mapped.num_qubits(), 5);
-        let cx = mapped.instructions().iter().find(|i| i.gate == Gate::CX).unwrap();
-        assert_eq!((cx.q0, cx.q1), (3, 1));
     }
 
     #[test]

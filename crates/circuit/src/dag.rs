@@ -115,11 +115,6 @@ impl CircuitDag {
         self.num_qubits
     }
 
-    /// Nodes with no predecessors (the circuit's front layer).
-    pub fn front_layer(&self) -> Vec<usize> {
-        self.nodes.iter().filter(|n| n.predecessors.is_empty()).map(|n| n.index).collect()
-    }
-
     /// Partition nodes into ASAP layers: layer k contains the nodes whose
     /// longest dependency chain has length k. Virtual gates share the layer of
     /// their predecessor (they consume no time).
@@ -147,22 +142,6 @@ impl CircuitDag {
             layers[l].push(idx);
         }
         layers
-    }
-
-    /// Longest path length counting only non-virtual gates — equal to
-    /// [`Circuit::depth`] when the circuit has no barriers.
-    pub fn critical_path_len(&self) -> usize {
-        let mut level = vec![0usize; self.nodes.len()];
-        let mut best = 0;
-        for (idx, node) in self.nodes.iter().enumerate() {
-            let own = usize::from(
-                !node.instruction.gate.is_virtual() && node.instruction.gate != Gate::Barrier,
-            );
-            let base = node.predecessors.iter().map(|&p| level[p]).max().unwrap_or(0);
-            level[idx] = base + own;
-            best = best.max(level[idx]);
-        }
-        best
     }
 }
 
@@ -193,7 +172,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).h(1).h(2).cx(0, 1);
         let dag = CircuitDag::from_circuit(&c);
-        assert_eq!(dag.front_layer(), vec![0, 1, 2]);
+        assert_eq!(dag.layers()[0], vec![0, 1, 2]);
     }
 
     #[test]
@@ -215,7 +194,7 @@ mod tests {
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).x(3);
         let dag = CircuitDag::from_circuit(&c);
-        assert_eq!(dag.critical_path_len(), c.depth());
+        assert_eq!(dag.layers().len(), c.depth());
     }
 
     #[test]
@@ -237,6 +216,5 @@ mod tests {
         assert!(dag.is_empty());
         assert_eq!(dag.layers().len(), 1);
         assert!(dag.layers()[0].is_empty());
-        assert_eq!(dag.critical_path_len(), 0);
     }
 }

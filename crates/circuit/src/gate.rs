@@ -139,14 +139,6 @@ impl Gate {
             g => g,
         }
     }
-
-    /// `true` if the gate is (exactly) self-inverse, e.g. Paulis, H, CX, CZ, SWAP.
-    pub fn is_self_inverse(&self) -> bool {
-        matches!(
-            self,
-            Gate::Id | Gate::H | Gate::X | Gate::Y | Gate::Z | Gate::CX | Gate::CZ | Gate::Swap
-        )
-    }
 }
 
 /// A gate applied to concrete qubit indices (and an optional classical bit for
@@ -190,11 +182,6 @@ impl Instruction {
         let second = if self.q1 == NO_OPERAND { None } else { Some(self.q1) };
         std::iter::once(self.q0).chain(second)
     }
-
-    /// `true` if the instruction acts on qubit `q`.
-    pub fn touches(&self, q: u32) -> bool {
-        self.q0 == q || (self.q1 != NO_OPERAND && self.q1 == q)
-    }
 }
 
 #[cfg(test)]
@@ -227,10 +214,8 @@ mod tests {
     #[test]
     fn self_inverse_gates() {
         for g in [Gate::H, Gate::X, Gate::Y, Gate::Z, Gate::CX, Gate::CZ, Gate::Swap] {
-            assert!(g.is_self_inverse(), "{:?} should be self-inverse", g);
-            assert_eq!(g.inverse(), g);
+            assert_eq!(g.inverse(), g, "{g:?} should be self-inverse");
         }
-        assert!(!Gate::S.is_self_inverse());
         assert_eq!(Gate::S.inverse(), Gate::Sdg);
         assert_eq!(Gate::RX(0.7).inverse(), Gate::RX(-0.7));
     }
@@ -250,8 +235,7 @@ mod tests {
         let i = Instruction::one(Gate::H, 3);
         assert_eq!(i.q0, 3);
         assert_eq!(i.q1, NO_OPERAND);
-        assert!(i.touches(3));
-        assert!(!i.touches(2));
+        assert_eq!(i.qubits().collect::<Vec<_>>(), vec![3]);
 
         let c = Instruction::two(Gate::CX, 0, 1);
         assert_eq!(c.qubits().collect::<Vec<_>>(), vec![0, 1]);

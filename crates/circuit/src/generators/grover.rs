@@ -10,7 +10,7 @@ use crate::gate::Gate;
 /// The multi-controlled-Z oracle and diffuser are decomposed into a CZ ladder
 /// (an approximation that preserves the width/depth/2q-count scaling that the
 /// orchestrator's estimator consumes, without requiring ancilla management).
-pub fn grover(n: u32) -> Circuit {
+pub(crate) fn grover(n: u32) -> Circuit {
     assert!(n >= 2, "Grover circuit needs at least two qubits");
     let mut c = Circuit::named(n, "grover");
     // Uniform superposition.

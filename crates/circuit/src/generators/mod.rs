@@ -12,7 +12,7 @@ mod vqe;
 mod wstate;
 
 pub use ghz::ghz;
-pub use grover::grover;
+pub(crate) use grover::grover;
 pub use qaoa::{qaoa_maxcut, MaxCutGraph};
 pub use qft::qft;
 pub use random::random_circuit;

@@ -55,11 +55,6 @@ impl MaxCutGraph {
         edges.dedup();
         MaxCutGraph { num_vertices: n, edges }
     }
-
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
 }
 
 /// Build a `p`-layer QAOA max-cut circuit over `graph` with the given variational
@@ -99,7 +94,7 @@ mod tests {
     #[test]
     fn ring_graph_has_n_edges() {
         let g = MaxCutGraph::ring(6);
-        assert_eq!(g.num_edges(), 6);
+        assert_eq!(g.edges.len(), 6);
         assert!(g.edges.iter().all(|&(u, v)| u < v));
     }
 

@@ -81,7 +81,7 @@ impl CircuitMetrics {
     }
 
     /// Total gate count (one- plus two-qubit gates).
-    pub fn total_gates(&self) -> usize {
+    pub(crate) fn total_gates(&self) -> usize {
         self.one_qubit_gates + self.two_qubit_gates
     }
 
@@ -93,19 +93,6 @@ impl CircuitMetrics {
         } else {
             self.two_qubit_gates as f64 / total as f64
         }
-    }
-
-    /// Feature vector used by the regression estimator:
-    /// `[width, shots, depth, two_qubit_gates, one_qubit_gates, measurements]`.
-    pub fn feature_vector(&self) -> Vec<f64> {
-        vec![
-            self.width as f64,
-            self.shots as f64,
-            self.depth as f64,
-            self.two_qubit_gates as f64,
-            self.one_qubit_gates as f64,
-            self.measurements as f64,
-        ]
     }
 }
 
@@ -197,17 +184,6 @@ mod tests {
         let m = CircuitMetrics::of(&c);
         assert_eq!(m.width, 2);
         assert_eq!(m.register_size, 10);
-    }
-
-    #[test]
-    fn feature_vector_layout() {
-        let mut c = Circuit::new(3);
-        c.set_shots(4096);
-        c.h(0).cx(0, 1).measure_all();
-        let f = CircuitMetrics::of(&c).feature_vector();
-        assert_eq!(f.len(), 6);
-        assert_eq!(f[0], 3.0); // measure_all touches all three qubits
-        assert_eq!(f[1], 4096.0);
     }
 
     #[test]

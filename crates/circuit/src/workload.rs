@@ -49,7 +49,7 @@ impl Default for WorkloadConfig {
 
 /// Draws a sample from a normal distribution via the Box–Muller transform.
 /// Implemented locally to stay within the allowed offline crate set.
-pub fn sample_normal<R: Rng + ?Sized>(mean: f64, std: f64, rng: &mut R) -> f64 {
+pub(crate) fn sample_normal<R: Rng + ?Sized>(mean: f64, std: f64, rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -111,14 +111,14 @@ impl WorkloadGenerator {
 
     /// Sample a circuit width (number of qubits) from the configured normal
     /// distribution, clamped to `[min_qubits, max_qubits]`.
-    pub fn sample_width<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+    pub(crate) fn sample_width<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let w = sample_normal(self.config.mean_qubits, self.config.std_qubits, rng).round();
         (w.max(self.config.min_qubits as f64) as u32).min(self.config.max_qubits)
     }
 
     /// Sample a shot count from the configured normal distribution, clamped to
     /// `[min_shots, max_shots]`.
-    pub fn sample_shots<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+    pub(crate) fn sample_shots<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         let s = sample_normal(self.config.mean_shots, self.config.std_shots, rng).round();
         (s.max(self.config.min_shots as f64) as u32).min(self.config.max_shots)
     }
@@ -132,11 +132,6 @@ impl WorkloadGenerator {
         let mut circuit = build_algorithm(alg, width, layers, rng);
         circuit.set_shots(self.sample_shots(rng));
         circuit
-    }
-
-    /// Sample a batch of `count` benchmark circuits.
-    pub fn sample_batch<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<Circuit> {
-        (0..count).map(|_| self.sample_circuit(rng)).collect()
     }
 }
 
@@ -186,7 +181,7 @@ mod tests {
             ..WorkloadConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(13);
-        let batch = gen.sample_batch(50, &mut rng);
+        let batch: Vec<Circuit> = (0..50).map(|_| gen.sample_circuit(&mut rng)).collect();
         assert_eq!(batch.len(), 50);
         for c in &batch {
             assert!(c.num_qubits() >= 2 && c.num_qubits() <= 20);
@@ -198,8 +193,11 @@ mod tests {
     #[test]
     fn generator_is_deterministic_per_seed() {
         let gen = WorkloadGenerator::default();
-        let a = gen.sample_batch(10, &mut StdRng::seed_from_u64(5));
-        let b = gen.sample_batch(10, &mut StdRng::seed_from_u64(5));
+        let batch = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..10).map(|_| gen.sample_circuit(&mut rng)).collect::<Vec<Circuit>>()
+        };
+        let (a, b) = (batch(5), batch(5));
         assert_eq!(a, b);
     }
 }

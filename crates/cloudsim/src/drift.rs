@@ -104,14 +104,6 @@ pub struct PenaltyComparison {
     pub baseline: SimulationReport,
 }
 
-impl PenaltyComparison {
-    /// Boundary deferrals avoided by the penalty: `baseline − penalized`
-    /// (positive = the penalty steered plans clear of boundaries).
-    pub fn deferrals_avoided(&self) -> isize {
-        self.baseline.deferred_total() as isize - self.penalized.deferred_total() as isize
-    }
-}
-
 /// Run the boundary-penalty study: calibration-aware dispatch with and
 /// without the proactive NSGA-II penalty, on identically seeded fleets and
 /// workload streams.

@@ -71,7 +71,7 @@ const JOB_OVERHEAD_S: f64 = 8.0;
 
 /// Estimate the unmitigated quantum execution time (seconds, all shots),
 /// including the per-shot repetition delay and the fixed per-job overhead.
-pub fn base_quantum_time_s(
+pub(crate) fn base_quantum_time_s(
     metrics: &CircuitMetrics,
     calibration: &CalibrationData,
     device_qubits: u32,
@@ -90,12 +90,16 @@ pub fn estimate(circuit: &Circuit, stack: &MitigationStack, qpu: &Qpu) -> FastEs
 }
 
 /// Mitigation cost of a stack for a circuit on a QPU.
-pub fn stack_cost_for(circuit: &Circuit, stack: &MitigationStack, qpu: &Qpu) -> MitigationCost {
+pub(crate) fn stack_cost_for(
+    circuit: &Circuit,
+    stack: &MitigationStack,
+    qpu: &Qpu,
+) -> MitigationCost {
     stack.cost(circuit, &qpu.noise_model())
 }
 
 /// Estimate from precomputed metrics and mitigation cost.
-pub fn estimate_from_metrics(
+pub(crate) fn estimate_from_metrics(
     metrics: &CircuitMetrics,
     mitigation: MitigationCost,
     qpu: &Qpu,

@@ -48,12 +48,6 @@ impl FailurePlan {
         crash_times_s.sort_by(f64::total_cmp);
         FailurePlan { crash_times_s, snapshot_every_batches: 3 }
     }
-
-    /// The same schedule with a different checkpoint cadence.
-    pub fn with_snapshot_every(mut self, batches: usize) -> Self {
-        self.snapshot_every_batches = batches;
-        self
-    }
 }
 
 /// One shard's recovery from an injected crash.
@@ -140,6 +134,5 @@ mod tests {
         assert!(a.crash_times_s.iter().all(|&t| t > 0.0 && t < 600.0));
         let c = FailurePlan::from_seed(10, 600.0, 4);
         assert_ne!(a, c, "different seeds give different schedules");
-        assert_eq!(a.with_snapshot_every(7).snapshot_every_batches, 7);
     }
 }

@@ -112,7 +112,7 @@ impl FederationComparison {
     /// the arms complete different amounts of work — an arm that finishes
     /// more jobs spends more in absolute terms even when each job is
     /// cheaper.
-    pub fn cost_reduction(&self) -> f64 {
+    pub(crate) fn cost_reduction(&self) -> f64 {
         match (self.arm("least-loaded"), self.arm("cost-optimized")) {
             (Some(ll), Some(co)) => ll.report.mean_cost() - co.report.mean_cost(),
             _ => 0.0,

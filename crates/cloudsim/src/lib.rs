@@ -57,7 +57,7 @@ pub mod failover;
 pub mod federation;
 mod kernel;
 pub mod load;
-pub mod multitenant;
+mod multitenant;
 pub mod sharded;
 pub mod sim;
 pub mod slo;
@@ -72,10 +72,7 @@ pub use federation::{
     PlacementArm,
 };
 pub use kernel::RunParams;
-pub use load::{
-    ArrivalConfig, HybridApplication, LoadGenerator, MultiTenantLoadGenerator, StreamArrival,
-    TenantArrivalConfig,
-};
+pub use load::{ArrivalConfig, HybridApplication, LoadGenerator, TenantArrivalConfig};
 pub use multitenant::{
     BatchComposition, MultiTenantConfig, MultiTenantReport, MultiTenantSimulation,
     TenantCompletion, TenantLoad, TenantOutcome,

@@ -32,14 +32,14 @@ impl Default for ArrivalConfig {
 
 impl ArrivalConfig {
     /// Instantaneous arrival rate (jobs/hour) at simulated time `t_s`.
-    pub fn rate_at(&self, t_s: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t_s: f64) -> f64 {
         let phase = 2.0 * std::f64::consts::PI * t_s / self.diurnal_period_s;
         (self.mean_rate_per_hour * (1.0 + self.diurnal_amplitude * phase.sin())).max(1.0)
     }
 
     /// Sample the next inter-arrival gap (seconds) at time `t_s` from an
     /// exponential distribution with the instantaneous rate.
-    pub fn sample_gap_s<R: Rng + ?Sized>(&self, t_s: f64, rng: &mut R) -> f64 {
+    pub(crate) fn sample_gap_s<R: Rng + ?Sized>(&self, t_s: f64, rng: &mut R) -> f64 {
         let rate_per_s = self.rate_at(t_s) / 3600.0;
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         -u.ln() / rate_per_s
@@ -108,7 +108,7 @@ impl LoadGenerator {
     }
 
     /// Generate a single application submitted at `submit_time_s`.
-    pub fn generate_app<R: Rng + ?Sized>(
+    pub(crate) fn generate_app<R: Rng + ?Sized>(
         &mut self,
         submit_time_s: f64,
         rng: &mut R,
@@ -145,7 +145,7 @@ impl Default for TenantArrivalConfig {
 /// An application arrival attributed to one stream of a
 /// [`MultiTenantLoadGenerator`].
 #[derive(Debug, Clone)]
-pub struct StreamArrival {
+pub(crate) struct StreamArrival {
     /// Index of the stream (tenant) the application arrived on.
     pub stream: usize,
     /// The application (ids are unique and increasing across all streams).
@@ -156,7 +156,7 @@ pub struct StreamArrival {
 /// stream has its own rate and mitigation mix, and the merged output is
 /// ordered by submission time with globally unique, time-ordered app ids.
 #[derive(Debug, Clone)]
-pub struct MultiTenantLoadGenerator {
+pub(crate) struct MultiTenantLoadGenerator {
     streams: Vec<LoadGenerator>,
     next_app_id: u64,
 }
@@ -169,11 +169,6 @@ impl MultiTenantLoadGenerator {
             .map(|c| LoadGenerator::new(c.arrival, max_qubits, c.mitigation_fraction))
             .collect();
         MultiTenantLoadGenerator { streams, next_app_id: 0 }
-    }
-
-    /// Number of tenant streams.
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
     }
 
     /// Generate the merged arrivals of every stream in `[from_s, to_s)`,
@@ -271,7 +266,7 @@ mod tests {
             mitigation_fraction: 1.0,
         };
         let mut gen = MultiTenantLoadGenerator::new(&[fast, slow], 27);
-        assert_eq!(gen.num_streams(), 2);
+        assert_eq!(gen.streams.len(), 2);
         let mut rng = StdRng::seed_from_u64(5);
         let arrivals = gen.arrivals_in(0.0, 1800.0, &mut rng);
         // Ordered by time, ids unique and increasing across the merge.

@@ -48,8 +48,6 @@ pub enum Policy {
     /// First-come-first-serve onto the highest-fidelity feasible QPU — the
     /// "standard practice in the current quantum cloud" baseline.
     Fcfs,
-    /// First-come-first-serve onto the least-busy feasible QPU (IBM `least_busy`).
-    LeastBusy,
 }
 
 /// Simulation configuration.
@@ -243,11 +241,6 @@ impl SimulationReport {
         mean(self.completed.iter().map(|c| c.completion_s))
     }
 
-    /// Mean execution time over all completed applications (seconds).
-    pub fn mean_execution_s(&self) -> f64 {
-        mean(self.completed.iter().map(|c| c.execution_s))
-    }
-
     /// Final mean QPU utilization.
     pub fn mean_utilization(&self) -> f64 {
         self.timeline.last().map(|p| p.mean_utilization).unwrap_or(0.0)
@@ -261,7 +254,7 @@ impl SimulationReport {
 
     /// Total monetary cost across all completed applications
     /// (see [`CompletedApp::cost`]).
-    pub fn total_cost(&self) -> f64 {
+    pub(crate) fn total_cost(&self) -> f64 {
         self.completed.iter().map(|c| c.cost).sum()
     }
 
@@ -483,17 +476,12 @@ impl Scenario for CloudSimulation {
     }
 
     fn after_admit(&mut self, admitted: &[(GlobalTicket, JobId)], plane: &mut ShardedControlPlane) {
-        // The baselines place each admitted job directly (no trigger, no
+        // The FCFS baseline places each admitted job directly (no trigger, no
         // optimizer) through the journaled direct-dispatch path; the
         // Qonductor policy leaves jobs pooled for the batch dispatch.
-        let choose_qpu: Option<fn(&AppRecord, &Fleet) -> usize> = match self.config.policy {
-            Policy::Qonductor { .. } => None,
-            Policy::Fcfs => Some(best_fidelity_qpu),
-            Policy::LeastBusy => Some(least_busy_qpu),
-        };
-        if let Some(choose_qpu) = choose_qpu {
+        if self.config.policy == Policy::Fcfs {
             for (ticket, job_id) in admitted {
-                let qpu = choose_qpu(&self.apps[ticket], &self.fleet);
+                let qpu = best_fidelity_qpu(&self.apps[ticket], &self.fleet);
                 plane.shards_mut()[ticket.shard]
                     .dispatch_direct(*job_id, qpu, &mut self.fleet)
                     .expect(QUORUM);
@@ -640,11 +628,6 @@ fn best_fidelity_qpu(app: &AppRecord, fleet: &Fleet) -> usize {
     placeable_qpus(app, fleet)
         .max_by(|&a, &b| app.estimates[a].fidelity.total_cmp(&app.estimates[b].fidelity))
         .unwrap_or(0)
-}
-
-fn least_busy_qpu(app: &AppRecord, fleet: &Fleet) -> usize {
-    let waiting_s = |i: usize| fleet.members()[i].queue.estimated_waiting_s();
-    placeable_qpus(app, fleet).min_by(|&a, &b| waiting_s(a).total_cmp(&waiting_s(b))).unwrap_or(0)
 }
 
 /// Derive the per-cycle statistics of Figures 8 and 10a from one of the
@@ -851,13 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn least_busy_policy_runs_without_scheduler_cycles() {
-        let report = CloudSimulation::with_default_fleet(short_config(Policy::LeastBusy)).run();
-        assert!(report.cycles.is_empty());
-        assert!(!report.completed.is_empty());
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let a = CloudSimulation::with_default_fleet(short_config(Policy::Fcfs)).run();
         let b = CloudSimulation::with_default_fleet(short_config(Policy::Fcfs)).run();
@@ -880,7 +856,7 @@ mod tests {
         assert!((a.mean_completion_s() - b.mean_completion_s()).abs() < 1e-9);
     }
 
-    /// Hostile floats: a NaN fidelity estimate makes neither baseline chooser
+    /// Hostile floats: a NaN fidelity estimate does not make the FCFS chooser
     /// panic, and a QPU carrying one is never preferred over a finite one.
     #[test]
     fn nan_fidelity_estimates_never_panic_and_never_win_a_placement() {
@@ -889,20 +865,15 @@ mod tests {
         let app = load.generate_app(0.0, &mut StdRng::seed_from_u64(7));
         let (_, mut record) = build_submission(&fleet, app).expect("a 5-qubit circuit fits");
         let finite = best_fidelity_qpu(&record, &fleet);
-        let idle = least_busy_qpu(&record, &fleet);
         for poisoned in 0..fleet.len() {
             let saved = record.estimates[poisoned].fidelity;
             record.estimates[poisoned].fidelity = f64::NAN;
             assert_ne!(best_fidelity_qpu(&record, &fleet), poisoned);
-            assert_ne!(least_busy_qpu(&record, &fleet), poisoned);
             record.estimates[poisoned].fidelity = saved;
         }
-        assert_eq!(
-            (best_fidelity_qpu(&record, &fleet), least_busy_qpu(&record, &fleet)),
-            (finite, idle)
-        );
+        assert_eq!(best_fidelity_qpu(&record, &fleet), finite);
         // All-NaN degenerates to the documented fallback instead of panicking.
         record.estimates.iter_mut().for_each(|e| e.fidelity = f64::NAN);
-        assert_eq!((best_fidelity_qpu(&record, &fleet), least_busy_qpu(&record, &fleet)), (0, 0));
+        assert_eq!(best_fidelity_qpu(&record, &fleet), 0);
     }
 }

@@ -106,10 +106,8 @@ impl Default for SloConfig {
                 window_s: 100.0,
                 target_rate_per_qpu: 0.05,
                 baseline_rate: 0.15,
-                min_elastic: 0,
                 max_elastic: 8,
                 cooldown_s: 30.0,
-                ..AutoscalerConfig::default()
             },
         }
     }
@@ -381,7 +379,7 @@ impl Scenario for SloArm<'_> {
             let arrival = self.arrivals.pop_front().expect("front checked");
             let is_slo = u64::from(arrival.stream == 1);
             if self.slo_aware {
-                self.scaler.observe_arrival(arrival.app.submit_time_s, ResourceClass::Simulator);
+                self.scaler.observe_arrival(arrival.app.submit_time_s);
             }
             let fleet = self.fed.fleet();
             let spec_of = |app: &HybridApplication| estimate_submission(fleet, app).map(|s| s.0);

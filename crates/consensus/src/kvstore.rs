@@ -56,12 +56,12 @@ impl ReplicatedKvStore {
     }
 
     /// Number of replicas (2f + 1).
-    pub fn replica_count(&self) -> usize {
+    pub(crate) fn replica_count(&self) -> usize {
         self.replicas.read().len()
     }
 
     /// Number of currently live replicas.
-    pub fn live_replicas(&self) -> usize {
+    pub(crate) fn live_replicas(&self) -> usize {
         self.replicas.read().iter().filter(|r| !r.crashed).count()
     }
 
@@ -123,8 +123,8 @@ impl ReplicatedKvStore {
     /// acquisition, one committed write index for the whole batch. Either
     /// every pair is applied on every live replica or (without a quorum)
     /// none is — the group-commit primitive the journaling layer's
-    /// `ReplicatedLog::append_all` builds on.
-    pub fn put_all(&self, pairs: &[(String, String)]) -> Result<(), StoreError> {
+    /// `ReplicatedLog::append_all_with` builds on.
+    pub(crate) fn put_all(&self, pairs: &[(String, String)]) -> Result<(), StoreError> {
         if !self.has_quorum() {
             return Err(StoreError::NoQuorum);
         }
@@ -158,29 +158,13 @@ impl ReplicatedKvStore {
         newest.data.get(key).map(|value| visit(value)).ok_or(StoreError::KeyNotFound)
     }
 
-    /// Delete a key on a majority of replicas.
-    pub fn delete(&self, key: &str) -> Result<(), StoreError> {
-        if !self.has_quorum() {
-            return Err(StoreError::NoQuorum);
-        }
-        let mut log_length = self.log_length.write();
-        *log_length += 1;
-        let index = *log_length;
-        let mut replicas = self.replicas.write();
-        for r in replicas.iter_mut().filter(|r| !r.crashed) {
-            r.data.remove(key);
-            r.applied_index = index;
-        }
-        Ok(())
-    }
-
     /// Delete every key in `[from, to)` atomically: one quorum check, one
     /// lock acquisition, one committed write index for the whole range.
     /// Either the range is removed on every live replica or (without a
     /// quorum) nothing is — the compaction primitive
     /// `ReplicatedLog::install_snapshot` builds on. An empty interval
     /// (`from >= to`) writes nothing.
-    pub fn delete_range(&self, from: &str, to: &str) -> Result<(), StoreError> {
+    pub(crate) fn delete_range(&self, from: &str, to: &str) -> Result<(), StoreError> {
         if !self.has_quorum() {
             return Err(StoreError::NoQuorum);
         }
@@ -204,7 +188,7 @@ impl ReplicatedKvStore {
     /// Visit every `(key, value)` with key in `[from, to)` on the freshest
     /// live replica, in ascending key order, without copying either (under
     /// the store's read lock, so `visit` must not call back into the store).
-    pub fn scan(&self, from: &str, to: &str, mut visit: impl FnMut(&str, &str)) {
+    pub(crate) fn scan(&self, from: &str, to: &str, mut visit: impl FnMut(&str, &str)) {
         if from >= to {
             return;
         }
@@ -249,7 +233,7 @@ impl ReplicatedKvStore {
     /// ([`crate::lease::StoreElection`]) builds on: the read of the committed
     /// value and the conditional write happen under the same store locks, so
     /// two racing campaigns cannot both acquire the lease.
-    pub fn compare_and_swap(
+    pub(crate) fn compare_and_swap(
         &self,
         key: &str,
         expected: Option<&str>,
@@ -339,7 +323,7 @@ mod tests {
         store.put("workflow/42/status", "running").unwrap();
         let qpu_keys = store.keys_with_prefix("qpu/");
         assert_eq!(qpu_keys.len(), 2);
-        store.delete("qpu/cairo/queue").unwrap();
+        store.delete_range("qpu/cairo/", "qpu/hanoi/").unwrap();
         assert_eq!(store.keys_with_prefix("qpu/").len(), 1);
         assert_eq!(store.get("qpu/cairo/queue"), Err(StoreError::KeyNotFound));
     }

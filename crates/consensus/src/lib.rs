@@ -11,8 +11,8 @@
 
 #![warn(missing_docs)]
 
-pub mod kvstore;
-pub mod lease;
+mod kvstore;
+mod lease;
 pub mod log;
 
 pub use kvstore::{ReplicatedKvStore, StoreError};

@@ -114,14 +114,10 @@ impl<E: LogEntry> ReplicatedLog<E> {
     /// behind — readers observe the whole batch or none of it, and a failed
     /// batch leaves the log at its pre-batch state. The keys, indices, and
     /// entry bytes written are identical to appending the entries one by
-    /// one, so replay cannot distinguish the two paths. Returns the index of
-    /// the first appended entry (`len()` unchanged for an empty batch).
-    pub fn append_all(&self, entries: &[E]) -> Result<u64, StoreError> {
-        self.append_all_with(entries, |_| {})
-    }
-
-    /// [`Self::append_all`], handing each encoded line to `staged` in order
-    /// before the batch is written (see [`Self::append_with`]).
+    /// one, so replay cannot distinguish the two paths. Each encoded line is
+    /// handed to `staged` in order before the batch is written (see
+    /// [`Self::append_with`]). Returns the index of the first appended entry
+    /// (`len()` unchanged for an empty batch).
     pub fn append_all_with(
         &self,
         entries: &[E],
@@ -355,7 +351,7 @@ mod tests {
         for entry in &batch[1..] {
             per_event.append(entry).unwrap();
         }
-        assert_eq!(grouped.append_all(&batch[1..]).unwrap(), 1);
+        assert_eq!(grouped.append_all_with(&batch[1..], |_| {}).unwrap(), 1);
         assert_eq!(grouped.len(), per_event.len());
         for log in [&per_event, &grouped] {
             for (i, (index, note)) in log.entries_from(0).iter().enumerate() {
@@ -367,7 +363,11 @@ mod tests {
         for key in per_event.store().keys_with_prefix("t/") {
             assert_eq!(per_event.store().get(&key), grouped.store().get(&key), "key {key}");
         }
-        assert_eq!(grouped.append_all(&[]).unwrap(), 5, "empty batch returns the next index");
+        assert_eq!(
+            grouped.append_all_with(&[], |_| {}).unwrap(),
+            5,
+            "empty batch returns the next index"
+        );
         assert_eq!(grouped.len(), 5, "an empty batch writes nothing");
     }
 
@@ -382,7 +382,7 @@ mod tests {
         store.crash_replica(0);
         store.crash_replica(1);
         let batch: Vec<Note> = (0..3).map(|i| Note(format!("lost{i}"))).collect();
-        assert_eq!(log.append_all(&batch), Err(StoreError::NoQuorum));
+        assert_eq!(log.append_all_with(&batch, |_| {}), Err(StoreError::NoQuorum));
         store.recover_replica(0);
         store.recover_replica(1);
         assert_eq!(log.len(), 1, "the failed batch committed nothing");
@@ -391,7 +391,7 @@ mod tests {
         assert_eq!(entries[0].1 .0, "durable");
         assert_eq!(log.retained_len(), 1, "no phantom batch entries linger");
         // A retried batch lands at the same indices.
-        assert_eq!(log.append_all(&batch).unwrap(), 1);
+        assert_eq!(log.append_all_with(&batch, |_| {}).unwrap(), 1);
         assert_eq!(log.len(), 4);
     }
 

@@ -19,13 +19,13 @@
 //! collision-resistant against adversaries; nothing here is security-bearing.
 
 /// FNV-1a 64-bit offset basis.
-pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
-pub const FNV64_PRIME: u64 = 0x100_0000_01b3;
+const FNV64_PRIME: u64 = 0x100_0000_01b3;
 /// FNV-1a 128-bit offset basis.
-pub const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+pub(crate) const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a 128-bit prime.
-pub const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// Streaming FNV-1a 64-bit hasher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +62,7 @@ impl Fnv64 {
 /// control-plane digest possible: absorb each journaled event as it commits,
 /// stash the state, resume on the next event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv128(u128);
+pub(crate) struct Fnv128(u128);
 
 impl Default for Fnv128 {
     fn default() -> Self {
@@ -77,7 +77,7 @@ impl Fnv128 {
     }
 
     /// Resume a hasher from a previously extracted [`Fnv128::value`].
-    pub fn from_state(state: u128) -> Self {
+    pub(crate) fn from_state(state: u128) -> Self {
         Fnv128(state)
     }
 
@@ -96,7 +96,7 @@ impl Fnv128 {
 }
 
 /// One-shot FNV-1a 128-bit hash of `bytes`.
-pub fn fnv128(bytes: &[u8]) -> u128 {
+pub(crate) fn fnv128(bytes: &[u8]) -> u128 {
     let mut h = Fnv128::new();
     h.absorb(bytes);
     h.value()

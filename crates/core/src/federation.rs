@@ -30,22 +30,6 @@ pub struct Provider {
     pub len: usize,
 }
 
-/// Aggregate capacity of one provider at an instant — what a dashboard or a
-/// capacity planner reads off the federation without touching flat indices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProviderCapacity {
-    /// Provider name.
-    pub name: String,
-    /// QPUs contributed.
-    pub qpus: usize,
-    /// QPUs currently inside a maintenance window (capacity holes).
-    pub in_maintenance: usize,
-    /// Total qubits across the provider's devices.
-    pub qubits: u32,
-    /// Cheapest per-shot price among the provider's devices.
-    pub min_cost_per_shot: f64,
-}
-
 /// Multiple named provider fleets behind one flat capacity view.
 #[derive(Debug, Clone)]
 pub struct FederatedFleet {
@@ -158,26 +142,6 @@ impl FederatedFleet {
             }
         }
         Some(index)
-    }
-
-    /// Per-provider aggregate capacity at `now_s`, in composition order.
-    pub fn capacity_view(&self, now_s: f64) -> Vec<ProviderCapacity> {
-        self.providers
-            .iter()
-            .map(|p| {
-                let members = &self.fleet.members()[p.start..p.start + p.len];
-                ProviderCapacity {
-                    name: p.name.clone(),
-                    qpus: p.len,
-                    in_maintenance: members.iter().filter(|m| m.qpu.in_maintenance(now_s)).count(),
-                    qubits: members.iter().map(|m| m.qpu.num_qubits()).sum(),
-                    min_cost_per_shot: members
-                        .iter()
-                        .map(|m| m.qpu.cost_per_shot)
-                        .fold(f64::INFINITY, f64::min),
-                }
-            })
-            .collect()
     }
 }
 
@@ -315,18 +279,6 @@ mod tests {
             fed.fleet().members().iter().map(|m| m.qpu.name.clone()).collect();
         assert_eq!(flat_names, names, "member order is untouched");
         assert_eq!(fed.fleet().calibration_epoch(), epoch);
-    }
-
-    #[test]
-    fn capacity_view_counts_maintenance_holes() {
-        let mut fed = two_provider_federation();
-        fed.fleet_mut().schedule_region_outage("eu-central", 100.0, 200.0);
-        let before = fed.capacity_view(50.0);
-        assert_eq!(before.iter().map(|c| c.in_maintenance).sum::<usize>(), 0);
-        let during = fed.capacity_view(150.0);
-        assert_eq!(during[0].in_maintenance, 0, "falcon_six has no regions in eu-central");
-        assert_eq!(during[1].in_maintenance, 3, "the mixed provider hosts eu-central");
-        assert!(during[1].min_cost_per_shot <= 0.05 + 1e-12, "the simulator sets the floor");
     }
 
     #[test]

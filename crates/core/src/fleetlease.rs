@@ -106,7 +106,7 @@ impl FleetAllocator {
     /// Attach provider spans: `spans[p] = (name, qpu count)` in flat-index
     /// order, concatenated from index 0. Span membership is derived purely
     /// from the QPU index, so journal replay needs no provider fields.
-    pub fn with_provider_spans<S: Into<String>>(mut self, spans: Vec<(S, usize)>) -> Self {
+    pub(crate) fn with_provider_spans<S: Into<String>>(mut self, spans: Vec<(S, usize)>) -> Self {
         let mut start = 0;
         self.spans = spans
             .into_iter()
@@ -141,7 +141,7 @@ impl FleetAllocator {
     /// Grant `qpu_index` to `shard` if it is free (or already held by the
     /// same shard — grants are idempotent per owner). Returns whether the
     /// shard holds the lease afterwards.
-    pub fn try_grant(&mut self, shard: usize, qpu_index: usize) -> bool {
+    pub(crate) fn try_grant(&mut self, shard: usize, qpu_index: usize) -> bool {
         match self.owner_of[qpu_index] {
             None => {
                 self.owner_of[qpu_index] = Some(shard);
@@ -154,7 +154,7 @@ impl FleetAllocator {
     /// Whether [`FleetAllocator::release`] would succeed for this request —
     /// the shard holds the lease and the queue is empty — without mutating.
     /// Lets a write-ahead caller validate before journaling the release.
-    pub fn check_release(
+    pub(crate) fn check_release(
         &self,
         shard: usize,
         qpu_index: usize,
@@ -177,7 +177,7 @@ impl FleetAllocator {
     /// (`pending_jobs` is the caller-observed queue depth). A release by a
     /// non-owner or on a busy queue is refused with the exact typed reason,
     /// never absorbed.
-    pub fn release(
+    pub(crate) fn release(
         &mut self,
         shard: usize,
         qpu_index: usize,
@@ -194,7 +194,8 @@ impl FleetAllocator {
     }
 
     /// QPU indices leased by `shard`, ascending.
-    pub fn leased_by(&self, shard: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn leased_by(&self, shard: usize) -> Vec<usize> {
         self.owner_of
             .iter()
             .enumerate()
@@ -205,7 +206,8 @@ impl FleetAllocator {
     /// `shard`'s leased QPUs grouped by provider span, in span order:
     /// `(provider name, ascending QPU indices)`. QPUs outside every span are
     /// omitted; with no spans configured the result is empty.
-    pub fn leased_by_provider(&self, shard: usize) -> Vec<(String, Vec<usize>)> {
+    #[cfg(test)]
+    pub(crate) fn leased_by_provider(&self, shard: usize) -> Vec<(String, Vec<usize>)> {
         self.spans
             .iter()
             .map(|span| {
@@ -224,7 +226,7 @@ impl FleetAllocator {
     /// configuration; re-attach them with
     /// [`FleetAllocator::with_provider_spans`] (membership is index-derived,
     /// so the re-derived attribution is byte-identical).
-    pub fn rebuild(
+    pub(crate) fn rebuild(
         shard_leases: &[BTreeSet<usize>],
         num_qpus: usize,
     ) -> Result<Self, LeaseConflict> {

@@ -225,11 +225,6 @@ impl JobManager {
         self
     }
 
-    /// How this engine treats plans that cross a recalibration boundary.
-    pub fn calibration_policy(&self) -> CalibrationPolicy {
-        self.policy
-    }
-
     /// The gating trigger.
     pub fn trigger(&self) -> &ScheduleTrigger {
         &self.trigger
@@ -523,7 +518,7 @@ impl JobManager {
     /// Jobs in the pending pool whose estimate tables were computed against
     /// an older fleet calibration epoch than `fleet_epoch` — the set a
     /// calibration-aware caller refreshes after a drift cycle.
-    pub fn stale_pending(&self, fleet_epoch: u64) -> Vec<JobId> {
+    pub(crate) fn stale_pending(&self, fleet_epoch: u64) -> Vec<JobId> {
         self.pending
             .iter()
             .filter(|j| j.spec.estimate_epoch < fleet_epoch)
@@ -1195,7 +1190,7 @@ mod tests {
         let mut fleet = solo_fleet(100.0, 3);
         let mut jm = JobManager::new(ScheduleTrigger::new(3, 120.0))
             .with_calibration_policy(CalibrationPolicy::SplitAtBoundary);
-        assert_eq!(jm.calibration_policy(), CalibrationPolicy::SplitAtBoundary);
+        assert_eq!(jm.policy, CalibrationPolicy::SplitAtBoundary);
         let ids: Vec<JobId> = (0..3).map(|_| jm.submit(spec(&fleet, 5, 40.0), 0.0)).collect();
         let batch = jm.try_dispatch(0.0, &scheduler(), &mut fleet).expect("trigger fires");
         // Serialized on the solo QPU: 0–40, 40–80, 80–120 — the third job

@@ -25,22 +25,21 @@ pub mod config;
 pub mod digest;
 mod estimate_cache;
 pub mod federation;
-pub mod fleetlease;
+mod fleetlease;
 pub mod jobmanager;
 pub mod monitor;
 pub mod orchestrator;
-pub mod registry;
-pub mod replication;
+mod registry;
+mod replication;
 pub mod sharding;
 pub mod submission;
 pub mod workflow;
 
-pub use autoscaler::{Autoscaler, AutoscalerConfig, ScalingDecision, ScalingStrategy};
+pub use autoscaler::{Autoscaler, AutoscalerConfig, ScalingDecision};
 pub use config::{DeploymentConfig, Priority, ResourceLimits};
 pub use estimate_cache::{EstimateCacheStats, ProductStats};
 pub use federation::{
-    CostOptimized, FederatedFleet, LeastLoaded, PlacementStrategy, Provider, ProviderCapacity,
-    QuantumAware,
+    CostOptimized, FederatedFleet, LeastLoaded, PlacementStrategy, Provider, QuantumAware,
 };
 pub use fleetlease::{FleetAllocator, LeaseConflict, ProviderSpan, ReleaseError};
 pub use jobmanager::{
@@ -51,16 +50,15 @@ pub use monitor::{
     BatchObservation, ReestimationObservation, SplitObservation, SystemMonitor, WorkflowStatus,
 };
 pub use orchestrator::{
-    ClassicalStepResult, Orchestrator, OrchestratorError, QuantumStepResult, RunId, WorkflowResult,
+    ClassicalStepResult, Orchestrator, OrchestratorError, QuantumStepResult, WorkflowResult,
 };
-pub use registry::{HybridWorkflowImage, ImageId, WorkflowRegistry};
+pub use registry::ImageId;
 pub use replication::{
     ControlPlaneEvent, DispatchOutcome, FailoverError, ReplicatedControlPlane, ReplicationError,
 };
 pub use sharding::{shard_of_global, GlobalTicket, ShardedControlPlane};
 pub use submission::{
-    JobTicket, RejectReason, SloClass, SubmissionError, TenantConfig, TenantStats, TicketId,
-    TicketStatus,
+    JobTicket, RejectReason, SloClass, SubmissionError, TenantConfig, TenantStats, TicketStatus,
 };
 pub use workflow::{
     mitigated_execution_workflow, ClassicalKind, ClassicalStep, QuantumStep, Step, Workflow,

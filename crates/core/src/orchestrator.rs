@@ -15,9 +15,7 @@
 //! lets their quantum steps share a single scheduler invocation.
 
 use crate::config::{DeploymentConfig, Priority};
-use crate::estimate_cache::{
-    EstimateCache, EstimateCacheStats, PlanRequest, PlanStamp, StepKey, StepRequest,
-};
+use crate::estimate_cache::{EstimateCache, PlanRequest, PlanStamp, StepKey, StepRequest};
 use crate::jobmanager::{CalibrationPolicy, JobId, JobSpec, TenantId, DEFAULT_TENANT};
 use crate::monitor::{SystemMonitor, WorkflowStatus};
 use crate::registry::{HybridWorkflowImage, ImageId, WorkflowRegistry};
@@ -30,7 +28,7 @@ use qonductor_backend::Fleet;
 use qonductor_estimator::{PlanGeneratorConfig, PricingTable, ResourcePlan};
 use qonductor_mitigation::MitigationStack;
 use qonductor_scheduler::{
-    place, ClassicalNode, HybridScheduler, ScheduleTrigger, SchedulerConfig, ScoringPolicy,
+    place, ClassicalNode, HybridScheduler, ScheduleTrigger, SchedulerConfig,
 };
 use qonductor_transpiler::Transpiler;
 use rand::rngs::StdRng;
@@ -39,7 +37,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of a workflow invocation.
-pub type RunId = u64;
+pub(crate) type RunId = u64;
 
 /// Errors surfaced by the orchestrator API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,10 +61,9 @@ pub enum OrchestratorError {
     UnknownTenant(TenantId),
     /// The replicated control plane cannot serve the request (no leader could
     /// be elected, or the journal has no store quorum). Surfaced by the
-    /// explicit control-plane operations ([`Orchestrator::failover`],
-    /// [`Orchestrator::snapshot_control`]); the invoke path itself assumes a
-    /// standing quorum and panics if one is lost mid-flight (see
-    /// [`Orchestrator::with_control`]).
+    /// explicit control-plane operation [`Orchestrator::failover`]; the
+    /// invoke path itself assumes a standing quorum and panics if one is lost
+    /// mid-flight (see [`Orchestrator::with_control`]).
     ControlPlaneUnavailable,
 }
 
@@ -130,11 +127,10 @@ impl WorkflowResult {
 struct OrchestratorState {
     fleet: Fleet,
     classical_nodes: Vec<ClassicalNode>,
-    /// The journaled batch engine + submission service, partitioned across
-    /// one or more shards (a single shard by default — behaviourally the
-    /// unsharded plane): every mutation of job state flows through the owning
-    /// shard's quorum-replicated log, so [`Orchestrator::failover`] can
-    /// rebuild every shard without losing pending jobs.
+    /// The journaled batch engine + submission service on a one-shard plane:
+    /// every mutation of job state flows through the shard's
+    /// quorum-replicated log, so [`Orchestrator::failover`] can rebuild it
+    /// without losing pending jobs.
     control: ShardedControlPlane,
     clock_s: f64,
     next_run_id: RunId,
@@ -155,14 +151,8 @@ pub struct Orchestrator {
     transpiler: Transpiler,
     pricing: PricingTable,
     /// Seed for the control-plane stores (kept so [`Orchestrator::with_trigger`]
-    /// and [`Orchestrator::with_shards`] rebuild deterministically).
+    /// rebuilds deterministically).
     control_seed: u64,
-    /// The control plane's scheduling trigger (kept so
-    /// [`Orchestrator::with_shards`] rebuilds with the configured trigger and
-    /// vice versa).
-    control_trigger: ScheduleTrigger,
-    /// Number of control-plane shards.
-    control_shards: usize,
     state: Mutex<OrchestratorState>,
 }
 
@@ -178,7 +168,7 @@ impl Orchestrator {
             );
         }
         let trigger = ScheduleTrigger::default();
-        let control = default_control_plane(1, fleet.len(), trigger, seed);
+        let control = default_control_plane(fleet.len(), trigger, seed);
         Orchestrator {
             registry: WorkflowRegistry::new(),
             monitor,
@@ -188,8 +178,6 @@ impl Orchestrator {
             transpiler: Transpiler::default(),
             pricing: PricingTable::default(),
             control_seed: seed,
-            control_trigger: trigger,
-            control_shards: 1,
             state: Mutex::new(OrchestratorState {
                 fleet,
                 classical_nodes,
@@ -212,43 +200,21 @@ impl Orchestrator {
     ///
     /// # Panics
     /// Panics if any workflow has already been invoked.
-    pub fn with_trigger(mut self, trigger: ScheduleTrigger) -> Self {
-        self.control_trigger = trigger;
-        self.rebuild_control("with_trigger");
+    pub fn with_trigger(self, trigger: ScheduleTrigger) -> Self {
+        self.rebuild_control(trigger);
         self
     }
 
-    /// Partition the control plane across `num_shards` shards: each shard
-    /// owns its own journal, batch engine, submission service, and trigger,
-    /// and leases an exclusive slice of the QPU fleet (QPU `i` → shard
-    /// `i % num_shards`). Tenants are routed to shards by the pure
-    /// [`crate::sharding::shard_of_global`] hash. Construction-time only,
-    /// like [`Self::with_trigger`]; previously registered tenants carry over
-    /// (same global ids) into the rebuilt plane.
-    ///
-    /// # Panics
-    /// Panics if any workflow has already been invoked.
-    pub fn with_shards(mut self, num_shards: usize) -> Self {
-        self.control_shards = num_shards;
-        self.rebuild_control("with_shards");
-        self
-    }
-
-    /// Rebuild the control plane from the current trigger/shard settings,
-    /// replaying tenant registrations so global ids are preserved.
-    fn rebuild_control(&self, caller: &str) {
+    /// Rebuild the control plane with `trigger`, replaying tenant
+    /// registrations so global ids are preserved.
+    fn rebuild_control(&self, trigger: ScheduleTrigger) {
         let mut state = self.state.lock();
         assert!(
             state.next_run_id == 0
                 && state.control.shards().iter().all(|s| s.jobmanager().pending_len() == 0),
-            "{caller} must be called before any workflow is invoked"
+            "with_trigger must be called before any workflow is invoked"
         );
-        let mut control = default_control_plane(
-            self.control_shards,
-            state.fleet.len(),
-            self.control_trigger,
-            self.control_seed,
-        );
+        let mut control = default_control_plane(state.fleet.len(), trigger, self.control_seed);
         // Re-register every pre-existing tenant beyond the default one
         // (global ids are sequential and never removed, so replaying the
         // configurations in ascending order reproduces the id space).
@@ -274,12 +240,6 @@ impl Orchestrator {
             ClassicalNode::high_end_vm("gpu-0"),
         ];
         Orchestrator::new(fleet, nodes, seed)
-    }
-
-    /// The workflow registry (Table 2: "Register a workflow image", "List
-    /// available hybrid workflow images").
-    pub fn registry(&self) -> &WorkflowRegistry {
-        &self.registry
     }
 
     /// The system monitor.
@@ -319,29 +279,11 @@ impl Orchestrator {
         f(self.state.lock().control.shard(0))
     }
 
-    /// Like [`Self::with_control`] but over the whole sharded plane (lease
-    /// allocator, per-shard journals, tenant placement).
-    pub fn with_sharded_control<R>(&self, f: impl FnOnce(&ShardedControlPlane) -> R) -> R {
-        f(&self.state.lock().control)
-    }
-
     /// Canonical byte-for-byte encoding of the control plane's job state
     /// (batch engine + submission service, every shard); equal digests imply
     /// bit-identical states.
     pub fn control_digest(&self) -> String {
         self.state.lock().control.combined_digest()
-    }
-
-    /// Checkpoint the control plane: install a snapshot of the current job
-    /// state in each shard's replicated store and compact its journal up to
-    /// it. Returns shard 0's snapshot index.
-    pub fn snapshot_control(&self) -> Result<u64, OrchestratorError> {
-        self.state
-            .lock()
-            .control
-            .snapshot_all()
-            .map(|upto| upto[0])
-            .map_err(|_| OrchestratorError::ControlPlaneUnavailable)
     }
 
     /// Fault-inject a control-plane failover on every shard: crash each
@@ -396,7 +338,8 @@ impl Orchestrator {
     /// Hit/miss/stale/eviction counts of the estimate cache since
     /// construction (also persisted in the system monitor after every
     /// invocation wave).
-    pub fn estimate_cache_stats(&self) -> EstimateCacheStats {
+    #[cfg(test)]
+    fn estimate_cache_stats(&self) -> crate::estimate_cache::EstimateCacheStats {
         self.state.lock().estimates.stats()
     }
 
@@ -409,8 +352,7 @@ impl Orchestrator {
         images: &[(&HybridWorkflowImage, &[Option<u128>])],
     ) -> Vec<Vec<ResourcePlan>> {
         let fleet_epoch = state.fleet.calibration_epoch();
-        let accelerators_available =
-            state.classical_nodes.iter().any(|n| n.accelerators_free() > 0);
+        let accelerators_available = state.classical_nodes.iter().any(|n| n.accelerators > 0);
         let stamps: Vec<PlanStamp> = images
             .iter()
             .map(|(image, _)| PlanStamp {
@@ -973,8 +915,7 @@ impl ActiveRun {
                 Step::Quantum(_) => return Some(step_index),
                 Step::Classical(step) => step,
             };
-            let Some(node_index) = place(nodes, &step.request, ScoringPolicy::LeastAllocated)
-            else {
+            let Some(node_index) = place(nodes, &step.request) else {
                 self.failed = Some(OrchestratorError::NoFeasibleClassicalNode);
                 return None;
             };
@@ -1027,26 +968,19 @@ struct AwaitedStep {
     stack: MitigationStack,
 }
 
-/// A sharded replicated control plane (per shard, f = 1: three store
-/// replicas with the leader lease inside the store) whose batch engines
-/// split plans at recalibration boundaries (§7) and whose tenant 0 mirrors
+/// A one-shard replicated control plane (f = 1: three store replicas with
+/// the leader lease inside the store) whose batch engine splits plans at
+/// recalibration boundaries (§7) and whose tenant 0 mirrors
 /// the legacy single-caller path: weight 1, unbounded in-flight, and no
 /// rejection retries (a scheduler rejection fails the awaiting run
 /// immediately, as before the submission service existed).
 fn default_control_plane(
-    num_shards: usize,
     num_qpus: usize,
     trigger: ScheduleTrigger,
     seed: u64,
 ) -> ShardedControlPlane {
-    let mut control = ShardedControlPlane::new(
-        num_shards,
-        num_qpus,
-        trigger,
-        CalibrationPolicy::SplitAtBoundary,
-        1,
-        seed,
-    );
+    let mut control =
+        ShardedControlPlane::new(1, num_qpus, trigger, CalibrationPolicy::SplitAtBoundary, 1, seed);
     let tenant = control
         .register_tenant_with(TenantConfig { weight: 1, max_in_flight: usize::MAX, max_retries: 0 })
         .expect("fresh store has a quorum");
@@ -1360,46 +1294,12 @@ mod tests {
         orchestrator.invoke(image).unwrap();
         let entries_before = orchestrator.with_control(|c| c.log().retained_len());
         assert!(entries_before > 0, "invocation journaled events");
-        orchestrator.snapshot_control().unwrap();
+        orchestrator.state.lock().control.snapshot_all().unwrap();
         assert_eq!(orchestrator.with_control(|c| c.log().retained_len()), 0);
         let digest = orchestrator.control_digest();
         orchestrator.failover().expect("failover from snapshot alone");
         assert_eq!(orchestrator.control_digest(), digest);
         orchestrator.invoke(image).unwrap();
-    }
-
-    /// A 2-shard orchestrator serves invocations end-to-end: tenants route by
-    /// hash, each shard schedules only onto its leased half of the fleet, and
-    /// a whole-plane failover rebuilds every shard byte-for-byte with the
-    /// lease partition intact.
-    #[test]
-    fn sharded_orchestrator_serves_invocations_and_fails_over() {
-        let orchestrator = Orchestrator::with_default_cluster(9).with_shards(2);
-        let image = ghz_image(&orchestrator, 8, false);
-        let first = orchestrator.invoke(image).unwrap();
-        assert_eq!(orchestrator.workflow_status(first), Some(WorkflowStatus::Completed));
-        let result = orchestrator.workflow_results(first).unwrap();
-        assert_eq!(result.quantum_steps.len(), 1);
-        // The default tenant lives on exactly one shard and that shard
-        // leases half of the 8-QPU fleet.
-        let (home_shard, _) = orchestrator
-            .with_sharded_control(|c| c.placement_of(DEFAULT_TENANT))
-            .expect("default tenant is registered");
-        assert_eq!(
-            orchestrator.with_sharded_control(|c| c.allocator().leased_by(home_shard).len()),
-            4
-        );
-
-        let digest = orchestrator.control_digest();
-        orchestrator.failover().expect("every shard fails over");
-        assert_eq!(orchestrator.control_digest(), digest, "per-shard replay is byte-exact");
-        assert!(orchestrator.with_sharded_control(|c| c.rebuild_allocator().is_ok()));
-
-        let second = orchestrator.invoke(image).unwrap();
-        assert_ne!(first, second);
-        assert_eq!(orchestrator.workflow_status(second), Some(WorkflowStatus::Completed));
-        let stats = orchestrator.tenant_stats(DEFAULT_TENANT).unwrap();
-        assert_eq!(stats.completed, 2, "accounting survived the sharded failover");
     }
 
     #[test]

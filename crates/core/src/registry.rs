@@ -14,7 +14,7 @@ pub type ImageId = u64;
 
 /// A packaged hybrid workflow image.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HybridWorkflowImage {
+pub(crate) struct HybridWorkflowImage {
     /// Image identifier assigned by the registry.
     pub id: ImageId,
     /// Human-readable name (defaults to the workflow name).
@@ -27,7 +27,7 @@ pub struct HybridWorkflowImage {
 
 /// The workflow registry: a shared repository of ready-to-execute images.
 #[derive(Debug, Clone, Default)]
-pub struct WorkflowRegistry {
+pub(crate) struct WorkflowRegistry {
     inner: Arc<RwLock<RegistryInner>>,
 }
 
@@ -47,7 +47,7 @@ impl WorkflowRegistry {
     ///
     /// # Panics
     /// Panics if the workflow graph is cyclic (invalid images are never stored).
-    pub fn register(&self, workflow: Workflow, config: DeploymentConfig) -> ImageId {
+    pub(crate) fn register(&self, workflow: Workflow, config: DeploymentConfig) -> ImageId {
         assert!(workflow.is_valid(), "cannot register a cyclic workflow");
         let mut inner = self.inner.write();
         let id = inner.next_id;
@@ -65,22 +65,25 @@ impl WorkflowRegistry {
     }
 
     /// List all registered images (id, name) pairs in id order.
-    pub fn list(&self) -> Vec<(ImageId, String)> {
+    pub(crate) fn list(&self) -> Vec<(ImageId, String)> {
         self.inner.read().images.values().map(|img| (img.id, img.name.clone())).collect()
     }
+}
 
+#[cfg(test)]
+impl WorkflowRegistry {
     /// Remove an image; returns `true` if it existed.
-    pub fn remove(&self, id: ImageId) -> bool {
+    fn remove(&self, id: ImageId) -> bool {
         self.inner.write().images.remove(&id).is_some()
     }
 
     /// Number of registered images.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.inner.read().images.len()
     }
 
     /// `true` if the registry is empty.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -988,7 +988,7 @@ impl ReplicatedControlPlane {
     }
 
     /// Journal a staged batch atomically in one quorum round
-    /// ([`ReplicatedLog::append_all`]): either every event commits or none
+    /// ([`ReplicatedLog::append_all_with`]): either every event commits or none
     /// does, and the rolling digest advances only in the former case. The
     /// absorbed bytes are each event's encoded line plus `'\n'`, exactly what
     /// [`Self::journal`] absorbs per event, so batched and per-event paths
@@ -1201,12 +1201,12 @@ impl ReplicatedControlPlane {
 
     /// Pending jobs whose estimate tables are stale against `fleet_epoch`
     /// (served locally; see [`JobManager::stale_pending`]).
-    pub fn stale_pending(&self, fleet_epoch: u64) -> Vec<JobId> {
+    pub(crate) fn stale_pending(&self, fleet_epoch: u64) -> Vec<JobId> {
         self.state.jobmanager.stale_pending(fleet_epoch)
     }
 
     /// A pending job by id (read-only), for callers recomputing estimates.
-    pub fn pending_job(&self, job_id: JobId) -> Option<&PendingJob> {
+    pub(crate) fn pending_job(&self, job_id: JobId) -> Option<&PendingJob> {
         self.state.jobmanager.pending().iter().find(|j| j.job_id == job_id)
     }
 
@@ -1267,7 +1267,7 @@ impl ReplicatedControlPlane {
     }
 
     /// Fleet QPU indices this shard currently leases.
-    pub fn leases(&self) -> &BTreeSet<usize> {
+    pub(crate) fn leases(&self) -> &BTreeSet<usize> {
         &self.state.leases
     }
 
@@ -1296,7 +1296,7 @@ impl ReplicatedControlPlane {
 
     /// Fleet QPU indices currently holding autoscaler-provisioned elastic
     /// capacity.
-    pub fn elastic(&self) -> &BTreeSet<usize> {
+    pub(crate) fn elastic(&self) -> &BTreeSet<usize> {
         &self.state.elastic
     }
 

@@ -27,6 +27,7 @@
 //!   shards, so drained completions are attributed to the shard leasing the
 //!   QPU they ran on — which is exactly the shard that dispatched them.
 
+use crate::digest::Fnv64;
 use crate::fleetlease::{FleetAllocator, LeaseConflict, ReleaseError};
 use crate::jobmanager::{CalibrationPolicy, CompletedExecution, JobId, JobSpec, TenantId};
 use crate::replication::{
@@ -75,12 +76,9 @@ impl GlobalTicket {
 /// (submission routing, scenario builders, benches) computes the same
 /// placement.
 pub fn shard_of_global(global: TenantId, num_shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in global.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    (hash % num_shards as u64) as usize
+    let mut hash = Fnv64::new();
+    hash.absorb(&global.to_le_bytes());
+    (hash.value() % num_shards as u64) as usize
 }
 
 /// N control-plane shards behind one façade (see the module docs).
@@ -101,6 +99,10 @@ impl ShardedControlPlane {
     /// shard gets its own journal store of `2f + 1` replicas, an independent
     /// copy of `trigger`, and the calibration `policy`; QPU `i` is leased to
     /// shard `i % num_shards` (round-robin), journaled on the holding shard.
+    ///
+    /// # Panics
+    ///
+    /// Unless `1 <= num_shards <= num_qpus`: every shard must hold a QPU.
     pub fn new(
         num_shards: usize,
         num_qpus: usize,
@@ -110,6 +112,10 @@ impl ShardedControlPlane {
         seed: u64,
     ) -> Self {
         assert!(num_shards > 0, "a sharded plane needs at least one shard");
+        assert!(
+            num_shards <= num_qpus,
+            "a sharded plane needs at most one shard per QPU ({num_shards} shards over {num_qpus} QPUs): a shard without a QPU never dispatches"
+        );
         let shards: Vec<ReplicatedControlPlane> = (0..num_shards)
             .map(|s| {
                 ReplicatedControlPlane::with_policy(
@@ -138,7 +144,8 @@ impl ShardedControlPlane {
     /// deployments): `spans[p] = (provider name, qpu count)` concatenated in
     /// flat-index order. Pure configuration — nothing is journaled, and
     /// failover re-attaches the spans to the rebuilt allocator.
-    pub fn with_provider_spans(mut self, spans: Vec<(String, usize)>) -> Self {
+    #[cfg(test)]
+    fn with_provider_spans(mut self, spans: Vec<(String, usize)>) -> Self {
         self.allocator = self.allocator.with_provider_spans(spans);
         self
     }
@@ -235,7 +242,7 @@ impl ShardedControlPlane {
 
     /// Every registered tenant's `(global id, config)`, in global-id order —
     /// what a rebuild-with-different-shape constructor re-registers.
-    pub fn tenant_configs_global(&self) -> Vec<(TenantId, TenantConfig)> {
+    pub(crate) fn tenant_configs_global(&self) -> Vec<(TenantId, TenantConfig)> {
         self.placement
             .iter()
             .enumerate()
@@ -367,7 +374,8 @@ impl ShardedControlPlane {
     }
 
     /// A shard's pending job by id.
-    pub fn pending_job(&self, shard: usize, job_id: JobId) -> Option<&crate::PendingJob> {
+    #[cfg(test)]
+    fn pending_job(&self, shard: usize, job_id: JobId) -> Option<&crate::PendingJob> {
         self.shards[shard].pending_job(job_id)
     }
 
@@ -608,6 +616,28 @@ mod tests {
             (0..64u32).map(|t| shard_of_global(t, 4)).collect();
         assert_eq!(hit.len(), 4, "64 sequential tenants should touch all 4 shards");
         assert_eq!(shard_of_global(9, 1), 0, "a single shard absorbs everything");
+    }
+
+    /// Pins the router's placements for ids 0..16 over 1..16 shards as one
+    /// FNV-1a fold, so a change of its hash implementation cannot move a
+    /// tenant to another shard.
+    #[test]
+    fn shard_placements_for_small_ids_and_counts_are_pinned() {
+        let mut fold = Fnv64::new();
+        for num_shards in 1..16usize {
+            for tenant in 0..16u32 {
+                fold.absorb(&(shard_of_global(tenant, num_shards) as u64).to_le_bytes());
+            }
+        }
+        assert_eq!(fold.value(), 0x7214_9404_2262_09c6);
+    }
+
+    /// With more shards than QPUs some shard would lease nothing, and the
+    /// jobs of tenants homed there could never dispatch.
+    #[test]
+    #[should_panic(expected = "at most one shard per QPU")]
+    fn more_shards_than_qpus_is_refused() {
+        plane(9, 8);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Identifier of a submitted ticket (monotonic across all tenants).
-pub type TicketId = u64;
+pub(crate) type TicketId = u64;
 
 /// Per-tenant admission configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,13 +382,9 @@ impl SubmissionService {
     }
 
     /// A tenant's SLO class, if it registered with one.
-    pub fn tenant_slo(&self, tenant: TenantId) -> Option<SloClass> {
+    #[cfg(test)]
+    pub(crate) fn tenant_slo(&self, tenant: TenantId) -> Option<SloClass> {
         self.tenants.get(tenant as usize).and_then(|t| t.slo)
-    }
-
-    /// All registered tenant ids, ascending.
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.ids_and_tenants().map(|(id, _)| id).collect()
     }
 
     /// The tenant table as `(id, tenant)`, ascending by id.
@@ -400,7 +396,7 @@ impl SubmissionService {
     /// Every tenant's (clamped) admission configuration, ascending by id —
     /// enough to re-register the same tenant population elsewhere, since ids
     /// are assigned sequentially and tenants are never removed.
-    pub fn tenant_configs(&self) -> Vec<(TenantId, TenantConfig)> {
+    pub(crate) fn tenant_configs(&self) -> Vec<(TenantId, TenantConfig)> {
         self.ids_and_tenants().map(|(id, state)| (id, state.config)).collect()
     }
 
@@ -575,7 +571,12 @@ impl SubmissionService {
     /// the caller journals one `SloEscalated` event per returned ticket and
     /// then applies each (the step replay runs too), so failover replays the
     /// exact escalation stream.
-    pub fn pending_escalations(&self, now_s: f64, horizon_s: f64, budget: usize) -> Vec<JobTicket> {
+    pub(crate) fn pending_escalations(
+        &self,
+        now_s: f64,
+        horizon_s: f64,
+        budget: usize,
+    ) -> Vec<JobTicket> {
         // SLO-free workloads pay nothing: without a finite-deadline SLO class
         // anywhere, no ticket can ever be due, so the scan does zero work.
         if self.slo_tenants.is_empty() {
@@ -751,21 +752,22 @@ impl SubmissionService {
         self.queued_total
     }
 
-    /// Number of registered tenants — O(1), the hot-path replacement for
-    /// `tenant_ids().is_empty()` (which allocates the full id list).
-    pub fn tenant_count(&self) -> usize {
+    /// Number of registered tenants — O(1).
+    pub(crate) fn tenant_count(&self) -> usize {
         self.tenants.len()
     }
 
     /// Tenants visited by DRR admission scans since construction (or decode).
     /// Diagnostic: lets tests assert the scan is O(active), not O(registered).
-    pub fn admission_visits(&self) -> u64 {
+    #[cfg(test)]
+    fn admission_visits(&self) -> u64 {
         self.admission_visits.get()
     }
 
     /// Tenants visited by SLO escalation scans since construction (or
     /// decode). Diagnostic: an SLO-free workload must leave this at zero.
-    pub fn escalation_visits(&self) -> u64 {
+    #[cfg(test)]
+    fn escalation_visits(&self) -> u64 {
         self.escalation_visits.get()
     }
 
@@ -791,7 +793,7 @@ impl SubmissionService {
 
     /// `true` if `job_id` belongs to a ticket this service admitted and has
     /// not yet resolved (completion or rejection accounting still pending).
-    pub fn tracks_job(&self, job_id: JobId) -> bool {
+    pub(crate) fn tracks_job(&self, job_id: JobId) -> bool {
         self.job_to_ticket.contains_key(&job_id)
     }
 

@@ -59,11 +59,6 @@ impl Step {
             Step::Quantum(s) => &s.name,
         }
     }
-
-    /// `true` for quantum steps.
-    pub fn is_quantum(&self) -> bool {
-        matches!(self, Step::Quantum(_))
-    }
 }
 
 /// A hybrid workflow: steps `V` plus dependency edges `E ⊆ V × V`.
@@ -93,7 +88,7 @@ impl Workflow {
     }
 
     /// Add a step with no dependencies; returns its index.
-    pub fn add_step(&mut self, step: Step) -> usize {
+    pub(crate) fn add_step(&mut self, step: Step) -> usize {
         self.steps.push(step);
         self.steps.len() - 1
     }
@@ -137,11 +132,6 @@ impl Workflow {
         self.steps.is_empty()
     }
 
-    /// Number of quantum steps.
-    pub fn num_quantum_steps(&self) -> usize {
-        self.steps.iter().filter(|s| s.is_quantum()).count()
-    }
-
     /// Largest circuit width among the quantum steps.
     pub fn max_qubits(&self) -> u32 {
         self.steps
@@ -155,7 +145,7 @@ impl Workflow {
     }
 
     /// Topological order of the steps, or `None` if the dependency graph has a cycle.
-    pub fn topological_order(&self) -> Option<Vec<usize>> {
+    pub(crate) fn topological_order(&self) -> Option<Vec<usize>> {
         let n = self.steps.len();
         let mut indegree = vec![0usize; n];
         let mut adj = vec![Vec::new(); n];
@@ -182,7 +172,7 @@ impl Workflow {
     }
 
     /// `true` if the dependency graph is acyclic.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.topological_order().is_some()
     }
 }
@@ -236,7 +226,7 @@ mod tests {
             ClassicalRequest::small(),
         );
         assert_eq!(wf.len(), 3);
-        assert_eq!(wf.num_quantum_steps(), 1);
+        assert_eq!(wf.steps().iter().filter(|s| matches!(s, Step::Quantum(_))).count(), 1);
         assert_eq!(wf.max_qubits(), 5);
         assert!(wf.is_valid());
         let order = wf.topological_order().unwrap();
@@ -254,7 +244,7 @@ mod tests {
             ClassicalRequest::small(),
         );
         assert_eq!(wf.len(), 1);
-        assert!(wf.steps()[0].is_quantum());
+        assert!(matches!(wf.steps()[0], Step::Quantum(_)));
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl PricingTable {
     }
 
     /// Dollar cost of occupying a resource class for `seconds` (pro-rated hourly price).
-    pub fn usage_cost_usd(&self, class: ResourceClass, seconds: f64) -> f64 {
+    pub(crate) fn usage_cost_usd(&self, class: ResourceClass, seconds: f64) -> f64 {
         self.price(class).per_hour_usd * seconds.max(0.0) / 3600.0
     }
 

@@ -102,7 +102,7 @@ fn stream_seed(seed: u64, t: usize) -> u64 {
 /// Transpile + "execute" one job and produce its record. The ground truth uses
 /// the analytic ESP fidelity model of the backend plus the mitigation stack's
 /// uplift, with small multiplicative shot-noise jitter.
-pub fn execute_and_record<R: Rng + ?Sized>(
+pub(crate) fn execute_and_record<R: Rng + ?Sized>(
     transpiler: &Transpiler,
     circuit: &qonductor_circuit::Circuit,
     qpu: &qonductor_backend::Qpu,

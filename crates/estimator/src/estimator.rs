@@ -81,7 +81,7 @@ impl ResourceEstimator {
     }
 
     /// Estimate the classical processing time in seconds (non-negative).
-    pub fn estimate_classical_time_s(&self, features: &JobFeatures) -> f64 {
+    pub(crate) fn estimate_classical_time_s(&self, features: &JobFeatures) -> f64 {
         self.classical_model.predict(&features.runtime_features()).max(0.0)
     }
 

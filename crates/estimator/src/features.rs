@@ -69,7 +69,7 @@ impl JobFeatures {
     /// such as the number of qubits (width), the number of shots, circuit
     /// depth, and the number of two-qubit operations", plus the mitigation
     /// configuration).
-    pub fn runtime_features(&self) -> Vec<f64> {
+    pub(crate) fn runtime_features(&self) -> Vec<f64> {
         vec![
             self.width,
             self.shots,
@@ -91,7 +91,7 @@ impl JobFeatures {
 
     /// Feature vector for **fidelity** estimation (§6: the runtime features plus
     /// "the qubit topology and error rates of the target QPU").
-    pub fn fidelity_features(&self) -> Vec<f64> {
+    pub(crate) fn fidelity_features(&self) -> Vec<f64> {
         vec![
             self.width,
             self.depth,

@@ -16,7 +16,7 @@ pub mod estimator;
 pub mod features;
 pub mod numerical;
 pub mod plans;
-pub mod regression;
+mod regression;
 
 pub use cost::{PricingTable, ResourceClass};
 pub use dataset::{generate_dataset, DatasetConfig, ExecutionRecord};
@@ -26,4 +26,3 @@ pub use plans::{
     analytic_estimate, generate_candidate_plans, generate_plans, pareto_front, AnalyticEstimate,
     EstimationBackend, PlanGeneratorConfig, ResourcePlan,
 };
-pub use regression::{k_fold_r2, r2_score, PolynomialRegressor};

@@ -7,7 +7,7 @@
 
 /// A fitted polynomial regression model.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PolynomialRegressor {
+pub(crate) struct PolynomialRegressor {
     degree: u32,
     ridge: f64,
     /// Learned coefficients over the expanded feature vector (including bias).
@@ -24,12 +24,17 @@ impl PolynomialRegressor {
     /// # Panics
     /// Panics if the dataset is empty, rows have inconsistent lengths, or the
     /// number of samples is smaller than the expanded feature dimension.
-    pub fn fit(features: &[Vec<f64>], targets: &[f64], degree: u32) -> Self {
+    pub(crate) fn fit(features: &[Vec<f64>], targets: &[f64], degree: u32) -> Self {
         Self::fit_with_ridge(features, targets, degree, 1e-6)
     }
 
     /// Fit with an explicit ridge (L2) regularisation strength.
-    pub fn fit_with_ridge(features: &[Vec<f64>], targets: &[f64], degree: u32, ridge: f64) -> Self {
+    pub(crate) fn fit_with_ridge(
+        features: &[Vec<f64>],
+        targets: &[f64],
+        degree: u32,
+        ridge: f64,
+    ) -> Self {
         assert!(!features.is_empty(), "cannot fit on an empty dataset");
         assert_eq!(features.len(), targets.len(), "features/targets length mismatch");
         let dim = features[0].len();
@@ -73,30 +78,24 @@ impl PolynomialRegressor {
     }
 
     /// Predict the target for one feature vector.
-    pub fn predict(&self, features: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, features: &[f64]) -> f64 {
         let standardised = standardise(features, &self.feature_means, &self.feature_stds);
         let expanded = expand_polynomial(&standardised, self.degree);
         expanded.iter().zip(&self.coefficients).map(|(x, w)| x * w).sum()
     }
+}
 
-    /// Predict targets for a batch of feature vectors.
-    pub fn predict_batch(&self, features: &[Vec<f64>]) -> Vec<f64> {
-        features.iter().map(|f| self.predict(f)).collect()
-    }
-
-    /// Polynomial degree of the model.
-    pub fn degree(&self) -> u32 {
-        self.degree
-    }
-
+#[cfg(test)]
+impl PolynomialRegressor {
     /// R² score of the model on a dataset.
-    pub fn score(&self, features: &[Vec<f64>], targets: &[f64]) -> f64 {
-        r2_score(targets, &self.predict_batch(features))
+    fn score(&self, features: &[Vec<f64>], targets: &[f64]) -> f64 {
+        let predictions: Vec<f64> = features.iter().map(|f| self.predict(f)).collect();
+        r2_score(targets, &predictions)
     }
 }
 
 /// Coefficient of determination R².
-pub fn r2_score(targets: &[f64], predictions: &[f64]) -> f64 {
+pub(crate) fn r2_score(targets: &[f64], predictions: &[f64]) -> f64 {
     assert_eq!(targets.len(), predictions.len());
     assert!(!targets.is_empty());
     let mean = targets.iter().sum::<f64>() / targets.len() as f64;
@@ -113,38 +112,9 @@ pub fn r2_score(targets: &[f64], predictions: &[f64]) -> f64 {
     }
 }
 
-/// Mean K-fold cross-validation R² of a polynomial model on a dataset.
-pub fn k_fold_r2(features: &[Vec<f64>], targets: &[f64], degree: u32, k: usize) -> f64 {
-    assert!(k >= 2, "K-fold needs at least two folds");
-    let n = features.len();
-    assert!(n >= k, "not enough samples for {k} folds");
-    let fold_size = n / k;
-    let mut scores = Vec::with_capacity(k);
-    for fold in 0..k {
-        let start = fold * fold_size;
-        let end = if fold == k - 1 { n } else { start + fold_size };
-        let mut train_x = Vec::new();
-        let mut train_y = Vec::new();
-        let mut test_x = Vec::new();
-        let mut test_y = Vec::new();
-        for i in 0..n {
-            if i >= start && i < end {
-                test_x.push(features[i].clone());
-                test_y.push(targets[i]);
-            } else {
-                train_x.push(features[i].clone());
-                train_y.push(targets[i]);
-            }
-        }
-        let model = PolynomialRegressor::fit(&train_x, &train_y, degree);
-        scores.push(model.score(&test_x, &test_y));
-    }
-    scores.iter().sum::<f64>() / scores.len() as f64
-}
-
 /// Expand a feature vector into polynomial terms up to `degree`: a bias term,
 /// all monomials x_i, x_i·x_j (degree ≥ 2), and pure powers x_i^d.
-pub fn expand_polynomial(features: &[f64], degree: u32) -> Vec<f64> {
+pub(crate) fn expand_polynomial(features: &[f64], degree: u32) -> Vec<f64> {
     let mut out = Vec::with_capacity(1 + features.len() * degree as usize);
     out.push(1.0);
     out.extend_from_slice(features);
@@ -298,14 +268,6 @@ mod tests {
         assert_eq!(r2_score(&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0]), 1.0);
         assert!(r2_score(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]) > 0.9999);
         assert!(r2_score(&[1.0, 2.0, 3.0], &[3.0, 1.0, 2.0]) < 0.5);
-    }
-
-    #[test]
-    fn k_fold_cv_gives_reasonable_score_on_learnable_data() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (xs, ys) = synth_dataset(400, &mut rng, |a, b| a * 2.0 + b * b * 0.1);
-        let score = k_fold_r2(&xs, &ys, 2, 5);
-        assert!(score > 0.99, "cv score = {score}");
     }
 
     #[test]

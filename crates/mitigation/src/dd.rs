@@ -250,7 +250,7 @@ mod tests {
             let mut anchor: Option<usize> = None;
             for op in &schedule.ops {
                 let instr = circuit.instructions()[op.index];
-                if instr.touches(window.qubit)
+                if instr.qubits().any(|q| q == window.qubit)
                     && (op.start_ns + op.duration_ns - window.start_ns).abs() < 1e-6
                 {
                     anchor = Some(op.index);

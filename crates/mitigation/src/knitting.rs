@@ -40,7 +40,7 @@ pub struct ReconstructionCost {
 ///
 /// # Panics
 /// Panics if `boundary` is 0 or ≥ the circuit width.
-pub fn cut_at(circuit: &Circuit, boundary: u32) -> CutResult {
+pub(crate) fn cut_at(circuit: &Circuit, boundary: u32) -> CutResult {
     assert!(
         boundary > 0 && boundary < circuit.num_qubits(),
         "cut boundary must split the register"

@@ -12,20 +12,20 @@
 
 #![warn(missing_docs)]
 
-pub mod dd;
+mod dd;
 pub mod knitting;
-pub mod pec;
+mod pec;
 pub mod rem;
 pub mod stack;
-pub mod technique;
-pub mod twirling;
+mod technique;
+mod twirling;
 pub mod zne;
 
 pub use dd::{insert_dd, DdResult, DdSequence};
-pub use knitting::{cut_at, cut_in_half, CutResult, ReconstructionCost};
+pub use knitting::{cut_in_half, CutResult, ReconstructionCost};
 pub use pec::{PecConfig, PecSample};
 pub use rem::{QubitConfusion, ReadoutMitigator};
 pub use stack::{candidate_stacks, MitigationStack};
 pub use technique::{ErrorChannel, MitigationCost, Technique};
-pub use twirling::{generate_twirled_ensemble, twirl_circuit};
+pub use twirling::twirl_circuit;
 pub use zne::{extrapolate, fold_circuit, ExtrapolationFactory, ZneConfig};

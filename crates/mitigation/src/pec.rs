@@ -41,7 +41,7 @@ pub struct PecSample {
 /// device described by `noise`: for a depolarizing channel of strength p on
 /// each gate, the per-gate overhead is `(1 + p/2) / (1 − p)` and overheads
 /// multiply across gates.
-pub fn sampling_overhead(circuit: &Circuit, noise: &NoiseModel) -> f64 {
+pub(crate) fn sampling_overhead(circuit: &Circuit, noise: &NoiseModel) -> f64 {
     let mut gamma = 1.0f64;
     for instr in circuit.instructions() {
         if !instr.gate.is_unitary() || instr.gate.is_virtual() {
@@ -57,7 +57,7 @@ pub fn sampling_overhead(circuit: &Circuit, noise: &NoiseModel) -> f64 {
 /// inserts, after each noisy gate, a random Pauli with probability proportional
 /// to the gate's error rate (the inverse-channel representative); its weight
 /// sign flips per inserted Pauli, as in the quasi-probability decomposition.
-pub fn generate_samples<R: Rng + ?Sized>(
+pub(crate) fn generate_samples<R: Rng + ?Sized>(
     circuit: &Circuit,
     noise: &NoiseModel,
     config: &PecConfig,

@@ -16,7 +16,7 @@ pub struct QubitConfusion {
 
 impl QubitConfusion {
     /// Symmetric confusion with error probability `p`.
-    pub fn symmetric(p: f64) -> Self {
+    pub(crate) fn symmetric(p: f64) -> Self {
         QubitConfusion { p01: p, p10: p }
     }
 
@@ -59,11 +59,6 @@ impl ReadoutMitigator {
             .map(|&(_cbit, q)| QubitConfusion::symmetric(noise.readout_error(q)))
             .collect();
         ReadoutMitigator { qubits }
-    }
-
-    /// Number of mitigated classical bits.
-    pub fn num_bits(&self) -> usize {
-        self.qubits.len()
     }
 
     /// Apply tensored inversion to a counts distribution, clipping negative

@@ -53,15 +53,6 @@ pub fn twirl_circuit<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Circuit
     out
 }
 
-/// Generate `num_twirls` independently twirled instances of the circuit.
-pub fn generate_twirled_ensemble<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    num_twirls: usize,
-    rng: &mut R,
-) -> Vec<Circuit> {
-    (0..num_twirls).map(|_| twirl_circuit(circuit, rng)).collect()
-}
-
 fn push_pauli(out: &mut Circuit, gate: Gate, q: u32) {
     if gate != Gate::Id {
         out.push(Instruction::one(gate, q));
@@ -151,7 +142,7 @@ mod tests {
     fn ensemble_has_requested_size_and_varies() {
         let mut rng = StdRng::seed_from_u64(2);
         let c = ghz(4);
-        let ensemble = generate_twirled_ensemble(&c, 8, &mut rng);
+        let ensemble: Vec<Circuit> = (0..8).map(|_| twirl_circuit(&c, &mut rng)).collect();
         assert_eq!(ensemble.len(), 8);
         // With 3 CX gates and 16 dressings each, at least two instances differ.
         assert!(ensemble.iter().any(|e| e != &ensemble[0]));

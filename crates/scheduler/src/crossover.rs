@@ -36,14 +36,15 @@ pub struct CrossoverPartition {
     pub after: Vec<PlannedJob>,
 }
 
+#[cfg(test)]
 impl CrossoverPartition {
     /// `true` if any job needs re-evaluation (straddles or follows the boundary).
-    pub fn needs_reevaluation(&self) -> bool {
+    fn needs_reevaluation(&self) -> bool {
         !self.straddling.is_empty() || !self.after.is_empty()
     }
 
     /// Job IDs requiring fresh estimates from the resource estimator.
-    pub fn jobs_to_reestimate(&self) -> Vec<u64> {
+    fn jobs_to_reestimate(&self) -> Vec<u64> {
         self.straddling.iter().chain(self.after.iter()).map(|j| j.job_id).collect()
     }
 }
@@ -67,7 +68,7 @@ pub fn partition_at_boundary(schedule: &[PlannedJob], boundary_s: f64) -> Crosso
 
 /// Build the planned per-QPU timeline of an assignment: jobs run back-to-back
 /// on their assigned QPU after its current queue drains.
-pub fn plan_timeline(
+pub(crate) fn plan_timeline(
     assignment: &[(u64, usize, f64)], // (job_id, qpu_index, duration_s)
     qpu_waiting_s: &[f64],
     now_s: f64,

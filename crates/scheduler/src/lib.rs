@@ -9,26 +9,22 @@
 
 #![warn(missing_docs)]
 
-pub mod baselines;
+mod baselines;
 pub mod classical;
-pub mod crossover;
-pub mod mcdm;
+mod crossover;
+mod mcdm;
 pub mod nsga2;
 pub mod problem;
 pub mod scheduler;
-pub mod triggers;
+mod triggers;
 
 pub use baselines::{assign as baseline_assign, BaselinePolicy};
-pub use classical::{place, ClassicalNode, ClassicalRequest, ScoringPolicy};
-pub use crossover::{partition_at_boundary, plan_timeline, CrossoverPartition, PlannedJob};
+pub use classical::{place, ClassicalNode, ClassicalRequest};
+pub use crossover::{partition_at_boundary, CrossoverPartition, PlannedJob};
 pub use mcdm::{pseudo_weights, select, Preference};
 pub use nsga2::{
-    optimize, optimize_seeded, optimize_with, Nsga2Config, Nsga2Result, OptimizerWorkspace,
-    ParetoSolution, MIGRATION_INTERVAL, MIN_ISLAND_POP,
+    optimize, optimize_with, Nsga2Config, Nsga2Result, OptimizerWorkspace, ParetoSolution,
 };
-pub use problem::{
-    JobRequest, Objectives, QpuState, SchedulingProblem, INFEASIBLE_PENALTY_S, MAX_EXEC_S,
-    MAX_PLACEMENT_COST, MAX_WAIT_S, NON_FINITE_EXEC_S,
-};
+pub use problem::{JobRequest, Objectives, QpuState, SchedulingProblem};
 pub use scheduler::{HybridScheduler, Placement, ScheduleOutcome, SchedulerConfig, StageTimings};
-pub use triggers::{ScheduleTrigger, TriggerReason, DEFAULT_SLO_MARGIN_S};
+pub use triggers::{ScheduleTrigger, TriggerReason};

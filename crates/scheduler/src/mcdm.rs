@@ -31,7 +31,7 @@ impl Preference {
     }
 
     /// Normalise the weights so that they sum to one.
-    pub fn normalised(&self) -> Preference {
+    pub(crate) fn normalised(&self) -> Preference {
         let sum = (self.fidelity_weight + self.jct_weight).max(1e-12);
         Preference {
             fidelity_weight: self.fidelity_weight / sum,

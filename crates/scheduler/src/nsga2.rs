@@ -395,7 +395,8 @@ pub fn optimize(problem: &SchedulingProblem, config: &Nsga2Config) -> Nsga2Resul
 /// Run NSGA-II with seed assignments injected into the initial population
 /// (warm start). Seeds are repaired against the problem: out-of-range or
 /// capacity-violating genes snap to the job's first feasible QPU.
-pub fn optimize_seeded(
+#[cfg(test)]
+fn optimize_seeded(
     problem: &SchedulingProblem,
     config: &Nsga2Config,
     seeds: &[Vec<usize>],
@@ -406,14 +407,14 @@ pub fn optimize_seeded(
 
 /// Default for [`Nsga2Config::migration_interval`]: generations an island
 /// evolves between elite exchanges.
-pub const MIGRATION_INTERVAL: usize = 5;
+pub(crate) const MIGRATION_INTERVAL: usize = 5;
 
 /// Pareto-front elites each island sends to its ring neighbour per exchange.
 const MIGRATION_ELITES: usize = 2;
 
 /// Default for [`Nsga2Config::min_island_pop`]: minimum individuals per
 /// island (tiny subpopulations stall the genetic operators).
-pub const MIN_ISLAND_POP: usize = 4;
+pub(crate) const MIN_ISLAND_POP: usize = 4;
 
 /// Effective island count for a configuration: `num_threads` clamped so each
 /// island keeps at least [`Nsga2Config::min_island_pop`] individuals.

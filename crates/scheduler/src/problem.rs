@@ -31,23 +31,23 @@
 /// Execution-time estimate substituted for non-finite (or negative) estimates:
 /// large enough that the optimizer steers away, finite so arithmetic stays
 /// well-defined.
-pub const NON_FINITE_EXEC_S: f64 = 1e6;
+pub(crate) const NON_FINITE_EXEC_S: f64 = 1e6;
 
 /// Upper clamp on per-job execution estimates (seconds).
-pub const MAX_EXEC_S: f64 = 1e6;
+pub(crate) const MAX_EXEC_S: f64 = 1e6;
 
 /// Upper clamp on per-QPU queue waiting-time estimates (seconds); non-finite
 /// waiting times clamp here (an unknown queue is assumed maximally busy).
-pub const MAX_WAIT_S: f64 = 1e8;
+pub(crate) const MAX_WAIT_S: f64 = 1e8;
 
 /// Mean-JCT penalty added per infeasibly placed job (Eq. 1 constraint
 /// violation), steering the optimizer toward feasible assignments.
-pub const INFEASIBLE_PENALTY_S: f64 = 1e7;
+pub(crate) const INFEASIBLE_PENALTY_S: f64 = 1e7;
 
 /// Upper clamp on the per-placement shot cost (credit units): keeps cost sums
 /// exactly representable on the dyadic grid (see the module docs' 2⁵³
 /// budget) no matter what a provider's billing table claims.
-pub const MAX_PLACEMENT_COST: f64 = 1e6;
+pub(crate) const MAX_PLACEMENT_COST: f64 = 1e6;
 
 /// Times snap to multiples of 2⁻²⁰ s (≈ 1 µs): power-of-two scaling keeps
 /// quantisation exact and per-QPU sums exactly representable.
@@ -255,9 +255,6 @@ pub struct SchedulingProblem {
     /// candidates otherwise, and `(MAX, MAX)` for jobs with no feasible QPU.
     /// Lets the optimizer snap a real-valued gene in O(1).
     nearest: Vec<(u32, u32)>,
-    /// Per-QPU calibration epoch the estimate tables were built from
-    /// (index-aligned with `qpus`).
-    epochs: Vec<u64>,
     /// Optional calibration-boundary penalty (see
     /// [`Self::with_boundary_penalty`]). `None` leaves the objectives
     /// bit-for-bit identical to a problem built without the penalty.
@@ -330,7 +327,7 @@ impl Objectives {
     /// `mean_cost` is deliberately excluded — cost pressure reaches the
     /// search through the scalarised JCT term (see
     /// [`SchedulingProblem::with_shot_costs`]).
-    pub fn dominates(&self, other: &Objectives) -> bool {
+    pub(crate) fn dominates(&self, other: &Objectives) -> bool {
         let no_worse = self.mean_jct_s <= other.mean_jct_s && self.mean_error <= other.mean_error;
         let better = self.mean_jct_s < other.mean_jct_s || self.mean_error < other.mean_error;
         no_worse && better
@@ -427,7 +424,6 @@ impl SchedulingProblem {
                 nearest.push(entry);
             }
         }
-        let epochs = qpus.iter().map(|q| q.calibration_epoch).collect();
         SchedulingProblem {
             jobs,
             qpus,
@@ -441,7 +437,6 @@ impl SchedulingProblem {
             lane_feas,
             wait,
             nearest,
-            epochs,
             boundary: None,
             costs: None,
         }
@@ -465,11 +460,6 @@ impl SchedulingProblem {
             .collect();
         self.boundary = Some(BoundaryPenalty { horizon_s, weight });
         self
-    }
-
-    /// `true` when a calibration-boundary penalty is attached.
-    pub fn has_boundary_penalty(&self) -> bool {
-        self.boundary.is_some()
     }
 
     /// Attach the federation cost lane: `cost_per_shot[q]` is QPU `q`'s
@@ -503,20 +493,6 @@ impl SchedulingProblem {
         }
         self.costs = Some(ShotCosts { cost, lane_cost, weight });
         self
-    }
-
-    /// `true` when the federation cost lane is attached.
-    pub fn has_shot_costs(&self) -> bool {
-        self.costs.is_some()
-    }
-
-    /// The calibration epoch each QPU's estimate column was built from
-    /// (index-aligned with `qpus`). Diagnostic/library surface: external
-    /// callers comparing this against a live epoch clock can tell when the
-    /// tables went stale; the in-tree dispatch layer reads the fleet's
-    /// clocks directly.
-    pub fn qpu_epochs(&self) -> &[u64] {
-        &self.epochs
     }
 
     /// The nearest-feasible row for `job` (length `num_qpus`). The
@@ -560,13 +536,8 @@ impl SchedulingProblem {
     }
 
     /// `true` if placing `job` on `qpu` satisfies the capacity constraint.
-    pub fn placement_is_feasible(&self, job: usize, qpu: usize) -> bool {
+    pub(crate) fn placement_is_feasible(&self, job: usize, qpu: usize) -> bool {
         qpu < self.num_qpus() && self.feasible_bit(job, qpu)
-    }
-
-    /// `true` if every job has at least one feasible QPU.
-    pub fn is_feasible(&self) -> bool {
-        self.feasible.iter().all(|f| !f.is_empty())
     }
 
     /// `true` if the assignment respects every job's capacity constraint.
@@ -628,19 +599,9 @@ impl SchedulingProblem {
     /// compare-and-convert, so the compiler auto-vectorizes the inner loop).
     /// Semantically equivalent to [`Self::evaluate`] up to f32 rounding —
     /// this is the optimizer's search objective; the front it returns is
-    /// re-evaluated with [`Self::evaluate`].
-    ///
-    /// Convenience wrapper that narrows a `usize` assignment; the optimizer's
-    /// hot path keeps its genes packed as `u16` and calls
-    /// [`Self::evaluate_lanes_packed`] directly.
-    pub fn evaluate_lanes(&self, assignment: &[usize]) -> Objectives {
-        let genes: Vec<u16> = assignment.iter().map(|&q| q as u16).collect();
-        self.evaluate_lanes_packed(&genes)
-    }
-
-    /// [`Self::evaluate_lanes`] over a packed `u16` gene buffer: no widening
-    /// pass, no allocation, and the gene stream occupies a quarter of the
-    /// cache footprint of a `usize` assignment.
+    /// re-evaluated with [`Self::evaluate`]. The genes are a packed `u16`
+    /// buffer: no widening pass, no allocation, and the gene stream occupies
+    /// a quarter of the cache footprint of a `usize` assignment.
     pub fn evaluate_lanes_packed(&self, genes: &[u16]) -> Objectives {
         let n = self.num_jobs();
         assert_eq!(genes.len(), n);
@@ -685,10 +646,19 @@ impl SchedulingProblem {
         }
         Objectives { mean_jct_s: jct_sum / n as f64, mean_error: err_total / n as f64, mean_cost }
     }
+}
 
-    /// Per-job completion times (seconds) under an assignment — used by the
-    /// evaluation to report JCT percentiles.
-    pub fn job_completion_times(&self, assignment: &[usize]) -> Vec<f64> {
+#[cfg(test)]
+impl SchedulingProblem {
+    /// [`Self::evaluate_lanes_packed`] over a `usize` assignment.
+    fn evaluate_lanes(&self, assignment: &[usize]) -> Objectives {
+        let genes: Vec<u16> = assignment.iter().map(|&q| q as u16).collect();
+        self.evaluate_lanes_packed(&genes)
+    }
+
+    /// Per-job completion times (seconds) under an assignment: the
+    /// per-job view whose mean [`Self::evaluate`] reports.
+    fn job_completion_times(&self, assignment: &[usize]) -> Vec<f64> {
         let stride = self.num_qpus();
         let mut assigned_time = vec![0.0f64; stride];
         for (i, &q) in assignment.iter().enumerate() {
@@ -738,13 +708,16 @@ mod tests {
     #[test]
     fn qpu_epochs_mirror_the_input_states() {
         let mut p = toy_problem();
-        assert_eq!(p.qpu_epochs(), &[0, 0, 0]);
+        let epochs = |p: &SchedulingProblem| -> Vec<u64> {
+            p.qpus.iter().map(|q| q.calibration_epoch).collect()
+        };
+        assert_eq!(epochs(&p), [0, 0, 0]);
         let mut qpus = p.qpus.clone();
         for (i, q) in qpus.iter_mut().enumerate() {
             q.calibration_epoch = 5 + i as u64;
         }
         p = SchedulingProblem::new(p.jobs, qpus);
-        assert_eq!(p.qpu_epochs(), &[5, 6, 7], "epoch tags survive problem construction");
+        assert_eq!(epochs(&p), [5, 6, 7], "epoch tags survive problem construction");
     }
 
     #[test]
@@ -752,7 +725,7 @@ mod tests {
         let p = toy_problem();
         assert_eq!(p.feasible_qpus(0), &[0, 1, 2]);
         assert_eq!(p.feasible_qpus(3), &[0, 1], "20-qubit job cannot use the 7-qubit QPU");
-        assert!(p.is_feasible());
+        assert!((0..p.num_jobs()).all(|j| !p.feasible_qpus(j).is_empty()));
         assert!(p.placement_is_feasible(0, 2));
         assert!(!p.placement_is_feasible(3, 2));
         assert!(!p.placement_is_feasible(0, 99), "out-of-range QPU is never feasible");
@@ -891,7 +864,7 @@ mod tests {
 
         // Horizon beyond the planned busy time: objectives are bit-identical.
         let roomy = toy_problem().with_boundary_penalty(&[100.0, 100.0, 100.0], 2.0);
-        assert!(roomy.has_boundary_penalty());
+        assert!(roomy.boundary.is_some());
         let o = roomy.evaluate(&assignment);
         assert_eq!(o.mean_jct_s.to_bits(), unpenalised.mean_jct_s.to_bits());
 
@@ -906,8 +879,8 @@ mod tests {
         assert!((lanes.mean_jct_s - t.mean_jct_s).abs() / t.mean_jct_s < 1e-4);
 
         // Zero or non-finite weights disable the penalty outright.
-        assert!(!toy_problem().with_boundary_penalty(&[30.0], 0.0).has_boundary_penalty());
-        assert!(!toy_problem().with_boundary_penalty(&[30.0], f64::NAN).has_boundary_penalty());
+        assert!(toy_problem().with_boundary_penalty(&[30.0], 0.0).boundary.is_none());
+        assert!(toy_problem().with_boundary_penalty(&[30.0], f64::NAN).boundary.is_none());
     }
 
     #[test]
@@ -921,7 +894,7 @@ mod tests {
         let prices = [2.0, 0.5, 0.1];
         let weight = 0.001;
         let priced = toy_problem().with_shot_costs(&prices, weight);
-        assert!(priced.has_shot_costs());
+        assert!(priced.costs.is_some());
         let o = priced.evaluate(&assignment);
         let expected_cost = (2.0 * 2000.0 + 2.0 * 500.0) / 4.0;
         assert!((o.mean_cost - expected_cost).abs() < 1e-9, "{o:?}");
@@ -938,11 +911,11 @@ mod tests {
 
         // A disabled lane leaves every objective bit-identical to cost-free.
         let disabled = toy_problem().with_shot_costs(&prices, 0.0);
-        assert!(!disabled.has_shot_costs());
+        assert!(disabled.costs.is_none());
         let d = disabled.evaluate(&assignment);
         assert_eq!(d.mean_jct_s.to_bits(), free.mean_jct_s.to_bits());
         assert_eq!(d.mean_cost, 0.0);
-        assert!(!toy_problem().with_shot_costs(&prices, f64::NAN).has_shot_costs());
+        assert!(toy_problem().with_shot_costs(&prices, f64::NAN).costs.is_none());
 
         // Billing garbage degrades to free instead of poisoning objectives.
         let weird = toy_problem().with_shot_costs(&[f64::NAN, -3.0], 1.0);

@@ -23,7 +23,7 @@ pub struct SchedulerConfig {
     pub preference: Preference,
     /// Weight of the proactive calibration-boundary penalty (§7): when > 0
     /// and the caller supplies per-QPU boundary horizons
-    /// ([`HybridScheduler::schedule_with_horizons`]), the optimizer penalises
+    /// ([`HybridScheduler::schedule_with_fleet_context`]), the optimizer penalises
     /// plans whose per-QPU busy time spills past the device's next
     /// recalibration, steering the Pareto front toward plans the dispatch
     /// layer will not have to split. 0 (the default) disables the penalty and
@@ -68,13 +68,6 @@ pub struct StageTimings {
     pub optimization_s: f64,
     /// MCDM selection.
     pub selection_s: f64,
-}
-
-impl StageTimings {
-    /// Total scheduling overhead.
-    pub fn total_s(&self) -> f64 {
-        self.preprocessing_s + self.optimization_s + self.selection_s
-    }
 }
 
 /// One job→QPU placement decided by the scheduler.
@@ -169,19 +162,6 @@ impl HybridScheduler {
         HybridScheduler { config, warm: Some(Mutex::new(WarmState::default())) }
     }
 
-    /// Whether this scheduler carries warm-start memory across cycles.
-    pub fn is_warm_start(&self) -> bool {
-        self.warm.is_some()
-    }
-
-    /// Drop any remembered Pareto front (e.g. after a fleet reconfiguration
-    /// that invalidates previous placements). No-op on stateless schedulers.
-    pub fn clear_memory(&self) {
-        if let Some(mem) = &self.warm {
-            mem.lock().front.clear();
-        }
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &SchedulerConfig {
         &self.config
@@ -229,31 +209,21 @@ impl HybridScheduler {
         self.schedule_with_fleet_context(jobs, qpus, &[], &[])
     }
 
-    /// [`Self::schedule`] with per-QPU recalibration horizons: `horizon_s[q]`
-    /// is the number of seconds from the dispatch instant until QPU `q`'s
-    /// next calibration boundary. When
-    /// [`SchedulerConfig::boundary_penalty_weight`] is positive the optimizer
-    /// proactively penalises plans whose per-QPU busy time spills past the
-    /// horizon, so fewer chosen plans straddle a boundary and reach the
-    /// dispatch layer's split path at all. With a zero weight (or an empty
-    /// horizon table) the outcome is bit-identical to [`Self::schedule`].
-    pub fn schedule_with_horizons(
-        &self,
-        jobs: Vec<JobRequest>,
-        qpus: Vec<QpuState>,
-        horizon_s: &[f64],
-    ) -> ScheduleOutcome {
-        self.schedule_with_fleet_context(jobs, qpus, horizon_s, &[])
-    }
-
-    /// [`Self::schedule_with_horizons`] plus per-QPU shot prices
-    /// (`cost_per_shot[q]`, credit units, index-aligned with `qpus`): the
-    /// full fleet context a federated dispatch layer carries. When
-    /// [`SchedulerConfig::cost_weight`] is positive the optimizer trades
-    /// turnaround against spend (see
-    /// [`SchedulingProblem::with_shot_costs`]); with a zero weight (or an
-    /// empty price table) the outcome is bit-identical to
-    /// [`Self::schedule_with_horizons`].
+    /// [`Self::schedule`] with the fleet context a federated dispatch layer
+    /// carries, both index-aligned with `qpus`:
+    ///
+    /// - `horizon_s[q]`, the seconds from the dispatch instant until QPU
+    ///   `q`'s next calibration boundary. When
+    ///   [`SchedulerConfig::boundary_penalty_weight`] is positive the
+    ///   optimizer proactively penalises plans whose per-QPU busy time spills
+    ///   past the horizon, so fewer chosen plans straddle a boundary and reach
+    ///   the dispatch layer's split path at all.
+    /// - `cost_per_shot[q]`, credit units. When
+    ///   [`SchedulerConfig::cost_weight`] is positive the optimizer trades
+    ///   turnaround against spend (see [`SchedulingProblem::with_shot_costs`]).
+    ///
+    /// With zero weights (or empty tables) the outcome is bit-identical to
+    /// [`Self::schedule`].
     pub fn schedule_with_fleet_context(
         &self,
         jobs: Vec<JobRequest>,
@@ -392,7 +362,7 @@ mod tests {
             let job = jobs.iter().find(|j| j.job_id == p.job_id).unwrap();
             assert!(qpus[p.qpu_index].num_qubits >= job.qubits);
         }
-        assert!(outcome.timings.total_s() > 0.0);
+        assert!(outcome.timings.optimization_s > 0.0);
         assert!(outcome.timings.optimization_s > outcome.timings.selection_s);
     }
 
@@ -482,7 +452,7 @@ mod tests {
         let (jobs, qpus) = jobs_and_qpus(40, 5, 7);
         let cold = HybridScheduler::default();
         let warm = HybridScheduler::with_warm_start(SchedulerConfig::default());
-        assert!(warm.is_warm_start() && !cold.is_warm_start());
+        assert!(warm.warm.is_some() && cold.warm.is_none());
         // Cycle 1: no memory yet, so the warm scheduler is bit-identical.
         let a = cold.schedule(jobs.clone(), qpus.clone());
         let b = warm.schedule(jobs.clone(), qpus.clone());
@@ -506,11 +476,11 @@ mod tests {
         let warm = HybridScheduler::with_warm_start(SchedulerConfig::default());
         let _ = warm.schedule(jobs.clone(), qpus.clone());
         let cloned = warm.clone();
-        assert!(cloned.is_warm_start());
+        assert!(cloned.warm.is_some());
         let a = warm.schedule(jobs.clone(), qpus.clone());
         let b = cloned.schedule(jobs.clone(), qpus.clone());
         assert_eq!(a.placements, b.placements, "cloned memory must behave identically");
-        warm.clear_memory();
+        warm.warm.as_ref().expect("warm-started").lock().front.clear();
         let _ = warm.schedule(jobs, qpus); // cold again: must not panic
     }
 

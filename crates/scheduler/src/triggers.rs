@@ -14,7 +14,7 @@
 /// of one scheduling cycle's latency (snapshot + NSGA-II + enqueue). A config
 /// knob, *not* a wall-clock measurement — determinism requires the margin to
 /// be part of the replicated trigger state.
-pub const DEFAULT_SLO_MARGIN_S: f64 = 2.0;
+pub(crate) const DEFAULT_SLO_MARGIN_S: f64 = 2.0;
 
 /// Trigger configuration and state.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -31,12 +31,12 @@ impl Layout {
     }
 
     /// Identity layout over `n` logical qubits.
-    pub fn trivial(n: u32) -> Self {
+    pub(crate) fn trivial(n: u32) -> Self {
         Layout { mapping: (0..n).collect() }
     }
 
     /// The logical→physical mapping as a slice.
-    pub fn mapping(&self) -> &[u32] {
+    pub(crate) fn mapping(&self) -> &[u32] {
         &self.mapping
     }
 

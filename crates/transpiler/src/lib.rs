@@ -11,9 +11,9 @@
 
 pub mod basis;
 pub mod layout;
-pub mod pipeline;
+mod pipeline;
 pub mod routing;
-pub mod scheduling;
+mod scheduling;
 
 pub use basis::{translate, BasisSet};
 pub use layout::{select_layout, Layout, LayoutPolicy};

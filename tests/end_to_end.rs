@@ -19,7 +19,7 @@ fn full_pipeline_circuit_to_execution_on_every_fleet_device() {
     let mut rng = StdRng::seed_from_u64(1);
     let fleet = Fleet::ibm_default(&mut rng);
     let transpiler = Transpiler::default();
-    let simulator = Simulator::analytic();
+    let simulator = Simulator { max_statevector_qubits: 0, ..Simulator::default() };
     let circuit = ghz(7);
     for member in fleet.members() {
         let transpiled = transpiler.transpile_for_qpu(&circuit, &member.qpu);
