@@ -2,6 +2,13 @@
 //! complete system state (worker resources, QPU calibration data, job queues,
 //! workflow status, results) is persisted on a quorum of 2f+1 replicas; writes
 //! commit once a majority of live replicas acknowledge them.
+//!
+//! Stored keys and values are immutable shared strings (`Arc<str>`): a write
+//! makes one copy of its key and value and hands every live replica a pointer
+//! to it, so a multi-megabyte snapshot is held once however many replicas
+//! apply it, and compaction frees each entry once. Replicas stay independent
+//! all the same — nothing writes through a shared value; a replica changes
+//! only by pointing a key at another value.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -11,7 +18,7 @@ use std::sync::Arc;
 /// A single replica's storage.
 #[derive(Debug, Default)]
 struct Replica {
-    data: BTreeMap<String, String>,
+    data: BTreeMap<Arc<str>, Arc<str>>,
     /// Index of the last applied write.
     applied_index: u64,
     /// `true` while the replica is down.
@@ -75,7 +82,8 @@ impl ReplicatedKvStore {
         self.replicas.write()[index].crashed = true;
     }
 
-    /// Recover a crashed replica and catch it up from a live majority replica.
+    /// Recover a crashed replica and catch it up from a live majority replica
+    /// (a copy of its map: the stored strings themselves are shared).
     pub fn recover_replica(&self, index: usize) {
         let mut replicas = self.replicas.write();
         // Find the most up-to-date live replica to copy state from.
@@ -94,8 +102,14 @@ impl ReplicatedKvStore {
         replicas[index].crashed = false;
     }
 
-    /// Write a key. Succeeds once a majority of replicas apply it.
-    pub fn put(&self, key: impl Into<String>, value: impl Into<String>) -> Result<(), StoreError> {
+    /// Write a key. Succeeds once a majority of replicas apply it. The key
+    /// and the value are copied once, into shared allocations every live
+    /// replica points at.
+    pub fn put(
+        &self,
+        key: impl Into<Arc<str>>,
+        value: impl Into<Arc<str>>,
+    ) -> Result<(), StoreError> {
         if !self.has_quorum() {
             return Err(StoreError::NoQuorum);
         }
@@ -104,16 +118,8 @@ impl ReplicatedKvStore {
         *log_length += 1;
         let index = *log_length;
         let mut replicas = self.replicas.write();
-        let mut live = replicas.iter_mut().filter(|r| !r.crashed);
-        // The last live replica takes the caller's strings; the others get
-        // copies (a snapshot value is megabytes — one copy fewer matters).
-        let last = live.next_back();
-        for r in live {
-            r.data.insert(key.clone(), value.clone());
-            r.applied_index = index;
-        }
-        if let Some(r) = last {
-            r.data.insert(key, value);
+        for r in replicas.iter_mut().filter(|r| !r.crashed) {
+            r.data.insert(Arc::clone(&key), Arc::clone(&value));
             r.applied_index = index;
         }
         Ok(())
@@ -123,8 +129,9 @@ impl ReplicatedKvStore {
     /// acquisition, one committed write index for the whole batch. Either
     /// every pair is applied on every live replica or (without a quorum)
     /// none is — the group-commit primitive the journaling layer's
-    /// `ReplicatedLog::append_all_with` builds on.
-    pub(crate) fn put_all(&self, pairs: &[(String, String)]) -> Result<(), StoreError> {
+    /// `ReplicatedLog::append_all_with` builds on. The replicas share the
+    /// caller's keys and values.
+    pub(crate) fn put_all(&self, pairs: &[(Arc<str>, Arc<str>)]) -> Result<(), StoreError> {
         if !self.has_quorum() {
             return Err(StoreError::NoQuorum);
         }
@@ -137,7 +144,7 @@ impl ReplicatedKvStore {
         let mut replicas = self.replicas.write();
         for r in replicas.iter_mut().filter(|r| !r.crashed) {
             for (key, value) in pairs {
-                r.data.insert(key.clone(), value.clone());
+                r.data.insert(Arc::clone(key), Arc::clone(value));
             }
             r.applied_index = index;
         }
@@ -216,7 +223,7 @@ impl ReplicatedKvStore {
                 .data
                 .range::<str, _>(range)
                 .take_while(|(key, _)| key.starts_with(prefix))
-                .map(|(key, _)| key.clone())
+                .map(|(key, _)| key.to_string())
                 .collect()
         })
     }
@@ -237,22 +244,22 @@ impl ReplicatedKvStore {
         &self,
         key: &str,
         expected: Option<&str>,
-        new: impl Into<String>,
+        new: impl Into<Arc<str>>,
     ) -> Result<bool, StoreError> {
         if !self.has_quorum() {
             return Err(StoreError::NoQuorum);
         }
         let mut log_length = self.log_length.write();
         let mut replicas = self.replicas.write();
-        let current = freshest(&replicas).and_then(|r| r.data.get(key).cloned());
-        if current.as_deref() != expected {
+        let current = freshest(&replicas).and_then(|r| r.data.get(key));
+        if current.map(|value| &**value) != expected {
             return Ok(false);
         }
         *log_length += 1;
         let index = *log_length;
-        let (key, value) = (key.to_string(), new.into());
+        let (key, value): (Arc<str>, Arc<str>) = (key.into(), new.into());
         for r in replicas.iter_mut().filter(|r| !r.crashed) {
-            r.data.insert(key.clone(), value.clone());
+            r.data.insert(Arc::clone(&key), Arc::clone(&value));
             r.applied_index = index;
         }
         Ok(true)
@@ -261,6 +268,15 @@ impl ReplicatedKvStore {
     /// Number of committed writes (the replication log length).
     pub fn committed_writes(&self) -> u64 {
         *self.log_length.read()
+    }
+}
+
+/// Per-replica views for the store's own tests and the log's: what one
+/// replica holds, crashed or not, with the shared values themselves.
+#[cfg(test)]
+impl ReplicatedKvStore {
+    pub(crate) fn replica_data(&self, index: usize) -> BTreeMap<Arc<str>, Arc<str>> {
+        self.replicas.read()[index].data.clone()
     }
 }
 
@@ -389,9 +405,9 @@ mod tests {
         let store = ReplicatedKvStore::new(1);
         store
             .put_all(&[
-                ("log/entry/0".to_string(), "a".to_string()),
-                ("log/entry/1".to_string(), "b".to_string()),
-                ("log/len".to_string(), "2".to_string()),
+                ("log/entry/0".into(), "a".into()),
+                ("log/entry/1".into(), "b".into()),
+                ("log/len".into(), "2".into()),
             ])
             .unwrap();
         assert_eq!(store.get("log/entry/0").unwrap(), "a");
@@ -409,10 +425,7 @@ mod tests {
         store.crash_replica(0);
         store.crash_replica(1);
         assert_eq!(
-            store.put_all(&[
-                ("a".to_string(), "overwritten".to_string()),
-                ("b".to_string(), "2".to_string()),
-            ]),
+            store.put_all(&[("a".into(), "overwritten".into()), ("b".into(), "2".into()),]),
             Err(StoreError::NoQuorum)
         );
         // The surviving minority serves the pre-batch state: no partial batch.
@@ -497,9 +510,9 @@ mod tests {
         assert_eq!(
             seen,
             vec![
-                ("ctl/entry/0000000000000002".to_string(), "e2".to_string()),
-                ("ctl/entry/0000000000000003".to_string(), "e3".to_string()),
-                ("ctl/entry/0000000000000004".to_string(), "e4".to_string()),
+                ("ctl/entry/0000000000000002".into(), "e2".into()),
+                ("ctl/entry/0000000000000003".into(), "e3".into()),
+                ("ctl/entry/0000000000000004".into(), "e4".into()),
             ]
         );
         store.scan("z", "a", |_, _| panic!("an empty interval visits nothing"));
@@ -518,5 +531,74 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(store.get("written/from/thread").unwrap(), "yes");
         assert_eq!(store.committed_writes(), 1);
+    }
+
+    /// One write, one allocation: every live replica points at the same key
+    /// and value — for `put`, `put_all` and `compare_and_swap` alike, a
+    /// megabyte value included — and a recovered replica copies pointers.
+    #[test]
+    fn live_replicas_share_one_allocation_per_written_value() {
+        let store = ReplicatedKvStore::new(2);
+        store.put("single", "1").unwrap();
+        store.put("snapshot", "s".repeat(1 << 20)).unwrap();
+        store.put_all(&[("batch/0".into(), "a".into()), ("batch/1".into(), "b".into())]).unwrap();
+        assert_eq!(store.compare_and_swap("leader", None, "0 1"), Ok(true));
+        store.crash_replica(4);
+        store.put("late", "written while replica 4 was down").unwrap();
+        store.recover_replica(4);
+        let shared = |key: &str| {
+            let copies: Vec<(Arc<str>, Arc<str>)> = (0..store.replica_count())
+                .map(|r| {
+                    let data = store.replica_data(r);
+                    let (k, v) = data.get_key_value(key).expect("every replica holds the key");
+                    (Arc::clone(k), Arc::clone(v))
+                })
+                .collect();
+            copies
+                .windows(2)
+                .all(|w| Arc::ptr_eq(&w[0].0, &w[1].0) && Arc::ptr_eq(&w[0].1, &w[1].1))
+        };
+        for key in ["single", "snapshot", "batch/0", "batch/1", "leader", "late"] {
+            assert!(shared(key), "{key}: one allocation for all five replicas");
+        }
+        // An overwrite points every replica at the new value; the old one is
+        // no longer held by any of them.
+        let old = store.replica_data(0)["single"].clone();
+        store.put("single", "2").unwrap();
+        assert!(shared("single"));
+        assert_eq!(Arc::strong_count(&old), 1, "only this test still holds the old value");
+    }
+
+    /// A replica that is down while a `put`, `put_all` or `delete_range`
+    /// commits sees none of it — its map is exactly what it was — until
+    /// `recover_replica`, which makes it equal to the freshest replica.
+    #[test]
+    fn a_replica_down_during_a_write_sees_none_of_it_until_recovery() {
+        type Write = fn(&ReplicatedKvStore);
+        let writes: [(&str, Write); 3] = [
+            ("put", |store| store.put("ctl/len", "7").unwrap()),
+            ("put_all", |store| {
+                let pairs = [
+                    ("ctl/entry/0000000000000006".into(), "e6".into()),
+                    ("ctl/len".into(), "7".into()),
+                ];
+                store.put_all(&pairs).unwrap()
+            }),
+            ("delete_range", |store| {
+                store.delete_range("ctl/entry/", "ctl/entry/0000000000000004").unwrap()
+            }),
+        ];
+        for (name, write) in writes {
+            let store = journal_shaped_store();
+            store.crash_replica(1);
+            let before = store.replica_data(1);
+            write(&store);
+            assert_ne!(store.replica_data(0), before, "{name}: the write committed");
+            assert_eq!(store.replica_data(1), before, "{name}: the crashed replica saw it");
+            store.recover_replica(1);
+            let (caught_up, freshest) = (store.replica_data(1), store.replica_data(0));
+            assert_eq!(caught_up, freshest, "{name}: recovery must equal the freshest replica");
+            assert!(caught_up.values().zip(freshest.values()).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
     }
 }

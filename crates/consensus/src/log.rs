@@ -15,6 +15,7 @@
 
 use crate::kvstore::{ReplicatedKvStore, StoreError};
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// A typed log entry with a self-contained, single-line text codec.
 ///
@@ -103,7 +104,7 @@ impl<E: LogEntry> ReplicatedLog<E> {
         let line = entry.encode();
         staged(&line);
         self.store.put(self.entry_key(index), line)?;
-        self.store.put(self.len_key.clone(), (index + 1).to_string())?;
+        self.store.put(self.len_key.as_str(), (index + 1).to_string())?;
         Ok(index)
     }
 
@@ -127,13 +128,14 @@ impl<E: LogEntry> ReplicatedLog<E> {
         if entries.is_empty() {
             return Ok(index);
         }
-        let mut pairs: Vec<(String, String)> = Vec::with_capacity(entries.len() + 1);
+        let mut pairs: Vec<(Arc<str>, Arc<str>)> = Vec::with_capacity(entries.len() + 1);
         for (i, entry) in entries.iter().enumerate() {
             let line = entry.encode();
             staged(&line);
-            pairs.push((self.entry_key(index + i as u64), line));
+            pairs.push((self.entry_key(index + i as u64).into(), line.into()));
         }
-        pairs.push((self.len_key.clone(), (index + entries.len() as u64).to_string()));
+        let len = (index + entries.len() as u64).to_string();
+        pairs.push((self.len_key.as_str().into(), len.into()));
         self.store.put_all(&pairs)?;
         Ok(index)
     }
@@ -166,9 +168,10 @@ impl<E: LogEntry> ReplicatedLog<E> {
     /// where [`ReplicatedLog::entries_from`] callers starting at the snapshot
     /// index never see them.
     ///
-    /// The payload is taken by value: a `String` handed over becomes the
-    /// stored value itself (the index line is spliced in front of it in
-    /// place), so a multi-megabyte state is not copied on its way in.
+    /// The payload is taken by value: the index line is spliced in front of
+    /// a `String` handed over in place, and the result is copied once, into
+    /// the one allocation every replica shares — a multi-megabyte state is
+    /// held once, not once per replica.
     pub fn install_snapshot(
         &self,
         payload: impl Into<String>,
@@ -176,7 +179,7 @@ impl<E: LogEntry> ReplicatedLog<E> {
     ) -> Result<(), StoreError> {
         let mut value = payload.into();
         value.insert_str(0, &format!("{upto}\n"));
-        self.store.put(self.snapshot_key.clone(), value)?;
+        self.store.put(self.snapshot_key.as_str(), value)?;
         self.store.delete_range(&self.entry_key(0), &self.entry_key(upto))
     }
 
@@ -404,5 +407,36 @@ mod tests {
         assert_eq!(b.len(), 0);
         assert!(b.entries_from(0).is_empty());
         assert_eq!(a.entries_from(0).len(), 1);
+    }
+
+    /// Compaction reaches every replica: after a snapshot install no replica
+    /// holds an entry the snapshot covers — one that was down during the
+    /// install included, once recovered — and every replica shares the one
+    /// stored snapshot value.
+    #[test]
+    fn install_snapshot_leaves_no_covered_entry_on_any_replica() {
+        let store = ReplicatedKvStore::new(2);
+        let log: ReplicatedLog<Note> = ReplicatedLog::new(store.clone(), "t");
+        for i in 0..30 {
+            log.append(&Note(format!("e{i}"))).unwrap();
+        }
+        store.crash_replica(3);
+        log.install_snapshot("x".repeat(4096), 20).unwrap();
+        let covered = |replica: usize| {
+            let data = store.replica_data(replica);
+            let from = log.entry_key(0);
+            let to = log.entry_key(20);
+            data.keys().filter(|key| (from.as_str()..to.as_str()).contains(&&***key)).count()
+        };
+        assert_eq!(covered(3), 20, "the crashed replica missed the compaction");
+        store.recover_replica(3);
+        let snapshots: Vec<Arc<str>> = (0..store.replica_count())
+            .map(|replica| {
+                assert_eq!(covered(replica), 0, "replica {replica} kept a covered entry");
+                Arc::clone(&store.replica_data(replica)["t/snapshot"])
+            })
+            .collect();
+        assert!(snapshots.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])), "one stored copy");
+        assert_eq!(log.entries_from(0).len(), 10);
     }
 }

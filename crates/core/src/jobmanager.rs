@@ -17,6 +17,7 @@
 //! implies, which the live control plane pushes onto the queues and replay
 //! drops.
 
+use crate::replication::wire::Cursor;
 use qonductor_backend::{CompletedJob, Fleet};
 use qonductor_scheduler::{
     partition_at_boundary, HybridScheduler, JobRequest, PlannedJob, QpuState, ScheduleOutcome,
@@ -630,9 +631,109 @@ impl JobManager {
         }
     }
 
-    /// Decode a state produced by [`Self::encode_state_into`].
+    /// Read one [`Self::encode_state_into`] state from `input`, up to the
+    /// end of its last `job` line — and only such a state: `None` unless the
+    /// result encodes back to the bytes read.
+    pub(crate) fn decode_from(input: &mut Cursor) -> Option<JobManager> {
+        let queue_limit = input.after("jm 3\ntrigger ")?.num()?;
+        let interval_s = input.after(" ")?.f64()?;
+        let last_invocation_s = input.after(" ")?.opt_f64()?;
+        let slo_margin_s = input.after(" ")?.f64()?;
+        let mut trigger =
+            ScheduleTrigger::new(queue_limit, interval_s).with_slo_margin(slo_margin_s);
+        if let Some(last) = last_invocation_s {
+            trigger.mark_invoked(last);
+        }
+        let policy = if input.eat("\ncal naive\nids ") {
+            CalibrationPolicy::Naive
+        } else {
+            input.after("\ncal split\nids ")?;
+            CalibrationPolicy::SplitAtBoundary
+        };
+        let next_job_id = input.num()?;
+        let batches_dispatched = input.after(" ")?.num()?;
+        input.after("\n")?;
+        let mut pending = Vec::new();
+        while input.eat("job ") {
+            pending.push(PendingJob {
+                job_id: input.num()?,
+                tenant: input.after(" ")?.num()?,
+                submitted_s: input.after(" ")?.f64()?,
+                deferrals: input.after(" ")?.num()?,
+                held_until_s: input.after(" ")?.f64()?,
+                deadline_s: input.after(" ")?.f64()?,
+                spec: input.after(" ")?.spec()?,
+            });
+            input.after("\n")?;
+        }
+        Some(JobManager {
+            trigger,
+            policy,
+            pending,
+            next_job_id,
+            batches_dispatched,
+            sched_ns: Cell::new(0),
+        })
+    }
+}
+
+/// Test drivers for a bare engine: pooling without the submission service,
+/// and a dispatch cycle that composes decide and apply without a journal —
+/// what the replicated control plane does, minus the log. The `format!`
+/// encoder the streaming one replaced is kept here too, as its byte oracle,
+/// and the `split`/`parse` decoder the cursor one replaced.
+#[cfg(test)]
+impl JobManager {
+    pub(crate) fn submit(&mut self, spec: JobSpec, now_s: f64) -> JobId {
+        self.submit_for_tenant(spec, now_s, DEFAULT_TENANT)
+    }
+
+    pub(crate) fn submit_for_tenant(
+        &mut self,
+        spec: JobSpec,
+        now_s: f64,
+        tenant: TenantId,
+    ) -> JobId {
+        self.submit_for_tenant_with_deadline(spec, now_s, tenant, f64::INFINITY)
+    }
+
+    pub(crate) fn try_dispatch(
+        &mut self,
+        now_s: f64,
+        scheduler: &HybridScheduler,
+        fleet: &mut Fleet,
+    ) -> Option<BatchRecord> {
+        let record = self.decide_batch(now_s, scheduler, fleet)?;
+        let placed: Vec<(JobId, usize)> =
+            record.outcome.placements.iter().map(|p| (p.job_id, p.qpu_index)).collect();
+        let enqueues =
+            self.apply_batch(now_s, &placed, &record.outcome.rejected_jobs, &record.deferred);
+        enqueue_all(fleet, &enqueues);
+        Some(record)
+    }
+
+    /// [`Self::decode_from`] over the whole of `encoded`.
     pub(crate) fn decode_state(encoded: &str) -> Option<JobManager> {
-        use crate::replication::wire::{dec_f64, dec_opt_f64, dec_spec};
+        let mut input = Cursor::new(encoded);
+        let manager = Self::decode_from(&mut input)?;
+        input.finish(manager)
+    }
+
+    pub(crate) fn encode_state(&self) -> String {
+        let mut out = String::with_capacity(self.encoded_len_hint());
+        self.encode_state_into(&mut out);
+        out
+    }
+
+    /// A direct dispatch the caller knows is valid: apply, then enqueue.
+    pub(crate) fn dispatch_direct(&mut self, job_id: JobId, qpu_index: usize, fleet: &mut Fleet) {
+        let enqueue = self.apply_direct(job_id, qpu_index).expect("the job is pending");
+        enqueue_all(fleet, &[enqueue]);
+    }
+
+    /// The `split`/`parse` decoder the cursor one replaced — its oracle.
+    pub(crate) fn decode_state_oracle(encoded: &str) -> Option<JobManager> {
+        use crate::replication::wire::oracle::{dec_f64, dec_opt_f64, dec_spec};
         let mut lines = encoded.lines();
         if lines.next()? != "jm 3" {
             return None;
@@ -692,53 +793,6 @@ impl JobManager {
             batches_dispatched,
             sched_ns: Cell::new(0),
         })
-    }
-}
-
-/// Test drivers for a bare engine: pooling without the submission service,
-/// and a dispatch cycle that composes decide and apply without a journal —
-/// what the replicated control plane does, minus the log. The `format!`
-/// encoder the streaming one replaced is kept here too, as its byte oracle.
-#[cfg(test)]
-impl JobManager {
-    pub(crate) fn submit(&mut self, spec: JobSpec, now_s: f64) -> JobId {
-        self.submit_for_tenant(spec, now_s, DEFAULT_TENANT)
-    }
-
-    pub(crate) fn submit_for_tenant(
-        &mut self,
-        spec: JobSpec,
-        now_s: f64,
-        tenant: TenantId,
-    ) -> JobId {
-        self.submit_for_tenant_with_deadline(spec, now_s, tenant, f64::INFINITY)
-    }
-
-    pub(crate) fn try_dispatch(
-        &mut self,
-        now_s: f64,
-        scheduler: &HybridScheduler,
-        fleet: &mut Fleet,
-    ) -> Option<BatchRecord> {
-        let record = self.decide_batch(now_s, scheduler, fleet)?;
-        let placed: Vec<(JobId, usize)> =
-            record.outcome.placements.iter().map(|p| (p.job_id, p.qpu_index)).collect();
-        let enqueues =
-            self.apply_batch(now_s, &placed, &record.outcome.rejected_jobs, &record.deferred);
-        enqueue_all(fleet, &enqueues);
-        Some(record)
-    }
-
-    pub(crate) fn encode_state(&self) -> String {
-        let mut out = String::with_capacity(self.encoded_len_hint());
-        self.encode_state_into(&mut out);
-        out
-    }
-
-    /// A direct dispatch the caller knows is valid: apply, then enqueue.
-    pub(crate) fn dispatch_direct(&mut self, job_id: JobId, qpu_index: usize, fleet: &mut Fleet) {
-        let enqueue = self.apply_direct(job_id, qpu_index).expect("the job is pending");
-        enqueue_all(fleet, &[enqueue]);
     }
 
     pub(crate) fn encode_state_oracle(&self) -> String {

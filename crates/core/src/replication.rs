@@ -10,7 +10,7 @@
 //! [`ReplicatedControlPlane::poll`].
 //!
 //! The journal brings its own text codec ([`wire`]). Floats are encoded as
-//! IEEE-754 bit patterns in hex ([`wire::enc_f64`]), which makes snapshot +
+//! IEEE-754 bit patterns in hex ([`wire::push_f64`]), which makes snapshot +
 //! replay reconstruction **byte-for-byte** identical to the uninterrupted
 //! state — compare
 //! [`ReplicatedControlPlane::state_digest`] before a crash and after
@@ -25,6 +25,7 @@ use crate::submission::{
     JobTicket, SloClass, SubmissionError, SubmissionService, TenantConfig, TicketStatus,
 };
 use qonductor_backend::{CompletedJob, Fleet, ResourceClass};
+use qonductor_circuit::par;
 use qonductor_consensus::{LogEntry, ReplicatedKvStore, ReplicatedLog, StoreElection, StoreError};
 use qonductor_scheduler::{HybridScheduler, ScheduleTrigger};
 use std::cell::Cell;
@@ -71,25 +72,11 @@ pub(crate) mod wire {
         out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
     }
 
-    /// Decode [`push_f64`] output.
-    pub(crate) fn dec_f64(field: &str) -> Option<f64> {
-        u64::from_str_radix(field, 16).ok().map(f64::from_bits)
-    }
-
     /// Append an optional `f64` (`-` for `None`).
     pub(crate) fn push_opt_f64(out: &mut String, value: Option<f64>) {
         match value {
             Some(value) => push_f64(out, value),
             None => out.push('-'),
-        }
-    }
-
-    /// Decode [`push_opt_f64`] output.
-    pub(crate) fn dec_opt_f64(field: &str) -> Option<Option<f64>> {
-        if field == "-" {
-            Some(None)
-        } else {
-            dec_f64(field).map(Some)
         }
     }
 
@@ -110,15 +97,6 @@ pub(crate) mod wire {
                     push(out, item);
                 }
             }
-        }
-    }
-
-    /// Decode [`push_list`] output, reading each item with `item`.
-    pub(crate) fn dec_list<T>(field: &str, item: impl FnMut(&str) -> Option<T>) -> Option<Vec<T>> {
-        if field == "-" {
-            Some(Vec::new())
-        } else {
-            field.split(',').map(item).collect()
         }
     }
 
@@ -158,31 +136,227 @@ pub(crate) mod wire {
         }
     }
 
-    /// Decode [`push_spec`] output.
-    pub(crate) fn dec_spec(field: &str) -> Option<JobSpec> {
-        let mut parts = field.split('|');
-        let qubits = parts.next()?.parse().ok()?;
-        let shots = parts.next()?.parse().ok()?;
-        let estimate_epoch = parts.next()?.parse().ok()?;
-        let split = |segment: &str| -> Option<Vec<f64>> {
-            if segment.is_empty() {
-                return Some(Vec::new());
-            }
-            segment.split(',').map(dec_f64).collect()
-        };
-        let fidelity_per_qpu = split(parts.next()?)?;
-        let exec_time_per_qpu = split(parts.next()?)?;
-        if parts.next().is_some() {
-            return None;
+    /// The value of each lowercase hex digit [`push_f64`] writes, and 0x10
+    /// for every other byte.
+    const HEX_NIBBLE: [u8; 256] = {
+        let mut table = [0x10; 256];
+        let mut i = 0;
+        while i < 16 {
+            table[b"0123456789abcdef"[i] as usize] = i as u8;
+            i += 1;
         }
-        Some(JobSpec { qubits, shots, fidelity_per_qpu, exec_time_per_qpu, estimate_epoch })
+        table
+    };
+
+    /// A forward-only reader over encoded state and journal lines: every
+    /// decoder reads its input once, front to back, field by field where it
+    /// lies — no `split` iterator per field, no `Vec` of sub-fields. Each
+    /// reader accepts exactly what the matching `push_*` writes and nothing
+    /// else (no sign, no leading zero, no uppercase hex), so a decoder built
+    /// from them that also checks what its fields' order implies returns a
+    /// state only for bytes that state encodes to.
+    pub(crate) struct Cursor<'a> {
+        rest: &'a [u8],
+    }
+
+    impl<'a> Cursor<'a> {
+        pub(crate) fn new(text: &'a str) -> Self {
+            Cursor { rest: text.as_bytes() }
+        }
+
+        /// Bytes not read yet.
+        pub(crate) fn remaining(&self) -> usize {
+            self.rest.len()
+        }
+
+        /// `value`, if every byte was read.
+        pub(crate) fn finish<T>(&self, value: T) -> Option<T> {
+            self.rest.is_empty().then_some(value)
+        }
+
+        /// Consume `token` if the input continues with it.
+        pub(crate) fn eat(&mut self, token: &str) -> bool {
+            // Byte by byte, not `strip_prefix`: a token is a few bytes known
+            // at compile time, too short to pay for a `memcmp` call.
+            let token = token.as_bytes();
+            let matches = self.rest.len() >= token.len()
+                && self.rest.iter().zip(token).all(|(byte, expected)| byte == expected);
+            if matches {
+                self.rest = &self.rest[token.len()..];
+            }
+            matches
+        }
+
+        /// Consume `token` or fail; returns the cursor, so the next field
+        /// reads on: `input.after(" ")?.num()?`.
+        pub(crate) fn after(&mut self, token: &str) -> Option<&mut Self> {
+            self.eat(token).then_some(self)
+        }
+
+        /// A [`push_u64`] decimal, narrowed to `T`: digits only, no leading
+        /// zero, overflow checked.
+        pub(crate) fn num<T: TryFrom<u64>>(&mut self) -> Option<T> {
+            let (mut value, mut digits) = (0u64, 0);
+            for &byte in self.rest {
+                let digit = byte.wrapping_sub(b'0');
+                if digit > 9 {
+                    break;
+                }
+                value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+                digits += 1;
+            }
+            if digits == 0 || (digits > 1 && self.rest[0] == b'0') {
+                return None;
+            }
+            self.rest = &self.rest[digits..];
+            T::try_from(value).ok()
+        }
+
+        /// [`Self::num`] for a strictly ascending sequence: fails unless the
+        /// value is above `last`, which it then becomes.
+        pub(crate) fn ascending<T: TryFrom<u64> + PartialOrd + Copy>(
+            &mut self,
+            last: &mut Option<T>,
+        ) -> Option<T> {
+            let value = self.num()?;
+            if last.is_some_and(|last| last >= value) {
+                return None;
+            }
+            *last = Some(value);
+            Some(value)
+        }
+
+        /// A [`push_f64`] float: exactly 16 lowercase hex digits.
+        pub(crate) fn f64(&mut self) -> Option<f64> {
+            let (digits, rest) = self.rest.split_at_checked(16)?;
+            // Branch-free: a digit-class branch mispredicts on every other
+            // digit of a float's bits, and failover reads ~350 k floats.
+            let (mut bits, mut invalid) = (0u64, 0u8);
+            for &digit in digits {
+                let nibble = HEX_NIBBLE[usize::from(digit)];
+                invalid |= nibble;
+                bits = bits << 4 | u64::from(nibble & 0xf);
+            }
+            if invalid > 0xf {
+                return None;
+            }
+            self.rest = rest;
+            Some(f64::from_bits(bits))
+        }
+
+        /// A [`push_opt_f64`] float.
+        pub(crate) fn opt_f64(&mut self) -> Option<Option<f64>> {
+            if self.eat("-") {
+                Some(None)
+            } else {
+                self.f64().map(Some)
+            }
+        }
+
+        /// A [`push_list`] list, each item read by `item`.
+        pub(crate) fn list(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+            if self.eat("-") {
+                return Some(());
+            }
+            loop {
+                item(self)?;
+                if !self.eat(",") {
+                    return Some(());
+                }
+            }
+        }
+
+        /// A [`push_slo`] class.
+        pub(crate) fn slo(&mut self) -> Option<SloClass> {
+            Some(SloClass {
+                deadline_s: self.f64()?,
+                priority: self.after(":")?.num()?,
+                max_error: self.after(":")?.f64()?,
+            })
+        }
+
+        /// A [`push_spec`] job spec.
+        pub(crate) fn spec(&mut self) -> Option<JobSpec> {
+            Some(JobSpec {
+                qubits: self.num()?,
+                shots: self.after("|")?.num()?,
+                estimate_epoch: self.after("|")?.num()?,
+                fidelity_per_qpu: self.after("|")?.floats()?,
+                exec_time_per_qpu: self.after("|")?.floats()?,
+            })
+        }
+
+        /// The `,`-separated floats of a spec column, none at all when no
+        /// hex digit follows.
+        fn floats(&mut self) -> Option<Vec<f64>> {
+            let run = self
+                .rest
+                .iter()
+                .position(|&b| b != b',' && HEX_NIBBLE[usize::from(b)] > 0xf)
+                .unwrap_or(self.rest.len());
+            let mut values = Vec::with_capacity(run.div_ceil(17));
+            if run > 0 {
+                loop {
+                    values.push(self.f64()?);
+                    if !self.eat(",") {
+                        break;
+                    }
+                }
+            }
+            Some(values)
+        }
     }
 
     /// The `format!` encoders the streaming ones replaced, kept as the byte
     /// oracle: every `push_*` must produce exactly these bytes.
+    ///
+    /// The `split`/`parse` decoders the [`Cursor`] replaced are kept here
+    /// too, as the decode oracle.
     #[cfg(test)]
     pub(crate) mod oracle {
         use crate::jobmanager::JobSpec;
+
+        pub(crate) fn dec_f64(field: &str) -> Option<f64> {
+            u64::from_str_radix(field, 16).ok().map(f64::from_bits)
+        }
+
+        pub(crate) fn dec_opt_f64(field: &str) -> Option<Option<f64>> {
+            if field == "-" {
+                Some(None)
+            } else {
+                dec_f64(field).map(Some)
+            }
+        }
+
+        pub(crate) fn dec_list<T>(
+            field: &str,
+            item: impl FnMut(&str) -> Option<T>,
+        ) -> Option<Vec<T>> {
+            if field == "-" {
+                Some(Vec::new())
+            } else {
+                field.split(',').map(item).collect()
+            }
+        }
+
+        pub(crate) fn dec_spec(field: &str) -> Option<JobSpec> {
+            let mut parts = field.split('|');
+            let qubits = parts.next()?.parse().ok()?;
+            let shots = parts.next()?.parse().ok()?;
+            let estimate_epoch = parts.next()?.parse().ok()?;
+            let split = |segment: &str| -> Option<Vec<f64>> {
+                if segment.is_empty() {
+                    return Some(Vec::new());
+                }
+                segment.split(',').map(dec_f64).collect()
+            };
+            let fidelity_per_qpu = split(parts.next()?)?;
+            let exec_time_per_qpu = split(parts.next()?)?;
+            if parts.next().is_some() {
+                return None;
+            }
+            Some(JobSpec { qubits, shots, fidelity_per_qpu, exec_time_per_qpu, estimate_epoch })
+        }
 
         pub(crate) fn enc_f64(value: f64) -> String {
             format!("{:016x}", value.to_bits())
@@ -450,7 +624,104 @@ impl LogEntry for ControlPlaneEvent {
     }
 
     fn decode(line: &str) -> Option<Self> {
-        use wire::{dec_f64, dec_list, dec_spec};
+        let mut input = wire::Cursor::new(line);
+        let input = &mut input;
+        let event = if input.eat("treg ") {
+            let config = TenantConfig {
+                weight: input.num()?,
+                max_in_flight: input.after(" ")?.num()?,
+                max_retries: input.after(" ")?.num()?,
+            };
+            let slo = if input.eat(" ") { Some(input.slo()?) } else { None };
+            ControlPlaneEvent::TenantRegistered { config, slo }
+        } else if input.eat("sesc ") {
+            ControlPlaneEvent::SloEscalated {
+                now_s: input.f64()?,
+                ticket: JobTicket {
+                    tenant: input.after(" ")?.num()?,
+                    ticket: input.after(":")?.num()?,
+                },
+            }
+        } else if input.eat("qprv ") {
+            ControlPlaneEvent::QpuProvisioned {
+                now_s: input.f64()?,
+                qpu_index: input.after(" ")?.num()?,
+                class: if input.eat(" sc") {
+                    ResourceClass::Superconducting
+                } else if input.eat(" ion") {
+                    ResourceClass::IonTrap
+                } else if input.eat(" sim") {
+                    ResourceClass::Simulator
+                } else {
+                    return None;
+                },
+            }
+        } else if input.eat("qret ") {
+            ControlPlaneEvent::QpuRetired {
+                now_s: input.f64()?,
+                qpu_index: input.after(" ")?.num()?,
+            }
+        } else if input.eat("subm ") {
+            ControlPlaneEvent::JobSubmitted {
+                tenant: input.num()?,
+                now_s: input.after(" ")?.f64()?,
+                spec: input.after(" ")?.spec()?,
+            }
+        } else if input.eat("admt ") {
+            ControlPlaneEvent::AdmissionPass { now_s: input.f64()? }
+        } else if input.eat("disp ") {
+            let t_s = input.f64()?;
+            let (mut placed, mut rejected, mut deferred) = (Vec::new(), Vec::new(), Vec::new());
+            input.after(" ")?.list(|input| {
+                placed.push((input.num()?, input.after(":")?.num()?));
+                Some(())
+            })?;
+            input.after(" ")?.list(|input| {
+                rejected.push(input.num()?);
+                Some(())
+            })?;
+            input.after(" ")?.list(|input| {
+                deferred.push((input.num()?, input.after(":")?.f64()?));
+                Some(())
+            })?;
+            // See the encoder: `l` is the only dispatch token left.
+            input.after(" l")?;
+            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred }
+        } else if input.eat("rest ") {
+            ControlPlaneEvent::JobReestimated {
+                job_id: input.num()?,
+                spec: input.after(" ")?.spec()?,
+            }
+        } else if input.eat("dird ") {
+            ControlPlaneEvent::DirectDispatched {
+                job_id: input.num()?,
+                qpu_index: input.after(" ")?.num()?,
+            }
+        } else if input.eat("done ") {
+            ControlPlaneEvent::JobCompleted {
+                job_id: input.num()?,
+                qpu_index: input.after(" ")?.num()?,
+                enqueue_s: input.after(" ")?.f64()?,
+                start_s: input.after(" ")?.f64()?,
+                finish_s: input.after(" ")?.f64()?,
+            }
+        } else if input.eat("lgr ") {
+            ControlPlaneEvent::LeaseGranted { qpu_index: input.num()? }
+        } else if input.eat("lrl ") {
+            ControlPlaneEvent::LeaseReleased { qpu_index: input.num()? }
+        } else {
+            return None;
+        };
+        input.finish(event)
+    }
+}
+
+#[cfg(test)]
+impl ControlPlaneEvent {
+    /// The `split`/`parse` decoder [`LogEntry::decode`] replaced — the
+    /// decode oracle.
+    fn decode_oracle(line: &str) -> Option<Self> {
+        use wire::oracle::{dec_f64, dec_list, dec_spec};
         let mut fields = line.split(' ');
         let event = match fields.next()? {
             "treg" => {
@@ -544,10 +815,7 @@ impl LogEntry for ControlPlaneEvent {
         }
         Some(event)
     }
-}
 
-#[cfg(test)]
-impl ControlPlaneEvent {
     /// The `format!` encoder [`LogEntry::encode`] replaced — the byte oracle
     /// the streaming encoder is tested against.
     fn encode_oracle(&self) -> String {
@@ -867,29 +1135,32 @@ impl ControlState {
         state
     }
 
-    /// Decode [`Self::encode`] output: split off the (possibly absent) lease
-    /// and elastic sections, then the engine and submission states.
+    /// Decode [`Self::encode`] output — and only that: `None` unless the
+    /// state encodes back to `payload`. One cursor reads the engine state,
+    /// the blank line, the submission state, then the optional lease and
+    /// elastic sections that follow its `jobmap` line: each present only
+    /// when its set is non-empty, lease first, in ascending order.
     fn decode(payload: &str) -> Option<ControlState> {
-        // Optional trailing `\n<name> i,j,…` sections, in encode order:
-        // lease, then elastic.
-        let section = |payload: &'_ str, header: &str| -> Option<(usize, BTreeSet<usize>)> {
-            let Some(at) = payload.find(header) else {
-                return Some((payload.len(), BTreeSet::new()));
-            };
-            let held = payload[at..].strip_prefix(header)?;
-            Some((at, held.split(',').map(str::parse).collect::<Result<_, _>>().ok()?))
+        let mut input = wire::Cursor::new(payload);
+        let jobmanager = JobManager::decode_from(&mut input)?;
+        let submissions = SubmissionService::decode_from(input.after("\n")?)?;
+        let mut section = |header: &str| -> Option<BTreeSet<usize>> {
+            let mut held = BTreeSet::new();
+            if input.eat(header) {
+                let mut last = None;
+                input.list(|input| {
+                    held.insert(input.ascending(&mut last)?);
+                    Some(())
+                })?;
+                if held.is_empty() {
+                    return None;
+                }
+            }
+            Some(held)
         };
-        let (end, elastic) = section(payload, "\nelastic ")?;
-        let (end, leases) = section(&payload[..end], "\nlease ")?;
-        let payload = &payload[..end];
-        let split = payload.find("\nsvc ")?;
-        let (jm_part, svc_part) = payload.split_at(split);
-        Some(ControlState {
-            jobmanager: JobManager::decode_state(jm_part)?,
-            submissions: SubmissionService::decode_state(svc_part.trim_start_matches('\n'))?,
-            leases,
-            elastic,
-        })
+        let leases = section("\nlease ")?;
+        let elastic = section("\nelastic ")?;
+        input.finish(ControlState { jobmanager, submissions, leases, elastic })
     }
 }
 
@@ -1394,13 +1665,40 @@ impl ReplicatedControlPlane {
     /// the live state: decode the latest snapshot, then replay every retained
     /// journal entry after it, in order, through [`ControlState::apply`].
     /// Also returns the digest cells the rebuilt state fingerprints to.
+    ///
+    /// The snapshot's decode and its checkpoint hash run side by side, as
+    /// the two parts of one [`par::team`] (one part doing both in turn on a
+    /// one-core host): the hash never reads the decode, and the parts come
+    /// back in order, so the result is the same either way.
     fn rebuild(&self) -> Result<(ControlState, (u128, u128)), FailoverError> {
+        enum Part {
+            Decoded(Box<Option<ControlState>>),
+            Hashed(u128),
+        }
         // Decoded and hashed where it lies in the store: the payload is
         // megabytes, and nothing here needs its own copy.
         let (from, decoded, checkpoint) = self
             .log
             .with_snapshot(|from, payload| {
-                (from, ControlState::decode(payload), fnv128(payload.as_bytes()))
+                // The decode is part 0, which runs on the caller: the state
+                // is allocated by the thread it will live on.
+                let parts: Vec<&[usize]> =
+                    if par::host_cores() > 1 { vec![&[0], &[1]] } else { vec![&[0, 1]] };
+                let mut done = par::team(parts, |jobs, _| {
+                    let run = |&job| match job {
+                        0 => Part::Decoded(Box::new(ControlState::decode(payload))),
+                        _ => Part::Hashed(fnv128(payload.as_bytes())),
+                    };
+                    jobs.iter().map(run).collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten();
+                match (done.next(), done.next()) {
+                    (Some(Part::Decoded(decoded)), Some(Part::Hashed(checkpoint))) => {
+                        (from, *decoded, checkpoint)
+                    }
+                    _ => unreachable!("the parts come back in part order"),
+                }
             })
             .ok_or(FailoverError::MissingSnapshot)?;
         let mut state = decoded.ok_or(FailoverError::CorruptState)?;
@@ -2033,124 +2331,200 @@ mod tests {
         }
     }
 
+    /// Drive one random lifecycle — SLO and plain tenants, hostile floats,
+    /// specs with no QPU columns, retries, every terminal outcome — through
+    /// the same [`ControlState::apply`] a failover replays with, handing
+    /// each event to `each` before it is applied.
+    fn random_lifecycle(case: u64, mut each: impl FnMut(&ControlPlaneEvent)) -> ControlState {
+        let mut rng = StdRng::seed_from_u64(0x00c0_dec5 ^ case);
+        let qpus = rng.gen_range(0..4usize);
+        let policy = if rng.gen_bool(0.5) {
+            CalibrationPolicy::Naive
+        } else {
+            CalibrationPolicy::SplitAtBoundary
+        };
+        let mut state = ControlState::new(ScheduleTrigger::new(rng.gen_range(1..6), 30.0), policy);
+        // Dispatched jobs whose completion has not been journaled yet.
+        let mut running: Vec<(JobId, usize)> = Vec::new();
+        let mut now_s = 0.0;
+        for _ in 0..rng.gen_range(10..140) {
+            now_s += rng.gen_range(0.0..6.0);
+            let pending: Vec<JobId> =
+                state.jobmanager.pending().iter().map(|job| job.job_id).collect();
+            let event = match rng.gen_range(0..14) {
+                0 | 1 => ControlPlaneEvent::TenantRegistered {
+                    config: TenantConfig {
+                        weight: rng.gen_range(0..4),
+                        max_in_flight: rng.gen_range(1..4),
+                        max_retries: rng.gen_range(0..3),
+                    },
+                    slo: rng.gen_bool(0.4).then(|| SloClass {
+                        deadline_s: [4.0, 25.0, f64::INFINITY, random_float(&mut rng)]
+                            [rng.gen_range(0..4usize)],
+                        priority: rng.gen_range(0..4),
+                        max_error: random_float(&mut rng),
+                    }),
+                },
+                2..=5 if state.submissions.tenant_count() > 0 => ControlPlaneEvent::JobSubmitted {
+                    tenant: rng.gen_range(0..state.submissions.tenant_count()) as TenantId,
+                    spec: random_spec(&mut rng, qpus),
+                    now_s,
+                },
+                6 | 7 => ControlPlaneEvent::AdmissionPass { now_s },
+                8 => match state.submissions.pending_escalations(now_s, 10.0, 4).first() {
+                    Some(&ticket) => ControlPlaneEvent::SloEscalated { now_s, ticket },
+                    None => continue,
+                },
+                9 if !pending.is_empty() => {
+                    let (mut placed, mut rejected, mut deferred) = (vec![], vec![], vec![]);
+                    for &job in &pending {
+                        match rng.gen_range(0..4) {
+                            0 => placed.push((job, rng.gen_range(0..8usize))),
+                            1 => rejected.push(job),
+                            2 => deferred.push((job, now_s + rng.gen_range(1.0..500.0))),
+                            _ => {}
+                        }
+                    }
+                    running.extend(placed.iter().copied());
+                    ControlPlaneEvent::BatchDispatched { t_s: now_s, placed, rejected, deferred }
+                }
+                10 if !running.is_empty() => {
+                    let (job_id, qpu_index) = running.swap_remove(rng.gen_range(0..running.len()));
+                    let start_s = now_s + random_float(&mut rng);
+                    ControlPlaneEvent::JobCompleted {
+                        job_id,
+                        qpu_index,
+                        enqueue_s: now_s,
+                        start_s,
+                        finish_s: start_s + random_float(&mut rng),
+                    }
+                }
+                11 if !pending.is_empty() => ControlPlaneEvent::JobReestimated {
+                    job_id: pending[rng.gen_range(0..pending.len())],
+                    spec: random_spec(&mut rng, qpus),
+                },
+                12 if !pending.is_empty() => {
+                    let job_id = pending[rng.gen_range(0..pending.len())];
+                    let qpu_index = rng.gen_range(0..8usize);
+                    running.push((job_id, qpu_index));
+                    ControlPlaneEvent::DirectDispatched { job_id, qpu_index }
+                }
+                13 => {
+                    let qpu_index = rng.gen_range(0..6usize);
+                    match rng.gen_range(0..4) {
+                        0 => ControlPlaneEvent::LeaseGranted { qpu_index },
+                        1 => ControlPlaneEvent::LeaseReleased { qpu_index },
+                        2 => ControlPlaneEvent::QpuRetired { now_s, qpu_index },
+                        _ => ControlPlaneEvent::QpuProvisioned {
+                            now_s,
+                            qpu_index,
+                            class: [
+                                ResourceClass::Superconducting,
+                                ResourceClass::IonTrap,
+                                ResourceClass::Simulator,
+                            ][rng.gen_range(0..3usize)],
+                        },
+                    }
+                }
+                _ => continue,
+            };
+            each(&event);
+            state.apply(&event);
+        }
+        state
+    }
+
+    /// The cursor decoders and the `split`/`parse` oracles they replaced read
+    /// `state`'s encodings back to the same bytes, with consistent derived
+    /// indices — and so does the one-cursor decode of the combined payload.
+    fn assert_decoders_match_the_oracle(state: &ControlState, case: &str) {
+        let jm = state.jobmanager.encode_state();
+        for decoded in [JobManager::decode_state(&jm), JobManager::decode_state_oracle(&jm)] {
+            assert_eq!(decoded.expect("the engine state decodes").encode_state(), jm, "{case}");
+        }
+        let svc = state.submissions.encode_state();
+        for decoded in
+            [SubmissionService::decode_state(&svc), SubmissionService::decode_state_oracle(&svc)]
+        {
+            let decoded = decoded.expect("the submission state decodes");
+            assert!(decoded.indices_consistent(), "{case}");
+            assert_eq!(decoded.encode_state(), svc, "{case}");
+        }
+        let combined = state.encode();
+        let back = ControlState::decode(&combined).expect("an encoded state decodes");
+        assert!(back.submissions.indices_consistent(), "{case}");
+        assert_eq!(
+            back.encode(),
+            combined,
+            "{case}: decode(encode(s)) must re-encode to the same bytes"
+        );
+    }
+
+    /// The state the `controlplane-drain` benchmark snapshots, built here:
+    /// 10⁵ tenants, 8,000 tickets admitted in one pass, dispatched and
+    /// completed, on an eight-QPU fleet.
+    fn drain_shaped_state() -> ControlState {
+        const TENANTS: usize = 100_000;
+        const JOBS: usize = 8_000;
+        let mut rng = StdRng::seed_from_u64(0xd7a1);
+        let trigger = ScheduleTrigger::new(JOBS, 30.0);
+        let mut state = ControlState::new(trigger, CalibrationPolicy::Naive);
+        for _ in 0..TENANTS {
+            let config = TenantConfig::weighted(rng.gen_range(1..5));
+            state.apply(&ControlPlaneEvent::TenantRegistered { config, slo: None });
+        }
+        for j in 0..JOBS {
+            state.apply(&ControlPlaneEvent::JobSubmitted {
+                tenant: ((j * 7919) % TENANTS) as TenantId,
+                spec: random_spec(&mut rng, 8),
+                now_s: j as f64 * 1e-3,
+            });
+        }
+        let admitted = state.apply(&ControlPlaneEvent::AdmissionPass { now_s: 10.0 }).admitted;
+        assert_eq!(admitted.len(), JOBS, "one pass admits the whole backlog");
+        let placed: Vec<(JobId, usize)> =
+            admitted.iter().map(|&(_, job)| (job, job as usize % 8)).collect();
+        let dispatch = ControlPlaneEvent::BatchDispatched {
+            t_s: 10.0,
+            placed: placed.clone(),
+            rejected: vec![],
+            deferred: vec![],
+        };
+        state.apply(&dispatch);
+        for (i, (job_id, qpu_index)) in placed.into_iter().enumerate() {
+            state.apply(&ControlPlaneEvent::JobCompleted {
+                job_id,
+                qpu_index,
+                enqueue_s: 10.0,
+                start_s: 10.0 + i as f64,
+                finish_s: 12.5 + i as f64,
+            });
+        }
+        state
+    }
+
     /// The byte-exactness gate of the streaming codecs: over random
-    /// lifecycles — SLO and plain tenants, hostile floats, specs with no QPU
-    /// columns, retries, every terminal outcome — applied through the same
-    /// [`ControlState::apply`] a failover replays with, every event line and every
-    /// state encoding equals the `format!` oracle it replaced byte for byte,
-    /// and `decode(encode(s))` re-encodes to the same bytes.
+    /// lifecycles every event line and every state encoding equals the
+    /// `format!` oracle it replaced byte for byte; the cursor decoders and
+    /// the `split`/`parse` oracles they replaced decode every one of them to
+    /// the same bytes; and so does a drain-shaped state of 10⁵ tenants.
     #[test]
     fn streaming_codecs_match_the_format_oracle_on_random_lifecycles() {
         let mut seen: BTreeSet<&'static str> = BTreeSet::new();
         for case in 0..96u64 {
-            let mut rng = StdRng::seed_from_u64(0x00c0_dec5 ^ case);
-            let qpus = rng.gen_range(0..4usize);
-            let policy = if rng.gen_bool(0.5) {
-                CalibrationPolicy::Naive
-            } else {
-                CalibrationPolicy::SplitAtBoundary
-            };
-            let mut state =
-                ControlState::new(ScheduleTrigger::new(rng.gen_range(1..6), 30.0), policy);
-            // Dispatched jobs whose completion has not been journaled yet.
-            let mut running: Vec<(JobId, usize)> = Vec::new();
-            let mut now_s = 0.0;
-            for _ in 0..rng.gen_range(10..140) {
-                now_s += rng.gen_range(0.0..6.0);
-                let pending: Vec<JobId> =
-                    state.jobmanager.pending().iter().map(|job| job.job_id).collect();
-                let event = match rng.gen_range(0..14) {
-                    0 | 1 => ControlPlaneEvent::TenantRegistered {
-                        config: TenantConfig {
-                            weight: rng.gen_range(0..4),
-                            max_in_flight: rng.gen_range(1..4),
-                            max_retries: rng.gen_range(0..3),
-                        },
-                        slo: rng.gen_bool(0.4).then(|| SloClass {
-                            deadline_s: [4.0, 25.0, f64::INFINITY, random_float(&mut rng)]
-                                [rng.gen_range(0..4usize)],
-                            priority: rng.gen_range(0..4),
-                            max_error: random_float(&mut rng),
-                        }),
-                    },
-                    2..=5 if state.submissions.tenant_count() > 0 => {
-                        ControlPlaneEvent::JobSubmitted {
-                            tenant: rng.gen_range(0..state.submissions.tenant_count()) as TenantId,
-                            spec: random_spec(&mut rng, qpus),
-                            now_s,
-                        }
-                    }
-                    6 | 7 => ControlPlaneEvent::AdmissionPass { now_s },
-                    8 => match state.submissions.pending_escalations(now_s, 10.0, 4).first() {
-                        Some(&ticket) => ControlPlaneEvent::SloEscalated { now_s, ticket },
-                        None => continue,
-                    },
-                    9 if !pending.is_empty() => {
-                        let (mut placed, mut rejected, mut deferred) = (vec![], vec![], vec![]);
-                        for &job in &pending {
-                            match rng.gen_range(0..4) {
-                                0 => placed.push((job, rng.gen_range(0..8usize))),
-                                1 => rejected.push(job),
-                                2 => deferred.push((job, now_s + rng.gen_range(1.0..500.0))),
-                                _ => {}
-                            }
-                        }
-                        running.extend(placed.iter().copied());
-                        ControlPlaneEvent::BatchDispatched {
-                            t_s: now_s,
-                            placed,
-                            rejected,
-                            deferred,
-                        }
-                    }
-                    10 if !running.is_empty() => {
-                        let (job_id, qpu_index) =
-                            running.swap_remove(rng.gen_range(0..running.len()));
-                        let start_s = now_s + random_float(&mut rng);
-                        ControlPlaneEvent::JobCompleted {
-                            job_id,
-                            qpu_index,
-                            enqueue_s: now_s,
-                            start_s,
-                            finish_s: start_s + random_float(&mut rng),
-                        }
-                    }
-                    11 if !pending.is_empty() => ControlPlaneEvent::JobReestimated {
-                        job_id: pending[rng.gen_range(0..pending.len())],
-                        spec: random_spec(&mut rng, qpus),
-                    },
-                    12 if !pending.is_empty() => {
-                        let job_id = pending[rng.gen_range(0..pending.len())];
-                        let qpu_index = rng.gen_range(0..8usize);
-                        running.push((job_id, qpu_index));
-                        ControlPlaneEvent::DirectDispatched { job_id, qpu_index }
-                    }
-                    13 => {
-                        let qpu_index = rng.gen_range(0..6usize);
-                        match rng.gen_range(0..4) {
-                            0 => ControlPlaneEvent::LeaseGranted { qpu_index },
-                            1 => ControlPlaneEvent::LeaseReleased { qpu_index },
-                            2 => ControlPlaneEvent::QpuRetired { now_s, qpu_index },
-                            _ => ControlPlaneEvent::QpuProvisioned {
-                                now_s,
-                                qpu_index,
-                                class: [
-                                    ResourceClass::Superconducting,
-                                    ResourceClass::IonTrap,
-                                    ResourceClass::Simulator,
-                                ][rng.gen_range(0..3usize)],
-                            },
-                        }
-                    }
-                    _ => continue,
-                };
+            let state = random_lifecycle(case, |event| {
                 let line = event.encode();
                 assert_eq!(line, event.encode_oracle(), "case {case}: {event:?}");
-                let back = ControlPlaneEvent::decode(&line).expect("an encoded event decodes");
-                assert_eq!(back.encode(), line, "case {case}: {event:?}");
-                state.apply(&event);
-            }
-
+                for back in
+                    [ControlPlaneEvent::decode(&line), ControlPlaneEvent::decode_oracle(&line)]
+                {
+                    assert_eq!(
+                        back.expect("an encoded event decodes").encode(),
+                        line,
+                        "case {case}"
+                    );
+                }
+            });
             let (jm, svc) = (&state.jobmanager, &state.submissions);
             let (jm_bytes, svc_bytes) = (jm.encode_state(), svc.encode_state());
             assert_eq!(jm_bytes, jm.encode_state_oracle(), "case {case}");
@@ -2165,13 +2539,7 @@ mod tests {
             }
             let combined = state.encode();
             assert_eq!(combined, oracle, "case {case}");
-            let back = ControlState::decode(&combined).expect("an encoded state decodes");
-            assert!(back.submissions.indices_consistent(), "case {case}");
-            assert_eq!(
-                back.encode(),
-                combined,
-                "case {case}: decode(encode(s)) must re-encode to the same bytes"
-            );
+            assert_decoders_match_the_oracle(&state, &format!("case {case}"));
 
             // What this case's state exercised, read off the encoding.
             for line in svc_bytes.lines() {
@@ -2218,5 +2586,164 @@ mod tests {
             "slo tenant",
         ];
         assert_eq!(seen.into_iter().collect::<Vec<_>>(), expected, "the lifecycles lost coverage");
+
+        let drain = drain_shaped_state();
+        assert_eq!(drain.submissions.tenant_count(), 100_000);
+        assert_decoders_match_the_oracle(&drain, "drain-shaped state");
+    }
+
+    /// The one-tenant state the canonical-decode tests edit: an SLO tenant
+    /// with an admitted ticket, pending in the engine, and a queued one.
+    fn one_tenant_state() -> ControlState {
+        let mut state = ControlState::new(ScheduleTrigger::new(1, 30.0), CalibrationPolicy::Naive);
+        let spec = JobSpec {
+            qubits: 5,
+            shots: 1000,
+            fidelity_per_qpu: vec![0.9, 0.625],
+            exec_time_per_qpu: vec![4.0, 10.0],
+            estimate_epoch: 3,
+        };
+        let config = TenantConfig { weight: 2, max_in_flight: 4, max_retries: 1 };
+        for event in [
+            ControlPlaneEvent::TenantRegistered {
+                config,
+                slo: Some(SloClass::with_deadline(60.0)),
+            },
+            ControlPlaneEvent::JobSubmitted { tenant: 0, spec: spec.clone(), now_s: 1.5 },
+            ControlPlaneEvent::JobSubmitted { tenant: 0, spec, now_s: 2.0 },
+            ControlPlaneEvent::AdmissionPass { now_s: 3.0 },
+        ] {
+            state.apply(&event);
+        }
+        state
+    }
+
+    /// One state decoder's input and its decode, re-encoded.
+    type Decoder = (&'static str, String, fn(&str) -> Option<String>);
+
+    /// The engine, submission and combined encodings of `state`, each with
+    /// its decoder.
+    fn state_decoders(state: &ControlState) -> [Decoder; 3] {
+        [
+            ("JobManager", state.jobmanager.encode_state(), |text| {
+                JobManager::decode_state(text).map(|jm| jm.encode_state())
+            }),
+            ("SubmissionService", state.submissions.encode_state(), |text| {
+                SubmissionService::decode_state(text).map(|svc| svc.encode_state())
+            }),
+            ("ControlState", state.encode(), |text| ControlState::decode(text).map(|s| s.encode())),
+        ]
+    }
+
+    /// Every state decoder decodes the one-tenant state to itself, and
+    /// refuses it after a one-edit `variant`: `jm_edit` in an engine row,
+    /// `svc_edit` in the tenant row (the combined payload gets each in turn).
+    fn assert_rejects(variant: &str, jm_edit: [&str; 2], svc_edit: [&str; 2]) {
+        for (decoder, text, decode) in state_decoders(&one_tenant_state()) {
+            assert_eq!(decode(&text).as_deref(), Some(text.as_str()), "{decoder}");
+            let edits = match decoder {
+                "JobManager" => vec![jm_edit],
+                "SubmissionService" => vec![svc_edit],
+                _ => vec![jm_edit, svc_edit],
+            };
+            for [from, to] in edits {
+                let edited = text.replacen(from, to, 1);
+                assert_ne!(edited, text, "{decoder}: {from:?} is not in {text:?}");
+                assert_eq!(decode(&edited), None, "{decoder} decoded {variant}: {edited:?}");
+            }
+        }
+    }
+
+    /// Rust's integer parsing accepts a leading `+`; the encoder never
+    /// writes one.
+    #[test]
+    fn canonical_decode_rejects_a_leading_plus() {
+        assert_rejects("a leading `+`", ["job 0 0 ", "job 0 +0 "], ["tenant 0 2 ", "tenant 0 +2 "]);
+    }
+
+    /// `from_str_radix` accepts uppercase hex digits, one bit flip (0x20)
+    /// away from the lowercase ones the encoder writes.
+    #[test]
+    fn canonical_decode_rejects_uppercase_hex() {
+        assert_rejects(
+            "an uppercase hex digit",
+            ["cccd,", "cccD,"],
+            ["404e000000000000:", "404E000000000000:"],
+        );
+    }
+
+    /// A field after the last one of a line: only `job` rows used to check.
+    #[test]
+    fn canonical_decode_rejects_a_trailing_field() {
+        assert_rejects(
+            "a trailing field",
+            ["\ncal naive", "\ncal naive junk"],
+            ["\nticket 0 ", " junk\nticket 0 "],
+        );
+    }
+
+    /// Canonical decoding as a property: over random lifecycles, flipping
+    /// bit 5 of one byte (the case bit of a letter), or inserting a `+` or a
+    /// space, leaves bytes that every state decoder — and the event decoder,
+    /// on a journal line — refuses or decodes to exactly those bytes.
+    #[test]
+    fn canonical_decode_refuses_every_one_byte_edit_or_reencodes_it() {
+        for case in 0..48u64 {
+            let mut lines = Vec::new();
+            let state = random_lifecycle(case, |event| lines.push(event.encode()));
+            let mut rng = StdRng::seed_from_u64(0x0ed1_7000 ^ case);
+            let event: Decoder =
+                ("ControlPlaneEvent", lines.swap_remove(rng.gen_range(0..lines.len())), |line| {
+                    ControlPlaneEvent::decode(line).map(|event| event.encode())
+                });
+            for (decoder, text, decode) in state_decoders(&state).into_iter().chain([event]) {
+                assert_eq!(decode(&text).as_deref(), Some(text.as_str()), "case {case}");
+                for _ in 0..24 {
+                    let mut bytes = text.clone().into_bytes();
+                    match rng.gen_range(0..3) {
+                        0 => bytes[rng.gen_range(0..text.len())] ^= 0x20,
+                        1 => bytes.insert(rng.gen_range(0..=text.len()), b'+'),
+                        _ => bytes.insert(rng.gen_range(0..=text.len()), b' '),
+                    }
+                    let edited = String::from_utf8(bytes).expect("ASCII stays ASCII");
+                    let decoded = decode(&edited);
+                    assert!(
+                        decoded.as_ref().is_none_or(|back| *back == edited),
+                        "case {case}: {decoder} decoded {edited:?} to {decoded:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Failover after a snapshot reproduces the digest and the state bytes
+    /// with a minority of the store's replicas down — first the minority
+    /// that missed the snapshot install and its compaction, then, once those
+    /// recovered, another — for f = 1 and f = 2.
+    #[test]
+    fn failover_after_a_snapshot_survives_a_minority_of_crashed_replicas() {
+        for f in [1usize, 2] {
+            let trigger = ScheduleTrigger::new(100, 30.0).with_slo_margin(2.0);
+            let mut plane = ReplicatedControlPlane::new(trigger, f, 93);
+            drive_fixed_workload(&mut plane, false);
+            for replica in 0..f {
+                plane.store().crash_replica(replica);
+            }
+            plane.snapshot().unwrap();
+            assert!(plane.lease_qpu(3).unwrap(), "a journaled suffix to replay");
+            let live = (plane.state_digest(), plane.encode_state());
+            for down in [0..f, f..2 * f] {
+                for replica in 0..2 * f + 1 {
+                    if down.contains(&replica) {
+                        plane.store().crash_replica(replica);
+                    } else {
+                        plane.store().recover_replica(replica);
+                    }
+                }
+                plane.crash_leader();
+                plane.failover().expect("a majority of the replicas is live");
+                assert_eq!((plane.state_digest(), plane.encode_state()), live, "f = {f}, {down:?}");
+            }
+        }
     }
 }

@@ -19,6 +19,7 @@
 //! through [`crate::replication::ReplicatedControlPlane`].
 
 use crate::jobmanager::{CompletedExecution, JobId, JobManager, JobSpec, TenantId};
+use crate::replication::wire::Cursor;
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -918,12 +919,148 @@ impl SubmissionService {
         out.push('\n');
     }
 
-    /// Decode a state produced by [`Self::encode_state_into`].
-    /// Returns `None` for anything else — including a tenant table that is
-    /// not dense (see the `tenants` field) or a ticket naming a tenant the
-    /// table does not hold — never a partially or differently ordered state.
+    /// Read one [`Self::encode_state_into`] state from `input`, up to the
+    /// end of its `jobmap` line — and only such a state: `None` unless the
+    /// result encodes back to the bytes read. Besides the bytes of each
+    /// field, that rules out a tenant table that is not dense (see the
+    /// `tenants` field), a ticket naming a tenant the table does not hold,
+    /// tickets or job-map pairs out of ascending order or repeated, and a
+    /// zero weight or in-flight cap (registration clamps both to 1).
+    pub(crate) fn decode_from(input: &mut Cursor) -> Option<SubmissionService> {
+        let next_tenant_id: usize = input.after("svc 2\nids ")?.num()?;
+        let next_ticket_id: TicketId = input.after(" ")?.num()?;
+        let rr_start = input.after(" ")?.num()?;
+        input.after("\n")?;
+        let mut service = SubmissionService {
+            // Sized from the claimed counts, but never beyond what the input
+            // could hold (no tenant row is shorter than 60 bytes, no ticket
+            // row shorter than 40).
+            tenants: Vec::with_capacity(next_tenant_id.min(input.remaining() / 60)),
+            tickets: HashMap::with_capacity(
+                usize::try_from(next_ticket_id).map_or(0, |n| n.min(input.remaining() / 40)),
+            ),
+            next_ticket_id,
+            rr_start,
+            ..SubmissionService::default()
+        };
+        while input.eat("tenant ") {
+            // Dense table: row `i` carries id `i`.
+            if input.num::<usize>()? != service.tenants.len() {
+                return None;
+            }
+            let config = TenantConfig {
+                weight: input.after(" ")?.num()?,
+                max_in_flight: input.after(" ")?.num()?,
+                max_retries: input.after(" ")?.num()?,
+            };
+            if config.weight == 0 || config.max_in_flight == 0 {
+                return None;
+            }
+            let mut tenant = TenantState::new(config);
+            tenant.slo = if input.after(" ")?.eat("-") { None } else { Some(input.slo()?) };
+            tenant.deficit = input.after(" ")?.num()?;
+            tenant.in_flight = input.after(" ")?.num()?;
+            tenant.submitted = input.after(" ")?.num()?;
+            tenant.admitted = input.after(" ")?.num()?;
+            tenant.completed = input.after(" ")?.num()?;
+            tenant.rejected = input.after(" ")?.num()?;
+            tenant.escalated = input.after(" ")?.num()?;
+            tenant.queue_wait_total_s = input.after(" ")?.f64()?;
+            tenant.turnaround_total_s = input.after(" ")?.f64()?;
+            input.after(" ")?.list(|input| {
+                tenant.queue.push_back(input.num()?);
+                Some(())
+            })?;
+            input.after("\n")?;
+            service.tenants.push(tenant);
+        }
+        // The rows number the next id: no registration can collide.
+        if service.tenants.len() != next_tenant_id {
+            return None;
+        }
+        let mut last_ticket = None;
+        while input.eat("ticket ") {
+            let ticket_id = input.ascending(&mut last_ticket)?;
+            let tenant: TenantId = input.after(" ")?.num()?;
+            if tenant as usize >= next_tenant_id {
+                return None;
+            }
+            let submitted_s = input.after(" ")?.f64()?;
+            let attempts = input.after(" ")?.num()?;
+            input.after(" ")?;
+            let state = if input.eat("q") {
+                TicketState::Queued
+            } else if input.eat("a:") {
+                TicketState::Admitted { job_id: input.num()? }
+            } else if input.eat("c:") {
+                TicketState::Completed {
+                    job_id: input.num()?,
+                    qpu_index: input.after(":")?.num()?,
+                    waiting_s: input.after(":")?.f64()?,
+                    turnaround_s: input.after(":")?.f64()?,
+                }
+            } else if input.eat("r:x") {
+                TicketState::Rejected { reason: RejectReason::RetriesExhausted }
+            } else if input.eat("r:d") {
+                TicketState::Rejected { reason: RejectReason::DeadlineMissed }
+            } else {
+                input.after("r:i")?;
+                TicketState::Rejected { reason: RejectReason::Infeasible }
+            };
+            let spec = input.after(" ")?.spec()?;
+            input.after("\n")?;
+            service
+                .tickets
+                .insert(ticket_id, TicketRecord { tenant, submitted_s, attempts, spec, state });
+        }
+        let mut last_job = None;
+        input.after("jobmap ")?.list(|input| {
+            let job = input.ascending(&mut last_job)?;
+            service.job_to_ticket.insert(job, input.after(":")?.num()?);
+            Some(())
+        })?;
+        input.after("\n")?;
+        // Rebuild the derived indices from the decoded journal state — they
+        // are never encoded, so replay exercises exactly this path.
+        for (id, tenant) in service.tenants.iter().enumerate() {
+            let id = id as TenantId;
+            if !tenant.queue.is_empty() || tenant.deficit > 0 {
+                service.active.insert(id);
+            }
+            if matches!(tenant.slo, Some(slo) if slo.deadline_s.is_finite()) {
+                service.slo_tenants.insert(id);
+            }
+            service.queued_total += tenant.queue.len();
+        }
+        Some(service)
+    }
+}
+
+/// Test conveniences, the `format!` encoder the streaming one replaced,
+/// kept as its byte oracle, and the `split`/`parse` decoder the cursor one
+/// replaced, kept as its decode oracle.
+#[cfg(test)]
+impl SubmissionService {
+    pub(crate) fn register_tenant(&mut self, weight: u32) -> TenantId {
+        self.register_tenant_with(TenantConfig::weighted(weight))
+    }
+
+    /// [`Self::decode_from`] over the whole of `encoded`.
     pub(crate) fn decode_state(encoded: &str) -> Option<SubmissionService> {
-        use crate::replication::wire::{dec_f64, dec_spec};
+        let mut input = Cursor::new(encoded);
+        let service = Self::decode_from(&mut input)?;
+        input.finish(service)
+    }
+
+    pub(crate) fn encode_state(&self) -> String {
+        let mut out = String::with_capacity(self.encoded_len_hint());
+        self.encode_state_into(&mut out);
+        out
+    }
+
+    /// The `split`/`parse` decoder the cursor one replaced — its oracle.
+    pub(crate) fn decode_state_oracle(encoded: &str) -> Option<SubmissionService> {
+        use crate::replication::wire::oracle::{dec_f64, dec_spec};
         let mut lines = encoded.lines();
         if lines.next()? != "svc 2" {
             return None;
@@ -1044,21 +1181,6 @@ impl SubmissionService {
             service.queued_total += tenant.queue.len();
         }
         Some(service)
-    }
-}
-
-/// Test conveniences, and the `format!` encoder the streaming one
-/// replaced, kept as its byte oracle.
-#[cfg(test)]
-impl SubmissionService {
-    pub(crate) fn register_tenant(&mut self, weight: u32) -> TenantId {
-        self.register_tenant_with(TenantConfig::weighted(weight))
-    }
-
-    pub(crate) fn encode_state(&self) -> String {
-        let mut out = String::with_capacity(self.encoded_len_hint());
-        self.encode_state_into(&mut out);
-        out
     }
 
     pub(crate) fn encode_state_oracle(&self) -> String {
@@ -1553,11 +1675,13 @@ mod tests {
         let lines: Vec<&str> = encoded.lines().collect();
         assert_eq!(lines[1], "ids 3 1 0");
         assert!(lines[2].starts_with("tenant 0 ") && lines[4].starts_with("tenant 2 "));
-        let decode = |lines: &[&str]| SubmissionService::decode_state(&lines.join("\n"));
+        // Every line, the last included, ends in a newline.
+        let decode = |lines: &[&str]| SubmissionService::decode_state(&(lines.join("\n") + "\n"));
+        assert!(decode(&lines).is_some(), "the unedited lines decode");
         let with = |at: usize, line: &str| {
-            let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
-            edited[at] = line.to_string();
-            SubmissionService::decode_state(&edited.join("\n"))
+            let mut edited = lines.clone();
+            edited[at] = line;
+            decode(&edited)
         };
 
         // Out of order.
