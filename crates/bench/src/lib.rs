@@ -1,64 +1,188 @@
 //! # qonductor-bench
 //!
-//! Shared helpers for the benchmark harness that regenerates every table and
-//! figure of the paper's evaluation (§8). Each `benches/figXX_*.rs` target is a
-//! standalone harness (`harness = false`) that runs the corresponding
-//! experiment and prints the same rows/series the paper reports; the
-//! `micro_scheduler` target is a conventional Criterion micro-benchmark of the
-//! scheduler's hot path.
-//!
-//! The experiment-to-target mapping is listed in `DESIGN.md` (§5) and the
-//! measured-vs-paper numbers are recorded in `EXPERIMENTS.md`.
+//! The harness that reproduces the paper's evaluation (§8). Each figure of
+//! [`figures`] runs one experiment at paper scale and returns typed
+//! [`FigureRow`]s, one per claim, each over the same ten [`SEEDS`]; the
+//! `repro` binary writes them to `REPRO.json` and prints the README table.
+//! The `micro_scheduler` and `fig9c_stage_runtime` bench targets time the
+//! scheduler's hot path and stages on the host's clock.
 
-use qonductor_cloudsim::{ArrivalConfig, Policy, SimulationConfig};
-use qonductor_scheduler::{JobRequest, Nsga2Config, Preference, QpuState};
+pub mod figures;
+
+use qonductor_scheduler::{JobRequest, QpuState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
-/// Print the standard header for a figure/table harness.
-pub fn banner(experiment: &str, description: &str) {
-    println!("================================================================");
-    println!("{experiment}: {description}");
-    println!("================================================================");
+/// The seeds every figure runs over.
+pub const SEEDS: [u64; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+
+/// A row holds when the paper's direction holds in at least this many of
+/// the ten seeds.
+pub const HOLDS_IN: usize = 8;
+
+/// The per-seed condition under which a claim holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Direction {
+    /// The value is strictly greater than the bound.
+    Above(f64),
+    /// The value is strictly less than the bound.
+    Below(f64),
 }
 
-/// Scale factor for the simulated experiments, controlled with the
-/// `QONDUCTOR_BENCH_SCALE` environment variable (1.0 = paper-scale, smaller
-/// values shrink the simulated duration for quick runs).
-pub fn bench_scale() -> f64 {
-    std::env::var("QONDUCTOR_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|v: &f64| *v > 0.0 && *v <= 1.0)
-        .unwrap_or(0.25)
-}
+impl Direction {
+    fn holds(self, value: f64) -> bool {
+        match self {
+            Direction::Above(bound) => value > bound,
+            Direction::Below(bound) => value < bound,
+        }
+    }
 
-/// The cloud-simulation configuration used by the end-to-end figures
-/// (one simulated hour at `rate` jobs/hour, scaled by [`bench_scale`]).
-pub fn simulation_config(policy: Policy, rate_per_hour: f64, seed: u64) -> SimulationConfig {
-    let scale = bench_scale();
-    SimulationConfig {
-        duration_s: 3600.0 * scale,
-        step_s: 10.0,
-        arrival: ArrivalConfig { mean_rate_per_hour: rate_per_hour, ..Default::default() },
-        policy,
-        trigger_queue_limit: 100,
-        trigger_interval_s: 120.0,
-        metrics_interval_s: 60.0,
-        nsga2: Nsga2Config {
-            population_size: 40,
-            max_generations: 40,
-            max_evaluations: 8000,
-            num_threads: 4,
-            ..Nsga2Config::default()
-        },
-        seed,
-        ..Default::default()
+    fn label(self) -> String {
+        match self {
+            Direction::Above(bound) => format!("> {bound}"),
+            Direction::Below(bound) => format!("< {bound}"),
+        }
     }
 }
 
+/// What a row claims, before any seed has run.
+#[derive(Debug, Clone, Copy)]
+pub struct Claim {
+    pub figure: &'static str,
+    pub claim: &'static str,
+    pub paper_value: &'static str,
+    pub direction: Direction,
+}
+
+/// One claim of the paper measured over a seed set.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FigureRow {
+    pub figure: &'static str,
+    pub claim: &'static str,
+    pub paper_value: &'static str,
+    pub direction: Direction,
+    /// One value per seed, rounded to four decimals.
+    pub values: Vec<f64>,
+    pub median: f64,
+    pub q1: f64,
+    pub q3: f64,
+    /// Seeds whose value satisfies `direction`.
+    pub holds_in: usize,
+    /// `holds_in >= HOLDS_IN`.
+    pub holds: bool,
+}
+
+impl FigureRow {
+    pub fn new(claim: Claim, values: Vec<f64>) -> Self {
+        let values: Vec<f64> = values.into_iter().map(|v| (v * 1e4).round() / 1e4).collect();
+        let (q1, median, q3) = quartiles(&values);
+        let holds_in = values.iter().filter(|v| claim.direction.holds(**v)).count();
+        FigureRow {
+            figure: claim.figure,
+            claim: claim.claim,
+            paper_value: claim.paper_value,
+            direction: claim.direction,
+            values,
+            median,
+            q1,
+            q3,
+            holds_in,
+            holds: holds_in >= HOLDS_IN,
+        }
+    }
+}
+
+/// First quartile, median and third quartile by the exclusive method
+/// (Python's `statistics.quantiles(values, n=4)`); a single value is all
+/// three.
+fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+    let mut s = values.to_vec();
+    s.sort_by(f64::total_cmp);
+    let m = s.len();
+    if m < 2 {
+        let v = s.first().copied().unwrap_or(0.0);
+        return (v, v, v);
+    }
+    let cut = |i: usize| {
+        let j = (i * (m + 1) / 4).clamp(1, m - 1);
+        let delta = (i * (m + 1)) as f64 - (j * 4) as f64;
+        (s[j - 1] * (4.0 - delta) + s[j] * delta) / 4.0
+    };
+    (cut(1), cut(2), cut(3))
+}
+
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if u32::from(c) < 0x20 => write!(out, "\\u{:04x}", u32::from(c)).unwrap(),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// `REPRO.json`: the seeds, the threshold and one line per row.
+pub fn to_json(rows: &[FigureRow]) -> String {
+    let list = |v: &[f64]| v.iter().map(|x| format!("{x:.4}")).collect::<Vec<_>>().join(", ");
+    let mut out = format!(
+        "{{\n  \"seeds\": {SEEDS:?},\n  \"holds_in_at_least\": {HOLDS_IN},\n  \"rows\": [\n"
+    );
+    for (i, r) in rows.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "    {{\"figure\": {}, \"claim\": {}, \"paper_value\": {}, \"direction\": {}, \
+             \"values\": [{}], \"median\": {:.4}, \"q1\": {:.4}, \"q3\": {:.4}, \
+             \"holds_in\": {}, \"holds\": {}}}{}",
+            json_string(r.figure),
+            json_string(r.claim),
+            json_string(r.paper_value),
+            json_string(&r.direction.label()),
+            list(&r.values),
+            r.median,
+            r.q1,
+            r.q3,
+            r.holds_in,
+            r.holds,
+            if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// The README table of the rows.
+pub fn to_markdown(rows: &[FigureRow]) -> String {
+    let mut out = String::from(
+        "| figure | claim | paper | holds when | median [q1, q3] | holds in | holds |\n\
+         |---|---|---|---|---|---|---|\n",
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "| {} | {} | {} | {} | {:.3} [{:.3}, {:.3}] | {}/{} | {} |",
+            r.figure,
+            r.claim,
+            r.paper_value,
+            r.direction.label(),
+            r.median,
+            r.q1,
+            r.q3,
+            r.holds_in,
+            r.values.len(),
+            if r.holds { "yes" } else { "**no**" }
+        );
+    }
+    out
+}
+
 /// Generate a synthetic batch of scheduling jobs and QPU states (used by the
-/// scheduler-facing figures 9c and 10b and the ablations).
+/// scheduler-facing figures and the ablations).
 pub fn synthetic_problem(
     num_jobs: usize,
     num_qpus: usize,
@@ -90,34 +214,16 @@ pub fn synthetic_problem(
     (jobs, qpus)
 }
 
-/// Format a fraction as a percentage string.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// Mean of a slice.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// The preference used when figures call for "balanced" weights.
-pub fn balanced() -> Preference {
-    Preference::balanced()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn scale_is_bounded() {
-        let s = bench_scale();
-        assert!(s > 0.0 && s <= 1.0);
-    }
+    const CLAIM: Claim = Claim {
+        figure: "Fig. X",
+        claim: "a \"quoted\" claim\\",
+        paper_value: "1 %",
+        direction: Direction::Above(0.0),
+    };
 
     #[test]
     fn synthetic_problem_shapes() {
@@ -128,8 +234,35 @@ mod tests {
     }
 
     #[test]
-    fn helpers_format() {
-        assert_eq!(pct(0.5), "50.0%");
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
+    fn the_summary_uses_the_exclusive_quartile_method() {
+        // statistics.quantiles([1..10], n=4) == [2.75, 5.5, 8.25]
+        let row = FigureRow::new(CLAIM, vec![10.0, 2.0, 3.0, 1.0, 5.0, 6.0, 7.0, 8.0, 9.0, 4.0]);
+        assert_eq!((row.q1, row.median, row.q3), (2.75, 5.5, 8.25));
+        assert_eq!(FigureRow::new(CLAIM, vec![0.5]).q3, 0.5);
+    }
+
+    #[test]
+    fn holds_needs_eight_of_ten_seeds_in_either_direction() {
+        let seven = vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 0.0];
+        let row = FigureRow::new(CLAIM, seven.clone());
+        assert_eq!((row.holds_in, row.holds), (7, false));
+        let below = Claim { direction: Direction::Below(0.0), ..CLAIM };
+        let negated: Vec<f64> = seven.iter().map(|v| -v).collect();
+        assert_eq!(FigureRow::new(below, negated).holds_in, 7);
+        let mut eight = seven;
+        eight[9] = 0.5;
+        let row = FigureRow::new(CLAIM, eight.clone());
+        assert_eq!((row.holds_in, row.holds), (8, true));
+        let negated: Vec<f64> = eight.iter().map(|v| -v).collect();
+        assert!(FigureRow::new(below, negated).holds);
+    }
+
+    #[test]
+    fn the_json_escapes_claims() {
+        let json = to_json(&[FigureRow::new(CLAIM, vec![0.25, 1.0 / 3.0])]);
+        assert!(json.contains(r#""claim": "a \"quoted\" claim\\""#), "{json}");
+        assert!(json.contains(r#""values": [0.2500, 0.3333]"#), "{json}");
+        assert!(json.contains(r#""direction": "> 0""#), "{json}");
+        assert_eq!(json_string("tab\there\u{1}"), r#""tab\u0009here\u0001""#);
     }
 }

@@ -1,7 +1,7 @@
 //! Generators for the standard quantum-algorithm families used by the paper's
 //! evaluation (§8.1): GHZ, QFT, QAOA (max-cut), VQE ansatz, Grover, W-state,
 //! and structured random circuits. This is the MQT-Bench-style workload
-//! substitute described in DESIGN.md.
+//! substitute described in the README.
 
 mod ghz;
 mod grover;

@@ -3,8 +3,8 @@
 //! The paper trains its models on "over 7,000 job executions collected from our
 //! experiments on the IBM quantum cloud" (§6). We substitute those runs with
 //! synthetic executions of generated benchmark circuits on the modelled QPU
-//! fleet (see DESIGN.md), recording for each run the job features, the measured
-//! fidelity, and the measured quantum/classical execution times.
+//! fleet (see README and `REPRO.json`), recording for each run the job features,
+//! the measured fidelity, and the measured quantum/classical execution times.
 
 use crate::features::JobFeatures;
 use qonductor_backend::Fleet;
