@@ -1,7 +1,7 @@
-//! Replicated key-value store backing the *system monitor* datastore (§4): the
-//! complete system state (worker resources, QPU calibration data, job queues,
-//! workflow status, results) is persisted on a quorum of 2f+1 replicas; writes
-//! commit once a majority of live replicas acknowledge them.
+//! Replicated key-value store backing the control plane (§4): the journal of
+//! job and tenant state, its snapshots and the leader lease are persisted on
+//! a quorum of 2f+1 replicas; writes commit once a majority of live replicas
+//! acknowledge them.
 //!
 //! Stored keys and values are immutable shared strings (`Arc<str>`): a write
 //! makes one copy of its key and value and hands every live replica a pointer

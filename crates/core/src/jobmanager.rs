@@ -175,6 +175,22 @@ pub(crate) fn enqueue_all(fleet: &mut Fleet, enqueues: &[Enqueue]) {
     }
 }
 
+/// The scheduler's view of every fleet member right now: name, size,
+/// estimated queue wait and calibration epoch. A dispatch snapshots it; the
+/// orchestrator reports it live.
+pub(crate) fn qpu_states(fleet: &Fleet) -> Vec<QpuState> {
+    fleet
+        .members()
+        .iter()
+        .map(|m| QpuState {
+            name: m.qpu.name.clone(),
+            num_qubits: m.qpu.num_qubits(),
+            waiting_time_s: m.queue.estimated_waiting_s(),
+            calibration_epoch: m.qpu.clock.epoch,
+        })
+        .collect()
+}
+
 /// A completed quantum execution drained from a fleet queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedExecution {
@@ -442,16 +458,7 @@ impl JobManager {
     /// states, the schedulable batch (ids, per-tenant composition, sanitised
     /// requests), and the per-QPU recalibration horizons.
     fn batch_snapshot(&self, now_s: f64, fleet: &Fleet) -> BatchSnapshot {
-        let qpus: Vec<QpuState> = fleet
-            .members()
-            .iter()
-            .map(|m| QpuState {
-                name: m.qpu.name.clone(),
-                num_qubits: m.qpu.num_qubits(),
-                waiting_time_s: m.queue.estimated_waiting_s(),
-                calibration_epoch: m.qpu.clock.epoch,
-            })
-            .collect();
+        let qpus = qpu_states(fleet);
         // A QPU's effective boundary is whichever comes first: its next
         // recalibration or its next scheduled maintenance window. The planner
         // routes around both with the same partition machinery.

@@ -5,8 +5,8 @@
 //! `workflow_results`, image listing, resource estimation, scheduling), the
 //! workflow manager (hybrid DAGs of classical and quantum steps), the workflow
 //! registry (hybrid workflow images), deployment configuration (Listing 1
-//! analogue), the replicated system monitor, the consensus-backed replication
-//! of the job state, and the orchestrator that wires the resource estimator,
+//! analogue), the system monitor, the consensus-backed replication of the job
+//! state, and the orchestrator that wires the resource estimator,
 //! hybrid scheduler, QPU fleet, and classical nodes into an end-to-end
 //! execution engine.
 //!
@@ -19,6 +19,7 @@
 //! live state byte for byte.
 
 #![warn(missing_docs)]
+#![warn(clippy::let_underscore_must_use)]
 
 pub mod autoscaler;
 pub mod config;
@@ -36,7 +37,7 @@ pub mod submission;
 pub mod workflow;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScalingDecision};
-pub use config::{DeploymentConfig, Priority, ResourceLimits};
+pub use config::{DeploymentConfig, Priority};
 pub use estimate_cache::{EstimateCacheStats, ProductStats};
 pub use federation::{
     CostOptimized, FederatedFleet, LeastLoaded, PlacementStrategy, Provider, QuantumAware,
@@ -46,9 +47,7 @@ pub use jobmanager::{
     BatchRecord, CalibrationPolicy, CompletedExecution, JobId, JobSpec, PendingJob, TenantId,
     DEFAULT_TENANT,
 };
-pub use monitor::{
-    BatchObservation, ReestimationObservation, SplitObservation, SystemMonitor, WorkflowStatus,
-};
+pub use monitor::{BatchObservation, ReestimationObservation, SystemMonitor, WorkflowStatus};
 pub use orchestrator::{
     ClassicalStepResult, Orchestrator, OrchestratorError, QuantumStepResult, WorkflowResult,
 };

@@ -10,14 +10,18 @@
 //! NSGA-II + MCDM scheduler invocation and dispatches whole batches onto the
 //! fleet queues; classical steps are placed with the filter–score scheduler;
 //! results (per-step fidelity, waiting, execution and completion times,
-//! dollar cost) and every dispatched batch are persisted in the system
-//! monitor. Submitting several workflows with [`Orchestrator::invoke_many`]
-//! lets their quantum steps share a single scheduler invocation.
+//! dollar cost) are kept by the orchestrator, and each run's status, every
+//! dispatched batch and every re-estimation pass by the system monitor.
+//! Submitting several workflows with [`Orchestrator::invoke_many`] lets their
+//! quantum steps share a single scheduler invocation. The control plane's
+//! journal is the one replicated store.
 
 use crate::config::{DeploymentConfig, Priority};
-use crate::estimate_cache::{EstimateCache, PlanRequest, PlanStamp, StepKey, StepRequest};
-use crate::jobmanager::{CalibrationPolicy, JobId, JobSpec, TenantId, DEFAULT_TENANT};
-use crate::monitor::{SystemMonitor, WorkflowStatus};
+use crate::estimate_cache::{
+    EstimateCache, EstimateCacheStats, PlanRequest, PlanStamp, StepKey, StepRequest,
+};
+use crate::jobmanager::{qpu_states, CalibrationPolicy, JobId, JobSpec, TenantId, DEFAULT_TENANT};
+use crate::monitor::{BatchObservation, SystemMonitor, WorkflowStatus};
 use crate::registry::{HybridWorkflowImage, ImageId, WorkflowRegistry};
 use crate::replication::ReplicatedControlPlane;
 use crate::sharding::{GlobalTicket, ShardedControlPlane};
@@ -28,7 +32,7 @@ use qonductor_backend::Fleet;
 use qonductor_estimator::{PlanGeneratorConfig, PricingTable, ResourcePlan};
 use qonductor_mitigation::MitigationStack;
 use qonductor_scheduler::{
-    place, ClassicalNode, HybridScheduler, ScheduleTrigger, SchedulerConfig,
+    place, ClassicalNode, HybridScheduler, QpuState, ScheduleTrigger, SchedulerConfig,
 };
 use qonductor_transpiler::Transpiler;
 use rand::rngs::StdRng;
@@ -135,8 +139,6 @@ struct OrchestratorState {
     clock_s: f64,
     next_run_id: RunId,
     results: Vec<WorkflowResult>,
-    /// Post-boundary re-estimation passes recorded so far (monitor key space).
-    reestimation_passes: usize,
     rng: StdRng,
     /// Memo of step estimates and resource plans by circuit content and
     /// calibration epoch. Derived data: not journaled, not in any digest.
@@ -159,19 +161,11 @@ pub struct Orchestrator {
 impl Orchestrator {
     /// Create an orchestrator over a QPU fleet and a set of classical nodes.
     pub fn new(fleet: Fleet, classical_nodes: Vec<ClassicalNode>, seed: u64) -> Self {
-        let monitor = SystemMonitor::default();
-        for member in fleet.members() {
-            let _ = monitor.record_qpu_static(
-                &member.qpu.name,
-                member.qpu.num_qubits(),
-                &member.qpu.model.name,
-            );
-        }
         let trigger = ScheduleTrigger::default();
         let control = default_control_plane(fleet.len(), trigger, seed);
         Orchestrator {
             registry: WorkflowRegistry::new(),
-            monitor,
+            monitor: SystemMonitor::default(),
             // Warm-started: each batch cycle seeds NSGA-II from the previous
             // cycle's Pareto front and reuses the optimizer workspace.
             scheduler: HybridScheduler::with_warm_start(SchedulerConfig::default()),
@@ -185,7 +179,6 @@ impl Orchestrator {
                 clock_s: 0.0,
                 next_run_id: 0,
                 results: Vec::new(),
-                reestimation_passes: 0,
                 rng: StdRng::seed_from_u64(seed),
                 estimates: EstimateCache::default(),
             }),
@@ -245,6 +238,12 @@ impl Orchestrator {
     /// The system monitor.
     pub fn monitor(&self) -> &SystemMonitor {
         &self.monitor
+    }
+
+    /// Every fleet member as the scheduler sees it right now: name, size,
+    /// estimated queue wait and calibration epoch.
+    pub fn qpu_states(&self) -> Vec<QpuState> {
+        qpu_states(&self.state.lock().fleet)
     }
 
     /// Register a submission tenant with the given fairness weight. Workflows
@@ -313,7 +312,7 @@ impl Orchestrator {
     /// (does any QPU fit the largest quantum step?) without executing it.
     pub fn deploy(&self, image_id: ImageId) -> Result<(), OrchestratorError> {
         let image = self.image(image_id)?;
-        let required = image.workflow.max_qubits().max(image.config.quantum.min_qubits);
+        let required = image.workflow.max_qubits().max(image.config.min_qubits);
         let state = self.state.lock();
         if required > 0 && state.fleet.max_qubits() < required {
             return Err(OrchestratorError::NoFeasibleQpu { required_qubits: required });
@@ -336,10 +335,8 @@ impl Orchestrator {
     }
 
     /// Hit/miss/stale/eviction counts of the estimate cache since
-    /// construction (also persisted in the system monitor after every
-    /// invocation wave).
-    #[cfg(test)]
-    fn estimate_cache_stats(&self) -> crate::estimate_cache::EstimateCacheStats {
+    /// construction.
+    pub fn estimate_cache_stats(&self) -> EstimateCacheStats {
         self.state.lock().estimates.stats()
     }
 
@@ -358,7 +355,7 @@ impl Orchestrator {
             .map(|(image, _)| PlanStamp {
                 fleet_epoch,
                 preferred_models: image.config.preferred_models.clone(),
-                min_qubits: image.config.quantum.min_qubits,
+                min_qubits: image.config.min_qubits,
                 generator: PlanGeneratorConfig {
                     num_plans: image.config.num_resource_plans,
                     pricing: self.pricing,
@@ -389,10 +386,11 @@ impl Orchestrator {
     }
 
     /// Table 2 — *Invoke a workflow*: execute the image end-to-end on the
-    /// hybrid cluster and return the run id. The run's status and results are
-    /// persisted in the system monitor. Quantum steps go through the shared
-    /// batch engine: the run's jobs wait in the pending pool until the
-    /// scheduling trigger fires (for a lone invocation, the interval trigger).
+    /// hybrid cluster and return the run id. The run's status is recorded in
+    /// the system monitor, its results in the orchestrator. Quantum steps go
+    /// through the shared batch engine: the run's jobs wait in the pending
+    /// pool until the scheduling trigger fires (for a lone invocation, the
+    /// interval trigger).
     pub fn invoke(&self, image_id: ImageId) -> Result<RunId, OrchestratorError> {
         self.invoke_many(&[image_id]).pop().expect("one result per image")
     }
@@ -459,13 +457,13 @@ impl Orchestrator {
             let plans = planned.next().expect("one plan list per resolved image");
             let run_id = state.next_run_id;
             state.next_run_id += 1;
-            let _ = self.monitor.set_workflow_status(run_id, WorkflowStatus::Pending);
+            self.monitor.set_workflow_status(run_id, WorkflowStatus::Pending);
 
             let plan = if digests.iter().any(Option::is_some) {
                 match pick_plan(&plans, image.config.priority) {
                     Some(plan) => plan.clone(),
                     None => {
-                        let _ = self.monitor.set_workflow_status(run_id, WorkflowStatus::Failed);
+                        self.monitor.set_workflow_status(run_id, WorkflowStatus::Failed);
                         slots.push(Err(OrchestratorError::NoFeasiblePlan));
                         continue;
                     }
@@ -474,7 +472,7 @@ impl Orchestrator {
                 classical_only_plan()
             };
 
-            let _ = self.monitor.set_workflow_status(run_id, WorkflowStatus::Running);
+            self.monitor.set_workflow_status(run_id, WorkflowStatus::Running);
             let order =
                 image.workflow.topological_order().expect("registry guarantees acyclic workflows");
             slots.push(Ok(runs.len()));
@@ -508,32 +506,17 @@ impl Orchestrator {
             self.drive_engine(state, &mut runs, &mut awaiting);
         }
 
-        // Persist per-tenant submission accounting alongside the results.
-        for (id, stats) in state.control.snapshot_stats() {
-            let _ = self.monitor.record_tenant_stats(id, &stats);
-        }
-        let _ = self.monitor.record_estimate_cache_stats(&state.estimates.stats());
-
-        // Finalize: persist results and map runs back to input order.
+        // Finalize: keep results and map runs back to input order.
         slots
             .into_iter()
             .map(|slot| {
                 let run = &mut runs[slot?];
                 if let Some(e) = run.failed.take() {
-                    let _ = self.monitor.set_workflow_status(run.run_id, WorkflowStatus::Failed);
+                    self.monitor.set_workflow_status(run.run_id, WorkflowStatus::Failed);
                     return Err(e);
                 }
                 let result = run.finish(&self.pricing);
-                let _ = self.monitor.set_workflow_status(run.run_id, WorkflowStatus::Completed);
-                let _ = self.monitor.set_workflow_result(
-                    run.run_id,
-                    &format!(
-                        "fidelity={:.4},completion_s={:.3},cost_usd={:.2}",
-                        result.mean_fidelity(),
-                        result.completion_s,
-                        result.cost_usd
-                    ),
-                );
+                self.monitor.set_workflow_status(run.run_id, WorkflowStatus::Completed);
                 let run_id = run.run_id;
                 state.results.push(result);
                 Ok(run_id)
@@ -704,7 +687,6 @@ impl Orchestrator {
             if delivered > 0 {
                 // Hand control back so unblocked runs can submit their next
                 // steps (possibly joining the next batch) before driving on.
-                self.record_fleet_dynamics(state);
                 return;
             }
 
@@ -715,29 +697,20 @@ impl Orchestrator {
                 .control
                 .try_dispatch(state.clock_s, &self.scheduler, &mut state.fleet)
                 .expect("control-plane journal has a quorum");
-            let dispatched = !outcomes.is_empty();
             let mut any_rejected = false;
             for (shard, outcome) in outcomes {
-                let batch = &outcome.record;
-                let _ = self.monitor.record_schedule_batch(
-                    batch.batch_index,
-                    batch.t_s,
-                    batch.reason,
-                    batch.job_ids.len(),
-                    &batch.tenant_jobs,
-                );
-                // Surface calibration-crossover splits: which jobs were
-                // pulled out of the batch and parked behind the boundary.
-                if !batch.deferred.is_empty() {
-                    let deferred_ids: Vec<JobId> =
-                        batch.deferred.iter().map(|(id, _)| *id).collect();
-                    let _ = self.monitor.record_calibration_split(
-                        batch.batch_index,
-                        batch.t_s,
-                        batch.fleet_epoch,
-                        &deferred_ids,
-                    );
-                }
+                let batch = outcome.record;
+                // Calibration-crossover splits surface as the jobs pulled out
+                // of the batch and parked behind the boundary.
+                self.monitor.record_schedule_batch(BatchObservation {
+                    batch_index: batch.batch_index,
+                    t_s: batch.t_s,
+                    reason: batch.reason,
+                    num_jobs: batch.job_ids.len(),
+                    tenant_jobs: batch.tenant_jobs,
+                    fleet_epoch: batch.fleet_epoch,
+                    deferred_jobs: batch.deferred.iter().map(|(id, _)| *id).collect(),
+                });
                 // Scheduler-rejected jobs return to their tenant queue for
                 // re-admission until the retry budget runs out; only the
                 // terminal rejections fail their runs.
@@ -751,9 +724,6 @@ impl Orchestrator {
                         any_rejected = true;
                     }
                 }
-            }
-            if dispatched {
-                self.record_fleet_dynamics(state);
             }
             if any_rejected && awaiting.is_empty() {
                 return;
@@ -827,22 +797,7 @@ impl Orchestrator {
             }
         }
         if !refreshed.is_empty() {
-            let pass = state.reestimation_passes;
-            state.reestimation_passes += 1;
-            let _ = self.monitor.record_reestimation(pass, state.clock_s, epoch, &refreshed);
-        }
-    }
-
-    /// Refresh the monitor's dynamic per-QPU records (queue depth, waiting
-    /// estimate, calibration cycle) from the current fleet state.
-    fn record_fleet_dynamics(&self, state: &OrchestratorState) {
-        for member in state.fleet.members() {
-            let _ = self.monitor.record_qpu_dynamic(
-                &member.qpu.name,
-                member.queue.pending_len(),
-                member.queue.estimated_waiting_s(),
-                member.qpu.clock.epoch,
-            );
+            self.monitor.record_reestimation(state.clock_s, epoch, refreshed);
         }
     }
 
@@ -1150,22 +1105,21 @@ mod tests {
         assert!(warm.plans.hits > cleared.plans.hits);
     }
 
-    /// The cache accounting reaches the system monitor once per wave.
+    /// The public cache accounting counts every lookup of every wave.
     #[test]
-    fn estimate_cache_stats_are_persisted_in_the_monitor() {
+    fn estimate_cache_stats_count_every_wave() {
         let orchestrator = Orchestrator::with_default_cluster(13);
-        assert_eq!(orchestrator.monitor().estimate_cache_stats(), None);
+        assert_eq!(orchestrator.estimate_cache_stats(), EstimateCacheStats::default());
         let image = iterative_image(&orchestrator, "ghz", &ghz(6), 2, 0.25);
         orchestrator.invoke(image).unwrap();
         let first = orchestrator.estimate_cache_stats();
         // Two evaluations of one circuit on eight devices; one plan per step.
         assert_eq!((first.steps.misses, first.steps.hits), (8, 8));
         assert_eq!((first.plans.misses, first.plans.hits), (1, 1));
-        assert_eq!(orchestrator.monitor().estimate_cache_stats(), Some(first));
         orchestrator.invoke(image).unwrap();
-        let second = orchestrator.monitor().estimate_cache_stats().unwrap();
-        assert_eq!(second, orchestrator.estimate_cache_stats());
+        let second = orchestrator.estimate_cache_stats();
         assert_eq!((second.steps.misses, second.steps.hits), (8, 24));
+        assert_eq!((second.plans.misses, second.plans.hits), (1, 3));
     }
 
     /// A work item that panics inside a batch panics the call that issued
@@ -1214,7 +1168,33 @@ mod tests {
         assert!(result.mean_fidelity() > 0.0 && result.mean_fidelity() <= 1.0);
         assert!(result.completion_s > 0.0);
         assert!(result.cost_usd > 0.0);
-        assert!(orchestrator.monitor().workflow_result(run).is_some());
+    }
+
+    /// A run whose plan list is empty — every template excluded by
+    /// `preferred_models` — is reported `Failed` under its own run id, and
+    /// the runs on either side of it in the wave complete.
+    #[test]
+    fn a_run_without_a_feasible_plan_is_reported_failed() {
+        let orchestrator = Orchestrator::with_default_cluster(9);
+        let feasible = ghz_image(&orchestrator, 6, false);
+        let excluded = orchestrator.create_workflow(
+            mitigated_execution_workflow(
+                "ghz6-excluded",
+                ghz(6),
+                MitigationStack::none(),
+                ClassicalRequest::small(),
+            ),
+            DeploymentConfig {
+                preferred_models: vec!["no-such-model".into()],
+                ..Default::default()
+            },
+        );
+        assert_eq!(orchestrator.estimate_resources(excluded), Ok(Vec::new()));
+        let runs = orchestrator.invoke_many(&[feasible, excluded, feasible]);
+        assert_eq!(runs, vec![Ok(0), Err(OrchestratorError::NoFeasiblePlan), Ok(2)]);
+        let statuses: Vec<_> = (0..4).map(|run| orchestrator.workflow_status(run)).collect();
+        let (completed, failed) = (Some(WorkflowStatus::Completed), Some(WorkflowStatus::Failed));
+        assert_eq!(statuses, vec![completed, failed, completed, None]);
     }
 
     #[test]

@@ -152,8 +152,8 @@ pub enum SubmissionError {
     UnknownTenant(TenantId),
 }
 
-/// Point-in-time per-tenant accounting (also persisted via the
-/// [`crate::monitor::SystemMonitor`]).
+/// Point-in-time per-tenant accounting (what
+/// [`crate::Orchestrator::tenant_stats`] reports).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantStats {
     /// The tenant's DRR weight.

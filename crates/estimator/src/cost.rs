@@ -75,24 +75,6 @@ impl PricingTable {
     }
 }
 
-/// Print Table 1 as formatted rows (used by the `table1_pricing` bench target).
-pub fn table1_rows(table: &PricingTable) -> Vec<String> {
-    vec![
-        format!(
-            "Standard VM   | {:>6.2} $/task | {:>8.2} $/hour",
-            table.standard_vm.per_task_usd, table.standard_vm.per_hour_usd
-        ),
-        format!(
-            "High-end VM   | {:>6.2} $/task | {:>8.2} $/hour",
-            table.high_end_vm.per_task_usd, table.high_end_vm.per_hour_usd
-        ),
-        format!(
-            "QPU           | {:>6.2} $/task | {:>8.2} $/hour",
-            table.qpu.per_task_usd, table.qpu.per_hour_usd
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,13 +106,5 @@ mod tests {
         let q_only = t.hybrid_job_cost_usd(10.0, 0.0, false);
         let c_only = t.hybrid_job_cost_usd(0.0, 10.0, false);
         assert!(q_only > 100.0 * c_only);
-    }
-
-    #[test]
-    fn table_rows_cover_all_classes() {
-        let rows = table1_rows(&PricingTable::default());
-        assert_eq!(rows.len(), 3);
-        assert!(rows[0].contains("Standard VM"));
-        assert!(rows[2].contains("QPU"));
     }
 }

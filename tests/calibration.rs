@@ -4,7 +4,8 @@
 //! parked behind the boundary, re-estimated against the new epoch's
 //! calibration, and re-dispatched in a later batch — with every split and
 //! re-estimation journaled so a control-plane failover replays the decisions
-//! byte for byte, and surfaced through the system monitor.
+//! byte for byte, and surfaced through the system monitor's batch and
+//! re-estimation records.
 
 mod common;
 
@@ -56,7 +57,8 @@ fn straddling_wave_is_split_reestimated_and_redispatched() {
 
     // At least one batch was split at a boundary, and the deferred jobs were
     // re-estimated against the new epoch (both surfaced via the monitor).
-    let splits = orchestrator.monitor().calibration_splits();
+    let batches = orchestrator.monitor().schedule_batches();
+    let splits: Vec<_> = batches.iter().filter(|b| !b.deferred_jobs.is_empty()).collect();
     assert!(!splits.is_empty(), "a batch plan must have crossed the boundary");
     let deferred: HashSet<u64> =
         splits.iter().flat_map(|s| s.deferred_jobs.iter().copied()).collect();
@@ -74,7 +76,6 @@ fn straddling_wave_is_split_reestimated_and_redispatched() {
 
     // The split produced *later* batches: deferred jobs re-dispatched after
     // the batch that deferred them.
-    let batches = orchestrator.monitor().schedule_batches();
     assert!(batches.len() >= 2, "deferred jobs re-dispatch in a later batch");
     let first_split = splits[0].batch_index;
     assert!(
@@ -93,8 +94,7 @@ fn straddling_wave_is_split_reestimated_and_redispatched() {
 /// Plan-time calibration freshness (the `pick_plan` staleness fix): a
 /// workflow whose long classical stage pushes its quantum step past a
 /// recalibration boundary submits with estimates from the *current* epoch —
-/// observable as a non-zero calibration cycle in the monitor's dynamic QPU
-/// records — instead of planning against the epoch-0 snapshot forever.
+/// observable as a non-zero calibration epoch on every QPU — instead of planning against the epoch-0 snapshot forever.
 #[test]
 fn plan_time_calibration_context_tracks_the_epoch_clock() {
     let orchestrator = drifting_orchestrator(7, 600.0);
@@ -115,16 +115,12 @@ fn plan_time_calibration_context_tracks_the_epoch_clock() {
     let run = orchestrator.invoke(image).unwrap();
     assert_eq!(orchestrator.workflow_status(run), Some(WorkflowStatus::Completed));
 
-    // The dynamic QPU records written at dispatch carry the advanced epoch:
-    // the quantum step was estimated and planned against epoch ≥ 3, not the
-    // stale epoch-0 calibration the fleet started with.
-    let cycles: Vec<u64> = orchestrator
-        .monitor()
-        .qpu_names()
-        .iter()
-        .filter_map(|name| orchestrator.monitor().qpu_calibration_cycle(name))
-        .collect();
-    assert!(!cycles.is_empty());
+    // Every QPU carries the advanced epoch: the quantum step was estimated
+    // and planned against epoch ≥ 3, not the stale epoch-0 calibration the
+    // fleet started with.
+    let cycles: Vec<u64> =
+        orchestrator.qpu_states().iter().map(|qpu| qpu.calibration_epoch).collect();
+    assert_eq!(cycles.len(), 8);
     assert!(
         cycles.iter().all(|&c| c >= 3),
         "plan-time calibration must come from the epoch clock, got cycles {cycles:?}"

@@ -174,7 +174,7 @@ fn starved_tenant_jobs_are_never_dropped() {
 
 /// The orchestrator routes tenant waves through the submission service:
 /// a registered tenant's workflows complete, the dispatched batch carries the
-/// tenant's composition, and per-tenant accounting lands in the monitor.
+/// tenant's composition, and per-tenant accounting is kept by the service.
 #[test]
 fn orchestrator_routes_tenant_waves_through_the_service() {
     let orchestrator =
@@ -209,9 +209,6 @@ fn orchestrator_routes_tenant_waves_through_the_service() {
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.weight, 2);
     assert!(stats.mean_turnaround_s > 0.0);
-    // The accounting is also persisted through the monitor.
-    let persisted = orchestrator.monitor().tenant_stats(tenant).expect("persisted stats");
-    assert_eq!(persisted.completed, 3);
 
     // Unknown tenants are reported, not silently defaulted.
     assert_eq!(

@@ -1,17 +1,14 @@
 //! Integration tests of the fault-tolerance substrate (§4): leader failover
-//! of the journaled control plane, the replicated system monitor, replica
-//! failures, and fault injection against the journaled control plane — a
-//! leader crash between trigger-fire and batch dispatch loses no tickets, and
-//! minority store-replica churn mid-run leaves weighted fairness intact.
+//! of the journaled control plane, replica failures of its store, and fault
+//! injection against the plane — a leader crash between trigger-fire and
+//! batch dispatch loses no tickets, and minority store-replica churn mid-run
+//! leaves weighted fairness intact.
 
 mod common;
 
 use common::{feasible_spec, small_fleet, small_scheduler};
 use qonductor::consensus::{ReplicatedKvStore, StoreError};
-use qonductor::core::{
-    JobTicket, ReplicatedControlPlane, SloClass, SystemMonitor, TenantConfig, TicketStatus,
-    WorkflowStatus,
-};
+use qonductor::core::{JobTicket, ReplicatedControlPlane, SloClass, TenantConfig, TicketStatus};
 use qonductor::scheduler::ScheduleTrigger;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,28 +63,6 @@ fn control_plane_survives_leader_failure_and_reelects() {
     let done = plane.drain_completions(&mut fleet);
     plane.note_completions(&done).unwrap();
     assert_all_completed(&plane, &tickets);
-}
-
-#[test]
-fn system_monitor_state_survives_replica_failures() {
-    let monitor = SystemMonitor::new(1); // 3 replicas, tolerates 1 failure
-    monitor.record_qpu_static("ibm_cairo", 27, "falcon-r5.11").unwrap();
-    monitor.set_workflow_status(1, WorkflowStatus::Running).unwrap();
-    monitor.set_workflow_result(1, "fidelity=0.91").unwrap();
-
-    monitor.store().crash_replica(0);
-    // Reads and writes keep working with a majority.
-    assert_eq!(monitor.workflow_status(1), Some(WorkflowStatus::Running));
-    monitor.set_workflow_status(1, WorkflowStatus::Completed).unwrap();
-    assert_eq!(monitor.workflow_status(1), Some(WorkflowStatus::Completed));
-    assert_eq!(monitor.workflow_result(1).unwrap(), "fidelity=0.91");
-    assert_eq!(monitor.qpu_names(), vec!["ibm_cairo".to_string()]);
-
-    // Recovering the replica catches it up; afterwards even the other two can fail.
-    monitor.store().recover_replica(0);
-    monitor.store().crash_replica(1);
-    monitor.store().crash_replica(2);
-    assert_eq!(monitor.workflow_status(1), Some(WorkflowStatus::Completed));
 }
 
 #[test]
