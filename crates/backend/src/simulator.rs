@@ -24,11 +24,18 @@
 //!    are claimed by the members of a [`par::map_indexed_with`] team. Each
 //!    member keeps a noiseless *walker* state that only moves forward, since
 //!    its claims arrive in increasing first-error order. A trajectory copies
-//!    the walker at its first error and applies only its own suffix, with
-//!    its Paulis inserted; each shot then picks a basis state by binary
-//!    search over the running probability sum.
+//!    the walker, index frame included, at its first error and applies only
+//!    its own suffix, with its Paulis inserted; each shot then picks a basis
+//!    state by binary search over the running probability sum, taken in
+//!    logical order once the frame is removed.
 //! 3. **Merge** (serial). Counts are added in trajectory order, then shot
 //!    order.
+//!
+//! The walker, the suffixes and the ideal distribution apply the circuit as
+//! kernel ops lowered once per compile, with their matrices and phases
+//! computed then; a Pauli error lowers to the same ops. [`Statevector`] says
+//! why the counts, the RNG position and the fidelity are the bits a dense
+//! 2×2 multiply per gate gives.
 
 use crate::hellinger::{hellinger_fidelity, Distribution};
 use crate::math::C64;
@@ -142,13 +149,16 @@ impl Simulator {
             compact.num_qubits(),
             self.max_statevector_qubits
         );
-        Compiled { measurements: measurement_map(&compact), compact, qubit_map }
+        let ops = compact.instructions().iter().map(Op::lower).collect();
+        Compiled { measurements: measurement_map(&compact), compact, ops, qubit_map }
     }
 }
 
-/// A circuit compacted onto its active qubits.
+/// A circuit compacted onto its active qubits and lowered to kernel ops.
 struct Compiled {
     compact: Circuit,
+    /// `ops[k]` is the lowered `compact.instructions()[k]`.
+    ops: Vec<Op>,
     /// Compacted qubit → physical qubit, for calibration lookups.
     qubit_map: Vec<u32>,
     /// `(qubit, clbit)` pairs of the classical register.
@@ -192,8 +202,8 @@ struct Member {
 impl Compiled {
     fn ideal_distribution(&self) -> Distribution {
         let mut state = Statevector::new(self.compact.num_qubits());
-        for instr in self.compact.instructions() {
-            state.apply(instr);
+        for op in &self.ops {
+            state.apply_op(op);
         }
         state.measurement_distribution(&self.measurements)
     }
@@ -303,8 +313,8 @@ impl Compiled {
     /// Phase 2: evolve every trajectory and sample its shots into
     /// `draws.outcomes`.
     fn evolve(&self, draws: &Draws, shots_per_traj: usize, workers: usize) {
-        let instructions = self.compact.instructions();
-        let end = instructions.len();
+        let ops = &self.ops;
+        let end = ops.len();
         let trajectories = draws.starts.len() - 1;
         let errors = |t: usize| &draws.errors[draws.starts[t]..draws.starts[t + 1]];
         let first_error = |t: usize| errors(t).first().map_or(end, |e| e.after);
@@ -316,19 +326,20 @@ impl Compiled {
         par::map_indexed_with(workers, trajectories, member, |member, claim| {
             let t = order[claim];
             let first = first_error(t);
-            for instr in &instructions[member.walked..first] {
-                member.walker.apply(instr);
+            for op in &ops[member.walked..first] {
+                member.walker.apply_op(op);
             }
             member.walked = first;
             let state = &mut member.state;
             state.amps.copy_from_slice(&member.walker.amps);
+            state.frame = member.walker.frame;
             let mut errors = errors(t).iter().peekable();
             for k in first..=end {
                 while let Some(e) = errors.next_if(|e| e.after == k) {
                     state.apply(&Instruction::one(PAULIS[usize::from(e.pauli)], e.qubit));
                 }
-                if let Some(instr) = instructions.get(k) {
-                    state.apply(instr);
+                if let Some(op) = ops.get(k) {
+                    state.apply_op(op);
                 }
             }
             let shots = t * shots_per_traj..(t + 1) * shots_per_traj;
@@ -400,18 +411,79 @@ fn register_value(index: usize, measurements: &[(u32, u32)]) -> u64 {
     key
 }
 
-/// Every index below `len` whose bits `a` and `b` are both clear, in
-/// increasing order (`a != b`, `len` a power of two above both bits).
-fn both_clear(len: usize, a: u32, b: u32) -> impl Iterator<Item = usize> {
-    let (lo, hi) = (a.min(b), a.max(b));
-    let insert_zero = |k: usize, bit: u32| (k >> bit << (bit + 1)) | (k & ((1 << bit) - 1));
-    (0..len >> 2).map(move |k| insert_zero(insert_zero(k, lo), hi))
+/// An instruction lowered to the kernel that applies it, with its matrix or
+/// phases computed once.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Identity, and what the statevector does not see: measurements,
+    /// barriers, delays.
+    Skip,
+    /// X: a flip of the index frame.
+    X(u32),
+    /// Y: a frame flip, then the exact −i on |0⟩ and i on |1⟩.
+    Y(u32),
+    /// diag(1, phase): Z, S, S†, T, T†.
+    Phase(u32, C64),
+    /// diag(d₀, d₁): RZ.
+    Diagonal(u32, [C64; 2]),
+    /// Any other one-qubit gate.
+    Dense(u32, [[C64; 2]; 2]),
+    /// CX (control, target).
+    Cx(u32, u32),
+    Cz(u32, u32),
+    Swap(u32, u32),
+    /// RZZ: the phase of even and of odd parity of the two qubits.
+    Rzz(u32, u32, [C64; 2]),
+}
+
+impl Op {
+    fn lower(instr: &Instruction) -> Op {
+        let (a, b) = (instr.q0, instr.q1);
+        match instr.gate {
+            g if !g.is_unitary() => Op::Skip,
+            Gate::Id => Op::Skip,
+            Gate::X => Op::X(a),
+            Gate::Y => Op::Y(a),
+            g @ (Gate::Z | Gate::S | Gate::Sdg | Gate::T | Gate::Tdg) => {
+                Op::Phase(a, one_qubit_matrix(g)[1][1])
+            }
+            g @ Gate::RZ(_) => {
+                let m = one_qubit_matrix(g);
+                Op::Diagonal(a, [m[0][0], m[1][1]])
+            }
+            // ECR lowers to CX, its local equivalent with the dressing
+            // rotations dropped, as the transpiler's basis translation
+            // rewrites it.
+            Gate::CX | Gate::ECR => Op::Cx(a, b),
+            Gate::CZ => Op::Cz(a, b),
+            Gate::Swap => Op::Swap(a, b),
+            Gate::RZZ(theta) => {
+                Op::Rzz(a, b, [C64::from_polar(-theta / 2.0), C64::from_polar(theta / 2.0)])
+            }
+            g => Op::Dense(a, one_qubit_matrix(g)),
+        }
+    }
 }
 
 /// Dense statevector over `n ≤ 30` qubits.
+///
+/// The amplitude of logical basis state `i` is stored at `amps[i ^ frame]`.
+/// An X flips a frame bit and moves no amplitude; every other kernel reads
+/// the frame to find a qubit's logical |0⟩ and |1⟩ halves, and sampling and
+/// the measurement distribution sum in logical order.
+///
+/// Each kernel writes the value the dense 2×2 multiply (or the all-index
+/// two-qubit loop) would write. RZ, the phase gates and Y form the dense
+/// products minus its exact `0·b` terms; Y's ±i and the swaps and negations
+/// of X, CX, CZ and SWAP move numbers without rounding; a dense gate on a
+/// flipped qubit forms the same products and adds them in swapped order,
+/// which IEEE addition does not see. Leaving out a `± 0` term can change
+/// only the sign of a zero, which no probability, running sum or sampled
+/// shot can see.
 #[derive(Debug, Clone)]
 pub struct Statevector {
     num_qubits: u32,
+    frame: usize,
     amps: Vec<C64>,
 }
 
@@ -421,7 +493,7 @@ impl Statevector {
         assert!((1..=30).contains(&n), "statevector supports 1..=30 qubits");
         let mut amps = vec![C64::ZERO; 1usize << n];
         amps[0] = C64::ONE;
-        Statevector { num_qubits: n, amps }
+        Statevector { num_qubits: n, frame: 0, amps }
     }
 
     /// Number of qubits.
@@ -429,72 +501,160 @@ impl Statevector {
         self.num_qubits
     }
 
+    /// The amplitude `(re, im)` of basis state `index` (qubit `q` is bit `q`).
+    pub fn amplitude(&self, index: usize) -> (f64, f64) {
+        let amp = self.amps[index ^ self.frame];
+        (amp.re, amp.im)
+    }
+
     /// Apply a unitary instruction (measurements, barriers and delays are
     /// skipped).
     pub fn apply(&mut self, instr: &Instruction) {
-        match instr.gate {
-            g if !g.is_unitary() => {}
-            Gate::CX => self.apply_cx(instr.q0, instr.q1),
-            Gate::CZ => self.apply_cz(instr.q0, instr.q1),
-            Gate::Swap => self.apply_swap(instr.q0, instr.q1),
-            Gate::ECR => {
-                // ECR is locally equivalent to CX; the simulator uses the CX
-                // representative (the transpiler never emits bare ECR without
-                // its dressing rotations, so sampled distributions agree).
-                self.apply_cx(instr.q0, instr.q1);
+        self.apply_op(&Op::lower(instr));
+    }
+
+    fn apply_op(&mut self, op: &Op) {
+        match *op {
+            Op::Skip => {}
+            Op::X(q) => self.frame ^= 1 << q,
+            Op::Y(q) => {
+                // Y = diag(−i, i)·X: the flip, then −i on the logical |0⟩
+                // and i on |1⟩.
+                self.frame ^= 1 << q;
+                let minus_i = |a: &mut C64| *a = C64::new(a.im, -a.re);
+                let plus_i = |a: &mut C64| *a = C64::new(-a.im, a.re);
+                if self.flipped(q) {
+                    self.for_each_pair(q, |zero, one| {
+                        plus_i(zero);
+                        minus_i(one);
+                    });
+                } else {
+                    self.for_each_pair(q, |zero, one| {
+                        minus_i(zero);
+                        plus_i(one);
+                    });
+                }
             }
-            Gate::RZZ(theta) => self.apply_rzz(theta, instr.q0, instr.q1),
-            g => {
-                let m = one_qubit_matrix(g);
-                self.apply_one_qubit(&m, instr.q0);
+            Op::Phase(q, phase) => {
+                if self.flipped(q) {
+                    self.for_each_pair(q, |zero, _| *zero = phase * *zero);
+                } else {
+                    self.for_each_pair(q, |_, one| *one = phase * *one);
+                }
+            }
+            Op::Diagonal(q, [d0, d1]) => {
+                let [d0, d1] = if self.flipped(q) { [d1, d0] } else { [d0, d1] };
+                self.for_each_pair(q, |zero, one| (*zero, *one) = (d0 * *zero, d1 * *one));
+            }
+            Op::Dense(q, m) => {
+                // With the bit flipped, a stored pair holds (|1⟩, |0⟩): the
+                // swapped matrix forms the same products, summed in the
+                // other order.
+                let m = if self.flipped(q) { [[m[1][1], m[1][0]], [m[0][1], m[0][0]]] } else { m };
+                self.for_each_pair(q, |zero, one| {
+                    let (a, b) = (*zero, *one);
+                    *zero = m[0][0] * a + m[0][1] * b;
+                    *one = m[1][0] * a + m[1][1] * b;
+                });
+            }
+            Op::Cx(control, target) => self.cx(control, target),
+            Op::Cz(a, b) => {
+                let (on_a, on_b) = (self.set_half(a), self.set_half(b));
+                let (lo, hi) = if a < b { (on_a, on_b) } else { (on_b, on_a) };
+                for block in self.amps.chunks_exact_mut(2 * hi.1) {
+                    for run in block[hi.0..hi.0 + hi.1].chunks_exact_mut(2 * lo.1) {
+                        for amp in &mut run[lo.0..lo.0 + lo.1] {
+                            *amp = -*amp;
+                        }
+                    }
+                }
+            }
+            Op::Swap(a, b) => {
+                let (lo, hi) = (1usize << a.min(b), 1usize << a.max(b));
+                for block in self.amps.chunks_exact_mut(2 * hi) {
+                    let (zeros, ones) = block.split_at_mut(hi);
+                    for (zeros, ones) in
+                        zeros.chunks_exact_mut(2 * lo).zip(ones.chunks_exact_mut(2 * lo))
+                    {
+                        swap_runs(&mut zeros[lo..], &mut ones[..lo]);
+                    }
+                }
+                // Logical qubits a and b now sit at each other's frame bit.
+                if (self.frame & lo == 0) != (self.frame & hi == 0) {
+                    self.frame ^= lo | hi;
+                }
+            }
+            Op::Rzz(a, b, phases) => {
+                let flip = (self.frame >> a ^ self.frame >> b) & 1;
+                for (i, amp) in self.amps.iter_mut().enumerate() {
+                    *amp = *amp * phases[(i >> a ^ i >> b ^ flip) & 1];
+                }
             }
         }
     }
 
-    fn apply_one_qubit(&mut self, m: &[[C64; 2]; 2], q: u32) {
+    /// Whether the frame stores qubit `q` flipped.
+    fn flipped(&self, q: u32) -> bool {
+        self.frame >> q & 1 == 1
+    }
+
+    /// Calls `f` on every pair of stored amplitudes that differ only in bit
+    /// `q`, the one with the bit clear first.
+    fn for_each_pair(&mut self, q: u32, mut f: impl FnMut(&mut C64, &mut C64)) {
+        if q == 0 {
+            for pair in self.amps.chunks_exact_mut(2) {
+                let (zero, one) = pair.split_at_mut(1);
+                f(&mut zero[0], &mut one[0]);
+            }
+            return;
+        }
         let stride = 1usize << q;
         for block in self.amps.chunks_exact_mut(2 * stride) {
             let (zeros, ones) = block.split_at_mut(stride);
             for (zero, one) in zeros.iter_mut().zip(ones) {
-                let (a, b) = (*zero, *one);
-                *zero = m[0][0] * a + m[0][1] * b;
-                *one = m[1][0] * a + m[1][1] * b;
+                f(zero, one);
             }
         }
     }
 
-    fn apply_cx(&mut self, control: u32, target: u32) {
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        for i in both_clear(self.amps.len(), control, target) {
-            self.amps.swap(i | cmask, i | cmask | tmask);
+    /// `(offset, length)` of qubit `q`'s logical |1⟩ run in each block of
+    /// `2 << q` amplitudes.
+    fn set_half(&self, q: u32) -> (usize, usize) {
+        let stride = 1usize << q;
+        (if self.flipped(q) { 0 } else { stride }, stride)
+    }
+
+    /// Swaps the target's halves within the control's logical |1⟩ runs, a
+    /// contiguous run of `2^min(control, target)` amplitudes at a time.
+    fn cx(&mut self, control: u32, target: u32) {
+        let (on, c) = self.set_half(control);
+        let t = 1usize << target;
+        if target > control {
+            for block in self.amps.chunks_exact_mut(2 * t) {
+                let (zeros, ones) = block.split_at_mut(t);
+                for (zeros, ones) in zeros.chunks_exact_mut(2 * c).zip(ones.chunks_exact_mut(2 * c))
+                {
+                    swap_runs(&mut zeros[on..on + c], &mut ones[on..on + c]);
+                }
+            }
+        } else {
+            for block in self.amps.chunks_exact_mut(2 * c) {
+                for pair in block[on..on + c].chunks_exact_mut(2 * t) {
+                    let (zeros, ones) = pair.split_at_mut(t);
+                    swap_runs(zeros, ones);
+                }
+            }
         }
     }
 
-    fn apply_cz(&mut self, a: u32, b: u32) {
-        let both = (1usize << a) | (1usize << b);
-        for i in both_clear(self.amps.len(), a, b) {
-            self.amps[i | both] = -self.amps[i | both];
-        }
-    }
-
-    fn apply_swap(&mut self, a: u32, b: u32) {
-        let amask = 1usize << a;
-        let bmask = 1usize << b;
-        for i in both_clear(self.amps.len(), a, b) {
-            self.amps.swap(i | amask, i | bmask);
-        }
-    }
-
-    fn apply_rzz(&mut self, theta: f64, a: u32, b: u32) {
-        let amask = 1usize << a;
-        let bmask = 1usize << b;
-        let plus = C64::from_polar(-theta / 2.0);
-        let minus = C64::from_polar(theta / 2.0);
-        for i in 0..self.amps.len() {
-            let parity = ((i & amask != 0) as u8) ^ ((i & bmask != 0) as u8);
-            let phase = if parity == 0 { plus } else { minus };
-            self.amps[i] = self.amps[i] * phase;
+    /// Moves every amplitude to its logical index and clears the frame.
+    fn remove_frame(&mut self) {
+        let frame = std::mem::take(&mut self.frame);
+        for q in (0..self.num_qubits).filter(|q| frame >> q & 1 == 1) {
+            for block in self.amps.chunks_exact_mut(2 << q) {
+                let (zeros, ones) = block.split_at_mut(1 << q);
+                swap_runs(zeros, ones);
+            }
         }
     }
 
@@ -502,8 +662,8 @@ impl Statevector {
     /// (`(qubit, clbit)` pairs), marginalising over unmeasured qubits.
     pub(crate) fn measurement_distribution(&self, measurements: &[(u32, u32)]) -> Distribution {
         let mut dist = Distribution::new();
-        for (idx, amp) in self.amps.iter().enumerate() {
-            let p = amp.norm_sqr();
+        for idx in 0..self.amps.len() {
+            let p = self.amps[idx ^ self.frame].norm_sqr();
             if p < 1e-15 {
                 continue;
             }
@@ -514,14 +674,15 @@ impl Statevector {
 
     /// For each shot, pick the first basis state whose running probability
     /// sum reaches the shot's uniform (the last state if none does) and XOR
-    /// its register value into the shot's outcome slot. Overwrites the real
-    /// parts with the running sums.
+    /// its register value into the shot's outcome slot. Removes the frame,
+    /// then overwrites the real parts with the running sums.
     fn sample_into(
         &mut self,
         measurements: &[(u32, u32)],
         uniforms: &[f64],
         outcomes: &[AtomicU64],
     ) {
+        self.remove_frame();
         let mut acc = 0.0;
         for amp in &mut self.amps {
             acc += amp.norm_sqr();
@@ -539,6 +700,13 @@ impl Statevector {
             outcome.fetch_xor(register_value(chosen, measurements), Ordering::Relaxed);
         }
     }
+}
+
+/// Swaps two equally long runs of amplitudes element by element: most runs
+/// are a few amplitudes long, too short for `swap_with_slice` to pay off
+/// (measured slower on CX).
+fn swap_runs(a: &mut [C64], b: &mut [C64]) {
+    a.iter_mut().zip(b).for_each(|(a, b)| std::mem::swap(a, b));
 }
 
 /// 2×2 matrix of a single-qubit gate.
@@ -592,6 +760,78 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use std::f64::consts::PI;
+
+    /// Every index below `len` whose bits `a` and `b` are both clear, in
+    /// increasing order (`a != b`, `len` a power of two above both bits).
+    fn both_clear(len: usize, a: u32, b: u32) -> impl Iterator<Item = usize> {
+        let (lo, hi) = (a.min(b), a.max(b));
+        let insert_zero = |k: usize, bit: u32| (k >> bit << (bit + 1)) | (k & ((1 << bit) - 1));
+        (0..len >> 2).map(move |k| insert_zero(insert_zero(k, lo), hi))
+    }
+
+    /// The kernels the lowered ops replaced: every one-qubit gate a dense
+    /// 2×2 multiply, the two-qubit gates one index at a time. They know no
+    /// frame.
+    impl Statevector {
+        fn apply_dense(&mut self, instr: &Instruction) {
+            assert_eq!(self.frame, 0, "the dense kernels know no index frame");
+            match instr.gate {
+                g if !g.is_unitary() => {}
+                Gate::CX | Gate::ECR => self.apply_cx(instr.q0, instr.q1),
+                Gate::CZ => self.apply_cz(instr.q0, instr.q1),
+                Gate::Swap => self.apply_swap(instr.q0, instr.q1),
+                Gate::RZZ(theta) => self.apply_rzz(theta, instr.q0, instr.q1),
+                g => self.apply_one_qubit(&one_qubit_matrix(g), instr.q0),
+            }
+        }
+
+        fn apply_one_qubit(&mut self, m: &[[C64; 2]; 2], q: u32) {
+            let stride = 1usize << q;
+            for block in self.amps.chunks_exact_mut(2 * stride) {
+                let (zeros, ones) = block.split_at_mut(stride);
+                for (zero, one) in zeros.iter_mut().zip(ones) {
+                    let (a, b) = (*zero, *one);
+                    *zero = m[0][0] * a + m[0][1] * b;
+                    *one = m[1][0] * a + m[1][1] * b;
+                }
+            }
+        }
+
+        fn apply_cx(&mut self, control: u32, target: u32) {
+            let cmask = 1usize << control;
+            let tmask = 1usize << target;
+            for i in both_clear(self.amps.len(), control, target) {
+                self.amps.swap(i | cmask, i | cmask | tmask);
+            }
+        }
+
+        fn apply_cz(&mut self, a: u32, b: u32) {
+            let both = (1usize << a) | (1usize << b);
+            for i in both_clear(self.amps.len(), a, b) {
+                self.amps[i | both] = -self.amps[i | both];
+            }
+        }
+
+        fn apply_swap(&mut self, a: u32, b: u32) {
+            let amask = 1usize << a;
+            let bmask = 1usize << b;
+            for i in both_clear(self.amps.len(), a, b) {
+                self.amps.swap(i | amask, i | bmask);
+            }
+        }
+
+        fn apply_rzz(&mut self, theta: f64, a: u32, b: u32) {
+            let amask = 1usize << a;
+            let bmask = 1usize << b;
+            let plus = C64::from_polar(-theta / 2.0);
+            let minus = C64::from_polar(theta / 2.0);
+            for i in 0..self.amps.len() {
+                let parity = ((i & amask != 0) as u8) ^ ((i & bmask != 0) as u8);
+                let phase = if parity == 0 { plus } else { minus };
+                self.amps[i] = self.amps[i] * phase;
+            }
+        }
+    }
 
     fn noise(n: u32, quality: f64) -> NoiseModel {
         let edges: Vec<(u32, u32)> = (0..n - 1).map(|q| (q, q + 1)).collect();
@@ -725,7 +965,8 @@ mod tests {
     }
 
     /// The pair-wise one-qubit kernel and the two-qubit kernels that visit
-    /// only the indices they change move every amplitude exactly as the
+    /// only the indices they change — the `both_clear` oracles and, with no
+    /// frame, the lowered CX/CZ/SWAP — move every amplitude exactly as the
     /// all-index loops they replaced.
     #[test]
     fn kernels_equal_the_all_index_loops() {
@@ -735,7 +976,7 @@ mod tests {
             let amps: Vec<C64> = (0..1usize << n)
                 .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
                 .collect();
-            let state = || Statevector { num_qubits: n, amps: amps.clone() };
+            let state = || Statevector { num_qubits: n, frame: 0, amps: amps.clone() };
             for a in 0..n {
                 let am = 1usize << a;
                 let mut one = amps.clone();
@@ -760,12 +1001,137 @@ mod tests {
                         }
                     }
                     for (gate, expected) in [(Gate::CX, cx), (Gate::CZ, cz), (Gate::Swap, swap)] {
-                        let mut applied = state();
-                        applied.apply(&Instruction::two(gate, a, b));
-                        assert_eq!(bits(&applied.amps), bits(&expected), "{gate:?} on ({a}, {b})");
+                        let instr = Instruction::two(gate, a, b);
+                        for apply in [Statevector::apply_dense, Statevector::apply] {
+                            let mut applied = state();
+                            apply(&mut applied, &instr);
+                            let at = format!("{gate:?} on ({a}, {b})");
+                            assert_eq!(bits(&applied.amps), bits(&expected), "{at}");
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// `g · g.inverse()` is the identity up to a global phase for every gate
+    /// kind, checked column by column on the statevector: on 1 qubit, and on
+    /// 2 in both operand orders for two-qubit gates.
+    #[test]
+    fn every_gate_times_its_inverse_is_the_identity_up_to_global_phase() {
+        let t = 0.83;
+        let gates = [
+            Gate::Id,
+            Gate::H,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::SX,
+            Gate::RX(t),
+            Gate::RY(t),
+            Gate::RZ(t),
+            Gate::U(t, -1.9, 0.4),
+            Gate::CX,
+            Gate::CZ,
+            Gate::ECR,
+            Gate::Swap,
+            Gate::RZZ(t),
+            Gate::Measure,
+            Gate::Barrier,
+            Gate::Delay(35.0),
+        ];
+        for gate in gates {
+            // Exhaustive, so that a new variant does not compile until it is
+            // listed above.
+            let operands: &[(u32, u32)] = match gate {
+                Gate::Id
+                | Gate::H
+                | Gate::X
+                | Gate::Y
+                | Gate::Z
+                | Gate::S
+                | Gate::Sdg
+                | Gate::T
+                | Gate::Tdg
+                | Gate::SX
+                | Gate::RX(_)
+                | Gate::RY(_)
+                | Gate::RZ(_)
+                | Gate::U(..) => &[(0, NO_OPERAND)],
+                Gate::CX | Gate::CZ | Gate::ECR | Gate::Swap | Gate::RZZ(_) => &[(0, 1), (1, 0)],
+                // Not unitary: the statevector skips them.
+                Gate::Measure | Gate::Barrier | Gate::Delay(_) => continue,
+            };
+            for &(q0, q1) in operands {
+                let width = if q1 == NO_OPERAND { 1 } else { 2 };
+                let instr = |gate| Instruction { gate, q0, q1, cbit: NO_OPERAND };
+                let mut phase = None;
+                for column in 0..1usize << width {
+                    let mut state = Statevector::new(width);
+                    for q in (0..width).filter(|q| column >> q & 1 == 1) {
+                        state.apply(&Instruction::one(Gate::X, q));
+                    }
+                    state.apply(&instr(gate));
+                    state.apply(&instr(gate.inverse()));
+                    let diagonal = state.amplitude(column);
+                    let &mut phase = phase.get_or_insert(diagonal);
+                    for row in 0..1usize << width {
+                        let (re, im) = state.amplitude(row);
+                        let expected = if row == column { phase } else { (0.0, 0.0) };
+                        assert!(
+                            (re - expected.0).abs() < 1e-12 && (im - expected.1).abs() < 1e-12,
+                            "{gate:?} · {:?} on ({q0}, {q1}): entry ({row}, {column}) is \
+                             ({re}, {im}), not {expected:?}",
+                            gate.inverse()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per instruction, the lowered ops leave every logical amplitude `==`
+    /// to the dense kernels', and the ideal distributions are the same bits.
+    /// `==`, not `to_bits`: a dropped `+ 0·b` may flip the sign of a zero,
+    /// which `to_bits` reports and no probability can see. The X gates of
+    /// these circuits leave the frame non-zero under every other kernel; the
+    /// test checks that they do.
+    #[test]
+    fn lowered_ops_equal_the_dense_kernels() {
+        let mut rng = StdRng::seed_from_u64(38);
+        let mut circuits: Vec<Circuit> = (0..200).map(|_| random_circuit(&mut rng)).collect();
+        circuits.extend(device_circuits(&mut rng).into_iter().map(|(circuit, _)| circuit));
+        let mut framed = std::collections::BTreeSet::new();
+        for (case, circuit) in circuits.iter().enumerate() {
+            let (compact, _) = compact_circuit(circuit);
+            let n = compact.num_qubits();
+            let (mut lowered, mut dense) = (Statevector::new(n), Statevector::new(n));
+            for (k, instr) in compact.instructions().iter().enumerate() {
+                if lowered.frame != 0 && instr.gate.is_unitary() {
+                    framed.insert(instr.gate.name());
+                }
+                lowered.apply(instr);
+                dense.apply_dense(instr);
+                for (i, amp) in dense.amps.iter().enumerate() {
+                    let (re, im) = lowered.amplitude(i);
+                    assert!(re == amp.re && im == amp.im, "case {case}, instruction {k}, amp {i}");
+                }
+            }
+            lowered.remove_frame();
+            assert_eq!(lowered.amps, dense.amps, "case {case}: frame removed");
+            let measurements = measurement_map(&compact);
+            let ideal = Simulator::default().ideal_distribution(circuit);
+            let expected = dense.measurement_distribution(&measurements);
+            assert_eq!(sorted_counts(&ideal), sorted_counts(&expected), "case {case}");
+        }
+        let kinds =
+            ["h", "y", "z", "s", "t", "sx", "rx", "rz", "u", "cx", "cz", "ecr", "swap", "rzz"];
+        for kind in kinds {
+            assert!(framed.contains(kind), "no {kind} under a non-zero frame: {framed:?}");
         }
     }
 
@@ -794,16 +1160,17 @@ mod tests {
         for amps in states {
             let expected: Vec<u64> = uniforms.iter().map(|&r| linear(&amps, r)).collect();
             let outcomes: Vec<AtomicU64> = uniforms.iter().map(|_| AtomicU64::new(0)).collect();
-            let mut state = Statevector { num_qubits: 2, amps: amps.clone() };
+            let mut state = Statevector { num_qubits: 2, frame: 0, amps: amps.clone() };
             state.sample_into(&[(0, 0), (1, 1)], &uniforms, &outcomes);
             let sampled: Vec<u64> = outcomes.into_iter().map(AtomicU64::into_inner).collect();
             assert_eq!(sampled, expected, "{amps:?}");
         }
     }
 
-    /// The serial trajectory loop `noisy_counts` ran before it had phases:
-    /// one state per trajectory, each draw taken as the state reaches it, a
-    /// linear scan per shot. The oracle of the three-phase path.
+    /// The serial trajectory loop `noisy_counts` ran before it had phases
+    /// and lowered ops: one state per trajectory on the dense kernels, each
+    /// draw taken as the state reaches it, a linear scan per shot. The oracle
+    /// of the three-phase path.
     fn serial_noisy_counts<R: Rng + ?Sized>(
         sim: &Simulator,
         circuit: &Circuit,
@@ -822,7 +1189,7 @@ mod tests {
                 1 => Gate::Y,
                 _ => Gate::Z,
             };
-            state.apply(&Instruction::one(gate, q));
+            state.apply_dense(&Instruction::one(gate, q));
         };
         let mut counts = Distribution::new();
         for _ in 0..trajectories {
@@ -831,7 +1198,7 @@ mod tests {
                 if !instr.gate.is_unitary() {
                     continue;
                 }
-                state.apply(instr);
+                state.apply_dense(instr);
                 let pq0 = qubit_map[instr.q0 as usize];
                 let pq1 =
                     if instr.q1 == NO_OPERAND { NO_OPERAND } else { qubit_map[instr.q1 as usize] };

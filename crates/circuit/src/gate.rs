@@ -130,7 +130,12 @@ impl Gate {
             Gate::Sdg => Gate::S,
             Gate::T => Gate::Tdg,
             Gate::Tdg => Gate::T,
-            Gate::SX => Gate::U(-std::f64::consts::FRAC_PI_2, 0.0, 0.0),
+            // SX† = RX(−π/2) up to global phase, written as the U that
+            // equals it.
+            Gate::SX => {
+                use std::f64::consts::FRAC_PI_2;
+                Gate::U(-FRAC_PI_2, -FRAC_PI_2, FRAC_PI_2)
+            }
             Gate::RX(t) => Gate::RX(-t),
             Gate::RY(t) => Gate::RY(-t),
             Gate::RZ(t) => Gate::RZ(-t),
