@@ -24,10 +24,9 @@
 //!    are claimed by the members of a [`par::map_indexed_with`] team. Each
 //!    member keeps a noiseless *walker* state that only moves forward, since
 //!    its claims arrive in increasing first-error order. A trajectory copies
-//!    the walker, index frame included, at its first error and applies only
-//!    its own suffix, with its Paulis inserted; each shot then picks a basis
-//!    state by binary search over the running probability sum, taken in
-//!    logical order once the frame is removed.
+//!    the walker at its first error and applies only its own suffix, with
+//!    its Paulis inserted; each shot then picks a basis state by binary
+//!    search over the running probability sum.
 //! 3. **Merge** (serial). Counts are added in trajectory order, then shot
 //!    order.
 //!
@@ -332,7 +331,6 @@ impl Compiled {
             member.walked = first;
             let state = &mut member.state;
             state.amps.copy_from_slice(&member.walker.amps);
-            state.frame = member.walker.frame;
             let mut errors = errors(t).iter().peekable();
             for k in first..=end {
                 while let Some(e) = errors.next_if(|e| e.after == k) {
@@ -418,9 +416,9 @@ enum Op {
     /// Identity, and what the statevector does not see: measurements,
     /// barriers, delays.
     Skip,
-    /// X: a flip of the index frame.
+    /// X: the |0⟩ and |1⟩ halves swapped.
     X(u32),
-    /// Y: a frame flip, then the exact −i on |0⟩ and i on |1⟩.
+    /// Y: the halves swapped, then the exact −i on |0⟩ and i on |1⟩.
     Y(u32),
     /// diag(1, phase): Z, S, S†, T, T†.
     Phase(u32, C64),
@@ -467,23 +465,15 @@ impl Op {
 
 /// Dense statevector over `n ≤ 30` qubits.
 ///
-/// The amplitude of logical basis state `i` is stored at `amps[i ^ frame]`.
-/// An X flips a frame bit and moves no amplitude; every other kernel reads
-/// the frame to find a qubit's logical |0⟩ and |1⟩ halves, and sampling and
-/// the measurement distribution sum in logical order.
-///
 /// Each kernel writes the value the dense 2×2 multiply (or the all-index
 /// two-qubit loop) would write. RZ, the phase gates and Y form the dense
 /// products minus its exact `0·b` terms; Y's ±i and the swaps and negations
-/// of X, CX, CZ and SWAP move numbers without rounding; a dense gate on a
-/// flipped qubit forms the same products and adds them in swapped order,
-/// which IEEE addition does not see. Leaving out a `± 0` term can change
-/// only the sign of a zero, which no probability, running sum or sampled
-/// shot can see.
+/// of X, CX, CZ and SWAP move numbers without rounding. Leaving out a `± 0`
+/// term can change only the sign of a zero, which no probability, running
+/// sum or sampled shot can see.
 #[derive(Debug, Clone)]
 pub struct Statevector {
     num_qubits: u32,
-    frame: usize,
     amps: Vec<C64>,
 }
 
@@ -493,7 +483,7 @@ impl Statevector {
         assert!((1..=30).contains(&n), "statevector supports 1..=30 qubits");
         let mut amps = vec![C64::ZERO; 1usize << n];
         amps[0] = C64::ONE;
-        Statevector { num_qubits: n, frame: 0, amps }
+        Statevector { num_qubits: n, amps }
     }
 
     /// Number of qubits.
@@ -503,7 +493,7 @@ impl Statevector {
 
     /// The amplitude `(re, im)` of basis state `index` (qubit `q` is bit `q`).
     pub fn amplitude(&self, index: usize) -> (f64, f64) {
-        let amp = self.amps[index ^ self.frame];
+        let amp = self.amps[index];
         (amp.re, amp.im)
     }
 
@@ -516,54 +506,28 @@ impl Statevector {
     fn apply_op(&mut self, op: &Op) {
         match *op {
             Op::Skip => {}
-            Op::X(q) => self.frame ^= 1 << q,
+            Op::X(q) => self.for_each_pair(q, std::mem::swap),
             Op::Y(q) => {
-                // Y = diag(−i, i)·X: the flip, then −i on the logical |0⟩
-                // and i on |1⟩.
-                self.frame ^= 1 << q;
-                let minus_i = |a: &mut C64| *a = C64::new(a.im, -a.re);
-                let plus_i = |a: &mut C64| *a = C64::new(-a.im, a.re);
-                if self.flipped(q) {
-                    self.for_each_pair(q, |zero, one| {
-                        plus_i(zero);
-                        minus_i(one);
-                    });
-                } else {
-                    self.for_each_pair(q, |zero, one| {
-                        minus_i(zero);
-                        plus_i(one);
-                    });
-                }
-            }
-            Op::Phase(q, phase) => {
-                if self.flipped(q) {
-                    self.for_each_pair(q, |zero, _| *zero = phase * *zero);
-                } else {
-                    self.for_each_pair(q, |_, one| *one = phase * *one);
-                }
-            }
-            Op::Diagonal(q, [d0, d1]) => {
-                let [d0, d1] = if self.flipped(q) { [d1, d0] } else { [d0, d1] };
-                self.for_each_pair(q, |zero, one| (*zero, *one) = (d0 * *zero, d1 * *one));
-            }
-            Op::Dense(q, m) => {
-                // With the bit flipped, a stored pair holds (|1⟩, |0⟩): the
-                // swapped matrix forms the same products, summed in the
-                // other order.
-                let m = if self.flipped(q) { [[m[1][1], m[1][0]], [m[0][1], m[0][0]]] } else { m };
+                // Y = [[0, −i], [i, 0]]: the swap, then −i on |0⟩ and i on |1⟩.
                 self.for_each_pair(q, |zero, one| {
-                    let (a, b) = (*zero, *one);
-                    *zero = m[0][0] * a + m[0][1] * b;
-                    *one = m[1][0] * a + m[1][1] * b;
+                    (*zero, *one) = (C64::new(one.im, -one.re), C64::new(-zero.im, zero.re));
                 });
             }
+            Op::Phase(q, phase) => self.for_each_pair(q, |_, one| *one = phase * *one),
+            Op::Diagonal(q, [d0, d1]) => {
+                self.for_each_pair(q, |zero, one| (*zero, *one) = (d0 * *zero, d1 * *one));
+            }
+            Op::Dense(q, m) => self.for_each_pair(q, |zero, one| {
+                let (a, b) = (*zero, *one);
+                *zero = m[0][0] * a + m[0][1] * b;
+                *one = m[1][0] * a + m[1][1] * b;
+            }),
             Op::Cx(control, target) => self.cx(control, target),
             Op::Cz(a, b) => {
-                let (on_a, on_b) = (self.set_half(a), self.set_half(b));
-                let (lo, hi) = if a < b { (on_a, on_b) } else { (on_b, on_a) };
-                for block in self.amps.chunks_exact_mut(2 * hi.1) {
-                    for run in block[hi.0..hi.0 + hi.1].chunks_exact_mut(2 * lo.1) {
-                        for amp in &mut run[lo.0..lo.0 + lo.1] {
+                let (lo, hi) = (1usize << a.min(b), 1usize << a.max(b));
+                for block in self.amps.chunks_exact_mut(2 * hi) {
+                    for run in block[hi..].chunks_exact_mut(2 * lo) {
+                        for amp in &mut run[lo..] {
                             *amp = -*amp;
                         }
                     }
@@ -579,35 +543,18 @@ impl Statevector {
                         swap_runs(&mut zeros[lo..], &mut ones[..lo]);
                     }
                 }
-                // Logical qubits a and b now sit at each other's frame bit.
-                if (self.frame & lo == 0) != (self.frame & hi == 0) {
-                    self.frame ^= lo | hi;
-                }
             }
             Op::Rzz(a, b, phases) => {
-                let flip = (self.frame >> a ^ self.frame >> b) & 1;
                 for (i, amp) in self.amps.iter_mut().enumerate() {
-                    *amp = *amp * phases[(i >> a ^ i >> b ^ flip) & 1];
+                    *amp = *amp * phases[(i >> a ^ i >> b) & 1];
                 }
             }
         }
     }
 
-    /// Whether the frame stores qubit `q` flipped.
-    fn flipped(&self, q: u32) -> bool {
-        self.frame >> q & 1 == 1
-    }
-
-    /// Calls `f` on every pair of stored amplitudes that differ only in bit
-    /// `q`, the one with the bit clear first.
+    /// Calls `f` on every pair of amplitudes that differ only in bit `q`,
+    /// the one with the bit clear first.
     fn for_each_pair(&mut self, q: u32, mut f: impl FnMut(&mut C64, &mut C64)) {
-        if q == 0 {
-            for pair in self.amps.chunks_exact_mut(2) {
-                let (zero, one) = pair.split_at_mut(1);
-                f(&mut zero[0], &mut one[0]);
-            }
-            return;
-        }
         let stride = 1usize << q;
         for block in self.amps.chunks_exact_mut(2 * stride) {
             let (zeros, ones) = block.split_at_mut(stride);
@@ -617,43 +564,24 @@ impl Statevector {
         }
     }
 
-    /// `(offset, length)` of qubit `q`'s logical |1⟩ run in each block of
-    /// `2 << q` amplitudes.
-    fn set_half(&self, q: u32) -> (usize, usize) {
-        let stride = 1usize << q;
-        (if self.flipped(q) { 0 } else { stride }, stride)
-    }
-
-    /// Swaps the target's halves within the control's logical |1⟩ runs, a
+    /// Swaps the target's halves within the control's |1⟩ runs, a
     /// contiguous run of `2^min(control, target)` amplitudes at a time.
     fn cx(&mut self, control: u32, target: u32) {
-        let (on, c) = self.set_half(control);
-        let t = 1usize << target;
+        let (c, t) = (1usize << control, 1usize << target);
         if target > control {
             for block in self.amps.chunks_exact_mut(2 * t) {
                 let (zeros, ones) = block.split_at_mut(t);
                 for (zeros, ones) in zeros.chunks_exact_mut(2 * c).zip(ones.chunks_exact_mut(2 * c))
                 {
-                    swap_runs(&mut zeros[on..on + c], &mut ones[on..on + c]);
+                    swap_runs(&mut zeros[c..], &mut ones[c..]);
                 }
             }
         } else {
             for block in self.amps.chunks_exact_mut(2 * c) {
-                for pair in block[on..on + c].chunks_exact_mut(2 * t) {
+                for pair in block[c..].chunks_exact_mut(2 * t) {
                     let (zeros, ones) = pair.split_at_mut(t);
                     swap_runs(zeros, ones);
                 }
-            }
-        }
-    }
-
-    /// Moves every amplitude to its logical index and clears the frame.
-    fn remove_frame(&mut self) {
-        let frame = std::mem::take(&mut self.frame);
-        for q in (0..self.num_qubits).filter(|q| frame >> q & 1 == 1) {
-            for block in self.amps.chunks_exact_mut(2 << q) {
-                let (zeros, ones) = block.split_at_mut(1 << q);
-                swap_runs(zeros, ones);
             }
         }
     }
@@ -662,8 +590,8 @@ impl Statevector {
     /// (`(qubit, clbit)` pairs), marginalising over unmeasured qubits.
     pub(crate) fn measurement_distribution(&self, measurements: &[(u32, u32)]) -> Distribution {
         let mut dist = Distribution::new();
-        for idx in 0..self.amps.len() {
-            let p = self.amps[idx ^ self.frame].norm_sqr();
+        for (idx, amp) in self.amps.iter().enumerate() {
+            let p = amp.norm_sqr();
             if p < 1e-15 {
                 continue;
             }
@@ -674,15 +602,14 @@ impl Statevector {
 
     /// For each shot, pick the first basis state whose running probability
     /// sum reaches the shot's uniform (the last state if none does) and XOR
-    /// its register value into the shot's outcome slot. Removes the frame,
-    /// then overwrites the real parts with the running sums.
+    /// its register value into the shot's outcome slot. Overwrites the real
+    /// parts with the running sums.
     fn sample_into(
         &mut self,
         measurements: &[(u32, u32)],
         uniforms: &[f64],
         outcomes: &[AtomicU64],
     ) {
-        self.remove_frame();
         let mut acc = 0.0;
         for amp in &mut self.amps {
             acc += amp.norm_sqr();
@@ -770,11 +697,9 @@ mod tests {
     }
 
     /// The kernels the lowered ops replaced: every one-qubit gate a dense
-    /// 2×2 multiply, the two-qubit gates one index at a time. They know no
-    /// frame.
+    /// 2×2 multiply, the two-qubit gates one index at a time.
     impl Statevector {
         fn apply_dense(&mut self, instr: &Instruction) {
-            assert_eq!(self.frame, 0, "the dense kernels know no index frame");
             match instr.gate {
                 g if !g.is_unitary() => {}
                 Gate::CX | Gate::ECR => self.apply_cx(instr.q0, instr.q1),
@@ -965,8 +890,8 @@ mod tests {
     }
 
     /// The pair-wise one-qubit kernel and the two-qubit kernels that visit
-    /// only the indices they change — the `both_clear` oracles and, with no
-    /// frame, the lowered CX/CZ/SWAP — move every amplitude exactly as the
+    /// only the indices they change — the `both_clear` oracles and the
+    /// lowered CX/CZ/SWAP — move every amplitude exactly as the
     /// all-index loops they replaced.
     #[test]
     fn kernels_equal_the_all_index_loops() {
@@ -976,7 +901,7 @@ mod tests {
             let amps: Vec<C64> = (0..1usize << n)
                 .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
                 .collect();
-            let state = || Statevector { num_qubits: n, frame: 0, amps: amps.clone() };
+            let state = || Statevector { num_qubits: n, amps: amps.clone() };
             for a in 0..n {
                 let am = 1usize << a;
                 let mut one = amps.clone();
@@ -1094,44 +1019,28 @@ mod tests {
         }
     }
 
-    /// Per instruction, the lowered ops leave every logical amplitude `==`
+    /// Per instruction, the lowered ops leave every amplitude `==`
     /// to the dense kernels', and the ideal distributions are the same bits.
     /// `==`, not `to_bits`: a dropped `+ 0·b` may flip the sign of a zero,
-    /// which `to_bits` reports and no probability can see. The X gates of
-    /// these circuits leave the frame non-zero under every other kernel; the
-    /// test checks that they do.
+    /// which `to_bits` reports and no probability can see.
     #[test]
     fn lowered_ops_equal_the_dense_kernels() {
         let mut rng = StdRng::seed_from_u64(38);
         let mut circuits: Vec<Circuit> = (0..200).map(|_| random_circuit(&mut rng)).collect();
         circuits.extend(device_circuits(&mut rng).into_iter().map(|(circuit, _)| circuit));
-        let mut framed = std::collections::BTreeSet::new();
         for (case, circuit) in circuits.iter().enumerate() {
             let (compact, _) = compact_circuit(circuit);
             let n = compact.num_qubits();
             let (mut lowered, mut dense) = (Statevector::new(n), Statevector::new(n));
             for (k, instr) in compact.instructions().iter().enumerate() {
-                if lowered.frame != 0 && instr.gate.is_unitary() {
-                    framed.insert(instr.gate.name());
-                }
                 lowered.apply(instr);
                 dense.apply_dense(instr);
-                for (i, amp) in dense.amps.iter().enumerate() {
-                    let (re, im) = lowered.amplitude(i);
-                    assert!(re == amp.re && im == amp.im, "case {case}, instruction {k}, amp {i}");
-                }
+                assert_eq!(lowered.amps, dense.amps, "case {case}, instruction {k}");
             }
-            lowered.remove_frame();
-            assert_eq!(lowered.amps, dense.amps, "case {case}: frame removed");
             let measurements = measurement_map(&compact);
             let ideal = Simulator::default().ideal_distribution(circuit);
             let expected = dense.measurement_distribution(&measurements);
             assert_eq!(sorted_counts(&ideal), sorted_counts(&expected), "case {case}");
-        }
-        let kinds =
-            ["h", "y", "z", "s", "t", "sx", "rx", "rz", "u", "cx", "cz", "ecr", "swap", "rzz"];
-        for kind in kinds {
-            assert!(framed.contains(kind), "no {kind} under a non-zero frame: {framed:?}");
         }
     }
 
@@ -1160,7 +1069,7 @@ mod tests {
         for amps in states {
             let expected: Vec<u64> = uniforms.iter().map(|&r| linear(&amps, r)).collect();
             let outcomes: Vec<AtomicU64> = uniforms.iter().map(|_| AtomicU64::new(0)).collect();
-            let mut state = Statevector { num_qubits: 2, frame: 0, amps: amps.clone() };
+            let mut state = Statevector { num_qubits: 2, amps: amps.clone() };
             state.sample_into(&[(0, 0), (1, 1)], &uniforms, &outcomes);
             let sampled: Vec<u64> = outcomes.into_iter().map(AtomicU64::into_inner).collect();
             assert_eq!(sampled, expected, "{amps:?}");
