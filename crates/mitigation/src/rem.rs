@@ -177,6 +177,35 @@ mod tests {
         assert!(after > before, "before={before} after={after}");
     }
 
+    /// With the measurements in reverse program order and a different
+    /// readout error on each qubit, the simulator's register and REM agree
+    /// on which qubit each bit reads, so REM recovers the ideal distribution.
+    #[test]
+    fn rem_recovers_reversed_measurements_with_per_qubit_readout_errors() {
+        use qonductor_backend::{CalibrationGenerator, QubitCalibration, Simulator};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut calibration = CalibrationGenerator::default().generate(2, &[(0, 1)], &mut rng);
+        for (qubit, readout_error) in calibration.qubits.iter_mut().zip([0.02, 0.2]) {
+            let noiseless =
+                QubitCalibration { t1_us: 1e12, t2_us: 1e12, gate_error: 0.0, ..*qubit };
+            *qubit = QubitCalibration { readout_error, ..noiseless };
+        }
+        let noise = NoiseModel::new(calibration);
+        let mut circuit = Circuit::new(2);
+        circuit.x(0).measure(1, 1).measure(0, 0);
+        circuit.set_shots(40_000);
+        let sim = Simulator::default();
+        let ideal = sim.ideal_distribution(&circuit);
+        assert_eq!(ideal, dist(&[(0b01, 1.0)]));
+        let noisy = sim.execute(&circuit, &noise, &mut rng).counts;
+        let mitigated = ReadoutMitigator::from_noise(&circuit, &noise).apply(&noisy);
+        let (before, after) =
+            (hellinger_fidelity(&ideal, &noisy), hellinger_fidelity(&ideal, &mitigated));
+        assert!(before < 0.8 && after > 0.98, "before={before} after={after}");
+    }
+
     #[test]
     fn total_weight_is_preserved() {
         let m = ReadoutMitigator::new(vec![QubitConfusion::symmetric(0.1); 2]);
