@@ -221,8 +221,9 @@ fn slo_aware_arm_matches_the_pre_kernel_driver() {
     assert_eq!(h.0, GOLDEN_SLO_AWARE);
 }
 
-#[test]
-fn federation_cost_optimized_arm_matches_the_pre_kernel_driver() {
+/// The federation comparison at the golden scale: a 700 s window with the
+/// outage at [200 s, 500 s).
+fn federation_arm_digest(strategy: &str) -> u64 {
     let base = FederationConfig::default().base;
     let config = FederationConfig {
         base: SimulationConfig { duration_s: 700.0, nsga2: small_nsga2(), ..base },
@@ -231,9 +232,24 @@ fn federation_cost_optimized_arm_matches_the_pre_kernel_driver() {
         ..FederationConfig::default()
     };
     let comparison = run_federation_comparison(&config);
-    let arm = comparison.arm("cost-optimized").expect("arm present");
+    let arm = comparison.arm(strategy).expect("arm present");
     assert!(!arm.report.completed.is_empty());
-    assert_eq!(digest_simulation(&arm.report), GOLDEN_FEDERATION_COST);
+    digest_simulation(&arm.report)
+}
+
+#[test]
+fn federation_cost_optimized_arm_matches_the_pre_kernel_driver() {
+    assert_eq!(federation_arm_digest("cost-optimized"), GOLDEN_FEDERATION_COST);
+}
+
+#[test]
+fn federation_least_loaded_arm_keeps_its_digest() {
+    assert_eq!(federation_arm_digest("least-loaded"), GOLDEN_FEDERATION_LEAST_LOADED);
+}
+
+#[test]
+fn federation_quantum_aware_arm_keeps_its_digest() {
+    assert_eq!(federation_arm_digest("quantum-aware"), GOLDEN_FEDERATION_QUANTUM_AWARE);
 }
 
 const GOLDEN_QONDUCTOR: u64 = 0x254d_0b22_c699_c4e7;
@@ -246,3 +262,7 @@ const GOLDEN_MULTITENANT: u64 = 0xbfd2_af23_9b86_6a31;
 const GOLDEN_SHARDED: u64 = 0xc709_441c_8f57_41df;
 const GOLDEN_SLO_AWARE: u64 = 0x6228_6355_0f64_f71e;
 const GOLDEN_FEDERATION_COST: u64 = 0x6a8d_309d_1a91_9709;
+/// Captured while each arm was still a strategy type, before the arms became
+/// `(name, preference, cost weight)` rows.
+const GOLDEN_FEDERATION_LEAST_LOADED: u64 = 0x98ab_c0e2_603a_2585;
+const GOLDEN_FEDERATION_QUANTUM_AWARE: u64 = 0x5508_0fb9_ebcb_6d69;
