@@ -156,7 +156,7 @@ pub struct Qpu {
     /// Architecture model.
     pub model: QpuModel,
     /// Current calibration snapshot: immutable once published and shared
-    /// with every [`NoiseModel`] built from it; [`Qpu::recalibrate`] swaps
+    /// with every [`NoiseModel`] built from it; `Qpu::recalibrate` swaps
     /// in a fresh one.
     pub calibration: Arc<CalibrationData>,
     /// Device quality factor used when regenerating calibration (lower = better).

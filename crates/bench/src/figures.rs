@@ -265,7 +265,7 @@ pub fn fig7bc(seeds: &[u64]) -> Vec<FigureRow> {
     ];
     rows(seeds, claims, |seed| {
         let fleet = Fleet::ibm_default(&mut rng(seed, FLEET));
-        let config = DatasetConfig { num_records: 7000, num_threads: 8, ..Default::default() };
+        let config = DatasetConfig { num_records: 7000, num_streams: 8, ..Default::default() };
         let dataset = generate_dataset(&fleet, &config, derive(seed, DATASET));
         let (train, test) = split(&dataset, 0.8);
         let accuracy = ResourceEstimator::train(&train, 2).evaluate(&test);

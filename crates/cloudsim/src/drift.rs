@@ -6,9 +6,8 @@
 //! baseline (stale estimates dispatch regardless) — and compare the realized
 //! fidelity-estimation error and the re-plan overhead.
 
-use crate::sim::{CloudSimulation, Policy, SimulationConfig, SimulationReport};
+use crate::sim::{study_config, CloudSimulation, SimulationConfig, SimulationReport};
 use qonductor_core::jobmanager::CalibrationPolicy;
-use qonductor_scheduler::{Nsga2Config, Preference};
 
 /// Configuration of the drift scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,32 +22,7 @@ pub struct DriftConfig {
 
 impl Default for DriftConfig {
     fn default() -> Self {
-        DriftConfig {
-            base: SimulationConfig {
-                duration_s: 1500.0,
-                step_s: 10.0,
-                arrival: crate::load::ArrivalConfig {
-                    mean_rate_per_hour: 900.0,
-                    diurnal_amplitude: 0.0,
-                    ..Default::default()
-                },
-                policy: Policy::Qonductor { preference: Preference::balanced() },
-                trigger_queue_limit: 25,
-                trigger_interval_s: 60.0,
-                metrics_interval_s: 100.0,
-                nsga2: Nsga2Config {
-                    population_size: 20,
-                    max_generations: 15,
-                    max_evaluations: 1500,
-                    num_threads: 2,
-                    ..Nsga2Config::default()
-                },
-                calibration: CalibrationPolicy::SplitAtBoundary,
-                seed: 77,
-                ..Default::default()
-            },
-            calibration_period_s: 400.0,
-        }
+        DriftConfig { base: study_config(), calibration_period_s: 400.0 }
     }
 }
 

@@ -39,8 +39,9 @@ impl FailurePlan {
     }
 
     /// Derive a crash schedule from a seed: `num_crashes` leader kills spread
-    /// over the middle 90% of the simulated duration, plus a default
-    /// checkpoint cadence of one snapshot per three batches.
+    /// over the middle 90% of the simulated duration, plus one snapshot per
+    /// three batches (denser than the default cadence,
+    /// `DEFAULT_SNAPSHOT_EVERY_BATCHES`, of one per eight).
     pub fn from_seed(seed: u64, duration_s: f64, num_crashes: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFA11_0E25);
         let mut crash_times_s: Vec<f64> =

@@ -1,19 +1,16 @@
 //! The federated-fleet placement scenario: a heterogeneous multi-provider
 //! federation (superconducting Falcons, a premium ion trap, a near-free
 //! simulator, split across two regions) runs the same workload under each
-//! [`PlacementStrategy`] while a seeded regional outage carves a maintenance
-//! hole into the capacity view. The arms are compared on cost × fidelity ×
-//! turnaround, and every arm is audited for executions started inside the
-//! outage — the planner must route *around* scheduled capacity holes, not
-//! through them.
+//! placement arm — a named objective [`Preference`] plus a cost-lane weight —
+//! while a seeded regional outage carves a maintenance hole into the capacity
+//! view. The arms are compared on cost × fidelity × turnaround, and every arm
+//! is audited for executions started inside the outage — the planner must
+//! route *around* scheduled capacity holes, not through them.
 
-use crate::sim::{CloudSimulation, Policy, SimulationConfig, SimulationReport};
+use crate::sim::{study_config, CloudSimulation, Policy, SimulationConfig, SimulationReport};
 use qonductor_backend::{Fleet, ResourceClass};
-use qonductor_core::federation::{
-    CostOptimized, FederatedFleet, LeastLoaded, PlacementStrategy, QuantumAware,
-};
-use qonductor_core::jobmanager::CalibrationPolicy;
-use qonductor_scheduler::{Nsga2Config, Preference, SchedulerConfig};
+use qonductor_core::federation::FederatedFleet;
+use qonductor_scheduler::Preference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,39 +26,19 @@ pub struct FederationConfig {
     pub outage_start_s: f64,
     /// Outage end (simulated seconds).
     pub outage_end_s: f64,
-    /// Cost-lane weight of the cost-optimized arm.
+    /// Cost-lane weight of the cost-optimized arm: the scale at which one
+    /// unit of currency trades against one second of mean JCT.
     pub cost_weight: f64,
 }
 
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
-            base: SimulationConfig {
-                duration_s: 1500.0,
-                step_s: 10.0,
-                arrival: crate::load::ArrivalConfig {
-                    mean_rate_per_hour: 900.0,
-                    diurnal_amplitude: 0.0,
-                    ..Default::default()
-                },
-                policy: Policy::Qonductor { preference: Preference::balanced() },
-                trigger_queue_limit: 25,
-                trigger_interval_s: 60.0,
-                metrics_interval_s: 100.0,
-                nsga2: Nsga2Config {
-                    population_size: 20,
-                    max_generations: 15,
-                    max_evaluations: 1500,
-                    num_threads: 2,
-                    ..Nsga2Config::default()
-                },
-                // The outage is routed around with the same partition
-                // machinery as calibration crossovers — the aware policy is
-                // what makes maintenance windows scheduled capacity holes.
-                calibration: CalibrationPolicy::SplitAtBoundary,
-                seed: 77,
-                ..Default::default()
-            },
+            // The outage is routed around with the same partition machinery
+            // as calibration crossovers: the study configuration's
+            // calibration-aware dispatch is what makes maintenance windows
+            // scheduled capacity holes.
+            base: study_config(),
             outage_region: "eu-central".to_string(),
             outage_start_s: 400.0,
             outage_end_s: 900.0,
@@ -70,15 +47,15 @@ impl Default for FederationConfig {
     }
 }
 
-/// One placement strategy's run over the federated fleet.
+/// One placement arm's run over the federated fleet.
 #[derive(Debug, Clone)]
 pub struct PlacementArm {
-    /// Strategy name ([`PlacementStrategy::name`]).
+    /// Placement name: `least-loaded`, `quantum-aware` or `cost-optimized`.
     pub strategy: String,
     /// The arm's full simulation report.
     pub report: SimulationReport,
     /// Executions that *started* inside the outage window on an affected
-    /// QPU — must be 0 for every strategy (the planner routes around
+    /// QPU — must be 0 for every arm (the planner routes around
     /// scheduled capacity holes).
     pub outage_violations: usize,
 }
@@ -86,7 +63,7 @@ pub struct PlacementArm {
 /// Side-by-side outcome of the federation placement scenario.
 #[derive(Debug, Clone)]
 pub struct FederationComparison {
-    /// One arm per strategy, in run order.
+    /// One arm per placement, in run order.
     pub arms: Vec<PlacementArm>,
     /// Flat indices of the QPUs taken down by the outage.
     pub affected_qpus: Vec<usize>,
@@ -99,7 +76,7 @@ pub struct FederationComparison {
 }
 
 impl FederationComparison {
-    /// The arm run under the named strategy.
+    /// The arm run under the named placement.
     pub fn arm(&self, strategy: &str) -> Option<&PlacementArm> {
         self.arms.iter().find(|a| a.strategy == strategy)
     }
@@ -192,66 +169,49 @@ pub fn federated_heterogeneous(seed: u64) -> FederatedFleet {
     )
 }
 
-/// Run one placement arm: compose the federation, schedule the regional
-/// outage, and drive the simulation under the strategy's scheduler
-/// configuration.
-fn run_arm(config: &FederationConfig, strategy: &dyn PlacementStrategy) -> PlacementArm {
-    let sched = strategy.scheduler_config(SchedulerConfig::default());
-    let sim_config = SimulationConfig {
-        policy: Policy::Qonductor { preference: sched.preference },
-        cost_weight: sched.cost_weight,
-        ..config.base
-    };
-    let mut federation = federated_heterogeneous(sim_config.seed);
-    federation.fleet_mut().schedule_region_outage(
-        &config.outage_region,
-        config.outage_start_s,
-        config.outage_end_s,
-    );
-    let affected: Vec<usize> = federation
-        .fleet()
-        .members()
-        .iter()
-        .enumerate()
+/// Run the full federation placement comparison: every placement over
+/// identically seeded fleets, workloads, and outage schedules.
+pub fn run_federation_comparison(config: &FederationConfig) -> FederationComparison {
+    let federation = federated_heterogeneous(config.base.seed);
+    let affected_qpus: Vec<usize> = (federation.fleet().members().iter().enumerate())
         .filter(|(_, m)| m.qpu.region == config.outage_region)
         .map(|(i, _)| i)
         .collect();
-    let report = CloudSimulation::new(sim_config, federation.into_fleet()).run();
-    let outage_violations = report
-        .completed
-        .iter()
-        .filter(|c| {
-            let start_abs = c.submit_s + c.waiting_s;
-            affected.contains(&c.qpu_index)
-                && start_abs >= config.outage_start_s
-                && start_abs < config.outage_end_s
+    let (start_s, end_s) = (config.outage_start_s, config.outage_end_s);
+    // `(name, objective preference, cost-lane weight)`. The optimizer's JCT
+    // objective already folds per-QPU queue backlogs, so weighting JCT is
+    // what "least loaded" means under Eq. 1; quantum-aware is the paper's
+    // balanced fidelity/JCT policy; cost-optimized is least-loaded plus the
+    // cost lane, so those two differ in that lane alone.
+    let placements = [
+        ("least-loaded", Preference::jct_first(), 0.0),
+        ("quantum-aware", Preference::balanced(), 0.0),
+        ("cost-optimized", Preference::jct_first(), config.cost_weight),
+    ];
+    let arms = (placements.into_iter())
+        .map(|(name, preference, cost_weight)| {
+            let sim_config = SimulationConfig {
+                policy: Policy::Qonductor { preference },
+                cost_weight,
+                ..config.base
+            };
+            let mut fleet = federation.fleet().clone();
+            fleet.schedule_region_outage(&config.outage_region, start_s, end_s);
+            let report = CloudSimulation::new(sim_config, fleet).run();
+            let outage_violations = (report.completed.iter())
+                .filter(|c| {
+                    let start_abs = c.submit_s + c.waiting_s;
+                    affected_qpus.contains(&c.qpu_index) && (start_s..end_s).contains(&start_abs)
+                })
+                .count();
+            PlacementArm { strategy: name.to_string(), report, outage_violations }
         })
-        .count();
-    PlacementArm { strategy: strategy.name().to_string(), report, outage_violations }
-}
-
-/// Run the full federation placement comparison: least-loaded,
-/// quantum-aware, and cost-optimized placement over identically seeded
-/// fleets, workloads, and outage schedules.
-pub fn run_federation_comparison(config: &FederationConfig) -> FederationComparison {
-    let cost_optimized = CostOptimized { cost_weight: config.cost_weight };
-    let strategies: [&dyn PlacementStrategy; 3] = [&LeastLoaded, &QuantumAware, &cost_optimized];
-    let arms: Vec<PlacementArm> = strategies.iter().map(|s| run_arm(config, *s)).collect();
-
-    let federation = federated_heterogeneous(config.base.seed);
-    let affected_qpus: Vec<usize> = federation
-        .fleet()
-        .members()
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| m.qpu.region == config.outage_region)
-        .map(|(i, _)| i)
         .collect();
     FederationComparison {
         arms,
         affected_qpus,
         provider_spans: federation.provider_spans(),
-        outage_s: (config.outage_start_s, config.outage_end_s),
+        outage_s: (start_s, end_s),
         outage_region: config.outage_region.clone(),
     }
 }

@@ -164,8 +164,8 @@ fn crash_and_recover(plane: &mut ShardedControlPlane, t_s: f64) -> CrashRecord {
 
 /// Drive `scenario` over `plane` for `duration_s` simulated seconds in steps
 /// of `step_s`, injecting the crashes of `plan`. A `None` scheduler skips the
-/// trigger-gated dispatch entirely (the FCFS / least-busy baselines place
-/// jobs in [`Scenario::after_admit`]).
+/// trigger-gated dispatch entirely (the FCFS baseline places jobs in
+/// [`Scenario::after_admit`]).
 pub(crate) fn run<S: Scenario>(
     mut scenario: S,
     mut plane: ShardedControlPlane,

@@ -6,8 +6,8 @@
 //! synthetic hybrid applications (benchmark circuits + optional error
 //! mitigation), closed-form per-QPU fidelity/runtime estimates, and a
 //! discrete-time simulation engine that drives the Qonductor scheduler (or the
-//! FCFS / least-busy baselines) against the modelled QPU fleet's job queues
-//! while collecting the end-to-end metrics of §8.1.
+//! FCFS baseline) against the modelled QPU fleet's job queues while
+//! collecting the end-to-end metrics of §8.1.
 //!
 //! ## One kernel, many scenarios
 //!
@@ -19,9 +19,8 @@
 //!
 //! | scenario | entry point | RNG streams it owns |
 //! |---|---|---|
-//! | single tenant, Qonductor / FCFS / least-busy (also [`drift`], [`federation`]) | [`CloudSimulation`] | arrivals `seed ^ 0x0A2217A1`, drift `seed ^ 0x00D81F7C`, jitter `seed` |
-//! | weighted tenants, one shard | [`MultiTenantSimulation`] | one stream `seed`: advance → per-completion jitter → arrivals |
-//! | heavy + light tenant per shard, N shards | [`ShardedSimulation`] | as multi-tenant (it *is* that scenario plus a shard count) |
+//! | single tenant, Qonductor / FCFS (also [`drift`], [`federation`]) | [`CloudSimulation`] | arrivals `seed ^ 0x0A2217A1`, drift `seed ^ 0x00D81F7C`, jitter `seed` |
+//! | weighted tenants, a copy of each per shard, N ≥ 1 shards | [`MultiTenantSimulation`] | one stream `seed`: advance → per-completion jitter → arrivals |
 //! | bursty deadline tenant, two arms | [`run_slo_arm`] | advance `seed`, offered load `seed ^ 0xA11A`, elastic devices `seed ^ 0xE1A5` |
 //!
 //! The kernel owns the step order, the snapshot cadence and the chaos
@@ -58,7 +57,6 @@ pub mod federation;
 mod kernel;
 pub mod load;
 mod multitenant;
-pub mod sharded;
 pub mod sim;
 pub mod slo;
 
@@ -77,7 +75,6 @@ pub use multitenant::{
     BatchComposition, MultiTenantConfig, MultiTenantReport, MultiTenantSimulation,
     TenantCompletion, TenantLoad, TenantOutcome,
 };
-pub use sharded::{ShardedSimConfig, ShardedSimulation};
 pub use sim::{
     CloudSimulation, CompletedApp, CycleRecord, DispatchRecord, Policy, SimulationConfig,
     SimulationReport, TimePoint,

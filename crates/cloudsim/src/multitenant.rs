@@ -1,14 +1,26 @@
 //! Multi-tenant cloud simulation: independent tenants with their own Poisson
 //! arrival streams and fairness weights submit through the non-blocking
 //! submission front-end of the journaled control plane, the weighted-fair
-//! admission step drains their queues into the shared batch engine, and the
+//! admission step drains their queues into the batch engine, and the
 //! trigger-gated NSGA-II + MCDM scheduler dispatches per-batch — so the
 //! fairness path of the control plane is exercised end-to-end under realistic
-//! load. The scenario is plane-shape agnostic: [`MultiTenantSimulation`] runs
-//! it over one shard, [`crate::sharded::ShardedSimulation`] over N, and under
-//! [`MultiTenantSimulation::run_with_failures`] the shared `kernel` event loop
-//! kills the control-plane leaders mid-simulation and continues on replicas
-//! rebuilt from `snapshot + log replay`.
+//! load.
+//!
+//! The plane has [`MultiTenantConfig::num_shards`] shards, each owning its
+//! own journal, batch engine, submission service and trigger, and leasing an
+//! exclusive slice of the QPU fleet. Every shard registers its own copy of
+//! the configured tenants; placement is steered with stream-less filler
+//! registrations, since global ids are assigned sequentially and routed by
+//! the pure [`qonductor_core::sharding::shard_of_global`] hash. With equal
+//! tenant populations per shard, per-shard DRR fairness composes into the
+//! global weighted split of the one-shard plane. One shard needs no filler.
+//!
+//! Under [`MultiTenantSimulation::run_with_failures`] the shared `kernel`
+//! event loop kills *every* shard's leader at each scheduled crash instant,
+//! fails each shard over independently from `snapshot + log replay`, and
+//! records per-shard digest matches and whether the fleet allocator rebuilt
+//! from the per-shard journaled lease sets without leaking or double-granting
+//! a QPU.
 
 use crate::failover::{ChaosReport, FailurePlan};
 use crate::kernel::{self, RunParams, Scenario, QUORUM};
@@ -23,38 +35,25 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// One tenant of the multi-tenant simulation: fairness configuration plus an
-/// arrival stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One tenant of the multi-tenant simulation: its admission configuration
+/// plus an arrival stream.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantLoad {
-    /// Deficit-round-robin admission weight.
-    pub weight: u32,
-    /// Cap on admitted-but-not-completed jobs.
-    pub max_in_flight: usize,
-    /// Re-queue budget for scheduler-rejected jobs.
-    pub max_retries: u32,
+    /// DRR weight, in-flight cap and re-queue budget.
+    pub config: TenantConfig,
     /// The tenant's Poisson arrival stream (rate + mitigation mix).
     pub arrivals: TenantArrivalConfig,
-}
-
-impl Default for TenantLoad {
-    fn default() -> Self {
-        TenantLoad {
-            weight: 1,
-            max_in_flight: 256,
-            max_retries: 1,
-            arrivals: TenantArrivalConfig::default(),
-        }
-    }
 }
 
 /// Multi-tenant simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenantConfig {
-    /// Duration, step, trigger, scheduler and seed.
+    /// Duration, step, per-shard trigger, scheduler and seed.
     pub run: RunParams,
-    /// The competing tenants.
+    /// The competing tenants; every shard registers its own copy of each.
     pub tenants: Vec<TenantLoad>,
+    /// Number of control-plane shards (default 1).
+    pub num_shards: usize,
 }
 
 impl Default for MultiTenantConfig {
@@ -76,9 +75,10 @@ impl Default for MultiTenantConfig {
                 seed: 2025,
             },
             tenants: vec![
-                TenantLoad { weight: 2, ..TenantLoad::default() },
-                TenantLoad { weight: 1, ..TenantLoad::default() },
+                TenantLoad { config: TenantConfig::weighted(2), ..TenantLoad::default() },
+                TenantLoad { config: TenantConfig::weighted(1), ..TenantLoad::default() },
             ],
+            num_shards: 1,
         }
     }
 }
@@ -202,67 +202,34 @@ impl MultiTenantSimulation {
         Self::new(config, fleet)
     }
 
-    /// Run the simulation to completion and produce the report.
+    /// Run the simulation to completion and produce the report: batches
+    /// are shard-attributed, tenant ids are *global*, and the per-tenant
+    /// outcomes list the tenants in registration order.
     pub fn run(self) -> MultiTenantReport {
         self.run_with_failures(&FailurePlan::none()).report
     }
 
     /// Run the simulation under fault injection: at each instant of the
-    /// plan's crash schedule the control-plane leader is killed (its volatile
+    /// plan's crash schedule every shard's leader is killed (its volatile
     /// job state dies with it), a new leader is elected, and the job state is
     /// rebuilt from the replicated `snapshot + log replay` before the
     /// simulation continues. The report records, per crash, whether the
     /// rebuilt state matched the pre-crash state byte for byte.
     pub fn run_with_failures(self, plan: &FailurePlan) -> ChaosReport<MultiTenantReport> {
-        let MultiTenantConfig { run, tenants } = self.config;
+        let MultiTenantConfig { run, tenants, num_shards } = self.config;
         assert!(!tenants.is_empty(), "multi-tenant simulation needs at least one tenant");
-        let mut plane = run.plane(1, self.fleet.len(), run.trigger());
-        let ids = tenants.iter().map(|t| register_tenant(&mut plane, t)).collect();
-        let streams: Vec<TenantArrivalConfig> = tenants.iter().map(|t| t.arrivals).collect();
-        TenantScenario::run(&run, self.fleet, plane, ids, &streams, plan)
-    }
-}
-
-/// Register one tenant on its (hash-routed) home shard; returns the global
-/// id.
-pub(crate) fn register_tenant(plane: &mut ShardedControlPlane, load: &TenantLoad) -> TenantId {
-    let TenantLoad { weight, max_in_flight, max_retries, .. } = *load;
-    plane.register_tenant_with(TenantConfig { weight, max_in_flight, max_retries }).expect(QUORUM)
-}
-
-/// The multi-tenant scenario over a plane of any shard count: stream `i`
-/// submits as global tenant `tenants[i]`, routed to its home shard.
-pub(crate) struct TenantScenario {
-    fleet: Fleet,
-    /// The single stream the run consumes, in the order advance →
-    /// per-completion jitter → arrivals.
-    rng: StdRng,
-    load: MultiTenantLoadGenerator,
-    apps: HashMap<GlobalTicket, (TenantId, AppRecord)>,
-    /// `tenants[i]` is stream `i`'s outcome; its `stats` are refreshed from
-    /// the plane at the end.
-    report: MultiTenantReport,
-}
-
-impl TenantScenario {
-    /// Drive `streams` (one per entry of `tenants`, already registered on
-    /// `plane`) through the kernel.
-    pub(crate) fn run(
-        run: &RunParams,
-        fleet: Fleet,
-        plane: ShardedControlPlane,
-        tenants: Vec<TenantId>,
-        streams: &[TenantArrivalConfig],
-        plan: &FailurePlan,
-    ) -> ChaosReport<MultiTenantReport> {
+        let mut plane = run.plane(num_shards, self.fleet.len(), run.trigger());
+        let active = register_copies(&mut plane, &tenants);
+        let streams: Vec<TenantArrivalConfig> =
+            active.iter().map(|&(_, slot)| tenants[slot].arrivals).collect();
         let scenario = TenantScenario {
             rng: StdRng::seed_from_u64(run.seed),
-            load: MultiTenantLoadGenerator::new(streams, fleet.max_qubits()),
-            fleet,
+            load: MultiTenantLoadGenerator::new(&streams, self.fleet.max_qubits()),
+            fleet: self.fleet,
             apps: HashMap::new(),
             report: MultiTenantReport {
-                tenants: (tenants.into_iter())
-                    .map(|tenant| TenantOutcome {
+                tenants: (active.iter())
+                    .map(|&(tenant, _)| TenantOutcome {
                         tenant,
                         arrived: 0,
                         infeasible: 0,
@@ -274,6 +241,54 @@ impl TenantScenario {
         };
         kernel::run(scenario, plane, Some(run.scheduler()), (run.duration_s, run.step_s), plan)
     }
+}
+
+/// Register tenants until every shard of `plane` holds one copy of each of
+/// `tenants`, in order, steering placement with filler registrations (global
+/// ids are sequential and the router is pure, so the next id's shard is
+/// known before registering). Returns the active tenants as `(global id,
+/// index into tenants)` in registration order.
+fn register_copies(
+    plane: &mut ShardedControlPlane,
+    tenants: &[TenantLoad],
+) -> Vec<(TenantId, usize)> {
+    let num_shards = plane.num_shards();
+    let mut registered = vec![0; num_shards];
+    let mut active = Vec::with_capacity(num_shards * tenants.len());
+    let mut attempts = 0usize;
+    while active.len() < num_shards * tenants.len() {
+        attempts += 1;
+        assert!(attempts < 10_000 * num_shards, "placement steering failed");
+        let slot = &mut registered[plane.next_shard()];
+        match tenants.get(*slot) {
+            Some(load) => {
+                active.push((plane.register_tenant_with(load.config).expect(QUORUM), *slot));
+                *slot += 1;
+            }
+            // Filler: journaled like any tenant but never submits (it has
+            // no stream), so it only advances the id space.
+            None => {
+                let filler =
+                    TenantConfig { max_in_flight: 1, max_retries: 0, ..Default::default() };
+                plane.register_tenant_with(filler).expect(QUORUM);
+            }
+        }
+    }
+    active
+}
+
+/// The multi-tenant scenario: stream `i` submits as global tenant
+/// `report.tenants[i].tenant`, routed to its home shard.
+struct TenantScenario {
+    fleet: Fleet,
+    /// The single stream the run consumes, in the order advance →
+    /// per-completion jitter → arrivals.
+    rng: StdRng,
+    load: MultiTenantLoadGenerator,
+    apps: HashMap<GlobalTicket, (TenantId, AppRecord)>,
+    /// `tenants[i]` is stream `i`'s outcome; its `stats` are refreshed from
+    /// the plane at the end.
+    report: MultiTenantReport,
 }
 
 impl Scenario for TenantScenario {
@@ -333,15 +348,23 @@ mod tests {
     use super::*;
     use crate::load::ArrivalConfig;
 
-    fn saturating_config() -> MultiTenantConfig {
-        let stream = |rate: f64| TenantArrivalConfig {
-            arrival: ArrivalConfig {
-                mean_rate_per_hour: rate,
-                diurnal_amplitude: 0.0,
-                ..Default::default()
+    fn saturating_tenant(weight: u32) -> TenantLoad {
+        TenantLoad {
+            // In-flight caps are lifted so admission fairness is the only
+            // throttle.
+            config: TenantConfig { weight, max_in_flight: 1_000_000, max_retries: 1 },
+            arrivals: TenantArrivalConfig {
+                arrival: ArrivalConfig {
+                    mean_rate_per_hour: 9000.0,
+                    diurnal_amplitude: 0.0,
+                    ..Default::default()
+                },
+                mitigation_fraction: 0.3,
             },
-            mitigation_fraction: 0.3,
-        };
+        }
+    }
+
+    fn saturating_config() -> MultiTenantConfig {
         MultiTenantConfig {
             run: RunParams {
                 duration_s: 400.0,
@@ -360,22 +383,9 @@ mod tests {
             },
             // Each stream alone (2.5 jobs/s) exceeds the ~1.8 jobs/s dispatch
             // capacity (18-job batches, one per 10 s step), so both tenant
-            // queues stay saturated and the DRR weights bind. In-flight caps
-            // are lifted so admission fairness is the only throttle.
-            tenants: vec![
-                TenantLoad {
-                    weight: 2,
-                    arrivals: stream(9000.0),
-                    max_in_flight: 1_000_000,
-                    ..TenantLoad::default()
-                },
-                TenantLoad {
-                    weight: 1,
-                    arrivals: stream(9000.0),
-                    max_in_flight: 1_000_000,
-                    ..TenantLoad::default()
-                },
-            ],
+            // queues stay saturated and the DRR weights bind.
+            tenants: vec![saturating_tenant(2), saturating_tenant(1)],
+            num_shards: 1,
         }
     }
 
@@ -410,5 +420,55 @@ mod tests {
         let b = MultiTenantSimulation::with_default_fleet(saturating_config()).run();
         assert_eq!(a.batches, b.batches);
         assert_eq!(a.completed.len(), b.completed.len());
+    }
+
+    /// For k = 1..=3 tenants over 1..=4 shards: every shard holds exactly one
+    /// copy of each tenant, registered in the configured order, with the
+    /// configured admission settings; one shard registers no filler (its
+    /// global ids are `0..k`).
+    #[test]
+    fn every_shard_gets_one_copy_of_each_tenant() {
+        let run = saturating_config().run;
+        for k in 1..=3u32 {
+            let tenants: Vec<TenantLoad> = (1..=k).map(saturating_tenant).collect();
+            for num_shards in 1..=4 {
+                let mut plane = run.plane(num_shards, 8, run.trigger());
+                let active = register_copies(&mut plane, &tenants);
+                assert_eq!(active.len(), num_shards * tenants.len());
+                let mut next_slot = vec![0; num_shards];
+                for &(global, slot) in &active {
+                    let (shard, _) = plane.placement_of(global).expect("registered");
+                    assert_eq!(slot, next_slot[shard], "shard {shard} registers in order");
+                    next_slot[shard] += 1;
+                    let stats = plane.tenant_stats(global).expect("registered");
+                    assert_eq!(stats.weight, tenants[slot].config.weight);
+                }
+                assert!(next_slot.iter().all(|&n| n == tenants.len()), "{next_slot:?}");
+                if num_shards == 1 {
+                    let ids: Vec<TenantId> = active.iter().map(|&(id, _)| id).collect();
+                    assert_eq!(ids, (0..k).collect::<Vec<_>>(), "one shard registers no filler");
+                    assert!(plane.placement_of(k).is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_run_dispatches_on_every_shard_and_is_deterministic() {
+        let mut cfg = MultiTenantConfig { num_shards: 2, ..saturating_config() };
+        cfg.run.duration_s = 200.0;
+        let no_crashes = FailurePlan::none();
+        let a =
+            MultiTenantSimulation::with_default_fleet(cfg.clone()).run_with_failures(&no_crashes);
+        let b =
+            MultiTenantSimulation::with_default_fleet(cfg.clone()).run_with_failures(&no_crashes);
+        let batches = &a.report.batches;
+        assert!(!batches.is_empty());
+        for shard in 0..cfg.num_shards {
+            assert!(batches.iter().any(|batch| batch.shard == shard), "shard {shard} idle");
+        }
+        assert_eq!(batches, &b.report.batches);
+        assert_eq!(a.report.completed.len(), b.report.completed.len());
+        assert_eq!(a.final_states, b.final_states);
     }
 }

@@ -5,11 +5,10 @@
 //! chaos coverage extends to the baseline simulations) by the shared
 //! `kernel` event loop. Under the Qonductor policy the engine's
 //! `ScheduleTrigger` gates every NSGA-II + MCDM invocation and dispatches
-//! whole batches onto the fleet queues; the FCFS / least-busy baselines
-//! place each arrival directly through the engine's (journaled)
-//! direct-dispatch path. Queues advance in simulated time and the end-to-end
-//! metrics of §8.1 (fidelity, completion time, utilization) are collected
-//! over time.
+//! whole batches onto the fleet queues; the FCFS baseline places each
+//! arrival directly through the engine's (journaled) direct-dispatch path.
+//! Queues advance in simulated time and the end-to-end metrics of §8.1
+//! (fidelity, completion time, utilization) are collected over time.
 //!
 //! Under [`CalibrationPolicy::SplitAtBoundary`] the simulation also exercises
 //! the §7 calibration-crossover path end-to-end: batch plans that straddle a
@@ -115,6 +114,35 @@ impl Default for SimulationConfig {
     }
 }
 
+/// The base configuration of the two-arm studies ([`crate::drift`] and
+/// [`crate::federation`]): 25 simulated minutes at a flat 900 applications
+/// per hour, calibration-aware dispatch, seed 77.
+pub(crate) fn study_config() -> SimulationConfig {
+    SimulationConfig {
+        duration_s: 1500.0,
+        step_s: 10.0,
+        arrival: ArrivalConfig {
+            mean_rate_per_hour: 900.0,
+            diurnal_amplitude: 0.0,
+            ..Default::default()
+        },
+        policy: Policy::Qonductor { preference: Preference::balanced() },
+        trigger_queue_limit: 25,
+        trigger_interval_s: 60.0,
+        metrics_interval_s: 100.0,
+        nsga2: Nsga2Config {
+            population_size: 20,
+            max_generations: 15,
+            max_evaluations: 1500,
+            num_threads: 2,
+            ..Nsga2Config::default()
+        },
+        calibration: CalibrationPolicy::SplitAtBoundary,
+        seed: 77,
+        ..Default::default()
+    }
+}
+
 /// One sampled point of the simulation's time series (Figures 6 and 9b).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimePoint {
@@ -211,10 +239,10 @@ pub struct DispatchRecord {
 pub struct SimulationReport {
     /// Time series of aggregate metrics.
     pub timeline: Vec<TimePoint>,
-    /// Per-scheduling-cycle records (empty for the FCFS/least-busy policies).
+    /// Per-scheduling-cycle records (empty under FCFS).
     pub cycles: Vec<CycleRecord>,
-    /// Every trigger-gated dispatch with its §7 split decision (empty for
-    /// the FCFS/least-busy policies).
+    /// Every trigger-gated dispatch with its §7 split decision (empty under
+    /// FCFS).
     pub dispatches: Vec<DispatchRecord>,
     /// All completed applications.
     pub completed: Vec<CompletedApp>,

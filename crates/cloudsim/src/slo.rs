@@ -4,9 +4,8 @@
 //! offered load through two control-plane arms and compares their deadline
 //! behaviour:
 //!
-//! * **SLO-aware** — the deadline tenant registers an
-//!   [`SloClass`](qonductor_core::submission::SloClass); its jobs ride the
-//!   journaled escalation lane past the DRR scan, the
+//! * **SLO-aware** — the deadline tenant registers an [`SloClass`]; its jobs
+//!   ride the journaled escalation lane past the DRR scan, the
 //!   [`ScheduleTrigger`](qonductor_scheduler::ScheduleTrigger) fires early on
 //!   negative deadline slack, an [`Autoscaler`] watches the arrival window
 //!   and provisions elastic `Simulator`-class capacity into the

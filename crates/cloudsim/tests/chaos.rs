@@ -12,11 +12,14 @@
 //! seed per matrix leg; unset runs the whole default set) and uploads the
 //! emitted `failover_summary.txt` artifact.
 
+mod common;
+
+use common::{saturating_tenant, sharded_config};
 use qonductor_cloudsim::sim::{CloudSimulation, Policy, SimulationConfig};
 use qonductor_cloudsim::{
     federated_heterogeneous, run_slo_arm, ArrivalConfig, ChaosReport, FailurePlan,
-    MultiTenantConfig, MultiTenantReport, MultiTenantSimulation, RunParams, ShardedSimConfig,
-    ShardedSimulation, SimulationReport, SloConfig, TenantArrivalConfig, TenantLoad,
+    MultiTenantConfig, MultiTenantReport, MultiTenantSimulation, RunParams, SimulationReport,
+    SloConfig,
 };
 use qonductor_core::CalibrationPolicy;
 use qonductor_scheduler::{Nsga2Config, Preference};
@@ -41,19 +44,6 @@ fn small_nsga2() -> Nsga2Config {
 }
 
 fn multi_tenant_config(seed: u64) -> MultiTenantConfig {
-    let tenant = |weight: u32| TenantLoad {
-        weight,
-        max_in_flight: 1_000_000,
-        arrivals: TenantArrivalConfig {
-            arrival: ArrivalConfig {
-                mean_rate_per_hour: 6000.0,
-                diurnal_amplitude: 0.0,
-                ..Default::default()
-            },
-            mitigation_fraction: 0.3,
-        },
-        ..TenantLoad::default()
-    };
     MultiTenantConfig {
         run: RunParams {
             duration_s: DURATION_S,
@@ -64,7 +54,8 @@ fn multi_tenant_config(seed: u64) -> MultiTenantConfig {
             preference: Preference::balanced(),
             seed,
         },
-        tenants: vec![tenant(2), tenant(1)],
+        tenants: vec![saturating_tenant(2, 6000.0), saturating_tenant(1, 6000.0)],
+        num_shards: 1,
     }
 }
 
@@ -187,9 +178,9 @@ const SCENARIOS: [(&str, Run); 7] = [
         observe_tenants(sim.run_with_failures(plan))
     }),
     ("sharded-2", |seed, plan| {
-        let mut config = ShardedSimConfig::default();
-        config.run = RunParams { duration_s: CRASH_WINDOW_S, seed, ..config.run };
-        observe_tenants(ShardedSimulation::with_default_fleet(config).run_with_failures(plan))
+        let sim =
+            MultiTenantSimulation::with_default_fleet(sharded_config(2, seed, CRASH_WINDOW_S));
+        observe_tenants(sim.run_with_failures(plan))
     }),
     ("slo-aware", |seed, plan| {
         let mut config =

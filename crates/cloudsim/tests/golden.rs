@@ -9,11 +9,13 @@
 //! never a `Debug` rendering, so renaming a report type or field cannot move
 //! it — only a behavioural change can.
 
+mod common;
+
+use common::{saturating_tenant, sharded_config};
 use qonductor_cloudsim::{
     run_federation_comparison, run_slo_arm, ArrivalConfig, BatchComposition, CloudSimulation,
     FailurePlan, FederationConfig, MultiTenantConfig, MultiTenantReport, MultiTenantSimulation,
-    Policy, RunParams, ShardedSimConfig, ShardedSimulation, SimulationConfig, SimulationReport,
-    SloConfig, TenantArrivalConfig, TenantLoad,
+    Policy, RunParams, SimulationConfig, SimulationReport, SloConfig,
 };
 use qonductor_core::CalibrationPolicy;
 use qonductor_scheduler::{Nsga2Config, Preference, TriggerReason};
@@ -162,19 +164,6 @@ fn drifting_split_at_boundary_matches_the_pre_kernel_driver() {
 
 #[test]
 fn multi_tenant_matches_the_pre_kernel_driver() {
-    let tenant = |weight: u32| TenantLoad {
-        weight,
-        max_in_flight: 1_000_000,
-        arrivals: TenantArrivalConfig {
-            arrival: ArrivalConfig {
-                mean_rate_per_hour: 6000.0,
-                diurnal_amplitude: 0.0,
-                ..Default::default()
-            },
-            mitigation_fraction: 0.3,
-        },
-        ..TenantLoad::default()
-    };
     let config = MultiTenantConfig {
         run: RunParams {
             duration_s: 300.0,
@@ -185,7 +174,8 @@ fn multi_tenant_matches_the_pre_kernel_driver() {
             preference: Preference::balanced(),
             seed: 11,
         },
-        tenants: vec![tenant(2), tenant(1)],
+        tenants: vec![saturating_tenant(2, 6000.0), saturating_tenant(1, 6000.0)],
+        num_shards: 1,
     };
     let report = MultiTenantSimulation::with_default_fleet(config).run();
     assert!(!report.batches.is_empty() && !report.completed.is_empty());
@@ -194,9 +184,7 @@ fn multi_tenant_matches_the_pre_kernel_driver() {
 
 #[test]
 fn sharded_two_shards_matches_the_pre_kernel_driver() {
-    let mut config = ShardedSimConfig::default();
-    config.run = RunParams { duration_s: 200.0, seed: 11, ..config.run };
-    let report = ShardedSimulation::with_default_fleet(config).run();
+    let report = MultiTenantSimulation::with_default_fleet(sharded_config(2, 11, 200.0)).run();
     assert!((0..2).all(|shard| report.batches.iter().any(|b| b.shard == shard)));
     assert_eq!(digest_tenant_run(&report), GOLDEN_SHARDED);
 }
@@ -256,7 +244,7 @@ const GOLDEN_QONDUCTOR: u64 = 0x254d_0b22_c699_c4e7;
 const GOLDEN_FCFS: u64 = 0x6527_9461_1c0a_cebf;
 const GOLDEN_DRIFT: u64 = 0x18e7_ab2f_0ab4_c47b;
 const GOLDEN_MULTITENANT: u64 = 0xbfd2_af23_9b86_6a31;
-/// Re-pinned once, when one-island NSGA-II runs (`ShardedSimConfig`'s
+/// Re-pinned once, when one-island NSGA-II runs (the sharded scenario's
 /// `num_threads: 1`) moved from a separate sequential algorithm onto the
 /// island loop.
 const GOLDEN_SHARDED: u64 = 0xc709_441c_8f57_41df;

@@ -1,30 +1,25 @@
-//! Sharded control-plane e2e suite: hash-partitioned tenants across N
-//! shards, per-shard DRR fairness composing into the global weighted split,
-//! the one-shard plane's parity with the multi-tenant scenario, and the
-//! mid-lease crash window. (Whole-plane chaos — every shard's leader killed
-//! mid-run, per-shard byte-for-byte failover digests, lease-allocator
-//! consistency — is the `sharded-2` row of the matrix in `tests/chaos.rs`.)
+//! Sharded control-plane e2e suite: the multi-tenant scenario over N
+//! shards — hash-partitioned tenants, per-shard DRR fairness composing into
+//! the global weighted split, the one-shard plane registering exactly the
+//! configured tenants, and the mid-lease crash window. (Whole-plane chaos —
+//! every shard's leader killed mid-run, per-shard byte-for-byte failover
+//! digests, lease-allocator consistency — is the `sharded-2` row of the
+//! matrix in `tests/chaos.rs`.)
 //!
 //! Like the chaos suite, CI can run this as a seed matrix
 //! (`QONDUCTOR_CHAOS_SEED=<seed>` selects one leg; unset runs the default
 //! set).
 
-use qonductor_cloudsim::{
-    ArrivalConfig, MultiTenantConfig, MultiTenantReport, MultiTenantSimulation, RunParams,
-    ShardedSimConfig, ShardedSimulation, TenantArrivalConfig, TenantLoad,
-};
+mod common;
+
+use common::{saturating_tenant, sharded_config};
+use qonductor_cloudsim::{MultiTenantConfig, MultiTenantReport, MultiTenantSimulation};
 use qonductor_core::jobmanager::CalibrationPolicy;
 use qonductor_core::sharding::{shard_of_global, ShardedControlPlane};
 use qonductor_scheduler::ScheduleTrigger;
 
 /// Default seed matrix (mirrors the chaos suite).
 const DEFAULT_SEEDS: [u64; 5] = [11, 23, 37, 41, 59];
-
-fn sharded_config(seed: u64) -> ShardedSimConfig {
-    let mut config = ShardedSimConfig::default();
-    config.run = RunParams { duration_s: 300.0, seed, ..config.run };
-    config
-}
 
 /// Seeds under test: the single `QONDUCTOR_CHAOS_SEED` if set (one CI matrix
 /// leg), otherwise the whole default set.
@@ -57,8 +52,8 @@ fn heavy_share(report: &MultiTenantReport, num_shards: usize) -> f64 {
 #[test]
 fn sharded_fairness_composes_to_the_global_weighted_split() {
     for seed in seeds_under_test() {
-        let config = sharded_config(seed);
-        let report = ShardedSimulation::with_default_fleet(config.clone()).run();
+        let config = sharded_config(2, seed, 300.0);
+        let report = MultiTenantSimulation::with_default_fleet(config.clone()).run();
         assert!(!report.batches.is_empty(), "seed {seed}: batches must dispatch");
         assert!(!report.completed.is_empty(), "seed {seed}: applications must complete");
         for shard in 0..config.num_shards {
@@ -76,35 +71,31 @@ fn sharded_fairness_composes_to_the_global_weighted_split() {
     }
 }
 
-/// The sharded scenario *is* the multi-tenant scenario plus a shard count:
-/// with one shard (no placement fillers, global ids = local ids) it yields
-/// exactly the batches and completions of the multi-tenant simulation over
-/// the same two tenants, streams and seed.
+/// With one shard the scenario registers exactly the configured tenants:
+/// global ids `0..k` in configuration order (no placement filler), each with
+/// its configured weight, every batch dispatched by shard 0, and saturating
+/// streams sharing the batch slots by weight (3:2:1 here, within ±0.1).
 #[test]
 fn one_shard_is_the_multi_tenant_scenario() {
-    let sharded = ShardedSimConfig { num_shards: 1, ..sharded_config(11) };
-    let tenant = |weight| TenantLoad {
-        weight,
-        max_in_flight: sharded.max_in_flight,
-        max_retries: sharded.max_retries,
-        arrivals: TenantArrivalConfig {
-            arrival: ArrivalConfig {
-                mean_rate_per_hour: sharded.rate_per_hour,
-                diurnal_amplitude: 0.0,
-                ..Default::default()
-            },
-            mitigation_fraction: 0.3,
-        },
+    let config = MultiTenantConfig {
+        tenants: vec![
+            saturating_tenant(3, 9000.0),
+            saturating_tenant(2, 9000.0),
+            saturating_tenant(1, 9000.0),
+        ],
+        ..sharded_config(1, 11, 300.0)
     };
-    let multi_tenant = MultiTenantConfig {
-        run: sharded.run,
-        tenants: vec![tenant(sharded.heavy_weight), tenant(sharded.light_weight)],
-    };
-    let a = ShardedSimulation::with_default_fleet(sharded).run();
-    let b = MultiTenantSimulation::with_default_fleet(multi_tenant).run();
-    assert!(!b.batches.is_empty() && !b.completed.is_empty());
-    assert_eq!(a.batches, b.batches);
-    assert_eq!(a.completed, b.completed);
+    let report = MultiTenantSimulation::with_default_fleet(config.clone()).run();
+    assert!(!report.batches.is_empty() && !report.completed.is_empty());
+    assert!(report.batches.iter().all(|b| b.shard == 0));
+    let ids: Vec<u32> = report.tenants.iter().map(|t| t.tenant).collect();
+    assert_eq!(ids, [0, 1, 2], "one tenant per configured load, no filler");
+    for (outcome, load) in report.tenants.iter().zip(&config.tenants) {
+        assert_eq!(outcome.stats.weight, load.config.weight);
+        let share = report.admitted_share(outcome.tenant);
+        let expected = f64::from(load.config.weight) / 6.0;
+        assert!((share - expected).abs() <= 0.1, "tenant {}: share {share}", outcome.tenant);
+    }
 }
 
 /// The mid-lease crash window: a shard's leader dies *between* journaling a

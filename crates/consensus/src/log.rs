@@ -109,7 +109,7 @@ impl<E: LogEntry> ReplicatedLog<E> {
     }
 
     /// Append a batch of entries in one quorum round
-    /// ([`ReplicatedKvStore::put_all`]): every entry key *and* the length
+    /// (`ReplicatedKvStore::put_all`): every entry key *and* the length
     /// key commit atomically. Unlike a sequence of [`Self::append`] calls, a
     /// quorum loss mid-batch cannot leave a committed prefix of the batch
     /// behind — readers observe the whole batch or none of it, and a failed
@@ -163,7 +163,7 @@ impl<E: LogEntry> ReplicatedLog<E> {
     /// torn install can never pair a new baseline index with stale data (or
     /// vice versa) — the store either serves the old snapshot or the new one.
     /// Compaction is one more write, an atomic range delete
-    /// ([`ReplicatedKvStore::delete_range`]): the covered entries go together
+    /// (`ReplicatedKvStore::delete_range`): the covered entries go together
     /// or — if the quorum is lost between the two writes — stay together,
     /// where [`ReplicatedLog::entries_from`] callers starting at the snapshot
     /// index never see them.

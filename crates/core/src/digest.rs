@@ -6,7 +6,7 @@
 //!   the control plane: qbench seeds its generated inputs from it and folds
 //!   every run's results into the `digest` it prints (the estimate cache's
 //!   pinned-values test uses it too).
-//! - **128-bit** ([`Fnv128`]) backs the control plane's *incremental* state
+//! - **128-bit** (`Fnv128`) backs the control plane's *incremental* state
 //!   digest: a rolling hash absorbed event-by-event as entries are journaled,
 //!   anchored to a full-encode checkpoint at each snapshot. Two planes that
 //!   journal the same bytes from the same checkpoint roll to the same value,

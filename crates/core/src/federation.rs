@@ -1,6 +1,5 @@
 //! Multi-provider backend federation: several named provider fleets composed
-//! behind one flat capacity view, plus the pluggable placement policies that
-//! steer the hybrid scheduler across them.
+//! behind one flat capacity view.
 //!
 //! A [`FederatedFleet`] concatenates each provider's devices into a single
 //! [`Fleet`] in registration order, remembering only the contiguous index
@@ -10,14 +9,12 @@
 //! *single*-provider federation is byte-identical to an unfederated fleet
 //! (same members, same indices, same RNG streams, same digests).
 //!
-//! Placement policy is a [`PlacementStrategy`]: a pure mapping from a base
-//! [`SchedulerConfig`] to the configuration actually used for dispatch
-//! (objective preference + cost-lane weight). Strategies never touch the
-//! fleet or the clock, which is what keeps failover replay exact under any
-//! policy.
+//! Placement across providers is steered by the scheduler's own knobs — an
+//! objective [`Preference`](qonductor_scheduler::Preference) plus a cost-lane
+//! weight — never by reading the fleet or the clock, which is what keeps
+//! failover replay exact under any placement.
 
 use qonductor_backend::Fleet;
-use qonductor_scheduler::{Preference, SchedulerConfig};
 
 /// One provider's slice of the federated index space.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,11 +86,7 @@ impl FederatedFleet {
             .map(|p| p.name.as_str())
     }
 
-    /// `(provider name, qpu count)` pairs in flat-index order — the shape
-    /// [`FleetAllocator::with_provider_spans`] consumes so shard leases
-    /// become provider-scoped.
-    ///
-    /// [`FleetAllocator::with_provider_spans`]: crate::fleetlease::FleetAllocator::with_provider_spans
+    /// `(provider name, qpu count)` pairs in flat-index order.
     pub fn provider_spans(&self) -> Vec<(String, usize)> {
         self.providers.iter().map(|p| (p.name.clone(), p.len)).collect()
     }
@@ -142,99 +135,6 @@ impl FederatedFleet {
             }
         }
         Some(index)
-    }
-}
-
-/// A placement policy over a federated fleet: a *pure* mapping from the base
-/// scheduler configuration to the one used for dispatch.
-///
-/// # Determinism requirements
-///
-/// An implementation must be a pure function of the scheduling problem and
-/// its own configuration:
-///
-/// - **No wall-clock reads.** Simulated time reaches the scheduler through
-///   the snapshot (queue waits, horizons); consulting `SystemTime`/`Instant`
-///   would make journal replay diverge from the live run.
-/// - **No ambient randomness or I/O.** All stochasticity must flow through
-///   the seeded [`Nsga2Config`](qonductor_scheduler::Nsga2Config) the
-///   strategy returns.
-/// - **Stable output.** Equal inputs must produce equal configurations, so
-///   sharded failover replays federation decisions byte-for-byte.
-pub trait PlacementStrategy {
-    /// Short policy name (scenario reports, artifacts).
-    fn name(&self) -> &'static str;
-
-    /// The scheduler configuration this policy dispatches with, derived from
-    /// `base` (which carries the NSGA-II budget, boundary penalty, etc.).
-    fn scheduler_config(&self, base: SchedulerConfig) -> SchedulerConfig;
-}
-
-/// Spread work for fast turnaround: JCT-heavy preference, no cost lane. The
-/// optimizer's JCT objective already folds per-QPU queue backlogs, so
-/// weighting it is what "least loaded" means under Eq. 1.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
-
-impl PlacementStrategy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn scheduler_config(&self, base: SchedulerConfig) -> SchedulerConfig {
-        SchedulerConfig {
-            preference: Preference { fidelity_weight: 0.1, jct_weight: 0.9 },
-            cost_weight: 0.0,
-            ..base
-        }
-    }
-}
-
-/// The paper's quantum-aware policy: balanced fidelity/JCT preference, no
-/// cost lane — placement follows calibration quality and backlog exactly as
-/// in the unfederated evaluation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuantumAware;
-
-impl PlacementStrategy for QuantumAware {
-    fn name(&self) -> &'static str {
-        "quantum-aware"
-    }
-
-    fn scheduler_config(&self, base: SchedulerConfig) -> SchedulerConfig {
-        SchedulerConfig { preference: Preference::balanced(), cost_weight: 0.0, ..base }
-    }
-}
-
-/// Minimise spend at bounded quality loss: the least-loaded arm's
-/// turnaround-heavy preference plus an active cost lane weighted by
-/// `cost_weight` (the scale at which one unit of currency trades against
-/// one second of mean JCT). Sharing [`LeastLoaded`]'s preference makes the
-/// two strategies a clean ablation — the only difference between them is
-/// the cost lane.
-#[derive(Debug, Clone, Copy)]
-pub struct CostOptimized {
-    /// Weight of the cost lane (must be > 0 to have any effect).
-    pub cost_weight: f64,
-}
-
-impl Default for CostOptimized {
-    fn default() -> Self {
-        CostOptimized { cost_weight: 1.0 }
-    }
-}
-
-impl PlacementStrategy for CostOptimized {
-    fn name(&self) -> &'static str {
-        "cost-optimized"
-    }
-
-    fn scheduler_config(&self, base: SchedulerConfig) -> SchedulerConfig {
-        SchedulerConfig {
-            preference: Preference { fidelity_weight: 0.1, jct_weight: 0.9 },
-            cost_weight: self.cost_weight,
-            ..base
-        }
     }
 }
 
@@ -313,29 +213,5 @@ mod tests {
         assert_eq!(fed.retire_last(), Some(6));
         assert_eq!(fed.provider_spans(), vec![("ibm".to_string(), 6)], "empty span dropped");
         assert_eq!(fed.num_qpus(), 6);
-    }
-
-    #[test]
-    fn strategies_map_to_deterministic_scheduler_configs() {
-        let base = SchedulerConfig::default();
-        let ll = LeastLoaded.scheduler_config(base);
-        assert_eq!(ll.cost_weight, 0.0);
-        assert!(ll.preference.jct_weight > ll.preference.fidelity_weight);
-
-        let qa = QuantumAware.scheduler_config(base);
-        assert_eq!(qa.cost_weight, 0.0);
-        assert_eq!(qa.preference.fidelity_weight, qa.preference.jct_weight);
-
-        let co = CostOptimized { cost_weight: 2.5 }.scheduler_config(base);
-        assert_eq!(co.cost_weight, 2.5);
-
-        // Purity: equal inputs, equal outputs.
-        let again = CostOptimized { cost_weight: 2.5 }.scheduler_config(base);
-        assert_eq!(co.cost_weight, again.cost_weight);
-        assert_eq!(co.preference.fidelity_weight, again.preference.fidelity_weight);
-        assert_eq!(
-            [LeastLoaded.name(), QuantumAware.name(), CostOptimized::default().name()],
-            ["least-loaded", "quantum-aware", "cost-optimized"]
-        );
     }
 }

@@ -8,13 +8,6 @@
 //! invariant: two shards claiming the same QPU is a replay bug, not a state
 //! to silently merge.
 //!
-//! In a federated deployment the flat QPU index space is carved into
-//! contiguous *provider spans* ([`FleetAllocator::with_provider_spans`]):
-//! span membership is a pure function of the QPU index, so the journaled
-//! grant/release events need no new fields — a failover replays the same
-//! `lgr`/`lrl` records and re-derives every provider attribution
-//! byte-for-byte.
-//!
 //! [`ControlPlaneEvent::LeaseGranted`]: crate::replication::ControlPlaneEvent::LeaseGranted
 //! [`ControlPlaneEvent::LeaseReleased`]: crate::replication::ControlPlaneEvent::LeaseReleased
 
@@ -74,63 +67,17 @@ impl fmt::Display for ReleaseError {
 
 impl std::error::Error for ReleaseError {}
 
-/// A contiguous slice of the flat QPU index space owned by one named
-/// provider: QPUs `start..start + len`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProviderSpan {
-    /// Provider name (e.g. `"ibm"`, `"ionq"`).
-    pub name: String,
-    /// First QPU index of the span.
-    pub start: usize,
-    /// Number of QPUs in the span.
-    pub len: usize,
-}
-
 /// Exclusive-lease bookkeeping over the shared QPU fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetAllocator {
     /// `owner_of[qpu] = Some(shard)` while leased.
     owner_of: Vec<Option<usize>>,
-    /// Contiguous provider spans covering (a prefix of) the index space;
-    /// empty for a single-provider fleet. Static configuration, never
-    /// journaled: provider attribution is a pure function of the QPU index.
-    spans: Vec<ProviderSpan>,
 }
 
 impl FleetAllocator {
     /// An allocator over `num_qpus` unleased QPUs.
     pub fn new(num_qpus: usize) -> Self {
-        FleetAllocator { owner_of: vec![None; num_qpus], spans: Vec::new() }
-    }
-
-    /// Attach provider spans: `spans[p] = (name, qpu count)` in flat-index
-    /// order, concatenated from index 0. Span membership is derived purely
-    /// from the QPU index, so journal replay needs no provider fields.
-    pub(crate) fn with_provider_spans<S: Into<String>>(mut self, spans: Vec<(S, usize)>) -> Self {
-        let mut start = 0;
-        self.spans = spans
-            .into_iter()
-            .map(|(name, len)| {
-                let span = ProviderSpan { name: name.into(), start, len };
-                start += len;
-                span
-            })
-            .collect();
-        debug_assert!(start <= self.owner_of.len(), "spans must fit the index space");
-        self
-    }
-
-    /// The configured provider spans (empty when unfederated).
-    pub fn provider_spans(&self) -> &[ProviderSpan] {
-        &self.spans
-    }
-
-    /// The provider owning `qpu_index`, if spans are configured and cover it.
-    pub fn provider_of(&self, qpu_index: usize) -> Option<&str> {
-        self.spans
-            .iter()
-            .find(|s| qpu_index >= s.start && qpu_index < s.start + s.len)
-            .map(|s| s.name.as_str())
+        FleetAllocator { owner_of: vec![None; num_qpus] }
     }
 
     /// Number of QPUs under management.
@@ -203,29 +150,10 @@ impl FleetAllocator {
             .collect()
     }
 
-    /// `shard`'s leased QPUs grouped by provider span, in span order:
-    /// `(provider name, ascending QPU indices)`. QPUs outside every span are
-    /// omitted; with no spans configured the result is empty.
-    #[cfg(test)]
-    pub(crate) fn leased_by_provider(&self, shard: usize) -> Vec<(String, Vec<usize>)> {
-        self.spans
-            .iter()
-            .map(|span| {
-                let held: Vec<usize> = (span.start..span.start + span.len)
-                    .filter(|&qpu| self.owner(qpu) == Some(shard))
-                    .collect();
-                (span.name.clone(), held)
-            })
-            .collect()
-    }
-
     /// Reconstruct the allocator from the per-shard journaled lease sets
     /// (`shard_leases[s]` = the QPU indices shard `s` holds after replay).
     /// Fails with the exact conflict if two shards claim one QPU — the
-    /// invariant a crash mid-lease must not break. Provider spans are static
-    /// configuration; re-attach them with
-    /// [`FleetAllocator::with_provider_spans`] (membership is index-derived,
-    /// so the re-derived attribution is byte-identical).
+    /// invariant a crash mid-lease must not break.
     pub(crate) fn rebuild(
         shard_leases: &[BTreeSet<usize>],
         num_qpus: usize,
@@ -293,38 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn provider_spans_partition_the_index_space() {
-        let alloc =
-            FleetAllocator::new(6).with_provider_spans(vec![("ibm", 4), ("ionq", 1), ("sim", 1)]);
-        assert_eq!(alloc.provider_of(0), Some("ibm"));
-        assert_eq!(alloc.provider_of(3), Some("ibm"));
-        assert_eq!(alloc.provider_of(4), Some("ionq"));
-        assert_eq!(alloc.provider_of(5), Some("sim"));
-        assert_eq!(alloc.provider_of(6), None);
-
-        let mut alloc = alloc;
-        alloc.try_grant(0, 1);
-        alloc.try_grant(0, 4);
-        alloc.try_grant(1, 5);
-        assert_eq!(
-            alloc.leased_by_provider(0),
-            vec![
-                ("ibm".to_string(), vec![1]),
-                ("ionq".to_string(), vec![4]),
-                ("sim".to_string(), vec![])
-            ]
-        );
-        assert_eq!(
-            alloc.leased_by_provider(1),
-            vec![
-                ("ibm".to_string(), vec![]),
-                ("ionq".to_string(), vec![]),
-                ("sim".to_string(), vec![5])
-            ]
-        );
-    }
-
-    #[test]
     fn rebuild_reconstructs_ownership_and_rejects_double_grants() {
         let shard0: BTreeSet<usize> = [0, 2].into_iter().collect();
         let shard1: BTreeSet<usize> = [1, 3].into_iter().collect();
@@ -338,18 +234,5 @@ mod tests {
             FleetAllocator::rebuild(&[shard0, overlapping], 4),
             Err(LeaseConflict { qpu_index: 2, held_by: 0, claimed_by: 1 })
         );
-    }
-
-    #[test]
-    fn rebuild_with_spans_reattached_matches_the_original_attribution() {
-        let mut alloc = FleetAllocator::new(4).with_provider_spans(vec![("ibm", 2), ("ionq", 2)]);
-        alloc.try_grant(0, 0);
-        alloc.try_grant(1, 3);
-        let sets: Vec<BTreeSet<usize>> = vec![[0].into_iter().collect(), [3].into_iter().collect()];
-        let rebuilt = FleetAllocator::rebuild(&sets, 4)
-            .unwrap()
-            .with_provider_spans(vec![("ibm", 2), ("ionq", 2)]);
-        assert_eq!(rebuilt, alloc, "replayed leases + static spans = byte-identical allocator");
-        assert_eq!(rebuilt.leased_by_provider(0), alloc.leased_by_provider(0));
     }
 }

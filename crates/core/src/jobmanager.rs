@@ -6,9 +6,8 @@
 //! whichever fires first) gates every invocation of the NSGA-II + MCDM
 //! scheduler; each triggered invocation schedules the whole pending pool as
 //! one batch and enqueues the chosen placements onto the [`Fleet`]'s per-QPU
-//! queues. Baseline policies (FCFS / least-busy) bypass the trigger with a
-//! direct dispatch but still share the same submission pool, id space, and
-//! enqueue path.
+//! queues. The FCFS baseline bypasses the trigger with a direct dispatch but
+//! still shares the same submission pool, id space, and enqueue path.
 //!
 //! The engine decides and applies; it never journals. `decide_batch` reads
 //! the pool and the fleet and writes nothing; `apply_batch` and
@@ -93,7 +92,7 @@ pub struct PendingJob {
     /// and are excluded from batches, so a split cannot re-fire the trigger
     /// at the same instant and re-plan the same jobs against the same stale
     /// estimates — unless the job's SLO slack goes negative first, in which
-    /// case the hold is bypassed (see [`JobManager::schedulable_at`]).
+    /// case the hold is bypassed (see `JobManager::schedulable_at`).
     pub held_until_s: f64,
     /// Absolute SLO deadline (simulated seconds), `f64::INFINITY` for jobs
     /// without one. When `now + slo_margin ≥ deadline_s` the job is urgent:
@@ -577,7 +576,7 @@ impl JobManager {
         enqueues
     }
 
-    /// Apply one direct dispatch (the FCFS / least-busy baseline path, which
+    /// Apply one direct dispatch (the FCFS baseline path, which
     /// bypasses the trigger and the optimizer): take the job out of the pool
     /// and return its enqueue onto `qpu_index`, or `None` if it is not
     /// pending.

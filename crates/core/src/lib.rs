@@ -39,10 +39,8 @@ pub mod workflow;
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScalingDecision};
 pub use config::{DeploymentConfig, Priority};
 pub use estimate_cache::{EstimateCacheStats, ProductStats};
-pub use federation::{
-    CostOptimized, FederatedFleet, LeastLoaded, PlacementStrategy, Provider, QuantumAware,
-};
-pub use fleetlease::{FleetAllocator, LeaseConflict, ProviderSpan, ReleaseError};
+pub use federation::{FederatedFleet, Provider};
+pub use fleetlease::{FleetAllocator, LeaseConflict, ReleaseError};
 pub use jobmanager::{
     BatchRecord, CalibrationPolicy, CompletedExecution, JobId, JobSpec, PendingJob, TenantId,
     DEFAULT_TENANT,

@@ -6,9 +6,10 @@
 //!
 //! The orchestrator executes workflows against the *modelled* hybrid cluster
 //! (simulated time): quantum steps are submitted into the shared batch
-//! [`JobManager`], whose [`qonductor_scheduler::ScheduleTrigger`] gates every
-//! NSGA-II + MCDM scheduler invocation and dispatches whole batches onto the
-//! fleet queues; classical steps are placed with the filter–score scheduler;
+//! [`JobManager`](crate::jobmanager::JobManager), whose
+//! [`qonductor_scheduler::ScheduleTrigger`] gates every NSGA-II + MCDM
+//! scheduler invocation and dispatches whole batches onto the fleet queues;
+//! classical steps are placed with the filter–score scheduler;
 //! results (per-step fidelity, waiting, execution and completion times,
 //! dollar cost) are kept by the orchestrator, and each run's status, every
 //! dispatched batch and every re-estimation pass by the system monitor.
@@ -152,9 +153,6 @@ pub struct Orchestrator {
     scheduler: HybridScheduler,
     transpiler: Transpiler,
     pricing: PricingTable,
-    /// Seed for the control-plane stores (kept so [`Orchestrator::with_trigger`]
-    /// rebuilds deterministically).
-    control_seed: u64,
     state: Mutex<OrchestratorState>,
 }
 
@@ -162,7 +160,7 @@ impl Orchestrator {
     /// Create an orchestrator over a QPU fleet and a set of classical nodes.
     pub fn new(fleet: Fleet, classical_nodes: Vec<ClassicalNode>, seed: u64) -> Self {
         let trigger = ScheduleTrigger::default();
-        let control = default_control_plane(fleet.len(), trigger, seed);
+        let control = default_control_plane(fleet.len(), trigger);
         Orchestrator {
             registry: WorkflowRegistry::new(),
             monitor: SystemMonitor::default(),
@@ -171,7 +169,6 @@ impl Orchestrator {
             scheduler: HybridScheduler::with_warm_start(SchedulerConfig::default()),
             transpiler: Transpiler::default(),
             pricing: PricingTable::default(),
-            control_seed: seed,
             state: Mutex::new(OrchestratorState {
                 fleet,
                 classical_nodes,
@@ -207,7 +204,7 @@ impl Orchestrator {
                 && state.control.shards().iter().all(|s| s.jobmanager().pending_len() == 0),
             "with_trigger must be called before any workflow is invoked"
         );
-        let mut control = default_control_plane(state.fleet.len(), trigger, self.control_seed);
+        let mut control = default_control_plane(state.fleet.len(), trigger);
         // Re-register every pre-existing tenant beyond the default one
         // (global ids are sequential and never removed, so replaying the
         // configurations in ascending order reproduces the id space).
@@ -929,13 +926,9 @@ struct AwaitedStep {
 /// the legacy single-caller path: weight 1, unbounded in-flight, and no
 /// rejection retries (a scheduler rejection fails the awaiting run
 /// immediately, as before the submission service existed).
-fn default_control_plane(
-    num_qpus: usize,
-    trigger: ScheduleTrigger,
-    seed: u64,
-) -> ShardedControlPlane {
+fn default_control_plane(num_qpus: usize, trigger: ScheduleTrigger) -> ShardedControlPlane {
     let mut control =
-        ShardedControlPlane::new(1, num_qpus, trigger, CalibrationPolicy::SplitAtBoundary, 1, seed);
+        ShardedControlPlane::new(1, num_qpus, trigger, CalibrationPolicy::SplitAtBoundary, 1, 0);
     let tenant = control
         .register_tenant_with(TenantConfig { weight: 1, max_in_flight: usize::MAX, max_retries: 0 })
         .expect("fresh store has a quorum");

@@ -465,7 +465,7 @@ pub enum ControlPlaneEvent {
         spec: JobSpec,
     },
     /// A job was placed directly onto a QPU queue, bypassing the trigger and
-    /// the optimizer (the FCFS / least-busy baseline path).
+    /// the optimizer (the FCFS baseline path).
     DirectDispatched {
         /// The engine-assigned job id.
         job_id: JobId,
@@ -1185,7 +1185,7 @@ impl ControlState {
 /// In a sharded deployment ([`crate::sharding::ShardedControlPlane`]) each
 /// shard is one `ReplicatedControlPlane` that additionally journals the QPU
 /// leases it holds from the shared fleet allocator
-/// ([`crate::fleetlease::FleetAllocator`]); [`Self::leases`] is rebuilt by
+/// ([`crate::fleetlease::FleetAllocator`]); that lease set is rebuilt by
 /// `snapshot + log replay` exactly like the engine state.
 #[derive(Debug)]
 pub struct ReplicatedControlPlane {
@@ -1212,7 +1212,7 @@ impl ReplicatedControlPlane {
     /// and elects the initial leader. (`_seed` is unused — the in-store
     /// election is deterministic — and kept only because callers pass it.)
     pub fn new(trigger: ScheduleTrigger, fault_tolerance: usize, _seed: u64) -> Self {
-        Self::with_policy(trigger, CalibrationPolicy::default(), fault_tolerance, _seed)
+        Self::with_policy(trigger, CalibrationPolicy::default(), fault_tolerance)
     }
 
     /// [`Self::new`] with an explicit calibration policy for the batch engine
@@ -1222,7 +1222,6 @@ impl ReplicatedControlPlane {
         trigger: ScheduleTrigger,
         policy: CalibrationPolicy,
         fault_tolerance: usize,
-        _seed: u64,
     ) -> Self {
         let store = ReplicatedKvStore::new(fault_tolerance);
         let log = ReplicatedLog::new(store.clone(), "ctl");
@@ -2022,7 +2021,6 @@ mod tests {
             ScheduleTrigger::new(3, 120.0),
             CalibrationPolicy::SplitAtBoundary,
             1,
-            9,
         );
         let tenant = plane.register_tenant(1).unwrap();
         for i in 0..3 {

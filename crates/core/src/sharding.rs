@@ -1,7 +1,9 @@
 //! The sharded control plane: tenants are partitioned by hash across N
 //! independent [`ReplicatedControlPlane`] shards, each owning its own
-//! journal, [`JobManager`], [`SubmissionService`], and `ScheduleTrigger`, and
-//! leasing exclusive QPU capacity from the shared [`FleetAllocator`].
+//! journal, [`JobManager`](crate::jobmanager::JobManager),
+//! [`SubmissionService`](crate::submission::SubmissionService), and
+//! `ScheduleTrigger`, and leasing exclusive QPU capacity from the shared
+//! [`FleetAllocator`].
 //!
 //! The single `ReplicatedControlPlane` is a global serialization point: one
 //! journal quorum carries every submission, and one DRR admission pass walks
@@ -16,8 +18,9 @@
 //!   will land ([`ShardedControlPlane::next_shard`]).
 //! - **Leases are journaled on the granting shard.** A shard journals
 //!   `LeaseGranted` *before* using the QPU, so its `failover()` replays the
-//!   lease set byte-for-byte and [`FleetAllocator::rebuild`] over the
-//!   per-shard sets proves capacity is neither leaked nor double-granted.
+//!   lease set byte-for-byte and [`ShardedControlPlane::rebuild_allocator`]
+//!   over the per-shard sets proves capacity is neither leaked nor
+//!   double-granted.
 //! - **Specs are masked to owned capacity.** A submission routed to a shard
 //!   has its estimate table masked to the shard's leased QPUs plus the
 //!   elastic QPUs it provisioned (fidelity 0, exec ∞ elsewhere), so the
@@ -99,6 +102,8 @@ impl ShardedControlPlane {
     /// shard gets its own journal store of `2f + 1` replicas, an independent
     /// copy of `trigger`, and the calibration `policy`; QPU `i` is leased to
     /// shard `i % num_shards` (round-robin), journaled on the holding shard.
+    /// (`_seed` is unused, as in [`ReplicatedControlPlane::new`], and kept
+    /// only because callers pass it.)
     ///
     /// # Panics
     ///
@@ -109,7 +114,7 @@ impl ShardedControlPlane {
         trigger: ScheduleTrigger,
         policy: CalibrationPolicy,
         fault_tolerance: usize,
-        seed: u64,
+        _seed: u64,
     ) -> Self {
         assert!(num_shards > 0, "a sharded plane needs at least one shard");
         assert!(
@@ -117,14 +122,7 @@ impl ShardedControlPlane {
             "a sharded plane needs at most one shard per QPU ({num_shards} shards over {num_qpus} QPUs): a shard without a QPU never dispatches"
         );
         let shards: Vec<ReplicatedControlPlane> = (0..num_shards)
-            .map(|s| {
-                ReplicatedControlPlane::with_policy(
-                    trigger,
-                    policy,
-                    fault_tolerance,
-                    seed.wrapping_add(s as u64),
-                )
-            })
+            .map(|_| ReplicatedControlPlane::with_policy(trigger, policy, fault_tolerance))
             .collect();
         let mut plane = ShardedControlPlane {
             shards,
@@ -138,16 +136,6 @@ impl ShardedControlPlane {
             plane.lease_qpu(shard, qpu_index).expect("fresh stores have quorums");
         }
         plane
-    }
-
-    /// Attach provider spans to the shared allocator (federated
-    /// deployments): `spans[p] = (provider name, qpu count)` concatenated in
-    /// flat-index order. Pure configuration — nothing is journaled, and
-    /// failover re-attaches the spans to the rebuilt allocator.
-    #[cfg(test)]
-    fn with_provider_spans(mut self, spans: Vec<(String, usize)>) -> Self {
-        self.allocator = self.allocator.with_provider_spans(spans);
-        self
     }
 
     /// Number of shards.
@@ -517,15 +505,10 @@ impl ShardedControlPlane {
     }
 
     /// Reconstruct the allocator from the shards' journaled lease sets,
-    /// failing on any double grant. Provider spans are static configuration
-    /// (membership is index-derived, never journaled), so they are carried
-    /// over from the live allocator — the rebuilt provider attribution is
-    /// byte-identical to the pre-crash one.
+    /// failing on any double grant.
     pub fn rebuild_allocator(&self) -> Result<FleetAllocator, LeaseConflict> {
         let sets: Vec<_> = self.shards.iter().map(|s| s.leases().clone()).collect();
-        let spans: Vec<(String, usize)> =
-            self.allocator.provider_spans().iter().map(|s| (s.name.clone(), s.len)).collect();
-        Ok(FleetAllocator::rebuild(&sets, self.allocator.num_qpus())?.with_provider_spans(spans))
+        FleetAllocator::rebuild(&sets, self.allocator.num_qpus())
     }
 
     /// Mask a full-fleet spec to the capacity a shard owns — the QPUs it
@@ -821,7 +804,7 @@ mod tests {
     fn a_single_shard_plane_matches_the_unsharded_plane_byte_for_byte() {
         let trigger = ScheduleTrigger::new(1, 30.0);
         let mut sharded = ShardedControlPlane::new(1, 8, trigger, CalibrationPolicy::Naive, 1, 7);
-        let mut flat = ReplicatedControlPlane::with_policy(trigger, CalibrationPolicy::Naive, 1, 7);
+        let mut flat = ReplicatedControlPlane::with_policy(trigger, CalibrationPolicy::Naive, 1);
         let mut fleet_a = small_fleet(3);
         let mut fleet_b = small_fleet(3);
         let scheduler = scheduler();
@@ -1038,33 +1021,6 @@ mod tests {
         }
         for bad in ["", "1", "1:2", "1:2:3:4", "x:2:3", "1:-2:3", "1:2:3 "] {
             assert_eq!(GlobalTicket::decode(bad), None, "malformed input {bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn provider_spans_survive_failover_byte_for_byte() {
-        let mut plane =
-            plane(2, 8).with_provider_spans(vec![("ibm".to_string(), 6), ("ionq".to_string(), 2)]);
-        let fleet = small_fleet(3);
-        let tenant = plane.register_tenant(1).unwrap();
-        plane.submit(tenant, spec(&fleet, 5, 20.0), 1.0).unwrap();
-        plane.admit(2.0).unwrap();
-
-        let before = plane.allocator().clone();
-        assert_eq!(before.provider_of(5), Some("ibm"));
-        assert_eq!(before.provider_of(6), Some("ionq"));
-        plane.crash_all_leaders();
-        plane.failover_all().unwrap();
-        assert_eq!(
-            plane.allocator(),
-            &before,
-            "rebuilt allocator (leases + spans) must match the pre-crash one exactly"
-        );
-        for shard in 0..2 {
-            assert_eq!(
-                plane.allocator().leased_by_provider(shard),
-                before.leased_by_provider(shard)
-            );
         }
     }
 }

@@ -57,7 +57,7 @@ impl TenantConfig {
 /// absolute deadline (`submitted_s + deadline_s`); when a queued job's
 /// deadline would be missed by waiting one more trigger interval it jumps the
 /// DRR scan through the escalation lane
-/// ([`SubmissionService::pending_escalations`]), and once admitted it arms
+/// (`SubmissionService::pending_escalations`), and once admitted it arms
 /// the trigger's early-fire SLO path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloClass {

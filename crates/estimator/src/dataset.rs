@@ -36,28 +36,27 @@ pub struct DatasetConfig {
     pub max_width: u32,
     /// Fraction of records that use an error-mitigation stack (paper §8.2: 50%).
     pub mitigation_fraction: f64,
-    /// Number of independent RNG streams the records are split over. Despite
-    /// the name (kept for its callers) this is a stream count, and the count
-    /// fixes the records; they are computed on `min(host_cores(), count)`
-    /// threads ([`qonductor_circuit::par`]), which never changes them.
-    pub num_threads: usize,
+    /// Number of independent RNG streams the records are split over. The
+    /// count fixes the records; they are computed on `min(host_cores(),
+    /// count)` threads ([`qonductor_circuit::par`]), which never changes them.
+    pub num_streams: usize,
 }
 
 impl Default for DatasetConfig {
     fn default() -> Self {
-        DatasetConfig { num_records: 7000, max_width: 27, mitigation_fraction: 0.5, num_threads: 4 }
+        DatasetConfig { num_records: 7000, max_width: 27, mitigation_fraction: 0.5, num_streams: 4 }
     }
 }
 
 /// Generate a dataset of execution records against the given fleet.
 ///
 /// Generation is embarrassingly parallel: the records are split over
-/// `config.num_threads` streams, each with an independent deterministic RNG
+/// `config.num_streams` streams, each with an independent deterministic RNG
 /// derived from `seed`, computed on the host's cores and concatenated in
 /// stream order.
 pub fn generate_dataset(fleet: &Fleet, config: &DatasetConfig, seed: u64) -> Vec<ExecutionRecord> {
     assert!(!fleet.is_empty(), "dataset generation needs at least one QPU");
-    let streams = config.num_threads.max(1);
+    let streams = config.num_streams.max(1);
     let per_stream = config.num_records / streams;
     let remainder = config.num_records % streams;
     par::map_indexed(par::host_cores(), streams, |t| {
@@ -150,7 +149,7 @@ mod tests {
     #[test]
     fn dataset_has_requested_size_and_sane_values() {
         let fleet = small_fleet();
-        let cfg = DatasetConfig { num_records: 120, num_threads: 3, ..Default::default() };
+        let cfg = DatasetConfig { num_records: 120, num_streams: 3, ..Default::default() };
         let records = generate_dataset(&fleet, &cfg, 42);
         assert_eq!(records.len(), 120);
         for r in &records {
@@ -164,7 +163,7 @@ mod tests {
     #[test]
     fn dataset_is_deterministic_per_seed() {
         let fleet = small_fleet();
-        let cfg = DatasetConfig { num_records: 40, num_threads: 2, ..Default::default() };
+        let cfg = DatasetConfig { num_records: 40, num_streams: 2, ..Default::default() };
         let a = generate_dataset(&fleet, &cfg, 7);
         let b = generate_dataset(&fleet, &cfg, 7);
         assert_eq!(a.len(), b.len());
@@ -179,7 +178,7 @@ mod tests {
         let fleet = small_fleet();
         let cfg = DatasetConfig {
             num_records: 100,
-            num_threads: 2,
+            num_streams: 2,
             mitigation_fraction: 0.7,
             ..Default::default()
         };
@@ -192,7 +191,7 @@ mod tests {
     #[test]
     fn split_partitions_records() {
         let fleet = small_fleet();
-        let cfg = DatasetConfig { num_records: 50, num_threads: 1, ..Default::default() };
+        let cfg = DatasetConfig { num_records: 50, num_streams: 1, ..Default::default() };
         let records = generate_dataset(&fleet, &cfg, 5);
         let (train, test) = split(&records, 0.8);
         assert_eq!(train.len(), 40);
@@ -213,7 +212,7 @@ mod tests {
         };
         let qpu = Qpu::new("split", model, 1.0, &mut rng);
         let fleet = Fleet::from_members(vec![FleetMember { qpu, queue: JobQueue::new() }]);
-        let cfg = DatasetConfig { num_records: 16, num_threads: 2, ..Default::default() };
+        let cfg = DatasetConfig { num_records: 16, num_streams: 2, ..Default::default() };
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             generate_dataset(&fleet, &cfg, 5)
         }))
@@ -225,7 +224,7 @@ mod tests {
     #[test]
     fn remainder_records_are_distributed_across_threads() {
         let fleet = small_fleet();
-        let cfg = DatasetConfig { num_records: 11, num_threads: 4, ..Default::default() };
+        let cfg = DatasetConfig { num_records: 11, num_streams: 4, ..Default::default() };
         let records = generate_dataset(&fleet, &cfg, 9);
         assert_eq!(records.len(), 11);
     }

@@ -136,7 +136,7 @@ mod tests {
         let fleet = Fleet::ibm_default(&mut rng);
         generate_dataset(
             &fleet,
-            &DatasetConfig { num_records: n, num_threads: 4, ..Default::default() },
+            &DatasetConfig { num_records: n, num_streams: 4, ..Default::default() },
             11,
         )
     }

@@ -88,10 +88,10 @@ pub struct Nsga2Config {
     /// team size never changes the result.
     pub num_threads: usize,
     /// Generations an island evolves between ring elite exchanges
-    /// (default [`MIGRATION_INTERVAL`]; values `< 1` are clamped to 1).
+    /// (default `MIGRATION_INTERVAL`; values `< 1` are clamped to 1).
     pub migration_interval: usize,
     /// Minimum individuals per island: requested island counts are clamped
-    /// so no island drops below this (default [`MIN_ISLAND_POP`]; values
+    /// so no island drops below this (default `MIN_ISLAND_POP`; values
     /// `< 1` are clamped to 1 — tiny subpopulations stall the genetic
     /// operators).
     pub min_island_pop: usize,
@@ -367,7 +367,7 @@ struct IslandSlot {
 /// never contended; it is what lets two team members share the buffer.
 type Outbox = Mutex<[Individual; MIGRATION_ELITES]>;
 
-/// Reusable scratch state for [`optimize_with`]: one [`IslandSlot`] per
+/// Reusable scratch state for [`optimize_with`]: one `IslandSlot` per
 /// island, its elite-migration outbox, and the operator tables. Create once
 /// (e.g. per scheduler) and reuse across cycles — every buffer is fully
 /// overwritten per run, so reuse never changes results, it only removes

@@ -304,7 +304,7 @@ pub(crate) const NO_FEASIBLE: u32 = u32::MAX;
 /// `mean_error` are the two Pareto dimensions of Eq. (1); `mean_cost` is the
 /// federation cost lane, reported for MCDM tie-breaking and diagnostics and
 /// folded into `mean_jct_s` (scaled by the cost weight) during the search —
-/// it does **not** participate in [`Objectives::dominates`], which keeps the
+/// it does **not** participate in `Objectives::dominates`, which keeps the
 /// 2-D non-dominated sort intact. Always `0.0` when no cost lane is attached.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Objectives {
@@ -338,8 +338,8 @@ impl SchedulingProblem {
     /// Build a problem instance, computing the per-job feasible QPU sets and
     /// the flat evaluation tables. Estimates are sanitised here (see the
     /// module docs): non-finite fidelities degrade to 0, non-finite execution
-    /// times to [`NON_FINITE_EXEC_S`], non-finite waiting times to
-    /// [`MAX_WAIT_S`], and everything snaps to the dyadic grid that keeps
+    /// times to `NON_FINITE_EXEC_S`, non-finite waiting times to
+    /// `MAX_WAIT_S`, and everything snaps to the dyadic grid that keeps
     /// f64 sums exact. The sanitised values are written back into the public
     /// `jobs` / `qpus` so every view agrees.
     ///
@@ -548,7 +548,7 @@ impl SchedulingProblem {
 
     /// Evaluate the two objectives of Eq. (1) for an assignment
     /// (`assignment[i]` = QPU index of job `i`). Infeasible job placements are
-    /// penalised with [`INFEASIBLE_PENALTY_S`] so the optimizer steers away
+    /// penalised with `INFEASIBLE_PENALTY_S` so the optimizer steers away
     /// from them.
     pub fn evaluate(&self, assignment: &[usize]) -> Objectives {
         assert_eq!(assignment.len(), self.num_jobs());

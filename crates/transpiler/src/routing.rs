@@ -7,7 +7,7 @@
 //! layout as it goes. This matches the paper's needs — the orchestrator only
 //! consumes the *post-routing* gate counts, depth, and duration.
 //!
-//! [`Router`] is one instruction's step of that walk. [`route`] runs it over
+//! `Router` is one instruction's step of that walk. [`route`] runs it over
 //! a whole circuit and writes each SWAP as a `Gate::Swap`; the transpiler runs
 //! the same step inside its one pass and writes each SWAP in the device basis.
 

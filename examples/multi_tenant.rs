@@ -10,6 +10,7 @@ use qonductor::cloudsim::{
     ArrivalConfig, MultiTenantConfig, MultiTenantSimulation, RunParams, TenantArrivalConfig,
     TenantLoad,
 };
+use qonductor::core::TenantConfig;
 use qonductor::scheduler::{Nsga2Config, Preference};
 
 fn main() {
@@ -22,9 +23,7 @@ fn main() {
         mitigation_fraction: 0.4,
     };
     let tenant = |weight: u32| TenantLoad {
-        weight,
-        max_in_flight: 1_000_000,
-        max_retries: 1,
+        config: TenantConfig { weight, max_in_flight: 1_000_000, max_retries: 1 },
         arrivals: stream(9000.0),
     };
     let config = MultiTenantConfig {
@@ -44,6 +43,7 @@ fn main() {
             seed: 7,
         },
         tenants: vec![tenant(3), tenant(2), tenant(1)],
+        num_shards: 1,
     };
 
     println!("three tenants, weights 3:2:1, equal saturating arrival streams\n");

@@ -24,7 +24,7 @@ fn fleet() -> Fleet {
 fn assert_accurate_on_held_out_executions(streams: usize) {
     let records = generate_dataset(
         &fleet(),
-        &DatasetConfig { num_records: 700, num_threads: streams, ..Default::default() },
+        &DatasetConfig { num_records: 700, num_streams: streams, ..Default::default() },
         2026,
     );
     let (train, test) = split(&records, 0.8);
@@ -67,8 +67,8 @@ fn one_stream_per_record_is_as_accurate_as_four() {
 #[test]
 fn dataset_bytes_are_pinned_for_every_stream_count() {
     let fleet = fleet();
-    let digests = [1usize, 3, 4, 8].map(|num_threads| {
-        let config = DatasetConfig { num_records: 64, num_threads, ..Default::default() };
+    let digests = [1usize, 3, 4, 8].map(|num_streams| {
+        let config = DatasetConfig { num_records: 64, num_streams, ..Default::default() };
         let mut digest = Fnv64::new();
         for record in generate_dataset(&fleet, &config, 17) {
             let JobFeatures {
@@ -129,7 +129,7 @@ fn regression_beats_numerical_baseline_on_mitigated_jobs() {
         &fleet,
         &DatasetConfig {
             num_records: 500,
-            num_threads: 4,
+            num_streams: 4,
             mitigation_fraction: 1.0, // every job is mitigated
             ..Default::default()
         },

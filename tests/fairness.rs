@@ -246,20 +246,13 @@ fn multi_tenant_simulation_converges_to_weighted_shares() {
             preference: Preference::balanced(),
             seed: 77,
         },
-        tenants: vec![
-            TenantLoad {
-                weight: 2,
+        tenants: [2, 1]
+            .map(|weight| TenantLoad {
+                config: TenantConfig { weight, max_in_flight: 1_000_000, max_retries: 1 },
                 arrivals: stream,
-                max_in_flight: 1_000_000,
-                ..TenantLoad::default()
-            },
-            TenantLoad {
-                weight: 1,
-                arrivals: stream,
-                max_in_flight: 1_000_000,
-                ..TenantLoad::default()
-            },
-        ],
+            })
+            .to_vec(),
+        num_shards: 1,
     };
     let report = MultiTenantSimulation::with_default_fleet(config).run();
     assert!(!report.batches.is_empty());

@@ -440,7 +440,6 @@ proptest! {
             ScheduleTrigger::new(6, 30.0),
             CalibrationPolicy::SplitAtBoundary,
             1,
-            seed,
         );
         let tenant = plane.register_tenant(1).expect("quorum");
         let scheduler = common::small_scheduler(8, 4, 240);
@@ -606,7 +605,6 @@ fn run_control_ops(
         qonductor::scheduler::ScheduleTrigger::new(QUEUE_LIMIT, INTERVAL_S),
         policy,
         1,
-        seed,
     );
     let mut tenants: Vec<_> = (1..=3u32)
         .map(|w| {
