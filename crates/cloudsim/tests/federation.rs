@@ -110,7 +110,7 @@ fn a_single_provider_federation_is_byte_identical_to_the_flat_plane() {
     // Arm B: the identical fleet wrapped in a single-provider federation.
     let mut fleet_rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
     let federation = FederatedFleet::single("ibm", Fleet::ibm_default(&mut fleet_rng));
-    assert_eq!(federation.provider_of(0), Some("ibm"));
+    assert_eq!(federation.provider_spans(), vec![("ibm".to_string(), federation.num_qpus())]);
     let federated =
         CloudSimulation::new(config, federation.into_fleet()).run_with_failures(&no_crashes);
 

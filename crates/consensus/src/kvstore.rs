@@ -1,33 +1,92 @@
-//! Replicated key-value store backing the control plane (§4): the journal of
-//! job and tenant state, its snapshots and the leader lease are persisted on
-//! a quorum of 2f+1 replicas; writes commit once a majority of live replicas
+//! Replicated store backing the control plane (§4): the journal of job and
+//! tenant state, its snapshots and the leader lease are persisted on a quorum
+//! of 2f+1 replicas; writes commit once a majority of live replicas
 //! acknowledge them.
 //!
-//! Stored keys and values are immutable shared strings (`Arc<str>`): a write
-//! makes one copy of its key and value and hands every live replica a pointer
-//! to it, so a multi-megabyte snapshot is held once however many replicas
-//! apply it, and compaction frees each entry once. Replicas stay independent
-//! all the same — nothing writes through a shared value; a replica changes
-//! only by pointing a key at another value.
+//! Each replica holds two kinds of state, committed through the same quorum
+//! and the same write counter, so they share one fault domain:
+//! - a key-value map (the leader lease lives there), and
+//! - one [`Journal`] per opened log: its lines in index order, the index of
+//!   the first line it still holds, and the installed snapshot. An append is
+//!   one committed write that pushes its lines onto every live replica; a
+//!   snapshot install is one committed write that sets the snapshot and drops
+//!   the lines it covers.
+//!
+//! Stored keys, values and lines are immutable shared strings (`Arc<str>`): a
+//! write makes one copy of each and hands every live replica a pointer to it,
+//! so a multi-megabyte snapshot is held once however many replicas apply it,
+//! and compaction frees each line once. Replicas stay independent all the
+//! same — nothing writes through a shared value; a replica changes only by
+//! pointing at another value or dropping its pointer.
 
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+
+/// One log's journal on one replica.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Journal {
+    /// Index of `lines[0]`; every index below it is compacted away.
+    pub(crate) first: u64,
+    /// The retained lines, in index order.
+    pub(crate) lines: VecDeque<Arc<str>>,
+    /// The latest installed snapshot: `(first index not covered, payload)`.
+    pub(crate) snapshot: Option<(u64, Arc<str>)>,
+}
+
+impl Journal {
+    /// The index the next appended line receives.
+    pub(crate) fn end(&self) -> u64 {
+        self.first + self.lines.len() as u64
+    }
+}
 
 /// A single replica's storage.
 #[derive(Debug, Default)]
 struct Replica {
     data: BTreeMap<Arc<str>, Arc<str>>,
+    /// One journal per opened log, indexed by journal id.
+    journals: Vec<Journal>,
     /// Index of the last applied write.
     applied_index: u64,
     /// `true` while the replica is down.
     crashed: bool,
 }
 
-/// The most up-to-date live replica — the one reads are served from.
-fn freshest(replicas: &[Replica]) -> Option<&Replica> {
-    replicas.iter().filter(|r| !r.crashed).max_by_key(|r| r.applied_index)
+/// Everything behind the store's one lock.
+#[derive(Debug, Default)]
+struct Replicas {
+    replicas: Vec<Replica>,
+    /// Number of committed writes (the replication log length).
+    committed: u64,
+    /// The name each journal id was opened under.
+    journal_names: Vec<String>,
+}
+
+impl Replicas {
+    fn has_quorum(&self) -> bool {
+        self.replicas.iter().filter(|r| !r.crashed).count() * 2 > self.replicas.len()
+    }
+
+    /// The most up-to-date live replica — the one reads are served from.
+    fn freshest(&self) -> Option<&Replica> {
+        self.replicas.iter().filter(|r| !r.crashed).max_by_key(|r| r.applied_index)
+    }
+
+    /// Commit one write: refused without a quorum (no replica changes),
+    /// otherwise applied by `write` to every live replica under one new
+    /// committed index.
+    fn commit(&mut self, mut write: impl FnMut(&mut Replica)) -> Result<(), StoreError> {
+        if !self.has_quorum() {
+            return Err(StoreError::NoQuorum);
+        }
+        self.committed += 1;
+        for r in self.replicas.iter_mut().filter(|r| !r.crashed) {
+            write(r);
+            r.applied_index = self.committed;
+        }
+        Ok(())
+    }
 }
 
 /// Errors returned by the replicated store.
@@ -39,53 +98,47 @@ pub enum StoreError {
     KeyNotFound,
 }
 
-/// A majority-quorum replicated key-value store.
+/// A majority-quorum replicated store: a key-value map plus the journals of
+/// the logs opened on it.
 ///
 /// Thread-safe: the store can be shared across the control-plane threads
 /// (API server, job manager, scheduler) via `clone()`; all clones view the
 /// same replicated state.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicatedKvStore {
-    replicas: Arc<RwLock<Vec<Replica>>>,
-    log_length: Arc<RwLock<u64>>,
+    state: Arc<RwLock<Replicas>>,
 }
 
 impl ReplicatedKvStore {
     /// Create a store replicated over `2f + 1` replicas.
     pub fn new(fault_tolerance: usize) -> Self {
-        let replica_count = 2 * fault_tolerance + 1;
+        let replicas = (0..2 * fault_tolerance + 1).map(|_| Replica::default()).collect();
         ReplicatedKvStore {
-            replicas: Arc::new(RwLock::new(
-                (0..replica_count).map(|_| Replica::default()).collect(),
-            )),
-            log_length: Arc::new(RwLock::new(0)),
+            state: Arc::new(RwLock::new(Replicas { replicas, ..Replicas::default() })),
         }
     }
 
     /// Number of replicas (2f + 1).
+    #[cfg(test)]
     pub(crate) fn replica_count(&self) -> usize {
-        self.replicas.read().len()
-    }
-
-    /// Number of currently live replicas.
-    pub(crate) fn live_replicas(&self) -> usize {
-        self.replicas.read().iter().filter(|r| !r.crashed).count()
+        self.state.read().replicas.len()
     }
 
     /// `true` if a write quorum (majority of all replicas) is available.
     pub fn has_quorum(&self) -> bool {
-        self.live_replicas() * 2 > self.replica_count()
+        self.state.read().has_quorum()
     }
 
     /// Crash one replica (its data is retained but it stops acknowledging writes).
     pub fn crash_replica(&self, index: usize) {
-        self.replicas.write()[index].crashed = true;
+        self.state.write().replicas[index].crashed = true;
     }
 
     /// Recover a crashed replica and catch it up from a live majority replica
-    /// (a copy of its map: the stored strings themselves are shared).
+    /// (a copy of its map and its journals: the stored strings themselves are
+    /// shared).
     pub fn recover_replica(&self, index: usize) {
-        let mut replicas = self.replicas.write();
+        let replicas = &mut self.state.write().replicas;
         // Find the most up-to-date live replica to copy state from.
         let best = replicas
             .iter()
@@ -94,9 +147,12 @@ impl ReplicatedKvStore {
             .max_by_key(|(_, r)| r.applied_index)
             .map(|(i, _)| i);
         if let Some(src) = best {
-            let (data, applied) = (replicas[src].data.clone(), replicas[src].applied_index);
+            let src = &replicas[src];
+            let (data, journals, applied) =
+                (src.data.clone(), src.journals.clone(), src.applied_index);
             let target = &mut replicas[index];
             target.data = data;
+            target.journals = journals;
             target.applied_index = applied;
         }
         replicas[index].crashed = false;
@@ -110,122 +166,17 @@ impl ReplicatedKvStore {
         key: impl Into<Arc<str>>,
         value: impl Into<Arc<str>>,
     ) -> Result<(), StoreError> {
-        if !self.has_quorum() {
-            return Err(StoreError::NoQuorum);
-        }
         let (key, value) = (key.into(), value.into());
-        let mut log_length = self.log_length.write();
-        *log_length += 1;
-        let index = *log_length;
-        let mut replicas = self.replicas.write();
-        for r in replicas.iter_mut().filter(|r| !r.crashed) {
+        self.state.write().commit(|r| {
             r.data.insert(Arc::clone(&key), Arc::clone(&value));
-            r.applied_index = index;
-        }
-        Ok(())
-    }
-
-    /// Write a batch of keys atomically: one quorum check, one lock
-    /// acquisition, one committed write index for the whole batch. Either
-    /// every pair is applied on every live replica or (without a quorum)
-    /// none is — the group-commit primitive the journaling layer's
-    /// `ReplicatedLog::append_all_with` builds on. The replicas share the
-    /// caller's keys and values.
-    pub(crate) fn put_all(&self, pairs: &[(Arc<str>, Arc<str>)]) -> Result<(), StoreError> {
-        if !self.has_quorum() {
-            return Err(StoreError::NoQuorum);
-        }
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        let mut log_length = self.log_length.write();
-        *log_length += 1;
-        let index = *log_length;
-        let mut replicas = self.replicas.write();
-        for r in replicas.iter_mut().filter(|r| !r.crashed) {
-            for (key, value) in pairs {
-                r.data.insert(Arc::clone(key), Arc::clone(value));
-            }
-            r.applied_index = index;
-        }
-        Ok(())
+        })
     }
 
     /// Read a key from any live, up-to-date replica.
     pub fn get(&self, key: &str) -> Result<String, StoreError> {
-        self.read(key, str::to_owned)
-    }
-
-    /// [`Self::get`] without the copy: `visit` borrows the value in place
-    /// (under the store's read lock, so it must not call back into the
-    /// store) and its result is returned.
-    pub fn read<R>(&self, key: &str, visit: impl FnOnce(&str) -> R) -> Result<R, StoreError> {
-        let replicas = self.replicas.read();
-        let newest = freshest(&replicas).ok_or(StoreError::NoQuorum)?;
-        newest.data.get(key).map(|value| visit(value)).ok_or(StoreError::KeyNotFound)
-    }
-
-    /// Delete every key in `[from, to)` atomically: one quorum check, one
-    /// lock acquisition, one committed write index for the whole range.
-    /// Either the range is removed on every live replica or (without a
-    /// quorum) nothing is — the compaction primitive
-    /// `ReplicatedLog::install_snapshot` builds on. An empty interval
-    /// (`from >= to`) writes nothing.
-    pub(crate) fn delete_range(&self, from: &str, to: &str) -> Result<(), StoreError> {
-        if !self.has_quorum() {
-            return Err(StoreError::NoQuorum);
-        }
-        if from >= to {
-            return Ok(());
-        }
-        let mut log_length = self.log_length.write();
-        *log_length += 1;
-        let index = *log_length;
-        let mut replicas = self.replicas.write();
-        for r in replicas.iter_mut().filter(|r| !r.crashed) {
-            // Two O(log n) splits cut the range out; what follows it is
-            // stitched back on.
-            let mut doomed = r.data.split_off(from);
-            r.data.append(&mut doomed.split_off(to));
-            r.applied_index = index;
-        }
-        Ok(())
-    }
-
-    /// Visit every `(key, value)` with key in `[from, to)` on the freshest
-    /// live replica, in ascending key order, without copying either (under
-    /// the store's read lock, so `visit` must not call back into the store).
-    pub(crate) fn scan(&self, from: &str, to: &str, mut visit: impl FnMut(&str, &str)) {
-        if from >= to {
-            return;
-        }
-        let replicas = self.replicas.read();
-        if let Some(newest) = freshest(&replicas) {
-            let range = (Bound::Included(from), Bound::Excluded(to));
-            for (key, value) in newest.data.range::<str, _>(range) {
-                visit(key, value);
-            }
-        }
-    }
-
-    /// List all keys with the given prefix (from the freshest live replica),
-    /// in ascending lexicographic order.
-    ///
-    /// The ordering is a contract: log replay and snapshot enumeration in
-    /// [`crate::log`] depend on it. It falls out of the replicas' ordered
-    /// maps — the listing is a range scan from `prefix`, not a filter over
-    /// every key.
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let replicas = self.replicas.read();
-        freshest(&replicas).map_or_else(Vec::new, |newest| {
-            let range = (Bound::Included(prefix), Bound::Unbounded);
-            newest
-                .data
-                .range::<str, _>(range)
-                .take_while(|(key, _)| key.starts_with(prefix))
-                .map(|(key, _)| key.to_string())
-                .collect()
-        })
+        let state = self.state.read();
+        let newest = state.freshest().ok_or(StoreError::NoQuorum)?;
+        newest.data.get(key).map(|value| value.to_string()).ok_or(StoreError::KeyNotFound)
     }
 
     /// Atomic compare-and-swap: write `new` under `key` only if the committed
@@ -238,7 +189,7 @@ impl ReplicatedKvStore {
     ///
     /// This is the linearization primitive the in-store leader election
     /// ([`crate::lease::StoreElection`]) builds on: the read of the committed
-    /// value and the conditional write happen under the same store locks, so
+    /// value and the conditional write happen under the same store lock, so
     /// two racing campaigns cannot both acquire the lease.
     pub(crate) fn compare_and_swap(
         &self,
@@ -246,28 +197,86 @@ impl ReplicatedKvStore {
         expected: Option<&str>,
         new: impl Into<Arc<str>>,
     ) -> Result<bool, StoreError> {
-        if !self.has_quorum() {
+        let mut state = self.state.write();
+        if !state.has_quorum() {
             return Err(StoreError::NoQuorum);
         }
-        let mut log_length = self.log_length.write();
-        let mut replicas = self.replicas.write();
-        let current = freshest(&replicas).and_then(|r| r.data.get(key));
+        let current = state.freshest().and_then(|r| r.data.get(key));
         if current.map(|value| &**value) != expected {
             return Ok(false);
         }
-        *log_length += 1;
-        let index = *log_length;
         let (key, value): (Arc<str>, Arc<str>) = (key.into(), new.into());
-        for r in replicas.iter_mut().filter(|r| !r.crashed) {
+        state.commit(|r| {
             r.data.insert(Arc::clone(&key), Arc::clone(&value));
-            r.applied_index = index;
-        }
+        })?;
         Ok(true)
     }
 
     /// Number of committed writes (the replication log length).
     pub fn committed_writes(&self) -> u64 {
-        *self.log_length.read()
+        self.state.read().committed
+    }
+
+    /// The id of the journal named `name`, opened empty on every replica
+    /// (crashed ones included) the first time the name is asked for. Opening
+    /// is bookkeeping, not a committed write.
+    pub(crate) fn open_journal(&self, name: &str) -> usize {
+        let mut state = self.state.write();
+        if let Some(id) = state.journal_names.iter().position(|n| n == name) {
+            return id;
+        }
+        state.journal_names.push(name.to_string());
+        for r in &mut state.replicas {
+            r.journals.push(Journal::default());
+        }
+        state.journal_names.len() - 1
+    }
+
+    /// Append `lines` to a journal as one committed write: every live
+    /// replica gets a pointer to each line, or (without a quorum) no replica
+    /// changes. Returns the index of the first line.
+    pub(crate) fn append_lines(
+        &self,
+        journal: usize,
+        lines: &[Arc<str>],
+    ) -> Result<u64, StoreError> {
+        let mut first = 0;
+        self.state.write().commit(|r| {
+            let journal = &mut r.journals[journal];
+            first = journal.end();
+            journal.lines.extend(lines.iter().cloned());
+        })?;
+        Ok(first)
+    }
+
+    /// Install `payload` as a journal's snapshot covering every index below
+    /// `upto`, and drop the lines it covers, as one committed write (or,
+    /// without a quorum, none: no replica changes).
+    pub(crate) fn install_snapshot(
+        &self,
+        journal: usize,
+        payload: Arc<str>,
+        upto: u64,
+    ) -> Result<(), StoreError> {
+        self.state.write().commit(|r| {
+            let journal = &mut r.journals[journal];
+            let covered = upto.saturating_sub(journal.first).min(journal.lines.len() as u64);
+            journal.lines.drain(..covered as usize);
+            journal.first += covered;
+            journal.snapshot = Some((upto, Arc::clone(&payload)));
+        })
+    }
+
+    /// `visit` a journal as the freshest live replica holds it, in place
+    /// (under the store's read lock, so `visit` must not call back into the
+    /// store); `None` when every replica is down.
+    pub(crate) fn with_journal<R>(
+        &self,
+        journal: usize,
+        visit: impl FnOnce(&Journal) -> R,
+    ) -> Option<R> {
+        let state = self.state.read();
+        state.freshest().map(|newest| visit(&newest.journals[journal]))
     }
 }
 
@@ -276,7 +285,11 @@ impl ReplicatedKvStore {
 #[cfg(test)]
 impl ReplicatedKvStore {
     pub(crate) fn replica_data(&self, index: usize) -> BTreeMap<Arc<str>, Arc<str>> {
-        self.replicas.read()[index].data.clone()
+        self.state.read().replicas[index].data.clone()
+    }
+
+    pub(crate) fn replica_journal(&self, index: usize, journal: usize) -> Journal {
+        self.state.read().replicas[index].journals[journal].clone()
     }
 }
 
@@ -332,51 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_listing_and_delete() {
-        let store = ReplicatedKvStore::new(1);
-        store.put("qpu/cairo/queue", "3").unwrap();
-        store.put("qpu/hanoi/queue", "9").unwrap();
-        store.put("workflow/42/status", "running").unwrap();
-        let qpu_keys = store.keys_with_prefix("qpu/");
-        assert_eq!(qpu_keys.len(), 2);
-        store.delete_range("qpu/cairo/", "qpu/hanoi/").unwrap();
-        assert_eq!(store.keys_with_prefix("qpu/").len(), 1);
-        assert_eq!(store.get("qpu/cairo/queue"), Err(StoreError::KeyNotFound));
-    }
-
-    /// Regression: prefix enumeration is sorted regardless of insertion
-    /// order, and stays sorted when served by a recovered replica — log
-    /// replay and snapshot enumeration depend on this determinism.
-    #[test]
-    fn prefix_listing_is_sorted_regardless_of_insertion_order() {
-        let store = ReplicatedKvStore::new(1);
-        for key in ["log/entry/0000000007", "log/entry/0000000001", "log/entry/0000000003"] {
-            store.put(key, "x").unwrap();
-        }
-        let keys = store.keys_with_prefix("log/entry/");
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-        assert_eq!(
-            keys,
-            vec![
-                "log/entry/0000000001".to_string(),
-                "log/entry/0000000003".to_string(),
-                "log/entry/0000000007".to_string(),
-            ]
-        );
-        // A crash + catch-up recovery must serve the same sorted view.
-        store.crash_replica(0);
-        store.put("log/entry/0000000002", "y").unwrap();
-        store.recover_replica(0);
-        store.crash_replica(1);
-        store.crash_replica(2);
-        let keys = store.keys_with_prefix("log/entry/");
-        assert_eq!(keys.len(), 4);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted after recovery: {keys:?}");
-    }
-
-    #[test]
     fn compare_and_swap_is_conditional_on_the_committed_value() {
         let store = ReplicatedKvStore::new(1);
         // Absent key: only the None-expectation succeeds.
@@ -400,124 +368,81 @@ mod tests {
         assert_eq!(store.get("leader").unwrap(), "0 1");
     }
 
-    #[test]
-    fn put_all_commits_the_whole_batch_as_one_write() {
+    fn lines(values: &[&str]) -> Vec<Arc<str>> {
+        values.iter().map(|&value| value.into()).collect()
+    }
+
+    /// A journal of six lines, `e0`..`e5`, with a bystander journal and a
+    /// lease key beside it.
+    fn journal_shaped_store() -> (ReplicatedKvStore, usize) {
         let store = ReplicatedKvStore::new(1);
-        store
-            .put_all(&[
-                ("log/entry/0".into(), "a".into()),
-                ("log/entry/1".into(), "b".into()),
-                ("log/len".into(), "2".into()),
-            ])
-            .unwrap();
-        assert_eq!(store.get("log/entry/0").unwrap(), "a");
-        assert_eq!(store.get("log/entry/1").unwrap(), "b");
-        assert_eq!(store.get("log/len").unwrap(), "2");
-        assert_eq!(store.committed_writes(), 1, "a batch is one committed write");
-        assert_eq!(store.put_all(&[]), Ok(()));
-        assert_eq!(store.committed_writes(), 1, "an empty batch writes nothing");
+        let journal = store.open_journal("ctl");
+        let bystander = store.open_journal("other");
+        store.append_lines(journal, &lines(&["e0", "e1", "e2", "e3", "e4", "e5"])).unwrap();
+        store.append_lines(bystander, &lines(&["neighbour"])).unwrap();
+        store.put("ctl/leader", "0 1").unwrap();
+        (store, journal)
     }
 
     #[test]
-    fn put_all_without_a_quorum_applies_nothing() {
+    fn append_lines_commits_the_whole_batch_as_one_write() {
         let store = ReplicatedKvStore::new(1);
-        store.put("a", "1").unwrap();
+        let journal = store.open_journal("log");
+        assert_eq!(store.open_journal("log"), journal, "a name opens one journal");
+        assert_eq!(store.append_lines(journal, &lines(&["a", "b"])), Ok(0));
+        assert_eq!(store.committed_writes(), 1, "a batch is one committed write");
+        assert_eq!(store.append_lines(journal, &lines(&["c"])), Ok(2));
+        assert_eq!(store.committed_writes(), 2);
+        let held = store.with_journal(journal, |j| (j.first, j.end(), j.lines.clone()));
+        assert_eq!(held, Some((0, 3, lines(&["a", "b", "c"]).into())));
+    }
+
+    /// A refused write — an append, a snapshot install, a put or a CAS —
+    /// changes no replica, crashed or live: no line, no snapshot, no key, and
+    /// no committed write.
+    #[test]
+    fn a_refused_journal_write_changes_no_replica() {
+        let (store, journal) = journal_shaped_store();
         store.crash_replica(0);
         store.crash_replica(1);
+        let before: Vec<Journal> = (0..3).map(|r| store.replica_journal(r, journal)).collect();
+        let writes = store.committed_writes();
+        assert_eq!(store.append_lines(journal, &lines(&["lost"])), Err(StoreError::NoQuorum));
+        assert_eq!(store.install_snapshot(journal, "state".into(), 4), Err(StoreError::NoQuorum));
+        assert_eq!(store.put("k", "v"), Err(StoreError::NoQuorum));
         assert_eq!(
-            store.put_all(&[("a".into(), "overwritten".into()), ("b".into(), "2".into()),]),
+            store.compare_and_swap("ctl/leader", Some("0 1"), "1 2"),
             Err(StoreError::NoQuorum)
         );
-        // The surviving minority serves the pre-batch state: no partial batch.
-        assert_eq!(store.get("a").unwrap(), "1");
-        assert_eq!(store.get("b"), Err(StoreError::KeyNotFound));
-    }
-
-    /// A journal-shaped key space: two logs' entries plus their `len` and
-    /// `snapshot` keys, which sort *after* the entries they neighbour.
-    fn journal_shaped_store() -> ReplicatedKvStore {
-        let store = ReplicatedKvStore::new(1);
-        for i in 0..6 {
-            store.put(format!("ctl/entry/{i:016}"), format!("e{i}")).unwrap();
+        assert_eq!(store.committed_writes(), writes, "a refused write commits nothing");
+        for (r, journal_before) in before.iter().enumerate() {
+            assert_eq!(&store.replica_journal(r, journal), journal_before, "replica {r}");
         }
-        store.put("ctl/len", "6").unwrap();
-        store.put("ctl/snapshot", "0\nstate").unwrap();
-        store.put("ctk/entry/0000000000000001", "left neighbour").unwrap();
-        store.put("ctm/entry/0000000000000001", "right neighbour").unwrap();
-        store
-    }
-
-    #[test]
-    fn delete_range_removes_exactly_the_half_open_range_in_one_write() {
-        let store = journal_shaped_store();
-        let before = store.committed_writes();
-        store.delete_range("ctl/entry/0000000000000000", "ctl/entry/0000000000000004").unwrap();
-        assert_eq!(store.committed_writes(), before + 1, "a range is one committed write");
-        assert_eq!(
-            store.keys_with_prefix("ctl/entry/"),
-            vec!["ctl/entry/0000000000000004", "ctl/entry/0000000000000005"],
-            "`to` itself and everything after it survive"
-        );
-        // Keys outside the range — the log's own bookkeeping and other
-        // logs' entries on either side — are untouched.
-        assert_eq!(store.get("ctl/len").unwrap(), "6");
-        assert_eq!(store.get("ctl/snapshot").unwrap(), "0\nstate");
-        assert_eq!(store.get("ctk/entry/0000000000000001").unwrap(), "left neighbour");
-        assert_eq!(store.get("ctm/entry/0000000000000001").unwrap(), "right neighbour");
-        // An empty interval writes nothing; an interval holding no key is
-        // still a committed (no-op) write, like deleting a missing key.
-        store.delete_range("ctl/entry/0000000000000005", "ctl/entry/0000000000000005").unwrap();
-        store.delete_range("ctl/entry/9", "ctl/entry/0").unwrap();
-        assert_eq!(store.committed_writes(), before + 1);
-        store.delete_range("a", "b").unwrap();
-        assert_eq!(store.committed_writes(), before + 2);
-        assert_eq!(store.keys_with_prefix("ct").len(), 6);
-    }
-
-    #[test]
-    fn delete_range_without_a_quorum_removes_nothing() {
-        let store = journal_shaped_store();
-        let before = store.committed_writes();
-        store.crash_replica(0);
-        store.crash_replica(1);
-        assert_eq!(store.delete_range("ctl/entry/", "ctl/entry0"), Err(StoreError::NoQuorum));
-        assert_eq!(store.committed_writes(), before, "a refused range delete commits nothing");
-        assert_eq!(store.keys_with_prefix("ctl/entry/").len(), 6, "the minority still has it all");
         store.recover_replica(0);
-        assert_eq!(store.keys_with_prefix("ctl/entry/").len(), 6);
+        assert_eq!(store.with_journal(journal, Journal::end), Some(6));
+        assert_eq!(store.get("k"), Err(StoreError::KeyNotFound));
     }
 
     #[test]
-    fn a_replica_down_during_delete_range_catches_up_on_recovery() {
-        let store = journal_shaped_store();
-        store.crash_replica(2);
-        store.delete_range("ctl/entry/", "ctl/entry0").unwrap();
-        store.recover_replica(2);
-        // Replica 2 must now serve the compacted state alone.
-        store.crash_replica(0);
-        store.crash_replica(1);
-        assert!(store.keys_with_prefix("ctl/entry/").is_empty());
-        assert_eq!(store.get("ctl/len").unwrap(), "6");
-    }
-
-    #[test]
-    fn scan_and_read_borrow_in_place_in_key_order() {
-        let store = journal_shaped_store();
-        let mut seen = Vec::new();
-        store.scan("ctl/entry/0000000000000002", "ctl/entry/0000000000000005", |key, value| {
-            seen.push((key.to_string(), value.to_string()));
-        });
-        assert_eq!(
-            seen,
-            vec![
-                ("ctl/entry/0000000000000002".into(), "e2".into()),
-                ("ctl/entry/0000000000000003".into(), "e3".into()),
-                ("ctl/entry/0000000000000004".into(), "e4".into()),
-            ]
-        );
-        store.scan("z", "a", |_, _| panic!("an empty interval visits nothing"));
-        assert_eq!(store.read("ctl/len", |len| len.parse::<u64>().ok()), Ok(Some(6)));
-        assert_eq!(store.read("missing", str::len), Err(StoreError::KeyNotFound));
+    fn install_snapshot_drops_exactly_the_covered_prefix_in_one_write() {
+        let (store, journal) = journal_shaped_store();
+        let before = store.committed_writes();
+        store.install_snapshot(journal, "state".into(), 4).unwrap();
+        assert_eq!(store.committed_writes(), before + 1, "a snapshot install is one write");
+        let held = store.with_journal(journal, Journal::clone).unwrap();
+        assert_eq!((held.first, held.end()), (4, 6), "`upto` itself and what follows survive");
+        assert_eq!(held.lines, VecDeque::from(lines(&["e4", "e5"])));
+        assert_eq!(held.snapshot, Some((4, "state".into())));
+        // The other journal and the map are untouched.
+        assert_eq!(store.with_journal(1, |j| j.lines.len()), Some(1));
+        assert_eq!(store.get("ctl/leader").unwrap(), "0 1");
+        // An older or equal `upto` drops nothing more, and one past the end
+        // drops everything: the next index never moves.
+        store.install_snapshot(journal, "older".into(), 2).unwrap();
+        assert_eq!(store.with_journal(journal, |j| (j.first, j.end())), Some((4, 6)));
+        store.install_snapshot(journal, "past".into(), 9).unwrap();
+        assert_eq!(store.with_journal(journal, |j| (j.first, j.end())), Some((6, 6)));
+        assert_eq!(store.committed_writes(), before + 3);
     }
 
     #[test]
@@ -534,17 +459,21 @@ mod tests {
     }
 
     /// One write, one allocation: every live replica points at the same key
-    /// and value — for `put`, `put_all` and `compare_and_swap` alike, a
-    /// megabyte value included — and a recovered replica copies pointers.
+    /// and value — for `put` and `compare_and_swap` alike, a megabyte value
+    /// included — and at the same journal lines and snapshot; a recovered
+    /// replica copies pointers.
     #[test]
     fn live_replicas_share_one_allocation_per_written_value() {
         let store = ReplicatedKvStore::new(2);
+        let journal = store.open_journal("log");
         store.put("single", "1").unwrap();
         store.put("snapshot", "s".repeat(1 << 20)).unwrap();
-        store.put_all(&[("batch/0".into(), "a".into()), ("batch/1".into(), "b".into())]).unwrap();
+        store.append_lines(journal, &lines(&["a", "b"])).unwrap();
         assert_eq!(store.compare_and_swap("leader", None, "0 1"), Ok(true));
         store.crash_replica(4);
         store.put("late", "written while replica 4 was down").unwrap();
+        store.append_lines(journal, &lines(&["c"])).unwrap();
+        store.install_snapshot(journal, "x".repeat(1 << 20).into(), 1).unwrap();
         store.recover_replica(4);
         let shared = |key: &str| {
             let copies: Vec<(Arc<str>, Arc<str>)> = (0..store.replica_count())
@@ -558,8 +487,15 @@ mod tests {
                 .windows(2)
                 .all(|w| Arc::ptr_eq(&w[0].0, &w[1].0) && Arc::ptr_eq(&w[0].1, &w[1].1))
         };
-        for key in ["single", "snapshot", "batch/0", "batch/1", "leader", "late"] {
+        for key in ["single", "snapshot", "leader", "late"] {
             assert!(shared(key), "{key}: one allocation for all five replicas");
+        }
+        let journals: Vec<Journal> = (0..5).map(|r| store.replica_journal(r, journal)).collect();
+        for pair in journals.windows(2) {
+            assert_eq!(pair[0].lines.len(), 2);
+            assert!(pair[0].lines.iter().zip(&pair[1].lines).all(|(a, b)| Arc::ptr_eq(a, b)));
+            let (a, b) = (pair[0].snapshot.as_ref().unwrap(), pair[1].snapshot.as_ref().unwrap());
+            assert!(Arc::ptr_eq(&a.1, &b.1), "one stored snapshot");
         }
         // An overwrite points every replica at the new value; the old one is
         // no longer held by any of them.
@@ -569,36 +505,39 @@ mod tests {
         assert_eq!(Arc::strong_count(&old), 1, "only this test still holds the old value");
     }
 
-    /// A replica that is down while a `put`, `put_all` or `delete_range`
-    /// commits sees none of it — its map is exactly what it was — until
-    /// `recover_replica`, which makes it equal to the freshest replica.
+    /// A replica that is down while a `put`, a journal append or a snapshot
+    /// install commits sees none of it — its map and journals are exactly
+    /// what they were — until `recover_replica`, which makes it equal to the
+    /// freshest replica.
     #[test]
     fn a_replica_down_during_a_write_sees_none_of_it_until_recovery() {
-        type Write = fn(&ReplicatedKvStore);
+        type Write = fn(&ReplicatedKvStore, usize);
         let writes: [(&str, Write); 3] = [
-            ("put", |store| store.put("ctl/len", "7").unwrap()),
-            ("put_all", |store| {
-                let pairs = [
-                    ("ctl/entry/0000000000000006".into(), "e6".into()),
-                    ("ctl/len".into(), "7".into()),
-                ];
-                store.put_all(&pairs).unwrap()
+            ("put", |store, _| store.put("ctl/leader", "1 2").unwrap()),
+            ("append_lines", |store, journal| {
+                store.append_lines(journal, &lines(&["e6", "e7"])).unwrap();
             }),
-            ("delete_range", |store| {
-                store.delete_range("ctl/entry/", "ctl/entry/0000000000000004").unwrap()
+            ("install_snapshot", |store, journal| {
+                store.install_snapshot(journal, "state".into(), 4).unwrap()
             }),
         ];
         for (name, write) in writes {
-            let store = journal_shaped_store();
+            let (store, journal) = journal_shaped_store();
             store.crash_replica(1);
-            let before = store.replica_data(1);
-            write(&store);
-            assert_ne!(store.replica_data(0), before, "{name}: the write committed");
-            assert_eq!(store.replica_data(1), before, "{name}: the crashed replica saw it");
+            let before = (store.replica_data(1), store.replica_journal(1, journal));
+            write(&store, journal);
+            let after = (store.replica_data(0), store.replica_journal(0, journal));
+            assert_ne!(after, before, "{name}: the write committed");
+            let crashed = (store.replica_data(1), store.replica_journal(1, journal));
+            assert_eq!(crashed, before, "{name}: the crashed replica saw it");
             store.recover_replica(1);
             let (caught_up, freshest) = (store.replica_data(1), store.replica_data(0));
             assert_eq!(caught_up, freshest, "{name}: recovery must equal the freshest replica");
             assert!(caught_up.values().zip(freshest.values()).all(|(a, b)| Arc::ptr_eq(a, b)));
+            let (caught_up, freshest) =
+                (store.replica_journal(1, journal), store.replica_journal(0, journal));
+            assert_eq!(caught_up, freshest, "{name}: the journal caught up too");
+            assert!(caught_up.lines.iter().zip(&freshest.lines).all(|(a, b)| Arc::ptr_eq(a, b)));
         }
     }
 }

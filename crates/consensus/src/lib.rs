@@ -1,11 +1,12 @@
 //! # qonductor-consensus
 //!
 //! Fault-tolerance substrate for the Qonductor control plane (§4): a
-//! majority-quorum replicated key-value store, a typed append-only replicated
-//! log over it with snapshot compaction — the control plane's journal of job
-//! and tenant state — and leader election *inside* that store ([`lease::StoreElection`]): the leader
-//! lease is a CAS'd key in the same quorum KV that holds the journal, so the
-//! election and the data share one fault domain.
+//! majority-quorum replicated store, a typed append-only replicated log on it
+//! with snapshot compaction — the control plane's journal of job and tenant
+//! state, kept on every replica as a vector of lines — and leader election
+//! *inside* that store ([`lease::StoreElection`]): the leader lease is a
+//! CAS'd key in the same quorum store that holds the journal, so the election
+//! and the data share one fault domain.
 
 #![warn(missing_docs)]
 #![warn(clippy::let_underscore_must_use)]

@@ -16,22 +16,12 @@
 
 use qonductor_backend::Fleet;
 
-/// One provider's slice of the federated index space.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Provider {
-    /// Provider name (e.g. `"ibm"`, `"ionq"`, `"aws-sim"`).
-    pub name: String,
-    /// First flat QPU index owned by this provider.
-    pub start: usize,
-    /// Number of QPUs the provider contributes.
-    pub len: usize,
-}
-
 /// Multiple named provider fleets behind one flat capacity view.
 #[derive(Debug, Clone)]
 pub struct FederatedFleet {
     fleet: Fleet,
-    providers: Vec<Provider>,
+    /// `(provider name, qpu count)` per provider, in flat-index order.
+    spans: Vec<(String, usize)>,
 }
 
 impl FederatedFleet {
@@ -40,14 +30,12 @@ impl FederatedFleet {
     /// and so on — span membership is a pure function of the flat index.
     pub fn new<S: Into<String>>(provider_fleets: Vec<(S, Fleet)>) -> Self {
         let mut members = Vec::new();
-        let mut providers = Vec::new();
+        let mut spans = Vec::new();
         for (name, fleet) in provider_fleets {
-            let start = members.len();
-            let mut fleet_members: Vec<_> = fleet.members().to_vec();
-            members.append(&mut fleet_members);
-            providers.push(Provider { name: name.into(), start, len: members.len() - start });
+            spans.push((name.into(), fleet.len()));
+            members.extend_from_slice(fleet.members());
         }
-        FederatedFleet { fleet: Fleet::from_members(members), providers }
+        FederatedFleet { fleet: Fleet::from_members(members), spans }
     }
 
     /// A federation of exactly one provider — the compatibility shape. Its
@@ -55,7 +43,7 @@ impl FederatedFleet {
     /// digest, and batch stream matches the unfederated plane byte-for-byte.
     pub fn single<S: Into<String>>(name: S, fleet: Fleet) -> Self {
         let len = fleet.len();
-        FederatedFleet { fleet, providers: vec![Provider { name: name.into(), start: 0, len }] }
+        FederatedFleet { fleet, spans: vec![(name.into(), len)] }
     }
 
     /// The flat composed fleet — what every downstream layer schedules over.
@@ -73,22 +61,9 @@ impl FederatedFleet {
         self.fleet
     }
 
-    /// The registered providers, in composition order.
-    pub fn providers(&self) -> &[Provider] {
-        &self.providers
-    }
-
-    /// The provider owning flat QPU index `qpu_index`.
-    pub fn provider_of(&self, qpu_index: usize) -> Option<&str> {
-        self.providers
-            .iter()
-            .find(|p| qpu_index >= p.start && qpu_index < p.start + p.len)
-            .map(|p| p.name.as_str())
-    }
-
     /// `(provider name, qpu count)` pairs in flat-index order.
     pub fn provider_spans(&self) -> Vec<(String, usize)> {
-        self.providers.iter().map(|p| (p.name.clone(), p.len)).collect()
+        self.spans.clone()
     }
 
     /// Number of QPUs across every provider.
@@ -109,9 +84,9 @@ impl FederatedFleet {
     ) -> usize {
         let name = provider.into();
         let index = self.fleet.push_member(member);
-        match self.providers.last_mut() {
-            Some(last) if last.name == name => last.len += 1,
-            _ => self.providers.push(Provider { name, start: index, len: 1 }),
+        match self.spans.last_mut() {
+            Some((last, len)) if *last == name => *len += 1,
+            _ => self.spans.push((name, 1)),
         }
         index
     }
@@ -125,13 +100,13 @@ impl FederatedFleet {
         let index = self.fleet.len();
         // Skip over degenerate empty spans (a provider registered with an
         // empty fleet) before shrinking the actual owner.
-        while matches!(self.providers.last(), Some(p) if p.len == 0) {
-            self.providers.pop();
+        while matches!(self.spans.last(), Some((_, 0))) {
+            self.spans.pop();
         }
-        if let Some(last) = self.providers.last_mut() {
-            last.len -= 1;
-            if last.len == 0 {
-                self.providers.pop();
+        if let Some((_, len)) = self.spans.last_mut() {
+            *len -= 1;
+            if *len == 0 {
+                self.spans.pop();
             }
         }
         Some(index)
@@ -155,14 +130,6 @@ mod tests {
     fn composition_concatenates_spans_in_order() {
         let fed = two_provider_federation();
         assert_eq!(fed.num_qpus(), 12);
-        assert_eq!(fed.providers().len(), 2);
-        assert_eq!(fed.providers()[0], Provider { name: "ibm".into(), start: 0, len: 6 });
-        assert_eq!(fed.providers()[1], Provider { name: "mixed".into(), start: 6, len: 6 });
-        assert_eq!(fed.provider_of(0), Some("ibm"));
-        assert_eq!(fed.provider_of(5), Some("ibm"));
-        assert_eq!(fed.provider_of(6), Some("mixed"));
-        assert_eq!(fed.provider_of(11), Some("mixed"));
-        assert_eq!(fed.provider_of(12), None);
         assert_eq!(fed.provider_spans(), vec![("ibm".to_string(), 6), ("mixed".to_string(), 6)]);
     }
 
@@ -174,7 +141,7 @@ mod tests {
         let epoch = fleet.calibration_epoch();
         let fed = FederatedFleet::single("ibm", fleet);
         assert_eq!(fed.num_qpus(), 6);
-        assert_eq!(fed.provider_of(3), Some("ibm"));
+        assert_eq!(fed.provider_spans(), vec![("ibm".to_string(), 6)]);
         let flat_names: Vec<String> =
             fed.fleet().members().iter().map(|m| m.qpu.name.clone()).collect();
         assert_eq!(flat_names, names, "member order is untouched");
@@ -199,8 +166,6 @@ mod tests {
             vec![("ibm".to_string(), 6), ("elastic-sim".to_string(), 2)],
             "a repeated provider name extends its tail span"
         );
-        assert_eq!(fed.provider_of(6), Some("elastic-sim"));
-        assert_eq!(fed.provider_of(3), Some("ibm"), "existing spans untouched");
 
         // Shrink: an idle tail retires; the span shrinks and finally drops.
         assert_eq!(fed.retire_last(), Some(7));

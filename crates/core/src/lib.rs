@@ -39,7 +39,7 @@ pub mod workflow;
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScalingDecision};
 pub use config::{DeploymentConfig, Priority};
 pub use estimate_cache::{EstimateCacheStats, ProductStats};
-pub use federation::{FederatedFleet, Provider};
+pub use federation::FederatedFleet;
 pub use fleetlease::{FleetAllocator, LeaseConflict, ReleaseError};
 pub use jobmanager::{
     BatchRecord, CalibrationPolicy, CompletedExecution, JobId, JobSpec, PendingJob, TenantId,

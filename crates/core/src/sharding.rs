@@ -40,7 +40,6 @@ use crate::submission::{JobTicket, TenantConfig, TenantStats, TicketStatus};
 use qonductor_backend::Fleet;
 use qonductor_circuit::par;
 use qonductor_scheduler::{HybridScheduler, ScheduleTrigger};
-use std::collections::HashMap;
 
 /// A ticket qualified by the shard that issued it: per-shard ticket and job
 /// ids are only unique within their shard.
@@ -93,8 +92,9 @@ pub struct ShardedControlPlane {
     next_global: TenantId,
     /// `placement[global] = (shard, local id)`.
     placement: Vec<(usize, TenantId)>,
-    /// Reverse map: `(shard, local id) → global id`.
-    global_of: HashMap<(usize, TenantId), TenantId>,
+    /// Reverse map: `global_of[shard][local id]` is the global id (a shard's
+    /// local ids are dense: it assigns them sequentially from 0).
+    global_of: Vec<Vec<TenantId>>,
 }
 
 impl ShardedControlPlane {
@@ -129,7 +129,7 @@ impl ShardedControlPlane {
             allocator: FleetAllocator::new(num_qpus),
             next_global: 0,
             placement: Vec::new(),
-            global_of: HashMap::new(),
+            global_of: vec![Vec::new(); num_shards],
         };
         for qpu_index in 0..num_qpus {
             let shard = qpu_index % num_shards;
@@ -183,7 +183,7 @@ impl ShardedControlPlane {
 
     /// The global id of a shard-local tenant.
     pub fn global_of(&self, shard: usize, local: TenantId) -> Option<TenantId> {
-        self.global_of.get(&(shard, local)).copied()
+        self.global_of.get(shard)?.get(local as usize).copied()
     }
 
     /// Register a tenant (journaled on its home shard). Returns the global
@@ -224,26 +224,21 @@ impl ShardedControlPlane {
         };
         self.next_global += 1;
         self.placement.push((shard, local));
-        self.global_of.insert((shard, local), global);
+        assert_eq!(local as usize, self.global_of[shard].len(), "a shard assigns dense local ids");
+        self.global_of[shard].push(global);
         Ok(global)
     }
 
     /// Every registered tenant's `(global id, config)`, in global-id order —
     /// what a rebuild-with-different-shape constructor re-registers.
     pub(crate) fn tenant_configs_global(&self) -> Vec<(TenantId, TenantConfig)> {
+        // One table per shard, indexed by the dense local id.
+        let configs: Vec<Vec<(TenantId, TenantConfig)>> =
+            self.shards.iter().map(|shard| shard.submissions().tenant_configs()).collect();
         self.placement
             .iter()
             .enumerate()
-            .map(|(global, &(shard, local))| {
-                let config = self.shards[shard]
-                    .submissions()
-                    .tenant_configs()
-                    .into_iter()
-                    .find(|(id, _)| *id == local)
-                    .map(|(_, config)| config)
-                    .expect("placement tracks registered tenants");
-                (global as TenantId, config)
-            })
+            .map(|(global, &(shard, local))| (global as TenantId, configs[shard][local as usize].1))
             .collect()
     }
 
@@ -652,6 +647,43 @@ mod tests {
         let configs = plane.tenant_configs_global();
         assert_eq!(configs.len(), 32);
         assert!(configs.iter().enumerate().all(|(i, (id, _))| *id == i as TenantId));
+    }
+
+    /// Over several shards, the one-pass `tenant_configs_global` returns what
+    /// looking every tenant up in its shard's table returns, and `global_of`
+    /// answers `None` past each shard's last local id and past the last shard.
+    #[test]
+    fn global_tenant_configs_equal_a_per_tenant_lookup_across_shards() {
+        let mut plane = plane(3, 6);
+        for i in 0..40u32 {
+            let config = TenantConfig {
+                weight: 1 + i % 5,
+                max_in_flight: 3 + i as usize,
+                max_retries: i % 3,
+            };
+            plane.register_tenant_with(config).unwrap();
+        }
+        let looked_up: Vec<(TenantId, TenantConfig)> = (0..40)
+            .map(|global| {
+                let (shard, local) = plane.placement_of(global).unwrap();
+                let table = plane.shard(shard).submissions().tenant_configs();
+                (global, table.into_iter().find(|(id, _)| *id == local).unwrap().1)
+            })
+            .collect();
+        assert_eq!(plane.tenant_configs_global(), looked_up);
+        assert!(looked_up
+            .iter()
+            .all(|(global, config)| config.max_in_flight == 3 + *global as usize));
+        for shard in 0..3 {
+            let locals = plane.shard(shard).submissions().tenant_configs().len() as TenantId;
+            assert!(locals > 0, "40 tenants reach every one of 3 shards");
+            for local in 0..locals {
+                let global = plane.global_of(shard, local).unwrap();
+                assert_eq!(plane.placement_of(global), Some((shard, local)));
+            }
+            assert_eq!(plane.global_of(shard, locals), None);
+        }
+        assert_eq!(plane.global_of(3, 0), None);
     }
 
     #[test]
