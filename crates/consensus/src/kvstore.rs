@@ -397,18 +397,20 @@ mod tests {
         assert_eq!(held, Some((0, 3, lines(&["a", "b", "c"]).into())));
     }
 
-    /// A refused write — an append, a snapshot install, a put or a CAS —
-    /// changes no replica, crashed or live: no line, no snapshot, no key, and
-    /// no committed write.
+    /// A refused batch — a journal append of several lines, as well as a
+    /// put or a CAS — applies nothing to any replica, crashed or live: no
+    /// line, no key, and no committed write.
     #[test]
-    fn a_refused_journal_write_changes_no_replica() {
+    fn put_all_without_a_quorum_applies_nothing() {
         let (store, journal) = journal_shaped_store();
         store.crash_replica(0);
         store.crash_replica(1);
         let before: Vec<Journal> = (0..3).map(|r| store.replica_journal(r, journal)).collect();
         let writes = store.committed_writes();
-        assert_eq!(store.append_lines(journal, &lines(&["lost"])), Err(StoreError::NoQuorum));
-        assert_eq!(store.install_snapshot(journal, "state".into(), 4), Err(StoreError::NoQuorum));
+        assert_eq!(
+            store.append_lines(journal, &lines(&["lost", "too"])),
+            Err(StoreError::NoQuorum)
+        );
         assert_eq!(store.put("k", "v"), Err(StoreError::NoQuorum));
         assert_eq!(
             store.compare_and_swap("ctl/leader", Some("0 1"), "1 2"),
@@ -421,6 +423,26 @@ mod tests {
         store.recover_replica(0);
         assert_eq!(store.with_journal(journal, Journal::end), Some(6));
         assert_eq!(store.get("k"), Err(StoreError::KeyNotFound));
+        assert_eq!(store.get("ctl/leader").unwrap(), "0 1");
+    }
+
+    /// A refused compaction — a snapshot install — drops no line and sets no
+    /// snapshot on any replica, crashed or live, and commits nothing.
+    #[test]
+    fn delete_range_without_a_quorum_removes_nothing() {
+        let (store, journal) = journal_shaped_store();
+        store.crash_replica(0);
+        store.crash_replica(1);
+        let before: Vec<Journal> = (0..3).map(|r| store.replica_journal(r, journal)).collect();
+        let writes = store.committed_writes();
+        assert_eq!(store.install_snapshot(journal, "state".into(), 4), Err(StoreError::NoQuorum));
+        assert_eq!(store.committed_writes(), writes, "a refused compaction commits nothing");
+        for (r, journal_before) in before.iter().enumerate() {
+            assert_eq!(&store.replica_journal(r, journal), journal_before, "replica {r}");
+        }
+        store.recover_replica(0);
+        let held = store.with_journal(journal, |j| (j.first, j.lines.len(), j.snapshot.clone()));
+        assert_eq!(held, Some((0, 6, None)), "the minority still has every line");
     }
 
     #[test]
@@ -443,6 +465,24 @@ mod tests {
         store.install_snapshot(journal, "past".into(), 9).unwrap();
         assert_eq!(store.with_journal(journal, |j| (j.first, j.end())), Some((6, 6)));
         assert_eq!(store.committed_writes(), before + 3);
+    }
+
+    /// A replica down while a compaction (a snapshot install) commits serves
+    /// the compacted journal alone once it has recovered.
+    #[test]
+    fn a_replica_down_during_delete_range_catches_up_on_recovery() {
+        let (store, journal) = journal_shaped_store();
+        store.crash_replica(2);
+        store.install_snapshot(journal, "state".into(), 4).unwrap();
+        store.recover_replica(2);
+        // Replica 2 must now serve the compacted state alone.
+        store.crash_replica(0);
+        store.crash_replica(1);
+        let held = store.with_journal(journal, Journal::clone).unwrap();
+        assert_eq!((held.first, held.end()), (4, 6));
+        assert_eq!(held.lines, VecDeque::from(lines(&["e4", "e5"])));
+        assert_eq!(held.snapshot, Some((4, "state".into())));
+        assert_eq!(store.get("ctl/leader").unwrap(), "0 1");
     }
 
     #[test]
