@@ -1,5 +1,6 @@
-//! Leader election *inside* the replicated store: the leader lease is a plain
-//! key in the quorum KV, acquired with [`ReplicatedKvStore::compare_and_swap`].
+//! Leader election *inside* the replicated store: the leader lease is a
+//! typed `(node, term)` record in the quorum store, acquired with a
+//! compare-and-swap.
 //!
 //! An election quorum separate from the journal quorum would be a second
 //! fault domain: it could elect a leader while the data replicas have lost
@@ -10,31 +11,27 @@
 //! control-plane node crash is tracked as a volatile liveness flag and merely
 //! invalidates the lease until the next campaign.
 //!
-//! The lease value is `"<node-id> <term>"`. Campaigns are deterministic (the
-//! lowest live node wins), matching the deterministic simulation style of the
-//! rest of the crate: what is being modeled is the *fault-domain coupling*,
-//! not timeout randomization.
+//! Campaigns are deterministic (the lowest live node wins), matching the
+//! deterministic simulation style of the rest of the crate: what is being
+//! modeled is the *fault-domain coupling*, not timeout randomization.
 
-use crate::kvstore::{ReplicatedKvStore, StoreError};
+use crate::kvstore::{ReplicatedStore, StoreError};
 
 /// Deterministic leader election whose lease record lives in the replicated
 /// store itself.
 #[derive(Debug, Clone)]
 pub struct StoreElection {
-    store: ReplicatedKvStore,
-    /// Store key holding the lease (`"<prefix>/leader"`).
-    key: String,
+    store: ReplicatedStore,
     /// Volatile liveness of each electable control-plane node.
     crashed: Vec<bool>,
 }
 
 impl StoreElection {
     /// Create an election over `num_nodes` electable nodes whose lease lives
-    /// under `"<prefix>/leader"` in `store`. No campaign is run; call
-    /// [`StoreElection::campaign`].
-    pub fn new(store: ReplicatedKvStore, prefix: &str, num_nodes: usize) -> Self {
+    /// in `store`. No campaign is run; call [`StoreElection::campaign`].
+    pub fn new(store: ReplicatedStore, num_nodes: usize) -> Self {
         assert!(num_nodes > 0, "an election needs at least one node");
-        StoreElection { store, key: format!("{prefix}/leader"), crashed: vec![false; num_nodes] }
+        StoreElection { store, crashed: vec![false; num_nodes] }
     }
 
     /// Number of electable nodes.
@@ -69,13 +66,13 @@ impl StoreElection {
     /// absent, held by a crashed node, or unreadable (every store replica
     /// down). No side effects — reading never campaigns.
     pub fn leader(&self) -> Option<usize> {
-        let (id, _) = self.read_lease()?;
+        let (id, _) = self.store.lease()?;
         (id < self.len() && !self.crashed[id]).then_some(id)
     }
 
     /// Term of the current lease record (0 before the first campaign).
     pub fn current_term(&self) -> u64 {
-        self.read_lease().map(|(_, term)| term).unwrap_or(0)
+        self.store.lease().map_or(0, |(_, term)| term)
     }
 
     /// Run a campaign: if the lease holder is alive it is confirmed;
@@ -92,34 +89,16 @@ impl StoreElection {
         let Some(candidate) = self.crashed.iter().position(|&c| !c) else {
             return Ok(None);
         };
-        let raw = match self.store.get(&self.key) {
-            Ok(value) => Some(value),
-            Err(StoreError::KeyNotFound) => None,
-            Err(StoreError::NoQuorum) => return Err(StoreError::NoQuorum),
-        };
-        let term = raw.as_deref().and_then(parse_lease).map(|(_, t)| t).unwrap_or(0);
-        let swapped = self.store.compare_and_swap(
-            &self.key,
-            raw.as_deref(),
-            format!("{candidate} {}", term + 1),
-        )?;
+        let lease = self.store.lease();
+        let term = lease.map_or(0, |(_, term)| term);
         // Single-writer in this deterministic simulation: the CAS can only
         // fail if someone raced us, and then the winner's lease is the answer.
-        if swapped {
+        if self.store.compare_and_swap_lease(lease, (candidate, term + 1))? {
             Ok(Some(candidate))
         } else {
             Ok(self.leader())
         }
     }
-
-    fn read_lease(&self) -> Option<(usize, u64)> {
-        parse_lease(&self.store.get(&self.key).ok()?)
-    }
-}
-
-fn parse_lease(raw: &str) -> Option<(usize, u64)> {
-    let (id, term) = raw.split_once(' ')?;
-    Some((id.parse().ok()?, term.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -127,7 +106,7 @@ mod tests {
     use super::*;
 
     fn election() -> StoreElection {
-        StoreElection::new(ReplicatedKvStore::new(1), "ctl", 3)
+        StoreElection::new(ReplicatedStore::new(1), 3)
     }
 
     #[test]
@@ -171,8 +150,8 @@ mod tests {
     /// the data quorum it journals to.
     #[test]
     fn losing_the_store_quorum_blocks_elections() {
-        let store = ReplicatedKvStore::new(1);
-        let mut e = StoreElection::new(store.clone(), "ctl", 3);
+        let store = ReplicatedStore::new(1);
+        let mut e = StoreElection::new(store.clone(), 3);
         e.campaign().unwrap();
         e.crash(0);
         store.crash_replica(0);
@@ -184,7 +163,7 @@ mod tests {
 
     #[test]
     fn a_single_node_is_elected_by_its_first_campaign() {
-        let mut e = StoreElection::new(ReplicatedKvStore::new(0), "ctl", 1);
+        let mut e = StoreElection::new(ReplicatedStore::new(0), 1);
         assert_eq!(e.campaign(), Ok(Some(0)));
         assert_eq!((e.leader(), e.current_term()), (Some(0), 1));
     }
@@ -195,8 +174,8 @@ mod tests {
     /// the store majority (`NoQuorum`) or the last live node (`Ok(None)`).
     #[test]
     fn five_nodes_survive_two_leader_crashes_until_a_majority_is_gone() {
-        let store = ReplicatedKvStore::new(2);
-        let mut e = StoreElection::new(store.clone(), "ctl", 5);
+        let store = ReplicatedStore::new(2);
+        let mut e = StoreElection::new(store.clone(), 5);
         assert_eq!(e.campaign(), Ok(Some(0)));
         for (crashed, next) in [(0, 1), (1, 2)] {
             let term = e.current_term();
@@ -220,10 +199,31 @@ mod tests {
 
     #[test]
     fn lease_is_shared_between_clones_of_the_store() {
-        let store = ReplicatedKvStore::new(1);
-        let mut a = StoreElection::new(store.clone(), "ctl", 3);
-        let b = StoreElection::new(store, "ctl", 3);
+        let store = ReplicatedStore::new(1);
+        let mut a = StoreElection::new(store.clone(), 3);
+        let b = StoreElection::new(store, 3);
         a.campaign().unwrap();
-        assert_eq!(b.leader(), Some(0), "the lease record is in the shared quorum KV");
+        assert_eq!(b.leader(), Some(0), "the lease record is in the shared quorum store");
+    }
+
+    /// The whole store goes down after a campaign that only replicas 1 and 2
+    /// applied, and comes back one replica at a time, starting with the
+    /// stale one: once a majority is live again, it serves that lease.
+    #[test]
+    fn the_committed_lease_survives_a_full_outage_with_staggered_recovery() {
+        let store = ReplicatedStore::new(1);
+        let mut e = StoreElection::new(store.clone(), 3);
+        assert_eq!(e.campaign(), Ok(Some(0)));
+        store.crash_replica(0);
+        e.crash(0);
+        assert_eq!(e.campaign(), Ok(Some(1)));
+        store.crash_replica(1);
+        store.crash_replica(2);
+        store.recover_replica(0);
+        store.recover_replica(1);
+        assert_eq!((e.leader(), e.current_term()), (Some(1), 2));
+        e.recover(0);
+        assert_eq!(e.campaign(), Ok(Some(1)), "the holder is confirmed, not replaced");
+        assert_eq!(e.current_term(), 2);
     }
 }

@@ -1,15 +1,17 @@
-//! Replicated append-only log on the quorum [`ReplicatedKvStore`] (§4): the
+//! Replicated append-only log on the quorum [`ReplicatedStore`] (§4): the
 //! journaling substrate of the control plane. Every control-plane state
 //! transition is appended as one *typed* entry under majority quorum; a fresh
 //! replica rebuilds the exact state by restoring the latest snapshot and
 //! replaying the suffix of the log.
 //!
-//! Each replica keeps the log as a journal: its lines in index order, the
-//! index of the first line it still holds, and the installed snapshot. An
-//! append — one entry or a batch — is one committed write that pushes the
-//! encoded lines onto every live replica or, without a quorum, onto none.
-//! Snapshot installation doubles as log compaction: one committed write sets
-//! the snapshot and drops the lines it covers, however long the journal.
+//! The log is the store's one journal: its lines in index order, the index of
+//! the first line each replica still holds, and the installed snapshot, which
+//! covers every index below that one. An append — one entry or a batch — is
+//! one committed write that pushes the encoded lines onto every live replica
+//! or, without a quorum, onto none. Snapshot installation doubles as log
+//! compaction: one committed write sets the snapshot at the journal's end and
+//! drops every line, so the snapshot and the retained lines never leave a
+//! gap between them.
 //!
 //! The log is deliberately simple — strictly monotonic indices assigned by the
 //! store, text-encoded entries (entry types bring their own line codec via
@@ -17,7 +19,7 @@
 //! returns `Ok` has been applied by a majority of replicas and survives any
 //! minority failure.
 
-use crate::kvstore::{ReplicatedKvStore, StoreError};
+use crate::kvstore::{ReplicatedStore, StoreError};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -33,35 +35,29 @@ pub trait LogEntry: Sized {
     fn decode(line: &str) -> Option<Self>;
 }
 
-/// A typed, append-only, quorum-replicated log with snapshot compaction.
-///
-/// The log is the store's journal named by its prefix: two logs opened under
-/// one prefix in one store are the same log, and logs under distinct
-/// prefixes never see each other's entries.
+/// A typed, append-only, quorum-replicated log with snapshot compaction: the
+/// journal of its store (two logs on one store are the same log).
 #[derive(Debug, Clone)]
 pub struct ReplicatedLog<E> {
-    store: ReplicatedKvStore,
-    /// The store's id for this log's journal.
-    journal: usize,
+    store: ReplicatedStore,
     _entries: PhantomData<fn() -> E>,
 }
 
 impl<E: LogEntry> ReplicatedLog<E> {
-    /// A log journaling under `prefix` in the given store.
-    pub fn new(store: ReplicatedKvStore, prefix: impl Into<String>) -> Self {
-        let journal = store.open_journal(&prefix.into());
-        ReplicatedLog { store, journal, _entries: PhantomData }
+    /// The log journaling in the given store.
+    pub fn new(store: ReplicatedStore) -> Self {
+        ReplicatedLog { store, _entries: PhantomData }
     }
 
     /// The backing replicated store.
-    pub fn store(&self) -> &ReplicatedKvStore {
+    pub fn store(&self) -> &ReplicatedStore {
         &self.store
     }
 
     /// Number of entries ever appended (compacted entries included); the next
     /// entry receives this index. 0 while every replica is down.
     pub fn len(&self) -> u64 {
-        self.store.with_journal(self.journal, |journal| journal.end()).unwrap_or(0)
+        self.store.with_journal(|journal| journal.end()).unwrap_or(0)
     }
 
     /// `true` if nothing was ever appended.
@@ -82,7 +78,7 @@ impl<E: LogEntry> ReplicatedLog<E> {
     pub fn append_with(&self, entry: &E, staged: impl FnOnce(&str)) -> Result<u64, StoreError> {
         let line: Arc<str> = entry.encode().into();
         staged(&line);
-        self.store.append_lines(self.journal, std::slice::from_ref(&line))
+        self.store.append_lines(std::slice::from_ref(&line))
     }
 
     /// Append a batch of entries as one committed write: readers observe the
@@ -109,64 +105,59 @@ impl<E: LogEntry> ReplicatedLog<E> {
                 line
             })
             .collect();
-        self.store.append_lines(self.journal, &lines)
+        self.store.append_lines(&lines)
     }
 
     /// All retained entries with index ≥ `from`, in index order, decoded from
-    /// the lines where the store holds them. Entries compacted away by
+    /// the lines where the store holds them; each decoded entry's stored
+    /// line is handed to `read` in the same order, so a caller
+    /// fingerprinting its journal hashes the very bytes the store holds
+    /// instead of encoding the entry again. Entries compacted away by
     /// [`ReplicatedLog::install_snapshot`] are not returned.
-    pub fn entries_from(&self, from: u64) -> Vec<(u64, E)> {
+    pub fn entries_from(&self, from: u64, mut read: impl FnMut(&str)) -> Vec<(u64, E)> {
         self.store
-            .with_journal(self.journal, |journal| {
+            .with_journal(|journal| {
                 let skip = from.saturating_sub(journal.first).min(journal.lines.len() as u64);
                 let lines = journal.lines.range(skip as usize..);
                 (journal.first + skip..)
                     .zip(lines)
-                    .filter_map(|(index, line)| Some((index, E::decode(line)?)))
+                    .filter_map(|(index, line)| {
+                        let entry = E::decode(line)?;
+                        read(line);
+                        Some((index, entry))
+                    })
                     .collect()
             })
             .unwrap_or_default()
     }
 
-    /// Install a snapshot covering every entry with index < `upto`, then
-    /// compact: the covered entries are dropped. `upto` is typically
-    /// [`ReplicatedLog::len`] at snapshot time.
+    /// Install a snapshot covering every entry appended so far, then compact:
+    /// every retained entry is dropped. Returns the first index the snapshot
+    /// does not cover — the log's length, read under the same store lock as
+    /// the write, so no entry can fall between the snapshot and the journal.
     ///
     /// Install and compaction are *one* committed write, so a torn install
-    /// can never pair a new baseline index with stale data (or vice versa),
-    /// nor leave covered entries behind: the store serves the old snapshot
-    /// and journal or the new ones.
+    /// can never pair a new baseline with stale data (or vice versa), nor
+    /// leave covered entries behind: the store serves the old snapshot and
+    /// journal or the new ones.
     ///
     /// The payload is copied once, into the one allocation every replica
     /// shares — a multi-megabyte state is held once, not once per replica.
-    pub fn install_snapshot(
-        &self,
-        payload: impl Into<Arc<str>>,
-        upto: u64,
-    ) -> Result<(), StoreError> {
-        self.store.install_snapshot(self.journal, payload.into(), upto)
+    pub fn install_snapshot(&self, payload: impl Into<Arc<str>>) -> Result<u64, StoreError> {
+        self.store.install_snapshot(payload.into())
     }
 
-    /// The latest installed snapshot as `(first index not covered, payload)`,
-    /// or `None` if no snapshot was ever installed.
-    pub fn snapshot(&self) -> Option<(u64, String)> {
-        self.with_snapshot(|index, payload| (index, payload.to_string()))
-    }
-
-    /// [`Self::snapshot`] without copying the payload: `visit` borrows it in
-    /// place (under the store's read lock, so it must not call back into the
-    /// store or this log).
-    pub fn with_snapshot<R>(&self, visit: impl FnOnce(u64, &str) -> R) -> Option<R> {
-        self.store
-            .with_journal(self.journal, |journal| {
-                journal.snapshot.as_ref().map(|(upto, payload)| visit(*upto, payload))
-            })
-            .flatten()
+    /// `visit` the latest installed snapshot's payload in place (under the
+    /// store's read lock, so it must not call back into the store or this
+    /// log); `None` if no snapshot was ever installed. The snapshot covers
+    /// every entry below the first retained one.
+    pub fn with_snapshot<R>(&self, visit: impl FnOnce(&str) -> R) -> Option<R> {
+        self.store.with_journal(|journal| journal.snapshot.as_deref().map(visit)).flatten()
     }
 
     /// Number of entries currently retained in the store (not compacted).
     pub fn retained_len(&self) -> usize {
-        self.store.with_journal(self.journal, |journal| journal.lines.len()).unwrap_or(0)
+        self.store.with_journal(|journal| journal.lines.len()).unwrap_or(0)
     }
 }
 
@@ -188,79 +179,94 @@ mod tests {
         }
     }
 
+    fn log(fault_tolerance: usize) -> ReplicatedLog<Note> {
+        ReplicatedLog::new(ReplicatedStore::new(fault_tolerance))
+    }
+
+    /// Replay from `from` as `(index, line)` pairs.
+    fn replay(log: &ReplicatedLog<Note>, from: u64) -> Vec<(u64, String)> {
+        log.entries_from(from, |_| {}).into_iter().map(|(index, note)| (index, note.0)).collect()
+    }
+
     #[test]
     fn append_and_replay_in_order() {
-        let log: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
+        let log = log(1);
         assert!(log.is_empty());
         for i in 0..12 {
             assert_eq!(log.append(&Note(format!("e{i}"))).unwrap(), i);
         }
         assert_eq!(log.len(), 12);
-        let entries = log.entries_from(0);
+        let entries = replay(&log, 0);
         assert_eq!(entries.len(), 12);
-        for (i, (index, note)) in entries.iter().enumerate() {
+        for (i, (index, line)) in entries.iter().enumerate() {
             assert_eq!(*index, i as u64);
-            assert_eq!(note.0, format!("e{i}"));
+            assert_eq!(*line, format!("e{i}"));
         }
-        let suffix = log.entries_from(9);
+        let suffix = replay(&log, 9);
         assert_eq!(suffix.len(), 3);
         assert_eq!(suffix[0].0, 9);
     }
 
     #[test]
     fn snapshot_compacts_covered_entries() {
-        let log: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
+        let log = log(1);
         for i in 0..10 {
             log.append(&Note(format!("e{i}"))).unwrap();
         }
-        log.install_snapshot("state-at-7", 7).unwrap();
-        assert_eq!(log.snapshot(), Some((7, "state-at-7".to_string())));
-        assert_eq!(log.retained_len(), 3, "entries 0..7 are compacted away");
-        let entries = log.entries_from(7);
-        assert_eq!(entries.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![7, 8, 9]);
+        assert_eq!(log.install_snapshot("state-at-10"), Ok(10));
+        assert_eq!(log.with_snapshot(str::to_string), Some("state-at-10".to_string()));
+        assert_eq!(log.retained_len(), 0, "entries 0..10 are compacted away");
+        assert!(replay(&log, 0).is_empty());
         // Appending continues from the pre-compaction length.
         assert_eq!(log.append(&Note("e10".into())).unwrap(), 10);
         assert_eq!(log.len(), 11);
+        assert_eq!(replay(&log, 0), [(10, "e10".to_string())]);
     }
 
-    /// Whatever `upto`, a snapshot install is one committed write: it
-    /// removes exactly the covered entries and leaves the suffix — and the
-    /// log's length — as they were.
+    /// Whatever the journal's length, a snapshot install is one committed
+    /// write: it covers every entry, keeps the log's length, and what is
+    /// appended after it is exactly the suffix replay returns.
     #[test]
     fn install_snapshot_compacts_in_one_write_and_keeps_the_suffix() {
-        for upto in [0u64, 1, 7, 40] {
-            let log: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
-            let other: ReplicatedLog<Note> = ReplicatedLog::new(log.store().clone(), "u");
-            for i in 0..40 {
+        for len in [0u64, 1, 7, 40] {
+            let log = log(1);
+            for i in 0..len {
                 log.append(&Note(format!("e{i}"))).unwrap();
             }
-            other.append(&Note("bystander".into())).unwrap();
-            let suffix = log.entries_from(upto);
             let writes = log.store().committed_writes();
-            log.install_snapshot("state", upto).unwrap();
-            assert_eq!(log.store().committed_writes(), writes + 1, "upto {upto}");
-            assert_eq!(log.len(), 40, "compaction never moves the next index");
-            assert_eq!(log.retained_len() as u64, log.len() - upto);
-            assert_eq!(log.entries_from(upto), suffix);
-            assert_eq!(log.entries_from(0), suffix, "nothing below `upto` is left to replay");
-            assert_eq!(log.snapshot(), Some((upto, "state".to_string())));
-            assert_eq!(log.with_snapshot(|index, payload| (index, payload.len())), Some((upto, 5)));
-            assert_eq!(other.entries_from(0).len(), 1, "another log's entries are not ours");
+            assert_eq!(log.install_snapshot("state"), Ok(len));
+            assert_eq!(log.store().committed_writes(), writes + 1, "len {len}");
+            assert_eq!(log.len(), len, "compaction never moves the next index");
+            assert_eq!(log.retained_len(), 0);
+            let suffix: Vec<(u64, String)> = (len..len + 3).map(|i| (i, format!("s{i}"))).collect();
+            for (_, line) in &suffix {
+                log.append(&Note(line.clone())).unwrap();
+            }
+            assert_eq!(replay(&log, 0), suffix, "nothing the snapshot covers is left to replay");
+            assert_eq!(replay(&log, len + 1), suffix[1..]);
+            assert_eq!(log.with_snapshot(str::len), Some(5));
         }
     }
 
     /// `append_with` / `append_all_with` hand over exactly the bytes they
-    /// store, in order — what lets a caller fingerprint its journal without
-    /// encoding every entry twice.
+    /// store, in order, and `entries_from` hands back exactly those bytes —
+    /// what lets a caller fingerprint its journal without encoding every
+    /// entry twice.
     #[test]
     fn staged_lines_are_the_stored_bytes() {
-        let log: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
+        let log = log(1);
         let mut staged = Vec::new();
         log.append_with(&Note("a".into()), |line| staged.push(line.to_string())).unwrap();
         let batch = [Note("b".into()), Note("c".into())];
         log.append_all_with(&batch, |line| staged.push(line.to_string())).unwrap();
-        let stored: Vec<String> = log.entries_from(0).into_iter().map(|(_, note)| note.0).collect();
+        let mut read = Vec::new();
+        let stored: Vec<String> = log
+            .entries_from(0, |line| read.push(line.to_string()))
+            .into_iter()
+            .map(|(_, note)| note.0)
+            .collect();
         assert_eq!(staged, stored);
+        assert_eq!(read, stored);
         // Lines are staged before the write: a refused write has staged them
         // too, and the caller discards what it computed.
         log.store().crash_replica(0);
@@ -273,21 +279,21 @@ mod tests {
 
     #[test]
     fn entries_survive_minority_replica_failure() {
-        let log: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
+        let log = log(1);
         log.append(&Note("a".into())).unwrap();
         log.store().crash_replica(0);
         log.append(&Note("b".into())).unwrap();
-        assert_eq!(log.entries_from(0).len(), 2);
+        assert_eq!(replay(&log, 0).len(), 2);
         // Without a quorum, appends fail and the log is unchanged.
         log.store().crash_replica(1);
         assert_eq!(log.append(&Note("c".into())), Err(StoreError::NoQuorum));
         assert_eq!(log.len(), 2);
     }
 
-    /// Every replica's journal for `log`, crashed ones included.
+    /// Every replica's journal, crashed ones included.
     fn journals(log: &ReplicatedLog<Note>) -> Vec<Journal> {
         (0..log.store().replica_count())
-            .map(|replica| log.store().replica_journal(replica, log.journal))
+            .map(|replica| log.store().replica_journal(replica))
             .collect()
     }
 
@@ -296,8 +302,8 @@ mod tests {
     /// append claims the same index.
     #[test]
     fn a_refused_append_leaves_no_trace_on_any_replica() {
-        let store = ReplicatedKvStore::new(1);
-        let log: ReplicatedLog<Note> = ReplicatedLog::new(store.clone(), "t");
+        let log = log(1);
+        let store = log.store();
         log.append(&Note("committed".into())).unwrap();
         store.crash_replica(0);
         store.crash_replica(1);
@@ -308,16 +314,14 @@ mod tests {
         assert_eq!(journals(&log), before, "no replica holds a refused line");
         store.recover_replica(0);
         assert_eq!(log.append(&Note("retried".into())).unwrap(), 1);
-        let notes: Vec<String> = log.entries_from(0).into_iter().map(|(_, note)| note.0).collect();
-        assert_eq!(notes, ["committed", "retried"]);
+        assert_eq!(replay(&log, 0), [(0, "committed".to_string()), (1, "retried".to_string())]);
     }
 
     /// Group commit stores the same indices and lines as per-entry appends,
     /// on every replica — replay cannot tell which path journaled an entry.
     #[test]
     fn append_all_is_byte_identical_to_per_entry_appends() {
-        let per_event: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
-        let grouped: ReplicatedLog<Note> = ReplicatedLog::new(ReplicatedKvStore::new(1), "t");
+        let (per_event, grouped) = (log(1), log(1));
         let batch: Vec<Note> = (0..5).map(|i| Note(format!("e{i}"))).collect();
         per_event.append(&batch[0]).unwrap();
         grouped.append(&batch[0]).unwrap();
@@ -327,9 +331,9 @@ mod tests {
         assert_eq!(grouped.append_all_with(&batch[1..], |_| {}).unwrap(), 1);
         assert_eq!(grouped.len(), per_event.len());
         for log in [&per_event, &grouped] {
-            for (i, (index, note)) in log.entries_from(0).iter().enumerate() {
+            for (i, (index, line)) in replay(log, 0).iter().enumerate() {
                 assert_eq!(*index, i as u64);
-                assert_eq!(note.0, format!("e{i}"));
+                assert_eq!(*line, format!("e{i}"));
             }
         }
         // The stored lines match replica for replica.
@@ -349,8 +353,8 @@ mod tests {
     /// the pre-batch state.
     #[test]
     fn a_failed_group_commit_leaves_the_log_at_its_pre_batch_state() {
-        let store = ReplicatedKvStore::new(1);
-        let log: ReplicatedLog<Note> = ReplicatedLog::new(store.clone(), "t");
+        let log = log(1);
+        let store = log.store();
         log.append(&Note("durable".into())).unwrap();
         store.crash_replica(0);
         store.crash_replica(1);
@@ -359,26 +363,11 @@ mod tests {
         store.recover_replica(0);
         store.recover_replica(1);
         assert_eq!(log.len(), 1, "the failed batch committed nothing");
-        let entries = log.entries_from(0);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].1 .0, "durable");
+        assert_eq!(replay(&log, 0), [(0, "durable".to_string())]);
         assert_eq!(log.retained_len(), 1, "no batch entry lingers");
         // A retried batch lands at the same indices.
         assert_eq!(log.append_all_with(&batch, |_| {}).unwrap(), 1);
         assert_eq!(log.len(), 4);
-    }
-
-    #[test]
-    fn logs_with_distinct_prefixes_do_not_interfere() {
-        let store = ReplicatedKvStore::new(1);
-        let a: ReplicatedLog<Note> = ReplicatedLog::new(store.clone(), "a");
-        let b: ReplicatedLog<Note> = ReplicatedLog::new(store.clone(), "b");
-        a.append(&Note("x".into())).unwrap();
-        assert_eq!(b.len(), 0);
-        assert!(b.entries_from(0).is_empty());
-        assert_eq!(a.entries_from(0).len(), 1);
-        let again: ReplicatedLog<Note> = ReplicatedLog::new(store, "a");
-        assert_eq!(again.entries_from(0), a.entries_from(0), "one prefix, one log");
     }
 
     /// Compaction reaches every replica: after a snapshot install no replica
@@ -387,33 +376,35 @@ mod tests {
     /// stored snapshot value.
     #[test]
     fn install_snapshot_leaves_no_covered_entry_on_any_replica() {
-        let store = ReplicatedKvStore::new(2);
-        let log: ReplicatedLog<Note> = ReplicatedLog::new(store.clone(), "t");
+        let log = log(2);
+        let store = log.store();
         for i in 0..30 {
             log.append(&Note(format!("e{i}"))).unwrap();
         }
         store.crash_replica(3);
-        log.install_snapshot("x".repeat(4096), 20).unwrap();
-        let covered = |journal: &Journal| 20u64.saturating_sub(journal.first) as usize;
-        assert_eq!(covered(&store.replica_journal(3, log.journal)), 20, "replica 3 was down");
+        assert_eq!(log.install_snapshot("x".repeat(4096)), Ok(30));
+        for i in 30..40 {
+            log.append(&Note(format!("e{i}"))).unwrap();
+        }
+        assert_eq!(store.replica_journal(3).lines.len(), 30, "replica 3 was down");
         store.recover_replica(3);
         let snapshots: Vec<Arc<str>> = journals(&log)
             .into_iter()
             .enumerate()
             .map(|(replica, journal)| {
-                assert_eq!(covered(&journal), 0, "replica {replica} kept a covered entry");
+                assert_eq!(journal.first, 30, "replica {replica} kept a covered entry");
                 assert_eq!(journal.lines.len(), 10, "replica {replica}");
-                journal.snapshot.expect("every replica holds the snapshot").1
+                journal.snapshot.expect("every replica holds the snapshot")
             })
             .collect();
         assert!(snapshots.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])), "one stored copy");
-        assert_eq!(log.entries_from(0).len(), 10);
+        assert_eq!(replay(&log, 0).len(), 10);
     }
 
     /// The keyed journal the log replaced, as a plain single-copy model: one
     /// key per entry (`t/entry/{index:016}`), a `t/len` key with the next
     /// index, and a `t/snapshot` key holding `"{upto}\n{payload}"`, whose
-    /// install range-deletes the covered entry keys.
+    /// install at the journal's end range-deletes every entry key.
     #[derive(Default)]
     struct KeyedModel {
         data: BTreeMap<String, String>,
@@ -436,10 +427,12 @@ mod tests {
             self.data.insert("t/len".into(), (first + lines.len() as u64).to_string());
         }
 
-        fn install_snapshot(&mut self, payload: &str, upto: u64) {
+        fn install_snapshot(&mut self, payload: &str) -> u64 {
+            let upto = self.len();
             self.data.insert("t/snapshot".into(), format!("{upto}\n{payload}"));
             let (from, to) = (Self::entry_key(0), Self::entry_key(upto));
             self.data.retain(|key, _| !(from.as_str()..to.as_str()).contains(&key.as_str()));
+            upto
         }
 
         fn entries_from(&self, from: u64) -> Vec<(u64, String)> {
@@ -464,16 +457,19 @@ mod tests {
     }
 
     /// Seeded random runs of appends, batches, snapshot installs, replica
-    /// crashes and recoveries — quorum loss included — against the keyed
-    /// model. After every step the log's length, replay from every index,
-    /// retained count and snapshot equal the model's; a refused write leaves
-    /// every replica as it was; and the live replicas hold equal journals
-    /// that share one allocation per line and per snapshot (a recovered
-    /// replica included).
+    /// crashes and recoveries — quorum loss and the whole store going down
+    /// included — against the keyed model. After every step the live
+    /// replicas hold equal journals that share one allocation per line and
+    /// per snapshot (a recovered replica included), and a refused write
+    /// leaves every replica as it was. While a majority is live, the log's
+    /// length, replay from every index, retained count and snapshot equal the
+    /// model's, and the snapshot and the retained entries leave no gap: the
+    /// snapshot covers exactly the indices below the first retained entry.
     #[test]
     fn random_runs_match_the_keyed_journal_model() {
-        // (refused writes, snapshot installs, recoveries) over every seed.
-        let mut seen = (0, 0, 0);
+        // (refused writes, snapshot installs, recoveries, full outages) over
+        // every seed.
+        let mut seen = (0, 0, 0, 0);
         for seed in 1..=8u64 {
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut next = |bound: u64| {
@@ -483,12 +479,12 @@ mod tests {
                 rng % bound
             };
             let fault_tolerance = 1 + (seed % 2) as usize;
-            let store = ReplicatedKvStore::new(fault_tolerance);
+            let log = log(fault_tolerance);
+            let store = log.store().clone();
             let replicas = store.replica_count();
-            let log: ReplicatedLog<Note> = ReplicatedLog::new(store.clone(), "t");
             let mut model = KeyedModel::default();
             let mut crashed = vec![false; replicas];
-            for step in 0..100 {
+            for step in 0..150 {
                 let quorum = crashed.iter().filter(|&&c| !c).count() * 2 > replicas;
                 let before = journals(&log);
                 let what = format!("seed {seed} step {step}");
@@ -507,29 +503,29 @@ mod tests {
                             (0..next(4)).map(|i| format!("b{step}.{i}")).collect();
                         let notes: Vec<Note> = lines.iter().cloned().map(Note).collect();
                         let result = log.append_all_with(&notes, |_| {});
-                        if quorum || lines.is_empty() {
+                        if quorum && !lines.is_empty() {
                             assert_eq!(result, Ok(model.len()), "{what}");
                             model.append(&lines);
                         }
                         Some(result.is_ok())
                     }
                     6 => {
-                        let (payload, upto) = (format!("s{step}"), next(model.len() + 3));
-                        let result = log.install_snapshot(payload.as_str(), upto);
+                        let payload = format!("s{step}");
+                        let result = log.install_snapshot(payload.as_str());
                         if quorum {
-                            model.install_snapshot(&payload, upto);
+                            assert_eq!(result, Ok(model.install_snapshot(&payload)), "{what}");
                             seen.1 += 1;
                         }
                         Some(result.is_ok())
                     }
                     7 => {
-                        // Crash a live replica, but never the last one: a
-                        // down store serves nothing to compare.
+                        // Crash a live replica, the last one included.
                         let live: Vec<usize> = (0..replicas).filter(|&r| !crashed[r]).collect();
-                        if live.len() > 1 {
+                        if !live.is_empty() {
                             let replica = live[next(live.len() as u64) as usize];
                             store.crash_replica(replica);
                             crashed[replica] = true;
+                            seen.3 += usize::from(live.len() == 1);
                         }
                         None
                     }
@@ -551,14 +547,6 @@ mod tests {
                         seen.0 += 1;
                     }
                 }
-                assert_eq!(log.len(), model.len(), "{what}");
-                for from in 0..=model.len() + 1 {
-                    let replayed: Vec<(u64, String)> =
-                        log.entries_from(from).into_iter().map(|(i, note)| (i, note.0)).collect();
-                    assert_eq!(replayed, model.entries_from(from), "{what}: from {from}");
-                }
-                assert_eq!(log.retained_len(), model.retained_len(), "{what}");
-                assert_eq!(log.snapshot(), model.snapshot(), "{what}");
                 let now = journals(&log);
                 let live: Vec<&Journal> =
                     (0..replicas).filter(|&r| !crashed[r]).map(|r| &now[r]).collect();
@@ -567,11 +555,29 @@ mod tests {
                     let shared = pair[0].lines.iter().zip(&pair[1].lines);
                     assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)), "{what}");
                     if let (Some(a), Some(b)) = (&pair[0].snapshot, &pair[1].snapshot) {
-                        assert!(Arc::ptr_eq(&a.1, &b.1), "{what}: snapshot copied");
+                        assert!(Arc::ptr_eq(a, b), "{what}: snapshot copied");
                     }
                 }
+                // A minority serves what it retained, which may be stale.
+                if live.len() * 2 <= replicas {
+                    continue;
+                }
+                assert_eq!(log.len(), model.len(), "{what}");
+                for from in 0..=model.len() + 1 {
+                    assert_eq!(replay(&log, from), model.entries_from(from), "{what}: from {from}");
+                }
+                assert_eq!(log.retained_len(), model.retained_len(), "{what}");
+                let first = log.len() - log.retained_len() as u64;
+                let snapshot = log.with_snapshot(|payload| (first, payload.to_string()));
+                assert_eq!(snapshot, model.snapshot(), "{what}");
+                let indices: Vec<u64> = replay(&log, first).into_iter().map(|(i, _)| i).collect();
+                assert_eq!(indices, (first..log.len()).collect::<Vec<_>>(), "{what}: a gap");
+                assert!(snapshot.is_some() || first == 0, "{what}: entries lost uncovered");
             }
         }
-        assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0, "every kind of step ran: {seen:?}");
+        assert!(
+            seen.0 > 0 && seen.1 > 0 && seen.2 > 0 && seen.3 > 0,
+            "every kind of step ran: {seen:?}"
+        );
     }
 }

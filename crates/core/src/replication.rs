@@ -26,7 +26,7 @@ use crate::submission::{
 };
 use qonductor_backend::{CompletedJob, Fleet, ResourceClass};
 use qonductor_circuit::par;
-use qonductor_consensus::{LogEntry, ReplicatedKvStore, ReplicatedLog, StoreElection, StoreError};
+use qonductor_consensus::{LogEntry, ReplicatedLog, ReplicatedStore, StoreElection, StoreError};
 use qonductor_scheduler::{HybridScheduler, ScheduleTrigger};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -1167,10 +1167,10 @@ impl ControlState {
 /// The journaled control plane: a [`JobManager`] + [`SubmissionService`] pair
 /// (plus this shard's lease and elastic sets) whose every state transition
 /// is appended to a quorum-replicated log before it is applied, with
-/// leadership decided *inside* the store: the leader lease is a CAS'd key in
-/// the same quorum KV that holds the journal ([`StoreElection`]), so election
-/// and data share one fault domain — there is no window where an election
-/// cluster has a leader the data replicas cannot serve.
+/// leadership decided *inside* the store: the leader lease is a CAS'd record
+/// in the same quorum store that holds the journal ([`StoreElection`]), so
+/// election and data share one fault domain — there is no window where an
+/// election cluster has a leader the data replicas cannot serve.
 ///
 /// Every operation runs in three steps. It *decides* on the current state
 /// and writes nothing: validation, the trigger check, the NSGA-II schedule,
@@ -1223,9 +1223,9 @@ impl ReplicatedControlPlane {
         policy: CalibrationPolicy,
         fault_tolerance: usize,
     ) -> Self {
-        let store = ReplicatedKvStore::new(fault_tolerance);
-        let log = ReplicatedLog::new(store.clone(), "ctl");
-        let mut election = StoreElection::new(store, "ctl", 2 * fault_tolerance + 1);
+        let store = ReplicatedStore::new(fault_tolerance);
+        let log = ReplicatedLog::new(store.clone());
+        let mut election = StoreElection::new(store, 2 * fault_tolerance + 1);
         election.campaign().expect("fresh store has a quorum");
         let plane = ReplicatedControlPlane {
             election,
@@ -1316,7 +1316,7 @@ impl ReplicatedControlPlane {
     }
 
     /// The in-store leader election (the leader lease lives in the same
-    /// quorum KV as the journal).
+    /// quorum store as the journal).
     pub fn election(&self) -> &StoreElection {
         &self.election
     }
@@ -1328,7 +1328,7 @@ impl ReplicatedControlPlane {
 
     /// The replicated store backing the journal (crash/recover replicas here
     /// to fault-inject the storage tier).
-    pub fn store(&self) -> &ReplicatedKvStore {
+    pub fn store(&self) -> &ReplicatedStore {
         self.log.store()
     }
 
@@ -1595,10 +1595,9 @@ impl ReplicatedControlPlane {
     /// the installed payload and the rolling hash resets, so planes that
     /// snapshot on the same schedule keep comparable digests.
     pub fn snapshot(&self) -> Result<u64, ReplicationError> {
-        let upto = self.log.len();
         let payload = self.encode_state();
         let checkpoint = fnv128(payload.as_bytes());
-        self.log.install_snapshot(payload, upto)?;
+        let upto = self.log.install_snapshot(payload)?;
         self.digest_checkpoint.set(checkpoint);
         self.digest_rolling.set(FNV128_OFFSET);
         Ok(upto)
@@ -1634,7 +1633,7 @@ impl ReplicatedControlPlane {
     }
 
     /// Fail over to a recovered replica: elect a new leader (a CAS on the
-    /// lease key — impossible without the store quorum, by design), rebuild
+    /// lease — impossible without the store quorum, by design), rebuild
     /// the engine + submission service + lease set deterministically from
     /// `snapshot + log replay`, install the rebuilt state as live, and let
     /// crashed nodes rejoin as followers. With the leader alive the election
@@ -1648,8 +1647,7 @@ impl ReplicatedControlPlane {
         self.state = state;
         // Recomputed from the store, these equal the pre-crash cells: the
         // checkpoint hashes the same installed payload, and the rolling hash
-        // absorbs the same retained entries re-encoded through the same
-        // round-tripping codec.
+        // absorbs the same retained lines.
         self.digest_checkpoint.set(checkpoint);
         self.digest_rolling.set(rolling);
         for id in 0..self.election.len() {
@@ -1662,8 +1660,10 @@ impl ReplicatedControlPlane {
 
     /// Rebuild the control state from the replicated store without touching
     /// the live state: decode the latest snapshot, then replay every retained
-    /// journal entry after it, in order, through [`ControlState::apply`].
-    /// Also returns the digest cells the rebuilt state fingerprints to.
+    /// journal entry (the snapshot covers every entry before them), in order,
+    /// through [`ControlState::apply`]. Also returns the digest cells the
+    /// rebuilt state fingerprints to: the rolling hash absorbs each entry's
+    /// stored line, the bytes [`Self::journal`] absorbed when it was written.
     ///
     /// The snapshot's decode and its checkpoint hash run side by side, as
     /// the two parts of one [`par::team`] (one part doing both in turn on a
@@ -1676,9 +1676,9 @@ impl ReplicatedControlPlane {
         }
         // Decoded and hashed where it lies in the store: the payload is
         // megabytes, and nothing here needs its own copy.
-        let (from, decoded, checkpoint) = self
+        let (decoded, checkpoint) = self
             .log
-            .with_snapshot(|from, payload| {
+            .with_snapshot(|payload| {
                 // The decode is part 0, which runs on the caller: the state
                 // is allocated by the thread it will live on.
                 let parts: Vec<&[usize]> =
@@ -1694,7 +1694,7 @@ impl ReplicatedControlPlane {
                 .flatten();
                 match (done.next(), done.next()) {
                     (Some(Part::Decoded(decoded)), Some(Part::Hashed(checkpoint))) => {
-                        (from, *decoded, checkpoint)
+                        (*decoded, checkpoint)
                     }
                     _ => unreachable!("the parts come back in part order"),
                 }
@@ -1702,9 +1702,8 @@ impl ReplicatedControlPlane {
             .ok_or(FailoverError::MissingSnapshot)?;
         let mut state = decoded.ok_or(FailoverError::CorruptState)?;
         let mut rolling = Fnv128::new();
-        for (_, event) in self.log.entries_from(from) {
+        for (_, event) in self.log.entries_from(0, |line| absorb_line(&mut rolling, line)) {
             state.apply(&event);
-            absorb_line(&mut rolling, &event.encode());
         }
         Ok((state, (checkpoint, rolling.value())))
     }
@@ -1712,8 +1711,7 @@ impl ReplicatedControlPlane {
     /// Number of journal entries a failover right now would replay on top of
     /// the latest snapshot.
     pub fn replay_backlog(&self) -> u64 {
-        let baseline = self.log.with_snapshot(|index, _| index).unwrap_or(0);
-        self.log.len().saturating_sub(baseline)
+        self.log.retained_len() as u64
     }
 
     /// Canonical byte-for-byte encoding of the full control-plane state
@@ -2247,8 +2245,8 @@ mod tests {
         drive_fixed_workload(&mut grouped, false);
         drive_fixed_workload(&mut per_event, true);
 
-        let grouped_entries = grouped.log().entries_from(0);
-        let per_event_entries = per_event.log().entries_from(0);
+        let grouped_entries = grouped.log().entries_from(0, |_| {});
+        let per_event_entries = per_event.log().entries_from(0, |_| {});
         assert!(grouped_entries.len() > 4, "the workload journals a non-trivial sequence");
         assert_eq!(grouped_entries.len(), per_event_entries.len());
         for ((index_a, event_a), (index_b, event_b)) in
@@ -2261,7 +2259,7 @@ mod tests {
         assert_eq!(grouped.state_digest(), per_event.state_digest(), "digests diverged");
     }
 
-    /// Election-in-store: leadership lives in the same quorum KV as the
+    /// Election-in-store: leadership lives in the same quorum store as the
     /// journal, so losing the store majority blocks failover itself — the
     /// split-brain window where an election cluster disagrees with the data
     /// replicas cannot exist.

@@ -7,7 +7,7 @@
 mod common;
 
 use common::{feasible_spec, small_fleet, small_scheduler};
-use qonductor::consensus::{ReplicatedKvStore, StoreError};
+use qonductor::consensus::{LogEntry, ReplicatedLog, ReplicatedStore, StoreError};
 use qonductor::core::{JobTicket, ReplicatedControlPlane, SloClass, TenantConfig, TicketStatus};
 use qonductor::scheduler::ScheduleTrigger;
 use rand::rngs::StdRng;
@@ -65,21 +65,36 @@ fn control_plane_survives_leader_failure_and_reelects() {
     assert_all_completed(&plane, &tickets);
 }
 
+/// A one-line journal entry for driving a bare replicated log.
+#[derive(Debug, PartialEq)]
+struct Note(String);
+
+impl LogEntry for Note {
+    fn encode(&self) -> String {
+        self.0.clone()
+    }
+    fn decode(line: &str) -> Option<Self> {
+        Some(Note(line.to_string()))
+    }
+}
+
 #[test]
 fn writes_are_rejected_without_a_quorum() {
-    let store = ReplicatedKvStore::new(1);
-    store.put("a", "1").unwrap();
+    let log = ReplicatedLog::new(ReplicatedStore::new(1));
+    let store = log.store();
+    let replay = || log.entries_from(0, |_| {});
+    log.append(&Note("a".into())).unwrap();
     store.crash_replica(0);
     store.crash_replica(1);
     assert!(!store.has_quorum());
-    assert_eq!(store.put("b", "2"), Err(StoreError::NoQuorum));
+    assert_eq!(log.append(&Note("b".into())), Err(StoreError::NoQuorum));
     // The surviving replica still serves committed state.
-    assert_eq!(store.get("a").unwrap(), "1");
+    assert_eq!(replay(), [(0, Note("a".into()))]);
     // Recovering one replica restores the write quorum.
     store.recover_replica(0);
     assert!(store.has_quorum());
-    store.put("b", "2").unwrap();
-    assert_eq!(store.get("b").unwrap(), "2");
+    assert_eq!(log.append(&Note("b".into())), Ok(1));
+    assert_eq!(replay(), [(0, Note("a".into())), (1, Note("b".into()))]);
 }
 
 /// The leader crashes in the window between the trigger firing (the pool has
