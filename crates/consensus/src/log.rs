@@ -27,11 +27,13 @@ use std::sync::Arc;
 ///
 /// Implementations must guarantee `decode(encode(e)) == Some(e)` and that the
 /// encoded form contains no `'\n'` (the invariant keeps dumps and snapshots
-/// greppable).
+/// greppable). A stored line that `decode` refuses is corrupt: replay
+/// ([`ReplicatedLog::entries_from`]) stops there with its index.
 pub trait LogEntry: Sized {
     /// Encode the entry as a single line.
     fn encode(&self) -> String;
-    /// Decode an entry previously produced by [`LogEntry::encode`].
+    /// Decode an entry previously produced by [`LogEntry::encode`]; `None`
+    /// for a line that no entry encodes to.
     fn decode(line: &str) -> Option<Self>;
 }
 
@@ -114,21 +116,29 @@ impl<E: LogEntry> ReplicatedLog<E> {
     /// fingerprinting its journal hashes the very bytes the store holds
     /// instead of encoding the entry again. Entries compacted away by
     /// [`ReplicatedLog::install_snapshot`] are not returned.
-    pub fn entries_from(&self, from: u64, mut read: impl FnMut(&str)) -> Vec<(u64, E)> {
+    ///
+    /// A line that does not decode stops the read: the result is `Err` with
+    /// that line's index, and no later line reaches `read` — a replay must
+    /// not skip a transition and apply the ones after it.
+    pub fn entries_from(
+        &self,
+        from: u64,
+        mut read: impl FnMut(&str),
+    ) -> Result<Vec<(u64, E)>, u64> {
         self.store
             .with_journal(|journal| {
                 let skip = from.saturating_sub(journal.first).min(journal.lines.len() as u64);
                 let lines = journal.lines.range(skip as usize..);
                 (journal.first + skip..)
                     .zip(lines)
-                    .filter_map(|(index, line)| {
-                        let entry = E::decode(line)?;
+                    .map(|(index, line)| {
+                        let entry = E::decode(line).ok_or(index)?;
                         read(line);
-                        Some((index, entry))
+                        Ok((index, entry))
                     })
                     .collect()
             })
-            .unwrap_or_default()
+            .unwrap_or(Ok(Vec::new()))
     }
 
     /// Install a snapshot covering every entry appended so far, then compact:
@@ -185,7 +195,8 @@ mod tests {
 
     /// Replay from `from` as `(index, line)` pairs.
     fn replay(log: &ReplicatedLog<Note>, from: u64) -> Vec<(u64, String)> {
-        log.entries_from(from, |_| {}).into_iter().map(|(index, note)| (index, note.0)).collect()
+        let entries = log.entries_from(from, |_| {}).expect("every note decodes");
+        entries.into_iter().map(|(index, note)| (index, note.0)).collect()
     }
 
     #[test]
@@ -262,6 +273,7 @@ mod tests {
         let mut read = Vec::new();
         let stored: Vec<String> = log
             .entries_from(0, |line| read.push(line.to_string()))
+            .expect("every note decodes")
             .into_iter()
             .map(|(_, note)| note.0)
             .collect();
@@ -275,6 +287,39 @@ mod tests {
         assert_eq!(log.append_with(&Note("d".into()), |_| refused += 1), Err(StoreError::NoQuorum));
         assert_eq!(refused, 1);
         assert_eq!(log.len(), 3);
+    }
+
+    /// An entry type whose decoder refuses lines: a single decimal digit.
+    #[derive(Debug, PartialEq)]
+    struct Digit(u8);
+
+    impl LogEntry for Digit {
+        fn encode(&self) -> String {
+            self.0.to_string()
+        }
+        fn decode(line: &str) -> Option<Self> {
+            line.parse().ok().filter(|&digit| digit < 10).map(Digit)
+        }
+    }
+
+    /// A retained line that does not decode stops replay with its index:
+    /// nothing after it is returned or handed to `read`. Replay from past
+    /// it, or once a snapshot covers it, reads on.
+    #[test]
+    fn replay_stops_at_a_corrupt_middle_line() {
+        let digits: ReplicatedLog<Digit> = ReplicatedLog::new(ReplicatedStore::new(1));
+        let notes: ReplicatedLog<Note> = ReplicatedLog::new(digits.store().clone());
+        digits.append(&Digit(1)).unwrap();
+        notes.append(&Note("not a digit".into())).unwrap();
+        digits.append(&Digit(3)).unwrap();
+        let mut read = Vec::new();
+        assert_eq!(digits.entries_from(0, |line| read.push(line.to_string())), Err(1));
+        assert_eq!(read, ["1"], "no line after the corrupt one is read");
+        assert_eq!(digits.entries_from(1, |_| {}), Err(1));
+        assert_eq!(digits.entries_from(2, |_| {}), Ok(vec![(2, Digit(3))]));
+        digits.install_snapshot("covers the corrupt line").unwrap();
+        digits.append(&Digit(4)).unwrap();
+        assert_eq!(digits.entries_from(0, |_| {}), Ok(vec![(3, Digit(4))]));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! implies, which the live control plane pushes onto the queues and replay
 //! drops.
 
-use crate::replication::wire::Cursor;
+use crate::replication::wire::{Cursor, Wire};
 use qonductor_backend::{CompletedJob, Fleet};
 use qonductor_scheduler::{
     partition_at_boundary, HybridScheduler, JobRequest, PlannedJob, QpuState, ScheduleOutcome,
@@ -599,40 +599,27 @@ impl JobManager {
     /// policy, pending pool in submission order with deferral/hold state, id
     /// counters). Floats are encoded as IEEE-754 bit patterns, so
     /// [`Self::decode_state`] reproduces the state exactly and equal
-    /// encodings imply bit-identical states.
+    /// encodings imply bit-identical states. Each pending job is a `job` row
+    /// of the `wire` record table.
     pub(crate) fn encode_state_into(&self, out: &mut String) {
-        use crate::replication::wire::{push_f64, push_opt_f64, push_spec, push_u64};
         out.push_str("jm 3\ntrigger ");
-        push_u64(out, self.trigger.queue_limit as u64);
+        self.trigger.queue_limit.put(out);
         out.push(' ');
-        push_f64(out, self.trigger.interval_s);
+        self.trigger.interval_s.put(out);
         out.push(' ');
-        push_opt_f64(out, self.trigger.last_invocation_s());
+        self.trigger.last_invocation_s().put(out);
         out.push(' ');
-        push_f64(out, self.trigger.slo_margin_s);
-        out.push_str(match self.policy {
-            CalibrationPolicy::Naive => "\ncal naive\nids ",
-            CalibrationPolicy::SplitAtBoundary => "\ncal split\nids ",
-        });
-        push_u64(out, self.next_job_id);
+        self.trigger.slo_margin_s.put(out);
+        out.push_str("\ncal ");
+        self.policy.put(out);
+        out.push_str("\nids ");
+        self.next_job_id.put(out);
         out.push(' ');
-        push_u64(out, self.batches_dispatched as u64);
+        self.batches_dispatched.put(out);
         out.push('\n');
         for job in &self.pending {
             out.push_str("job ");
-            push_u64(out, job.job_id);
-            out.push(' ');
-            push_u64(out, u64::from(job.tenant));
-            out.push(' ');
-            push_f64(out, job.submitted_s);
-            out.push(' ');
-            push_u64(out, u64::from(job.deferrals));
-            out.push(' ');
-            push_f64(out, job.held_until_s);
-            out.push(' ');
-            push_f64(out, job.deadline_s);
-            out.push(' ');
-            push_spec(out, &job.spec);
+            job.put(out);
             out.push('\n');
         }
     }
@@ -643,42 +630,27 @@ impl JobManager {
     pub(crate) fn decode_from(input: &mut Cursor) -> Option<JobManager> {
         let queue_limit = input.after("jm 3\ntrigger ")?.num()?;
         let interval_s = input.after(" ")?.f64()?;
-        let last_invocation_s = input.after(" ")?.opt_f64()?;
+        let last_invocation_s: Option<f64> = Wire::take(input.after(" ")?)?;
         let slo_margin_s = input.after(" ")?.f64()?;
         let mut trigger =
             ScheduleTrigger::new(queue_limit, interval_s).with_slo_margin(slo_margin_s);
         if let Some(last) = last_invocation_s {
             trigger.mark_invoked(last);
         }
-        let policy = if input.eat("\ncal naive\nids ") {
-            CalibrationPolicy::Naive
-        } else {
-            input.after("\ncal split\nids ")?;
-            CalibrationPolicy::SplitAtBoundary
-        };
-        let next_job_id = input.num()?;
+        let policy = Wire::take(input.after("\ncal ")?)?;
+        let next_job_id = input.after("\nids ")?.num()?;
         let batches_dispatched = input.after(" ")?.num()?;
         input.after("\n")?;
         let mut pending = Vec::new();
         while input.eat("job ") {
-            pending.push(PendingJob {
-                job_id: input.num()?,
-                tenant: input.after(" ")?.num()?,
-                submitted_s: input.after(" ")?.f64()?,
-                deferrals: input.after(" ")?.num()?,
-                held_until_s: input.after(" ")?.f64()?,
-                deadline_s: input.after(" ")?.f64()?,
-                spec: input.after(" ")?.spec()?,
-            });
+            pending.push(Wire::take(input)?);
             input.after("\n")?;
         }
         Some(JobManager {
-            trigger,
-            policy,
             pending,
             next_job_id,
             batches_dispatched,
-            sched_ns: Cell::new(0),
+            ..JobManager::new(trigger).with_calibration_policy(policy)
         })
     }
 }

@@ -9,12 +9,15 @@
 //! pre-crash [`JobTicket`] still resolves through
 //! [`ReplicatedControlPlane::poll`].
 //!
-//! The journal brings its own text codec ([`wire`]). Floats are encoded as
-//! IEEE-754 bit patterns in hex ([`wire::push_f64`]), which makes snapshot +
+//! The journal brings its own text codec ([`wire`]): every journaled record —
+//! an event line, an engine or tenant or ticket row — is one row of a table
+//! that generates both its encoder and its decoder, so the two cannot
+//! disagree. Floats are IEEE-754 bit patterns in hex, which makes snapshot +
 //! replay reconstruction **byte-for-byte** identical to the uninterrupted
-//! state — compare
-//! [`ReplicatedControlPlane::state_digest`] before a crash and after
-//! [`ReplicatedControlPlane::failover`] to prove it.
+//! state — compare [`ReplicatedControlPlane::state_digest`] before a crash
+//! and after [`ReplicatedControlPlane::failover`] to prove it. Decoding is
+//! canonical, and replay stops at a journal line that does not decode
+//! ([`FailoverError::CorruptEntry`]).
 
 use crate::digest::{fnv128, Fnv128, FNV128_OFFSET};
 use crate::jobmanager::{
@@ -31,17 +34,23 @@ use qonductor_scheduler::{HybridScheduler, ScheduleTrigger};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::time::Instant;
+use wire::Wire;
 
-/// Bit-exact text codecs shared by the journal and the state snapshots.
-///
-/// Encoders are *streaming*: `push_*` appends a field to a buffer the caller
-/// sized once, so encoding a 10 MB state allocates once, not once per field.
+/// Bit-exact text codecs shared by the journal and the state snapshots: the
+/// [`Wire`] field codecs, and the `records!` table at the end, from which
+/// each record's encoder and decoder are generated. Encoders stream into a
+/// buffer the caller sized once, so encoding a 10 MB state allocates once.
 pub(crate) mod wire {
-    use crate::jobmanager::JobSpec;
-    use crate::submission::SloClass;
+    use super::ControlPlaneEvent;
+    use crate::jobmanager::{CalibrationPolicy, JobSpec, PendingJob};
+    use crate::submission::{
+        JobTicket, RejectReason, SloClass, TenantConfig, TenantState, TicketRecord, TicketState,
+    };
+    use qonductor_backend::ResourceClass;
+    use std::collections::VecDeque;
 
     /// Append `value` in decimal (what `{}` prints, without the formatter).
-    pub(crate) fn push_u64(out: &mut String, mut value: u64) {
+    fn push_u64(out: &mut String, mut value: u64) {
         // Most encoded counters are a single digit: skip the buffer.
         if value < 10 {
             out.push(char::from(b'0' + value as u8));
@@ -60,56 +69,7 @@ pub(crate) mod wire {
         out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
 
-    /// Append an `f64` as its IEEE-754 bit pattern in 16 hex digits
-    /// (bit-exact, `-0.0`, `NaN` payloads and all).
-    pub(crate) fn push_f64(out: &mut String, value: f64) {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let bits = value.to_bits();
-        let mut digits = [0u8; 16];
-        for (i, digit) in digits.iter_mut().enumerate() {
-            *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
-        }
-        out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
-    }
-
-    /// Append an optional `f64` (`-` for `None`).
-    pub(crate) fn push_opt_f64(out: &mut String, value: Option<f64>) {
-        match value {
-            Some(value) => push_f64(out, value),
-            None => out.push('-'),
-        }
-    }
-
-    /// Append `items` separated by `,` — or `-` if there are none — writing
-    /// each with `push`.
-    pub(crate) fn push_list<T>(
-        out: &mut String,
-        items: impl IntoIterator<Item = T>,
-        mut push: impl FnMut(&mut String, T),
-    ) {
-        let mut items = items.into_iter();
-        match items.next() {
-            None => out.push('-'),
-            Some(first) => {
-                push(out, first);
-                for item in items {
-                    out.push(',');
-                    push(out, item);
-                }
-            }
-        }
-    }
-
-    /// Append an SLO class as `deadline_bits:priority:max_error_bits`.
-    pub(crate) fn push_slo(out: &mut String, slo: &SloClass) {
-        push_f64(out, slo.deadline_s);
-        out.push(':');
-        push_u64(out, u64::from(slo.priority));
-        out.push(':');
-        push_f64(out, slo.max_error);
-    }
-
-    /// An upper bound on the bytes [`push_spec`] appends for `spec`; callers
+    /// An upper bound on the bytes a [`JobSpec`]'s `put` appends; callers
     /// size their buffers with it.
     pub(crate) fn spec_len_bound(spec: &JobSpec) -> usize {
         // Two `u32`s and a `u64` (40 digits at most), four `|`, then 16 hex
@@ -117,26 +77,7 @@ pub(crate) mod wire {
         64 + 17 * (spec.fidelity_per_qpu.len() + spec.exec_time_per_qpu.len())
     }
 
-    /// Append a job spec as `qubits|shots|epoch|f_bits,..|t_bits,..` (no
-    /// spaces, so a spec is a single field of a space-separated record).
-    pub(crate) fn push_spec(out: &mut String, spec: &JobSpec) {
-        push_u64(out, u64::from(spec.qubits));
-        out.push('|');
-        push_u64(out, u64::from(spec.shots));
-        out.push('|');
-        push_u64(out, spec.estimate_epoch);
-        for values in [&spec.fidelity_per_qpu, &spec.exec_time_per_qpu] {
-            out.push('|');
-            for (i, &value) in values.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_f64(out, value);
-            }
-        }
-    }
-
-    /// The value of each lowercase hex digit [`push_f64`] writes, and 0x10
+    /// The value of each lowercase hex digit a float is written in, and 0x10
     /// for every other byte.
     const HEX_NIBBLE: [u8; 256] = {
         let mut table = [0x10; 256];
@@ -151,7 +92,7 @@ pub(crate) mod wire {
     /// A forward-only reader over encoded state and journal lines: every
     /// decoder reads its input once, front to back, field by field where it
     /// lies — no `split` iterator per field, no `Vec` of sub-fields. Each
-    /// reader accepts exactly what the matching `push_*` writes and nothing
+    /// reader accepts exactly what the matching encoder writes and nothing
     /// else (no sign, no leading zero, no uppercase hex), so a decoder built
     /// from them that also checks what its fields' order implies returns a
     /// state only for bytes that state encodes to.
@@ -212,21 +153,7 @@ pub(crate) mod wire {
             T::try_from(value).ok()
         }
 
-        /// [`Self::num`] for a strictly ascending sequence: fails unless the
-        /// value is above `last`, which it then becomes.
-        pub(crate) fn ascending<T: TryFrom<u64> + PartialOrd + Copy>(
-            &mut self,
-            last: &mut Option<T>,
-        ) -> Option<T> {
-            let value = self.num()?;
-            if last.is_some_and(|last| last >= value) {
-                return None;
-            }
-            *last = Some(value);
-            Some(value)
-        }
-
-        /// A [`push_f64`] float: exactly 16 lowercase hex digits.
+        /// A float: exactly 16 lowercase hex digits.
         pub(crate) fn f64(&mut self) -> Option<f64> {
             let (digits, rest) = self.rest.split_at_checked(16)?;
             // Branch-free: a digit-class branch mispredicts on every other
@@ -244,48 +171,6 @@ pub(crate) mod wire {
             Some(f64::from_bits(bits))
         }
 
-        /// A [`push_opt_f64`] float.
-        pub(crate) fn opt_f64(&mut self) -> Option<Option<f64>> {
-            if self.eat("-") {
-                Some(None)
-            } else {
-                self.f64().map(Some)
-            }
-        }
-
-        /// A [`push_list`] list, each item read by `item`.
-        pub(crate) fn list(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-            if self.eat("-") {
-                return Some(());
-            }
-            loop {
-                item(self)?;
-                if !self.eat(",") {
-                    return Some(());
-                }
-            }
-        }
-
-        /// A [`push_slo`] class.
-        pub(crate) fn slo(&mut self) -> Option<SloClass> {
-            Some(SloClass {
-                deadline_s: self.f64()?,
-                priority: self.after(":")?.num()?,
-                max_error: self.after(":")?.f64()?,
-            })
-        }
-
-        /// A [`push_spec`] job spec.
-        pub(crate) fn spec(&mut self) -> Option<JobSpec> {
-            Some(JobSpec {
-                qubits: self.num()?,
-                shots: self.after("|")?.num()?,
-                estimate_epoch: self.after("|")?.num()?,
-                fidelity_per_qpu: self.after("|")?.floats()?,
-                exec_time_per_qpu: self.after("|")?.floats()?,
-            })
-        }
-
         /// The `,`-separated floats of a spec column, none at all when no
         /// hex digit follows.
         fn floats(&mut self) -> Option<Vec<f64>> {
@@ -296,19 +181,271 @@ pub(crate) mod wire {
                 .unwrap_or(self.rest.len());
             let mut values = Vec::with_capacity(run.div_ceil(17));
             if run > 0 {
-                loop {
+                values.push(self.f64()?);
+                while self.eat(",") {
                     values.push(self.f64()?);
-                    if !self.eat(",") {
-                        break;
-                    }
                 }
             }
             Some(values)
         }
     }
 
+    /// One field type or record of the text format: `put` appends its
+    /// encoding, and `take` reads back exactly what `put` writes — `None`
+    /// for any other bytes.
+    pub(crate) trait Wire: Sized {
+        fn put(&self, out: &mut String);
+        fn take(input: &mut Cursor) -> Option<Self>;
+    }
+
+    /// Integers in decimal ([`push_u64`], [`Cursor::num`]).
+    macro_rules! integers {
+        ($($int:ty),*) => {$(
+            impl Wire for $int {
+                fn put(&self, out: &mut String) {
+                    push_u64(out, *self as u64);
+                }
+                fn take(input: &mut Cursor) -> Option<Self> {
+                    input.num()
+                }
+            }
+        )*};
+    }
+    integers!(u32, u64, usize);
+
+    /// A float as its IEEE-754 bit pattern in 16 hex digits (bit-exact,
+    /// `-0.0`, `NaN` payloads and all).
+    impl Wire for f64 {
+        fn put(&self, out: &mut String) {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            let bits = self.to_bits();
+            let mut digits = [0u8; 16];
+            for (i, digit) in digits.iter_mut().enumerate() {
+                *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+            }
+            out.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
+        }
+        fn take(input: &mut Cursor) -> Option<Self> {
+            input.f64()
+        }
+    }
+
+    /// `-` for `None`.
+    impl<T: Wire> Wire for Option<T> {
+        fn put(&self, out: &mut String) {
+            match self {
+                Some(value) => value.put(out),
+                None => out.push('-'),
+            }
+        }
+        fn take(input: &mut Cursor) -> Option<Self> {
+            if input.eat("-") {
+                return Some(None);
+            }
+            T::take(input).map(Some)
+        }
+    }
+
+    /// A pair as `a:b`.
+    impl<A: Wire, B: Wire> Wire for (A, B) {
+        fn put(&self, out: &mut String) {
+            self.0.put(out);
+            out.push(':');
+            self.1.put(out);
+        }
+        fn take(input: &mut Cursor) -> Option<Self> {
+            Some((A::take(input)?, B::take(input.after(":")?)?))
+        }
+    }
+
+    /// Append `items` separated by `,` (nothing at all if there are none).
+    pub(crate) fn put_joined<'a, T: Wire + 'a>(
+        out: &mut String,
+        items: impl IntoIterator<Item = &'a T>,
+    ) {
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.put(out);
+        }
+    }
+
+    /// Lists, `,`-separated, or `-` if empty.
+    macro_rules! lists {
+        ($($list:ident $push:ident),*) => {$(
+            impl<T: Wire> Wire for $list<T> {
+                fn put(&self, out: &mut String) {
+                    if self.is_empty() {
+                        out.push('-');
+                    }
+                    put_joined(out, self);
+                }
+                fn take(input: &mut Cursor) -> Option<Self> {
+                    let mut items = $list::new();
+                    if !input.eat("-") {
+                        items.$push(T::take(input)?);
+                        while input.eat(",") {
+                            items.$push(T::take(input)?);
+                        }
+                    }
+                    Some(items)
+                }
+            }
+        )*};
+    }
+    lists!(Vec push, VecDeque push_back);
+
+    /// A job spec as `qubits|shots|epoch|f_bits,..|t_bits,..` (no spaces, so
+    /// a spec is one field of a space-separated record). Written by hand, not
+    /// by the table: an empty float column is nothing at all, not `-`.
+    impl Wire for JobSpec {
+        fn put(&self, out: &mut String) {
+            self.qubits.put(out);
+            out.push('|');
+            self.shots.put(out);
+            out.push('|');
+            self.estimate_epoch.put(out);
+            for values in [&self.fidelity_per_qpu, &self.exec_time_per_qpu] {
+                out.push('|');
+                put_joined(out, values);
+            }
+        }
+        fn take(input: &mut Cursor) -> Option<Self> {
+            Some(JobSpec {
+                qubits: input.num()?,
+                shots: input.after("|")?.num()?,
+                estimate_epoch: input.after("|")?.num()?,
+                fidelity_per_qpu: input.after("|")?.floats()?,
+                exec_time_per_qpu: input.after("|")?.floats()?,
+            })
+        }
+    }
+
+    /// The generator of the record table. A row lists a record's tokens in
+    /// the order they are written: a string literal is written verbatim and
+    /// must be read verbatim; a field is written and read through its
+    /// [`Wire`] impl; `[" " field]` is an optional field, written after its
+    /// literal only when it is `Some`, and read when the literal follows.
+    /// `struct Name { tokens }` names every field of the struct (the
+    /// generated pattern has no `..`). `enum Name { Variant "tag" { tokens },
+    /// .. }` writes each variant's tag first, and `take` picks the variant
+    /// whose tag the input continues with, in row order.
+    macro_rules! records {
+        () => {};
+        (struct $ty:ident { $($row:tt)* } $($more:tt)*) => {
+            impl Wire for $ty {
+                fn put(&self, out: &mut String) {
+                    let records!(@fields (Self) [] $($row)*) = self;
+                    $(records!(@put out $row);)*
+                }
+                fn take(input: &mut Cursor) -> Option<Self> {
+                    $(records!(@take input $row);)*
+                    Some(records!(@fields (Self) [] $($row)*))
+                }
+            }
+            records!($($more)*);
+        };
+        (enum $ty:ident {
+            $($variant:ident $tag:literal $({ $($row:tt)* })?),* $(,)?
+        } $($more:tt)*) => {
+            impl Wire for $ty {
+                fn put(&self, out: &mut String) {
+                    match self {
+                        $(records!(@fields (Self::$variant) [] $($($row)*)?) => {
+                            out.push_str($tag);
+                            $($(records!(@put out $row);)*)?
+                        })*
+                    }
+                }
+                fn take(input: &mut Cursor) -> Option<Self> {
+                    $(if input.eat($tag) {
+                        $($(records!(@take input $row);)*)?
+                        Some(records!(@fields (Self::$variant) [] $($($row)*)?))
+                    } else)* {
+                        None
+                    }
+                }
+            }
+            records!($($more)*);
+        };
+        // The pattern (and the constructor) naming the fields of a row.
+        (@fields ($($path:tt)*) [$($field:ident)*]) => { $($path)* { $($field),* } };
+        (@fields $path:tt [$($f:ident)*] $lit:literal $($rest:tt)*) => {
+            records!(@fields $path [$($f)*] $($rest)*)
+        };
+        (@fields $path:tt [$($f:ident)*] [$lit:literal $field:ident] $($rest:tt)*) => {
+            records!(@fields $path [$($f)* $field] $($rest)*)
+        };
+        (@fields $path:tt [$($f:ident)*] $field:ident $($rest:tt)*) => {
+            records!(@fields $path [$($f)* $field] $($rest)*)
+        };
+        // One token of a row, written...
+        (@put $out:ident $lit:literal) => { $out.push_str($lit); };
+        (@put $out:ident [$lit:literal $field:ident]) => {
+            if let Some($field) = $field {
+                $out.push_str($lit);
+                $field.put($out);
+            }
+        };
+        (@put $out:ident $field:ident) => { $field.put($out); };
+        // ...and read.
+        (@take $input:ident $lit:literal) => { $input.after($lit)?; };
+        (@take $input:ident [$lit:literal $field:ident]) => {
+            let $field = if $input.eat($lit) { Some(Wire::take($input)?) } else { None };
+        };
+        (@take $input:ident $field:ident) => { let $field = Wire::take($input)?; };
+    }
+
+    // The record table: the one definition of every journaled record's bytes.
+    records! {
+        enum ControlPlaneEvent {
+            // The SLO is optional and trailing, so SLO-free registrations
+            // keep the historical three-field format.
+            TenantRegistered "treg " { config [" " slo] },
+            SloEscalated "sesc " { now_s " " ticket },
+            QpuProvisioned "qprv " { now_s " " qpu_index " " class },
+            QpuRetired "qret " { now_s " " qpu_index },
+            JobSubmitted "subm " { tenant " " now_s " " spec },
+            AdmissionPass "admt " { now_s },
+            // The trailing token once told live from speculative (plan-ahead)
+            // dispatches; only the live `l` remains, kept so journal bytes
+            // are unchanged until the next format version.
+            BatchDispatched "disp " { t_s " " placed " " rejected " " deferred " l" },
+            JobReestimated "rest " { job_id " " spec },
+            DirectDispatched "dird " { job_id " " qpu_index },
+            JobCompleted "done " { job_id " " qpu_index " " enqueue_s " " start_s " " finish_s },
+            LeaseGranted "lgr " { qpu_index },
+            LeaseReleased "lrl " { qpu_index },
+        }
+        enum ResourceClass { Superconducting "sc", IonTrap "ion", Simulator "sim" }
+        enum CalibrationPolicy { Naive "naive", SplitAtBoundary "split" }
+        struct TenantConfig { weight " " max_in_flight " " max_retries }
+        struct SloClass { deadline_s ":" priority ":" max_error }
+        struct JobTicket { tenant ":" ticket }
+        // An engine `job` row, after its `job ` tag.
+        struct PendingJob {
+            job_id " " tenant " " submitted_s " " deferrals " " held_until_s " " deadline_s
+            " " spec
+        }
+        // A submission `tenant` row, after its `tenant <id> ` prefix.
+        struct TenantState {
+            config " " slo " " deficit " " in_flight " " submitted " " admitted " " completed
+            " " rejected " " escalated " " queue_wait_total_s " " turnaround_total_s " " queue
+        }
+        // A submission `ticket` row, after its `ticket <id> ` prefix.
+        struct TicketRecord { tenant " " submitted_s " " attempts " " state " " spec }
+        enum TicketState {
+            Queued "q",
+            Admitted "a:" { job_id },
+            Completed "c:" { job_id ":" qpu_index ":" waiting_s ":" turnaround_s },
+            Rejected "r:" { reason },
+        }
+        enum RejectReason { RetriesExhausted "x", DeadlineMissed "d", Infeasible "i" }
+    }
+
     /// The `format!` encoders the streaming ones replaced, kept as the byte
-    /// oracle: every `push_*` must produce exactly these bytes.
+    /// oracle: every `put` must produce exactly these bytes.
     ///
     /// The `split`/`parse` decoders the [`Cursor`] replaced are kept here
     /// too, as the decode oracle.
@@ -503,9 +640,9 @@ pub enum ControlPlaneEvent {
     },
 }
 
+/// The journal line of an event is its row of the `wire` record table.
 impl LogEntry for ControlPlaneEvent {
     fn encode(&self) -> String {
-        use wire::{push_f64, push_list, push_slo, push_spec, push_u64};
         // Sized once: only specs and dispatch lists outgrow a short line.
         let mut out = String::with_capacity(match self {
             ControlPlaneEvent::JobSubmitted { spec, .. }
@@ -515,203 +652,13 @@ impl LogEntry for ControlPlaneEvent {
             }
             _ => 80,
         });
-        match self {
-            ControlPlaneEvent::TenantRegistered { config, slo } => {
-                out.push_str("treg ");
-                push_u64(&mut out, u64::from(config.weight));
-                out.push(' ');
-                push_u64(&mut out, config.max_in_flight as u64);
-                out.push(' ');
-                push_u64(&mut out, u64::from(config.max_retries));
-                // SLO-free registrations keep the historical three-field
-                // format, so pre-SLO journals still decode.
-                if let Some(slo) = slo {
-                    out.push(' ');
-                    push_slo(&mut out, slo);
-                }
-            }
-            ControlPlaneEvent::SloEscalated { now_s, ticket } => {
-                out.push_str("sesc ");
-                push_f64(&mut out, *now_s);
-                out.push(' ');
-                push_u64(&mut out, u64::from(ticket.tenant));
-                out.push(':');
-                push_u64(&mut out, ticket.ticket);
-            }
-            ControlPlaneEvent::QpuProvisioned { now_s, qpu_index, class } => {
-                out.push_str("qprv ");
-                push_f64(&mut out, *now_s);
-                out.push(' ');
-                push_u64(&mut out, *qpu_index as u64);
-                out.push_str(match class {
-                    ResourceClass::Superconducting => " sc",
-                    ResourceClass::IonTrap => " ion",
-                    ResourceClass::Simulator => " sim",
-                });
-            }
-            ControlPlaneEvent::QpuRetired { now_s, qpu_index } => {
-                out.push_str("qret ");
-                push_f64(&mut out, *now_s);
-                out.push(' ');
-                push_u64(&mut out, *qpu_index as u64);
-            }
-            ControlPlaneEvent::JobSubmitted { tenant, spec, now_s } => {
-                out.push_str("subm ");
-                push_u64(&mut out, u64::from(*tenant));
-                out.push(' ');
-                push_f64(&mut out, *now_s);
-                out.push(' ');
-                push_spec(&mut out, spec);
-            }
-            ControlPlaneEvent::AdmissionPass { now_s } => {
-                out.push_str("admt ");
-                push_f64(&mut out, *now_s);
-            }
-            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred } => {
-                out.push_str("disp ");
-                push_f64(&mut out, *t_s);
-                out.push(' ');
-                push_list(&mut out, placed, |out, &(job, qpu)| {
-                    push_u64(out, job);
-                    out.push(':');
-                    push_u64(out, qpu as u64);
-                });
-                out.push(' ');
-                push_list(&mut out, rejected, |out, &job| push_u64(out, job));
-                out.push(' ');
-                push_list(&mut out, deferred, |out, &(job, boundary)| {
-                    push_u64(out, job);
-                    out.push(':');
-                    push_f64(out, boundary);
-                });
-                // The trailing token once told live from speculative
-                // (plan-ahead) dispatches; only the live `l` remains, kept so
-                // journal bytes are unchanged until the next format version.
-                out.push_str(" l");
-            }
-            ControlPlaneEvent::JobReestimated { job_id, spec } => {
-                out.push_str("rest ");
-                push_u64(&mut out, *job_id);
-                out.push(' ');
-                push_spec(&mut out, spec);
-            }
-            ControlPlaneEvent::DirectDispatched { job_id, qpu_index } => {
-                out.push_str("dird ");
-                push_u64(&mut out, *job_id);
-                out.push(' ');
-                push_u64(&mut out, *qpu_index as u64);
-            }
-            ControlPlaneEvent::JobCompleted { job_id, qpu_index, enqueue_s, start_s, finish_s } => {
-                out.push_str("done ");
-                push_u64(&mut out, *job_id);
-                out.push(' ');
-                push_u64(&mut out, *qpu_index as u64);
-                for instant in [enqueue_s, start_s, finish_s] {
-                    out.push(' ');
-                    push_f64(&mut out, *instant);
-                }
-            }
-            ControlPlaneEvent::LeaseGranted { qpu_index } => {
-                out.push_str("lgr ");
-                push_u64(&mut out, *qpu_index as u64);
-            }
-            ControlPlaneEvent::LeaseReleased { qpu_index } => {
-                out.push_str("lrl ");
-                push_u64(&mut out, *qpu_index as u64);
-            }
-        }
+        self.put(&mut out);
         out
     }
 
     fn decode(line: &str) -> Option<Self> {
         let mut input = wire::Cursor::new(line);
-        let input = &mut input;
-        let event = if input.eat("treg ") {
-            let config = TenantConfig {
-                weight: input.num()?,
-                max_in_flight: input.after(" ")?.num()?,
-                max_retries: input.after(" ")?.num()?,
-            };
-            let slo = if input.eat(" ") { Some(input.slo()?) } else { None };
-            ControlPlaneEvent::TenantRegistered { config, slo }
-        } else if input.eat("sesc ") {
-            ControlPlaneEvent::SloEscalated {
-                now_s: input.f64()?,
-                ticket: JobTicket {
-                    tenant: input.after(" ")?.num()?,
-                    ticket: input.after(":")?.num()?,
-                },
-            }
-        } else if input.eat("qprv ") {
-            ControlPlaneEvent::QpuProvisioned {
-                now_s: input.f64()?,
-                qpu_index: input.after(" ")?.num()?,
-                class: if input.eat(" sc") {
-                    ResourceClass::Superconducting
-                } else if input.eat(" ion") {
-                    ResourceClass::IonTrap
-                } else if input.eat(" sim") {
-                    ResourceClass::Simulator
-                } else {
-                    return None;
-                },
-            }
-        } else if input.eat("qret ") {
-            ControlPlaneEvent::QpuRetired {
-                now_s: input.f64()?,
-                qpu_index: input.after(" ")?.num()?,
-            }
-        } else if input.eat("subm ") {
-            ControlPlaneEvent::JobSubmitted {
-                tenant: input.num()?,
-                now_s: input.after(" ")?.f64()?,
-                spec: input.after(" ")?.spec()?,
-            }
-        } else if input.eat("admt ") {
-            ControlPlaneEvent::AdmissionPass { now_s: input.f64()? }
-        } else if input.eat("disp ") {
-            let t_s = input.f64()?;
-            let (mut placed, mut rejected, mut deferred) = (Vec::new(), Vec::new(), Vec::new());
-            input.after(" ")?.list(|input| {
-                placed.push((input.num()?, input.after(":")?.num()?));
-                Some(())
-            })?;
-            input.after(" ")?.list(|input| {
-                rejected.push(input.num()?);
-                Some(())
-            })?;
-            input.after(" ")?.list(|input| {
-                deferred.push((input.num()?, input.after(":")?.f64()?));
-                Some(())
-            })?;
-            // See the encoder: `l` is the only dispatch token left.
-            input.after(" l")?;
-            ControlPlaneEvent::BatchDispatched { t_s, placed, rejected, deferred }
-        } else if input.eat("rest ") {
-            ControlPlaneEvent::JobReestimated {
-                job_id: input.num()?,
-                spec: input.after(" ")?.spec()?,
-            }
-        } else if input.eat("dird ") {
-            ControlPlaneEvent::DirectDispatched {
-                job_id: input.num()?,
-                qpu_index: input.after(" ")?.num()?,
-            }
-        } else if input.eat("done ") {
-            ControlPlaneEvent::JobCompleted {
-                job_id: input.num()?,
-                qpu_index: input.after(" ")?.num()?,
-                enqueue_s: input.after(" ")?.f64()?,
-                start_s: input.after(" ")?.f64()?,
-                finish_s: input.after(" ")?.f64()?,
-            }
-        } else if input.eat("lgr ") {
-            ControlPlaneEvent::LeaseGranted { qpu_index: input.num()? }
-        } else if input.eat("lrl ") {
-            ControlPlaneEvent::LeaseReleased { qpu_index: input.num()? }
-        } else {
-            return None;
-        };
+        let event = Self::take(&mut input)?;
         input.finish(event)
     }
 }
@@ -930,8 +877,15 @@ pub enum FailoverError {
     NoLeader,
     /// The store holds no snapshot to rebuild from.
     MissingSnapshot,
-    /// The snapshot or a journal entry failed to decode.
+    /// The snapshot failed to decode (or, in a sharded deployment, the
+    /// rebuilt shards' lease sets overlap).
     CorruptState,
+    /// The retained journal line at `index` failed to decode. Replay stops
+    /// there: the line is never skipped and the ones after it never applied.
+    CorruptEntry {
+        /// Journal index of the line.
+        index: u64,
+    },
 }
 
 /// The result of one journaled, trigger-gated batch dispatch.
@@ -1129,7 +1083,7 @@ impl ControlState {
         for (section, held) in [("\nlease ", &self.leases), ("\nelastic ", &self.elastic)] {
             if !held.is_empty() {
                 state.push_str(section);
-                wire::push_list(&mut state, held, |out, &qpu| wire::push_u64(out, qpu as u64));
+                wire::put_joined(&mut state, held);
             }
         }
         state
@@ -1145,18 +1099,12 @@ impl ControlState {
         let jobmanager = JobManager::decode_from(&mut input)?;
         let submissions = SubmissionService::decode_from(input.after("\n")?)?;
         let mut section = |header: &str| -> Option<BTreeSet<usize>> {
-            let mut held = BTreeSet::new();
-            if input.eat(header) {
-                let mut last = None;
-                input.list(|input| {
-                    held.insert(input.ascending(&mut last)?);
-                    Some(())
-                })?;
-                if held.is_empty() {
-                    return None;
-                }
+            if !input.eat(header) {
+                return Some(BTreeSet::new());
             }
-            Some(held)
+            let held: Vec<usize> = Wire::take(&mut input)?;
+            let canonical = !held.is_empty() && held.windows(2).all(|pair| pair[0] < pair[1]);
+            canonical.then(|| held.into_iter().collect())
         };
         let leases = section("\nlease ")?;
         let elastic = section("\nelastic ")?;
@@ -1664,6 +1612,8 @@ impl ReplicatedControlPlane {
     /// through [`ControlState::apply`]. Also returns the digest cells the
     /// rebuilt state fingerprints to: the rolling hash absorbs each entry's
     /// stored line, the bytes [`Self::journal`] absorbed when it was written.
+    /// A retained line that does not decode ends the rebuild with
+    /// [`FailoverError::CorruptEntry`]: no later line is replayed.
     ///
     /// The snapshot's decode and its checkpoint hash run side by side, as
     /// the two parts of one [`par::team`] (one part doing both in turn on a
@@ -1702,7 +1652,8 @@ impl ReplicatedControlPlane {
             .ok_or(FailoverError::MissingSnapshot)?;
         let mut state = decoded.ok_or(FailoverError::CorruptState)?;
         let mut rolling = Fnv128::new();
-        for (_, event) in self.log.entries_from(0, |line| absorb_line(&mut rolling, line)) {
+        let entries = self.log.entries_from(0, |line| absorb_line(&mut rolling, line));
+        for (_, event) in entries.map_err(|index| FailoverError::CorruptEntry { index })? {
             state.apply(&event);
         }
         Ok((state, (checkpoint, rolling.value())))
@@ -1771,6 +1722,7 @@ mod tests {
     use qonductor_scheduler::{Nsga2Config, SchedulerConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn small_fleet(seed: u64) -> Fleet {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2245,8 +2197,8 @@ mod tests {
         drive_fixed_workload(&mut grouped, false);
         drive_fixed_workload(&mut per_event, true);
 
-        let grouped_entries = grouped.log().entries_from(0, |_| {});
-        let per_event_entries = per_event.log().entries_from(0, |_| {});
+        let grouped_entries = grouped.log().entries_from(0, |_| {}).unwrap();
+        let per_event_entries = per_event.log().entries_from(0, |_| {}).unwrap();
         assert!(grouped_entries.len() > 4, "the workload journals a non-trivial sequence");
         assert_eq!(grouped_entries.len(), per_event_entries.len());
         for ((index_a, event_a), (index_b, event_b)) in
@@ -2274,6 +2226,33 @@ mod tests {
         plane.store().recover_replica(0);
         plane.failover().expect("failover resumes with the quorum");
         assert!(plane.leader().is_some());
+    }
+
+    /// A journal line written behind the plane's back, verbatim.
+    struct RawLine(&'static str);
+
+    impl LogEntry for RawLine {
+        fn encode(&self) -> String {
+            self.0.to_string()
+        }
+        fn decode(_: &str) -> Option<Self> {
+            None
+        }
+    }
+
+    /// A retained journal line that is not an event fails the failover with
+    /// its index, instead of being skipped while the lines after it replay;
+    /// the crashed plane stays empty.
+    #[test]
+    fn failover_refuses_a_journal_line_it_cannot_decode() {
+        let mut plane = ReplicatedControlPlane::new(ScheduleTrigger::new(4, 30.0), 1, 7);
+        plane.register_tenant(1).unwrap();
+        let corrupt = ReplicatedLog::new(plane.store().clone()).append(&RawLine("not an event"));
+        assert_eq!(corrupt, Ok(1));
+        plane.register_tenant(2).unwrap();
+        plane.crash_leader();
+        assert_eq!(plane.failover(), Err(FailoverError::CorruptEntry { index: 1 }));
+        assert_eq!(plane.submissions().tenant_count(), 0, "no state was installed");
     }
 
     #[test]
@@ -2681,18 +2660,29 @@ mod tests {
     /// Canonical decoding as a property: over random lifecycles, flipping
     /// bit 5 of one byte (the case bit of a letter), or inserting a `+` or a
     /// space, leaves bytes that every state decoder — and the event decoder,
-    /// on a journal line — refuses or decodes to exactly those bytes.
+    /// on one journal line of each event variant the lifecycle emitted —
+    /// refuses or decodes to exactly those bytes. The cases together emit
+    /// every variant, so every event row of the record table is edited.
     #[test]
     fn canonical_decode_refuses_every_one_byte_edit_or_reencodes_it() {
+        let mut swept: BTreeSet<String> = BTreeSet::new();
         for case in 0..48u64 {
-            let mut lines = Vec::new();
-            let state = random_lifecycle(case, |event| lines.push(event.encode()));
+            // Each variant's journal lines, by tag.
+            let mut lines: BTreeMap<String, Vec<String>> = BTreeMap::new();
+            let state = random_lifecycle(case, |event| {
+                let line = event.encode();
+                let tag = line.split(' ').next().expect("a tag").to_string();
+                lines.entry(tag).or_default().push(line);
+            });
+            swept.extend(lines.keys().cloned());
             let mut rng = StdRng::seed_from_u64(0x0ed1_7000 ^ case);
-            let event: Decoder =
+            let events = lines.into_values().map(|mut lines| -> Decoder {
                 ("ControlPlaneEvent", lines.swap_remove(rng.gen_range(0..lines.len())), |line| {
                     ControlPlaneEvent::decode(line).map(|event| event.encode())
-                });
-            for (decoder, text, decode) in state_decoders(&state).into_iter().chain([event]) {
+                })
+            });
+            let decoders: Vec<Decoder> = state_decoders(&state).into_iter().chain(events).collect();
+            for (decoder, text, decode) in decoders {
                 assert_eq!(decode(&text).as_deref(), Some(text.as_str()), "case {case}");
                 for _ in 0..24 {
                     let mut bytes = text.clone().into_bytes();
@@ -2710,6 +2700,11 @@ mod tests {
                 }
             }
         }
+        let every_variant = [
+            "admt", "dird", "disp", "done", "lgr", "lrl", "qprv", "qret", "rest", "sesc", "subm",
+            "treg",
+        ];
+        assert_eq!(swept.into_iter().collect::<Vec<_>>(), every_variant, "a variant went unswept");
     }
 
     /// Failover after a snapshot reproduces the digest and the state bytes

@@ -51,28 +51,6 @@ pub struct GlobalTicket {
     pub ticket: JobTicket,
 }
 
-impl GlobalTicket {
-    /// Canonical text encoding `shard:tenant:ticket` — what a client stores
-    /// to poll across sessions. `decode(encode(t)) == t` exactly.
-    pub fn encode(&self) -> String {
-        format!("{}:{}:{}", self.shard, self.ticket.tenant, self.ticket.ticket)
-    }
-
-    /// Decode a ticket produced by [`GlobalTicket::encode`]. Returns `None`
-    /// on any malformed input (wrong field count, non-numeric fields,
-    /// trailing garbage).
-    pub fn decode(encoded: &str) -> Option<GlobalTicket> {
-        let mut fields = encoded.split(':');
-        let shard = fields.next()?.parse().ok()?;
-        let tenant = fields.next()?.parse().ok()?;
-        let ticket = fields.next()?.parse().ok()?;
-        if fields.next().is_some() {
-            return None;
-        }
-        Some(GlobalTicket { shard, ticket: JobTicket { tenant, ticket } })
-    }
-}
-
 /// Pure shard router: FNV-1a over the global tenant id's little-endian
 /// bytes, mod the shard count. Deterministic and stateless, so any layer
 /// (submission routing, scenario builders, benches) computes the same
@@ -1034,25 +1012,6 @@ mod tests {
                 ratio < 1.1,
                 "shard load imbalance {ratio:.3} at {num_shards} shards (max {max}, min {min})"
             );
-        }
-    }
-
-    #[test]
-    fn global_tickets_roundtrip_through_their_text_encoding() {
-        let tickets = [
-            GlobalTicket { shard: 0, ticket: JobTicket { tenant: 0, ticket: 0 } },
-            GlobalTicket { shard: 7, ticket: JobTicket { tenant: 42, ticket: 9_001 } },
-            GlobalTicket {
-                shard: usize::MAX,
-                ticket: JobTicket { tenant: u32::MAX, ticket: u64::MAX },
-            },
-        ];
-        for ticket in tickets {
-            let encoded = ticket.encode();
-            assert_eq!(GlobalTicket::decode(&encoded), Some(ticket), "roundtrip of {encoded}");
-        }
-        for bad in ["", "1", "1:2", "1:2:3:4", "x:2:3", "1:-2:3", "1:2:3 "] {
-            assert_eq!(GlobalTicket::decode(bad), None, "malformed input {bad:?} must be rejected");
         }
     }
 }

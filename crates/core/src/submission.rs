@@ -19,7 +19,7 @@
 //! through [`crate::replication::ReplicatedControlPlane`].
 
 use crate::jobmanager::{CompletedExecution, JobId, JobManager, JobSpec, TenantId};
-use crate::replication::wire::Cursor;
+use crate::replication::wire::{Cursor, Wire};
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -180,7 +180,7 @@ pub struct TenantStats {
 
 /// Where a ticket currently is.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum TicketState {
+pub(crate) enum TicketState {
     Queued,
     Admitted { job_id: JobId },
     Completed { job_id: JobId, qpu_index: usize, waiting_s: f64, turnaround_s: f64 },
@@ -190,36 +190,36 @@ enum TicketState {
 /// Full per-ticket record (the spec is kept so rejected jobs can re-enter the
 /// tenant queue without the engine keeping them).
 #[derive(Debug, Clone)]
-struct TicketRecord {
-    tenant: TenantId,
-    submitted_s: f64,
-    attempts: u32,
-    spec: JobSpec,
-    state: TicketState,
+pub(crate) struct TicketRecord {
+    pub(crate) tenant: TenantId,
+    pub(crate) submitted_s: f64,
+    pub(crate) attempts: u32,
+    pub(crate) spec: JobSpec,
+    pub(crate) state: TicketState,
 }
 
 /// Per-tenant queue, DRR state, and counters.
 #[derive(Debug, Clone)]
-struct TenantState {
-    config: TenantConfig,
+pub(crate) struct TenantState {
+    pub(crate) config: TenantConfig,
     /// The tenant's SLO class, if registered with one
     /// ([`SubmissionService::register_tenant_with_slo`]).
-    slo: Option<SloClass>,
-    queue: VecDeque<TicketId>,
-    deficit: u64,
-    in_flight: usize,
-    submitted: u64,
-    admitted: u64,
-    completed: u64,
-    rejected: u64,
-    escalated: u64,
-    queue_wait_total_s: f64,
-    turnaround_total_s: f64,
+    pub(crate) slo: Option<SloClass>,
+    pub(crate) queue: VecDeque<TicketId>,
+    pub(crate) deficit: u64,
+    pub(crate) in_flight: usize,
+    pub(crate) submitted: u64,
+    pub(crate) admitted: u64,
+    pub(crate) completed: u64,
+    pub(crate) rejected: u64,
+    pub(crate) escalated: u64,
+    pub(crate) queue_wait_total_s: f64,
+    pub(crate) turnaround_total_s: f64,
 }
 
 impl TenantState {
-    /// Weight and in-flight caps are clamped to at least 1 here — the single
-    /// construction chokepoint (registration *and* state decode) — because a
+    /// Weight and in-flight caps are clamped to at least 1 here, at
+    /// registration (the state decoder refuses a zero instead), because a
     /// weight-0 tenant would earn a zero DRR quantum and its tickets would
     /// sit `Queued` forever.
     fn new(config: TenantConfig) -> Self {
@@ -823,99 +823,37 @@ impl SubmissionService {
     /// configuration, queue, DRR deficit and accounting, every ticket record
     /// (sorted by id), and the job→ticket map (sorted by job id). Floats are
     /// encoded as IEEE-754 bit patterns, so equal encodings imply
-    /// bit-identical states.
+    /// bit-identical states. Tenant and ticket rows are rows of the `wire`
+    /// record table, after their id.
     pub(crate) fn encode_state_into(&self, out: &mut String) {
-        use crate::replication::wire::{push_f64, push_list, push_slo, push_spec, push_u64};
         out.push_str("svc 2\nids ");
-        push_u64(out, self.tenants.len() as u64);
+        self.tenants.len().put(out);
         out.push(' ');
-        push_u64(out, self.next_ticket_id);
+        self.next_ticket_id.put(out);
         out.push(' ');
-        push_u64(out, self.rr_start as u64);
+        self.rr_start.put(out);
         out.push('\n');
         for (id, tenant) in self.ids_and_tenants() {
-            out.push_str("tenant");
-            for field in [
-                u64::from(id),
-                u64::from(tenant.config.weight),
-                tenant.config.max_in_flight as u64,
-                u64::from(tenant.config.max_retries),
-            ] {
-                out.push(' ');
-                push_u64(out, field);
-            }
+            out.push_str("tenant ");
+            id.put(out);
             out.push(' ');
-            match &tenant.slo {
-                None => out.push('-'),
-                Some(slo) => push_slo(out, slo),
-            }
-            for counter in [
-                tenant.deficit,
-                tenant.in_flight as u64,
-                tenant.submitted,
-                tenant.admitted,
-                tenant.completed,
-                tenant.rejected,
-                tenant.escalated,
-            ] {
-                out.push(' ');
-                push_u64(out, counter);
-            }
-            out.push(' ');
-            push_f64(out, tenant.queue_wait_total_s);
-            out.push(' ');
-            push_f64(out, tenant.turnaround_total_s);
-            out.push(' ');
-            push_list(out, &tenant.queue, |out, &ticket| push_u64(out, ticket));
+            tenant.put(out);
             out.push('\n');
         }
         let mut tickets: Vec<(&TicketId, &TicketRecord)> = self.tickets.iter().collect();
         tickets.sort_unstable_by_key(|&(id, _)| id);
-        for (&ticket_id, record) in tickets {
+        for (ticket_id, record) in tickets {
             out.push_str("ticket ");
-            push_u64(out, ticket_id);
+            ticket_id.put(out);
             out.push(' ');
-            push_u64(out, u64::from(record.tenant));
-            out.push(' ');
-            push_f64(out, record.submitted_s);
-            out.push(' ');
-            push_u64(out, u64::from(record.attempts));
-            match record.state {
-                TicketState::Queued => out.push_str(" q "),
-                TicketState::Admitted { job_id } => {
-                    out.push_str(" a:");
-                    push_u64(out, job_id);
-                    out.push(' ');
-                }
-                TicketState::Completed { job_id, qpu_index, waiting_s, turnaround_s } => {
-                    out.push_str(" c:");
-                    push_u64(out, job_id);
-                    out.push(':');
-                    push_u64(out, qpu_index as u64);
-                    out.push(':');
-                    push_f64(out, waiting_s);
-                    out.push(':');
-                    push_f64(out, turnaround_s);
-                    out.push(' ');
-                }
-                TicketState::Rejected { reason } => out.push_str(match reason {
-                    RejectReason::RetriesExhausted => " r:x ",
-                    RejectReason::DeadlineMissed => " r:d ",
-                    RejectReason::Infeasible => " r:i ",
-                }),
-            }
-            push_spec(out, &record.spec);
+            record.put(out);
             out.push('\n');
         }
         let mut jobs: Vec<(JobId, TicketId)> =
             self.job_to_ticket.iter().map(|(&job, &ticket)| (job, ticket)).collect();
         jobs.sort_unstable();
         out.push_str("jobmap ");
-        push_list(out, jobs, |out, (job, ticket)| {
-            push_u64(out, job);
-            out.push(':');
-            push_u64(out, ticket);
-        });
+        jobs.put(out);
         out.push('\n');
     }
 
@@ -948,30 +886,21 @@ impl SubmissionService {
             if input.num::<usize>()? != service.tenants.len() {
                 return None;
             }
-            let config = TenantConfig {
-                weight: input.after(" ")?.num()?,
-                max_in_flight: input.after(" ")?.num()?,
-                max_retries: input.after(" ")?.num()?,
-            };
-            if config.weight == 0 || config.max_in_flight == 0 {
+            let tenant: TenantState = Wire::take(input.after(" ")?)?;
+            if tenant.config.weight == 0 || tenant.config.max_in_flight == 0 {
                 return None;
             }
-            let mut tenant = TenantState::new(config);
-            tenant.slo = if input.after(" ")?.eat("-") { None } else { Some(input.slo()?) };
-            tenant.deficit = input.after(" ")?.num()?;
-            tenant.in_flight = input.after(" ")?.num()?;
-            tenant.submitted = input.after(" ")?.num()?;
-            tenant.admitted = input.after(" ")?.num()?;
-            tenant.completed = input.after(" ")?.num()?;
-            tenant.rejected = input.after(" ")?.num()?;
-            tenant.escalated = input.after(" ")?.num()?;
-            tenant.queue_wait_total_s = input.after(" ")?.f64()?;
-            tenant.turnaround_total_s = input.after(" ")?.f64()?;
-            input.after(" ")?.list(|input| {
-                tenant.queue.push_back(input.num()?);
-                Some(())
-            })?;
             input.after("\n")?;
+            // The derived indices are never encoded: decoding (and so
+            // replay) rebuilds them here.
+            let id = service.tenants.len() as TenantId;
+            if !tenant.queue.is_empty() || tenant.deficit > 0 {
+                service.active.insert(id);
+            }
+            if matches!(tenant.slo, Some(slo) if slo.deadline_s.is_finite()) {
+                service.slo_tenants.insert(id);
+            }
+            service.queued_total += tenant.queue.len();
             service.tenants.push(tenant);
         }
         // The rows number the next id: no registration can collide.
@@ -980,58 +909,23 @@ impl SubmissionService {
         }
         let mut last_ticket = None;
         while input.eat("ticket ") {
-            let ticket_id = input.ascending(&mut last_ticket)?;
-            let tenant: TenantId = input.after(" ")?.num()?;
-            if tenant as usize >= next_tenant_id {
+            let ticket_id = input.num()?;
+            let record: TicketRecord = Wire::take(input.after(" ")?)?;
+            // Ascending ids, each naming a registered tenant.
+            if last_ticket.replace(ticket_id) >= Some(ticket_id)
+                || record.tenant as usize >= next_tenant_id
+            {
                 return None;
             }
-            let submitted_s = input.after(" ")?.f64()?;
-            let attempts = input.after(" ")?.num()?;
-            input.after(" ")?;
-            let state = if input.eat("q") {
-                TicketState::Queued
-            } else if input.eat("a:") {
-                TicketState::Admitted { job_id: input.num()? }
-            } else if input.eat("c:") {
-                TicketState::Completed {
-                    job_id: input.num()?,
-                    qpu_index: input.after(":")?.num()?,
-                    waiting_s: input.after(":")?.f64()?,
-                    turnaround_s: input.after(":")?.f64()?,
-                }
-            } else if input.eat("r:x") {
-                TicketState::Rejected { reason: RejectReason::RetriesExhausted }
-            } else if input.eat("r:d") {
-                TicketState::Rejected { reason: RejectReason::DeadlineMissed }
-            } else {
-                input.after("r:i")?;
-                TicketState::Rejected { reason: RejectReason::Infeasible }
-            };
-            let spec = input.after(" ")?.spec()?;
             input.after("\n")?;
-            service
-                .tickets
-                .insert(ticket_id, TicketRecord { tenant, submitted_s, attempts, spec, state });
+            service.tickets.insert(ticket_id, record);
         }
-        let mut last_job = None;
-        input.after("jobmap ")?.list(|input| {
-            let job = input.ascending(&mut last_job)?;
-            service.job_to_ticket.insert(job, input.after(":")?.num()?);
-            Some(())
-        })?;
+        let jobs: Vec<(JobId, TicketId)> = Wire::take(input.after("jobmap ")?)?;
+        if !jobs.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            return None;
+        }
+        service.job_to_ticket = jobs.into_iter().collect();
         input.after("\n")?;
-        // Rebuild the derived indices from the decoded journal state — they
-        // are never encoded, so replay exercises exactly this path.
-        for (id, tenant) in service.tenants.iter().enumerate() {
-            let id = id as TenantId;
-            if !tenant.queue.is_empty() || tenant.deficit > 0 {
-                service.active.insert(id);
-            }
-            if matches!(tenant.slo, Some(slo) if slo.deadline_s.is_finite()) {
-                service.slo_tenants.insert(id);
-            }
-            service.queued_total += tenant.queue.len();
-        }
         Some(service)
     }
 }

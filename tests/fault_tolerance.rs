@@ -82,7 +82,7 @@ impl LogEntry for Note {
 fn writes_are_rejected_without_a_quorum() {
     let log = ReplicatedLog::new(ReplicatedStore::new(1));
     let store = log.store();
-    let replay = || log.entries_from(0, |_| {});
+    let replay = || log.entries_from(0, |_| {}).expect("every note decodes");
     log.append(&Note("a".into())).unwrap();
     store.crash_replica(0);
     store.crash_replica(1);
