@@ -5,9 +5,16 @@
 //! readout errors. It drives both the noisy simulator and the analytic
 //! estimated-success-probability (ESP) fidelity model used for wide circuits
 //! and by the numerical baseline estimator.
+//!
+//! A circuit's duration and its ESP come from one walk: per instruction one
+//! `match` and one calibration read (`qubits[q]` for a one-qubit gate or a
+//! measurement, `edge(a, b)` for a two-qubit gate) give both its duration
+//! and its error. The transpiler takes both from that walk of its output,
+//! so an estimate reads the ESP off the transpiled circuit instead of
+//! walking it again.
 
-use crate::calibration::CalibrationData;
-use qonductor_circuit::{Circuit, Gate, Instruction, NO_OPERAND};
+use crate::calibration::{CalibrationData, EdgeCalibration, QubitCalibration};
+use qonductor_circuit::{Circuit, Gate, NO_OPERAND};
 use std::sync::Arc;
 
 /// A calibration-derived noise model for one QPU. The snapshot is shared,
@@ -82,16 +89,18 @@ impl NoiseModel {
                 .qubits
                 .get(q as usize)
                 .copied()
-                .unwrap_or_else(crate::calibration::QubitCalibration::typical)
+                .unwrap_or_else(QubitCalibration::typical)
         };
         match gate {
             Gate::Barrier | Gate::RZ(_) | Gate::Id => 0.0,
             Gate::Delay(ns) => ns,
             Gate::Measure => qubit(q0).readout_duration_ns,
             g if g.is_two_qubit() => {
-                let d = self.calibration.edge(q0, q1).map(|e| e.gate_duration_ns).unwrap_or_else(
-                    || crate::calibration::EdgeCalibration::typical().gate_duration_ns,
-                );
+                let d = self
+                    .calibration
+                    .edge(q0, q1)
+                    .map(|e| e.gate_duration_ns)
+                    .unwrap_or_else(|| EdgeCalibration::typical().gate_duration_ns);
                 if matches!(g, Gate::Swap) {
                     3.0 * d
                 } else {
@@ -105,30 +114,14 @@ impl NoiseModel {
     /// Estimated total execution duration of one shot of `circuit` in
     /// nanoseconds: the critical-path sum of instruction durations.
     pub fn circuit_duration_ns(&self, circuit: &Circuit) -> f64 {
-        let mut finish = vec![0.0f64; circuit.num_qubits() as usize];
-        for instr in circuit.instructions() {
-            self.advance(&mut finish, instr);
-        }
-        finish.iter().cloned().fold(0.0, f64::max)
+        self.walk::<false>(circuit).0
     }
 
-    /// Move the per-qubit finish times of an ASAP execution past `instr`.
-    fn advance(&self, finish: &mut [f64], instr: &Instruction) {
-        if instr.gate == Gate::Barrier {
-            let m = finish.iter().cloned().fold(0.0, f64::max);
-            finish.fill(m);
-            return;
-        }
-        let d = self.instruction_duration_ns(instr.gate, instr.q0, instr.q1);
-        let q0 = instr.q0 as usize;
-        if instr.gate.is_two_qubit() {
-            let q1 = instr.q1 as usize;
-            let start = finish[q0].max(finish[q1]);
-            finish[q0] = start + d;
-            finish[q1] = start + d;
-        } else {
-            finish[q0] += d;
-        }
+    /// One shot's duration in nanoseconds ([`Self::circuit_duration_ns`])
+    /// and the estimated success probability
+    /// ([`Self::estimated_success_probability`]) of `circuit`, from one walk.
+    pub fn duration_and_esp(&self, circuit: &Circuit) -> (f64, f64) {
+        self.walk::<true>(circuit)
     }
 
     /// Decoherence survival factor for a qubit idling (or operating) for
@@ -140,7 +133,7 @@ impl NoiseModel {
             .qubits
             .get(q as usize)
             .copied()
-            .unwrap_or_else(crate::calibration::QubitCalibration::typical);
+            .unwrap_or_else(QubitCalibration::typical);
         let t_us = duration_ns / 1000.0;
         let rate = 0.5 * (1.0 / cal.t1_us + 1.0 / cal.t2_us);
         (-t_us * rate).exp()
@@ -153,27 +146,81 @@ impl NoiseModel {
     /// This is the scalable fidelity proxy used for circuits too wide for the
     /// statevector simulator and by the numerical baseline of Figure 7(b).
     pub fn estimated_success_probability(&self, circuit: &Circuit) -> f64 {
-        // One walk: the error product, the finish times behind the duration
-        // and the set of qubits that decohere over it.
+        self.walk::<true>(circuit).1
+    }
+
+    /// The one walk behind the duration and the ESP: per instruction, one
+    /// `match` and one calibration read — `qubits[q]` for a one-qubit gate
+    /// or a measurement, `edge(a, b)` for a two-qubit gate — that gives both
+    /// its duration (advancing the per-qubit ASAP finish times) and, if
+    /// `ESP`, its error (folded into the product) and the qubits it makes
+    /// active. Returns `(duration_ns, esp)`; `esp` is 1 unless `ESP`. The
+    /// fallbacks for an uncalibrated qubit or edge are those of
+    /// [`Self::instruction_error`] and [`Self::instruction_duration_ns`].
+    fn walk<const ESP: bool>(&self, circuit: &Circuit) -> (f64, f64) {
+        let cal = &*self.calibration;
         let n = circuit.num_qubits() as usize;
         let mut esp = 1.0f64;
         let mut finish = vec![0.0f64; n];
-        let mut active = vec![false; n];
+        let mut active = vec![false; if ESP { n } else { 0 }];
         for instr in circuit.instructions() {
-            esp *= 1.0 - self.instruction_error(instr.gate, instr.q0, instr.q1);
-            self.advance(&mut finish, instr);
-            if instr.gate != Gate::Barrier {
-                active[instr.q0 as usize] = true;
+            let q0 = instr.q0 as usize;
+            // The error, if `ESP`; virtual gates and delays have none (their
+            // factor would be 1).
+            let error = match instr.gate {
+                Gate::Barrier => {
+                    let m = finish.iter().cloned().fold(0.0, f64::max);
+                    finish.fill(m);
+                    continue;
+                }
+                Gate::RZ(_) | Gate::Id => None,
+                Gate::Delay(ns) => {
+                    finish[q0] += ns;
+                    None
+                }
+                Gate::Measure => {
+                    let c = cal.qubits.get(q0);
+                    let typical = QubitCalibration::typical().readout_duration_ns;
+                    finish[q0] += c.map_or(typical, |c| c.readout_duration_ns);
+                    ESP.then(|| c.map_or_else(|| cal.mean_readout_error(), |c| c.readout_error))
+                }
+                g if g.is_two_qubit() => {
+                    let e = cal.edge(instr.q0, instr.q1);
+                    let typical = EdgeCalibration::typical().gate_duration_ns;
+                    let d = e.map_or(typical, |e| e.gate_duration_ns);
+                    let d = if g == Gate::Swap { 3.0 * d } else { d };
+                    let q1 = instr.q1 as usize;
+                    let start = finish[q0].max(finish[q1]);
+                    finish[q0] = start + d;
+                    finish[q1] = start + d;
+                    let uncalibrated = || (cal.mean_two_qubit_error() * 1.5).min(0.9);
+                    ESP.then(|| e.map_or_else(uncalibrated, |e| e.gate_error))
+                }
+                _ => {
+                    let c = cal.qubits.get(q0);
+                    let typical = QubitCalibration::typical().gate_duration_ns;
+                    finish[q0] += c.map_or(typical, |c| c.gate_duration_ns);
+                    ESP.then(|| c.map_or_else(|| cal.mean_gate_error(), |c| c.gate_error))
+                }
+            };
+            if ESP {
+                if let Some(error) = error {
+                    esp *= 1.0 - error;
+                }
+                active[q0] = true;
                 if instr.q1 != NO_OPERAND {
                     active[instr.q1 as usize] = true;
                 }
             }
         }
         let duration = finish.iter().cloned().fold(0.0, f64::max);
-        for (q, _) in active.iter().enumerate().filter(|(_, &used)| used) {
-            esp *= self.decoherence_factor(q as u32, duration * 0.5);
+        if ESP {
+            for (q, _) in active.iter().enumerate().filter(|(_, &used)| used) {
+                esp *= self.decoherence_factor(q as u32, duration * 0.5);
+            }
+            esp = esp.clamp(0.0, 1.0);
         }
-        esp.clamp(0.0, 1.0)
+        (duration, esp)
     }
 }
 
@@ -183,8 +230,34 @@ mod tests {
     use crate::calibration::CalibrationGenerator;
     use crate::fleet::Fleet;
     use qonductor_circuit::generators::{ghz, random_circuit};
+    use qonductor_circuit::Instruction;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The duration as it used to be folded: each instruction's
+    /// [`NoiseModel::instruction_duration_ns`] advances the per-qubit ASAP
+    /// finish times, and a barrier levels them.
+    fn duration_oracle(model: &NoiseModel, circuit: &Circuit) -> f64 {
+        let mut finish = vec![0.0f64; circuit.num_qubits() as usize];
+        for instr in circuit.instructions() {
+            if instr.gate == Gate::Barrier {
+                let m = finish.iter().cloned().fold(0.0, f64::max);
+                finish.fill(m);
+                continue;
+            }
+            let d = model.instruction_duration_ns(instr.gate, instr.q0, instr.q1);
+            let q0 = instr.q0 as usize;
+            if instr.gate.is_two_qubit() {
+                let q1 = instr.q1 as usize;
+                let start = finish[q0].max(finish[q1]);
+                finish[q0] = start + d;
+                finish[q1] = start + d;
+            } else {
+                finish[q0] += d;
+            }
+        }
+        finish.iter().cloned().fold(0.0, f64::max)
+    }
 
     /// The three walks `estimated_success_probability` used to be: the error
     /// product, then the duration, then the active set.
@@ -194,17 +267,19 @@ mod tests {
             let p_err = model.instruction_error(instr.gate, instr.q0, instr.q1);
             esp *= 1.0 - p_err;
         }
-        let duration = model.circuit_duration_ns(circuit);
+        let duration = duration_oracle(model, circuit);
         for &q in circuit.active_qubits().iter() {
             esp *= model.decoherence_factor(q, duration * 0.5);
         }
         esp.clamp(0.0, 1.0)
     }
 
-    /// Bit-for-bit: seeded random circuits (unrouted, so calibrated and
-    /// uncalibrated edges mix, and wider than the small devices, so the
-    /// device-mean fallbacks run) with barriers and delays spliced in, on
-    /// every device and template of the default fleet.
+    /// Bit-for-bit, the ESP against the three walks and the duration against
+    /// the per-instruction fold, through every entry point of the one walk:
+    /// seeded random circuits (unrouted, so calibrated and uncalibrated edges
+    /// mix, and wider than the small devices, so the device-mean fallbacks
+    /// run) with barriers, delays, identities and SWAPs spliced in, on every
+    /// device and template of the default fleet.
     #[test]
     fn one_walk_esp_equals_the_three_walk_oracle_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(24);
@@ -216,21 +291,28 @@ mod tests {
         for round in 0..40 {
             let width = rng.gen_range(1..=27);
             let mut circuit = random_circuit(width, rng.gen_range(1..=8), &mut rng);
-            for _ in 0..round % 4 {
+            for _ in 0..round % 6 {
                 let at = rng.gen_range(0..=circuit.len());
-                let extra = if rng.gen_bool(0.5) {
-                    Instruction::one(Gate::Barrier, 0)
-                } else {
-                    Instruction::one(
-                        Gate::Delay(rng.gen_range(0.0..900.0)),
-                        rng.gen_range(0..width),
-                    )
+                let q = rng.gen_range(0..width);
+                let extra = match rng.gen_range(0..4) {
+                    0 => Instruction::one(Gate::Barrier, 0),
+                    1 => Instruction::one(Gate::Delay(rng.gen_range(0.0..900.0)), q),
+                    2 => Instruction::one(Gate::Id, q),
+                    _ if width > 1 => Instruction::two(Gate::Swap, q, (q + 1) % width),
+                    _ => Instruction::one(Gate::Id, q),
                 };
                 circuit.instructions_mut().insert(at, extra);
             }
             for model in &models {
                 let esp = model.estimated_success_probability(&circuit);
+                let duration = model.circuit_duration_ns(&circuit);
                 assert_eq!(esp.to_bits(), esp_three_walk_oracle(model, &circuit).to_bits());
+                assert_eq!(duration.to_bits(), duration_oracle(model, &circuit).to_bits());
+                let both = model.duration_and_esp(&circuit);
+                assert_eq!(
+                    (both.0.to_bits(), both.1.to_bits()),
+                    (duration.to_bits(), esp.to_bits())
+                );
                 distinct.insert(esp.to_bits());
             }
         }

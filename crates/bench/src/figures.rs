@@ -130,16 +130,16 @@ pub fn fig2a(seeds: &[u64]) -> Vec<FigureRow> {
         let qpu = Qpu::new("ibm_cairo", QpuModel::falcon_27(), 1.2, &mut rng(seed, FLEET));
         let graph = MaxCutGraph::random(24, 3.0 / 24.0, &mut rng(seed, GRAPH));
         let circuit = qaoa_maxcut(&graph, &[0.8], &[0.4]);
-        let (transpiler, noise) = (Transpiler::default(), qpu.noise_model());
+        let transpiler = Transpiler::default();
         let uncut = transpiler.transpile_for_qpu(&circuit, &qpu);
-        let uncut_fidelity = noise.estimated_success_probability(&uncut.circuit).max(1e-6);
+        let uncut_fidelity = uncut.esp.max(1e-6);
 
         // Two fragments, each run once per quasi-probability variant.
         let cut = knitting::cut_in_half(&circuit);
         let (mut fidelity, mut quantum_s) = (1.0, 0.0);
         for fragment in &cut.fragments {
             let t = transpiler.transpile_for_qpu(fragment, &qpu);
-            fidelity *= noise.estimated_success_probability(&t.circuit);
+            fidelity *= t.esp;
             quantum_s += t.total_execution_s();
         }
         let variants = cut.subcircuit_variants.min(32) as f64;

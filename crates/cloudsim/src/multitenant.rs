@@ -131,7 +131,9 @@ pub struct TenantCompletion {
     pub waiting_s: f64,
     /// Submission-to-finish turnaround (seconds).
     pub turnaround_s: f64,
-    /// Achieved fidelity.
+    /// Estimated fidelity, not a measured one: the estimate the app was
+    /// scheduled with on the QPU it ran on, times a ±2 % jitter, clamped to
+    /// [0, 1]. No circuit is simulated.
     pub fidelity: f64,
 }
 

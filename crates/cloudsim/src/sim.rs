@@ -204,7 +204,9 @@ pub struct CompletedApp {
     pub waiting_s: f64,
     /// Quantum execution time (s).
     pub execution_s: f64,
-    /// Achieved fidelity.
+    /// Estimated fidelity, not a measured one: the estimate the job was
+    /// scheduled with on the QPU it ran on, times a ±2 % jitter, clamped to
+    /// [0, 1]. No circuit is simulated.
     pub fidelity: f64,
     /// Absolute gap between the fidelity estimate the job was *scheduled*
     /// with and the estimate recomputed from the calibration in force when

@@ -30,17 +30,23 @@
 //! costs span two orders of magnitude — on the host's cores
 //! ([`map_indexed`]); **store** the results by index. Outputs, cache
 //! contents and [`EstimateCacheStats`] therefore do not depend on the worker
-//! count.
+//! count. A step's work items are one per (request, device) in request
+//! order, and a worker claims them in increasing order, so the compute phase
+//! ([`map_indexed_with`]) keeps each worker's last translation and transpiles
+//! it for each of the request's devices that share its basis: a worker
+//! translates a request once on the default fleet, and a translated circuit
+//! transpiles exactly as the circuit does. Plan generation translates once
+//! per basis across its templates.
 
 use qonductor_backend::{Fleet, Qpu, TemplateQpu};
-use qonductor_circuit::par::{host_cores, map_indexed};
+use qonductor_circuit::par::{host_cores, map_indexed, map_indexed_with};
 use qonductor_circuit::Circuit;
 use qonductor_estimator::{
     analytic_estimate, generate_plans, AnalyticEstimate, EstimationBackend, PlanGeneratorConfig,
     ResourcePlan,
 };
 use qonductor_mitigation::MitigationStack;
-use qonductor_transpiler::Transpiler;
+use qonductor_transpiler::{translate, BasisSet, Transpiler};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -190,7 +196,9 @@ impl<K: Copy + Eq + Hash, V: Default> Bounded<K, V> {
 }
 
 /// The analytic estimate of `circuit` under `stack` on one device at its
-/// current calibration: transpile, cost the stack, estimate.
+/// current calibration: transpile, cost the stack, estimate. `circuit` may
+/// be the step's circuit or its translation into the device's basis: both
+/// transpile to the same outputs.
 fn device_estimate(
     transpiler: &Transpiler,
     circuit: &Circuit,
@@ -199,7 +207,7 @@ fn device_estimate(
 ) -> AnalyticEstimate {
     let noise = qpu.noise_model();
     let transpiled = transpiler.transpile(circuit, &qpu.model, &noise);
-    analytic_estimate(&transpiled, &noise, &stack.cost(&transpiled.circuit, &noise))
+    analytic_estimate(&transpiled, &stack.cost(&transpiled.circuit, &noise))
 }
 
 /// The orchestrator's estimate memo (see the module docs).
@@ -297,13 +305,29 @@ impl EstimateCache {
         }
 
         // Compute. A panic must not leave reservations behind: the lock
-        // around the orchestrator state does not poison.
+        // around the orchestrator state does not poison. Work items run
+        // request by request and a member claims them in increasing order,
+        // so `last` (its last translation, with the request and the basis)
+        // serves the request's next devices: a member translates a request
+        // again only where the basis changes from one device to the next
+        // (never on the default fleet, whose devices share one basis).
         let computed = catch_unwind(AssertUnwindSafe(|| {
-            map_indexed(workers, work.len(), |w| {
-                let (r, d) = work[w];
-                let request = &requests[r];
-                device_estimate(transpiler, request.circuit, &fleet.members()[d].qpu, request.stack)
-            })
+            map_indexed_with(
+                workers,
+                work.len(),
+                || None,
+                |last: &mut Option<(usize, BasisSet, Circuit)>, w| {
+                    let (r, d) = work[w];
+                    let request = &requests[r];
+                    let qpu = &fleet.members()[d].qpu;
+                    let basis = BasisSet::from_gate_names(&qpu.model.basis_gates);
+                    let translated = match last {
+                        Some((lr, lb, translated)) if *lr == r && *lb == basis => translated,
+                        _ => &last.insert((r, basis, translate(request.circuit, basis))).2,
+                    };
+                    device_estimate(transpiler, translated, qpu, request.stack)
+                },
+            )
         }));
 
         // Store, unless a later request of the batch evicted the reservation.

@@ -79,7 +79,10 @@ pub struct QuantumStepResult {
     pub step: String,
     /// Device the step ran on.
     pub qpu: String,
-    /// Achieved fidelity.
+    /// Estimated fidelity, not a measured one: the analytic estimate the
+    /// scheduler held for the device the step ran on (transpiled ESP lifted
+    /// by the step's mitigation stack), times a ±2 % jitter, clamped to
+    /// [0, 1]. No circuit is simulated on this path.
     pub fidelity: f64,
     /// Waiting time from submission to execution start (seconds): time in
     /// the batch engine's pending pool waiting for the scheduling trigger,

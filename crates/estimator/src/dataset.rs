@@ -113,7 +113,7 @@ pub(crate) fn execute_and_record<R: Rng + ?Sized>(
     let mitigation_cost = stack.cost(&transpiled.circuit, &noise);
     let features = JobFeatures::new(&transpiled.metrics(), &qpu.calibration, &mitigation_cost);
 
-    let base_fidelity = noise.estimated_success_probability(&transpiled.circuit);
+    let base_fidelity = transpiled.esp;
     let jitter_f = 1.0 + rng.gen_range(-0.02..0.02);
     let fidelity = (mitigation_cost.mitigated_fidelity(base_fidelity) * jitter_f).clamp(0.0, 1.0);
 

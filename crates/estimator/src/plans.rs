@@ -6,10 +6,10 @@
 use crate::cost::PricingTable;
 use crate::estimator::ResourceEstimator;
 use crate::features::JobFeatures;
-use qonductor_backend::{NoiseModel, TemplateQpu};
+use qonductor_backend::TemplateQpu;
 use qonductor_circuit::Circuit;
 use qonductor_mitigation::{candidate_stacks, MitigationCost, MitigationStack};
-use qonductor_transpiler::{TranspiledCircuit, Transpiler};
+use qonductor_transpiler::{translate, BasisSet, TranspiledCircuit, Transpiler};
 
 /// One resource plan: a concrete (mitigation stack, QPU model, accelerator)
 /// choice with its estimated fidelity, runtime, and cost.
@@ -82,37 +82,27 @@ pub struct AnalyticEstimate {
     pub quantum_time_s: f64,
 }
 
-/// The analytic estimate ([`EstimationBackend::Analytic`]): the noise model's
-/// estimated success probability of the transpiled circuit lifted by the
-/// stack's error reduction, and the scheduled all-shots runtime scaled by the
-/// stack's quantum-time factor. `mitigation` is the stack's
-/// [`MitigationStack::cost`] on the same transpiled circuit and noise model.
-/// Resource plans (per template QPU) and the orchestrator's per-device job
-/// estimates are both this function.
+/// The analytic estimate ([`EstimationBackend::Analytic`]): the transpiled
+/// circuit's estimated success probability ([`TranspiledCircuit::esp`])
+/// lifted by the stack's error reduction, and the scheduled all-shots
+/// runtime scaled by the stack's quantum-time factor. `mitigation` is the
+/// stack's [`MitigationStack::cost`] on the same transpiled circuit and the
+/// noise model it was transpiled for. Resource plans (per template QPU) and
+/// the orchestrator's per-device job estimates are both this function.
 pub fn analytic_estimate(
-    transpiled: &TranspiledCircuit,
-    noise: &NoiseModel,
-    mitigation: &MitigationCost,
-) -> AnalyticEstimate {
-    let base = noise.estimated_success_probability(&transpiled.circuit);
-    analytic_estimate_from(base, transpiled, mitigation)
-}
-
-/// [`analytic_estimate`] given the transpiled circuit's estimated success
-/// probability, which does not depend on the stack.
-fn analytic_estimate_from(
-    base_esp: f64,
     transpiled: &TranspiledCircuit,
     mitigation: &MitigationCost,
 ) -> AnalyticEstimate {
     AnalyticEstimate {
-        fidelity: mitigation.mitigated_fidelity(base_esp),
+        fidelity: mitigation.mitigated_fidelity(transpiled.esp),
         quantum_time_s: transpiled.total_execution_s() * mitigation.quantum_time_factor,
     }
 }
 
 /// Generate all candidate plans for a circuit over the given template QPUs:
 /// every (template, mitigation stack) combination that fits the circuit.
+/// The circuit is translated once per basis the templates use, and each
+/// template transpiles that translation.
 pub fn generate_candidate_plans(
     circuit: &Circuit,
     templates: &[TemplateQpu],
@@ -120,23 +110,29 @@ pub fn generate_candidate_plans(
     config: &PlanGeneratorConfig,
 ) -> Vec<ResourcePlan> {
     let transpiler = Transpiler::default();
+    let mut translations: Vec<(BasisSet, Circuit)> = Vec::new();
     let mut plans = Vec::new();
     for template in templates {
         if template.num_qubits() < circuit.num_qubits() {
             continue; // Plan infeasible: the circuit does not fit this model.
         }
         let noise = template.noise_model();
-        let transpiled = transpiler.transpile_for_template(circuit, template);
-        // The transpiled circuit's ESP and metrics are the same under every stack.
-        let (mut base_esp, mut metrics) = (None, None);
+        let basis = BasisSet::from_gate_names(&template.model.basis_gates);
+        let translated = match translations.iter().position(|(b, _)| *b == basis) {
+            Some(i) => &translations[i].1,
+            None => {
+                translations.push((basis, translate(circuit, basis)));
+                &translations[translations.len() - 1].1
+            }
+        };
+        let transpiled = transpiler.transpile(translated, &template.model, &noise);
+        // The transpiled circuit's metrics are the same under every stack.
+        let mut metrics = None;
         for stack in candidate_stacks() {
             let mitigation = stack.cost(&transpiled.circuit, &noise);
             let (fidelity, quantum_time_s, classical_cpu_s) = match backend {
                 EstimationBackend::Analytic => {
-                    let base = *base_esp.get_or_insert_with(|| {
-                        noise.estimated_success_probability(&transpiled.circuit)
-                    });
-                    let e = analytic_estimate_from(base, &transpiled, &mitigation);
+                    let e = analytic_estimate(&transpiled, &mitigation);
                     (e.fidelity, e.quantum_time_s, mitigation.classical_time_cpu_s)
                 }
                 EstimationBackend::Trained(est) => {

@@ -91,13 +91,18 @@ pub(crate) fn cut_at(circuit: &Circuit, boundary: u32) -> CutResult {
         }
     }
 
-    // Overheads: each cut CX has a one-norm of 3, so the sampling overhead of the
-    // decomposition is 9 per cut; the number of subcircuit variants grows as 4^cuts
-    // but is capped (practical implementations batch the variants).
-    let effective_cuts = num_cuts.min(8) as u32;
-    let sampling_overhead = 9f64.powi(effective_cuts as i32);
-    let subcircuit_variants = 2 * 4usize.pow(effective_cuts.min(6));
+    let (sampling_overhead, subcircuit_variants) = overheads(num_cuts);
     CutResult { fragments: vec![frag0, frag1], num_cuts, sampling_overhead, subcircuit_variants }
+}
+
+/// The sampling overhead and the number of subcircuit variants of a cut
+/// through `num_cuts` gates. Each cut CX has a one-norm of 3, so the sampling
+/// overhead of the decomposition is 9 per cut; the number of subcircuit
+/// variants grows as 4^cuts but is capped (practical implementations batch
+/// the variants).
+fn overheads(num_cuts: usize) -> (f64, usize) {
+    let effective_cuts = num_cuts.min(8) as u32;
+    (9f64.powi(effective_cuts as i32), 2 * 4usize.pow(effective_cuts.min(6)))
 }
 
 /// Cut a circuit in half (the Figure 2(a) setting).
@@ -111,9 +116,15 @@ pub fn cut_in_half(circuit: &Circuit) -> CutResult {
 pub fn reconstruction_cost(result: &CutResult, shots: u32) -> ReconstructionCost {
     let w0 = result.fragments.first().map(|f| f.num_qubits()).unwrap_or(1);
     let w1 = result.fragments.get(1).map(|f| f.num_qubits()).unwrap_or(1);
+    reconstruction(result.num_cuts, w0, w1, shots)
+}
+
+/// [`reconstruction_cost`] of `num_cuts` cut gates between fragments of
+/// widths `w0` and `w1`.
+fn reconstruction(num_cuts: usize, w0: u32, w1: u32, shots: u32) -> ReconstructionCost {
     let hist0 = (2f64.powi(w0 as i32)).min(f64::from(shots));
     let hist1 = (2f64.powi(w1 as i32)).min(f64::from(shots));
-    let terms = 4f64.powi(result.num_cuts.min(8) as i32);
+    let terms = 4f64.powi(num_cuts.min(8) as i32);
     let flops = terms * (hist0 * hist1);
     // 1 GFLOP/s effective CPU throughput for the combination kernel, 40 GFLOP/s on GPU.
     ReconstructionCost { flops, cpu_time_s: flops / 1e9, gpu_time_s: flops / 4e10 }
@@ -125,15 +136,28 @@ pub fn reconstruction_cost(result: &CutResult, shots: u32) -> ReconstructionCost
 /// with the original shot budget); classical time is the reconstruction cost;
 /// the error-reduction factor reflects that each fragment is roughly half as
 /// wide and deep as the original circuit.
+///
+/// Only the number of gates that cross the half-way boundary and the two
+/// widths matter, so this counts the crossing gates (as [`cut_in_half`]
+/// would) without building the fragments.
 pub fn cost(circuit: &Circuit) -> MitigationCost {
     if circuit.num_qubits() < 4 {
         return MitigationCost::identity();
     }
-    let cut = cut_in_half(circuit);
-    let recon = reconstruction_cost(&cut, circuit.shots());
+    let boundary = circuit.num_qubits() / 2;
+    let num_cuts = circuit
+        .instructions()
+        .iter()
+        .filter(|i| {
+            i.gate != Gate::Barrier && i.q1 != NO_OPERAND && (i.q0 < boundary) != (i.q1 < boundary)
+        })
+        .count();
+    let (_, subcircuit_variants) = overheads(num_cuts);
+    let recon =
+        reconstruction(num_cuts, boundary, circuit.num_qubits() - boundary, circuit.shots());
     MitigationCost {
-        circuit_multiplicity: cut.subcircuit_variants,
-        quantum_time_factor: (cut.subcircuit_variants as f64).clamp(1.0, 24.0),
+        circuit_multiplicity: subcircuit_variants,
+        quantum_time_factor: (subcircuit_variants as f64).clamp(1.0, 24.0),
         classical_time_cpu_s: recon.cpu_time_s.max(0.05),
         accelerator_speedup: (recon.cpu_time_s / recon.gpu_time_s.max(1e-9)).max(1.0),
         error_reduction_factor: 0.30,
@@ -143,8 +167,83 @@ pub fn cost(circuit: &Circuit) -> MitigationCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qonductor_backend::Fleet;
     use qonductor_circuit::generators::qaoa_maxcut;
-    use qonductor_circuit::generators::{ghz, MaxCutGraph};
+    use qonductor_circuit::generators::{ghz, random_circuit, MaxCutGraph};
+    use qonductor_circuit::{workload, Algorithm, Instruction};
+    use qonductor_transpiler::Transpiler;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// [`cost`] as it was: build both fragments with [`cut_in_half`] and
+    /// read the overheads and the reconstruction cost off the cut.
+    fn cost_by_fragments(circuit: &Circuit) -> MitigationCost {
+        if circuit.num_qubits() < 4 {
+            return MitigationCost::identity();
+        }
+        let cut = cut_in_half(circuit);
+        let recon = reconstruction_cost(&cut, circuit.shots());
+        MitigationCost {
+            circuit_multiplicity: cut.subcircuit_variants,
+            quantum_time_factor: (cut.subcircuit_variants as f64).clamp(1.0, 24.0),
+            classical_time_cpu_s: recon.cpu_time_s.max(0.05),
+            accelerator_speedup: (recon.cpu_time_s / recon.gpu_time_s.max(1e-9)).max(1.0),
+            error_reduction_factor: 0.30,
+        }
+    }
+
+    fn cost_bits(c: &MitigationCost) -> (usize, [u64; 4]) {
+        let floats = [
+            c.quantum_time_factor,
+            c.classical_time_cpu_s,
+            c.accelerator_speedup,
+            c.error_reduction_factor,
+        ];
+        (c.circuit_multiplicity, floats.map(f64::to_bits))
+    }
+
+    /// Counting the crossing gates gives the fragment oracle's cost bit for
+    /// bit: on seeded random circuits of every width 1-27 with barriers and
+    /// SWAPs spliced in, and on every algorithm family transpiled for the
+    /// default fleet's templates (27-wide, routed, SWAPs lowered).
+    #[test]
+    fn knitting_cost_equals_the_fragment_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let mut circuits = Vec::new();
+        for width in 1..=27 {
+            let mut c = random_circuit(width, rng.gen_range(1..=8), &mut rng);
+            c.set_shots(rng.gen_range(1..9000));
+            for _ in 0..rng.gen_range(0..4) {
+                let at = rng.gen_range(0..=c.len());
+                let q = rng.gen_range(0..width);
+                let extra = if width > 1 && rng.gen_bool(0.5) {
+                    Instruction::two(Gate::Swap, q, (q + width / 2) % width)
+                } else {
+                    Instruction::one(Gate::Barrier, 0)
+                };
+                c.instructions_mut().insert(at, extra);
+            }
+            circuits.push(c);
+        }
+        let templates = Fleet::ibm_default(&mut rng).template_qpus();
+        let transpiler = Transpiler::default();
+        for alg in Algorithm::ALL {
+            for width in [2, 4, 7, 12, 16, 21, 27] {
+                let circuit = workload::build_algorithm(alg, width, 2, &mut rng);
+                for t in templates.iter().filter(|t| t.num_qubits() >= width) {
+                    circuits.push(transpiler.transpile_for_template(&circuit, t).circuit);
+                }
+            }
+        }
+        let mut cuts = std::collections::HashSet::new();
+        for c in &circuits {
+            assert_eq!(cost_bits(&cost(c)), cost_bits(&cost_by_fragments(c)), "{}", c.name());
+            if c.num_qubits() >= 4 {
+                cuts.insert(cut_in_half(c).num_cuts.min(9));
+            }
+        }
+        assert!(cuts.len() >= 8, "the inputs span the cut-count caps: {cuts:?}");
+    }
 
     #[test]
     fn ghz_cut_in_half_has_one_crossing_gate() {

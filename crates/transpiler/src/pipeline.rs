@@ -2,14 +2,20 @@
 //! transpilation" stage of the resource estimator, §6(b)), as one pass.
 //!
 //! The initial layout is chosen first: it needs only the circuit's width.
-//! Then every logical instruction is translated into the device basis in a
-//! small reused buffer, every translated instruction is routed, and every
-//! SWAP the router inserts is written as its own basis lowering (3 CX on an
-//! IBM device). That is exactly translate → route → translate: translation
+//! Then every logical instruction that is already native goes straight to
+//! the router; any other is translated into the device basis in a small
+//! reused buffer and each of its native instructions is routed; every SWAP
+//! the router inserts is written as its own basis lowering (3 CX on an IBM
+//! device). That is exactly translate → route → translate: translation
 //! works instruction by instruction and leaves native gates as they are, so
 //! the pass writes the same gates in the same order without building the
-//! translated or the routed circuit. Of the ASAP schedule only the makespan
-//! is kept ([`NoiseModel::circuit_duration_ns`], the same fold as
+//! translated or the routed circuit. For the same reason a circuit
+//! translated ahead of time ([`crate::translate`]) transpiles to exactly what
+//! the logical circuit does, which lets a caller that transpiles one circuit
+//! for many devices of one basis translate it once. Of the ASAP schedule
+//! only the makespan is kept, and it comes with the estimated success
+//! probability from one walk of the output
+//! ([`NoiseModel::duration_and_esp`]; the makespan is the same fold as
 //! [`crate::asap_schedule`]'s `total_duration_ns`); the structural metrics
 //! are computed on demand.
 
@@ -46,6 +52,9 @@ pub struct TranspiledCircuit {
     /// ASAP makespan of one shot of the final circuit on the device, in
     /// nanoseconds.
     pub duration_ns: f64,
+    /// Estimated success probability of the final circuit on the device
+    /// ([`NoiseModel::estimated_success_probability`]).
+    pub esp: f64,
 }
 
 impl TranspiledCircuit {
@@ -107,23 +116,29 @@ impl Transpiler {
         out.instructions_mut().reserve(OUTPUT_PER_INPUT * circuit.len());
         let mut native = Circuit::new(circuit.num_qubits());
         let mut router = Router::new(coupling, &initial_layout);
+        let lower_swap = |out: &mut Circuit, from, to| {
+            translate_instruction(out, &Instruction::two(Gate::Swap, from, to), basis);
+        };
         for instr in circuit.instructions() {
+            if basis.is_native(instr.gate) {
+                router.step(instr, &mut out, lower_swap);
+                continue;
+            }
             native.instructions_mut().clear();
             translate_instruction(&mut native, instr, basis);
             for instr in native.instructions() {
-                router.step(instr, &mut out, |out, from, to| {
-                    translate_instruction(out, &Instruction::two(Gate::Swap, from, to), basis);
-                });
+                router.step(instr, &mut out, lower_swap);
             }
         }
         let (final_layout, swaps_inserted) = router.finish();
-        let duration_ns = noise.circuit_duration_ns(&out);
+        let (duration_ns, esp) = noise.duration_and_esp(&out);
         TranspiledCircuit {
             circuit: out,
             initial_layout,
             final_layout,
             swaps_inserted,
             duration_ns,
+            esp,
         }
     }
 
@@ -143,12 +158,13 @@ impl Transpiler {
     }
 }
 
-/// Output instructions reserved per input instruction. On IBM devices a
-/// one-qubit gate lowers to up to 5 and a SWAP to 3; a SWAP-heavy circuit
-/// that needs more grows the buffer once. (Over qbench's `invoke-unique`
-/// wave the ratio is 5.4, yet on a 2-core x86 host 6 and 8 transpiled that
-/// wave no faster than 4.)
-const OUTPUT_PER_INPUT: usize = 4;
+/// Output instructions reserved per input instruction. The estimate path
+/// hands the pass circuits already in the device basis, whose instructions
+/// route one to one; only the SWAPs the router inserts (3 CX each on IBM
+/// devices) add to them. Over qbench's `invoke-unique` wave that ratio is
+/// 1.48 (5.4 for the logical circuits); a circuit that needs more, or one
+/// not yet translated, grows the buffer.
+const OUTPUT_PER_INPUT: usize = 2;
 
 #[cfg(test)]
 mod tests {
@@ -239,7 +255,59 @@ mod tests {
         assert_eq!(t.final_layout, s.final_layout, "{case}");
         assert_eq!(t.swaps_inserted, s.swaps_inserted, "{case}");
         assert_eq!(t.duration_ns.to_bits(), s.schedule.total_duration_ns.to_bits(), "{case}");
+        let esp = noise.estimated_success_probability(&s.circuit);
+        assert_eq!(t.esp.to_bits(), esp.to_bits(), "{case}");
         assert_eq!(t.metrics(), s.metrics, "{case}");
+    }
+
+    /// Transpile `circuit` and its translation into the target's basis, and
+    /// require every output to agree, the makespan and the ESP bit for bit.
+    fn assert_translating_ahead_changes_nothing(
+        circuit: &Circuit,
+        model: &QpuModel,
+        noise: &NoiseModel,
+    ) {
+        let transpiler = Transpiler::default();
+        let basis = BasisSet::from_gate_names(&model.basis_gates);
+        let direct = transpiler.transpile(circuit, model, noise);
+        let ahead = transpiler.transpile(&translate(circuit, basis), model, noise);
+        let case =
+            format!("{} ({} qubits) on {}", circuit.name(), circuit.num_qubits(), model.name);
+        assert!(ahead.circuit == direct.circuit, "circuits differ: {case}");
+        assert_eq!(ahead.initial_layout, direct.initial_layout, "{case}");
+        assert_eq!(ahead.final_layout, direct.final_layout, "{case}");
+        assert_eq!(ahead.swaps_inserted, direct.swaps_inserted, "{case}");
+        assert_eq!(ahead.duration_ns.to_bits(), direct.duration_ns.to_bits(), "{case}");
+        assert_eq!(ahead.esp.to_bits(), direct.esp.to_bits(), "{case}");
+    }
+
+    /// What the estimate path relies on when it translates a circuit once
+    /// per basis and transpiles that for every device: on every target, the
+    /// ion trap included, every algorithm family at widths 2-27 and seeded
+    /// random circuits transpile from their translation exactly as from
+    /// themselves.
+    #[test]
+    fn a_circuit_translated_ahead_transpiles_to_the_same_outputs() {
+        let targets = targets();
+        let mut rng = StdRng::seed_from_u64(2032);
+        for alg in Algorithm::ALL {
+            for width in 2..=27 {
+                let mut circuit = workload::build_algorithm(alg, width, 2, &mut rng);
+                circuit.set_shots(rng.gen_range(100..9000));
+                for (model, noise) in targets.iter().filter(|(m, _)| m.num_qubits() >= width) {
+                    assert_translating_ahead_changes_nothing(&circuit, model, noise);
+                }
+            }
+        }
+        for (model, noise) in &targets {
+            let self_loops =
+                BasisSet::from_gate_names(&model.basis_gates) == BasisSet::IbmSuperconducting;
+            for _ in 0..20 {
+                let width = rng.gen_range(1..=model.num_qubits().min(27));
+                let circuit = random_circuit(&mut rng, width, self_loops);
+                assert_translating_ahead_changes_nothing(&circuit, model, noise);
+            }
+        }
     }
 
     /// Every default-fleet device under its own calibration, every template

@@ -41,7 +41,7 @@ fn mitigation_improves_estimated_fidelity_on_real_transpiled_circuits() {
     let circuit = qaoa_maxcut(&graph, &[0.4], &[0.9]);
     let transpiled = transpiler.transpile_for_qpu(&circuit, qpu);
     let noise = qpu.noise_model();
-    let base = noise.estimated_success_probability(&transpiled.circuit);
+    let base = transpiled.esp;
     let mitigated =
         MitigationStack::listing2().cost(&transpiled.circuit, &noise).mitigated_fidelity(base);
     assert!(mitigated > base, "mitigated {mitigated} must exceed baseline {base}");
